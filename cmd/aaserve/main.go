@@ -11,8 +11,9 @@
 //
 // Append ?async=1 to get 202 + a job id immediately, then poll
 // GET /v1/jobs/{id}. GET /metrics reports queue depth, in-flight jobs,
-// cache hit rate and per-strategy latency histograms. When the queue is
-// full, submissions get 429 with a Retry-After estimate.
+// cache hit rate (by request and by simulated work saved) and per-strategy
+// latency histograms. Concurrent identical submissions run one simulation.
+// When the queue is full, submissions get 429 with a Retry-After estimate.
 package main
 
 import (
@@ -29,11 +30,21 @@ import (
 	"alltoall/internal/serve"
 )
 
+// Connection timeouts. A request is at most 1 MiB of JSON, so a client that
+// has not sent it within these is stalled or hostile. There is no write
+// timeout: a synchronous job legitimately holds its response open for up to
+// its own deadline.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 4, "concurrent simulation workers")
 	queue := flag.Int("queue", 0, "job queue depth (0 = 4*workers)")
-	cache := flag.Int("cache", 512, "result LRU entries (negative disables)")
+	cache := flag.Int("cache", 512, "result cache entries (negative disables)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-job deadline")
 	maxShards := flag.Int("maxshards", 16, "per-job shard ceiling")
 	maxNodes := flag.Int("maxnodes", 64*1024, "per-job torus size ceiling")
@@ -48,7 +59,13 @@ func main() {
 		MaxNodes:       *maxNodes,
 	})
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "aaserve: listening on %s (%d workers)\n", *addr, *workers)

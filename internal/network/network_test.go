@@ -41,19 +41,22 @@ func (s *pacedSource) Next(now int64) (PacketSpec, SrcStatus, int64) {
 	return s.spec, SrcReady, 0
 }
 
-// countHandler counts deliveries; every delivery is final.
+// countHandler counts deliveries; every delivery is final. Both tables are
+// node-partitioned (a delivery at node n writes only perNode[n] and row n of
+// bySrc), as the Handler contract requires under RunSharded.
 type countHandler struct {
+	p       int
 	perNode []int64
-	bySrc   map[[2]int32]int64
+	bySrc   []int64 // deliveries at node n from src s, at n*p+s
 }
 
 func newCountHandler(p int) *countHandler {
-	return &countHandler{perNode: make([]int64, p), bySrc: map[[2]int32]int64{}}
+	return &countHandler{p: p, perNode: make([]int64, p), bySrc: make([]int64, p*p)}
 }
 
 func (h *countHandler) OnDeliver(d Delivered, fw []PacketSpec) ([]PacketSpec, int64, bool) {
 	h.perNode[d.Node]++
-	h.bySrc[[2]int32{d.Src, d.Node}]++
+	h.bySrc[int(d.Node)*h.p+int(d.Src)]++
 	return fw, 0, true
 }
 
@@ -199,9 +202,8 @@ func checkConservation(t *testing.T, shape torus.Shape, h *countHandler) {
 			if s == d {
 				continue
 			}
-			if h.bySrc[[2]int32{int32(s), int32(d)}] != 1 {
-				t.Fatalf("%v pair (%d,%d) delivered %d times, want 1",
-					shape, s, d, h.bySrc[[2]int32{int32(s), int32(d)}])
+			if got := h.bySrc[d*p+s]; got != 1 {
+				t.Fatalf("%v pair (%d,%d) delivered %d times, want 1", shape, s, d, got)
 			}
 		}
 	}

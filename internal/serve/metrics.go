@@ -53,8 +53,10 @@ type metrics struct {
 	accepted atomic.Int64 // admitted jobs (including cache hits)
 	rejected atomic.Int64 // refused by admission control (queue full)
 	inFlight atomic.Int64 // currently executing on a worker
-	hits     atomic.Int64 // LRU result-cache hits
-	misses   atomic.Int64 // LRU result-cache misses
+	hits     atomic.Int64 // result-cache hits
+	misses   atomic.Int64 // result-cache misses: led or joined a simulation
+	shared   atomic.Int64 // misses answered by a simulation another request led
+	saved    atomic.Int64 // Result.Events of hits and shared answers: work not redone
 
 	simRuns    atomic.Int64 // completed simulations
 	simEvents  atomic.Int64 // logical simulator events across served jobs
@@ -81,11 +83,12 @@ func newMetrics() *metrics {
 	return &metrics{start: time.Now(), byStrategy: make(map[collective.Strategy]*latHist)}
 }
 
-func (m *metrics) noteCacheHit()  { m.accepted.Add(1); m.hits.Add(1) }
-func (m *metrics) noteCacheMiss() { m.accepted.Add(1); m.misses.Add(1) }
-func (m *metrics) noteRejected()  { m.accepted.Add(-1); m.rejected.Add(1) } // submit counted it as a miss first
-func (m *metrics) noteStart()     { m.inFlight.Add(1) }
-func (m *metrics) noteDone()      { m.inFlight.Add(-1) }
+func (m *metrics) noteCacheHit(events int64) { m.accepted.Add(1); m.hits.Add(1); m.saved.Add(events) }
+func (m *metrics) noteCacheMiss()            { m.accepted.Add(1); m.misses.Add(1) }
+func (m *metrics) noteShared(events int64)   { m.shared.Add(1); m.saved.Add(events) }
+func (m *metrics) noteRejected()             { m.rejected.Add(1) }
+func (m *metrics) noteStart()                { m.inFlight.Add(1) }
+func (m *metrics) noteDone()                 { m.inFlight.Add(-1) }
 
 // noteSync folds one successful job's sharded-engine synchronization
 // counters into the service totals.
@@ -168,6 +171,14 @@ type metricsBody struct {
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	CacheEntries int     `json:"cache_entries"`
 
+	// What the cache was worth, in simulator events: saved is the work hits
+	// and shared answers did not redo, and the cost hit rate is its share
+	// of all the work requested, saved / (saved + sim_events).
+	CacheEvictions   int64   `json:"cache_evictions"`
+	CacheShared      int64   `json:"cache_shared"`
+	CacheEventsSaved int64   `json:"cache_events_saved"`
+	CacheCostHitRate float64 `json:"cache_cost_hit_rate"`
+
 	SimRuns         int64   `json:"sim_runs"`
 	SimEvents       int64   `json:"sim_events"`
 	SimPackets      int64   `json:"sim_packets"`
@@ -186,7 +197,7 @@ type metricsBody struct {
 }
 
 // body renders the metrics snapshot.
-func (m *metrics) body(workers, queueCap, queueDepth, cacheEntries int) metricsBody {
+func (m *metrics) body(workers, queueCap, queueDepth, cacheEntries int, cacheEvictions int64) metricsBody {
 	up := time.Since(m.start).Seconds()
 	hits, misses := m.hits.Load(), m.misses.Load()
 	b := metricsBody{
@@ -209,9 +220,16 @@ func (m *metrics) body(workers, queueCap, queueDepth, cacheEntries int) metricsB
 		SyncWaitNs:    m.syncWaitNs.Load(),
 		SyncXEvents:   m.syncXEvents.Load(),
 		SyncXBytes:    m.syncXBytes.Load(),
+
+		CacheEvictions:   cacheEvictions,
+		CacheShared:      m.shared.Load(),
+		CacheEventsSaved: m.saved.Load(),
 	}
 	if hits+misses > 0 {
 		b.CacheHitRate = float64(hits) / float64(hits+misses)
+	}
+	if work := b.CacheEventsSaved + b.SimEvents; work > 0 {
+		b.CacheCostHitRate = float64(b.CacheEventsSaved) / float64(work)
 	}
 	if up > 0 {
 		b.JobsPerSec = float64(b.JobsAccepted) / up

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,6 +20,10 @@ var ErrQueueFull = errors.New("serve: job queue full")
 
 // errShutdown rejects submissions after Close.
 var errShutdown = errors.New("serve: server shutting down")
+
+// errPanic marks a simulation that panicked on its worker; mapError files it
+// under 500 internal like any other unexpected failure.
+var errPanic = errors.New("serve: simulation panicked")
 
 // jobStatus is the lifecycle of a job in the scheduler.
 type jobStatus int32
@@ -44,11 +49,11 @@ func (s jobStatus) String() string {
 	return fmt.Sprintf("jobStatus(%d)", int32(s))
 }
 
-// job is one scheduled simulation. Fields before done are set at submit
-// time; result fields are written by exactly one goroutine (the worker, or
-// the submitter on a cache hit) before done is closed, and read only after
-// <-done, so no further synchronization is needed on them. status is
-// guarded by the owning server's registry lock for rendering.
+// job is one request waiting for a result. Fields before done are set at
+// submit time; result fields are written by exactly one goroutine (whoever
+// holds the scheduler lock when the outcome is known) before done is closed,
+// and read only after <-done, so no further synchronization is needed on
+// them. status is guarded by its own lock for rendering.
 type job struct {
 	id  string
 	req collective.Request
@@ -56,12 +61,13 @@ type job struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
+	stop   func() bool // unregisters the ctx watcher of an attached job
 
-	done      chan struct{}
-	res       collective.Result
-	body      []byte // canonical result JSON (resultJSON), nil on failure
-	err       error
-	fromCache bool
+	done  chan struct{}
+	res   collective.Result
+	body  []byte // canonical result JSON (resultJSON), nil on failure
+	err   error
+	cache string // how the result was obtained: "hit", "miss" or "shared"
 
 	mu       sync.Mutex // guards status
 	status   jobStatus
@@ -92,8 +98,26 @@ func (j *job) finish(res collective.Result, body []byte, err error) {
 	} else {
 		j.setStatus(statusDone)
 	}
+	if j.stop != nil {
+		j.stop()
+	}
 	j.cancel()
 	close(j.done)
+}
+
+// flight is one simulation, queued or running, and the jobs waiting for its
+// outcome: the leader that caused it and every later request for the same
+// key. It runs under its own context, canceled only once every attached job
+// has gone, so no single client's disconnect or deadline fails the others.
+type flight struct {
+	key    string
+	req    collective.Request
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	// Guarded by scheduler.mu.
+	jobs    []*job
+	running bool
 }
 
 // runFunc executes one canonical request; the default is
@@ -110,34 +134,40 @@ func defaultRun(ctx context.Context, req collective.Request, cache *collective.N
 	})
 }
 
-// scheduler runs jobs on a bounded worker pool behind a bounded FIFO queue.
-// Admission is non-blocking: a full queue refuses the job with ErrQueueFull
-// and the HTTP layer translates that into backpressure. Each worker owns a
-// private collective.NetCache, so consecutive jobs that share a shape and
-// machine parameters recycle the simulation network's allocations - the
-// cheap, always-correct reuse - while byte-level result reuse is the LRU's
-// job (cache.go). Determinism note: a worker cache never changes a Result
-// (Network.Reset reuse is regression-tested byte-identical), so scheduling
-// order and worker count are invisible in served output.
+// scheduler runs simulations on a bounded worker pool behind a bounded FIFO
+// queue, at most one per canonical key at a time (single-flight). Admission
+// is non-blocking: a full queue refuses the job with ErrQueueFull and the
+// HTTP layer translates that into backpressure. Each worker owns a private
+// collective.NetCache, so consecutive runs that share a shape and machine
+// parameters recycle the simulation network's allocations - the cheap,
+// always-correct reuse - while byte-level result reuse is the result
+// cache's job (cache.go). Determinism note: a worker cache never changes a
+// Result (Network.Reset reuse is regression-tested byte-identical), so
+// scheduling order, worker count and who led a flight are invisible in
+// served output.
 type scheduler struct {
-	queue   chan *job
+	queue   chan *flight
 	workers int
 	run     runFunc
 	cache   *resultCache
 	metrics *metrics
 
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
+	// mu makes admission atomic with completion: a key is in the cache, or
+	// in flights, or neither, never observed between the two.
+	mu      sync.Mutex
+	flights map[string]*flight
+	closed  bool
+	wg      sync.WaitGroup
 }
 
 func newScheduler(workers, depth int, run runFunc, cache *resultCache, m *metrics) *scheduler {
 	s := &scheduler{
-		queue:   make(chan *job, depth),
+		queue:   make(chan *flight, depth),
 		workers: workers,
 		run:     run,
 		cache:   cache,
 		metrics: m,
+		flights: make(map[string]*flight),
 	}
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -146,69 +176,147 @@ func newScheduler(workers, depth int, run runFunc, cache *resultCache, m *metric
 	return s
 }
 
-// submit admits a job: an LRU hit completes it immediately (no queue slot,
-// no worker), otherwise it joins the FIFO unless the queue is full.
+// submit admits a job. A cache hit completes it immediately; a key already
+// in flight is joined (neither takes a queue slot or a worker); otherwise
+// the job leads a new flight into the FIFO unless the queue is full.
 func (s *scheduler) submit(j *job) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if body, res, ok := s.cache.get(j.key); ok {
-		s.metrics.noteCacheHit()
-		j.fromCache = true
+		s.metrics.noteCacheHit(res.Events)
+		j.cache = "hit"
 		j.finish(res, body, nil)
 		return nil
 	}
-	s.metrics.noteCacheMiss()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
 		return errShutdown
 	}
-	select {
-	case s.queue <- j:
-		return nil
-	default:
-		s.metrics.noteRejected()
-		return fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(s.queue))
+	f := s.flights[j.key]
+	if f != nil {
+		j.cache = "shared"
+		if f.running {
+			j.setStatus(statusRunning)
+		}
+	} else {
+		ctx, cancel := context.WithCancel(context.Background())
+		f = &flight{key: j.key, req: j.req, ctx: ctx, cancel: cancel}
+		select {
+		case s.queue <- f:
+		default:
+			cancel()
+			s.metrics.noteRejected()
+			return fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(s.queue))
+		}
+		s.flights[j.key] = f
+		j.cache = "miss"
+	}
+	s.metrics.noteCacheMiss()
+	f.jobs = append(f.jobs, j)
+	j.stop = context.AfterFunc(j.ctx, func() { s.detach(f, j) })
+	return nil
+}
+
+// detach fails a job whose own context ended (client gone, deadline past)
+// before its flight did. The flight carries on for the jobs still attached;
+// the last one to leave cancels it.
+func (s *scheduler) detach(f *flight, j *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := slices.Index(f.jobs, j)
+	if i < 0 {
+		return // the flight finished first
+	}
+	f.jobs = slices.Delete(f.jobs, i, i+1)
+	j.finish(collective.Result{}, nil, fmt.Errorf("serve: job canceled: %w", j.ctx.Err()))
+	if len(f.jobs) == 0 {
+		f.cancel()
+		delete(s.flights, f.key) // a new request must not join a canceled flight
 	}
 }
 
-// depth reports the number of queued (not yet running) jobs.
+// depth reports the number of queued (not yet running) flights.
 func (s *scheduler) depth() int { return len(s.queue) }
+
+// begin marks a dequeued flight running, unless every job left it while it
+// waited in the queue - then there is nobody to burn a worker for.
+func (s *scheduler) begin(f *flight) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(f.jobs) == 0 {
+		return false
+	}
+	f.running = true
+	for _, j := range f.jobs {
+		j.setStatus(statusRunning)
+	}
+	return true
+}
+
+// complete caches a successful flight's bytes and hands its outcome, result
+// or failure, to every job still attached. Failures are never cached.
+func (s *scheduler) complete(f *flight, res collective.Result, body []byte, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.flights[f.key] == f {
+		delete(s.flights, f.key)
+	}
+	if err == nil {
+		s.cache.add(f.key, body, res)
+	}
+	for _, j := range f.jobs {
+		if err == nil && j.cache == "shared" {
+			s.metrics.noteShared(res.Events)
+		}
+		j.finish(res, body, err)
+	}
+	f.jobs = nil
+	f.cancel()
+}
+
+// contain runs one flight, turning a panic in the simulator into an errPanic
+// so that it fails this flight's jobs instead of the whole service.
+func (s *scheduler) contain(f *flight, cache *collective.NetCache, ss *network.SyncStats) (res collective.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = collective.Result{}, fmt.Errorf("%w on %s: %v", errPanic, f.key, p)
+		}
+	}()
+	return s.run(f.ctx, f.req, cache, ss)
+}
 
 func (s *scheduler) worker() {
 	defer s.wg.Done()
 	cache := &collective.NetCache{}
-	for j := range s.queue {
-		// A job can be canceled (client gone, deadline past) while it
-		// waits in the queue; don't burn a worker on it.
-		if err := j.ctx.Err(); err != nil {
-			j.finish(collective.Result{}, nil, fmt.Errorf("canceled while queued: %w", err))
-			s.metrics.noteJob(j.req.Strategy, 0, false, nil)
+	for f := range s.queue {
+		if !s.begin(f) {
+			s.metrics.noteJob(f.req.Strategy, 0, false, nil)
 			continue
 		}
-		j.setStatus(statusRunning)
 		s.metrics.noteStart()
 		start := time.Now()
 		var ss network.SyncStats
-		res, err := s.run(j.ctx, j.req, cache, &ss)
+		res, err := s.contain(f, cache, &ss)
 		elapsed := time.Since(start)
+		if errors.Is(err, errPanic) {
+			cache = &collective.NetCache{} // its network may be mid-mutation
+		}
 		var body []byte
 		if err == nil {
-			if body, err = resultJSON(res); err == nil {
-				s.cache.add(j.key, body, res)
-			}
+			body, err = resultJSON(res)
 		}
 		s.metrics.noteDone()
 		if err != nil {
-			s.metrics.noteJob(j.req.Strategy, elapsed, false, nil)
-			j.finish(collective.Result{}, nil, err)
+			s.metrics.noteJob(f.req.Strategy, elapsed, false, nil)
+			s.complete(f, collective.Result{}, nil, err)
 			continue
 		}
 		s.metrics.noteSync(&ss)
-		s.metrics.noteJob(j.req.Strategy, elapsed, true, &res)
-		j.finish(res, body, nil)
+		s.metrics.noteJob(f.req.Strategy, elapsed, true, &res)
+		s.complete(f, res, body, nil)
 	}
 }
 
-// close drains the pool: no new submissions, queued jobs still run.
+// close drains the pool: no new submissions, queued flights still run.
 func (s *scheduler) close() {
 	s.mu.Lock()
 	if !s.closed {

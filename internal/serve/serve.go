@@ -1,15 +1,17 @@
 // Package serve is the concurrent simulation service behind cmd/aaserve: an
 // HTTP/JSON front end that accepts canonical simulation jobs
 // (collective.Request), runs them on a bounded scheduler with admission
-// control and per-job deadlines, and memoizes completed results in an LRU
-// keyed by Request.Key().
+// control and per-job deadlines, memoizes completed results in a cost-aware
+// cache keyed by Request.Key(), and runs concurrent identical requests as
+// one simulation.
 //
 // The correctness bar is byte identity: a served result is the same bytes as
 // a direct collective.RunRequest of the same Request, at any concurrency,
-// whether it came from a worker or the cache. That holds because (a) the
-// engines are deterministic for a fixed Request, (b) Request.Key() is
-// injective over every Result-determining field, and (c) the cache stores
-// the encoded result JSON produced at run time, never a re-encoding.
+// whether it came from a worker, the cache, or another request's run. That
+// holds because (a) the engines are deterministic for a fixed Request, (b)
+// Request.Key() is injective over every Result-determining field, and (c)
+// the cache stores the encoded result JSON produced at run time, never a
+// re-encoding.
 //
 // Endpoints (all JSON, schema_version 1):
 //
@@ -50,7 +52,7 @@ const SchemaVersion = 1
 type Config struct {
 	Workers        int           // concurrent simulations (default 4)
 	QueueDepth     int           // admission queue capacity (default 4*Workers)
-	CacheEntries   int           // LRU result capacity, 0 = default, <0 disables
+	CacheEntries   int           // result cache capacity, 0 = default, <0 disables
 	DefaultTimeout time.Duration // per-job deadline when the request has none (default 2m)
 	RetainJobs     int           // finished async jobs kept for polling (default 256)
 	MaxShards      int           // per-job shard ceiling (default 16)
@@ -254,7 +256,7 @@ type jobEnvelope struct {
 	SchemaVersion int                `json:"schema_version"`
 	ID            string             `json:"id,omitempty"`
 	Status        string             `json:"status"`
-	Cache         string             `json:"cache,omitempty"` // "hit" or "miss"
+	Cache         string             `json:"cache,omitempty"` // "hit", "miss" or "shared"
 	Key           string             `json:"key"`
 	Request       collective.Request `json:"request"`
 	Result        json.RawMessage    `json:"result,omitempty"`
@@ -276,11 +278,7 @@ func (s *Server) envelope(j *job, includeID bool) (jobEnvelope, int) {
 	switch env.Status {
 	case "done":
 		env.Result = json.RawMessage(j.body)
-		if j.fromCache {
-			env.Cache = "hit"
-		} else {
-			env.Cache = "miss"
-		}
+		env.Cache = j.cache
 	case "failed":
 		env.Error = j.err.Error()
 		status, env.Code = mapError(j.err)
@@ -407,7 +405,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK,
-		s.met.body(s.cfg.Workers, s.cfg.QueueDepth, s.sched.depth(), s.cache.len()))
+		s.met.body(s.cfg.Workers, s.cfg.QueueDepth, s.sched.depth(), s.cache.len(), s.cache.evicted()))
 }
 
 // resultWire is the JSON layout of a served collective.Result: snake_case,

@@ -100,7 +100,7 @@ func TestServedMatchesDirect(t *testing.T) {
 				if env.Key != req.Key() {
 					t.Errorf("served key %q, want %q", env.Key, req.Key())
 				}
-				// The replay from the LRU must be the same bytes again.
+				// The replay from the cache must be the same bytes again.
 				w2 := post(t, h, "/v1/jobs", string(body))
 				if w2.Code != http.StatusOK {
 					t.Fatalf("cached POST = %d: %s", w2.Code, w2.Body.String())
@@ -167,7 +167,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	h := s.Handler()
 
 	// First job occupies the worker, second the single queue slot. Distinct
-	// seeds keep the LRU out of the way.
+	// seeds keep the cache and single-flight out of the way.
 	first := post(t, h, "/v1/jobs?async=1", jobBody(1))
 	if first.Code != http.StatusAccepted {
 		t.Fatalf("first job: %d %s", first.Code, first.Body.String())
@@ -295,7 +295,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestConcurrentSoak hammers the scheduler and LRU with concurrent mixed-
+// TestConcurrentSoak hammers the scheduler and cache with concurrent mixed-
 // shape jobs (run under -race in CI): every response for a given Request
 // must carry identical result bytes, and the cache must take real hits.
 func TestConcurrentSoak(t *testing.T) {
@@ -386,32 +386,6 @@ func TestStrategiesAndHealth(t *testing.T) {
 	}
 	if w := get(t, h, "/healthz"); w.Code != http.StatusOK {
 		t.Errorf("healthz = %d", w.Code)
-	}
-}
-
-func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	res := collective.Result{}
-	c.add("a", []byte("A"), res)
-	c.add("b", []byte("B"), res)
-	if _, _, ok := c.get("a"); !ok {
-		t.Fatal("a evicted early")
-	}
-	c.add("c", []byte("C"), res) // evicts b (a was refreshed)
-	if _, _, ok := c.get("b"); ok {
-		t.Error("b survived past capacity")
-	}
-	if body, _, ok := c.get("a"); !ok || string(body) != "A" {
-		t.Errorf("a = %q %v", body, ok)
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
-	}
-	// Disabled cache accepts and returns nothing.
-	d := newResultCache(0)
-	d.add("x", []byte("X"), res)
-	if _, _, ok := d.get("x"); ok {
-		t.Error("disabled cache returned a hit")
 	}
 }
 
