@@ -100,28 +100,11 @@ type Params = network.Params
 // DefaultParams returns the Blue Gene/L-derived machine calibration.
 func DefaultParams() Params { return network.DefaultParams() }
 
-// Sharded-engine synchronization protocols, for WithSync / Request.Sync.
-const (
-	SyncAsync = network.SyncAsync // asynchronous conservative engine (default)
-	SyncBSP   = network.SyncBSP   // lockstep window-barrier escape hatch
-)
-
 // Calib holds the paper's measured model constants.
 type Calib = model.Calib
 
 // DefaultCalib returns the constants measured in the paper (Section 3).
 func DefaultCalib() Calib { return model.DefaultCalib() }
-
-// Run executes one all-to-all with the given strategy. It is the legacy
-// struct-options entry point, kept as a thin wrapper over the same internal
-// configuration.
-//
-// Deprecated: prefer RunContext (cancellation, functional options,
-// observability; see the Option docs for precedence rules) or RunRequest
-// (the canonical, cacheable job form shared with the aaserve service).
-func Run(strat Strategy, opts Options) (Result, error) {
-	return collective.Run(strat, opts)
-}
 
 // PeakTime returns the Equation 2 network-limited all-to-all time in time
 // units for per-pair payload m: T = P * C * m with contention factor

@@ -1,17 +1,17 @@
 package alltoall_test
 
 import (
+	"context"
 	"testing"
 
 	"alltoall"
 )
 
 func TestFacadeRun(t *testing.T) {
-	res, err := alltoall.Run(alltoall.AR, alltoall.Options{
-		Shape:    alltoall.NewTorus(4, 4, 1),
-		MsgBytes: 64,
-		Seed:     1,
-	})
+	res, err := alltoall.RunContext(context.Background(), alltoall.AR,
+		alltoall.WithShape(alltoall.NewTorus(4, 4, 1)),
+		alltoall.WithMsgBytes(64),
+		alltoall.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,8 @@ func TestFacadeMesh(t *testing.T) {
 	if s.Wrap[alltoall.Z] {
 		t.Error("Z should be a mesh dimension")
 	}
-	res, err := alltoall.Run(alltoall.DR, alltoall.Options{Shape: alltoall.NewMesh(4, 4, 1, true, true, false), MsgBytes: 32, Seed: 2})
+	res, err := alltoall.RunRequest(context.Background(), alltoall.Request{
+		Strategy: alltoall.DR, Shape: alltoall.NewMesh(4, 4, 1, true, true, false), MsgBytes: 32, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +82,9 @@ func TestFacadePredictions(t *testing.T) {
 }
 
 func TestFacadePattern(t *testing.T) {
-	res, err := alltoall.RunPattern(alltoall.Shift{Offset: 2}, alltoall.PatternOptions{
-		Shape:    alltoall.NewTorus(4, 4, 1),
-		MsgBytes: 128,
-	})
+	res, err := alltoall.RunPatternContext(context.Background(), alltoall.Shift{Offset: 2},
+		alltoall.WithShape(alltoall.NewTorus(4, 4, 1)),
+		alltoall.WithMsgBytes(128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,8 @@ func TestFacadePattern(t *testing.T) {
 func TestFacadeTPSCreditFlowControl(t *testing.T) {
 	// Each intermediate forwards 3 finals x 2 packets per source (the
 	// fourth final in its plane is itself), so a batch of 4 yields credits.
-	res, err := alltoall.Run(alltoall.TPS, alltoall.Options{
+	res, err := alltoall.RunRequest(context.Background(), alltoall.Request{
+		Strategy:        alltoall.TPS,
 		Shape:           alltoall.NewTorus(8, 2, 2),
 		MsgBytes:        400,
 		Seed:            1,

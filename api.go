@@ -13,22 +13,13 @@ import (
 // one.
 //
 // Configuration precedence, documented here once and holding everywhere:
-// an explicit Option wins over the corresponding Options/Params struct
-// field (options are applied after WithOptions/WithParams), and any field
+// an explicit Option wins over the corresponding Params struct field
+// (WithCheck and WithFaults are folded in after WithParams), and any field
 // left at its zero value takes the library default (DefaultParams,
 // DefaultCalib, Burst 2, PaceFraction 0.95, and a MaxTime derived from the
 // peak-time model). The one asymmetry: checking is enable-only - either
 // WithCheck(true) or Params.Check turns the invariant checker on.
 type Option func(*collective.Options)
-
-// WithOptions seeds the whole legacy Options struct; later options
-// override individual fields.
-//
-// Deprecated: WithOptions exists to bridge callers migrating from Run to
-// RunContext. New code should compose individual options, or build a
-// canonical Request (NewRequest / RunRequest) when the configuration is a
-// job identity.
-func WithOptions(o Options) Option { return func(dst *Options) { *dst = o } }
 
 // WithShape sets the torus/mesh partition (required).
 func WithShape(s Shape) Option { return func(o *Options) { o.Shape = s } }
@@ -42,12 +33,6 @@ func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
 // WithShards selects the deterministic sharded engine with n workers
 // (results are byte-identical to the serial engine; 0 or 1 stays serial).
 func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
-
-// WithSync selects the sharded engine's synchronization protocol: "" or
-// SyncAsync for the asynchronous conservative engine (the default), SyncBSP
-// for the lockstep window-barrier escape hatch. Results are byte-identical
-// either way; this is a performance knob, meaningful only with shards > 1.
-func WithSync(mode string) Option { return func(o *Options) { o.Sync = mode } }
 
 // WithCheck enables the runtime invariant checker (~1.4x simulation time).
 func WithCheck(on bool) Option { return func(o *Options) { o.Check = on } }

@@ -41,18 +41,18 @@ import (
 // any breaking change to field names or semantics.
 //
 // v2: added queued_events, packets, events_per_packet (per experiment and
-// as totals). events counts logical simulator actions; queued_events counts
-// actual event-queue pops, which coalescing makes smaller, and
-// events_per_packet = queued_events/packets is the hardware-independent
-// event-volume metric the CI regression gate compares across commits.
+// as totals): events pushed through the event queue, and that volume per
+// injected packet.
 //
-// v3: added sync (the -sync protocol selection) and the sharded engine's
-// synchronization counters, per experiment and as totals:
-// sync_horizon_advances (windows/clock advances), sync_blocked_waits
-// (barrier crossings or blocked backoff episodes), sync_blocked_wait_ns
-// (wall-clock spent blocked, async only), sync_cross_shard_events and
-// sync_cross_shard_bytes (boundary traffic). All zero for unsharded runs.
-const benchSchemaVersion = 3
+// v3: added the sharded engine's synchronization counters, per experiment
+// and as totals: sync_horizon_advances (windows), sync_blocked_waits (barrier
+// crossings), sync_blocked_wait_ns (0: the barrier is not timed),
+// sync_cross_shard_events and sync_cross_shard_bytes (boundary traffic). All
+// zero for unsharded runs.
+//
+// v4: dropped coalesce and sync, the selectors of engine variants that no
+// longer exist; queued_events now equals events.
+const benchSchemaVersion = 4
 
 // benchExperiment is one experiment's perf record in the -bench-json file.
 type benchExperiment struct {
@@ -80,9 +80,7 @@ type benchReport struct {
 	GoVersion       string            `json:"go_version"`
 	GOMAXPROCS      int               `json:"gomaxprocs"`
 	Workers         int               `json:"workers"`
-	Shards          int               `json:"shards"`   // 0 = automatic per run
-	Coalesce        string            `json:"coalesce"` // "" = default (on)
-	Sync            string            `json:"sync"`     // "" = default (async)
+	Shards          int               `json:"shards"` // 0 = automatic per run
 	Experiments     []benchExperiment `json:"experiments"`
 	TotalSeconds    float64           `json:"total_seconds"`
 	TotalRuns       int64             `json:"total_runs"`
@@ -137,9 +135,6 @@ func main() {
 	workers := flag.Int("j", 0, "parallel workers per experiment (0 = all cores, 1 = serial)")
 	shards := flag.Int("shards", 0, "event-engine shards per run (0 = auto, 1 = serial engine)")
 	checkInv := flag.Bool("check", false, "run every simulation with the runtime invariant checker (~1.4x slower)")
-	eventq := flag.String("eventq", "", "event queue: calendar (default) or heap (identical results; perf ablation)")
-	coalesce := flag.String("coalesce", "", "same-tick event coalescing: on (default) or off (identical results; perf ablation)")
-	syncMode := flag.String("sync", "", "sharded-engine protocol: async (default) or bsp barriers (identical results; perf ablation; only affects runs with shards > 1)")
 	faults := flag.String("faults", "", `link-fault schedule applied to every run, semicolon-separated "t:node:dir:action" events (see aasim -faults; node ids refer to the scaled partitions)`)
 	observeRuns := flag.Bool("observe", false, "instrument every run and print a per-run observation table after each experiment")
 	traceOut := flag.String("trace-out", "", "write every run's windowed observation trace as one JSONL file (implies -observe)")
@@ -162,9 +157,6 @@ func main() {
 		Workers:    *workers,
 		Shards:     *shards,
 		Check:      *checkInv,
-		EventQueue: *eventq,
-		Coalesce:   *coalesce,
-		Sync:       *syncMode,
 		Faults:     *faults,
 	}
 	if !*quiet {
@@ -193,8 +185,6 @@ func main() {
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Workers:       parallel.Workers(*workers),
 		Shards:        *shards,
-		Coalesce:      *coalesce,
-		Sync:          *syncMode,
 	}
 	var sink *experiments.TraceSink
 	if *observeRuns || *traceOut != "" {

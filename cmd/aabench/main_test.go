@@ -95,7 +95,6 @@ func TestGoldenBenchJSON(t *testing.T) {
 		GOMAXPROCS:    8,
 		Workers:       4,
 		Shards:        0,
-		Coalesce:      "",
 		Experiments: []benchExperiment{{
 			Experiment:      "table1",
 			Seconds:         1.5,

@@ -98,9 +98,6 @@ func main() {
 	burst := flag.Int("burst", 0, "packets per destination visit (0 = default)")
 	shards := flag.Int("shards", 1, "event-engine shards; >1 parallelizes this run across cores (identical output)")
 	checkInv := flag.Bool("check", false, "enable the runtime invariant checker (~1.4x slower; fails with a node/time-stamped diagnostic on violation)")
-	eventq := flag.String("eventq", "", "event queue: calendar (default) or heap (identical results; perf ablation)")
-	coalesce := flag.String("coalesce", "", "same-tick event coalescing: on (default) or off (identical results; perf ablation)")
-	syncMode := flag.String("sync", "", "sharded-engine protocol: async (default) or bsp barriers (identical results; perf ablation; needs -shards > 1)")
 	faults := flag.String("faults", "", `link-fault schedule, semicolon-separated "t:node:dir:action" events (dir: +x -x +y -y +z -z; action: down, up, kill, or xN degrade), e.g. "0:12:+x:kill;5000:40:-y:down;9000:40:-y:up"`)
 	observe := flag.Bool("observe", false, "instrument the run and print a bottleneck-attribution report")
 	observeWindow := flag.Int64("observe-window", 0, "observation bucket width in time units (0 = default)")
@@ -131,9 +128,6 @@ func main() {
 		Burst:         *burst,
 		Shards:        *shards,
 		Check:         *checkInv,
-		EventQueue:    *eventq,
-		Coalesce:      *coalesce,
-		Sync:          *syncMode,
 		Faults:        *faults,
 		Observe:       *observe || *traceOut != "",
 		ObserveWindow: *observeWindow,

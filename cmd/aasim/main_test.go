@@ -84,13 +84,11 @@ func goldenRun(t *testing.T, strat alltoall.Strategy, faults string, shards int,
 		t.Fatal(err)
 	}
 	opts := []alltoall.Option{
-		alltoall.WithOptions(alltoall.Options{
-			Shape:    shape,
-			MsgBytes: 240,
-			Seed:     1,
-			Check:    true,
-			Shards:   shards,
-		}),
+		alltoall.WithShape(shape),
+		alltoall.WithMsgBytes(240),
+		alltoall.WithSeed(1),
+		alltoall.WithCheck(true),
+		alltoall.WithShards(shards),
 	}
 	if faults != "" {
 		fs, err := alltoall.ParseFaults(faults)

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -17,11 +18,11 @@ func TestNetCacheDeterminism(t *testing.T) {
 	cache := &NetCache{}
 	for _, strat := range Strategies() {
 		for _, m := range []int{8, 240} {
-			fresh, err := Run(strat, Options{Shape: shape, MsgBytes: m, Seed: 5})
+			fresh, err := RunContext(context.Background(), strat, Options{Shape: shape, MsgBytes: m, Seed: 5})
 			if err != nil {
 				t.Fatalf("%s m=%d fresh: %v", strat, m, err)
 			}
-			cached, err := Run(strat, Options{Shape: shape, MsgBytes: m, Seed: 5, Cache: cache})
+			cached, err := RunContext(context.Background(), strat, Options{Shape: shape, MsgBytes: m, Seed: 5, Cache: cache})
 			if err != nil {
 				t.Fatalf("%s m=%d cached: %v", strat, m, err)
 			}
@@ -145,9 +146,9 @@ func TestNetCacheCrossParams(t *testing.T) {
 	base := network.DefaultParams()
 	longCredit := base
 	longCredit.CreditDelay = 60
-	uncoalesced := base
-	uncoalesced.Coalesce = network.CoalesceOff
-	params := []network.Params{base, longCredit, uncoalesced, base}
+	checked := base
+	checked.Check = true
+	params := []network.Params{base, longCredit, checked, base}
 
 	cache := &NetCache{}
 	var recycled *network.Network

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -142,7 +143,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := RunAR(Options{Shape: small(), MsgBytes: 8, Burst: -1}); err == nil {
 		t.Error("negative burst accepted")
 	}
-	if _, err := Run(Strategy("nope"), Options{Shape: small(), MsgBytes: 8}); err == nil ||
+	if _, err := RunContext(context.Background(), Strategy("nope"), Options{Shape: small(), MsgBytes: 8}); err == nil ||
 		!strings.Contains(err.Error(), "unknown strategy") {
 		t.Error("unknown strategy accepted")
 	}
@@ -151,7 +152,7 @@ func TestRunValidation(t *testing.T) {
 func TestRunDispatch(t *testing.T) {
 	for _, s := range Strategies() {
 		opts := Options{Shape: small(), MsgBytes: 8, Seed: 3}
-		res, err := Run(s, opts)
+		res, err := RunContext(context.Background(), s, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}

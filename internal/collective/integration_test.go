@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"testing"
 
 	"alltoall/internal/model"
@@ -14,7 +15,7 @@ import (
 
 func runOK(t *testing.T, strat Strategy, shape torus.Shape, m int) Result {
 	t.Helper()
-	res, err := Run(strat, Options{Shape: shape, MsgBytes: m, Seed: 1})
+	res, err := RunContext(context.Background(), strat, Options{Shape: shape, MsgBytes: m, Seed: 1})
 	if err != nil {
 		t.Fatalf("%s on %v: %v", strat, shape, err)
 	}

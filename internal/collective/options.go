@@ -52,29 +52,6 @@ type Options struct {
 	Par   network.Params // zero value: network.DefaultParams()
 	Calib model.Calib    // zero value: model.DefaultCalib()
 
-	// EventQueue selects the simulator's pending-event structure
-	// (equivalent to setting Par.EventQueue, but composes with a defaulted
-	// Par): "" or network.EventQueueCalendar for the bounded-horizon
-	// calendar queue, network.EventQueueHeap for the reference binary
-	// heap. Results are byte-identical either way; the heap is an escape
-	// hatch and ablation baseline.
-	EventQueue string
-
-	// Coalesce selects same-tick credit/arrival coalescing (equivalent to
-	// setting Par.Coalesce, but composes with a defaulted Par): "" or
-	// network.CoalesceOn for the coalescing engine (the default),
-	// network.CoalesceOff for the one-event-per-credit reference engine.
-	// Results are byte-identical either way; off is the escape hatch and
-	// the differential-testing baseline.
-	Coalesce string
-
-	// Sync selects the sharded engine's synchronization protocol (equivalent
-	// to setting Par.Sync, but composes with a defaulted Par): "" or
-	// network.SyncAsync for the asynchronous conservative engine (the
-	// default), network.SyncBSP for the lockstep barrier escape hatch.
-	// Results are byte-identical either way; ignored when Shards <= 1.
-	Sync string
-
 	// Check enables the simulator's runtime invariant checker (equivalent
 	// to setting Par.Check): every event is validated against the machine's
 	// conservation laws and a completed run must reach full quiescence. A
@@ -86,11 +63,10 @@ type Options struct {
 	// setting Par.Faults, but composes with a defaulted Par): links go down,
 	// come back, die permanently, or degrade at scheduled times, and packets
 	// reroute via the adaptive paths and the escape bubble channel. Results
-	// stay byte-identical at any shard count and with either event queue or
-	// coalescing mode. Multi-phase strategies (TPS, VMesh, XYZ) restart the
-	// clock each phase, so the schedule re-applies from t=0 per phase. nil
-	// (or an empty schedule) faults nothing and is byte-identical to a run
-	// without this option.
+	// stay byte-identical at any shard count. Multi-phase strategies (TPS,
+	// VMesh, XYZ) restart the clock each phase, so the schedule re-applies
+	// from t=0 per phase. nil (or an empty schedule) faults nothing and is
+	// byte-identical to a run without this option.
 	Faults *network.FaultSchedule
 
 	// TPSLinear forces the Two Phase Schedule's linear (phase 1) dimension;
@@ -134,7 +110,7 @@ type Options struct {
 	// Cache, when non-nil, lets Run recycle the simulation network across
 	// runs that share a shape and machine parameters (message-size sweeps):
 	// the network is Reset instead of rebuilt, reusing its router, queue,
-	// packet-pool, and event-heap allocations. A cache must not be shared
+	// packet-pool, and event-queue allocations. A cache must not be shared
 	// between concurrent runs; give each worker goroutine its own.
 	Cache *NetCache
 
@@ -155,19 +131,17 @@ type Options struct {
 	// an observe.Collector, Result.Observed carries its summary.
 	Observer network.Observer
 
-	// SyncStats, when non-nil, receives the synchronization-layer counters
-	// of the run (horizon advances, blocked waits, cross-shard traffic;
+	// SyncStats, when non-nil, receives the sharded engine's synchronization
+	// counters for the run (windows, barrier crossings, cross-shard traffic;
 	// multi-phase strategies accumulate across phases). Machinery like
-	// Observer, not workload configuration: the counters are scheduling-
-	// and wall-clock-dependent, which is why they are an out-parameter
-	// rather than Result fields - Result stays a pure function of the
-	// request, byte-identical across engines and replays.
+	// Observer, not workload configuration: the counters depend on the
+	// shard count, which is why they are an out-parameter rather than
+	// Result fields - Result stays a pure function of the request.
 	SyncStats *network.SyncStats
 
 	// cancel, when non-nil, aborts the run when closed; set from a
 	// context's Done channel by RunContext. The serial engine polls it
-	// between events, the sharded engine at window barriers (bsp) or
-	// horizon advances (async).
+	// between events, the sharded engine at window barriers.
 	cancel <-chan struct{}
 }
 
@@ -208,10 +182,9 @@ func (o *Options) fill() error {
 }
 
 // NetParams returns the effective machine parameters for this run: Par
-// defaulted to network.DefaultParams, with the Check / EventQueue /
-// Coalesce / Faults conveniences folded in. fill applies exactly this;
-// pattern runs (internal/traffic) share it so the engine knobs mean the
-// same thing under every entry point.
+// defaulted to network.DefaultParams, with the Check and Faults conveniences
+// folded in. It is the one place run options become network.Params; fill
+// applies it and pattern runs (internal/traffic) share it.
 func (o *Options) NetParams() network.Params {
 	p := o.Par
 	if p == (network.Params{}) {
@@ -219,15 +192,6 @@ func (o *Options) NetParams() network.Params {
 	}
 	if o.Check {
 		p.Check = true
-	}
-	if o.EventQueue != "" {
-		p.EventQueue = o.EventQueue
-	}
-	if o.Coalesce != "" {
-		p.Coalesce = o.Coalesce
-	}
-	if o.Sync != "" {
-		p.Sync = o.Sync
 	}
 	if o.Faults != nil {
 		p.Faults = o.Faults
@@ -269,10 +233,8 @@ func (o *Options) network(sources []network.Source, h network.Handler) (*network
 		}
 		if c.nw.Par.SameStructure(o.Par) {
 			// Same buffer geometry, different runtime knobs (delays, CPU
-			// rate, event queue, coalescing, checking): ResetParams
-			// re-derives the engines' cached state instead of rebuilding
-			// the machine. Sweeps over CreditDelay or Coalesce recycle
-			// just like same-params sweeps over message size.
+			// rate, checking, faults): ResetParams re-derives the engines'
+			// cached state instead of rebuilding the machine.
 			if err := c.nw.ResetParams(o.Par, sources, h); err != nil {
 				return nil, err
 			}
@@ -341,14 +303,9 @@ type Result struct {
 	WireBytes       int64
 	PayloadBytes    int64 // total application payload delivered
 	Events          int64 // logical simulator events processed (perf accounting)
-	// QueuedEvents counts events actually popped from the pending-event
-	// queue: with coalescing (the default) many logical credits/arrivals
-	// share one queued marker, so QueuedEvents < Events, and
-	// QueuedEvents/PacketsInjected is the event-volume figure the bench
-	// regression gate tracks. In coalesced mode the count can differ by a
-	// few across shard counts and sync protocols
-	// (network.Stats.QueuedEvents) while every other field stays
-	// byte-identical.
+	// QueuedEvents counts events pushed on and popped from the engine's
+	// event queue. Every logical event is queued exactly once, so it equals
+	// Events; the serving wire format and the benchmark read it by this name.
 	QueuedEvents int64
 
 	MeanLatencyUnits float64 // mean final-packet injection-to-delivery latency
@@ -361,8 +318,8 @@ type Result struct {
 	// Fault-injection outcomes (zero without Options.Faults). DeadLinkTicks
 	// sums link-downtime over the run (k links dead for d units contribute
 	// k*d); Reroutes counts packets redirected the long way around a ring
-	// after their minimal directions died. Both are engine-invariant: byte-
-	// identical across shard counts, event queues, and coalescing modes.
+	// after their minimal directions died. Both are identical at any shard
+	// count.
 	DeadLinkTicks int64
 	Reroutes      int64
 
@@ -386,8 +343,7 @@ type Result struct {
 	Observed *observe.Summary
 }
 
-// EventsPerPacket returns the queued-event volume per injected packet, the
-// hardware-independent cost metric the coalescing work optimizes.
+// EventsPerPacket returns the queued-event volume per injected packet.
 func (r Result) EventsPerPacket() float64 {
 	if r.PacketsInjected == 0 {
 		return 0
@@ -413,7 +369,7 @@ func (o *Options) finishResult(r *Result, t int64, st *network.Stats) {
 	r.PerNodeMBs = model.PerNodeBandwidth(o.Calib, o.Shape, o.MsgBytes, float64(t))
 	if st != nil {
 		r.Events += st.Events()
-		r.QueuedEvents += st.QueuedEvents
+		r.QueuedEvents = r.Events
 		r.PacketsInjected += st.PacketsInjected
 		r.WireBytes += st.WireBytesInjected
 		r.PayloadBytes += st.FinalPayload
@@ -436,9 +392,6 @@ func (o *Options) finishResult(r *Result, t int64, st *network.Stats) {
 		}
 	}
 	if c, ok := o.Observer.(*observe.Collector); ok && c != nil {
-		if st != nil {
-			c.NoteForcedCreditReturns(st.ForcedCreditReturns)
-		}
 		r.Observed = c.Summary()
 	}
 }
@@ -454,11 +407,6 @@ func RunContext(ctx context.Context, strat Strategy, opts Options) (Result, erro
 		}
 		opts.cancel = ctx.Done()
 	}
-	return Run(strat, opts)
-}
-
-// Run dispatches to the strategy implementation.
-func Run(strat Strategy, opts Options) (Result, error) {
 	switch strat {
 	case StratAR:
 		return RunAR(opts)

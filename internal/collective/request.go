@@ -17,7 +17,7 @@ import (
 // ErrNotCanonical is returned by NewRequest for an Options value that a
 // Request cannot represent: explicit machine Params or Calib overrides, or
 // run machinery (Observer, Cache, DebugDump) that is identity-free by
-// design. Callers fall back to Run with the Options struct; test with
+// design. Callers fall back to RunContext with the Options struct; test with
 // errors.Is.
 var ErrNotCanonical = errors.New("collective: options not canonicalizable as a Request")
 
@@ -44,11 +44,8 @@ type Request struct {
 	PaceFraction float64 // injection rate vs bisection limit (0 = default 0.95)
 	Unpaced      bool    // disable pacing (ablation)
 
-	Shards     int    // event-engine shards (results identical at any value)
-	Check      bool   // runtime invariant checker
-	EventQueue string // "" | "calendar" | "heap" (results identical)
-	Coalesce   string // "" | "on" | "off" (results identical)
-	Sync       string // "" | "async" | "bsp" shard protocol (results identical)
+	Shards int  // event-engine shards (results identical at any value)
+	Check  bool // runtime invariant checker
 
 	// Faults is a deterministic link-fault schedule in the ParseFaults
 	// grammar ("t:node:dir:action;..."); "" faults nothing. The textual
@@ -156,21 +153,6 @@ func (r Request) Validate() error {
 	if r.TPSLinear < 0 || r.TPSLinear > 3 {
 		return fmt.Errorf("collective: TPSLinear %d out of 0..3 (0 = auto, 1/2/3 = X/Y/Z)", r.TPSLinear)
 	}
-	switch r.EventQueue {
-	case "", network.EventQueueCalendar, network.EventQueueHeap:
-	default:
-		return fmt.Errorf("collective: unknown event queue %q", r.EventQueue)
-	}
-	switch r.Coalesce {
-	case "", network.CoalesceOn, network.CoalesceOff:
-	default:
-		return fmt.Errorf("collective: unknown coalesce mode %q", r.Coalesce)
-	}
-	switch r.Sync {
-	case "", network.SyncAsync, network.SyncBSP:
-	default:
-		return fmt.Errorf("collective: unknown sync protocol %q", r.Sync)
-	}
 	if r.Faults != "" {
 		if _, err := network.ParseFaults(r.Faults); err != nil {
 			return err
@@ -187,13 +169,13 @@ func (r Request) Validate() error {
 // Key returns the canonical encoding of the request: a stable, injective
 // string identity used by the serving layer's result cache, by bench
 // labeling, and by deduplicating sweeps. Equal keys mean byte-identical
-// Results (the engines are deterministic and shard-/queue-/coalescing-/
-// sync-invariant); distinct field values always produce distinct keys. The
-// "aa2" prefix versions the encoding (v2 added the sy tag).
+// Results (the engine is deterministic and shard-invariant); distinct field
+// values always produce distinct keys. The "aa3" prefix versions the
+// encoding (v3 dropped the engine-selection tags eq, co and sy).
 func (r Request) Key() string {
 	var b strings.Builder
 	b.Grow(160)
-	b.WriteString("aa2|s=")
+	b.WriteString("aa3|s=")
 	b.WriteString(string(r.Strategy))
 	b.WriteString("|p=")
 	b.WriteString(r.Shape.Canon())
@@ -211,9 +193,6 @@ func (r Request) Key() string {
 	sep("up", boolKey(r.Unpaced))
 	sep("sh", strconv.Itoa(r.Shards))
 	sep("ck", boolKey(r.Check))
-	sep("eq", r.EventQueue)
-	sep("co", r.Coalesce)
-	sep("sy", r.Sync)
 	sep("f", r.Faults)
 	sep("mt", strconv.FormatInt(r.MaxTime, 10))
 	sep("tl", strconv.Itoa(r.TPSLinear))
@@ -247,9 +226,6 @@ func (r Request) options() (Options, error) {
 		Unpaced:         r.Unpaced,
 		Shards:          r.Shards,
 		Check:           r.Check,
-		EventQueue:      r.EventQueue,
-		Coalesce:        r.Coalesce,
-		Sync:            r.Sync,
 		MaxTime:         r.MaxTime,
 		TPSCreditWindow: r.TPSCreditWindow,
 		TPSCreditBatch:  r.TPSCreditBatch,
@@ -279,12 +255,12 @@ func (r Request) options() (Options, error) {
 	return o, nil
 }
 
-// NewRequest lifts a legacy Options struct into the canonical Request form,
-// the bridge the experiments engine and WithOptions callers migrate through.
-// Options that carry non-canonical state - explicit Par or Calib overrides,
-// an Observer, a Cache, a DebugDump path - return an error wrapping
-// ErrNotCanonical: those fields are either not value-encodable (v1 keys
-// don't cover custom machine parameters) or deliberately excluded from
+// NewRequest lifts an Options struct into the canonical Request form, the
+// bridge the experiments engine and the facade's functional options go
+// through. Options that carry non-canonical state - explicit Par or Calib
+// overrides, an Observer, a Cache, a DebugDump path - return an error
+// wrapping ErrNotCanonical: those fields are either not value-encodable (v1
+// keys don't cover custom machine parameters) or deliberately excluded from
 // request identity; layer them per call with RunRequest's extra options.
 func NewRequest(strat Strategy, o Options) (Request, error) {
 	if o.Par != (network.Params{}) {
@@ -319,9 +295,6 @@ func NewRequest(strat Strategy, o Options) (Request, error) {
 		Unpaced:         o.Unpaced,
 		Shards:          o.Shards,
 		Check:           o.Check,
-		EventQueue:      o.EventQueue,
-		Coalesce:        o.Coalesce,
-		Sync:            o.Sync,
 		Faults:          o.Faults.String(),
 		MaxTime:         o.MaxTime,
 		TPSCreditWindow: o.TPSCreditWindow,
@@ -376,7 +349,9 @@ func RunRequest(ctx context.Context, r Request, extra ...func(*Options)) (Result
 
 // requestWire is the JSON layout of a Request: snake_case fields, shape in
 // the canonical Parse/Canon grammar, zero values omitted. The layout is
-// covered by the serve schema version.
+// covered by the serve schema version. Keys it does not name are ignored on
+// decode, so requests still carrying the retired event_queue, coalesce or
+// sync selectors parse to the same Request as ones without.
 type requestWire struct {
 	Strategy        string  `json:"strategy"`
 	Shape           string  `json:"shape"`
@@ -388,9 +363,6 @@ type requestWire struct {
 	Unpaced         bool    `json:"unpaced,omitempty"`
 	Shards          int     `json:"shards,omitempty"`
 	Check           bool    `json:"check,omitempty"`
-	EventQueue      string  `json:"event_queue,omitempty"`
-	Coalesce        string  `json:"coalesce,omitempty"`
-	Sync            string  `json:"sync,omitempty"`
 	Faults          string  `json:"faults,omitempty"`
 	MaxTime         int64   `json:"max_time,omitempty"`
 	TPSLinear       string  `json:"tps_linear,omitempty"`
@@ -407,7 +379,6 @@ type requestWire struct {
 func (r Request) MarshalJSON() ([]byte, error) {
 	w := requestWire{
 		Strategy:        string(r.Strategy),
-		Shape:           r.Shape.Canon(),
 		MsgBytes:        r.MsgBytes,
 		Seed:            r.Seed,
 		Burst:           r.Burst,
@@ -416,9 +387,6 @@ func (r Request) MarshalJSON() ([]byte, error) {
 		Unpaced:         r.Unpaced,
 		Shards:          r.Shards,
 		Check:           r.Check,
-		EventQueue:      r.EventQueue,
-		Coalesce:        r.Coalesce,
-		Sync:            r.Sync,
 		Faults:          r.Faults,
 		MaxTime:         r.MaxTime,
 		TPSCreditWindow: r.TPSCreditWindow,
@@ -429,6 +397,9 @@ func (r Request) MarshalJSON() ([]byte, error) {
 		Observe:         r.Observe,
 		ObserveWindow:   r.ObserveWindow,
 	}
+	if r.Shape != (torus.Shape{}) { // the unset shape reads back from "", not "0x0x0"
+		w.Shape = r.Shape.Canon()
+	}
 	if r.TPSLinear > 0 {
 		w.TPSLinear = string(dimLetters[r.TPSLinear-1])
 	}
@@ -436,8 +407,7 @@ func (r Request) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON reads the wire form, normalizing strategy case and parsing
-// the shape grammar; unknown fields are rejected by the serving layer's
-// decoder, not here.
+// the shape grammar.
 func (r *Request) UnmarshalJSON(data []byte) error {
 	var w requestWire
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -452,9 +422,6 @@ func (r *Request) UnmarshalJSON(data []byte) error {
 		Unpaced:         w.Unpaced,
 		Shards:          w.Shards,
 		Check:           w.Check,
-		EventQueue:      strings.ToLower(w.EventQueue),
-		Coalesce:        strings.ToLower(w.Coalesce),
-		Sync:            strings.ToLower(w.Sync),
 		Faults:          w.Faults,
 		MaxTime:         w.MaxTime,
 		TPSCreditWindow: w.TPSCreditWindow,

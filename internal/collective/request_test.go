@@ -27,9 +27,6 @@ func fullRequest() Request {
 		Unpaced:         false,
 		Shards:          2,
 		Check:           true,
-		EventQueue:      network.EventQueueHeap,
-		Coalesce:        network.CoalesceOff,
-		Sync:            network.SyncBSP,
 		Faults:          "0:5:+x:kill",
 		MaxTime:         5_000_000,
 		TPSLinear:       1,
@@ -79,7 +76,7 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 
 func TestRequestJSONNormalizesCase(t *testing.T) {
 	var req Request
-	wire := `{"strategy":"tps","shape":"8x4x2","msg_bytes":64,"tps_linear":"Y","event_queue":"HEAP"}`
+	wire := `{"strategy":"tps","shape":"8x4x2","msg_bytes":64,"tps_linear":"Y"}`
 	if err := json.Unmarshal([]byte(wire), &req); err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +107,6 @@ func TestRequestKeyInjective(t *testing.T) {
 		"Unpaced":         func(r *Request) { r.Unpaced = true },
 		"Shards":          func(r *Request) { r.Shards++ },
 		"Check":           func(r *Request) { r.Check = false },
-		"EventQueue":      func(r *Request) { r.EventQueue = network.EventQueueCalendar },
-		"Coalesce":        func(r *Request) { r.Coalesce = network.CoalesceOn },
 		"Faults":          func(r *Request) { r.Faults = "0:5:+y:kill" },
 		"MaxTime":         func(r *Request) { r.MaxTime++ },
 		"TPSLinear":       func(r *Request) { r.TPSLinear = 2 },
@@ -179,8 +174,6 @@ func TestRequestValidate(t *testing.T) {
 		"msg":       {Strategy: StratAR, Shape: torus.New(4, 4, 2)},
 		"shards":    {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, Shards: -1},
 		"pace":      {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, PaceFraction: 1.5},
-		"queue":     {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, EventQueue: "ring"},
-		"coalesce":  {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, Coalesce: "maybe"},
 		"faults":    {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, Faults: "nope"},
 		"maporder":  {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, VMeshMapOrder: "xxy"},
 		"tpslinear": {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, TPSLinear: 4},
@@ -209,15 +202,15 @@ func TestParseStrategy(t *testing.T) {
 }
 
 // TestRunRequestMatchesRun pins the front-door contract: a Request run
-// produces the identical Result as the legacy struct-options path for the
-// same configuration.
+// produces the identical Result as RunContext with the struct options for
+// the same configuration.
 func TestRunRequestMatchesRun(t *testing.T) {
 	opts := Options{Shape: torus.New(4, 4, 2), MsgBytes: 64, Seed: 3, Check: true}
 	req, err := NewRequest(StratAR, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Run(StratAR, opts)
+	direct, err := RunContext(context.Background(), StratAR, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +219,7 @@ func TestRunRequestMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(direct, viaReq) {
-		t.Errorf("RunRequest diverged from Run:\n direct %+v\n viaReq %+v", direct, viaReq)
+		t.Errorf("RunRequest diverged from RunContext:\n direct %+v\n viaReq %+v", direct, viaReq)
 	}
 }
 
@@ -247,7 +240,65 @@ func TestRunRequestObserve(t *testing.T) {
 }
 
 func TestRequestKeyVersionPrefix(t *testing.T) {
-	if k := fullRequest().Key(); !strings.HasPrefix(k, "aa2|") {
-		t.Errorf("key %q lacks the aa2| version prefix", k)
+	if k := fullRequest().Key(); !strings.HasPrefix(k, "aa3|") {
+		t.Errorf("key %q lacks the aa3| version prefix", k)
 	}
+}
+
+// TestRequestJSONIgnoresRetiredSelectors: a client still sending the engine
+// selectors the wire form used to carry gets the same Request, and so the
+// same key and result, as one that does not.
+func TestRequestJSONIgnoresRetiredSelectors(t *testing.T) {
+	const plain = `{"strategy":"AR","shape":"4x4x2","msg_bytes":64,"seed":3,"shards":2}`
+	const legacy = `{"strategy":"AR","shape":"4x4x2","msg_bytes":64,"seed":3,"shards":2,` +
+		`"event_queue":"heap","coalesce":"off","sync":"bsp"}`
+	var want, got Request
+	if err := json.Unmarshal([]byte(plain), &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(legacy), &got); err != nil {
+		t.Fatalf("request with retired selectors rejected: %v", err)
+	}
+	if got != want || got.Key() != want.Key() {
+		t.Errorf("retired selectors changed the request:\n got  %+v %s\n want %+v %s", got, got.Key(), want, want.Key())
+	}
+	if err := got.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzRequestJSON drives the wire form the way aaserve does: any bytes that
+// decode to a Request must validate and key without panicking, and their
+// canonical encoding must decode back to the same Request, key and validity.
+func FuzzRequestJSON(f *testing.F) {
+	full, err := json.Marshal(fullRequest())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add([]byte(`{"strategy":"tps","shape":"8x4x2M","msg_bytes":64,"tps_linear":"Y","vmesh_map_order":"XZY"}`))
+	f.Add([]byte(`{"strategy":"AR","shape":"4x4x2","msg_bytes":64,"coalesce":"off","sync":"bsp","pace_fraction":1e-9}`))
+	f.Add([]byte(`{"strategy":"nope","shape":"","msg_bytes":-1,"faults":"0:5:+x:kill;;"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req Request
+		if json.Unmarshal(data, &req) != nil {
+			return
+		}
+		valid := req.Validate() == nil
+		key := req.Key()
+		wire, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", req, err)
+		}
+		var back Request
+		if err := json.Unmarshal(wire, &back); err != nil {
+			t.Fatalf("canonical form %s does not decode: %v", wire, err)
+		}
+		if back != req || back.Key() != key {
+			t.Fatalf("round trip drifted:\n in   %+v %s\n out  %+v %s\n wire %s", req, key, back, back.Key(), wire)
+		}
+		if (back.Validate() == nil) != valid {
+			t.Fatalf("validity changed across the round trip of %s", wire)
+		}
+	})
 }

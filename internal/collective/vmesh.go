@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"alltoall/internal/network"
-	"alltoall/internal/observe"
 	"alltoall/internal/torus"
 )
 
@@ -163,11 +162,10 @@ func RunVMesh(opts Options) (Result, error) {
 	// may recycle (Reset) this one when a cache is in use, zeroing its stats.
 	st1 := nw1.Stats()
 	ev1 := st1.Events()
-	qe1 := st1.QueuedEvents
 	pkts1 := st1.PacketsInjected
 	wire1 := st1.WireBytesInjected
 	linkBusy1 := maxI64(st1.LinkBusy)
-	dead1, rr1, fcr1 := st1.DeadLinkTicks, st1.Reroutes, st1.ForcedCreditReturns
+	dead1, rr1 := st1.DeadLinkTicks, st1.Reroutes
 
 	// Phase 2: column exchange. Virtual node (r, c) sends to (r', c) for
 	// r' != r a message with the blocks (from all Pvx row members) for that
@@ -213,16 +211,11 @@ func RunVMesh(opts Options) (Result, error) {
 	r := opts.newResult(StratVMesh)
 	r.VMeshCols, r.VMeshRows = pvx, pvy
 	r.PhaseTimes = []int64{t1, t2}
-	if c, ok := opts.Observer.(*observe.Collector); ok && c != nil {
-		// finishResult gets nil stats (phases fold manually below), so note
-		// both phases' forced credit returns here, before it takes the summary.
-		c.NoteForcedCreditReturns(fcr1 + st2.ForcedCreditReturns)
-	}
 	opts.finishResult(&r, t1+t2, nil)
 	r.DeadLinkTicks = dead1 + st2.DeadLinkTicks
 	r.Reroutes = rr1 + st2.Reroutes
 	r.Events = ev1 + st2.Events()
-	r.QueuedEvents = qe1 + st2.QueuedEvents
+	r.QueuedEvents = r.Events
 	r.PacketsInjected = pkts1 + st2.PacketsInjected
 	r.WireBytes = wire1 + st2.WireBytesInjected
 	// Every pair's m application bytes are delivered (directly in phase 1

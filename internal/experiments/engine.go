@@ -16,7 +16,7 @@ import (
 // Metrics accumulates simulator work across the (possibly concurrent) runs
 // of one or more experiments: completed collective runs, simulator events
 // processed, packets injected, and the sharded engine's synchronization
-// counters (horizon advances, blocked waits, cross-shard traffic). All
+// counters (windows, barrier crossings, cross-shard traffic). All
 // methods are safe for concurrent use; a nil *Metrics discards everything.
 type Metrics struct {
 	runs    atomic.Int64
@@ -42,8 +42,8 @@ func (m *Metrics) note(r collective.Result) {
 }
 
 // noteSync folds one run's synchronization counters into the totals. These
-// ride outside the Result (they are timing-dependent machine facts, not part
-// of the byte-identity contract), so runCached collects them through the
+// ride outside the Result (they depend on the shard count, which the
+// byte-identity contract excludes), so runCached collects them through the
 // Options.SyncStats out-parameter.
 func (m *Metrics) noteSync(ss *network.SyncStats) {
 	if m == nil {
@@ -73,8 +73,7 @@ func (m *Metrics) Events() int64 {
 }
 
 // QueuedEvents returns the total events popped from the pending-event
-// queues: smaller than Events() when coalescing folds logical credits and
-// arrivals into shared markers.
+// queues (equal to Events: every event is queued exactly once).
 func (m *Metrics) QueuedEvents() int64 {
 	if m == nil {
 		return 0
@@ -90,9 +89,7 @@ func (m *Metrics) Packets() int64 {
 	return m.packets.Load()
 }
 
-// EventsPerPacket returns the queued-event volume per injected packet, the
-// hardware-independent event-volume metric the bench regression gate
-// watches.
+// EventsPerPacket returns the queued-event volume per injected packet.
 func (m *Metrics) EventsPerPacket() float64 {
 	if m == nil || m.packets.Load() == 0 {
 		return 0
@@ -100,8 +97,8 @@ func (m *Metrics) EventsPerPacket() float64 {
 	return float64(m.queued.Load()) / float64(m.packets.Load())
 }
 
-// SyncAdvances returns the total horizon advances across sharded runs: BSP
-// windows processed, or async per-shard clock advances.
+// SyncAdvances returns the total windows processed across sharded runs,
+// summed over shards.
 func (m *Metrics) SyncAdvances() int64 {
 	if m == nil {
 		return 0
@@ -109,8 +106,7 @@ func (m *Metrics) SyncAdvances() int64 {
 	return m.syncAdvances.Load()
 }
 
-// SyncWaits returns the total blocked waits (barrier crossings under BSP,
-// blocked backoff episodes under async).
+// SyncWaits returns the total barrier crossings across sharded runs.
 func (m *Metrics) SyncWaits() int64 {
 	if m == nil {
 		return 0
@@ -118,9 +114,8 @@ func (m *Metrics) SyncWaits() int64 {
 	return m.syncWaits.Load()
 }
 
-// SyncWaitNs returns the total wall-clock nanoseconds shards spent blocked
-// waiting for other shards' clocks (async engine only; BSP barrier time is
-// not separable from the Await call).
+// SyncWaitNs returns network.SyncStats.BlockedWaitNs summed over runs (0:
+// the barrier is not timed).
 func (m *Metrics) SyncWaitNs() int64 {
 	if m == nil {
 		return 0
@@ -195,9 +190,9 @@ func (c Config) runCached(strat collective.Strategy, opts collective.Options, ca
 // are representable as one - the same front door aaserve and the public
 // RunRequest use, keeping the experiments engine on the code path the
 // serving layer's byte-identity contract is stated for. Options that a
-// Request cannot express (ablations overriding machine Params, forced TPS
-// dimensions, etc.) fall back to the struct runner; machinery (cache,
-// observer) is stripped before canonicalization and re-attached as extras.
+// Request cannot express (ablations overriding machine Params or Calib) run
+// through RunContext with the struct; machinery (cache, observer) is
+// stripped before canonicalization and re-attached as extras.
 func (c Config) dispatch(strat collective.Strategy, opts collective.Options, cache *collective.NetCache, obs *observe.Collector) (collective.Result, error) {
 	plain := opts
 	plain.Cache = nil
@@ -206,7 +201,7 @@ func (c Config) dispatch(strat collective.Strategy, opts collective.Options, cac
 	req, err := collective.NewRequest(strat, plain)
 	if err != nil {
 		if errors.Is(err, collective.ErrNotCanonical) {
-			return collective.Run(strat, opts)
+			return collective.RunContext(context.Background(), strat, opts)
 		}
 		return collective.Result{}, err
 	}

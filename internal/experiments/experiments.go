@@ -62,25 +62,6 @@ type Config struct {
 	// 1.4x simulation time; tables are unchanged when the invariants hold.
 	Check bool
 
-	// EventQueue selects the simulator's pending-event structure for every
-	// run (collective.Options.EventQueue): "" or "calendar" for the
-	// bounded-horizon calendar queue, "heap" for the reference binary
-	// heap. Tables are byte-identical either way.
-	EventQueue string
-
-	// Coalesce selects same-tick credit/arrival coalescing for every run
-	// (collective.Options.Coalesce): "" or "on" for the coalescing engine
-	// (the default), "off" for the one-event-per-credit reference engine.
-	// Tables are byte-identical either way.
-	Coalesce string
-
-	// Sync selects the sharded engine's synchronization protocol for every
-	// run (collective.Options.Sync): "" or "async" for the asynchronous
-	// conservative engine (published per-shard clocks, the default), "bsp"
-	// for the barrier-lockstep escape hatch. Ignored by single-shard runs;
-	// tables are byte-identical either way.
-	Sync string
-
 	// Faults, when non-empty, applies the same deterministic link-fault
 	// schedule (the ParseFaults "t:node:dir:action" grammar) to every run
 	// of the experiment. Node ids refer to the scaled partition actually
@@ -189,8 +170,7 @@ func Names() []string {
 }
 
 func (c Config) opts(s torus.Shape, m int) collective.Options {
-	return collective.Options{Shape: s, MsgBytes: m, Seed: c.Seed, Shards: c.shardsFor(s.P()),
-		Check: c.Check, EventQueue: c.EventQueue, Coalesce: c.Coalesce, Sync: c.Sync}
+	return collective.Options{Shape: s, MsgBytes: m, Seed: c.Seed, Shards: c.shardsFor(s.P()), Check: c.Check}
 }
 
 // shardsFor picks the per-run shard count for a partition of the given node

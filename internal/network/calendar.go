@@ -24,9 +24,9 @@ import "math/bits"
 // by a full horizon and cannot both be pending, because pushes never precede
 // the clock and never reach a full horizon ahead without overflowing), the
 // ring is scanned in time order from the current tick, and ties within a
-// bucket are kept sorted by the packed key. Serial and sharded runs are
-// therefore byte-identical to the heap engine; the differential fuzz target
-// in calendar_test.go holds the two implementations to that contract.
+// bucket are kept sorted by the packed key. The differential fuzz target in
+// calendar_test.go holds the pop sequence to that of a plain eventHeap fed
+// the same pushes.
 
 // calendarHorizon returns the bucket-ring span (a power of two) for the
 // given parameters: comfortably past the largest routine scheduling delta so
@@ -219,108 +219,4 @@ func (q *calendarQueue) pop() event {
 	q.cur = int(e.t & q.mask)
 	q.cvalid = false
 	return e
-}
-
-// remove deletes the queued event at time t whose key lies in [keyLo, keyHi],
-// if present. Within the horizon it scans one bucket (one tick's ties, short
-// in practice); an event at an in-horizon time can still live in the overflow
-// heap when it was pushed against an older base, so the overflow is always a
-// fallback candidate. The cached minimum is invalidated on success rather
-// than patched - removals are rare next to pops.
-func (q *calendarQueue) remove(t int64, keyLo, keyHi uint64) bool {
-	if uint64(t-q.base) <= uint64(q.mask) {
-		idx := int(t & q.mask)
-		b := q.buckets[idx]
-		for i := len(b) - 1; i >= 0; i-- {
-			if e := b[i]; e.t == t && e.key >= keyLo && e.key <= keyHi {
-				copy(b[i:], b[i+1:])
-				q.buckets[idx] = b[:len(b)-1]
-				if len(b) == 1 {
-					q.occ[idx>>6] &^= 1 << (uint(idx) & 63)
-				}
-				q.n--
-				q.cvalid = false
-				return true
-			}
-		}
-	}
-	if q.over.remove(t, keyLo, keyHi) {
-		q.cvalid = false
-		return true
-	}
-	return false
-}
-
-// Params.EventQueue values (see Params).
-const (
-	// EventQueueCalendar selects the bounded-horizon calendar queue (the
-	// default; "" means the same).
-	EventQueueCalendar = "calendar"
-	// EventQueueHeap selects the reference 4-ary heap. Escape hatch while
-	// the calendar queue beds in; the two are byte-identical in output.
-	EventQueueHeap = "heap"
-)
-
-// eventQueue is the engine's pending-event structure: the calendar queue by
-// default, the reference heap behind Params.EventQueue. One predictable
-// branch per operation - no interface dispatch on the hot path.
-type eventQueue struct {
-	useHeap bool
-	cal     calendarQueue
-	h       eventHeap
-}
-
-func (q *eventQueue) init(par Params) {
-	q.useHeap = par.EventQueue == EventQueueHeap
-	if !q.useHeap {
-		q.cal.init(calendarHorizon(par))
-	}
-}
-
-func (q *eventQueue) len() int {
-	if q.useHeap {
-		return q.h.len()
-	}
-	return q.cal.len()
-}
-
-func (q *eventQueue) push(e event) {
-	if q.useHeap {
-		q.h.push(e)
-		return
-	}
-	q.cal.push(e)
-}
-
-func (q *eventQueue) pop() event {
-	if q.useHeap {
-		return q.h.pop()
-	}
-	return q.cal.pop()
-}
-
-func (q *eventQueue) top() event {
-	if q.useHeap {
-		return q.h.top()
-	}
-	return q.cal.top()
-}
-
-// remove deletes the queued event at time t whose key lies in [keyLo, keyHi],
-// if present. Both implementations remove exactly the same event from the
-// same pending multiset, so Stats.QueuedEvents stays queue-structure
-// invariant (the calendar differential oracle depends on that).
-func (q *eventQueue) remove(t int64, keyLo, keyHi uint64) bool {
-	if q.useHeap {
-		return q.h.remove(t, keyLo, keyHi)
-	}
-	return q.cal.remove(t, keyLo, keyHi)
-}
-
-func (q *eventQueue) reset() {
-	if q.useHeap {
-		q.h.reset()
-		return
-	}
-	q.cal.reset()
 }

@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"alltoall/internal/torus"
@@ -195,84 +194,16 @@ func TestCalendarHorizon(t *testing.T) {
 	}
 }
 
-// TestEventQueueHeapIdentical runs the same simulation under the calendar
-// queue (default) and the Params.EventQueue="heap" escape hatch: finish time
-// and the full statistics snapshot must be byte-identical, serial and
-// sharded. This is the acceptance oracle for the pop sequence being a pure
-// function of the pushed multiset in both structures.
-func TestEventQueueHeapIdentical(t *testing.T) {
-	shape := torus.New(8, 4, 2)
-	p := shape.P()
-	mkSrcs := func() []Source {
-		srcs := make([]Source, p)
-		for n := 0; n < p; n++ {
-			srcs[n] = &allToAllSource{self: int32(n), p: int32(p), size: 192}
-		}
-		return srcs
-	}
-	run := func(queue string, shards int) (int64, *Stats) {
-		par := DefaultParams()
-		par.EventQueue = queue
-		nw, err := New(shape, par, mkSrcs(), countOnly{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ft, err := nw.RunSharded(1<<40, shards)
-		if err != nil {
-			t.Fatalf("queue=%q shards=%d: %v", queue, shards, err)
-		}
-		return ft, nw.Stats()
-	}
-	ftCal, stCal := run("", 1)
-	queuedByShards := map[int]int64{1: stCal.QueuedEvents}
-	for _, tc := range []struct {
-		queue  string
-		shards int
-	}{
-		{EventQueueCalendar, 1}, {EventQueueHeap, 1}, {EventQueueHeap, 3}, {EventQueueCalendar, 3},
-	} {
-		ft, st := run(tc.queue, tc.shards)
-		if ft != ftCal {
-			t.Errorf("queue=%q shards=%d finish %d, want %d", tc.queue, tc.shards, ft, ftCal)
-		}
-		// QueuedEvents is queue-structure invariant (both structures remove
-		// and pop the same multiset) but only shard-count invariant up to
-		// boundary-credit elision decisions (coalesce.go): pin it exactly
-		// across queues at each shard count, normalize across shard counts.
-		if q, ok := queuedByShards[tc.shards]; ok {
-			if st.QueuedEvents != q {
-				t.Errorf("queue=%q shards=%d QueuedEvents %d, want %d (structure changed the pop multiset)",
-					tc.queue, tc.shards, st.QueuedEvents, q)
-			}
-		} else {
-			queuedByShards[tc.shards] = st.QueuedEvents
-		}
-		st.QueuedEvents = stCal.QueuedEvents
-		if !reflect.DeepEqual(st, stCal) {
-			t.Errorf("queue=%q shards=%d stats diverge from calendar serial run", tc.queue, tc.shards)
-		}
-	}
-}
-
-func TestEventQueueParamValidated(t *testing.T) {
-	par := DefaultParams()
-	par.EventQueue = "splay-tree"
-	if _, err := New(torus.New(2, 2, 1), par, nil, countOnly{}); err == nil {
-		t.Fatal("bogus EventQueue accepted")
-	}
-}
-
 // benchEventQueue is the classic hold-model queue benchmark with the
 // engine's real event mix: a warm backlog sized like a large partition's,
 // then pop-one/push-one at realistic scheduling deltas (granule arrivals,
 // credit returns, full-packet arrivals, link frees, CPU completions, and a
 // rare far-future pacing kick that exercises the calendar's overflow path).
-func benchEventQueue(b *testing.B, queue string) {
+func benchEventQueue(b *testing.B, q interface {
+	push(event)
+	pop() event
+}) {
 	b.ReportAllocs()
-	par := DefaultParams()
-	par.EventQueue = queue
-	var q eventQueue
-	q.init(par)
 	deltas := [16]int64{47, 47, 47, 47, 15, 15, 15, 271, 271, 256, 192, 64, 79, 32, 128, 5000}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 1<<16; i++ {
@@ -288,18 +219,19 @@ func benchEventQueue(b *testing.B, queue string) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-func BenchmarkEventQueueHeap(b *testing.B)     { benchEventQueue(b, EventQueueHeap) }
-func BenchmarkEventQueueCalendar(b *testing.B) { benchEventQueue(b, EventQueueCalendar) }
+// The heap row is the calendar's reference: the structure it replaced, kept
+// as its overflow store.
+func BenchmarkEventQueueHeap(b *testing.B) { benchEventQueue(b, &eventHeap{}) }
+func BenchmarkEventQueueCalendar(b *testing.B) {
+	var q calendarQueue
+	q.init(calendarHorizon(DefaultParams()))
+	benchEventQueue(b, &q)
+}
 
-// BenchmarkNetworkRunLarge is the engine-level before/after for the event
-// queue and for event coalescing on a table2-shaped (asymmetric,
-// Y-dominant) partition - the regime where the event backlog is deepest.
-// The queue=heap and queue=calendar sub-benchmarks pin the two queue
-// structures (coalescing on, the default); queue=calendar/coalesce=off is
-// the uncoalesced reference. All simulations are byte-identical, so the
-// events/s ratios isolate pure engine cost, and events/pkt (queued-event
-// pops per injected packet) is the machine-independent volume metric the
-// CI ceiling check guards.
+// BenchmarkNetworkRunLarge times the engine on a table2-shaped (asymmetric,
+// Y-dominant) partition - the regime where the event backlog is deepest -
+// serial and at 2 and 4 shards. Every row simulates the identical run, so
+// the events/s ratios are the intra-run speedup.
 func BenchmarkNetworkRunLarge(b *testing.B) {
 	shape := torus.New(8, 16, 8)
 	p := shape.P()
@@ -310,71 +242,28 @@ func BenchmarkNetworkRunLarge(b *testing.B) {
 		}
 		return srcs
 	}
-	cases := []struct {
-		name     string
-		queue    string
-		coalesce string
-		sync     string
-		shards   int
-	}{
-		{"queue=" + EventQueueHeap, EventQueueHeap, "", "", 1},
-		{"queue=" + EventQueueCalendar, EventQueueCalendar, "", "", 1},
-		{"queue=" + EventQueueCalendar + "/coalesce=" + CoalesceOff, EventQueueCalendar, CoalesceOff, "", 1},
-	}
-	// Shard-scaling matrix: the BSP barrier protocol against the async
-	// conservative engine at 2 and 4 shards, plus single-shard rows of both
-	// so the intra-run speedup and the 1-core overhead are read off the same
-	// benchmark. All rows simulate the identical byte-exact run.
-	for _, sync := range []string{SyncBSP, SyncAsync} {
-		for _, shards := range []int{1, 2, 4} {
-			cases = append(cases, struct {
-				name     string
-				queue    string
-				coalesce string
-				sync     string
-				shards   int
-			}{fmt.Sprintf("sync=%s/shards=%d", sync, shards), "", "", sync, shards})
-		}
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
-			par := DefaultParams()
-			par.EventQueue = c.queue
-			par.Coalesce = c.coalesce
-			par.Sync = c.sync
-			nw, err := New(shape, par, mkSrcs(), countOnly{})
+			nw, err := New(shape, DefaultParams(), mkSrcs(), countOnly{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := nw.RunSharded(1<<42, c.shards); err != nil {
+			if _, err := nw.RunSharded(1<<42, shards); err != nil {
 				b.Fatal(err)
 			}
-			var events, queued, packets, advances, waits int64
+			var events int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := nw.Reset(mkSrcs(), countOnly{}); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := nw.RunSharded(1<<42, c.shards); err != nil {
+				if _, err := nw.RunSharded(1<<42, shards); err != nil {
 					b.Fatal(err)
 				}
-				st := nw.Stats()
-				events += st.Events()
-				queued += st.QueuedEvents
-				packets += st.PacketsInjected
-				ss := nw.SyncStats()
-				advances += ss.HorizonAdvances
-				waits += ss.BlockedWaits
+				events += nw.Stats().Events()
 			}
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-			b.ReportMetric(float64(queued)/float64(packets), "events/pkt")
-			if c.shards > 1 && advances > 0 {
-				// Synchronization overhead per unit of progress: blocked
-				// waits (barrier crossings or backoff episodes) per horizon
-				// advance. The CI regression gate bounds this ratio.
-				b.ReportMetric(float64(waits)/float64(advances), "waits/adv")
-			}
 		})
 	}
 }

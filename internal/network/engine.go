@@ -11,7 +11,7 @@ const maxInt64 = int64(1<<63 - 1)
 
 // engine is the event-processing context for a contiguous range of nodes.
 // The serial path runs one engine owning every node; RunSharded runs one per
-// shard, each with its own event heap, packet pool, clock, and statistics,
+// shard, each with its own event queue, packet pool, clock, and statistics,
 // so workers share no mutable state except the window-barrier mailboxes.
 // Routers are shard-private by construction: every router mutation happens
 // at the owning node (token returns, which the serial engine used to apply
@@ -23,7 +23,7 @@ type engine struct {
 	id      int32
 	lo, hi  int32 // owned node range [lo, hi)
 
-	evq     eventQueue
+	evq     calendarQueue
 	now     int64
 	pkts    []packet
 	freePkt int32 // head of free list threaded through pkts[i].dst
@@ -40,29 +40,6 @@ type engine struct {
 	svcAt   []int64
 	svcMask []uint8
 
-	// Credit/arrival coalescing state (see coalesce.go). coal caches
-	// coalesceEnabled(par); the SoA slot tables are shared Network arrays
-	// (node-partitioned, like the router SoA above); the spill lists and the
-	// cross-shard credit streams are engine-private.
-	coal      bool
-	credAt    []int64
-	arrAt     []int64
-	credCnt   []uint8 // inline arg count per slot (args flat, stride coalArgsCap)
-	arrCnt    []uint8
-	credArgs  []int32
-	arrArgs   []int32
-	credPend  []uint8 // [node] armed packed credit batches; gates convertCredits
-	credSpill []coalSpill
-	arrSpill  []coalSpill
-	spillFree [][]int32
-	credOut   []creditBatch  // per destination shard; drained at window barriers
-	credRecs  []creditRec    // decode scratch for inbound credit streams
-	coalSched [2]int64       // ledger: logical credits/arrivals accumulated
-	coalRep   [2]int64       // ledger: logical credits/arrivals replayed
-	lazy      [][]lazyCredit // per-node elided no-op credits (shared Network array)
-	lazyAdd   int64          // ledger: credits elided (stashed without an event)
-	lazyApply int64          // ledger: elided credits matured and applied
-
 	// Fault-injection state (see fault.go). faulty caches whether the run has
 	// a non-empty fault schedule; off, none of the arrays below is touched
 	// and every fault branch on the hot path is a predicted-false check. The
@@ -72,7 +49,6 @@ type engine struct {
 	killMask  []uint8 // [node] output directions permanently killed
 	stretch   []int32 // [linkIdx] wire-occupancy multiplier (1 = healthy)
 	downSince []int64 // [linkIdx] outage start, -1 while up
-	reviveAt  []int64 // [linkIdx] scheduled Up time of the current outage
 
 	// contTok/entTok summarize dynamic-VC token availability per output
 	// direction for the arbitration pass in flight (see tokMasks); they are
@@ -80,17 +56,6 @@ type engine struct {
 	// mid-pass token mutation.
 	contTok uint8
 	entTok  uint8
-
-	// sgNode/sgT identify the serviceGroup dispatch currently on the stack
-	// (sgNode -1 when none): its own hard wakeup is mid-dispatch rather than
-	// queued, so the re-grant elision in tryRoute skips the removal scan.
-	// rpNode/rpT likewise identify the credit batch replayCredits is walking
-	// (rpNode -1 when none): its slot stays claimed mid-replay, and
-	// convertCredits must not retire it out from under the walk.
-	sgNode int32
-	sgT    int64
-	rpNode int32
-	rpT    int64
 
 	inFlight  int64
 	activeSrc int
@@ -106,21 +71,14 @@ type engine struct {
 	// every destination local.
 	shardOf []int16
 	out     [][]xmsg // outbox per destination shard, drained at window barriers
-	inMin   int64    // published heap minimum for the window-size vote
+	inMin   int64    // published queue minimum for the window-size vote
 	err     error
 
-	// Async conservative engine state (shard_async.go): async caches whether
-	// this run uses the published-clock protocol; ax is the engine-side
-	// machinery. The sync* counters feed SyncStats under both protocols
-	// (advances = horizons or windows, waits = blocked episodes or barrier
-	// crossings, xEv/xBytes = boundary traffic).
-	async        bool
-	ax           engineAsync
+	// Counters behind SyncStats (shard.go): windows processed, barrier
+	// crossings, and messages sent across a shard boundary.
 	syncAdvances int64
 	syncWaits    int64
-	syncWaitNs   int64
 	syncXEv      int64
-	syncXBytes   int64
 
 	// vio holds the first invariant violation caught inside a dispatch
 	// (sites that cannot return an error directly); processUntil surfaces
@@ -128,7 +86,7 @@ type engine struct {
 	vio error
 
 	// pad keeps adjacent engines in Network.shards off each other's cache
-	// lines; the clock and heap header above are written every event.
+	// lines; the clock and queue header above are written every event.
 	pad [64]byte //nolint:unused
 }
 
@@ -146,34 +104,21 @@ func (e *engine) init(nw *Network, id, lo, hi int32, stats *Stats) {
 	e.occ = nw.occ
 	e.svcAt = nw.svcAt
 	e.svcMask = nw.svcMask
-	e.coal = coalesceEnabled(nw.Par)
-	e.credAt = nw.credAt
-	e.arrAt = nw.arrAt
-	e.credCnt = nw.credCnt
-	e.arrCnt = nw.arrCnt
-	e.credArgs = nw.credArgs
-	e.arrArgs = nw.arrArgs
-	e.credPend = nw.credPend
-	e.lazy = nw.lazyCred
-	e.sgNode = -1
-	e.rpNode = -1
-	e.evq.init(nw.Par)
+	e.evq.init(calendarHorizon(nw.Par))
 }
 
 // setParams installs new runtime parameters on a recycled engine (see
-// Network.ResetParams): the cached Params copy, the coalescing gate, and the
-// event-queue structure (whose calendar horizon is parameter-derived) must
-// all re-derive. The queue is drained first so a structure switch cannot
-// strand stale events in the inactive implementation.
+// Network.ResetParams): the cached Params copy and the calendar ring, whose
+// horizon is parameter-derived. The queue is drained first so a resized ring
+// cannot strand stale events.
 func (e *engine) setParams(par Params) {
 	e.par = par
-	e.coal = coalesceEnabled(par)
 	e.evq.reset()
-	e.evq.init(par)
+	e.evq.init(calendarHorizon(par))
 }
 
 // resetRunState clears everything a run accumulates, keeping allocations
-// (heap array, packet pool, outboxes) for the next run.
+// (event buckets, packet pool, outboxes) for the next run.
 func (e *engine) resetRunState() {
 	if e.nw == nil {
 		return
@@ -187,32 +132,11 @@ func (e *engine) resetRunState() {
 	for i := range e.out {
 		e.out[i] = e.out[i][:0]
 	}
-	for i := range e.credOut {
-		e.credOut[i].reset()
-	}
-	for i := range e.credSpill {
-		e.spillFree = append(e.spillFree, e.credSpill[i].args[:0])
-		e.credSpill[i] = coalSpill{}
-	}
-	e.credSpill = e.credSpill[:0]
-	for i := range e.arrSpill {
-		e.spillFree = append(e.spillFree, e.arrSpill[i].args[:0])
-		e.arrSpill[i] = coalSpill{}
-	}
-	e.arrSpill = e.arrSpill[:0]
-	e.coalSched = [2]int64{}
-	e.coalRep = [2]int64{}
-	e.lazyAdd, e.lazyApply = 0, 0
-	e.sgNode, e.sgT = -1, 0
-	e.rpNode, e.rpT = -1, 0
 	e.faulty = false
 	e.inMin = 0
 	e.err = nil
 	e.vio = nil
-	e.async = false
-	e.ax.reset()
-	e.syncAdvances, e.syncWaits, e.syncWaitNs = 0, 0, 0
-	e.syncXEv, e.syncXBytes = 0, 0
+	e.syncAdvances, e.syncWaits, e.syncXEv = 0, 0, 0
 	e.obs = nil
 	e.cancel = nil
 	if e.stats != nil && e.stats != &e.nw.stats {
@@ -270,34 +194,15 @@ func (e *engine) processUntil(tend, maxTime int64) error {
 	return nil
 }
 
-// dispatch executes one popped event. Split from processUntil so the
-// coalesced replay loops (coalesce.go) can drain queued events that sort
-// before a logical credit through the identical code path; the recursion is
-// bounded at depth one because drained events at a replaying (t, node) are
-// always plain service/CPU kinds, never another marker. With coalescing on,
-// evArrive/evCredit events are per-(node, tick) markers whose handlers count
-// the logical events they replay; EventsByKind therefore always counts
-// logical simulator actions (identical with coalescing on or off) while
-// QueuedEvents counts actual queue pops.
+// dispatch executes one popped event.
 func (e *engine) dispatch(ev event) {
 	kind := ev.kind()
 	node := ev.node()
-	e.stats.QueuedEvents++
-	// Elided no-op credits mature before any possible token read at node
-	// (every read happens inside a dispatch for node; see coalesce.go).
-	if e.coal && len(e.lazy[node]) != 0 {
-		e.flushLazy(node)
-	}
+	e.stats.EventsByKind[kind]++
 	switch kind {
 	case evArrive:
-		if e.coal {
-			e.replayArrivals(ev.t, node)
-			return
-		}
-		e.stats.EventsByKind[evArrive]++
 		e.arrive(node, arrivePid(ev.arg()))
 	case evService:
-		e.stats.EventsByKind[evService]++
 		if ev.arg() != 0 {
 			// A link-free wakeup, possibly standing in for several links
 			// of this node that freed on the same tick (tryRoute pushes
@@ -315,19 +220,12 @@ func (e *engine) dispatch(ev event) {
 			}
 		}
 	case evCPUKick:
-		e.stats.EventsByKind[evCPUKick]++
 		e.cpuDoneOrKick(node)
 	case evCredit:
-		if e.coal {
-			e.replayCredits(ev.t, node)
-			return
-		}
-		e.stats.EventsByKind[evCredit]++
 		dir, vc, cost := creditUnpack(ev.arg())
 		e.tok[tokIdx(node, dir, int(vc))] += cost
 		e.service(node, 1<<dir)
 	case evFault:
-		e.stats.EventsByKind[evFault]++
 		e.applyFault(node, ev.arg())
 	}
 	if e.par.Check && e.vio == nil {
@@ -340,28 +238,18 @@ func (e *engine) dispatch(ev event) {
 }
 
 // sendArrive delivers a routed packet to its next node: straight onto the
-// local heap when this engine owns dst, else into the mailbox for dst's
+// local queue when this engine owns dst, else into the mailbox for dst's
 // shard (the packet body travels by value; the destination engine assigns a
 // slot from its own pool when it drains the mailbox at the window barrier).
 func (e *engine) sendArrive(eta int64, dst, pid int32, p *packet) {
 	if e.shardOf != nil {
 		if s := e.shardOf[dst]; int32(s) != e.id {
 			e.syncXEv++
-			e.syncXBytes += xmsgBytes
-			if e.async {
-				m := xmsg{t: eta, node: dst, kind: evArrive, pkt: *p}
-				e.ax.st.send(e.id, int32(s), &m)
-			} else {
-				e.out[s] = append(e.out[s], xmsg{t: eta, node: dst, kind: evArrive, pkt: *p})
-			}
+			e.out[s] = append(e.out[s], xmsg{t: eta, node: dst, kind: evArrive, pkt: *p})
 			e.inFlight--
 			e.freePacket(pid)
 			return
 		}
-	}
-	if e.coal {
-		e.scheduleArrive(eta, dst, arriveArg(p.inDir, pid))
-		return
 	}
 	e.evq.push(mkEvent(eta, dst, arriveArg(p.inDir, pid), evArrive))
 }
@@ -376,45 +264,9 @@ func (e *engine) sendCredit(up int32, dir int, vc int8, cost int32) {
 	if e.shardOf != nil {
 		if s := e.shardOf[up]; int32(s) != e.id {
 			e.syncXEv++
-			if e.async {
-				// Async credits travel as individual messages: the batched
-				// word stream below needs nondecreasing generation times
-				// within one drain span, which barrierless draining cannot
-				// promise. A full xmsg per credit instead of 8 bytes is the
-				// price of never waiting; SyncStats.CrossShardBytes makes
-				// the tradeoff visible.
-				e.syncXBytes += xmsgBytes
-				m := xmsg{t: t, node: up, arg: arg, kind: evCredit}
-				e.ax.st.send(e.id, int32(s), &m)
-				return
-			}
-			if e.coal {
-				// Batched word stream: tick-grouped (generation times are
-				// nondecreasing within a window), 8 bytes per credit instead
-				// of a full xmsg; decoded into the receiver's accumulator
-				// tables at the window barrier (drainInboxes).
-				e.syncXBytes += creditWordBytes
-				e.credOut[s].add(t, up, arg)
-				return
-			}
-			e.syncXBytes += xmsgBytes
 			e.out[s] = append(e.out[s], xmsg{t: t, node: up, arg: arg, kind: evCredit})
 			return
 		}
-	}
-	if e.coal {
-		// A credit whose link is still transmitting at t cannot grant there:
-		// its event would be a pure no-op (service early-returns on a busy
-		// masked link), so it needs no event at all - just a lazy token add
-		// before the link's own free-time service pass. A link down through t
-		// is a no-op for the same reason (a dead direction is outside
-		// freeMask for its whole outage; see deadThrough).
-		if e.outBusy[linkIdx(up, dir)] > t || e.deadThrough(up, dir, t) {
-			e.stashCredit(up, t, arg)
-			return
-		}
-		e.scheduleCredit(up, t, arg)
-		return
 	}
 	e.evq.push(mkEvent(t, up, arg, evCredit))
 }
@@ -637,22 +489,9 @@ func (e *engine) noteBlocked(node int32, rf *pktRef, qCount, win int32) {
 // state, not just a wakeup, and run at their exact time via evCredit.
 func (e *engine) scheduleService(node int32, t int64, mask uint8) {
 	sm := e.svcMask[node]
-	if sm&svcPendBit != 0 {
-		if e.svcAt[node] <= t {
-			e.svcMask[node] = sm | mask
-			return
-		}
-		if e.coal {
-			// Retargeting earlier strands the later wakeup: remove its queued
-			// event instead of letting it pop stale, counting the logical
-			// no-op pop so EventsByKind stays independent of Coalesce. In
-			// coalesced mode an armed slot always has exactly one queued
-			// event at svcAt (every consume site removes; see drainSoft).
-			k := mkEvent(0, node, 0, evService).key
-			if e.evq.remove(e.svcAt[node], k, k) {
-				e.stats.EventsByKind[evService]++
-			}
-		}
+	if sm&svcPendBit != 0 && e.svcAt[node] <= t {
+		e.svcMask[node] = sm | mask
+		return
 	}
 	e.svcMask[node] = sm | mask | svcPendBit
 	e.svcAt[node] = t
@@ -729,7 +568,6 @@ func (e *engine) service(node int32, mask uint8) {
 // is identical, which is what keeps golden outputs and the serial/sharded
 // identity oracle stable across the coalescing optimization.
 func (e *engine) serviceGroup(t int64, node int32) {
-	e.sgNode, e.sgT = node, t
 	lnk := linkIdx(node, 0)
 	for d := 0; d < numDirs; d++ {
 		if e.outBusy[lnk+d] != t {
@@ -741,27 +579,14 @@ func (e *engine) serviceGroup(t int64, node int32) {
 	// A soft wakeup re-armed during the final pass would have popped as its
 	// own arg-0 event right after this one; drain it the same way.
 	e.drainSoft(t, node)
-	e.sgNode = -1
 }
 
 // drainSoft consumes every due coalesced service slot at node (svcAt <= t),
 // running the pending pass exactly as the slot's own arg-0 dispatch would.
-// Without coalescing, the event scheduleService pushed for a drained slot
-// still pops later, finds the slot empty, and no-ops; in coalesced mode that
-// stale pop is pure queue traffic, so the event is removed as the slot is
-// consumed (counting the logical no-op pop to keep EventsByKind independent
-// of Coalesce). The removal maintains the coalesced-mode invariant that an
-// armed slot has exactly one queued arg-0 event, at svcAt - which is why the
-// due slot here always has svcAt == t: an armed earlier-tick slot would mean
-// its event popped without consuming it, which the invariant rules out.
+// The event scheduleService pushed for a drained slot still pops later, finds
+// the slot empty, and no-ops.
 func (e *engine) drainSoft(t int64, node int32) {
 	for e.svcMask[node]&svcPendBit != 0 && e.svcAt[node] <= t {
-		if e.coal && e.svcAt[node] == t {
-			k := mkEvent(0, node, 0, evService).key
-			if e.evq.remove(t, k, k) {
-				e.stats.EventsByKind[evService]++
-			}
-		}
 		mask := e.svcMask[node] & maskAll
 		e.svcMask[node] = 0
 		if mask != 0 {
@@ -890,7 +715,6 @@ func (e *engine) tryRoute(node int32, rf *pktRef, q *pktQueue, qi int32, freeMas
 		}
 	}
 	busyUntil := e.now + wire
-	prevBusy := e.outBusy[lnk+o]
 	e.outBusy[lnk+o] = busyUntil
 	e.stats.LinkBusy[lnk+o] += wire
 	e.stats.GrantsByVC[vc]++
@@ -944,34 +768,6 @@ func (e *engine) tryRoute(node int32, rf *pktRef, q *pktQueue, qi int32, freeMas
 	}
 	if !dup {
 		e.evq.push(mkEvent(busyUntil, node, 1<<o, evService))
-	}
-	if e.coal {
-		// This link freed exactly on the current tick and is re-granted
-		// before its hard wakeup popped (the grant came from an arrival, a
-		// soft pass, or a credit replay that sorts before it). Once no link
-		// of this node frees on this tick anymore - busy times only ever
-		// extend, so none can come back to it - that wakeup is a guaranteed
-		// no-op: serviceGroup would re-derive an empty freed set, and its
-		// soft drain never finds a due slot (the slot's own arg-0 event
-		// sorts first and is removed at every consume; see drainSoft).
-		// Remove it, counting the logical no-op pop. When the grant happens
-		// inside that very wakeup's serviceGroup the event is mid-dispatch,
-		// not queued: skip the scan.
-		if prevBusy == e.now && (node != e.sgNode || e.now != e.sgT) {
-			still := false
-			for d := 0; d < numDirs; d++ {
-				if d != o && e.outBusy[lnk+d] == e.now {
-					still = true
-					break
-				}
-			}
-			if !still {
-				if e.evq.remove(e.now, mkEvent(0, node, 1, evService).key, mkEvent(0, node, -1, evService).key) {
-					e.stats.EventsByKind[evService]++
-				}
-			}
-		}
-		e.convertCredits(node, lnk, busyUntil)
 	}
 	e.sendArrive(eta, e.nbrs[lnk+o], pid, p)
 	return o

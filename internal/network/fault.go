@@ -15,9 +15,8 @@ import (
 // back up, be killed permanently, or have its bandwidth degraded (stretched
 // wire occupancy). Faults are ordinary simulator events - each scheduled
 // transition becomes an evFault entry in the strict (t, node, kind, arg)
-// total order - so a faulted run is byte-identical at any shard count and
-// with coalescing or either event-queue structure on or off, exactly like a
-// healthy one.
+// total order - so a faulted run is byte-identical at any shard count,
+// exactly like a healthy one.
 //
 // Semantics:
 //
@@ -27,11 +26,7 @@ import (
 //     long way around the ring (rerouteNode/flipDeadDims). A packet already
 //     committed to the wire when the link dies completes its transfer (the
 //     arrival event is already scheduled). Credits owed across a dead link
-//     keep their exact-time semantics: in coalesced mode they ride the lazy
-//     ledger (a dead link is outside freeMask for its whole outage, so the
-//     credit event is a provable no-op; see coalesce.go) and any still
-//     stashed at end of run are force-returned (Stats.ForcedCreditReturns)
-//     before the quiescence audit.
+//     return at their exact time like any other.
 //   - Up: the direction rejoins freeOutputs and an arbitration pass runs at
 //     the reopened link. The outage [down, up) accrues Stats.DeadLinkTicks.
 //     An Up for a killed link is rejected at validation.
@@ -76,9 +71,9 @@ func (a FaultAction) String() string {
 // from sending toward +x but leaves the reverse wire (the +x neighbour's -x
 // output) alive; fail both to sever the cable.
 type FaultEvent struct {
-	T      int64       // simulation time of the transition (>= 0)
-	Node   int32       // rank owning the output link
-	Dir    int         // output direction, 0..5 (2*dim, +1 for the - direction)
+	T      int64 // simulation time of the transition (>= 0)
+	Node   int32 // rank owning the output link
+	Dir    int   // output direction, 0..5 (2*dim, +1 for the - direction)
 	Action FaultAction
 	Factor int32 // FaultDegrade only: wire-occupancy multiplier, 1..MaxDegradeFactor
 }
@@ -218,7 +213,7 @@ func faultLess(a, b FaultEvent) bool {
 }
 
 // deriveFaults validates par.Faults against the built machine and installs
-// the canonical (sorted) schedule plus the per-event revival times on nw.
+// the canonical (sorted) schedule on nw.
 // Called from New and ResetParams; a nil or empty schedule clears the fault
 // state so the engines take the zero-cost healthy path.
 func (nw *Network) deriveFaults() error {
@@ -254,34 +249,16 @@ func (nw *Network) deriveFaults() error {
 	}
 	nw.fsched = append(nw.fsched, fs.Events...)
 	sort.SliceStable(nw.fsched, func(i, j int) bool { return faultLess(nw.fsched[i], nw.fsched[j]) })
-	// Per-event revival times: for each Down, the next Up on the same link
-	// (maxInt64 when none - the outage lasts the run); Kills never revive.
-	// The lazy-credit elision needs this at down-application time: a credit
-	// maturing while the link is still down is a provable no-op only when no
-	// Up lands before its maturity.
-	if nw.frevive == nil {
-		nw.frevive = make([]int64, 0, len(nw.fsched))
-	}
-	nw.frevive = nw.frevive[:0]
 	for i, f := range nw.fsched {
-		rev := maxInt64
-		if f.Action == FaultDown {
-			for _, g := range nw.fsched[i+1:] {
-				if g.Node == f.Node && g.Dir == f.Dir && g.Action == FaultUp {
-					rev = g.T
-					break
-				}
+		if f.Action != FaultKill {
+			continue
+		}
+		for _, g := range nw.fsched[i+1:] {
+			if g.Node == f.Node && g.Dir == f.Dir && g.Action == FaultUp {
+				return fmt.Errorf("network: fault revives link (%d, %s) at t=%d after a kill at t=%d",
+					f.Node, DirName(f.Dir), g.T, f.T)
 			}
 		}
-		if f.Action == FaultKill {
-			for _, g := range nw.fsched[i+1:] {
-				if g.Node == f.Node && g.Dir == f.Dir && g.Action == FaultUp {
-					return fmt.Errorf("network: fault revives link (%d, %s) at t=%d after a kill at t=%d",
-						f.Node, DirName(f.Dir), g.T, f.T)
-				}
-			}
-		}
-		nw.frevive = append(nw.frevive, rev)
 	}
 	// Lazily allocate the fault-state SoA (healthy networks never pay for it)
 	// and put it in the healthy initial state; New runs without a Reset in
@@ -291,7 +268,6 @@ func (nw *Network) deriveFaults() error {
 		nw.killMask = make([]uint8, nw.P)
 		nw.stretch = make([]int32, nw.P*numDirs)
 		nw.downSince = make([]int64, nw.P*numDirs)
-		nw.reviveAt = make([]int64, nw.P*numDirs)
 	}
 	nw.resetFaultState()
 	return nil
@@ -310,7 +286,6 @@ func (nw *Network) resetFaultState() {
 	for l := range nw.stretch {
 		nw.stretch[l] = 1
 		nw.downSince[l] = -1
-		nw.reviveAt[l] = 0
 	}
 }
 
@@ -330,7 +305,6 @@ func (e *engine) armFaults(maxTime int64) {
 	e.killMask = e.nw.killMask
 	e.stretch = e.nw.stretch
 	e.downSince = e.nw.downSince
-	e.reviveAt = e.nw.reviveAt
 	for i := range fs {
 		f := &fs[i]
 		if f.Node < e.lo || f.Node >= e.hi {
@@ -365,7 +339,6 @@ func (e *engine) applyFault(node int32, idx int32) {
 		}
 		e.deadMask[node] |= bit
 		e.downSince[lnk] = e.now
-		e.reviveAt[lnk] = e.nw.frevive[idx]
 		e.noteFault(node, d, f.Action, 0)
 		// Queued packets whose every minimal direction just died flip to the
 		// long way around the ring; a pass then lets the flipped ones move.
@@ -516,42 +489,6 @@ func (e *engine) rerouteFresh(node int32, p *packet) {
 	}
 	p.want = wantMask(p.hops, p.det)
 	e.stats.Reroutes++
-}
-
-// deadThrough reports whether node's output dir is down for the whole
-// interval (now, t]: the link is dead now and no scheduled revival lands at
-// or before t. Under that condition a credit maturing at t is a provable
-// no-op (the dead direction is outside freeMask for its entire outage), so
-// the lazy-credit elision applies exactly as it does for a busy link.
-func (e *engine) deadThrough(node int32, dir int, t int64) bool {
-	return e.faulty && e.deadMask[node]&(1<<dir) != 0 && e.reviveAt[linkIdx(node, dir)] > t
-}
-
-// forceFlushLazy returns every credit still parked in the lazy ledger at end
-// of run. On a healthy network the ledger is provably empty here (every
-// elided credit's link frees, and that free-time dispatch flushes it); a
-// killed link's credits have no such dispatch, so they are forced home -
-// counting the same logical evCredit pops the uncoalesced engine performs
-// when those credit events fire against the dead link - before the
-// quiescence audit checks that every token is back.
-func (e *engine) forceFlushLazy() {
-	if !e.coal || !e.faulty {
-		return
-	}
-	for n := e.lo; n < e.hi; n++ {
-		l := e.lazy[n]
-		if len(l) == 0 {
-			continue
-		}
-		for _, lc := range l {
-			dir, vc, cost := creditUnpack(lc.arg)
-			e.tok[tokIdx(n, dir, int(vc))] += cost
-			e.stats.EventsByKind[evCredit]++
-			e.lazyApply++
-			e.stats.ForcedCreditReturns++
-		}
-		e.lazy[n] = l[:0]
-	}
 }
 
 // closeFaultStats accrues the outage tails of links still down when the run

@@ -76,7 +76,7 @@ func faultRun(t *testing.T, shape torus.Shape, par Params, fs *FaultSchedule, sh
 	}
 	ft, err := nw.RunSharded(1<<40, shards)
 	if err != nil {
-		t.Fatalf("faulted run (shards=%d, coalesce=%q, eventq=%q): %v", shards, par.Coalesce, par.EventQueue, err)
+		t.Fatalf("faulted run (shards=%d): %v", shards, err)
 	}
 	st := nw.Stats()
 	if st.PacketsInjected != st.TotalDelivered {
@@ -100,60 +100,34 @@ func TestZeroFaultScheduleByteIdentical(t *testing.T) {
 			t.Errorf("shards=%d: empty schedule stats diverge from nil\nempty: %+v\nnil:   %+v",
 				shards, stEmpty, stNil)
 		}
-		if stEmpty.DeadLinkTicks != 0 || stEmpty.Reroutes != 0 || stEmpty.ForcedCreditReturns != 0 {
-			t.Errorf("shards=%d: healthy run reports fault stats: dead=%d reroutes=%d forced=%d",
-				shards, stEmpty.DeadLinkTicks, stEmpty.Reroutes, stEmpty.ForcedCreditReturns)
+		if stEmpty.DeadLinkTicks != 0 || stEmpty.Reroutes != 0 {
+			t.Errorf("shards=%d: healthy run reports fault stats: dead=%d reroutes=%d",
+				shards, stEmpty.DeadLinkTicks, stEmpty.Reroutes)
 		}
 	}
 }
 
 // TestFaultedRunIdenticalEverywhere is the determinism oracle for fault
 // injection: a schedule mixing a permanent kill, a transient outage, and a
-// degraded link must produce the same finish time and engine-invariant
-// statistics at shards {1,4} x coalesce {on,off} x event queue
-// {calendar,heap}, with the invariant checker on throughout. QueuedEvents and
-// ForcedCreditReturns are coalesce-mode bookkeeping (how work was scheduled,
-// not what the machine did) and are normalized out; the logical EventsByKind
-// counts must agree exactly.
+// degraded link must produce the same finish time and statistics at shards
+// {1,2,4}, with the invariant checker on throughout.
 func TestFaultedRunIdenticalEverywhere(t *testing.T) {
 	shape := torus.New(4, 4, 2)
 	fs, err := ParseFaults("0:5:+x:kill;300:12:-y:down;2500:12:-y:up;0:20:-z:x4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := DefaultParams()
-	base.Coalesce = CoalesceOff
-	ftRef, stRef := faultRun(t, shape, base, fs, 1)
+	ftRef, stRef := faultRun(t, shape, DefaultParams(), fs, 1)
 	if stRef.DeadLinkTicks == 0 {
 		t.Error("schedule with a t=0 kill accrued no DeadLinkTicks")
 	}
-	for _, tc := range []struct {
-		name     string
-		coalesce string
-		queue    string
-		shards   int
-	}{
-		{"serial-coal", CoalesceOn, "", 1},
-		{"sharded-off", CoalesceOff, "", 4},
-		{"sharded-coal", CoalesceOn, "", 4},
-		{"serial-coal-heap", CoalesceOn, EventQueueHeap, 1},
-		{"sharded-coal-heap", CoalesceOn, EventQueueHeap, 4},
-		{"sharded-off-heap", CoalesceOff, EventQueueHeap, 4},
-	} {
-		par := DefaultParams()
-		par.Coalesce = tc.coalesce
-		par.EventQueue = tc.queue
-		ft, st := faultRun(t, shape, par, fs, tc.shards)
+	for _, shards := range []int{2, 4} {
+		ft, st := faultRun(t, shape, DefaultParams(), fs, shards)
 		if ft != ftRef {
-			t.Errorf("%s: finish %d, reference %d", tc.name, ft, ftRef)
+			t.Errorf("shards=%d: finish %d, serial %d", shards, ft, ftRef)
 		}
-		if st.EventsByKind != stRef.EventsByKind {
-			t.Errorf("%s: logical event counts diverge: %v vs %v", tc.name, st.EventsByKind, stRef.EventsByKind)
-		}
-		st.QueuedEvents = stRef.QueuedEvents
-		st.ForcedCreditReturns = stRef.ForcedCreditReturns
 		if !reflect.DeepEqual(st, stRef) {
-			t.Errorf("%s: stats diverge from reference\ngot: %+v\nref: %+v", tc.name, st, stRef)
+			t.Errorf("shards=%d: stats diverge from serial\ngot: %+v\nref: %+v", shards, st, stRef)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package network
 
-// event is a scheduled simulator action, packed to 16 bytes for heap
-// throughput: the heap moves events by value, so smaller structs mean fewer
-// copied bytes per sift level. key packs (node, kind, arg) into one word
+// event is a scheduled simulator action, packed to 16 bytes for queue
+// throughput: the queues move events by value, so smaller structs mean fewer
+// copied bytes per insert. key packs (node, kind, arg) into one word
 // (node in the high 29 bits, kind in the next 3, arg in the low 32), which
 // also makes the tie-break comparison a single machine compare.
 type event struct {
@@ -54,8 +54,8 @@ func creditUnpack(a int32) (dir int, vc int8, cost int32) {
 // less orders events by time, breaking ties on (node, kind, arg) via the
 // packed key. The strict total order makes the pop sequence a pure function
 // of the pushed multiset - every pop returns the unique minimum of the
-// current contents - so simulation results cannot shift when the heap's
-// internal structure (e.g. its arity) changes, and two events that compare
+// current contents - so simulation results cannot shift when the queue's
+// internal structure changes, and two events that compare
 // equal are byte-identical and interchangeable.
 func less(a, b event) bool {
 	if a.t != b.t {
@@ -64,11 +64,9 @@ func less(a, b event) bool {
 	return a.key < b.key
 }
 
-// eventHeap is a 4-ary min-heap of events, hand-rolled to avoid
-// container/heap interface dispatch in the hot loop. The wider fan-out
-// halves the sift depth versus a binary heap; with the multi-million-event
-// queues of large partitions the extra sibling comparisons per level are
-// cheaper than the deeper (cache-missing) traversal.
+// eventHeap is a 4-ary min-heap of events: the calendar queue's store for
+// beyond-horizon events (calendar.go) and the reference the queue-level tests
+// compare the calendar against.
 type eventHeap struct {
 	ev []event
 }
@@ -98,67 +96,6 @@ func (h *eventHeap) push(e event) {
 		i = parent
 	}
 	h.ev[i] = e
-}
-
-// remove deletes the queued event at time t whose key lies in [keyLo, keyHi],
-// if present (callers target keys that are unique per (t, node, kind) by
-// construction: the svcPend slot, a coalescing marker, or the dup-elided
-// link-free wakeup). The scan is linear; removal targets provable no-op
-// events (coalesce.go) whose queue traffic is worth the walk.
-func (h *eventHeap) remove(t int64, keyLo, keyHi uint64) bool {
-	for i, ev := range h.ev {
-		if ev.t == t && ev.key >= keyLo && ev.key <= keyHi {
-			last := len(h.ev) - 1
-			le := h.ev[last]
-			h.ev = h.ev[:last]
-			if i < last {
-				h.siftAt(i, le)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// siftAt re-inserts e into the hole a removal left at i: sift down first,
-// and if the hole never moves, sift up (the displaced tail can beat the
-// hole's ancestors when they came from a different subtree).
-func (h *eventHeap) siftAt(i int, e event) {
-	n := len(h.ev)
-	j := i
-	for {
-		first := heapArity*j + 1
-		if first >= n {
-			break
-		}
-		end := first + heapArity
-		if end > n {
-			end = n
-		}
-		smallest, se := first, h.ev[first]
-		for c := first + 1; c < end; c++ {
-			if ce := h.ev[c]; less(ce, se) {
-				smallest, se = c, ce
-			}
-		}
-		if !less(se, e) {
-			break
-		}
-		h.ev[j] = se
-		j = smallest
-	}
-	if j == i {
-		for j > 0 {
-			parent := (j - 1) / heapArity
-			pe := h.ev[parent]
-			if !less(e, pe) {
-				break
-			}
-			h.ev[j] = pe
-			j = parent
-		}
-	}
-	h.ev[j] = e
 }
 
 // pop sifts the displaced tail element down as a hole (one copy per level).

@@ -114,15 +114,6 @@ func (e *engine) checkInbound(m *xmsg) *check.Violation {
 	return nil
 }
 
-// checkInboundCredit is checkInbound for one credit decoded from a batched
-// cross-shard word stream (coalesced mode): the same window-monotonicity
-// contract, checked per logical credit rather than per message.
-func (e *engine) checkInboundCredit(t int64, node int32) *check.Violation {
-	return check.Violatef(check.MonotonicTime, node, e.now,
-		"cross-shard batched credit scheduled at t=%d behind the receiving shard's clock %d (window lookahead violated)",
-		t, e.now)
-}
-
 func eventKindName(kind uint8) string {
 	switch kind {
 	case evArrive:
@@ -154,8 +145,7 @@ func (e *engine) checkLiveGrant(node int32, o int) {
 // bookkeeping must be coherent (every down direction has an open outage
 // interval, every up one does not - credits crossed down/up transitions
 // without losing the books), and no degraded link carries a nonsensical
-// stretch. Forced-return ledger entries were already folded into the
-// lazyAdd/lazyApply balance by forceFlushLazy.
+// stretch.
 func (nw *Network) checkFaultQuiescence(now int64) error {
 	if len(nw.fsched) == 0 {
 		return nil
@@ -231,60 +221,6 @@ func (nw *Network) checkQuiescence() error {
 			return check.Violatef(check.Quiescence, node, now,
 				"occupancy mask %#x nonzero over empty queues", nw.occ[n])
 		}
-		for w := 0; w < coalWays; w++ {
-			if t := nw.credAt[n*coalWays+w]; t != 0 {
-				return check.Violatef(check.Quiescence, node, now,
-					"coalesced credit batch for tick %d never replayed (marker lost)", t)
-			}
-			if t := nw.arrAt[n*coalWays+w]; t != 0 {
-				return check.Violatef(check.Quiescence, node, now,
-					"coalesced arrival batch for tick %d never replayed (marker lost)", t)
-			}
-		}
-		if k := len(nw.lazyCred[n]); k != 0 {
-			return check.Violatef(check.Quiescence, node, now,
-				"%d elided credits never matured (tokens stranded off the books)", k)
-		}
-		if nw.credPend[n] != 0 {
-			return check.Violatef(check.Quiescence, node, now,
-				"credit pending-batch counter %d nonzero over empty slots", nw.credPend[n])
-		}
-	}
-	// Coalescing ledger: every logical credit/arrival accumulated into a
-	// side table must have been replayed by its marker, and no spill batch
-	// may outlive the run. Summed over engines (unused engines are zeroed).
-	var sched, rep [2]int64
-	var lazyAdd, lazyApply int64
-	audit := func(e *engine) error {
-		if len(e.credSpill) != 0 || len(e.arrSpill) != 0 {
-			return check.Violatef(check.Quiescence, -1, now,
-				"shard %d ended with %d credit / %d arrival spill batches pending",
-				e.id, len(e.credSpill), len(e.arrSpill))
-		}
-		for k := 0; k < 2; k++ {
-			sched[k] += e.coalSched[k]
-			rep[k] += e.coalRep[k]
-		}
-		lazyAdd += e.lazyAdd
-		lazyApply += e.lazyApply
-		return nil
-	}
-	if err := audit(&nw.eng); err != nil {
-		return err
-	}
-	for i := range nw.shards {
-		if err := audit(&nw.shards[i]); err != nil {
-			return err
-		}
-	}
-	if sched != rep {
-		return check.Violatef(check.Quiescence, -1, now,
-			"coalescing ledger unbalanced: %d/%d credits and %d/%d arrivals scheduled/replayed",
-			sched[0], rep[0], sched[1], rep[1])
-	}
-	if lazyAdd != lazyApply {
-		return check.Violatef(check.Quiescence, -1, now,
-			"lazy credit ledger unbalanced: %d elided but %d applied", lazyAdd, lazyApply)
 	}
 	if st := &nw.stats; st.PacketsInjected != st.TotalDelivered {
 		return check.Violatef(check.Quiescence, -1, now,

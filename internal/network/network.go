@@ -211,37 +211,16 @@ type Network struct {
 	svcAt   []int64  // [node] time of the pending coalesced service pass, if any
 	svcMask []uint8  // [node] wake-reason bits of that pass; bit 7 (svcPendBit) = pending
 
-	// Credit/arrival accumulator slots (see coalesce.go): tick (0 = empty),
-	// inline arg count, and sorted args (flat, stride coalArgsCap) per
-	// [node*coalWays+way], plus a per-node armed-credit-batch counter that
-	// lets the grant path skip the slot tables entirely. Node-partitioned
-	// like the arrays above, so each sharded engine touches only its own
-	// slots; flat inline storage keeps the accumulators off the heap so
-	// they do not evict the router rings.
-	credAt   []int64
-	arrAt    []int64
-	credCnt  []uint8
-	arrCnt   []uint8
-	credArgs []int32
-	arrArgs  []int32
-	credPend []uint8
-
-	// lazyCred[node] holds elided no-op credits awaiting maturity (tokens
-	// whose wakeup was provably useless; see coalesce.go). Node-partitioned.
-	lazyCred [][]lazyCredit
-
 	// Fault-injection state (see fault.go): the canonical (sorted, validated)
-	// schedule derived from Par.Faults, per-event revival times, and the
-	// node-partitioned link SoA the engines mutate as transitions apply. The
-	// arrays are nil until a schedule is first installed; a healthy network
-	// never allocates or touches them.
+	// schedule derived from Par.Faults and the node-partitioned link SoA the
+	// engines mutate as transitions apply. The arrays are nil until a
+	// schedule is first installed; a healthy network never allocates or
+	// touches them.
 	fsched    []FaultEvent
-	frevive   []int64
 	deadMask  []uint8
 	killMask  []uint8
 	stretch   []int32
 	downSince []int64
-	reviveAt  []int64
 
 	sources   []Source
 	handler   Handler
@@ -263,13 +242,7 @@ type Network struct {
 	barrier *parallel.Barrier
 	sharded bool // whether the last run used the sharded engines
 
-	// Async conservative engine state (shard_async.go): the shared
-	// coordination block, the structural shard-graph distance matrix
-	// (rebuilt with the shards), and the last successful run's
-	// synchronization counters.
-	async     asyncState
-	shardDist []int32 // [src*s+dst] boundary hop distance, -1 unreachable
-	syncStats SyncStats
+	syncStats SyncStats // of the last successful run
 }
 
 // New builds a network for the given shape with per-node sources and a
@@ -306,14 +279,6 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 	nw.occ = make([]uint32, p)
 	nw.svcAt = make([]int64, p)
 	nw.svcMask = make([]uint8, p)
-	nw.credAt = make([]int64, p*coalWays)
-	nw.arrAt = make([]int64, p*coalWays)
-	nw.credCnt = make([]uint8, p*coalWays)
-	nw.arrCnt = make([]uint8, p*coalWays)
-	nw.credArgs = make([]int32, p*coalWays*coalArgsCap)
-	nw.arrArgs = make([]int32, p*coalWays*coalArgsCap)
-	nw.credPend = make([]uint8, p)
-	nw.lazyCred = make([][]lazyCredit, p)
 	nw.linkCount = shape.LinkCount()
 	for n := 0; n < p; n++ {
 		nw.coords[n] = shape.Coords(n)
@@ -373,7 +338,7 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 
 // Reset returns the network to its initial state for a fresh run on the same
 // shape and parameters, reusing the router, queue, packet-pool, and event-
-// heap allocations of the previous run (including any sharded engines built
+// queue allocations of the previous run (including any sharded engines built
 // by RunSharded). Sweeps that revisit one shape at many message sizes avoid
 // rebuilding the whole machine at every point. sources and handler follow
 // the same rules as New.
@@ -427,14 +392,6 @@ func (nw *Network) Reset(sources []Source, handler Handler) error {
 		nw.svcAt[n] = 0
 		nw.svcMask[n] = 0
 		nw.occ[n] = 0
-		for w := 0; w < coalWays; w++ {
-			nw.credAt[n*coalWays+w] = 0
-			nw.arrAt[n*coalWays+w] = 0
-			nw.credCnt[n*coalWays+w] = 0
-			nw.arrCnt[n*coalWays+w] = 0
-		}
-		nw.credPend[n] = 0
-		nw.lazyCred[n] = nw.lazyCred[n][:0]
 		r.rrCursor = 0
 		if sources != nil && sources[n] != nil {
 			r.srcDone = false
@@ -449,8 +406,7 @@ func (nw *Network) Reset(sources []Source, handler Handler) error {
 // ResetParams is Reset for sweeps that also vary the runtime parameters: it
 // installs par on the recycled network and re-derives everything the engines
 // cache from it - the bounded-horizon calendar ring (whose span depends on
-// CreditDelay/RouterDelay/EscapeDelay, see calendarHorizon), the coalescing
-// gate and side tables, the event-queue structure choice, and the per-VC
+// CreditDelay/RouterDelay/EscapeDelay, see calendarHorizon) and the per-VC
 // token refill. Only parameters with the same buffer structure can recycle
 // (Params.SameStructure); anything else needs New. Results are byte-identical
 // to a freshly built network (the cross-params regression tests in
@@ -542,13 +498,11 @@ func (nw *Network) Run(maxTime int64) (int64, error) {
 }
 
 // RunSharded is Run on the parallel engine: the torus is partitioned into
-// shards contiguous node subdomains, each advanced by its own worker -
-// asynchronously against published per-shard clocks by default
-// (shard_async.go), or in lockstep barrier windows under the SyncBSP escape
-// hatch (shard.go). Output - completion time, statistics, handler
-// observations - is byte-identical to the serial engine at any shard count
-// under either protocol. shards <= 1 (or a degenerate configuration where
-// the safe window would be empty) selects the serial engine.
+// shards contiguous node subdomains, each advanced by its own worker in
+// lockstep barrier windows (shard.go). Output - completion time, statistics,
+// handler observations - is byte-identical to the serial engine at any shard
+// count. shards <= 1 (or a degenerate configuration where the safe window
+// would be empty) selects the serial engine.
 func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 	if shards > nw.P {
 		shards = nw.P
@@ -582,7 +536,6 @@ func (nw *Network) runSerial(maxTime int64) (int64, error) {
 		return 0, fmt.Errorf("network: stalled at t=%d with %d packets in flight, %d active sources (deadlock?)",
 			e.now, e.inFlight, e.activeSrc)
 	}
-	e.forceFlushLazy()
 	nw.closeFaultStats()
 	if nw.Par.Check {
 		if err := nw.checkQuiescence(); err != nil {
@@ -591,7 +544,7 @@ func (nw *Network) runSerial(maxTime int64) (int64, error) {
 	}
 	nw.stats.closeWindows()
 	nw.stats.renderUtil(nw.Par.UtilSampleWindow, nw.linkCount)
-	nw.syncStats = SyncStats{Mode: "serial", Shards: 1}
+	nw.syncStats = SyncStats{Shards: 1}
 	if nw.observer != nil {
 		nw.observer.EndRun(nw.stats.FinishTime)
 	}

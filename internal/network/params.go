@@ -99,35 +99,6 @@ type Params struct {
 	// FIFO (the ring invariant depends on it), as are injection FIFOs.
 	VCLookahead int32
 
-	// EventQueue selects the engine's pending-event structure: "" or
-	// EventQueueCalendar for the bounded-horizon calendar queue (the
-	// default), EventQueueHeap for the reference 4-ary heap the calendar
-	// replaced. The two produce byte-identical simulations (the pop order is
-	// a pure function of the pushed multiset either way); the heap remains
-	// as an escape hatch for one release while the calendar queue beds in.
-	EventQueue string
-
-	// Coalesce selects same-tick credit/arrival coalescing: "" or CoalesceOn
-	// (the default) merges every credit and arrival landing at one
-	// (node, tick) into a single queued marker event whose handler replays
-	// the logical events in the exact uncoalesced order, cutting queued
-	// event volume by roughly a third on saturated runs; CoalesceOff is the
-	// escape hatch and differential oracle. Output is byte-identical either
-	// way, at any shard count (see coalesce.go for the replay-order
-	// argument). Coalescing is inert when CreditDelay < 1.
-	Coalesce string
-
-	// Sync selects the sharded engine's synchronization protocol: "" or
-	// SyncAsync (the default) for the asynchronous conservative engine,
-	// where each shard publishes the virtual time it has fully processed
-	// and advances independently to the horizon its peers' clocks and the
-	// precomputed slab-distance lookahead matrix allow (shard_async.go);
-	// SyncBSP is the escape hatch: the original barrier protocol that
-	// advances every shard in lockstep windows of width shardSafeWindow.
-	// Output is byte-identical either way, and to the serial engine, at
-	// any shard count. Ignored by serial runs (Shards <= 1).
-	Sync string
-
 	// Faults is the deterministic link-fault schedule for every run on this
 	// network: timed down/up transitions, permanent kills, and bandwidth
 	// degradation (see FaultSchedule and ParseFaults for the -faults spec
@@ -178,31 +149,12 @@ func (p Params) CPUCost(size int32) int64 {
 }
 
 // validate rejects parameter combinations the simulator cannot run: buffer
-// geometry that deadlocks the escape channel, and unknown enum selectors.
-// Shared by New and ResetParams.
+// geometry that deadlocks the escape channel. Shared by New and ResetParams.
 func (p Params) validate() error {
 	// VCBytes must admit a joining packet under the bubble rule
 	// (size + one full-packet bubble), or the escape channel deadlocks.
 	if p.InjFIFOs < 1 || p.VCBytes < 2*MaxPacketBytes || p.CPUDen <= 0 || p.VCLookahead < 1 {
 		return fmt.Errorf("network: invalid params %+v", p)
-	}
-	switch p.EventQueue {
-	case "", EventQueueCalendar, EventQueueHeap:
-	default:
-		return fmt.Errorf("network: unknown EventQueue %q (want %q or %q)",
-			p.EventQueue, EventQueueCalendar, EventQueueHeap)
-	}
-	switch p.Coalesce {
-	case "", CoalesceOn, CoalesceOff:
-	default:
-		return fmt.Errorf("network: unknown Coalesce %q (want %q or %q)",
-			p.Coalesce, CoalesceOn, CoalesceOff)
-	}
-	switch p.Sync {
-	case "", SyncAsync, SyncBSP:
-	default:
-		return fmt.Errorf("network: unknown Sync %q (want %q or %q)",
-			p.Sync, SyncAsync, SyncBSP)
 	}
 	return nil
 }
@@ -210,8 +162,8 @@ func (p Params) validate() error {
 // SameStructure reports whether a network built with p can be recycled for a
 // run under o via ResetParams: the fields that size buffers, rings, and
 // arenas at construction time must match. Everything else - delays, CPU
-// rate, lookahead, event-queue choice, coalescing, checking - is runtime
-// behavior that ResetParams re-derives.
+// rate, lookahead, checking - is runtime behavior that ResetParams
+// re-derives.
 func (p Params) SameStructure(o Params) bool {
 	return p.VCBytes == o.VCBytes &&
 		p.InjFIFOs == o.InjFIFOs &&

@@ -85,12 +85,10 @@ func TestResetRejectsWrongSourceCount(t *testing.T) {
 }
 
 // TestResetParamsMatchesFresh: recycling a network across *parameter*
-// changes (delays, event-queue structure, coalescing, checking) must
-// reproduce a fresh network's run exactly. This is the contract that lets
-// the collective NetCache recycle across a parameter sweep: every derived
-// cache - the calendar horizon, the coalescing gate and side tables, the
-// queue-structure choice - has to be rebuilt from the new Params, not
-// inherited from the cached run.
+// changes (delays, checking) must reproduce a fresh network's run exactly.
+// This is the contract that lets the collective NetCache recycle across a
+// parameter sweep: the calendar horizon has to be rebuilt from the new
+// Params, not inherited from the cached run.
 func TestResetParamsMatchesFresh(t *testing.T) {
 	shape := torus.New(4, 4, 2)
 	p := shape.P()
@@ -112,12 +110,9 @@ func TestResetParamsMatchesFresh(t *testing.T) {
 	base := DefaultParams()
 	longCredit := base
 	longCredit.CreditDelay = 60 // different calendar horizon derivation
-	uncoalesced := base
-	uncoalesced.Coalesce = CoalesceOff
-	heapChecked := base
-	heapChecked.EventQueue = EventQueueHeap
-	heapChecked.Check = true
-	variants := []Params{base, longCredit, uncoalesced, heapChecked, base}
+	checked := base
+	checked.Check = true
+	variants := []Params{base, longCredit, checked, base}
 
 	want := make([]struct {
 		t  int64
@@ -169,8 +164,8 @@ func TestResetParamsRejectsStructureChange(t *testing.T) {
 		t.Error("VCBytes change accepted by ResetParams")
 	}
 	invalid := DefaultParams()
-	invalid.Coalesce = "sometimes"
+	invalid.VCLookahead = 0
 	if err := nw.ResetParams(invalid, srcs, countOnly{}); err == nil {
-		t.Error("invalid Coalesce selector accepted by ResetParams")
+		t.Error("invalid VCLookahead accepted by ResetParams")
 	}
 }

@@ -3,14 +3,14 @@ package network
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"alltoall/internal/parallel"
 )
 
-// This file is the BSP escape hatch (Params.Sync = SyncBSP) of the sharded
-// engine: a conservative time-windowed parallel simulation in which nodes
-// are partitioned into contiguous rank slabs, each advanced by its own
-// worker over a private event heap, all in lockstep. Within a window of
+// The sharded engine is a conservative time-windowed parallel simulation:
+// nodes are partitioned into contiguous rank slabs, each advanced by its own
+// worker over a private event queue, all in lockstep. Within a window of
 // width shardSafeWindow no shard can affect another - every cross-shard
 // effect travels with a known minimum delay (PacketGranule+RouterDelay for
 // packet arrivals, CreditDelay for token returns) - so an event generated
@@ -20,12 +20,6 @@ import (
 // args are pid-independent (see heap.go), the pop sequence - and therefore
 // every handler call, statistic, and the finish time - is byte-identical to
 // the serial engine at any shard count.
-//
-// The default protocol is the asynchronous conservative engine in
-// shard_async.go, which drops the global barriers in favour of published
-// per-shard clocks and a slab-distance lookahead matrix; this barrier
-// protocol remains as the differential oracle and escape hatch, exactly as
-// the reference event heap does for the calendar queue.
 
 // xmsg is one cross-shard effect: a packet arrival (kind evArrive, packet
 // carried by value; the destination shard re-homes it into its own pool) or
@@ -39,9 +33,7 @@ type xmsg struct {
 }
 
 // shardSafeWindow is the minimum delay of any cross-node interaction: the
-// provably safe lockstep window of the BSP escape hatch, and the per-hop
-// unit of the async engine's lookahead matrix (lookahead between slabs at
-// boundary distance d is d windows). A non-positive result (degenerate
+// provably safe lockstep window. A non-positive result (degenerate
 // parameters) disables sharding.
 func shardSafeWindow(par Params) int64 {
 	w := int64(PacketGranule) + par.RouterDelay
@@ -50,6 +42,43 @@ func shardSafeWindow(par Params) int64 {
 	}
 	return w
 }
+
+// SyncStats reports the barrier protocol's counters for the most recent
+// successful run. They describe how the run was scheduled, not what it
+// simulated, which is why they live outside Stats: the byte-identity oracles
+// DeepEqual Stats across shard counts, and these are exactly the part that
+// differs.
+type SyncStats struct {
+	// Shards is the worker count of the run (1 for serial, whose other
+	// counters are all zero).
+	Shards int
+	// HorizonAdvances counts processed windows, summed over shards.
+	HorizonAdvances int64
+	// BlockedWaits counts barrier crossings, summed over shards.
+	BlockedWaits int64
+	// BlockedWaitNs is wall time spent waiting at barriers. The barrier is
+	// not timed (doing so would slow every window), so this reads 0.
+	BlockedWaitNs int64
+	// CrossShardEvents / CrossShardBytes count the arrivals and credits, and
+	// their in-memory message bytes, that crossed a shard boundary.
+	CrossShardEvents int64
+	CrossShardBytes  int64
+}
+
+// Add accumulates o into s for multi-phase workloads: counters sum and
+// Shards takes o's value.
+func (s *SyncStats) Add(o *SyncStats) {
+	s.Shards = o.Shards
+	s.HorizonAdvances += o.HorizonAdvances
+	s.BlockedWaits += o.BlockedWaits
+	s.BlockedWaitNs += o.BlockedWaitNs
+	s.CrossShardEvents += o.CrossShardEvents
+	s.CrossShardBytes += o.CrossShardBytes
+}
+
+// SyncStats returns the synchronization counters of the most recent
+// successful run. The value is a snapshot; it does not alias engine state.
+func (nw *Network) SyncStats() SyncStats { return nw.syncStats }
 
 // ensureShards (re)builds the shard engines for the given count, reusing
 // them across Reset cycles so cached sweeps stay allocation-free.
@@ -71,55 +100,17 @@ func (nw *Network) ensureShards(s int) {
 		})
 		e.shardOf = nw.shardOf
 		e.out = make([][]xmsg, s)
-		e.credOut = make([]creditBatch, s)
-		for j := range e.credOut {
-			e.credOut[j].hdr = -1
-		}
 		for n := lo; n < hi; n++ {
 			nw.shardOf[n] = int16(i)
 		}
 	}
 	nw.barrier = parallel.NewBarrier(s)
-	// Async machinery, structural per shard count: the shard-graph distance
-	// matrix, the published arrays, per-engine scratch, and one SPSC ring
-	// per boundary-adjacent ordered pair (direct cross-shard messages only
-	// ever cross one slab boundary). The per-run parts (lookahead values,
-	// clock zeroing) are re-derived by prepareAsync.
-	nw.deriveShardDist(s)
-	st := &nw.async
-	st.clocks = parallel.NewClocks(s)
-	st.gens = parallel.NewClocks(s)
-	st.idle = parallel.NewClocks(s)
-	st.look = make([]int64, s*s)
-	st.outbox = make([][]*xring, s)
-	st.inbox = make([][]*xring, s)
-	for i := 0; i < s; i++ {
-		st.outbox[i] = make([]*xring, s)
-	}
-	for i := 0; i < s; i++ {
-		for j := 0; j < s; j++ {
-			if i != j && nw.shardDist[i*s+j] == 1 {
-				q := newXring()
-				st.outbox[i][j] = q
-				st.inbox[j] = append(st.inbox[j], q)
-			}
-		}
-	}
-	for i := 0; i < s; i++ {
-		e := &nw.shards[i]
-		e.ax.clockSnap = make([]int64, s)
-		e.ax.genSnap = make([]int64, s)
-	}
 }
 
 func (nw *Network) runSharded(maxTime int64, shards int) (int64, error) {
 	nw.ensureShards(shards)
 	nw.sharded = true
 	window := shardSafeWindow(nw.Par)
-	asyncMode := nw.Par.Sync != SyncBSP
-	if asyncMode {
-		nw.prepareAsync(shards, window)
-	}
 	for i := range nw.shards {
 		e := &nw.shards[i]
 		e.obs = nil
@@ -127,11 +118,6 @@ func (nw *Network) runSharded(maxTime int64, shards int) (int64, error) {
 			e.obs = nw.observer.Sink(i, shards, e.lo, e.hi)
 		}
 		e.cancel = nw.cancel
-		e.async = asyncMode
-		if asyncMode {
-			e.ax.st = &nw.async
-			e.ax.clock = 0
-		}
 		e.activeSrc = 0
 		if nw.sources != nil {
 			for n := e.lo; n < e.hi; n++ {
@@ -143,57 +129,32 @@ func (nw *Network) runSharded(maxTime int64, shards int) (int64, error) {
 	}
 	var wg sync.WaitGroup
 	wg.Add(shards - 1)
-	if asyncMode {
-		for i := 1; i < shards; i++ {
-			go nw.shards[i].runAsync(maxTime, &wg)
-		}
-		nw.shards[0].runAsync(maxTime, nil)
-	} else {
-		for i := 1; i < shards; i++ {
-			go nw.shards[i].run(maxTime, window, &wg)
-		}
-		nw.shards[0].run(maxTime, window, nil)
+	for i := 1; i < shards; i++ {
+		go nw.shards[i].run(maxTime, window, &wg)
 	}
+	nw.shards[0].run(maxTime, window, nil)
 	wg.Wait()
 	for i := range nw.shards {
 		if err := nw.shards[i].err; err != nil {
 			return 0, err
 		}
 	}
-	if asyncMode {
-		if err := nw.async.failed(); err != nil {
-			return 0, err
-		}
-	}
-	ss := SyncStats{Mode: SyncBSP, Shards: shards, LookaheadMin: window, LookaheadMax: window}
-	if asyncMode {
-		ss.Mode = SyncAsync
-		ss.LookaheadMin = nw.async.lookMin
-		ss.LookaheadMax = nw.async.lookMax
-	}
+	ss := SyncStats{Shards: shards}
+	var inFlight int64
+	activeSrc := 0
 	for i := range nw.shards {
 		e := &nw.shards[i]
 		ss.HorizonAdvances += e.syncAdvances
 		ss.BlockedWaits += e.syncWaits
-		ss.BlockedWaitNs += e.syncWaitNs
 		ss.CrossShardEvents += e.syncXEv
-		ss.CrossShardBytes += e.syncXBytes
+		inFlight += e.inFlight
+		activeSrc += e.activeSrc
 	}
+	ss.CrossShardBytes = ss.CrossShardEvents * int64(unsafe.Sizeof(xmsg{}))
 	nw.syncStats = ss
-	var inFlight int64
-	activeSrc := 0
-	for i := range nw.shards {
-		inFlight += nw.shards[i].inFlight
-		activeSrc += nw.shards[i].activeSrc
-	}
 	if inFlight != 0 || activeSrc != 0 {
 		return 0, fmt.Errorf("network: stalled at t=%d with %d packets in flight, %d active sources (deadlock?)",
 			nw.Now(), inFlight, activeSrc)
-	}
-	for i := range nw.shards {
-		// Workers have quiesced; the force-flush runs serially per shard so
-		// the forced-return counts land in that shard's own statistics.
-		nw.shards[i].forceFlushLazy()
 	}
 	for i := range nw.shards {
 		s := nw.shards[i].stats
@@ -288,7 +249,7 @@ func (e *engine) run(maxTime, window int64, wg *sync.WaitGroup) {
 }
 
 // drainInboxes moves every message other shards addressed to this one onto
-// the local heap. Arrivals are re-homed into this engine's packet pool; the
+// the local queue. Arrivals are re-homed into this engine's packet pool; the
 // pool-slot number never influences event order (heap.go), so the transfer
 // is invisible to the simulation.
 func (e *engine) drainInboxes() {
@@ -312,37 +273,11 @@ func (e *engine) drainInboxes() {
 				pid := e.allocPkt()
 				e.pkts[pid] = m.pkt
 				e.inFlight++
-				if e.coal {
-					e.scheduleArrive(m.t, m.node, arriveArg(m.pkt.inDir, pid))
-				} else {
-					e.evq.push(mkEvent(m.t, m.node, arriveArg(m.pkt.inDir, pid), evArrive))
-				}
+				e.evq.push(mkEvent(m.t, m.node, arriveArg(m.pkt.inDir, pid), evArrive))
 			} else {
 				e.evq.push(mkEvent(m.t, m.node, m.arg, evCredit))
 			}
 		}
 		src.out[e.id] = box[:0]
-		// Batched credit words (coalesced mode): decode straight into the
-		// accumulator tables. The window protocol's monotonicity contract
-		// applies per decoded credit exactly as it does per xmsg.
-		if cb := &src.credOut[e.id]; len(cb.words) > 0 {
-			e.credRecs = cb.decodeInto(e.credRecs[:0])
-			for _, rec := range e.credRecs {
-				if e.par.Check && e.err == nil && rec.t < e.now {
-					e.err = e.checkInboundCredit(rec.t, rec.node)
-				}
-				// Same elision test as the in-shard path (sendCredit), applied
-				// where this node's outBusy is readable: a credit whose link is
-				// busy - or down - through t needs no event, only a lazy token
-				// add.
-				if dir, _, _ := creditUnpack(rec.arg); e.outBusy[linkIdx(rec.node, dir)] > rec.t ||
-					e.deadThrough(rec.node, dir, rec.t) {
-					e.stashCredit(rec.node, rec.t, rec.arg)
-				} else {
-					e.scheduleCredit(rec.node, rec.t, rec.arg)
-				}
-			}
-			cb.reset()
-		}
 	}
 }

@@ -21,25 +21,10 @@ type Stats struct {
 	PacketsInjected   int64
 	WireBytesInjected int64
 
-	// EventsByKind counts logical simulator actions (arrive, service, cpu,
-	// credit, fault). With coalescing (Params.Coalesce) each credit/arrival
-	// a marker replays counts individually, so these totals - and Events() -
-	// are identical with coalescing on or off.
+	// EventsByKind counts dispatched events per kind (arrive, service, cpu,
+	// credit, fault); every one was pushed on and popped from the event
+	// queue exactly once.
 	EventsByKind [NumEventKinds]int64
-
-	// QueuedEvents counts events actually popped from the pending-event
-	// queue. Without coalescing it equals Events(); with coalescing many
-	// logical credits/arrivals share one queued marker or are elided
-	// entirely (coalesce.go), so it is smaller -
-	// QueuedEvents/PacketsInjected is the event-volume metric the bench
-	// regression gate watches. Deterministic for a fixed (params, shards,
-	// sync) configuration and invariant across event-queue structures; in
-	// coalesced mode it can differ by a few counts across shard counts and
-	// sync protocols (boundary credits make their elision decision at the
-	// receiving shard's commit point — the safe-horizon insertion under
-	// async, the window barrier under bsp), while every other statistic
-	// stays byte-identical.
-	QueuedEvents int64
 
 	// GrantsByVC counts link grants per virtual channel (dyn0, dyn1,
 	// bubble): a high bubble share indicates dynamic-VC exhaustion.
@@ -77,21 +62,13 @@ type Stats struct {
 	// DeadLinkTicks is the summed outage time of faulted links (one link down
 	// for T units contributes T): each Up transition accrues its outage, and
 	// links still down at finish accrue [down, FinishTime) (closeFaultStats).
-	// Engine-invariant: identical at any shard count and with coalescing or
-	// either event queue on or off.
+	// Identical at any shard count.
 	DeadLinkTicks int64
 
 	// Reroutes counts packets redirected around a dead link (flipped to the
 	// long way around a ring), at fault application, arrival, or injection.
-	// Engine-invariant, like DeadLinkTicks.
+	// Identical at any shard count, like DeadLinkTicks.
 	Reroutes int64
-
-	// ForcedCreditReturns counts credits force-returned from the lazy ledger
-	// at end of run because their link was killed (no free-time dispatch ever
-	// flushes them). Like QueuedEvents this is a coalesced-mode bookkeeping
-	// count (the uncoalesced engine pops those credits as ordinary no-op
-	// events instead); it is zero with Coalesce off.
-	ForcedCreditReturns int64
 
 	// LatencyHist[i] counts final packets with injection-to-delivery
 	// latency in [2^i, 2^(i+1)).
@@ -187,7 +164,6 @@ func (s *Stats) merge(o *Stats) {
 	for i, v := range o.EventsByKind {
 		s.EventsByKind[i] += v
 	}
-	s.QueuedEvents += o.QueuedEvents
 	for i, v := range o.GrantsByVC {
 		s.GrantsByVC[i] += v
 	}
@@ -211,7 +187,6 @@ func (s *Stats) merge(o *Stats) {
 	s.TotalDelivered += o.TotalDelivered
 	s.DeadLinkTicks += o.DeadLinkTicks
 	s.Reroutes += o.Reroutes
-	s.ForcedCreditReturns += o.ForcedCreditReturns
 	for i, v := range o.LatencyHist {
 		s.LatencyHist[i] += v
 	}

@@ -1,320 +1,96 @@
 package network
 
 import (
-	"fmt"
-	"os"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"alltoall/internal/torus"
 )
 
-// TestSyncDifferentialMatrix is the cross-engine byte-identity oracle for
-// the synchronization protocols: every combination of sync {bsp, async} x
-// event queue {calendar, heap} x coalescing {on, off} x faults {off, on} at
-// shard counts {1, 4} must reproduce the serial reference run of the same
-// workload field for field. QueuedEvents is the one deliberate exemption:
-// boundary credits decide elision at different horizons per protocol (see
-// Stats.QueuedEvents), so it is bounded, then normalized before the
-// DeepEqual.
+// TestSyncDifferentialMatrix is the sharded engine's byte-identity oracle:
+// faults {off, on} x shards {1, 2, 4}, checker on, must reproduce the serial
+// reference run of the same workload field for field - finish time, full
+// statistics and every handler observation.
 func TestSyncDifferentialMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
 	shape := torus.New(8, 4, 2)
 	p := shape.P()
-	faultSpecs := []string{"", "0:5:+x:kill;800:9:-y:down;6000:9:-y:up"}
-	for _, spec := range faultSpecs {
+	for _, spec := range []string{"", "0:5:+x:kill;800:9:-y:down;6000:9:-y:up"} {
+		par := DefaultParams()
+		par.Check = true
+		if spec != "" {
+			fs, err := ParseFaults(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par.Faults = fs
+		}
 		var ref *Stats
 		var refFin int64
-		// QueuedEvents is coalesce-dependent by design (coalescing folds
-		// same-tick pops into markers), so its drift bound is tracked per
-		// coalesce mode, not against the one global reference.
-		refQueued := map[string]int64{}
-		for _, sync := range []string{SyncBSP, SyncAsync} {
-			for _, queue := range []string{EventQueueCalendar, EventQueueHeap} {
-				for _, coal := range []string{CoalesceOn, CoalesceOff} {
-					for _, shards := range []int{1, 4} {
-						name := fmt.Sprintf("faults=%t/sync=%s/queue=%s/coalesce=%s/shards=%d",
-							spec != "", sync, queue, coal, shards)
-						par := DefaultParams()
-						par.Sync = sync
-						par.EventQueue = queue
-						par.Coalesce = coal
-						par.Check = true
-						if spec != "" {
-							fs, err := ParseFaults(spec)
-							if err != nil {
-								t.Fatal(err)
-							}
-							par.Faults = fs
-						}
-						h := newShardCountHandler(p)
-						nw, err := New(shape, par, shardTraffic(p, 42), h)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						fin, err := nw.RunSharded(1<<40, shards)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						st := nw.Stats()
-						if q, ok := refQueued[coal]; !ok {
-							refQueued[coal] = st.QueuedEvents
-						} else if d := st.QueuedEvents - q; d < -64 || d > 64 {
-							t.Errorf("%s: QueuedEvents drifted by %d (got %d, reference %d)",
-								name, d, st.QueuedEvents, q)
-						}
-						if ref == nil {
-							ref, refFin = st, fin
-							continue
-						}
-						if fin != refFin {
-							t.Errorf("%s: finish %d, reference %d", name, fin, refFin)
-						}
-						norm := *st
-						norm.QueuedEvents = ref.QueuedEvents
-						if !reflect.DeepEqual(&norm, ref) {
-							t.Errorf("%s: stats diverge from reference\nref: %+v\ngot: %+v", name, ref, st)
-						}
-						mode := sync
-						if shards == 1 {
-							mode = "serial"
-						}
-						if ss := nw.SyncStats(); ss.Mode != mode || ss.Shards != shards {
-							t.Errorf("%s: SyncStats mode %q shards %d, want %q %d",
-								name, ss.Mode, ss.Shards, mode, shards)
-						}
-					}
-				}
+		var refH *shardCountHandler
+		for _, shards := range []int{1, 2, 4} {
+			h := newShardCountHandler(p)
+			nw, err := New(shape, par, shardTraffic(p, 42), h)
+			if err != nil {
+				t.Fatalf("faults=%q shards=%d: %v", spec, shards, err)
+			}
+			fin, err := nw.RunSharded(1<<40, shards)
+			if err != nil {
+				t.Fatalf("faults=%q shards=%d: %v", spec, shards, err)
+			}
+			st := nw.Stats()
+			if ss := nw.SyncStats(); ss.Shards != shards {
+				t.Errorf("faults=%q shards=%d: SyncStats reports %d shards", spec, shards, ss.Shards)
+			}
+			if ref == nil {
+				ref, refFin, refH = st, fin, h
+				continue
+			}
+			if fin != refFin {
+				t.Errorf("faults=%q shards=%d: finish %d, serial %d", spec, shards, fin, refFin)
+			}
+			if !reflect.DeepEqual(st, ref) {
+				t.Errorf("faults=%q shards=%d: stats diverge from serial\nserial: %+v\ngot:    %+v", spec, shards, ref, st)
+			}
+			if !reflect.DeepEqual(h, refH) {
+				t.Errorf("faults=%q shards=%d: handler observations diverge from serial", spec, shards)
 			}
 		}
 	}
 }
 
-// TestSyncCounters pins the observability satellite at the engine level: a
-// sharded run must report horizon advances and cross-shard traffic, the
-// async run must publish its lookahead bounds from the distance matrix, and
-// serial runs must stay all-zero with Mode "serial".
+// TestSyncCounters pins SyncStats at the engine level: a sharded run reports
+// its windows, two barrier crossings a window plus the start and exit ones,
+// and cross-shard traffic; a serial run stays all-zero.
 func TestSyncCounters(t *testing.T) {
 	shape := torus.New(8, 4, 2)
 	p := shape.P()
-	run := func(sync string, shards int) SyncStats {
-		par := DefaultParams()
-		par.Sync = sync
-		nw, err := New(shape, par, shardTraffic(p, 42), newShardCountHandler(p))
+	run := func(shards int) SyncStats {
+		nw, err := New(shape, DefaultParams(), shardTraffic(p, 42), newShardCountHandler(p))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := nw.RunSharded(1<<40, shards); err != nil {
-			t.Fatalf("sync=%q shards=%d: %v", sync, shards, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		return nw.SyncStats()
 	}
-	serial := run("", 1)
-	if serial.Mode != "serial" || serial.HorizonAdvances != 0 || serial.CrossShardEvents != 0 {
+	if serial := run(1); serial != (SyncStats{Shards: 1}) {
 		t.Errorf("serial SyncStats not quiescent: %+v", serial)
 	}
-	w := shardSafeWindow(DefaultParams())
-	for _, sync := range []string{SyncAsync, SyncBSP} {
-		ss := run(sync, 4)
-		if ss.Mode != sync || ss.Shards != 4 {
-			t.Errorf("sync=%q: mode %q shards %d", sync, ss.Mode, ss.Shards)
-		}
-		if ss.HorizonAdvances == 0 {
-			t.Errorf("sync=%q: no horizon advances recorded", sync)
-		}
-		if ss.CrossShardEvents == 0 || ss.CrossShardBytes == 0 {
-			t.Errorf("sync=%q: no cross-shard traffic recorded: %+v", sync, ss)
-		}
-		if ss.LookaheadMin < w {
-			t.Errorf("sync=%q: LookaheadMin %d below the safe window %d", sync, ss.LookaheadMin, w)
-		}
-		if ss.LookaheadMax < ss.LookaheadMin {
-			t.Errorf("sync=%q: LookaheadMax %d < LookaheadMin %d", sync, ss.LookaheadMax, ss.LookaheadMin)
-		}
+	ss := run(4)
+	if ss.Shards != 4 {
+		t.Errorf("shards %d, want 4", ss.Shards)
 	}
-	// 4 contiguous slabs on 8x4x2: opposite slabs sit two boundary hops
-	// apart, so the async lookahead matrix must spread beyond one window.
-	if ss := run(SyncAsync, 4); ss.LookaheadMax <= ss.LookaheadMin {
-		t.Errorf("async lookahead matrix is flat (%d..%d); distance scaling lost",
-			ss.LookaheadMin, ss.LookaheadMax)
+	if ss.HorizonAdvances == 0 || ss.HorizonAdvances%4 != 0 {
+		t.Errorf("%d windows over 4 lockstep shards", ss.HorizonAdvances)
 	}
-}
-
-// TestAsyncSoakShards4 hammers the default (async) protocol at the CI race
-// matrix's shard count: many repeated runs over recycled engines, each
-// compared byte-for-byte against the serial reference. Iterations scale with
-// SOAK_ITERS for the dedicated CI soak step; the default stays fast enough
-// for `go test ./...`.
-func TestAsyncSoakShards4(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
+	if want := 2*ss.HorizonAdvances + 2*4; ss.BlockedWaits != want {
+		t.Errorf("%d barrier crossings for %d windows, want %d", ss.BlockedWaits, ss.HorizonAdvances, want)
 	}
-	iters := 8
-	if s := os.Getenv("SOAK_ITERS"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			t.Fatalf("SOAK_ITERS=%q: %v", s, err)
-		}
-		iters = v
+	if ss.CrossShardEvents == 0 || ss.CrossShardBytes == 0 {
+		t.Errorf("no cross-shard traffic recorded: %+v", ss)
 	}
-	shape := torus.New(8, 4, 2)
-	p := shape.P()
-	par := DefaultParams()
-	hSerial := newShardCountHandler(p)
-	ref, err := New(shape, par, shardTraffic(p, 99), hSerial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refFin, err := ref.Run(1 << 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newShardCountHandler(p)
-	nw, err := New(shape, par, shardTraffic(p, 99), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < iters; i++ {
-		if i > 0 {
-			h.reset()
-			if err := nw.Reset(shardTraffic(p, 99), h); err != nil {
-				t.Fatal(err)
-			}
-		}
-		fin, err := nw.RunSharded(1<<40, 4)
-		if err != nil {
-			t.Fatalf("iter %d: %v", i, err)
-		}
-		if fin != refFin {
-			t.Fatalf("iter %d: finish %d, serial %d", i, fin, refFin)
-		}
-		if !reflect.DeepEqual(nw.Stats(), ref.Stats()) {
-			t.Fatalf("iter %d: stats diverge from serial", i)
-		}
-		if !reflect.DeepEqual(h, hSerial) {
-			t.Fatalf("iter %d: handler observations diverge from serial", i)
-		}
-	}
-}
-
-// FuzzLookahead checks the async engine's lookahead-matrix derivation on
-// arbitrary small shapes (wraparound and mesh edges, degenerate dimensions)
-// and shard counts against an independent Floyd-Warshall oracle built
-// directly from the machine's link table, and pins the algebra layered on
-// top of the distances: look = dist x window, unreachable and self entries
-// saturated, and the published min/max bounds.
-func FuzzLookahead(f *testing.F) {
-	f.Add(uint8(4), uint8(4), uint8(2), uint8(0b111), uint8(4))
-	f.Add(uint8(5), uint8(3), uint8(4), uint8(0b010), uint8(7)) // odd mesh/torus mix
-	f.Add(uint8(16), uint8(1), uint8(1), uint8(0b001), uint8(3))
-	f.Add(uint8(3), uint8(3), uint8(3), uint8(0), uint8(2)) // full mesh
-	f.Fuzz(func(t *testing.T, sx, sy, sz, wrap, shards uint8) {
-		dims := [3]int{int(sx%6) + 1, int(sy%6) + 1, int(sz%6) + 1}
-		var w [3]bool
-		for d := 0; d < 3; d++ {
-			w[d] = wrap&(1<<d) != 0 && dims[d] >= 3
-		}
-		shape := torus.NewMesh(dims[0], dims[1], dims[2], w[0], w[1], w[2])
-		if shape.Validate() != nil {
-			t.Skip()
-		}
-		p := shape.P()
-		s := int(shards%8) + 1
-		if s > p {
-			s = p
-		}
-		nw, err := New(shape, DefaultParams(), nil, countOnly{})
-		if err != nil {
-			t.Skip()
-		}
-		nw.ensureShards(s)
-
-		// Independent oracle: shard adjacency straight from the link table,
-		// then all-pairs distances by Floyd-Warshall (a different algorithm
-		// than the BFS under test).
-		const inf = int32(1 << 30)
-		dist := make([]int32, s*s)
-		for i := range dist {
-			dist[i] = inf
-		}
-		for i := 0; i < s; i++ {
-			dist[i*s+i] = 0
-		}
-		for n := int32(0); n < int32(p); n++ {
-			for d := 0; d < numDirs; d++ {
-				nb := nw.nbrs[linkIdx(n, d)]
-				if nb < 0 {
-					continue
-				}
-				i, j := int(nw.shardOf[n]), int(nw.shardOf[nb])
-				if i != j {
-					dist[i*s+j] = 1
-					dist[j*s+i] = 1
-				}
-			}
-		}
-		for k := 0; k < s; k++ {
-			for i := 0; i < s; i++ {
-				for j := 0; j < s; j++ {
-					if dist[i*s+k] < inf && dist[k*s+j] < inf && dist[i*s+k]+dist[k*s+j] < dist[i*s+j] {
-						dist[i*s+j] = dist[i*s+k] + dist[k*s+j]
-					}
-				}
-			}
-		}
-		for i := 0; i < s; i++ {
-			for j := 0; j < s; j++ {
-				want := dist[i*s+j]
-				if want == inf {
-					want = -1
-				}
-				if got := nw.shardDist[i*s+j]; got != want {
-					t.Fatalf("shape %v shards=%d: shardDist[%d][%d] = %d, oracle %d",
-						shape, s, i, j, got, want)
-				}
-			}
-		}
-
-		window := shardSafeWindow(nw.Par)
-		nw.prepareAsync(s, window)
-		st := &nw.async
-		minL, maxL := int64(maxInt64), int64(0)
-		for i := 0; i < s; i++ {
-			for j := 0; j < s; j++ {
-				d := nw.shardDist[i*s+j]
-				want := int64(maxInt64)
-				if i != j && d > 0 {
-					want = int64(d) * window
-					if want < minL {
-						minL = want
-					}
-					if want > maxL {
-						maxL = want
-					}
-				}
-				if got := st.look[i*s+j]; got != want {
-					t.Fatalf("shape %v shards=%d: look[%d][%d] = %d, want %d", shape, s, i, j, got, want)
-				}
-			}
-		}
-		if s > 1 && minL != int64(maxInt64) {
-			if st.lookMin != minL || st.lookMax != maxL {
-				t.Fatalf("shape %v shards=%d: lookMin/Max %d/%d, want %d/%d",
-					shape, s, st.lookMin, st.lookMax, minL, maxL)
-			}
-		}
-		// Rings must exist exactly for ordered boundary-adjacent pairs.
-		for i := 0; i < s; i++ {
-			for j := 0; j < s; j++ {
-				hasRing := i != j && st.outbox[i][j] != nil
-				wantRing := i != j && nw.shardDist[i*s+j] == 1
-				if hasRing != wantRing {
-					t.Fatalf("shape %v shards=%d: ring(%d->%d) = %t, want %t", shape, s, i, j, hasRing, wantRing)
-				}
-			}
-		}
-	})
 }

@@ -114,14 +114,6 @@ func (c *Collector) accrueDead(from, to int64) {
 	}
 }
 
-// NoteForcedCreditReturns folds the engine's forced-credit-return count (see
-// network.Stats.ForcedCreditReturns) into the collector; the collective layer
-// calls it after each run so the Summary can report it next to the outage
-// aggregates. The count is coalescing-mode bookkeeping, not machine behavior,
-// and is the one Summary field that legitimately differs between
-// Params.Coalesce modes of an otherwise identical run.
-func (c *Collector) NoteForcedCreditReturns(n int64) { c.forcedCred += n }
-
 // FaultSeries returns the per-window dead-link-ticks series (the fault state
 // over time): element i is the summed link-downtime inside window i, so with
 // k links simultaneously dead a full window accrues k*Window. The slice is a

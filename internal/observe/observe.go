@@ -109,14 +109,12 @@ type Collector struct {
 	win windows
 
 	// Fault aggregates (see fault.go): transition count, degrade count, peak
-	// concurrently-dead links, total and per-window dead-link ticks, and the
-	// forced-credit-return count noted by the collective layer.
+	// concurrently-dead links, and total and per-window dead-link ticks.
 	faultEvents   int64
 	degradeEvents int64
 	peakDead      int
 	deadLinkTicks int64
 	deadWin       []int64
-	forcedCred    int64
 	ftrans        []faultPoint    // per-run fold scratch
 	openDown      map[int32]int64 // per-run open outage intervals
 
@@ -190,7 +188,6 @@ func (c *Collector) Reset() {
 	c.peakDead = 0
 	c.deadLinkTicks = 0
 	c.deadWin = c.deadWin[:0]
-	c.forcedCred = 0
 }
 
 func (w *windows) reset() {

@@ -58,11 +58,10 @@ type Summary struct {
 	// DeadLinks the peak number of simultaneously dead links, DeadLinkTicks
 	// the summed link-downtime (equal to network.Stats.DeadLinkTicks), and
 	// DegradedCompletion the fraction of the machine's total link-time lost
-	// to outages: DeadLinkTicks / (Finish * links). ForcedCreditReturns is
-	// the engine's end-of-run forced ledger flush count, noted by the
-	// collective layer (NoteForcedCreditReturns); unlike every other field it
-	// depends on Params.Coalesce, because it counts bookkeeping, not machine
-	// behavior.
+	// to outages: DeadLinkTicks / (Finish * links). ForcedCreditReturns
+	// always reads 0 - every credit owed across a dead link returns by its
+	// own event - and stays only so schema_version 1 summaries keep their
+	// field set.
 	FaultEvents         int64   `json:"fault_events"`
 	DegradeEvents       int64   `json:"degrade_events"`
 	DeadLinks           int     `json:"dead_links"`
@@ -111,11 +110,10 @@ func (c *Collector) Summary() *Summary {
 		HoLMatrix:      c.win.holMat,
 		InjFIFOBlocked: c.win.injBlocked,
 
-		FaultEvents:         c.faultEvents,
-		DegradeEvents:       c.degradeEvents,
-		DeadLinks:           c.peakDead,
-		DeadLinkTicks:       c.deadLinkTicks,
-		ForcedCreditReturns: c.forcedCred,
+		FaultEvents:   c.faultEvents,
+		DegradeEvents: c.degradeEvents,
+		DeadLinks:     c.peakDead,
+		DeadLinkTicks: c.deadLinkTicks,
 	}
 	if links := c.shape.LinkCount(); links > 0 && c.finish > 0 {
 		s.DegradedCompletion = float64(c.deadLinkTicks) / (float64(c.finish) * float64(links))

@@ -64,9 +64,9 @@ type metrics struct {
 
 	// Sharded-engine synchronization counters, folded from each job's
 	// SyncStats out-parameter (all zero while every job runs unsharded).
-	syncAdvances atomic.Int64 // horizon advances (windows or clock steps)
-	syncWaits    atomic.Int64 // blocked waits (barriers or backoff episodes)
-	syncWaitNs   atomic.Int64 // wall-clock ns spent blocked (async only)
+	syncAdvances atomic.Int64 // windows processed
+	syncWaits    atomic.Int64 // barrier crossings
+	syncWaitNs   atomic.Int64 // network.SyncStats.BlockedWaitNs (0: the barrier is not timed)
 	syncXEvents  atomic.Int64 // events shipped across shard boundaries
 	syncXBytes   atomic.Int64 // bytes shipped across shard boundaries
 

@@ -51,7 +51,7 @@ func MessagesN(ctx context.Context, workers int, strat collective.Strategy, opts
 			o := opts
 			o.MsgBytes = m
 			o.Cache = cache
-			res, err := collective.Run(strat, o)
+			res, err := collective.RunContext(ctx, strat, o)
 			if err != nil {
 				return Point{}, fmt.Errorf("sweep: %s at m=%d: %w", strat, m, err)
 			}

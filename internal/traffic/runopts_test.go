@@ -10,24 +10,6 @@ import (
 	"alltoall/internal/torus"
 )
 
-// TestRunOptsMatchesRun pins the unified-options entry point to the legacy
-// struct path: same pattern, same configuration, identical Result.
-func TestRunOptsMatchesRun(t *testing.T) {
-	s := torus.New(4, 4, 2)
-	legacy, err := Run(Shift{Offset: 3}, Options{Shape: s, MsgBytes: 256, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified, err := RunOpts(context.Background(), Shift{Offset: 3},
-		collective.Options{Shape: s, MsgBytes: 256, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != unified {
-		t.Errorf("RunOpts diverged from Run:\nlegacy  %+v\nunified %+v", legacy, unified)
-	}
-}
-
 // TestRunOptsSharded checks pattern runs on the window-parallel engine
 // produce the identical result as the serial engine.
 func TestRunOptsSharded(t *testing.T) {
@@ -80,7 +62,7 @@ func TestRunCanceledMidRun(t *testing.T) {
 	closed := make(chan struct{})
 	close(closed)
 	_, err := run(RandomSubset{K: 8, Seed: 3},
-		Options{Shape: torus.New(8, 4, 4), MsgBytes: 4096}, closed, 1)
+		collective.Options{Shape: torus.New(8, 4, 4), MsgBytes: 4096}, closed)
 	if !errors.Is(err, network.ErrCanceled) {
 		t.Errorf("err = %v, want wrapping network.ErrCanceled", err)
 	}

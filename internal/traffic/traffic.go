@@ -147,16 +147,6 @@ func (r RandomSubset) Destinations(shape torus.Shape, src int) []int {
 	return out
 }
 
-// Options configures a pattern run.
-type Options struct {
-	Shape    torus.Shape
-	MsgBytes int
-	Seed     uint64
-	Det      bool           // deterministic (dimension-ordered) routing
-	Par      network.Params // zero value: network.DefaultParams()
-	MaxTime  int64
-}
-
 // Result reports a pattern run.
 type Result struct {
 	Pattern          string
@@ -211,20 +201,11 @@ func (h *patternHandler) OnDeliver(d network.Delivered, fw []network.PacketSpec)
 // RunOpts executes a pattern under a context with the collective Options
 // vocabulary, the engine behind alltoall.RunPatternContext: pattern runs
 // share the same option set as the all-to-all strategies (shape, message
-// size, seed, shards, check, event queue, coalescing, faults via the
-// effective machine parameters, MaxTime) plus Options.DetRouting for
-// deterministic dimension-ordered routing. Cancellation aborts the run with
-// an error wrapping network.ErrCanceled; an exceeded time bound wraps
-// network.ErrMaxTime.
-func RunOpts(ctx context.Context, pat Pattern, o collective.Options) (Result, error) {
-	opts := Options{
-		Shape:    o.Shape,
-		MsgBytes: o.MsgBytes,
-		Seed:     o.Seed,
-		Det:      o.DetRouting,
-		Par:      o.NetParams(),
-		MaxTime:  o.MaxTime,
-	}
+// size, shards, check and faults via the effective machine parameters,
+// MaxTime) plus Options.DetRouting for deterministic dimension-ordered
+// routing. Cancellation aborts the run with an error wrapping
+// network.ErrCanceled; an exceeded time bound wraps network.ErrMaxTime.
+func RunOpts(ctx context.Context, pat Pattern, opts collective.Options) (Result, error) {
 	var cancel <-chan struct{}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -232,28 +213,16 @@ func RunOpts(ctx context.Context, pat Pattern, o collective.Options) (Result, er
 		}
 		cancel = ctx.Done()
 	}
-	return run(pat, opts, cancel, o.Shards)
+	return run(pat, opts, cancel)
 }
 
-// Run executes a pattern on the simulated torus.
-//
-// Deprecated: Run is the legacy struct-options entry point, kept as a thin
-// wrapper; prefer RunOpts (alltoall.RunPatternContext), which adds
-// cancellation, engine sharding, and the unified option set.
-func Run(pat Pattern, opts Options) (Result, error) {
-	return run(pat, opts, nil, 1)
-}
-
-// run is the shared pattern executor.
-func run(pat Pattern, opts Options, cancel <-chan struct{}, shards int) (Result, error) {
+// run is the pattern executor behind RunOpts.
+func run(pat Pattern, opts collective.Options, cancel <-chan struct{}) (Result, error) {
 	if err := opts.Shape.Validate(); err != nil {
 		return Result{}, err
 	}
 	if opts.MsgBytes < 1 {
 		return Result{}, fmt.Errorf("traffic: MsgBytes must be >= 1")
-	}
-	if opts.Par == (network.Params{}) {
-		opts.Par = network.DefaultParams()
 	}
 	calib := model.DefaultCalib()
 	p := opts.Shape.P()
@@ -273,13 +242,13 @@ func run(pat Pattern, opts Options, cancel <-chan struct{}, shards int) (Result,
 			wantRecv[d] += int64(opts.MsgBytes)
 		}
 		messages += int64(len(ds))
-		sources[n] = &patternSource{dests: dests, msg: msg, det: opts.Det}
+		sources[n] = &patternSource{dests: dests, msg: msg, det: opts.DetRouting}
 	}
 	if messages == 0 {
 		return Result{}, fmt.Errorf("traffic: pattern %s sends nothing on %v", pat.Name(), opts.Shape)
 	}
 	h := &patternHandler{recv: make([]int64, p)}
-	nw, err := network.New(opts.Shape, opts.Par, sources, h)
+	nw, err := network.New(opts.Shape, opts.NetParams(), sources, h)
 	if err != nil {
 		return Result{}, err
 	}
@@ -288,10 +257,7 @@ func run(pat Pattern, opts Options, cancel <-chan struct{}, shards int) (Result,
 	if maxTime == 0 {
 		maxTime = int64(messages)*msg.Wire*int64(p) + 1<<24
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	t, err := nw.RunSharded(maxTime, shards)
+	t, err := nw.RunSharded(maxTime, opts.Shards)
 	if err != nil {
 		return Result{}, fmt.Errorf("traffic: %s on %v: %w", pat.Name(), opts.Shape, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"alltoall/internal/collective"
 	"alltoall/internal/torus"
 )
 
@@ -11,7 +12,7 @@ func shape844() torus.Shape { return torus.New(8, 4, 4) }
 
 func TestShiftPattern(t *testing.T) {
 	s := shape844()
-	res, err := Run(Shift{Offset: 3}, Options{Shape: s, MsgBytes: 512, Seed: 1})
+	res, err := run(Shift{Offset: 3}, collective.Options{Shape: s, MsgBytes: 512, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,14 +25,14 @@ func TestShiftPattern(t *testing.T) {
 }
 
 func TestShiftZeroOffsetRejected(t *testing.T) {
-	if _, err := Run(Shift{Offset: 0}, Options{Shape: shape844(), MsgBytes: 64}); err == nil {
+	if _, err := run(Shift{Offset: 0}, collective.Options{Shape: shape844(), MsgBytes: 64}, nil); err == nil {
 		t.Error("self-only pattern accepted")
 	}
 }
 
 func TestDimShift(t *testing.T) {
 	s := shape844()
-	res, err := Run(DimShift{Dim: torus.X, Hops: 1}, Options{Shape: s, MsgBytes: 256})
+	res, err := run(DimShift{Dim: torus.X, Hops: 1}, collective.Options{Shape: s, MsgBytes: 256}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +47,10 @@ func TestDimShift(t *testing.T) {
 }
 
 func TestTransposeNeedsSquare(t *testing.T) {
-	if _, err := Run(Transpose{}, Options{Shape: shape844(), MsgBytes: 64}); err == nil {
+	if _, err := run(Transpose{}, collective.Options{Shape: shape844(), MsgBytes: 64}, nil); err == nil {
 		t.Error("transpose on non-square XY accepted")
 	}
-	res, err := Run(Transpose{}, Options{Shape: torus.New(4, 4, 4), MsgBytes: 256})
+	res, err := run(Transpose{}, collective.Options{Shape: torus.New(4, 4, 4), MsgBytes: 256}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestTransposeNeedsSquare(t *testing.T) {
 
 func TestRandomPermutation(t *testing.T) {
 	s := shape844()
-	res, err := Run(RandomPermutation{Seed: 9}, Options{Shape: s, MsgBytes: 128})
+	res, err := run(RandomPermutation{Seed: 9}, collective.Options{Shape: s, MsgBytes: 128}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestRandomPermutation(t *testing.T) {
 
 func TestHotSpotIncast(t *testing.T) {
 	s := torus.New(4, 4, 1)
-	res, err := Run(HotSpot{Root: 5}, Options{Shape: s, MsgBytes: 256})
+	res, err := run(HotSpot{Root: 5}, collective.Options{Shape: s, MsgBytes: 256}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestHotSpotIncast(t *testing.T) {
 
 func TestRandomSubset(t *testing.T) {
 	s := shape844()
-	res, err := Run(RandomSubset{K: 5, Seed: 3}, Options{Shape: s, MsgBytes: 64})
+	res, err := run(RandomSubset{K: 5, Seed: 3}, collective.Options{Shape: s, MsgBytes: 64}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestRandomSubset(t *testing.T) {
 		t.Errorf("messages = %d, want %d", res.Messages, 5*s.P())
 	}
 	// K larger than P-1 clamps.
-	res2, err := Run(RandomSubset{K: 1000, Seed: 3}, Options{Shape: torus.New(4, 2, 1), MsgBytes: 64})
+	res2, err := run(RandomSubset{K: 1000, Seed: 3}, collective.Options{Shape: torus.New(4, 2, 1), MsgBytes: 64}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestRandomSubset(t *testing.T) {
 
 func TestDeterministicRoutingPattern(t *testing.T) {
 	s := shape844()
-	res, err := Run(RandomPermutation{Seed: 4}, Options{Shape: s, MsgBytes: 512, Det: true})
+	res, err := run(RandomPermutation{Seed: 4}, collective.Options{Shape: s, MsgBytes: 512, DetRouting: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +120,10 @@ func TestDeterministicRoutingPattern(t *testing.T) {
 }
 
 func TestPatternValidation(t *testing.T) {
-	if _, err := Run(Shift{Offset: 1}, Options{Shape: torus.Shape{Size: [3]int{0, 1, 1}}, MsgBytes: 8}); err == nil {
+	if _, err := run(Shift{Offset: 1}, collective.Options{Shape: torus.Shape{Size: [3]int{0, 1, 1}}, MsgBytes: 8}, nil); err == nil {
 		t.Error("invalid shape accepted")
 	}
-	if _, err := Run(Shift{Offset: 1}, Options{Shape: shape844(), MsgBytes: 0}); err == nil {
+	if _, err := run(Shift{Offset: 1}, collective.Options{Shape: shape844(), MsgBytes: 0}, nil); err == nil {
 		t.Error("zero message accepted")
 	}
 }

@@ -29,19 +29,15 @@ type (
 	RandomSubset = traffic.RandomSubset
 )
 
-// PatternOptions configures RunPattern.
-type PatternOptions = traffic.Options
-
-// PatternResult reports a RunPattern run.
+// PatternResult reports a RunPatternContext run.
 type PatternResult = traffic.Result
 
 // RunPatternContext executes a many-to-many pattern on the simulated torus
 // under a context, with the same Option vocabulary as RunContext: shape,
-// message size, seed, shards, checking, event queue, coalescing and faults
-// all mean the same thing for pattern runs as for the all-to-all
-// strategies, plus WithDetRouting selects deterministic dimension-ordered
-// routing. Cancellation aborts the run with an error wrapping ErrCanceled;
-// an exceeded MaxTime wraps ErrMaxTime.
+// message size, shards, checking and faults all mean the same thing for
+// pattern runs as for the all-to-all strategies, plus WithDetRouting selects
+// deterministic dimension-ordered routing. Cancellation aborts the run with
+// an error wrapping ErrCanceled; an exceeded MaxTime wraps ErrMaxTime.
 //
 //	res, err := alltoall.RunPatternContext(ctx, alltoall.Transpose{},
 //		alltoall.WithShape(alltoall.NewTorus(8, 8, 1)),
@@ -52,13 +48,4 @@ func RunPatternContext(ctx context.Context, p Pattern, opts ...Option) (PatternR
 		opt(&o)
 	}
 	return traffic.RunOpts(ctx, p, o)
-}
-
-// RunPattern executes a many-to-many pattern on the simulated torus.
-//
-// Deprecated: RunPattern is the legacy struct-options entry point, kept as
-// a thin wrapper; prefer RunPatternContext, which shares the unified Option
-// set with RunContext and adds cancellation and engine sharding.
-func RunPattern(p Pattern, opts PatternOptions) (PatternResult, error) {
-	return traffic.Run(p, opts)
 }
