@@ -2,6 +2,7 @@ package alltoall_test
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
 	"alltoall"
@@ -90,6 +91,46 @@ func TestFacadePattern(t *testing.T) {
 	}
 	if res.Messages != 16 {
 		t.Errorf("messages = %d", res.Messages)
+	}
+}
+
+// TestPatternHonoursRunOptions: a pattern run takes the same Option
+// vocabulary as RunContext. WithObserver, WithCalib, WithCache and
+// WithDebugDump used to be dropped silently; machinery must not change the
+// result, a changed calibration must.
+func TestPatternHonoursRunOptions(t *testing.T) {
+	run := func(extra ...alltoall.Option) alltoall.PatternResult {
+		t.Helper()
+		res, err := alltoall.RunPatternContext(context.Background(), alltoall.Shift{Offset: 2},
+			append([]alltoall.Option{
+				alltoall.WithShape(alltoall.NewTorus(4, 4, 1)),
+				alltoall.WithMsgBytes(128),
+			}, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := run()
+
+	obs := alltoall.NewCollector(alltoall.ObserveConfig{})
+	cache := &alltoall.NetCache{}
+	for i := 0; i < 2; i++ { // the second pass recycles the cached network
+		got := run(alltoall.WithObserver(obs), alltoall.WithCache(cache),
+			alltoall.WithDebugDump(filepath.Join(t.TempDir(), "dump")))
+		if got != plain {
+			t.Errorf("pass %d: run machinery changed the result:\n got %+v\nwant %+v", i, got, plain)
+		}
+	}
+	sum := obs.Summary()
+	if sum.Runs != 2 || sum.BytesByDim[0]+sum.BytesByDim[1] == 0 {
+		t.Errorf("collector saw %d runs and %v link bytes by dimension, want 2 runs with traffic", sum.Runs, sum.BytesByDim)
+	}
+
+	calib := alltoall.DefaultCalib()
+	calib.HeaderBytes = 200
+	if got := run(alltoall.WithCalib(calib)); got.Time == plain.Time {
+		t.Errorf("HeaderBytes 200 left Time at %d: the calibration was dropped", got.Time)
 	}
 }
 

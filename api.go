@@ -43,8 +43,9 @@ func WithCheck(on bool) Option { return func(o *Options) { o.Check = on } }
 // escape bubble channel. Results stay byte-identical at any shard count.
 // Parse a schedule from the -faults spec grammar with ParseFaults, or build
 // a FaultSchedule directly. nil (or an empty schedule) faults nothing and is
-// byte-identical to an unfaulted run.
-func WithFaults(fs *FaultSchedule) Option { return func(o *Options) { o.Faults = fs } }
+// byte-identical to an unfaulted run. The schedule is stored in its textual
+// form (Request.Faults), the only form a run description carries.
+func WithFaults(fs *FaultSchedule) Option { return func(o *Options) { o.Faults = fs.String() } }
 
 // WithParams sets the simulated machine parameters (zero value: DefaultParams).
 func WithParams(p Params) Option { return func(o *Options) { o.Par = p } }

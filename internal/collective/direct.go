@@ -1,7 +1,7 @@
 package collective
 
 import (
-	"fmt"
+	"context"
 
 	"alltoall/internal/network"
 	"alltoall/internal/torus"
@@ -103,9 +103,14 @@ func (h *directHandler) OnDeliver(d network.Delivered, fw []network.PacketSpec) 
 	return fw, 0, true
 }
 
-func runDirect(opts Options, strat Strategy, det, throttle bool, alpha int64) (Result, error) {
-	if err := opts.fill(); err != nil {
-		return Result{}, err
+// runDirect runs the four direct strategies, which differ only in routing
+// mode, pacing strictness and per-destination startup cost.
+func runDirect(opts *Options) (Result, error) {
+	det := opts.Strategy == StratDR
+	throttle := opts.Strategy == StratThrottle
+	alpha := opts.Calib.AlphaAR
+	if opts.Strategy == StratMPI {
+		alpha = opts.Calib.AlphaMPI
 	}
 	p := opts.Shape.P()
 	msg := NewMsg(opts.MsgBytes, opts.Calib.HeaderBytes)
@@ -115,57 +120,31 @@ func runDirect(opts Options, strat Strategy, det, throttle bool, alpha int64) (R
 			opts.pacer(throttle))
 	}
 	h := &directHandler{recvPayload: make([]int64, p)}
-	nw, err := opts.network(sources, h)
+	nw, t, err := opts.RunPhase(string(opts.Strategy), sources, h, h.recvPayload, opts.allToAllPayload)
 	if err != nil {
 		return Result{}, err
 	}
-	t, err := opts.runNet(nw)
-	if err != nil {
-		opts.dumpOnError(nw, err)
-		return Result{}, fmt.Errorf("%s on %v: %w", strat, opts.Shape, err)
-	}
-	want := int64(p-1) * int64(opts.MsgBytes)
-	for n := 0; n < p; n++ {
-		if h.recvPayload[n] != want {
-			return Result{}, fmt.Errorf("%s on %v: node %d received %d payload bytes, want %d",
-				strat, opts.Shape, n, h.recvPayload[n], want)
-		}
-	}
-	r := opts.newResult(strat)
-	opts.finishResult(&r, t, nw.Stats())
-	return r, nil
+	return opts.result(t, nw.Stats()), nil
 }
 
 // RunAR runs the direct adaptive-routing strategy (the paper's AR).
 func RunAR(opts Options) (Result, error) {
-	if err := opts.fill(); err != nil {
-		return Result{}, err
-	}
-	return runDirect(opts, StratAR, false, false, opts.Calib.AlphaAR)
+	return RunContext(context.Background(), StratAR, opts)
 }
 
 // RunDR runs the direct strategy on the deterministic bubble VC with
 // dimension-ordered routing.
 func RunDR(opts Options) (Result, error) {
-	if err := opts.fill(); err != nil {
-		return Result{}, err
-	}
-	return runDirect(opts, StratDR, true, false, opts.Calib.AlphaAR)
+	return RunContext(context.Background(), StratDR, opts)
 }
 
 // RunThrottled runs AR with injection paced to the bisection bandwidth.
 func RunThrottled(opts Options) (Result, error) {
-	if err := opts.fill(); err != nil {
-		return Result{}, err
-	}
-	return runDirect(opts, StratThrottle, false, true, opts.Calib.AlphaAR)
+	return RunContext(context.Background(), StratThrottle, opts)
 }
 
 // RunMPI runs the production-MPI-style baseline: the same randomized direct
 // schedule with the heavier per-destination startup of the MPI layer.
 func RunMPI(opts Options) (Result, error) {
-	if err := opts.fill(); err != nil {
-		return Result{}, err
-	}
-	return runDirect(opts, StratMPI, false, false, opts.Calib.AlphaMPI)
+	return RunContext(context.Background(), StratMPI, opts)
 }

@@ -12,7 +12,7 @@ import (
 func small() torus.Shape { return torus.New(4, 4, 1) }
 
 func TestRunARDeliversEverything(t *testing.T) {
-	res, err := RunAR(Options{Shape: small(), MsgBytes: 100, Seed: 1})
+	res, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 100, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestRunARDeliversEverything(t *testing.T) {
 }
 
 func TestRunDRDeliversEverything(t *testing.T) {
-	res, err := RunDR(Options{Shape: small(), MsgBytes: 100, Seed: 1})
+	res, err := RunDR(Options{Request: Request{Shape: small(), MsgBytes: 100, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestRunDRDeliversEverything(t *testing.T) {
 }
 
 func TestRunThrottledSlowerOrEqualInjection(t *testing.T) {
-	ar, err := RunAR(Options{Shape: small(), MsgBytes: 512, Seed: 1})
+	ar, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 512, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := RunThrottled(Options{Shape: small(), MsgBytes: 512, Seed: 1})
+	th, err := RunThrottled(Options{Request: Request{Shape: small(), MsgBytes: 512, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestRunThrottledSlowerOrEqualInjection(t *testing.T) {
 
 func TestRunMPIHasHigherOverheadThanAR(t *testing.T) {
 	// With a tiny message, startup dominates: MPI (higher alpha) is slower.
-	ar, err := RunAR(Options{Shape: small(), MsgBytes: 1, Seed: 1})
+	ar, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 1, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpi, err := RunMPI(Options{Shape: small(), MsgBytes: 1, Seed: 1})
+	mpi, err := RunMPI(Options{Request: Request{Shape: small(), MsgBytes: 1, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,16 +134,16 @@ func TestDirectSourceAlphaOnFirstPacketOnly(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := RunAR(Options{Shape: torus.Shape{Size: [3]int{0, 1, 1}}, MsgBytes: 8}); err == nil {
+	if _, err := RunAR(Options{Request: Request{Shape: torus.Shape{Size: [3]int{0, 1, 1}}, MsgBytes: 8}}); err == nil {
 		t.Error("invalid shape accepted")
 	}
-	if _, err := RunAR(Options{Shape: small(), MsgBytes: 0}); err == nil {
+	if _, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 0}}); err == nil {
 		t.Error("zero message accepted")
 	}
-	if _, err := RunAR(Options{Shape: small(), MsgBytes: 8, Burst: -1}); err == nil {
+	if _, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 8, Burst: -1}}); err == nil {
 		t.Error("negative burst accepted")
 	}
-	if _, err := RunContext(context.Background(), Strategy("nope"), Options{Shape: small(), MsgBytes: 8}); err == nil ||
+	if _, err := RunContext(context.Background(), Strategy("nope"), Options{Request: Request{Shape: small(), MsgBytes: 8}}); err == nil ||
 		!strings.Contains(err.Error(), "unknown strategy") {
 		t.Error("unknown strategy accepted")
 	}
@@ -151,7 +151,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestRunDispatch(t *testing.T) {
 	for _, s := range Strategies() {
-		opts := Options{Shape: small(), MsgBytes: 8, Seed: 3}
+		opts := Options{Request: Request{Shape: small(), MsgBytes: 8, Seed: 3}}
 		res, err := RunContext(context.Background(), s, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
@@ -163,11 +163,11 @@ func TestRunDispatch(t *testing.T) {
 }
 
 func TestDeterministicResults(t *testing.T) {
-	a, err := RunAR(Options{Shape: small(), MsgBytes: 256, Seed: 42})
+	a, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 256, Seed: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunAR(Options{Shape: small(), MsgBytes: 256, Seed: 42})
+	b, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 256, Seed: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,8 @@ func TestDeterministicResults(t *testing.T) {
 }
 
 func TestSeedChangesSchedule(t *testing.T) {
-	a, _ := RunAR(Options{Shape: small(), MsgBytes: 256, Seed: 1})
-	b, _ := RunAR(Options{Shape: small(), MsgBytes: 256, Seed: 2})
+	a, _ := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 256, Seed: 1}})
+	b, _ := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 256, Seed: 2}})
 	if a.Time == b.Time && a.MeanLatencyUnits == b.MeanLatencyUnits {
 		t.Log("warning: different seeds produced identical timing (possible but unlikely)")
 	}
@@ -186,7 +186,7 @@ func TestSeedChangesSchedule(t *testing.T) {
 
 func TestMeshPartition(t *testing.T) {
 	shape := torus.NewMesh(8, 2, 1, false, false, false)
-	res, err := RunAR(Options{Shape: shape, MsgBytes: 256, Seed: 1})
+	res, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 256, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

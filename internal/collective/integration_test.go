@@ -15,7 +15,7 @@ import (
 
 func runOK(t *testing.T, strat Strategy, shape torus.Shape, m int) Result {
 	t.Helper()
-	res, err := RunContext(context.Background(), strat, Options{Shape: shape, MsgBytes: m, Seed: 1})
+	res, err := RunContext(context.Background(), strat, Options{Request: Request{Shape: shape, MsgBytes: m, Seed: 1}})
 	if err != nil {
 		t.Fatalf("%s on %v: %v", strat, shape, err)
 	}
@@ -125,7 +125,7 @@ func TestShapeUnpacedCollapses(t *testing.T) {
 	}
 	shape := torus.New(8, 8, 1)
 	paced := runOK(t, StratAR, shape, 1920)
-	unpaced, err := RunAR(Options{Shape: shape, MsgBytes: 1920, Seed: 1, Unpaced: true})
+	unpaced, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 1920, Seed: 1, Unpaced: true}})
 	if err != nil {
 		t.Fatalf("unpaced: %v", err)
 	}

@@ -24,99 +24,15 @@ const (
 	StratXYZ      Strategy = "XYZ"      // 3-phase dimension-ordered indirect (Section 4.1's comparator)
 )
 
-// Options configures an all-to-all run.
+// Options is what a strategy runner consumes: the Request that describes the
+// run, plus the remainder a Request cannot say - machine and model overrides
+// that have no value identity, and run machinery that never changes a Result.
+// Prepare validates the Request and fills every default, once per run.
 type Options struct {
-	Shape    torus.Shape
-	MsgBytes int    // per-pair payload m, >= 1
-	Seed     uint64 // randomization seed for destination orders
-
-	// Burst is the number of packets injected per destination visit in the
-	// direct strategies (the paper's tuning parameter; usually 1 or 2).
-	Burst int
-
-	// PaceBurst is the injection token-bucket depth in packets (default 8).
-	// Every strategy paces injection at the partition's bisection rate; the
-	// Throttle strategy uses a zero-depth (strict) bucket. See pacer.go for
-	// why pacing is always on in this substrate.
-	PaceBurst int
-
-	// PaceFraction scales the injection rate relative to the bisection
-	// limit (default 0.95). Slightly under 1 keeps bottleneck links at the
-	// knee of their throughput curve.
-	PaceFraction float64
-
-	// Unpaced disables injection pacing entirely (ablation only; expect
-	// congestion collapse on saturating workloads).
-	Unpaced bool
+	Request
 
 	Par   network.Params // zero value: network.DefaultParams()
 	Calib model.Calib    // zero value: model.DefaultCalib()
-
-	// Check enables the simulator's runtime invariant checker (equivalent
-	// to setting Par.Check): every event is validated against the machine's
-	// conservation laws and a completed run must reach full quiescence. A
-	// violation fails the run with a node/time-stamped diagnostic. Costs
-	// roughly 1.4x simulation time; meant for tests and CI, not sweeps.
-	Check bool
-
-	// Faults installs a deterministic link-fault schedule (equivalent to
-	// setting Par.Faults, but composes with a defaulted Par): links go down,
-	// come back, die permanently, or degrade at scheduled times, and packets
-	// reroute via the adaptive paths and the escape bubble channel. Results
-	// stay byte-identical at any shard count. Multi-phase strategies (TPS,
-	// VMesh, XYZ) restart the clock each phase, so the schedule re-applies
-	// from t=0 per phase. nil (or an empty schedule) faults nothing and is
-	// byte-identical to a run without this option.
-	Faults *network.FaultSchedule
-
-	// TPSLinear forces the Two Phase Schedule's linear (phase 1) dimension;
-	// nil selects it with the paper's rule (symmetric planar dims if
-	// possible, else the longest dimension).
-	TPSLinear *torus.Dim
-
-	// TPSCreditWindow, when positive, enables the paper's Section 5
-	// credit-based flow control for TPS: each source may have at most this
-	// many un-credited phase-1 packets outstanding at each intermediate,
-	// bounding intermediate forwarding memory. Must be >= TPSCreditBatch.
-	TPSCreditWindow int
-
-	// TPSCreditBatch is the number of forwarded packets per returned
-	// credit packet (default 10, the paper's ~1% bandwidth overhead).
-	TPSCreditBatch int
-
-	// VMeshRows/Cols force the virtual mesh factorization P = Cols x Rows
-	// (Pvx = Cols row width, Pvy = Rows column height); 0 selects the most
-	// balanced factorization.
-	VMeshRows, VMeshCols int
-
-	// VMeshMapOrder chooses which torus dimension consecutive virtual ranks
-	// sweep first (default X, Y, Z: rows fill X-lines, then XY planes). The
-	// paper's 4096-node experiment maps 128-wide rows onto XZ planes, i.e.
-	// order X, Z, Y.
-	VMeshMapOrder *[3]torus.Dim
-
-	// MaxTime aborts runs that exceed this many time units (0 = generous
-	// default based on the peak time).
-	MaxTime int64
-
-	// Shards > 1 runs the simulation on the window-parallel sharded engine
-	// with that many workers (see network.RunSharded); results are
-	// byte-identical to the serial engine. 0 or 1 selects the serial
-	// engine. Use run-level parallelism (experiments.Config.Workers) when
-	// there are enough runs to fill the cores; shards help when a single
-	// large run is the bottleneck.
-	Shards int
-
-	// Cache, when non-nil, lets Run recycle the simulation network across
-	// runs that share a shape and machine parameters (message-size sweeps):
-	// the network is Reset instead of rebuilt, reusing its router, queue,
-	// packet-pool, and event-queue allocations. A cache must not be shared
-	// between concurrent runs; give each worker goroutine its own.
-	Cache *NetCache
-
-	// DebugDump, when non-empty, names a file to which the full network
-	// state is written if a run stalls or exceeds MaxTime (diagnostics).
-	DebugDump string
 
 	// DetRouting forces deterministic dimension-ordered routing for runs
 	// whose workload does not already fix the routing mode. Only pattern
@@ -124,6 +40,13 @@ type Options struct {
 	// collective strategies choose routing per strategy (DR is the
 	// deterministic one) and ignore this field.
 	DetRouting bool
+
+	// Cache, when non-nil, lets a run recycle the simulation network across
+	// runs that share a shape and machine parameters (message-size sweeps):
+	// the network is Reset instead of rebuilt, reusing its router, queue,
+	// packet-pool, and event-queue allocations. A cache must not be shared
+	// between concurrent runs; give each worker goroutine its own.
+	Cache *NetCache
 
 	// Observer, when non-nil, taps the simulation for instrumentation
 	// (typically an *observe.Collector). Multi-phase strategies report each
@@ -133,44 +56,57 @@ type Options struct {
 
 	// SyncStats, when non-nil, receives the sharded engine's synchronization
 	// counters for the run (windows, barrier crossings, cross-shard traffic;
-	// multi-phase strategies accumulate across phases). Machinery like
-	// Observer, not workload configuration: the counters depend on the
-	// shard count, which is why they are an out-parameter rather than
+	// multi-phase strategies accumulate across phases). The counters depend
+	// on the shard count, which is why they are an out-parameter rather than
 	// Result fields - Result stays a pure function of the request.
 	SyncStats *network.SyncStats
 
-	// cancel, when non-nil, aborts the run when closed; set from a
-	// context's Done channel by RunContext. The serial engine polls it
-	// between events, the sharded engine at window barriers.
+	// DebugDump, when non-empty, names a file to which the full network
+	// state is written if a run stalls or exceeds MaxTime (diagnostics).
+	DebugDump string
+
+	// cancel, when non-nil, aborts the run when closed; Prepare sets it from
+	// the context's Done channel. The serial engine polls it between events,
+	// the sharded engine at window barriers.
 	cancel <-chan struct{}
 }
 
-func (o *Options) fill() error {
-	if err := o.Shape.Validate(); err != nil {
-		return err
+// Prepare binds the run to ctx (cancellation aborts the simulation with an
+// error wrapping network.ErrCanceled), validates the Request and resolves
+// every default: Burst 2, PaceBurst 2, PaceFraction 0.95, Par defaulted to
+// network.DefaultParams with Check and the parsed Faults folded in, Calib,
+// and a MaxTime derived from the peak-time model. It is the one place a run
+// description becomes runnable; RunContext and pattern runs
+// (internal/traffic) call it once, before RunPhase.
+func (o *Options) Prepare(ctx context.Context) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		o.cancel = ctx.Done()
 	}
-	if o.MsgBytes < 1 {
-		return fmt.Errorf("collective: MsgBytes must be >= 1, got %d", o.MsgBytes)
+	faults, err := o.Request.check()
+	if err != nil {
+		return err
 	}
 	if o.Burst == 0 {
 		o.Burst = 2
 	}
-	if o.Burst < 0 {
-		return fmt.Errorf("collective: negative Burst")
-	}
 	if o.PaceBurst == 0 {
 		o.PaceBurst = 2
-	}
-	if o.PaceBurst < 0 {
-		return fmt.Errorf("collective: negative PaceBurst")
 	}
 	if o.PaceFraction == 0 {
 		o.PaceFraction = 0.95
 	}
-	if o.PaceFraction < 0 || o.PaceFraction > 1 {
-		return fmt.Errorf("collective: PaceFraction %v out of (0,1]", o.PaceFraction)
+	if o.Par == (network.Params{}) {
+		o.Par = network.DefaultParams()
 	}
-	o.Par = o.NetParams()
+	if o.Check {
+		o.Par.Check = true
+	}
+	if faults != nil && len(faults.Events) > 0 {
+		o.Par.Faults = faults
+	}
 	if o.Calib == (model.Calib{}) {
 		o.Calib = model.DefaultCalib()
 	}
@@ -179,37 +115,6 @@ func (o *Options) fill() error {
 		o.MaxTime = int64(peak*100) + int64(o.Shape.P())*(o.Calib.AlphaMsg+o.Calib.AlphaMPI)*64 + 1<<24
 	}
 	return nil
-}
-
-// NetParams returns the effective machine parameters for this run: Par
-// defaulted to network.DefaultParams, with the Check and Faults conveniences
-// folded in. It is the one place run options become network.Params; fill
-// applies it and pattern runs (internal/traffic) share it.
-func (o *Options) NetParams() network.Params {
-	p := o.Par
-	if p == (network.Params{}) {
-		p = network.DefaultParams()
-	}
-	if o.Check {
-		p.Check = true
-	}
-	if o.Faults != nil {
-		p.Faults = o.Faults
-	}
-	return p
-}
-
-// dumpOnError writes the network state to o.DebugDump when a run failed.
-func (o *Options) dumpOnError(nw *network.Network, err error) {
-	if err == nil || o.DebugDump == "" {
-		return
-	}
-	f, ferr := os.Create(o.DebugDump)
-	if ferr != nil {
-		return
-	}
-	defer f.Close()
-	nw.DumpState(f)
 }
 
 // NetCache is a one-slot cache of a simulation network. Sweeps that revisit
@@ -260,17 +165,47 @@ func (o *Options) instrument(nw *network.Network) *network.Network {
 	return nw
 }
 
-// runNet drives one simulation with this run's engine selection: the
-// sharded engine when Shards > 1, the serial engine otherwise. Sync-layer
-// counters accumulate into o.SyncStats when requested (per phase for
-// multi-phase strategies, which call runNet once per phase).
-func (o *Options) runNet(nw *network.Network) (int64, error) {
+// RunPhase runs one simulated phase of a prepared run, the skeleton every
+// strategy and pattern shares: build or recycle the network for sources and
+// h, drive it on the selected engine (sharded when Shards > 1), dump its
+// state to DebugDump on failure, fold the sync counters into SyncStats, and
+// check the payload h counted per node into recv against want. Errors are
+// labeled "<label> on <shape>". Multi-phase strategies call it once per
+// phase; the returned network's Stats are valid until the next call, which
+// may recycle it.
+func (o *Options) RunPhase(label string, sources []network.Source, h network.Handler,
+	recv []int64, want func(node int) int64) (*network.Network, int64, error) {
+	nw, err := o.network(sources, h)
+	if err != nil {
+		return nil, 0, err
+	}
 	t, err := nw.RunSharded(o.MaxTime, o.Shards)
-	if err == nil && o.SyncStats != nil {
+	if err != nil {
+		if o.DebugDump != "" {
+			if f, ferr := os.Create(o.DebugDump); ferr == nil {
+				nw.DumpState(f)
+				f.Close()
+			}
+		}
+		return nil, 0, fmt.Errorf("%s on %v: %w", label, o.Shape, err)
+	}
+	if o.SyncStats != nil {
 		ss := nw.SyncStats()
 		o.SyncStats.Add(&ss)
 	}
-	return t, err
+	for n, got := range recv {
+		if got != want(n) {
+			return nil, 0, fmt.Errorf("%s on %v: node %d received %d payload bytes, want %d",
+				label, o.Shape, n, got, want(n))
+		}
+	}
+	return nw, t, nil
+}
+
+// allToAllPayload is RunPhase's want for the single-phase strategies: every
+// node receives MsgBytes from each of the other P-1.
+func (o *Options) allToAllPayload(int) int64 {
+	return int64(o.Shape.P()-1) * int64(o.MsgBytes)
 }
 
 // pacer builds the injection governor for this run; strict drops the burst
@@ -315,7 +250,7 @@ type Result struct {
 	MaxCPUUtil       float64
 	LastInjectUnits  int64 // time of the last injection; Time minus this is the drain tail
 
-	// Fault-injection outcomes (zero without Options.Faults). DeadLinkTicks
+	// Fault-injection outcomes (zero without Request.Faults). DeadLinkTicks
 	// sums link-downtime over the run (k links dead for d units contribute
 	// k*d); Reroutes counts packets redirected the long way around a ring
 	// after their minimal directions died. Both are identical at any shard
@@ -351,34 +286,35 @@ func (r Result) EventsPerPacket() float64 {
 	return float64(r.QueuedEvents) / float64(r.PacketsInjected)
 }
 
-func (o *Options) newResult(strat Strategy) Result {
-	return Result{
-		Strategy: strat,
+// result builds the run's Result from its completion time and, for the
+// single-network strategies, the network's statistics (VMesh passes nil and
+// folds its two phases itself).
+func (o *Options) result(t int64, st *network.Stats) Result {
+	r := Result{
+		Strategy: o.Strategy,
 		Shape:    o.Shape,
 		MsgBytes: o.MsgBytes,
 		PeakTime: o.Shape.PeakTime(o.MsgBytes),
+		Time:     t,
+		Seconds:  o.Calib.Seconds(float64(t)),
 	}
-}
-
-func (o *Options) finishResult(r *Result, t int64, st *network.Stats) {
-	r.Time = t
-	r.Seconds = o.Calib.Seconds(float64(t))
 	if t > 0 {
 		r.PercentPeak = r.PeakTime / float64(t) * 100
 	}
 	r.PerNodeMBs = model.PerNodeBandwidth(o.Calib, o.Shape, o.MsgBytes, float64(t))
 	if st != nil {
-		r.Events += st.Events()
+		r.Events = st.Events()
 		r.QueuedEvents = r.Events
-		r.PacketsInjected += st.PacketsInjected
-		r.WireBytes += st.WireBytesInjected
-		r.PayloadBytes += st.FinalPayload
+		r.PacketsInjected = st.PacketsInjected
+		r.WireBytes = st.WireBytesInjected
+		r.PayloadBytes = st.FinalPayload
 		r.MeanLatencyUnits = st.MeanLatency()
 		r.LastInjectUnits = st.LastInject
-		r.DeadLinkTicks += st.DeadLinkTicks
-		r.Reroutes += st.Reroutes
+		r.DeadLinkTicks = st.DeadLinkTicks
+		r.Reroutes = st.Reroutes
 		r.MaxLinkUtil = st.MaxLinkUtilization(t)
 		r.MeanLinkUtil = st.MeanLinkUtilization(t, o.Shape.LinkCount())
+		r.MaxIntermediateBacklog = st.MaxPendingFw
 		if t > 0 {
 			var sum, max int64
 			for _, c := range st.CPUBusy {
@@ -394,34 +330,27 @@ func (o *Options) finishResult(r *Result, t int64, st *network.Stats) {
 	if c, ok := o.Observer.(*observe.Collector); ok && c != nil {
 		r.Observed = c.Summary()
 	}
+	return r
 }
 
 // RunContext executes one all-to-all under a context: cancellation aborts
 // the simulation (the serial engine polls between events, the sharded
 // engine at its window barriers) and the run fails with an error wrapping
-// network.ErrCanceled.
+// network.ErrCanceled. opts.Strategy is set to strat.
 func RunContext(ctx context.Context, strat Strategy, opts Options) (Result, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		opts.cancel = ctx.Done()
+	opts.Strategy = strat
+	if err := opts.Prepare(ctx); err != nil {
+		return Result{}, err
 	}
 	switch strat {
-	case StratAR:
-		return RunAR(opts)
-	case StratDR:
-		return RunDR(opts)
-	case StratThrottle:
-		return RunThrottled(opts)
-	case StratMPI:
-		return RunMPI(opts)
+	case StratAR, StratDR, StratThrottle, StratMPI:
+		return runDirect(&opts)
 	case StratTPS:
-		return RunTPS(opts)
+		return runTPS(&opts)
 	case StratVMesh:
-		return RunVMesh(opts)
+		return runVMesh(&opts)
 	case StratXYZ:
-		return RunXYZ(opts)
+		return runXYZ(&opts)
 	}
 	return Result{}, fmt.Errorf("collective: unknown strategy %q", strat)
 }

@@ -14,75 +14,149 @@ import (
 	"alltoall/internal/torus"
 )
 
-// ErrNotCanonical is returned by NewRequest for an Options value that a
-// Request cannot represent: explicit machine Params or Calib overrides, or
-// run machinery (Observer, Cache, DebugDump) that is identity-free by
-// design. Callers fall back to RunContext with the Options struct; test with
-// errors.Is.
+// ErrNotCanonical is returned by NewRequest for an Options value whose
+// remainder beyond the embedded Request is set: explicit machine Params or
+// Calib overrides, or run machinery (Observer, Cache, SyncStats, DebugDump)
+// that is identity-free by design. Test with errors.Is.
 var ErrNotCanonical = errors.New("collective: options not canonicalizable as a Request")
 
-// Request is the canonical, value-comparable description of one simulation:
-// everything that determines a run's Result, and nothing that doesn't. It is
-// the front door shared by the public API (alltoall.RunRequest), the aasim
+// Request is the one description of a simulation run: everything that
+// determines a run's Result, and nothing that doesn't. It is value-comparable
+// and is the form shared by the public API (alltoall.RunRequest), the aasim
 // CLI, the experiments engine, and the aaserve HTTP service - the same
 // Request, wherever it is submitted, produces a byte-identical Result, which
-// is what makes Key() a sound cache and bench identity.
+// is what makes Key() a sound cache and bench identity. Options embeds it and
+// adds only what a Request cannot say.
 //
-// Zero values mean "library default" throughout (matching Options.fill), so
-// the zero Request plus Strategy, Shape and MsgBytes is a complete job. Run
-// machinery - network caches, observers, debug dumps, cancellation - is
-// deliberately not here: it never changes the Result and is layered on per
-// call site (see RunRequest's extra options).
+// Zero values mean "library default" throughout (Options.Prepare fills them),
+// so the zero Request plus Strategy, Shape and MsgBytes is a complete job.
+//
+// The struct tags are the aaserve wire form: snake_case fields, the shape in
+// the Parse/Canon grammar, zero values omitted. The layout is covered by the
+// serve schema version. Keys the struct does not name are ignored on decode,
+// so requests still carrying the retired event_queue, coalesce or sync
+// selectors parse to the same Request as ones without. A new field needs a
+// tag here and a tag in Key.
 type Request struct {
-	Strategy Strategy
-	Shape    torus.Shape
-	MsgBytes int    // per-pair payload, >= 1
-	Seed     uint64 // destination-order randomization
+	Strategy Strategy    `json:"strategy"`
+	Shape    torus.Shape `json:"shape"`
+	MsgBytes int         `json:"msg_bytes"`      // per-pair payload m, >= 1
+	Seed     uint64      `json:"seed,omitempty"` // destination-order randomization
 
-	Burst        int     // packets per destination visit (0 = default 2)
-	PaceBurst    int     // injection token-bucket depth (0 = default)
-	PaceFraction float64 // injection rate vs bisection limit (0 = default 0.95)
-	Unpaced      bool    // disable pacing (ablation)
+	// Burst is the number of packets injected per destination visit in the
+	// direct strategies (the paper's tuning parameter; default 2).
+	Burst int `json:"burst,omitempty"`
+	// PaceBurst is the injection token-bucket depth in packets (default 2).
+	// Every strategy paces injection at the partition's bisection rate; the
+	// Throttle strategy uses a zero-depth (strict) bucket. See pacer.go for
+	// why pacing is always on in this substrate.
+	PaceBurst int `json:"pace_burst,omitempty"`
+	// PaceFraction scales the injection rate relative to the bisection
+	// limit (default 0.95). Slightly under 1 keeps bottleneck links at the
+	// knee of their throughput curve.
+	PaceFraction float64 `json:"pace_fraction,omitempty"`
+	// Unpaced disables injection pacing entirely (ablation only; expect
+	// congestion collapse on saturating workloads).
+	Unpaced bool `json:"unpaced,omitempty"`
 
-	Shards int  // event-engine shards (results identical at any value)
-	Check  bool // runtime invariant checker
+	// Shards > 1 runs the simulation on the window-parallel sharded engine
+	// with that many workers (see network.RunSharded); results are
+	// byte-identical to the serial engine, which 0 or 1 selects. Use
+	// run-level parallelism (experiments.Config.Workers) when there are
+	// enough runs to fill the cores; shards help when a single large run is
+	// the bottleneck.
+	Shards int `json:"shards,omitempty"`
+	// Check enables the simulator's runtime invariant checker (it turns
+	// Par.Check on): every event is validated against the machine's
+	// conservation laws and a completed run must reach full quiescence. A
+	// violation fails the run with a node/time-stamped diagnostic. Costs
+	// roughly 1.4x simulation time; meant for tests and CI, not sweeps.
+	Check bool `json:"check,omitempty"`
 
 	// Faults is a deterministic link-fault schedule in the ParseFaults
-	// grammar ("t:node:dir:action;..."); "" faults nothing. The textual
-	// form is the canonical one (the grammar is a String/Parse fixed
-	// point), so Requests stay value-comparable and JSON-portable.
-	Faults string
+	// grammar ("t:node:dir:action;..."); "" faults nothing and is
+	// byte-identical to a run without it. The textual form is the only one
+	// (the grammar is a String/Parse fixed point), so Requests stay
+	// value-comparable and JSON-portable; Prepare parses it into Par.Faults.
+	// Links go down, come back, die permanently, or degrade at scheduled
+	// times, and packets reroute via the adaptive paths and the escape
+	// bubble channel. Multi-phase strategies (TPS, VMesh, XYZ) restart the
+	// clock each phase, so the schedule re-applies from t=0 per phase.
+	Faults string `json:"faults,omitempty"`
 
-	MaxTime int64 // simulated-time bound (0 = derived default)
+	// MaxTime aborts runs that exceed this many time units (0 = generous
+	// default based on the peak time).
+	MaxTime int64 `json:"max_time,omitempty"`
 
-	// TPSLinear forces the Two Phase Schedule's phase-1 dimension:
-	// 0 selects automatically (the paper's rule), 1/2/3 force X/Y/Z.
-	TPSLinear       int
-	TPSCreditWindow int
-	TPSCreditBatch  int
+	// TPSLinear forces the Two Phase Schedule's linear (phase 1) dimension;
+	// 0 selects it with the paper's rule (symmetric planar dims if
+	// possible, else the longest dimension).
+	TPSLinear LinearDim `json:"tps_linear,omitempty"`
+	// TPSCreditWindow, when positive, enables the paper's Section 5
+	// credit-based flow control for TPS: each source may have at most this
+	// many un-credited phase-1 packets outstanding at each intermediate,
+	// bounding intermediate forwarding memory. Must be >= the credit batch.
+	TPSCreditWindow int `json:"tps_credit_window,omitempty"`
+	// TPSCreditBatch is the number of forwarded packets per returned
+	// credit packet (default 10, the paper's ~1% bandwidth overhead).
+	TPSCreditBatch int `json:"tps_credit_batch,omitempty"`
 
-	// VMeshRows/Cols force the virtual-mesh factorization (0 = balanced);
-	// VMeshMapOrder is a 3-letter dimension permutation like "xzy" ("" =
-	// the default X,Y,Z sweep).
-	VMeshRows     int
-	VMeshCols     int
-	VMeshMapOrder string
+	// VMeshRows/Cols force the virtual mesh factorization P = Cols x Rows
+	// (Pvx = Cols row width, Pvy = Rows column height); 0 selects the most
+	// balanced factorization.
+	VMeshRows int `json:"vmesh_rows,omitempty"`
+	VMeshCols int `json:"vmesh_cols,omitempty"`
+	// VMeshMapOrder chooses which torus dimension consecutive virtual ranks
+	// sweep first, as a 3-letter permutation ("" = "xyz": rows fill X-lines,
+	// then XY planes). The paper's 4096-node experiment maps 128-wide rows
+	// onto XZ planes, i.e. "xzy".
+	VMeshMapOrder string `json:"vmesh_map_order,omitempty"`
 
 	// Observe instruments the run with an observe.Collector so
 	// Result.Observed carries the link/HoL/FIFO summary; ObserveWindow is
 	// the trace bucket width (0 = default). Observation never perturbs
 	// the simulated outcome, but it is part of the request identity
 	// because it changes the Result payload.
-	Observe       bool
-	ObserveWindow int64
+	Observe       bool  `json:"observe,omitempty"`
+	ObserveWindow int64 `json:"observe_window,omitempty"`
 }
 
 // dimLetters renders torus dimensions in map-order strings and keys.
 const dimLetters = "xyz"
 
-// parseMapOrder reads a 3-letter dimension permutation ("xzy").
+// LinearDim is Request.TPSLinear's type: 0 leaves the phase-1 dimension to
+// SelectTPSLinearDim, 1/2/3 force X/Y/Z. Its text form is "", "x", "y", "z".
+type LinearDim int
+
+// MarshalText renders the forced dimension's letter.
+func (d LinearDim) MarshalText() ([]byte, error) {
+	if d < 1 || int(d) > len(dimLetters) {
+		return nil, nil // Validate reports an out-of-range value
+	}
+	return []byte{dimLetters[d-1]}, nil
+}
+
+// UnmarshalText reads "", "x", "y" or "z" in either case.
+func (d *LinearDim) UnmarshalText(text []byte) error {
+	*d = 0
+	if len(text) == 0 {
+		return nil
+	}
+	i := strings.IndexByte(dimLetters, text[0]|0x20)
+	if len(text) != 1 || i < 0 {
+		return fmt.Errorf("collective: tps_linear %q: want x, y, or z", text)
+	}
+	*d = LinearDim(i + 1)
+	return nil
+}
+
+// parseMapOrder reads a 3-letter dimension permutation ("xzy"); "" is the
+// default X,Y,Z sweep.
 func parseMapOrder(s string) ([3]torus.Dim, error) {
-	var ord [3]torus.Dim
+	ord := [3]torus.Dim{torus.X, torus.Y, torus.Z}
+	if s == "" {
+		return ord, nil
+	}
 	if len(s) != 3 {
 		return ord, fmt.Errorf("collective: map order %q: want 3 dimension letters", s)
 	}
@@ -121,17 +195,37 @@ func ParseStrategy(name string) (Strategy, error) {
 	return "", fmt.Errorf("collective: unknown strategy %q", name)
 }
 
-// Validate checks the request without running it. Shape errors wrap
+// UnmarshalText normalizes a known strategy name's case; an unknown name is
+// kept as written for Validate to report.
+func (s *Strategy) UnmarshalText(text []byte) error {
+	*s = Strategy(text)
+	if c := canonStrategy(string(text)); c != "" {
+		*s = c
+	}
+	return nil
+}
+
+// Validate checks the request without running it: every range, grammar and
+// cross-field condition a run depends on, so a request that validates fails
+// only for what the simulation itself finds. Shape errors wrap
 // torus.ErrBadShape; every error is stable enough for an HTTP 400 body.
 func (r Request) Validate() error {
 	if canonStrategy(string(r.Strategy)) != r.Strategy || r.Strategy == "" {
 		return fmt.Errorf("collective: unknown strategy %q", r.Strategy)
 	}
+	_, err := r.check()
+	return err
+}
+
+// check is Validate without the strategy-name test (a pattern run has no
+// strategy), returning the parsed fault schedule so Prepare does not parse
+// it a second time.
+func (r Request) check() (*network.FaultSchedule, error) {
 	if err := r.Shape.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if r.MsgBytes < 1 {
-		return fmt.Errorf("collective: MsgBytes must be >= 1, got %d", r.MsgBytes)
+		return nil, fmt.Errorf("collective: MsgBytes must be >= 1, got %d", r.MsgBytes)
 	}
 	for _, f := range []struct {
 		name string
@@ -144,26 +238,32 @@ func (r Request) Validate() error {
 		{"ObserveWindow", r.ObserveWindow},
 	} {
 		if f.v < 0 {
-			return fmt.Errorf("collective: negative %s", f.name)
+			return nil, fmt.Errorf("collective: negative %s", f.name)
 		}
 	}
 	if r.PaceFraction < 0 || r.PaceFraction > 1 {
-		return fmt.Errorf("collective: PaceFraction %v out of [0,1]", r.PaceFraction)
+		return nil, fmt.Errorf("collective: PaceFraction %v out of [0,1] (0 = default)", r.PaceFraction)
 	}
 	if r.TPSLinear < 0 || r.TPSLinear > 3 {
-		return fmt.Errorf("collective: TPSLinear %d out of 0..3 (0 = auto, 1/2/3 = X/Y/Z)", r.TPSLinear)
+		return nil, fmt.Errorf("collective: TPSLinear %d out of 0..3 (0 = auto, 1/2/3 = X/Y/Z)", r.TPSLinear)
 	}
-	if r.Faults != "" {
-		if _, err := network.ParseFaults(r.Faults); err != nil {
-			return err
+	if _, err := parseMapOrder(r.VMeshMapOrder); err != nil {
+		return nil, err
+	}
+	switch r.Strategy {
+	case StratTPS:
+		if _, err := r.creditBatch(); err != nil {
+			return nil, err
+		}
+	case StratVMesh:
+		if _, _, err := r.vmeshFactors(); err != nil {
+			return nil, err
 		}
 	}
-	if r.VMeshMapOrder != "" {
-		if _, err := parseMapOrder(r.VMeshMapOrder); err != nil {
-			return err
-		}
+	if r.Faults == "" {
+		return nil, nil
 	}
-	return nil
+	return network.ParseFaults(r.Faults)
 }
 
 // Key returns the canonical encoding of the request: a stable, injective
@@ -195,7 +295,7 @@ func (r Request) Key() string {
 	sep("ck", boolKey(r.Check))
 	sep("f", r.Faults)
 	sep("mt", strconv.FormatInt(r.MaxTime, 10))
-	sep("tl", strconv.Itoa(r.TPSLinear))
+	sep("tl", strconv.Itoa(int(r.TPSLinear)))
 	sep("tw", strconv.Itoa(r.TPSCreditWindow))
 	sep("tb", strconv.Itoa(r.TPSCreditBatch))
 	sep("vr", strconv.Itoa(r.VMeshRows))
@@ -213,129 +313,52 @@ func boolKey(v bool) string {
 	return "0"
 }
 
-// options expands the request into the Options struct the strategy runners
-// consume. The expansion is exact: NewRequest(strat, r.options()) round-trips.
-func (r Request) options() (Options, error) {
-	o := Options{
-		Shape:           r.Shape,
-		MsgBytes:        r.MsgBytes,
-		Seed:            r.Seed,
-		Burst:           r.Burst,
-		PaceBurst:       r.PaceBurst,
-		PaceFraction:    r.PaceFraction,
-		Unpaced:         r.Unpaced,
-		Shards:          r.Shards,
-		Check:           r.Check,
-		MaxTime:         r.MaxTime,
-		TPSCreditWindow: r.TPSCreditWindow,
-		TPSCreditBatch:  r.TPSCreditBatch,
-		VMeshRows:       r.VMeshRows,
-		VMeshCols:       r.VMeshCols,
-	}
-	if r.Faults != "" {
-		fs, err := network.ParseFaults(r.Faults)
-		if err != nil {
-			return o, err
-		}
-		if len(fs.Events) > 0 {
-			o.Faults = fs
-		}
-	}
-	if r.TPSLinear > 0 {
-		d := torus.Dim(r.TPSLinear - 1)
-		o.TPSLinear = &d
-	}
-	if r.VMeshMapOrder != "" {
-		ord, err := parseMapOrder(r.VMeshMapOrder)
-		if err != nil {
-			return o, err
-		}
-		o.VMeshMapOrder = &ord
-	}
-	return o, nil
-}
-
-// NewRequest lifts an Options struct into the canonical Request form, the
-// bridge the experiments engine and the facade's functional options go
-// through. Options that carry non-canonical state - explicit Par or Calib
-// overrides, an Observer, a Cache, a DebugDump path - return an error
-// wrapping ErrNotCanonical: those fields are either not value-encodable (v1
-// keys don't cover custom machine parameters) or deliberately excluded from
-// request identity; layer them per call with RunRequest's extra options.
+// NewRequest returns the Request an Options value describes, for strat. It
+// only checks the remainder: Options that carry anything beyond the embedded
+// Request - explicit Par or Calib overrides, an Observer, a Cache, SyncStats,
+// a DebugDump path - return an error wrapping ErrNotCanonical, because those
+// fields are either not value-encodable (keys don't cover custom machine
+// parameters) or deliberately excluded from request identity; layer them per
+// call with RunRequest's extra options. DetRouting is dropped: the
+// collective strategies ignore it.
 func NewRequest(strat Strategy, o Options) (Request, error) {
-	if o.Par != (network.Params{}) {
-		return Request{}, fmt.Errorf("%w: explicit Params", ErrNotCanonical)
+	var what string
+	switch {
+	case o.Par != (network.Params{}):
+		what = "explicit Params"
+	case o.Calib != (model.Calib{}):
+		what = "explicit Calib"
+	case o.Observer != nil:
+		what = "Observer (pass it as a RunRequest extra option)"
+	case o.Cache != nil:
+		what = "Cache (pass it as a RunRequest extra option)"
+	case o.SyncStats != nil:
+		what = "SyncStats (pass it as a RunRequest extra option)"
+	case o.DebugDump != "":
+		what = "DebugDump (pass it as a RunRequest extra option)"
+	case o.cancel != nil:
+		what = "cancellation channel (use RunRequest's context)"
 	}
-	if o.Calib != (model.Calib{}) {
-		return Request{}, fmt.Errorf("%w: explicit Calib", ErrNotCanonical)
+	if what != "" {
+		return Request{}, fmt.Errorf("%w: %s", ErrNotCanonical, what)
 	}
-	if o.Observer != nil {
-		return Request{}, fmt.Errorf("%w: Observer (pass it as a RunRequest extra option)", ErrNotCanonical)
-	}
-	if o.Cache != nil {
-		return Request{}, fmt.Errorf("%w: Cache (pass it as a RunRequest extra option)", ErrNotCanonical)
-	}
-	if o.SyncStats != nil {
-		return Request{}, fmt.Errorf("%w: SyncStats (pass it as a RunRequest extra option)", ErrNotCanonical)
-	}
-	if o.DebugDump != "" {
-		return Request{}, fmt.Errorf("%w: DebugDump (pass it as a RunRequest extra option)", ErrNotCanonical)
-	}
-	if o.cancel != nil {
-		return Request{}, fmt.Errorf("%w: cancellation channel (use RunRequest's context)", ErrNotCanonical)
-	}
-	r := Request{
-		Strategy:        strat,
-		Shape:           o.Shape,
-		MsgBytes:        o.MsgBytes,
-		Seed:            o.Seed,
-		Burst:           o.Burst,
-		PaceBurst:       o.PaceBurst,
-		PaceFraction:    o.PaceFraction,
-		Unpaced:         o.Unpaced,
-		Shards:          o.Shards,
-		Check:           o.Check,
-		Faults:          o.Faults.String(),
-		MaxTime:         o.MaxTime,
-		TPSCreditWindow: o.TPSCreditWindow,
-		TPSCreditBatch:  o.TPSCreditBatch,
-		VMeshRows:       o.VMeshRows,
-		VMeshCols:       o.VMeshCols,
-	}
-	if o.TPSLinear != nil {
-		r.TPSLinear = int(*o.TPSLinear) + 1
-	}
-	if o.VMeshMapOrder != nil {
-		var b [3]byte
-		for i, d := range o.VMeshMapOrder {
-			if d < 0 || int(d) >= len(dimLetters) {
-				return Request{}, fmt.Errorf("%w: VMeshMapOrder dimension %d", ErrNotCanonical, d)
-			}
-			b[i] = dimLetters[d]
-		}
-		r.VMeshMapOrder = string(b[:])
-	}
+	r := o.Request
+	r.Strategy = strat
 	return r, r.Validate()
 }
 
-// RunRequest executes the canonical request under a context. The extra
-// options are applied to the expanded Options before the run; by contract
-// they carry run machinery only (a NetCache, an Observer, a DebugDump path)
-// - changing canonical fields through them would break the Key() identity,
-// so don't. When r.Observe is set and no extra option installed an observer,
-// a fresh observe.Collector is attached so Result.Observed is populated.
+// RunRequest executes the request under a context. The extra options are
+// applied to Options{Request: r} before the run; by contract they carry run
+// machinery only (a NetCache, an Observer, a DebugDump path) - changing
+// Request fields through them would break the Key() identity, so don't. When
+// r.Observe is set and no extra option installed an observer, a fresh
+// observe.Collector is attached so Result.Observed is populated.
 //
 // A Result returned here is byte-identical for equal Requests regardless of
 // caller, concurrency, or which extra machinery was attached: that is the
 // correctness contract the serving layer's memoization rests on.
 func RunRequest(ctx context.Context, r Request, extra ...func(*Options)) (Result, error) {
-	if err := r.Validate(); err != nil {
-		return Result{}, err
-	}
-	o, err := r.options()
-	if err != nil {
-		return Result{}, err
-	}
+	o := Options{Request: r}
 	for _, f := range extra {
 		if f != nil {
 			f(&o)
@@ -347,110 +370,16 @@ func RunRequest(ctx context.Context, r Request, extra ...func(*Options)) (Result
 	return RunContext(ctx, r.Strategy, o)
 }
 
-// requestWire is the JSON layout of a Request: snake_case fields, shape in
-// the canonical Parse/Canon grammar, zero values omitted. The layout is
-// covered by the serve schema version. Keys it does not name are ignored on
-// decode, so requests still carrying the retired event_queue, coalesce or
-// sync selectors parse to the same Request as ones without.
-type requestWire struct {
-	Strategy        string  `json:"strategy"`
-	Shape           string  `json:"shape"`
-	MsgBytes        int     `json:"msg_bytes"`
-	Seed            uint64  `json:"seed,omitempty"`
-	Burst           int     `json:"burst,omitempty"`
-	PaceBurst       int     `json:"pace_burst,omitempty"`
-	PaceFraction    float64 `json:"pace_fraction,omitempty"`
-	Unpaced         bool    `json:"unpaced,omitempty"`
-	Shards          int     `json:"shards,omitempty"`
-	Check           bool    `json:"check,omitempty"`
-	Faults          string  `json:"faults,omitempty"`
-	MaxTime         int64   `json:"max_time,omitempty"`
-	TPSLinear       string  `json:"tps_linear,omitempty"`
-	TPSCreditWindow int     `json:"tps_credit_window,omitempty"`
-	TPSCreditBatch  int     `json:"tps_credit_batch,omitempty"`
-	VMeshRows       int     `json:"vmesh_rows,omitempty"`
-	VMeshCols       int     `json:"vmesh_cols,omitempty"`
-	VMeshMapOrder   string  `json:"vmesh_map_order,omitempty"`
-	Observe         bool    `json:"observe,omitempty"`
-	ObserveWindow   int64   `json:"observe_window,omitempty"`
-}
-
-// MarshalJSON renders the canonical wire form (see requestWire).
-func (r Request) MarshalJSON() ([]byte, error) {
-	w := requestWire{
-		Strategy:        string(r.Strategy),
-		MsgBytes:        r.MsgBytes,
-		Seed:            r.Seed,
-		Burst:           r.Burst,
-		PaceBurst:       r.PaceBurst,
-		PaceFraction:    r.PaceFraction,
-		Unpaced:         r.Unpaced,
-		Shards:          r.Shards,
-		Check:           r.Check,
-		Faults:          r.Faults,
-		MaxTime:         r.MaxTime,
-		TPSCreditWindow: r.TPSCreditWindow,
-		TPSCreditBatch:  r.TPSCreditBatch,
-		VMeshRows:       r.VMeshRows,
-		VMeshCols:       r.VMeshCols,
-		VMeshMapOrder:   r.VMeshMapOrder,
-		Observe:         r.Observe,
-		ObserveWindow:   r.ObserveWindow,
-	}
-	if r.Shape != (torus.Shape{}) { // the unset shape reads back from "", not "0x0x0"
-		w.Shape = r.Shape.Canon()
-	}
-	if r.TPSLinear > 0 {
-		w.TPSLinear = string(dimLetters[r.TPSLinear-1])
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON reads the wire form, normalizing strategy case and parsing
-// the shape grammar.
+// UnmarshalJSON reads the wire form into a fresh Request. The field tags and
+// the text forms of Strategy, Shape and LinearDim do the decoding; the map
+// order's case is the one thing left to normalize.
 func (r *Request) UnmarshalJSON(data []byte) error {
-	var w requestWire
+	type fields Request // the tagged fields without this method
+	var w fields
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	out := Request{
-		MsgBytes:        w.MsgBytes,
-		Seed:            w.Seed,
-		Burst:           w.Burst,
-		PaceBurst:       w.PaceBurst,
-		PaceFraction:    w.PaceFraction,
-		Unpaced:         w.Unpaced,
-		Shards:          w.Shards,
-		Check:           w.Check,
-		Faults:          w.Faults,
-		MaxTime:         w.MaxTime,
-		TPSCreditWindow: w.TPSCreditWindow,
-		TPSCreditBatch:  w.TPSCreditBatch,
-		VMeshRows:       w.VMeshRows,
-		VMeshCols:       w.VMeshCols,
-		VMeshMapOrder:   strings.ToLower(w.VMeshMapOrder),
-		Observe:         w.Observe,
-		ObserveWindow:   w.ObserveWindow,
-	}
-	if s := canonStrategy(w.Strategy); s != "" {
-		out.Strategy = s
-	} else {
-		out.Strategy = Strategy(w.Strategy) // Validate reports it
-	}
-	if w.Shape != "" {
-		shape, err := torus.Parse(w.Shape)
-		if err != nil {
-			return err
-		}
-		out.Shape = shape
-	}
-	switch tl := strings.ToLower(w.TPSLinear); tl {
-	case "":
-	case "x", "y", "z":
-		out.TPSLinear = strings.IndexByte(dimLetters, tl[0]) + 1
-	default:
-		return fmt.Errorf("collective: tps_linear %q: want x, y, or z", w.TPSLinear)
-	}
-	*r = out
+	w.VMeshMapOrder = strings.ToLower(w.VMeshMapOrder)
+	*r = Request(w)
 	return nil
 }

@@ -37,30 +37,56 @@ func fullRequest() Request {
 	}
 }
 
+// everyFieldRequest is fullRequest with the fields it leaves at zero set too,
+// and fails the test if Request has a field that is still zero: a new field
+// must be added here, and so to the tests that walk every field.
+func everyFieldRequest(t *testing.T) Request {
+	t.Helper()
+	req := fullRequest()
+	req.Unpaced = true
+	req.VMeshRows, req.VMeshCols, req.VMeshMapOrder = 4, 16, "xzy"
+	v := reflect.ValueOf(req)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("Request.%s is zero in everyFieldRequest: set it there", v.Type().Field(i).Name)
+		}
+	}
+	return req
+}
+
+// TestRequestRoundTripOptions: an Options value built around a Request gives
+// the same Request back, every field included.
 func TestRequestRoundTripOptions(t *testing.T) {
 	req := fullRequest()
 	if err := req.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	o, err := req.options()
-	if err != nil {
-		t.Fatalf("options: %v", err)
-	}
-	back, err := NewRequest(req.Strategy, o)
+	back, err := NewRequest(req.Strategy, Options{Request: req})
 	if err != nil {
 		t.Fatalf("NewRequest: %v", err)
 	}
-	// Observe/ObserveWindow are not representable in Options (the Observer
-	// there is machinery), so the round trip drops them by design.
-	back.Observe = req.Observe
-	back.ObserveWindow = req.ObserveWindow
 	if back != req {
 		t.Errorf("options round trip drifted:\n got %+v\nwant %+v", back, req)
 	}
+	// The strategy argument wins over whatever the embedded Request names.
+	o := Options{Request: req}
+	o.Strategy = StratAR
+	if back, err = NewRequest(req.Strategy, o); err != nil || back != req {
+		t.Errorf("NewRequest(%s, ...) = %+v, %v; want the strategy argument to win", req.Strategy, back, err)
+	}
 }
 
+// TestRequestJSONRoundTrip sets every field and demands it back from the
+// wire; a field without a json tag (which would travel under its Go name) is
+// an error.
 func TestRequestJSONRoundTrip(t *testing.T) {
-	req := fullRequest()
+	req := everyFieldRequest(t)
+	rt := reflect.TypeOf(req)
+	for i := 0; i < rt.NumField(); i++ {
+		if tag, ok := rt.Field(i).Tag.Lookup("json"); !ok || tag == "-" {
+			t.Errorf("Request.%s has no json tag", rt.Field(i).Name)
+		}
+	}
 	data, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +97,43 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 	}
 	if back != req {
 		t.Errorf("JSON round trip drifted:\n got %+v\nwant %+v\nwire %s", back, req, data)
+	}
+}
+
+// TestRequestWireBytes pins the wire form and the key to the bytes the
+// two-struct implementation (requestWire, PR 13) produced: field order, the
+// omitempty set, "shape":"" for the unset shape, tps_linear as a letter.
+func TestRequestWireBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		req       Request
+		wire, key string
+	}{
+		{"full", fullRequest(),
+			`{"strategy":"TPS","shape":"8x4x2","msg_bytes":240,"seed":7,"burst":3,"pace_burst":5,"pace_fraction":0.5,` +
+				`"shards":2,"check":true,"faults":"0:5:+x:kill","max_time":5000000,"tps_linear":"x",` +
+				`"tps_credit_window":32,"tps_credit_batch":4,"observe":true,"observe_window":512}`,
+			"aa3|s=TPS|p=8x4x2|m=240|r=7|b=3|pb=5|pf=0.5|up=0|sh=2|ck=1|f=0:5:+x:kill|mt=5000000|tl=1|tw=32|tb=4|vr=0|vc=0|vo=|ob=1|ow=512"},
+		{"every field", everyFieldRequest(t),
+			`{"strategy":"TPS","shape":"8x4x2","msg_bytes":240,"seed":7,"burst":3,"pace_burst":5,"pace_fraction":0.5,` +
+				`"unpaced":true,"shards":2,"check":true,"faults":"0:5:+x:kill","max_time":5000000,"tps_linear":"x",` +
+				`"tps_credit_window":32,"tps_credit_batch":4,"vmesh_rows":4,"vmesh_cols":16,"vmesh_map_order":"xzy",` +
+				`"observe":true,"observe_window":512}`,
+			"aa3|s=TPS|p=8x4x2|m=240|r=7|b=3|pb=5|pf=0.5|up=1|sh=2|ck=1|f=0:5:+x:kill|mt=5000000|tl=1|tw=32|tb=4|vr=4|vc=16|vo=xzy|ob=1|ow=512"},
+		{"zero", Request{},
+			`{"strategy":"","shape":"","msg_bytes":0}`,
+			"aa3|s=|p=0x0x0|m=0|r=0|b=0|pb=0|pf=0|up=0|sh=0|ck=0|f=|mt=0|tl=0|tw=0|tb=0|vr=0|vc=0|vo=|ob=0|ow=0"},
+	} {
+		wire, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if string(wire) != tc.wire {
+			t.Errorf("%s: wire form changed:\n got %s\nwant %s", tc.name, wire, tc.wire)
+		}
+		if k := tc.req.Key(); k != tc.key {
+			t.Errorf("%s: key changed:\n got %s\nwant %s", tc.name, k, tc.key)
+		}
 	}
 }
 
@@ -118,6 +181,12 @@ func TestRequestKeyInjective(t *testing.T) {
 		"Observe":         func(r *Request) { r.Observe = false },
 		"ObserveWindow":   func(r *Request) { r.ObserveWindow++ },
 	}
+	rt := reflect.TypeOf(base)
+	for i := 0; i < rt.NumField(); i++ {
+		if muts[rt.Field(i).Name] == nil {
+			t.Errorf("Request.%s is not mutated here: give it a tag in Key and a case in this test", rt.Field(i).Name)
+		}
+	}
 	seen := map[string]string{base.Key(): "base"}
 	for name, mut := range muts {
 		r := base
@@ -142,7 +211,7 @@ func TestRequestKeyDistinguishesUnitDims(t *testing.T) {
 }
 
 func TestNewRequestRejectsMachinery(t *testing.T) {
-	good := Options{Shape: torus.New(4, 4, 2), MsgBytes: 64}
+	good := Options{Request: Request{Shape: torus.New(4, 4, 2), MsgBytes: 64}}
 	cases := map[string]func(*Options){
 		"Params":    func(o *Options) { o.Par = network.DefaultParams() },
 		"Calib":     func(o *Options) { o.Calib = model.DefaultCalib() },
@@ -177,10 +246,23 @@ func TestRequestValidate(t *testing.T) {
 		"faults":    {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, Faults: "nope"},
 		"maporder":  {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, VMeshMapOrder: "xxy"},
 		"tpslinear": {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, TPSLinear: 4},
+		"vmesh":     {Strategy: StratVMesh, Shape: torus.New(4, 4, 2), MsgBytes: 8, VMeshRows: 3, VMeshCols: 5},
+		"window":    {Strategy: StratTPS, Shape: torus.New(4, 4, 2), MsgBytes: 8, TPSCreditWindow: 2, TPSCreditBatch: 5},
+		"window10":  {Strategy: StratTPS, Shape: torus.New(4, 4, 2), MsgBytes: 8, TPSCreditWindow: 9},
 	}
 	for name, r := range bad {
 		if err := r.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, r)
+		}
+	}
+	// The cross-field checks bind only the strategy that reads the fields.
+	for name, r := range map[string]Request{
+		"vmesh fields on AR":  {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 8, VMeshRows: 3, VMeshCols: 5},
+		"credit fields on AR": {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 8, TPSCreditWindow: 2, TPSCreditBatch: 5},
+		"forced vmesh":        {Strategy: StratVMesh, Shape: torus.New(4, 4, 2), MsgBytes: 8, VMeshRows: 4, VMeshCols: 8},
+	} {
+		if err := r.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 	shapeless := Request{Strategy: StratAR, MsgBytes: 64}
@@ -205,7 +287,7 @@ func TestParseStrategy(t *testing.T) {
 // produces the identical Result as RunContext with the struct options for
 // the same configuration.
 func TestRunRequestMatchesRun(t *testing.T) {
-	opts := Options{Shape: torus.New(4, 4, 2), MsgBytes: 64, Seed: 3, Check: true}
+	opts := Options{Request: Request{Shape: torus.New(4, 4, 2), MsgBytes: 64, Seed: 3, Check: true}}
 	req, err := NewRequest(StratAR, opts)
 	if err != nil {
 		t.Fatal(err)

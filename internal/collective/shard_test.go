@@ -16,7 +16,7 @@ func TestShardedResultsMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	base := Options{Shape: torus.New(4, 4, 2), MsgBytes: 512, Seed: 3}
+	base := Options{Request: Request{Shape: torus.New(4, 4, 2), MsgBytes: 512, Seed: 3}}
 	credit := base
 	credit.TPSCreditWindow = 20
 	credit.TPSCreditBatch = 5

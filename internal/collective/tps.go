@@ -1,7 +1,7 @@
 package collective
 
 import (
-	"fmt"
+	"context"
 
 	"alltoall/internal/network"
 	"alltoall/internal/torus"
@@ -162,16 +162,14 @@ func (h *tpsHandler) OnDeliver(d network.Delivered, fw []network.PacketSpec) ([]
 
 // RunTPS runs the Two Phase Schedule strategy.
 func RunTPS(opts Options) (Result, error) {
-	if err := opts.fill(); err != nil {
-		return Result{}, err
-	}
+	return RunContext(context.Background(), StratTPS, opts)
+}
+
+func runTPS(opts *Options) (Result, error) {
 	shape := opts.Shape
 	linear := SelectTPSLinearDim(shape)
-	if opts.TPSLinear != nil {
-		linear = *opts.TPSLinear
-		if linear < 0 || linear >= torus.NumDims {
-			return Result{}, fmt.Errorf("collective: invalid TPS linear dimension %d", linear)
-		}
+	if opts.TPSLinear > 0 {
+		linear = torus.Dim(opts.TPSLinear - 1)
 	}
 	if opts.TPSCreditWindow > 0 {
 		return runTPSCredit(opts, linear)
@@ -193,25 +191,11 @@ func RunTPS(opts Options) (Result, error) {
 		}
 	}
 	h := &tpsHandler{recvPayload: make([]int64, p), forwarded: make([]int64, p)}
-	nw, err := opts.network(sources, h)
+	nw, t, err := opts.RunPhase("TPS", sources, h, h.recvPayload, opts.allToAllPayload)
 	if err != nil {
 		return Result{}, err
 	}
-	t, err := opts.runNet(nw)
-	if err != nil {
-		opts.dumpOnError(nw, err)
-		return Result{}, fmt.Errorf("TPS on %v: %w", shape, err)
-	}
-	want := int64(p-1) * int64(opts.MsgBytes)
-	for n := 0; n < p; n++ {
-		if h.recvPayload[n] != want {
-			return Result{}, fmt.Errorf("TPS on %v: node %d received %d payload bytes, want %d",
-				shape, n, h.recvPayload[n], want)
-		}
-	}
-	r := opts.newResult(StratTPS)
+	r := opts.result(t, nw.Stats())
 	r.TPSLinearDim = linear
-	opts.finishResult(&r, t, nw.Stats())
-	r.MaxIntermediateBacklog = nw.Stats().MaxPendingFw
 	return r, nil
 }

@@ -233,26 +233,37 @@ func (h *tpsCreditHandler) OnDeliver(d network.Delivered, fw []network.PacketSpe
 	}
 }
 
-// runTPSCredit is the flow-controlled variant of RunTPS, used when
-// Options.TPSCreditWindow > 0.
-func runTPSCredit(opts Options, linear torus.Dim) (Result, error) {
+// creditBatch returns the packets forwarded per returned credit (default 10,
+// the paper's one-credit-per-ten-packets suggestion) and checks that a
+// positive credit window can hold one batch. Validate and runTPSCredit share
+// it.
+func (r Request) creditBatch() (int, error) {
+	batch := r.TPSCreditBatch
+	if batch == 0 {
+		batch = 10
+	}
+	if r.TPSCreditWindow > 0 && r.TPSCreditWindow < batch {
+		return 0, fmt.Errorf("collective: TPSCreditWindow %d must be >= TPSCreditBatch %d (credits could never return)",
+			r.TPSCreditWindow, batch)
+	}
+	return batch, nil
+}
+
+// runTPSCredit is the flow-controlled variant of runTPS, used when
+// Request.TPSCreditWindow > 0.
+func runTPSCredit(opts *Options, linear torus.Dim) (Result, error) {
 	shape := opts.Shape
 	p := shape.P()
 	msg := NewMsg(opts.MsgBytes, opts.Calib.HeaderBytes)
-	window := opts.TPSCreditWindow
-	batch := opts.TPSCreditBatch
-	if batch == 0 {
-		batch = 10 // the paper's one-credit-per-ten-packets suggestion
-	}
-	if window < batch {
-		return Result{}, fmt.Errorf("collective: TPSCreditWindow %d must be >= TPSCreditBatch %d (credits could never return)",
-			window, batch)
+	batch, err := opts.creditBatch()
+	if err != nil {
+		return Result{}, err
 	}
 	srcs := make([]*tpsCreditSource, p)
 	sources := make([]network.Source, p)
 	for n := 0; n < p; n++ {
 		srcs[n] = newTPSCreditSource(shape, n, linear, msg,
-			opts.Calib.AlphaAR, opts.pacer(false), window, opts.Seed)
+			opts.Calib.AlphaAR, opts.pacer(false), opts.TPSCreditWindow, opts.Seed)
 		sources[n] = srcs[n]
 	}
 	h := &tpsCreditHandler{
@@ -265,28 +276,14 @@ func runTPSCredit(opts Options, linear torus.Dim) (Result, error) {
 		credits:    make([]int64, p),
 		creditSz:   network.MinPacketBytes,
 	}
-	nw, err := opts.network(sources, h)
+	nw, t, err := opts.RunPhase("TPS+credit", sources, h, h.recvPayload, opts.allToAllPayload)
 	if err != nil {
 		return Result{}, err
 	}
-	t, err := opts.runNet(nw)
-	if err != nil {
-		opts.dumpOnError(nw, err)
-		return Result{}, fmt.Errorf("TPS+credit on %v: %w", shape, err)
-	}
-	want := int64(p-1) * int64(opts.MsgBytes)
-	for n := 0; n < p; n++ {
-		if h.recvPayload[n] != want {
-			return Result{}, fmt.Errorf("TPS+credit on %v: node %d received %d payload bytes, want %d",
-				shape, n, h.recvPayload[n], want)
-		}
-	}
-	r := opts.newResult(StratTPS)
+	r := opts.result(t, nw.Stats())
 	r.TPSLinearDim = linear
-	opts.finishResult(&r, t, nw.Stats())
 	for _, c := range h.credits {
 		r.CreditPackets += c
 	}
-	r.MaxIntermediateBacklog = nw.Stats().MaxPendingFw
 	return r, nil
 }

@@ -13,8 +13,13 @@ func TestTPSCreditDeliversEverything(t *testing.T) {
 	// intermediate (the 4x2 plane), so a batch of 4 yields two credits per
 	// (intermediate, source) pair.
 	res, err := RunTPS(Options{
-		Shape: shape, MsgBytes: 200, Seed: 5,
-		TPSCreditWindow: 8, TPSCreditBatch: 4,
+		Request: Request{
+			Shape:           shape,
+			MsgBytes:        200,
+			Seed:            5,
+			TPSCreditWindow: 8,
+			TPSCreditBatch:  4,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,14 +36,19 @@ func TestTPSCreditDeliversEverything(t *testing.T) {
 func TestTPSCreditBoundsIntermediateMemory(t *testing.T) {
 	shape := torus.New(16, 4, 2)
 	m := 480
-	free, err := RunTPS(Options{Shape: shape, MsgBytes: m, Seed: 1})
+	free, err := RunTPS(Options{Request: Request{Shape: shape, MsgBytes: m, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	window := 12
 	fc, err := RunTPS(Options{
-		Shape: shape, MsgBytes: m, Seed: 1,
-		TPSCreditWindow: window, TPSCreditBatch: 6,
+		Request: Request{
+			Shape:           shape,
+			MsgBytes:        m,
+			Seed:            1,
+			TPSCreditWindow: window,
+			TPSCreditBatch:  6,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +74,13 @@ func TestTPSCreditBoundsIntermediateMemory(t *testing.T) {
 func TestTPSCreditOverheadSmall(t *testing.T) {
 	shape := torus.New(8, 4, 2)
 	res, err := RunTPS(Options{
-		Shape: shape, MsgBytes: 480, Seed: 2,
-		TPSCreditWindow: 20, TPSCreditBatch: 10,
+		Request: Request{
+			Shape:           shape,
+			MsgBytes:        480,
+			Seed:            2,
+			TPSCreditWindow: 20,
+			TPSCreditBatch:  10,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +104,12 @@ func creditBytytesOr1(b int64) int64 {
 func TestTPSCreditValidation(t *testing.T) {
 	shape := torus.New(8, 4, 2)
 	_, err := RunTPS(Options{
-		Shape: shape, MsgBytes: 64, TPSCreditWindow: 5, TPSCreditBatch: 10,
+		Request: Request{
+			Shape:           shape,
+			MsgBytes:        64,
+			TPSCreditWindow: 5,
+			TPSCreditBatch:  10,
+		},
 	})
 	if err == nil {
 		t.Error("window smaller than batch accepted (credits could never return)")

@@ -43,7 +43,7 @@ func TestSelectTPSLinearDimSkipsUnitDims(t *testing.T) {
 
 func TestRunTPSDeliversEverything(t *testing.T) {
 	shape := torus.New(8, 4, 2)
-	res, err := RunTPS(Options{Shape: shape, MsgBytes: 200, Seed: 5})
+	res, err := RunTPS(Options{Request: Request{Shape: shape, MsgBytes: 200, Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,16 +58,14 @@ func TestRunTPSDeliversEverything(t *testing.T) {
 
 func TestRunTPSForcedLinearDim(t *testing.T) {
 	shape := torus.New(8, 4, 2)
-	d := torus.Y
-	res, err := RunTPS(Options{Shape: shape, MsgBytes: 64, Seed: 5, TPSLinear: &d})
+	res, err := RunTPS(Options{Request: Request{Shape: shape, MsgBytes: 64, Seed: 5, TPSLinear: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TPSLinearDim != torus.Y {
 		t.Errorf("forced linear dim not honoured: %v", res.TPSLinearDim)
 	}
-	bad := torus.Dim(9)
-	if _, err := RunTPS(Options{Shape: shape, MsgBytes: 64, TPSLinear: &bad}); err == nil {
+	if _, err := RunTPS(Options{Request: Request{Shape: shape, MsgBytes: 64, TPSLinear: 9}}); err == nil {
 		t.Error("invalid forced dimension accepted")
 	}
 }
@@ -151,7 +149,7 @@ func TestTPSHandlerForwarding(t *testing.T) {
 func TestTPSOnPlane(t *testing.T) {
 	// TPS degenerates gracefully on a 2D partition.
 	shape := torus.New(8, 4, 1)
-	res, err := RunTPS(Options{Shape: shape, MsgBytes: 100, Seed: 2})
+	res, err := RunTPS(Options{Request: Request{Shape: shape, MsgBytes: 100, Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"context"
 	"fmt"
 
 	"alltoall/internal/network"
@@ -90,30 +91,38 @@ func (s *vmeshSource) Next(now int64) (network.PacketSpec, network.SrcStatus, in
 	return spec, network.SrcReady, 0
 }
 
-// RunVMesh runs the 2D virtual-mesh combining strategy. The two phases are
-// separated by a barrier (they do not overlap, matching Equation 4).
-func RunVMesh(opts Options) (Result, error) {
-	if err := opts.fill(); err != nil {
-		return Result{}, err
-	}
-	shape := opts.Shape
-	p := shape.P()
-	pvx, pvy := opts.VMeshCols, opts.VMeshRows
+// vmeshFactors returns the virtual-mesh factorization Pvx x Pvy the request
+// selects - the forced VMeshCols x VMeshRows, or the balanced one when either
+// is 0 - and checks that it covers the partition. Validate and runVMesh share
+// it.
+func (r Request) vmeshFactors() (pvx, pvy int, err error) {
+	p := r.Shape.P()
+	pvx, pvy = r.VMeshCols, r.VMeshRows
 	if pvx == 0 || pvy == 0 {
 		pvx, pvy = BalancedFactor(p)
 	}
 	if pvx*pvy != p {
-		return Result{}, fmt.Errorf("collective: vmesh %dx%d does not cover %d nodes", pvx, pvy, p)
+		return 0, 0, fmt.Errorf("collective: vmesh %dx%d does not cover %d nodes", pvx, pvy, p)
 	}
-	order := [3]torus.Dim{torus.X, torus.Y, torus.Z}
-	if opts.VMeshMapOrder != nil {
-		order = *opts.VMeshMapOrder
-		if order[0] == order[1] || order[1] == order[2] || order[0] == order[2] ||
-			order[0] < 0 || order[0] >= torus.NumDims ||
-			order[1] < 0 || order[1] >= torus.NumDims ||
-			order[2] < 0 || order[2] >= torus.NumDims {
-			return Result{}, fmt.Errorf("collective: VMeshMapOrder %v is not a permutation of X,Y,Z", order)
-		}
+	return pvx, pvy, nil
+}
+
+// RunVMesh runs the 2D virtual-mesh combining strategy. The two phases are
+// separated by a barrier (they do not overlap, matching Equation 4).
+func RunVMesh(opts Options) (Result, error) {
+	return RunContext(context.Background(), StratVMesh, opts)
+}
+
+func runVMesh(opts *Options) (Result, error) {
+	shape := opts.Shape
+	p := shape.P()
+	pvx, pvy, err := opts.vmeshFactors()
+	if err != nil {
+		return Result{}, err
+	}
+	order, err := parseMapOrder(opts.VMeshMapOrder)
+	if err != nil {
+		return Result{}, err
 	}
 	vm := newVMeshMap(shape, order)
 	calib := opts.Calib
@@ -142,21 +151,10 @@ func RunVMesh(opts Options) (Result, error) {
 		}
 	}
 	h1 := &directHandler{recvPayload: make([]int64, p)}
-	nw1, err := opts.network(src1, h1)
+	nw1, t1, err := opts.RunPhase("VMesh phase 1", src1, h1, h1.recvPayload,
+		func(int) int64 { return int64(pvx-1) * int64(msg1.Payload) })
 	if err != nil {
 		return Result{}, err
-	}
-	t1, err := opts.runNet(nw1)
-	if err != nil {
-		opts.dumpOnError(nw1, err)
-		return Result{}, fmt.Errorf("VMesh phase 1 on %v: %w", shape, err)
-	}
-	want1 := int64(pvx-1) * int64(msg1.Payload)
-	for n := 0; n < p; n++ {
-		if h1.recvPayload[n] != want1 {
-			return Result{}, fmt.Errorf("VMesh phase 1 on %v: node %d received %d, want %d",
-				shape, n, h1.recvPayload[n], want1)
-		}
 	}
 	// Capture phase-1 measurements now: building the phase-2 network below
 	// may recycle (Reset) this one when a cache is in use, zeroing its stats.
@@ -190,28 +188,16 @@ func RunVMesh(opts Options) (Result, error) {
 		}
 	}
 	h2 := &directHandler{recvPayload: make([]int64, p)}
-	nw2, err := opts.network(src2, h2)
+	nw2, t2, err := opts.RunPhase("VMesh phase 2", src2, h2, h2.recvPayload,
+		func(int) int64 { return int64(pvy-1) * int64(msg2.Payload) })
 	if err != nil {
 		return Result{}, err
 	}
-	t2, err := opts.runNet(nw2)
-	if err != nil {
-		opts.dumpOnError(nw2, err)
-		return Result{}, fmt.Errorf("VMesh phase 2 on %v: %w", shape, err)
-	}
-	want2 := int64(pvy-1) * int64(msg2.Payload)
-	for n := 0; n < p; n++ {
-		if h2.recvPayload[n] != want2 {
-			return Result{}, fmt.Errorf("VMesh phase 2 on %v: node %d received %d, want %d",
-				shape, n, h2.recvPayload[n], want2)
-		}
-	}
 
 	st2 := nw2.Stats()
-	r := opts.newResult(StratVMesh)
+	r := opts.result(t1+t2, nil)
 	r.VMeshCols, r.VMeshRows = pvx, pvy
 	r.PhaseTimes = []int64{t1, t2}
-	opts.finishResult(&r, t1+t2, nil)
 	r.DeadLinkTicks = dead1 + st2.DeadLinkTicks
 	r.Reroutes = rr1 + st2.Reroutes
 	r.Events = ev1 + st2.Events()

@@ -1,7 +1,7 @@
 package collective
 
 import (
-	"fmt"
+	"context"
 
 	"alltoall/internal/network"
 	"alltoall/internal/torus"
@@ -128,9 +128,10 @@ func (h *xyzHandler) OnDeliver(d network.Delivered, fw []network.PacketSpec) ([]
 
 // RunXYZ runs the three-phase dimension-ordered indirect all-to-all.
 func RunXYZ(opts Options) (Result, error) {
-	if err := opts.fill(); err != nil {
-		return Result{}, err
-	}
+	return RunContext(context.Background(), StratXYZ, opts)
+}
+
+func runXYZ(opts *Options) (Result, error) {
 	shape := opts.Shape
 	p := shape.P()
 	msg := NewMsg(opts.MsgBytes, opts.Calib.HeaderBytes)
@@ -148,24 +149,9 @@ func RunXYZ(opts Options) (Result, error) {
 		}
 	}
 	h := &xyzHandler{shape: shape, recvPayload: make([]int64, p), forwards: make([]int64, p)}
-	nw, err := opts.network(sources, h)
+	nw, t, err := opts.RunPhase("XYZ", sources, h, h.recvPayload, opts.allToAllPayload)
 	if err != nil {
 		return Result{}, err
 	}
-	t, err := opts.runNet(nw)
-	if err != nil {
-		opts.dumpOnError(nw, err)
-		return Result{}, fmt.Errorf("XYZ on %v: %w", shape, err)
-	}
-	want := int64(p-1) * int64(opts.MsgBytes)
-	for n := 0; n < p; n++ {
-		if h.recvPayload[n] != want {
-			return Result{}, fmt.Errorf("XYZ on %v: node %d received %d payload bytes, want %d",
-				shape, n, h.recvPayload[n], want)
-		}
-	}
-	r := opts.newResult(StratXYZ)
-	opts.finishResult(&r, t, nw.Stats())
-	r.MaxIntermediateBacklog = nw.Stats().MaxPendingFw
-	return r, nil
+	return opts.result(t, nw.Stats()), nil
 }

@@ -32,7 +32,7 @@ func TestXYZTarget(t *testing.T) {
 
 func TestRunXYZDeliversEverything(t *testing.T) {
 	shape := torus.New(4, 4, 2)
-	res, err := RunXYZ(Options{Shape: shape, MsgBytes: 200, Seed: 5})
+	res, err := RunXYZ(Options{Request: Request{Shape: shape, MsgBytes: 200, Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestShapeXYZPaysMoreCPUThanTPS(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	shape := torus.New(8, 4, 4)
-	xyz, err := RunXYZ(Options{Shape: shape, MsgBytes: 480, Seed: 1})
+	xyz, err := RunXYZ(Options{Request: Request{Shape: shape, MsgBytes: 480, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tps, err := RunTPS(Options{Shape: shape, MsgBytes: 480, Seed: 1})
+	tps, err := RunTPS(Options{Request: Request{Shape: shape, MsgBytes: 480, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestShapeXYZPaysMoreCPUThanTPS(t *testing.T) {
 func TestXYZOnLine(t *testing.T) {
 	// Degenerate 1D case: no forwarding at all, equivalent to direct.
 	shape := torus.New(8, 1, 1)
-	res, err := RunXYZ(Options{Shape: shape, MsgBytes: 100, Seed: 2})
+	res, err := RunXYZ(Options{Request: Request{Shape: shape, MsgBytes: 100, Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

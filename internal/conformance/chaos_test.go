@@ -99,12 +99,14 @@ func randomFaults(shape torus.Shape, seed uint64) *network.FaultSchedule {
 func runChaos(t *testing.T, strat collective.Strategy, shape torus.Shape, shards int, fs *network.FaultSchedule) collective.Result {
 	t.Helper()
 	opts := collective.Options{
-		Shape:    shape,
-		MsgBytes: msgBytes,
-		Seed:     1,
-		Check:    true,
-		Shards:   shards,
-		Faults:   fs,
+		Request: collective.Request{
+			Shape:    shape,
+			MsgBytes: msgBytes,
+			Seed:     1,
+			Check:    true,
+			Shards:   shards,
+			Faults:   fs.String(),
+		},
 	}
 	if dir := os.Getenv("CONFORMANCE_ARTIFACTS"); dir != "" {
 		opts.DebugDump = filepath.Join(dir,

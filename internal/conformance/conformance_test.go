@@ -54,11 +54,13 @@ func shapeMatrix() []torus.Shape {
 func runChecked(t *testing.T, strat collective.Strategy, shape torus.Shape, shards int, seed uint64) collective.Result {
 	t.Helper()
 	opts := collective.Options{
-		Shape:    shape,
-		MsgBytes: msgBytes,
-		Seed:     seed,
-		Check:    true,
-		Shards:   shards,
+		Request: collective.Request{
+			Shape:    shape,
+			MsgBytes: msgBytes,
+			Seed:     seed,
+			Check:    true,
+			Shards:   shards,
+		},
 	}
 	if dir := os.Getenv("CONFORMANCE_ARTIFACTS"); dir != "" {
 		opts.DebugDump = filepath.Join(dir,
@@ -113,7 +115,7 @@ func TestCoalesceDifferential(t *testing.T) {
 		for _, strat := range strategies() {
 			run := func(t *testing.T, shards int) collective.Result {
 				res, err := collective.RunContext(context.Background(), strat,
-					collective.Options{Shape: shape, MsgBytes: msgBytes, Seed: 1, Shards: shards})
+					collective.Options{Request: collective.Request{Shape: shape, MsgBytes: msgBytes, Seed: 1, Shards: shards}})
 				if err != nil {
 					t.Fatalf("%s on %v shards=%d: %v", strat, shape, shards, err)
 				}

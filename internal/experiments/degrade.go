@@ -93,7 +93,7 @@ func Degrade(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return collective.Result{}, err
 			}
-			opts.Faults = fs
+			opts.Faults = fs.String()
 		}
 		res, err := cfg.runCached(strats[j.si], opts, cache)
 		if err != nil {

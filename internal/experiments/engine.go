@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -155,16 +154,10 @@ func (c Config) rowProgress(format string, args ...any) {
 
 // runCached executes one collective run through a worker-local network
 // cache, recording metrics (and, when tracing, the run's observation) on
-// success.
+// success. opts is the run's Request (from Config.opts) plus, for the
+// ablations, a Par override; the machinery is attached here.
 func (c Config) runCached(strat collective.Strategy, opts collective.Options, cache *collective.NetCache) (collective.Result, error) {
 	opts.Cache = cache
-	if c.Faults != "" {
-		fs, err := network.ParseFaults(c.Faults)
-		if err != nil {
-			return collective.Result{}, fmt.Errorf("fault schedule: %w", err)
-		}
-		opts.Faults = fs
-	}
 	var obs *observe.Collector
 	if c.Trace != nil {
 		obs = observe.New(observe.Config{})
@@ -172,7 +165,7 @@ func (c Config) runCached(strat collective.Strategy, opts collective.Options, ca
 	}
 	var ss network.SyncStats
 	opts.SyncStats = &ss
-	res, err := c.dispatch(strat, opts, cache, obs)
+	res, err := collective.RunContext(context.Background(), strat, opts)
 	if err != nil {
 		return res, err
 	}
@@ -184,35 +177,6 @@ func (c Config) runCached(strat collective.Strategy, opts collective.Options, ca
 		}
 	}
 	return res, nil
-}
-
-// dispatch routes a run through the canonical Request path when the Options
-// are representable as one - the same front door aaserve and the public
-// RunRequest use, keeping the experiments engine on the code path the
-// serving layer's byte-identity contract is stated for. Options that a
-// Request cannot express (ablations overriding machine Params or Calib) run
-// through RunContext with the struct; machinery (cache, observer) is
-// stripped before canonicalization and re-attached as extras.
-func (c Config) dispatch(strat collective.Strategy, opts collective.Options, cache *collective.NetCache, obs *observe.Collector) (collective.Result, error) {
-	plain := opts
-	plain.Cache = nil
-	plain.Observer = nil
-	plain.SyncStats = nil
-	req, err := collective.NewRequest(strat, plain)
-	if err != nil {
-		if errors.Is(err, collective.ErrNotCanonical) {
-			return collective.RunContext(context.Background(), strat, opts)
-		}
-		return collective.Result{}, err
-	}
-	if obs != nil {
-		req.Observe = true
-	}
-	return collective.RunRequest(context.Background(), req, func(o *collective.Options) {
-		o.Cache = cache
-		o.Observer = opts.Observer
-		o.SyncStats = opts.SyncStats
-	})
 }
 
 // mapRows fans an experiment's independent rows (or sweep points) across

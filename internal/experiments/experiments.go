@@ -22,7 +22,6 @@ import (
 	"alltoall/internal/model"
 	"alltoall/internal/parallel"
 	"alltoall/internal/report"
-	"alltoall/internal/sweep"
 	"alltoall/internal/torus"
 )
 
@@ -58,7 +57,7 @@ type Config struct {
 	Metrics *Metrics
 
 	// Check enables the simulator's runtime invariant checker for every
-	// run of the experiment (collective.Options.Check). Costs roughly
+	// run of the experiment (collective.Request.Check). Costs roughly
 	// 1.4x simulation time; tables are unchanged when the invariants hold.
 	Check bool
 
@@ -170,7 +169,8 @@ func Names() []string {
 }
 
 func (c Config) opts(s torus.Shape, m int) collective.Options {
-	return collective.Options{Shape: s, MsgBytes: m, Seed: c.Seed, Shards: c.shardsFor(s.P()), Check: c.Check}
+	return collective.Options{Request: collective.Request{
+		Shape: s, MsgBytes: m, Seed: c.Seed, Shards: c.shardsFor(s.P()), Check: c.Check, Faults: c.Faults}}
 }
 
 // shardsFor picks the per-run shard count for a partition of the given node
@@ -408,7 +408,7 @@ func Table4(cfg Config) (*report.Table, error) {
 // grid is flattened into one job list so the pool stays busy even when one
 // strategy's points dominate the runtime.
 func figSweep(cfg Config, title string, paper torus.Shape, strats []collective.Strategy,
-	sizes []int, withModel bool, vmeshCols, vmeshRows int, vmeshOrder *[3]torus.Dim) (*report.Table, error) {
+	sizes []int, withModel bool, vmeshCols, vmeshRows int, vmeshOrder string) (*report.Table, error) {
 	run, scaled := cfg.scale(paper)
 	calib := model.DefaultCalib()
 	cols := []string{"MsgBytes"}
@@ -481,19 +481,35 @@ func figSweep(cfg Config, title string, paper torus.Shape, strats []collective.S
 	return t, nil
 }
 
+// messageSizes returns a doubling ladder of message sizes in [lo, hi],
+// always including both endpoints.
+func messageSizes(lo, hi int) []int {
+	if lo < 1 {
+		lo = 1
+	}
+	var out []int
+	for m := lo; m < hi; m *= 2 {
+		out = append(out, m)
+	}
+	if len(out) == 0 || out[len(out)-1] != hi {
+		return append(out, hi)
+	}
+	return out
+}
+
 // Fig1 reproduces the AR throughput-vs-message-size curve with the model
 // prediction on the 512-node midplane.
 func Fig1(cfg Config) (*report.Table, error) {
 	return figSweep(cfg, "Figure 1: AR measured vs model on 8x8x8",
 		torus.New(8, 8, 8), []collective.Strategy{collective.StratAR},
-		sweep.MessageSizes(1, 4096), true, 0, 0, nil)
+		messageSizes(1, 4096), true, 0, 0, "")
 }
 
 // Fig2 is the same study on a 4096-node 16x16x16 partition.
 func Fig2(cfg Config) (*report.Table, error) {
 	return figSweep(cfg, "Figure 2: AR measured vs model on 16x16x16",
 		torus.New(16, 16, 16), []collective.Strategy{collective.StratAR},
-		sweep.MessageSizes(1, 4096), true, 0, 0, nil)
+		messageSizes(1, 4096), true, 0, 0, "")
 }
 
 // Fig3 reproduces the per-node throughput summary across partitions: the
@@ -600,7 +616,7 @@ func Fig5(cfg Config) (*report.Table, error) {
 	if scaled {
 		t.AddNote("partition scaled from %v to %v", paper, run)
 	}
-	sizes := sweep.MessageSizes(1, 512)
+	sizes := messageSizes(1, 512)
 	out, err := mapRows(cfg, sizes, func(cfg Config, cache *collective.NetCache, _ int, m int) (collective.Result, error) {
 		opts := cfg.opts(run, m)
 		opts.VMeshCols, opts.VMeshRows = vc, vr
@@ -627,7 +643,7 @@ func Fig6(cfg Config) (*report.Table, error) {
 	return figSweep(cfg, "Figure 6: AA comparison on 8x8x8 (short messages)",
 		torus.New(8, 8, 8),
 		[]collective.Strategy{collective.StratAR, collective.StratVMesh},
-		sweep.MessageSizes(1, 512), false, 32, 16, nil)
+		messageSizes(1, 512), false, 32, 16, "")
 }
 
 // Fig7 reproduces the three-way comparison (AR, TPS, VMesh) on the
@@ -636,5 +652,5 @@ func Fig7(cfg Config) (*report.Table, error) {
 	return figSweep(cfg, "Figure 7: AA comparison on 8x32x16 (short messages)",
 		torus.New(8, 32, 16),
 		[]collective.Strategy{collective.StratAR, collective.StratTPS, collective.StratVMesh},
-		sweep.MessageSizes(1, 256), false, 128, 32, &[3]torus.Dim{torus.X, torus.Z, torus.Y})
+		messageSizes(1, 256), false, 128, 32, "xzy")
 }

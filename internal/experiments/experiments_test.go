@@ -130,3 +130,25 @@ func TestFigSweepModelColumns(t *testing.T) {
 		}
 	}
 }
+
+func TestMessageSizes(t *testing.T) {
+	got := messageSizes(8, 64)
+	want := []int{8, 16, 32, 64}
+	if len(got) != len(want) {
+		t.Fatalf("sizes = %v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sizes = %v, want %v", got, want)
+		}
+	}
+	if s := messageSizes(5, 5); len(s) != 1 || s[0] != 5 {
+		t.Errorf("degenerate sweep = %v", s)
+	}
+	if s := messageSizes(0, 2); s[0] != 1 {
+		t.Errorf("lo clamp failed: %v", s)
+	}
+	if s := messageSizes(8, 100); s[len(s)-1] != 100 {
+		t.Errorf("hi endpoint missing: %v", s)
+	}
+}

@@ -17,10 +17,12 @@ import (
 func run(t *testing.T, strat collective.Strategy, shape torus.Shape, shards int, obs *observe.Collector) collective.Result {
 	t.Helper()
 	opts := collective.Options{
-		Shape:    shape,
-		MsgBytes: 240,
-		Seed:     1,
-		Shards:   shards,
+		Request: collective.Request{
+			Shape:    shape,
+			MsgBytes: 240,
+			Seed:     1,
+			Shards:   shards,
+		},
 	}
 	if obs != nil { // a typed-nil *Collector must not become a non-nil Observer
 		opts.Observer = obs
@@ -46,7 +48,7 @@ func observedAsymAR(t *testing.T) (collective.Result, *observe.Summary) {
 	asymAR.once.Do(func() {
 		obs := observe.New(observe.Config{})
 		asymAR.res, asymAR.err = collective.RunContext(context.Background(), collective.StratAR,
-			collective.Options{Shape: torus.New(16, 8, 8), MsgBytes: 240, Seed: 1, Observer: obs})
+			collective.Options{Request: collective.Request{Shape: torus.New(16, 8, 8), MsgBytes: 240, Seed: 1}, Observer: obs})
 		asymAR.sum = obs.Summary()
 	})
 	if asymAR.err != nil {
@@ -192,16 +194,28 @@ func TestCollectorAccumulatesAndResets(t *testing.T) {
 	}
 }
 
+// TestSummaryOfUnusedCollector: a collector that never observed a run has no
+// shape to normalize by; Summary reports zeros instead of dividing by them.
+func TestSummaryOfUnusedCollector(t *testing.T) {
+	s := observe.New(observe.Config{Window: 256}).Summary()
+	want := observe.Summary{SchemaVersion: observe.SchemaVersion, Window: 256}
+	if !reflect.DeepEqual(*s, want) {
+		t.Errorf("unused collector summary = %+v, want %+v", *s, want)
+	}
+}
+
 // TestContextCancel: a canceled context aborts serial and sharded runs.
 func TestContextCancel(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		_, err := collective.RunContext(ctx, collective.StratAR, collective.Options{
-			Shape:    torus.New(8, 8, 8),
-			MsgBytes: 240,
-			Seed:     1,
-			Shards:   shards,
+			Request: collective.Request{
+				Shape:    torus.New(8, 8, 8),
+				MsgBytes: 240,
+				Seed:     1,
+				Shards:   shards,
+			},
 		})
 		if err == nil {
 			t.Fatalf("shards=%d: canceled context did not abort the run", shards)

@@ -98,8 +98,14 @@ func dimName(d int) string { return [torus.NumDims]string{"x", "y", "z"}[d] }
 
 // Summary digests the collector's current totals. Utilization fractions use
 // the accumulated finish time, so a collector spanning several runs (or a
-// two-phase strategy) reports occupancy over all observed time.
+// two-phase strategy) reports occupancy over all observed time. A collector
+// that never observed a run returns the zero summary.
 func (c *Collector) Summary() *Summary {
+	if c.shape == (torus.Shape{}) {
+		// Never bound to a machine: nothing was observed, and the unset
+		// shape has no link census to normalize by.
+		return &Summary{SchemaVersion: SchemaVersion, Window: c.cfg.Window}
+	}
 	s := &Summary{
 		SchemaVersion:  SchemaVersion,
 		Shape:          c.shape.String(),

@@ -143,6 +143,36 @@ func TestBadShapeMapping(t *testing.T) {
 	}
 }
 
+// TestCrossFieldErrorsAreBadRequests: a request whose fields are each in
+// range but contradict each other (a factorization that does not cover the
+// partition, a credit window smaller than its batch) is the client's error.
+// It is answered 400 before admission - it used to pass Validate, occupy a
+// worker, fail inside the runner and come back 500 "internal".
+func TestCrossFieldErrorsAreBadRequests(t *testing.T) {
+	s := testServer(t, Config{Workers: 1})
+	h := s.Handler()
+	if w := post(t, h, "/v1/jobs", `{"strategy":"VMesh","shape":"4x4x2","msg_bytes":8,"vmesh_rows":4,"vmesh_cols":8}`); w.Code != http.StatusOK {
+		t.Fatalf("valid forced factorization: %d %s", w.Code, w.Body.String())
+	}
+	before := metricsOf(t, s)
+	for name, body := range map[string]string{
+		"vmesh cover":   `{"strategy":"VMesh","shape":"4x4x2","msg_bytes":8,"vmesh_rows":3,"vmesh_cols":5}`,
+		"credit window": `{"strategy":"TPS","shape":"4x4x2","msg_bytes":8,"tps_credit_window":2,"tps_credit_batch":5}`,
+	} {
+		w := post(t, h, "/v1/jobs", body)
+		var eb errorBody
+		json.Unmarshal(w.Body.Bytes(), &eb)
+		if w.Code != http.StatusBadRequest || eb.Code != "bad_request" {
+			t.Errorf("%s: %d %q, want 400 bad_request: %s", name, w.Code, eb.Code, w.Body.String())
+		}
+	}
+	after := metricsOf(t, s)
+	if before.SimRuns != 1 || after.SimRuns != before.SimRuns || after.JobsAccepted != before.JobsAccepted {
+		t.Errorf("malformed requests reached the scheduler: sim_runs %d -> %d, jobs_accepted %d -> %d",
+			before.SimRuns, after.SimRuns, before.JobsAccepted, after.JobsAccepted)
+	}
+}
+
 // blockingRun is a runFunc that parks jobs until released (or their context
 // dies), for deterministic queue-full and cancellation tests.
 func blockingRun(release chan struct{}) runFunc {

@@ -133,6 +133,27 @@ func (s Shape) Canon() string {
 	return b.String()
 }
 
+// MarshalText renders the shape as Canon, so a Shape field in a JSON struct
+// is its Parse-grammar string. The unset shape renders as "" ("0x0x0" would
+// not parse back).
+func (s Shape) MarshalText() ([]byte, error) {
+	if s == (Shape{}) {
+		return nil, nil
+	}
+	return []byte(s.Canon()), nil
+}
+
+// UnmarshalText is Parse; "" reads back as the unset shape.
+func (s *Shape) UnmarshalText(text []byte) error {
+	*s = Shape{}
+	if len(text) == 0 {
+		return nil
+	}
+	var err error
+	*s, err = Parse(string(text))
+	return err
+}
+
 // P returns the total number of nodes in the partition.
 func (s Shape) P() int {
 	return s.Size[X] * s.Size[Y] * s.Size[Z]

@@ -15,12 +15,12 @@ import (
 func TestRunOptsSharded(t *testing.T) {
 	s := torus.New(4, 4, 2)
 	serial, err := RunOpts(context.Background(), Shift{Offset: 5},
-		collective.Options{Shape: s, MsgBytes: 256, Seed: 1})
+		collective.Options{Request: collective.Request{Shape: s, MsgBytes: 256, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharded, err := RunOpts(context.Background(), Shift{Offset: 5},
-		collective.Options{Shape: s, MsgBytes: 256, Seed: 1, Shards: 4})
+		collective.Options{Request: collective.Request{Shape: s, MsgBytes: 256, Seed: 1, Shards: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,12 +32,12 @@ func TestRunOptsSharded(t *testing.T) {
 func TestRunOptsDetRouting(t *testing.T) {
 	s := torus.New(4, 4, 2)
 	adaptive, err := RunOpts(context.Background(), Transpose{},
-		collective.Options{Shape: s, MsgBytes: 512, Seed: 1})
+		collective.Options{Request: collective.Request{Shape: s, MsgBytes: 512, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	det, err := RunOpts(context.Background(), Transpose{},
-		collective.Options{Shape: s, MsgBytes: 512, Seed: 1, DetRouting: true})
+		collective.Options{Request: collective.Request{Shape: s, MsgBytes: 512, Seed: 1}, DetRouting: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,19 +50,28 @@ func TestRunOptsPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := RunOpts(ctx, Shift{Offset: 1},
-		collective.Options{Shape: torus.New(4, 4, 2), MsgBytes: 64})
+		collective.Options{Request: collective.Request{Shape: torus.New(4, 4, 2), MsgBytes: 64}})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 
+// lateCancel is a context that admits the run (Err is nil) but whose Done
+// channel is already closed, so the cancellation is seen by the engine.
+type lateCancel struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c lateCancel) Done() <-chan struct{} { return c.done }
+
 // TestRunCanceledMidRun drives the engine's cancellation path directly: a
-// closed cancel channel aborts the simulation with ErrCanceled.
+// closed Done channel aborts the simulation with ErrCanceled.
 func TestRunCanceledMidRun(t *testing.T) {
-	closed := make(chan struct{})
-	close(closed)
-	_, err := run(RandomSubset{K: 8, Seed: 3},
-		collective.Options{Shape: torus.New(8, 4, 4), MsgBytes: 4096}, closed)
+	ctx := lateCancel{context.Background(), make(chan struct{})}
+	close(ctx.done)
+	_, err := RunOpts(ctx, RandomSubset{K: 8, Seed: 3},
+		collective.Options{Request: collective.Request{Shape: torus.New(8, 4, 4), MsgBytes: 4096}})
 	if !errors.Is(err, network.ErrCanceled) {
 		t.Errorf("err = %v, want wrapping network.ErrCanceled", err)
 	}
@@ -71,7 +80,7 @@ func TestRunCanceledMidRun(t *testing.T) {
 func TestRunOptsMaxTime(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		_, err := RunOpts(context.Background(), Shift{Offset: 1},
-			collective.Options{Shape: torus.New(4, 4, 2), MsgBytes: 4096, MaxTime: 50, Shards: shards})
+			collective.Options{Request: collective.Request{Shape: torus.New(4, 4, 2), MsgBytes: 4096, MaxTime: 50, Shards: shards}})
 		if !errors.Is(err, network.ErrMaxTime) {
 			t.Errorf("shards=%d: err = %v, want wrapping network.ErrMaxTime", shards, err)
 		}

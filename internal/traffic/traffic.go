@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"alltoall/internal/collective"
-	"alltoall/internal/model"
 	"alltoall/internal/network"
 	"alltoall/internal/torus"
 )
@@ -200,31 +199,19 @@ func (h *patternHandler) OnDeliver(d network.Delivered, fw []network.PacketSpec)
 
 // RunOpts executes a pattern under a context with the collective Options
 // vocabulary, the engine behind alltoall.RunPatternContext: pattern runs
-// share the same option set as the all-to-all strategies (shape, message
-// size, shards, check and faults via the effective machine parameters,
-// MaxTime) plus Options.DetRouting for deterministic dimension-ordered
-// routing. Cancellation aborts the run with an error wrapping
-// network.ErrCanceled; an exceeded time bound wraps network.ErrMaxTime.
+// share the all-to-all strategies' run description and skeleton
+// (Options.Prepare and Options.RunPhase), so shape, message size, shards,
+// check, faults, MaxTime, Par, Calib, Cache, Observer and DebugDump all mean
+// the same thing here, plus Options.DetRouting for deterministic
+// dimension-ordered routing. Cancellation aborts the run with an error
+// wrapping network.ErrCanceled; an exceeded time bound wraps
+// network.ErrMaxTime.
 func RunOpts(ctx context.Context, pat Pattern, opts collective.Options) (Result, error) {
-	var cancel <-chan struct{}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		cancel = ctx.Done()
-	}
-	return run(pat, opts, cancel)
-}
-
-// run is the pattern executor behind RunOpts.
-func run(pat Pattern, opts collective.Options, cancel <-chan struct{}) (Result, error) {
-	if err := opts.Shape.Validate(); err != nil {
+	maxTime := opts.MaxTime
+	if err := opts.Prepare(ctx); err != nil {
 		return Result{}, err
 	}
-	if opts.MsgBytes < 1 {
-		return Result{}, fmt.Errorf("traffic: MsgBytes must be >= 1")
-	}
-	calib := model.DefaultCalib()
+	calib := opts.Calib
 	p := opts.Shape.P()
 	msg := collective.NewMsg(opts.MsgBytes, calib.HeaderBytes)
 	sources := make([]network.Source, p)
@@ -247,25 +234,16 @@ func run(pat Pattern, opts collective.Options, cancel <-chan struct{}) (Result, 
 	if messages == 0 {
 		return Result{}, fmt.Errorf("traffic: pattern %s sends nothing on %v", pat.Name(), opts.Shape)
 	}
+	if maxTime == 0 {
+		// Prepare's default bounds an all-to-all; a pattern may repeat
+		// destinations without limit, so bound it by its own volume.
+		opts.MaxTime = messages*msg.Wire*int64(p) + 1<<24
+	}
 	h := &patternHandler{recv: make([]int64, p)}
-	nw, err := network.New(opts.Shape, opts.NetParams(), sources, h)
+	nw, t, err := opts.RunPhase("traffic: "+pat.Name(), sources, h, h.recv,
+		func(n int) int64 { return wantRecv[n] })
 	if err != nil {
 		return Result{}, err
-	}
-	nw.SetCancel(cancel)
-	maxTime := opts.MaxTime
-	if maxTime == 0 {
-		maxTime = int64(messages)*msg.Wire*int64(p) + 1<<24
-	}
-	t, err := nw.RunSharded(maxTime, opts.Shards)
-	if err != nil {
-		return Result{}, fmt.Errorf("traffic: %s on %v: %w", pat.Name(), opts.Shape, err)
-	}
-	for n := 0; n < p; n++ {
-		if h.recv[n] != wantRecv[n] {
-			return Result{}, fmt.Errorf("traffic: %s on %v: node %d received %d bytes, want %d",
-				pat.Name(), opts.Shape, n, h.recv[n], wantRecv[n])
-		}
 	}
 	st := nw.Stats()
 	res := Result{

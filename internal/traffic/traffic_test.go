@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ func shape844() torus.Shape { return torus.New(8, 4, 4) }
 
 func TestShiftPattern(t *testing.T) {
 	s := shape844()
-	res, err := run(Shift{Offset: 3}, collective.Options{Shape: s, MsgBytes: 512, Seed: 1}, nil)
+	res, err := RunOpts(context.Background(), Shift{Offset: 3}, collective.Options{Request: collective.Request{Shape: s, MsgBytes: 512, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +26,14 @@ func TestShiftPattern(t *testing.T) {
 }
 
 func TestShiftZeroOffsetRejected(t *testing.T) {
-	if _, err := run(Shift{Offset: 0}, collective.Options{Shape: shape844(), MsgBytes: 64}, nil); err == nil {
+	if _, err := RunOpts(context.Background(), Shift{Offset: 0}, collective.Options{Request: collective.Request{Shape: shape844(), MsgBytes: 64}}); err == nil {
 		t.Error("self-only pattern accepted")
 	}
 }
 
 func TestDimShift(t *testing.T) {
 	s := shape844()
-	res, err := run(DimShift{Dim: torus.X, Hops: 1}, collective.Options{Shape: s, MsgBytes: 256}, nil)
+	res, err := RunOpts(context.Background(), DimShift{Dim: torus.X, Hops: 1}, collective.Options{Request: collective.Request{Shape: s, MsgBytes: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +48,10 @@ func TestDimShift(t *testing.T) {
 }
 
 func TestTransposeNeedsSquare(t *testing.T) {
-	if _, err := run(Transpose{}, collective.Options{Shape: shape844(), MsgBytes: 64}, nil); err == nil {
+	if _, err := RunOpts(context.Background(), Transpose{}, collective.Options{Request: collective.Request{Shape: shape844(), MsgBytes: 64}}); err == nil {
 		t.Error("transpose on non-square XY accepted")
 	}
-	res, err := run(Transpose{}, collective.Options{Shape: torus.New(4, 4, 4), MsgBytes: 256}, nil)
+	res, err := RunOpts(context.Background(), Transpose{}, collective.Options{Request: collective.Request{Shape: torus.New(4, 4, 4), MsgBytes: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestTransposeNeedsSquare(t *testing.T) {
 
 func TestRandomPermutation(t *testing.T) {
 	s := shape844()
-	res, err := run(RandomPermutation{Seed: 9}, collective.Options{Shape: s, MsgBytes: 128}, nil)
+	res, err := RunOpts(context.Background(), RandomPermutation{Seed: 9}, collective.Options{Request: collective.Request{Shape: s, MsgBytes: 128}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestRandomPermutation(t *testing.T) {
 
 func TestHotSpotIncast(t *testing.T) {
 	s := torus.New(4, 4, 1)
-	res, err := run(HotSpot{Root: 5}, collective.Options{Shape: s, MsgBytes: 256}, nil)
+	res, err := RunOpts(context.Background(), HotSpot{Root: 5}, collective.Options{Request: collective.Request{Shape: s, MsgBytes: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestHotSpotIncast(t *testing.T) {
 
 func TestRandomSubset(t *testing.T) {
 	s := shape844()
-	res, err := run(RandomSubset{K: 5, Seed: 3}, collective.Options{Shape: s, MsgBytes: 64}, nil)
+	res, err := RunOpts(context.Background(), RandomSubset{K: 5, Seed: 3}, collective.Options{Request: collective.Request{Shape: s, MsgBytes: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestRandomSubset(t *testing.T) {
 		t.Errorf("messages = %d, want %d", res.Messages, 5*s.P())
 	}
 	// K larger than P-1 clamps.
-	res2, err := run(RandomSubset{K: 1000, Seed: 3}, collective.Options{Shape: torus.New(4, 2, 1), MsgBytes: 64}, nil)
+	res2, err := RunOpts(context.Background(), RandomSubset{K: 1000, Seed: 3}, collective.Options{Request: collective.Request{Shape: torus.New(4, 2, 1), MsgBytes: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestRandomSubset(t *testing.T) {
 
 func TestDeterministicRoutingPattern(t *testing.T) {
 	s := shape844()
-	res, err := run(RandomPermutation{Seed: 4}, collective.Options{Shape: s, MsgBytes: 512, DetRouting: true}, nil)
+	res, err := RunOpts(context.Background(), RandomPermutation{Seed: 4}, collective.Options{Request: collective.Request{Shape: s, MsgBytes: 512}, DetRouting: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +121,10 @@ func TestDeterministicRoutingPattern(t *testing.T) {
 }
 
 func TestPatternValidation(t *testing.T) {
-	if _, err := run(Shift{Offset: 1}, collective.Options{Shape: torus.Shape{Size: [3]int{0, 1, 1}}, MsgBytes: 8}, nil); err == nil {
+	if _, err := RunOpts(context.Background(), Shift{Offset: 1}, collective.Options{Request: collective.Request{Shape: torus.Shape{Size: [3]int{0, 1, 1}}, MsgBytes: 8}}); err == nil {
 		t.Error("invalid shape accepted")
 	}
-	if _, err := run(Shift{Offset: 1}, collective.Options{Shape: shape844(), MsgBytes: 0}, nil); err == nil {
+	if _, err := RunOpts(context.Background(), Shift{Offset: 1}, collective.Options{Request: collective.Request{Shape: shape844(), MsgBytes: 0}}); err == nil {
 		t.Error("zero message accepted")
 	}
 }

@@ -7,25 +7,28 @@ import (
 	"alltoall/internal/torus"
 )
 
-// Request is the canonical, value-comparable description of one simulation
-// job and the redesigned front door of this API: the same Request type is
-// submitted programmatically (RunRequest), from the aasim CLI, by the
-// experiments engine, and over HTTP to the aaserve service - and a given
-// Request produces a byte-identical Result wherever and however often it
-// runs, which is what makes Key() a sound cache identity.
+// Request is the one description of a simulation run - value-comparable,
+// and the front door of this API: the same Request type is submitted
+// programmatically (RunRequest), from the aasim CLI, by the experiments
+// engine, and over HTTP to the aaserve service - and a given Request produces
+// a byte-identical Result wherever and however often it runs, which is what
+// makes Key() a sound cache identity. Options embeds it, so every Option
+// that describes the run (WithShape, WithMsgBytes, WithFaults, ...) writes a
+// Request field.
 //
 // The zero value plus Strategy, Shape and MsgBytes is a complete job; every
-// other field's zero value means "library default". Request marshals
-// to/from the stable snake_case JSON wire form used by aaserve (shapes in
-// the ParseShape grammar). See collective.Request for field documentation.
+// other field's zero value means "library default". The struct's field tags
+// are the stable snake_case JSON wire form used by aaserve (shapes in the
+// ParseShape grammar). See collective.Request for field documentation.
 type Request = collective.Request
 
-// NewRequest builds the canonical Request for a strategy from functional
-// options - the Options ⇄ Request bridge. Options carrying non-canonical
-// state (explicit Params/Calib overrides, an Observer, a Cache, a debug
-// dump path) return an error wrapping collective.ErrNotCanonical: those
-// never change a run's Result, so they are excluded from request identity;
-// attach them per call as RunRequest extras instead.
+// NewRequest returns the Request that functional options describe for a
+// strategy. Options that set anything a Request cannot say (explicit
+// Params/Calib overrides, an Observer, a Cache, a debug dump path) return an
+// error wrapping collective.ErrNotCanonical: machine overrides have no value
+// identity, and run machinery never changes a run's Result, so both are
+// excluded from request identity; attach machinery per call as RunRequest
+// extras instead.
 //
 //	req, err := alltoall.NewRequest(alltoall.TPS,
 //		alltoall.WithShape(alltoall.NewTorus(8, 32, 16)),
