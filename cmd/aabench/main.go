@@ -46,7 +46,7 @@ import (
 //
 // v3: added the sharded engine's synchronization counters, per experiment
 // and as totals: sync_horizon_advances (windows), sync_blocked_waits (barrier
-// crossings), sync_blocked_wait_ns (0: the barrier is not timed),
+// crossings), sync_blocked_wait_ns (barrier waits that outlast the spin phase),
 // sync_cross_shard_events and sync_cross_shard_bytes (boundary traffic). All
 // zero for unsharded runs.
 //

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"alltoall/internal/collective"
+	"alltoall/internal/network"
 	"alltoall/internal/torus"
 )
 
@@ -160,6 +161,56 @@ func TestPeakBoundAcrossSeeds(t *testing.T) {
 			res := runChecked(t, strat, shape, 1, seed)
 			if ft := float64(res.Time); ft < res.PeakTime {
 				t.Errorf("%s seed %d: finish %v beats peak bound %v", strat, seed, ft, res.PeakTime)
+			}
+		}
+	}
+}
+
+// fullScan is an observer that records nothing. Installing it is what turns
+// the engine's quiet-queue skip off: every failed arbitration visit must
+// reach Sink.OnBlocked, so an observed run scans every queue it visits.
+type fullScan struct{}
+
+func (fullScan) BeginRun(torus.Shape, network.Params)                           {}
+func (fullScan) Sink(int, int, int32, int32) network.Sink                       { return fullScan{} }
+func (fullScan) EndRun(int64)                                                   {}
+func (fullScan) OnGrant(int64, int32, int, int8, int32)                         {}
+func (fullScan) OnBlocked(int64, int32, int8, int8, uint8, int64, int32, int32) {}
+func (fullScan) OnInjFIFO(int32, int, int32)                                    {}
+func (fullScan) OnRecvFIFO(int32, int32)                                        {}
+func (fullScan) OnCPU(int64, int32, int64)                                      {}
+
+// TestQuietSkipDifferential is the differential oracle for the quiet-queue
+// skip (network/engine.go): a plain run, which skips visits it can prove are
+// no-ops, and a run under a no-op observer, which scans them all, must return
+// field-identical Results - every strategy, torus and mesh, healthy and under
+// a fault schedule, checker on. Schedule seed 4 is chosen because it
+// reroutes queued packets in place on the torus (up to 202 of them): with
+// reroutePkt's invalidation of the quiet summary removed, five of the six
+// strategies diverge under it.
+func TestQuietSkipDifferential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	for _, shape := range []torus.Shape{torus.New(8, 4, 4), torus.NewMesh(8, 4, 4, false, false, false)} {
+		for _, faults := range []string{"", randomFaults(shape, 4).String()} {
+			for _, strat := range strategies() {
+				name := fmt.Sprintf("%s/%v/faults=%v", strat, shape, faults != "")
+				t.Run(name, func(t *testing.T) {
+					run := func(obs network.Observer) collective.Result {
+						res, err := collective.RunContext(context.Background(), strat, collective.Options{
+							Request:  collective.Request{Shape: shape, MsgBytes: msgBytes, Seed: 1, Check: true, Faults: faults},
+							Observer: obs,
+						})
+						if err != nil {
+							t.Fatalf("observer=%v: %v", obs != nil, err)
+						}
+						return res
+					}
+					if skipping, scanning := run(nil), run(fullScan{}); !reflect.DeepEqual(skipping, scanning) {
+						t.Errorf("skipping and full-scan runs differ:\nskipping: %+v\nscanning: %+v", skipping, scanning)
+					}
+				})
 			}
 		}
 	}

@@ -113,8 +113,8 @@ func (m *Metrics) SyncWaits() int64 {
 	return m.syncWaits.Load()
 }
 
-// SyncWaitNs returns network.SyncStats.BlockedWaitNs summed over runs (0:
-// the barrier is not timed).
+// SyncWaitNs returns network.SyncStats.BlockedWaitNs summed over runs: wall
+// time of the barrier waits that outlasted the spin phase.
 func (m *Metrics) SyncWaitNs() int64 {
 	if m == nil {
 		return 0

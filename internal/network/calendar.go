@@ -1,6 +1,9 @@
 package network
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Bounded-horizon calendar queue.
 //
@@ -23,35 +26,24 @@ import "math/bits"
 // each bucket holds a single tick (two times mapping to the same slot differ
 // by a full horizon and cannot both be pending, because pushes never precede
 // the clock and never reach a full horizon ahead without overflowing), the
-// ring is scanned in time order from the current tick, and ties within a
-// bucket are kept sorted by the packed key. The differential fuzz target in
-// calendar_test.go holds the pop sequence to that of a plain eventHeap fed
-// the same pushes.
+// ring is scanned in time order from the current tick, and the front bucket
+// is put in key order before anything pops from it. The differential fuzz
+// target in calendar_test.go holds the pop sequence to that of a plain
+// eventHeap fed the same pushes.
 
-// calendarHorizon returns the bucket-ring span (a power of two) for the
-// given parameters: comfortably past the largest routine scheduling delta so
-// the overflow heap only sees genuinely unusual events, bounded so a
-// pathological parameter sweep cannot ask for an absurd ring.
+// calendarHorizon returns the bucket-ring span for the given parameters: the
+// power of two above the largest routine scheduling delta (512 ticks for the
+// default 271), bounded so a pathological parameter sweep cannot ask for an
+// absurd ring. The ring is cycled once per horizon ticks, so every bucket
+// beyond what is actually scheduled is memory walked for nothing; events
+// that stack deltas past it (ExtraCPU charges, pacing waits) are what the
+// overflow heap is for.
 func calendarHorizon(par Params) int64 {
 	h := int64(MaxPacketBytes) + par.RouterDelay // arrival of a full packet
-	if par.CreditDelay > h {
-		h = par.CreditDelay
-	}
-	if par.EscapeDelay > h {
-		h = par.EscapeDelay
-	}
-	if c := par.CPUCost(MaxPacketBytes); c > h {
-		h = c
-	}
-	h *= 4 // headroom: stacked deltas (size + delay), modest ExtraCPU charges
+	h = max(h, par.CreditDelay, par.EscapeDelay, par.CPUCost(MaxPacketBytes))
 	const minHorizon, maxHorizon = 64, 1 << 16
-	if h < minHorizon {
-		h = minHorizon
-	}
-	if h > maxHorizon {
-		h = maxHorizon
-	}
-	return 1 << bits.Len64(uint64(h-1)) // round up to a power of two
+	h = min(max(h, minHorizon-1), maxHorizon-1)
+	return 1 << bits.Len64(uint64(h)) // the power of two above h
 }
 
 // calendarQueue is the bounded-horizon event structure. Invariants:
@@ -60,23 +52,40 @@ func calendarHorizon(par Params) int64 {
 //     t&mask, anything else (including the defensive t < base case, which
 //     the engine never produces) goes to the overflow heap;
 //   - every bucketed event e satisfies e.t-base in [0, horizon), so bucket
-//     t&mask holds one tick only and intra-bucket order is pure key order;
-//   - buckets are kept sorted descending (tail = minimum) so a pop is a
-//     slice truncation and a same-tick push is an insertion scan from the
-//     tail, which is short because ties share one tick;
+//     t&mask holds one tick only: its position in the ring gives the tick
+//     back, so a bucket stores packed keys alone (half an event), and
+//     intra-bucket order is pure key order;
+//   - a bucket stores each key complemented and is sorted ascending (tail =
+//     minimum key, so a pop is a slice truncation and the sort is the
+//     library's plain integer sort) unless its dirty bit is set. A
+//     saturated 8x8x8 run holds
+//     ~47 events per tick, so ordering a future tick's bucket on every push
+//     is a long insertion scan per event; instead a push appends and marks
+//     the bucket dirty, and locate sorts it once, when the bucket first
+//     becomes the front of the ring;
+//   - front is the bucket locate last ordered. Pushes into it insert in
+//     place, which keeps it clean: the engine pushes same-tick events
+//     between pops, and the sharded engine calls top() and then pushes
+//     mailbox events before it pops, so the bucket holding the cached
+//     minimum must stay ordered under pushes;
 //   - occ mirrors bucket non-emptiness one bit per bucket, so the scan for
 //     the next non-empty bucket runs 64 buckets per word;
 //   - the cached minimum (cmin/cidx, valid when cvalid) memoizes the scan
 //     between top and pop; a push only invalidates it when the new event
 //     sorts before it, so the sharded engine's top-per-iteration loop does
-//     not rescan the ring.
+//     not rescan the ring;
+//   - an emptied bucket keeps its storage, and the ring is no longer than
+//     what is scheduled, so every bucket is refilled each time the clock
+//     comes round: a run repeated on a recycled network allocates nothing.
 type calendarQueue struct {
-	buckets [][]event
+	buckets [][]uint64 // per tick: ^key of each pending event
 	occ     []uint64
-	mask    int64 // horizon - 1 (horizon is a power of two)
-	base    int64 // time of the last pop; floor for every bucketed event
-	cur     int   // ring index of base (base & mask)
-	n       int   // events in buckets (excluding overflow)
+	dirty   []uint64 // bit per bucket: appended to since it was last sorted
+	mask    int64    // horizon - 1 (horizon is a power of two)
+	base    int64    // time of the last pop; floor for every bucketed event
+	cur     int      // ring index of base (base & mask)
+	front   int      // bucket kept in order under pushes; -1 = none yet
+	n       int      // events in buckets (excluding overflow)
 
 	cvalid bool
 	cidx   int // bucket of the cached minimum; -1 = overflow heap
@@ -86,14 +95,16 @@ type calendarQueue struct {
 }
 
 // init sizes the ring for the given horizon, keeping existing storage when
-// the size already matches (Reset reuse).
+// the size already matches (Reset reuse). The queue must be empty.
 func (q *calendarQueue) init(horizon int64) {
 	if int64(len(q.buckets)) == horizon {
 		return
 	}
-	q.buckets = make([][]event, horizon)
+	q.buckets = make([][]uint64, horizon)
 	q.occ = make([]uint64, horizon/64)
+	q.dirty = make([]uint64, horizon/64)
 	q.mask = horizon - 1
+	q.front = -1
 }
 
 func (q *calendarQueue) len() int { return q.n + q.over.len() }
@@ -108,12 +119,13 @@ func (q *calendarQueue) reset() {
 				idx := w<<6 | i
 				q.buckets[idx] = q.buckets[idx][:0]
 			}
-			q.occ[w] = 0
+			q.occ[w], q.dirty[w] = 0, 0
 		}
 	}
 	q.n = 0
 	q.base = 0
 	q.cur = 0
+	q.front = -1
 	q.cvalid = false
 	q.over.reset()
 }
@@ -127,17 +139,22 @@ func (q *calendarQueue) push(e event) {
 		return
 	}
 	idx := int(e.t & q.mask)
-	b := append(q.buckets[idx], e)
-	// Descending insert from the tail: shift strictly-smaller events right.
-	// The scan stays within one tick's ties, which are short in practice.
-	i := len(b) - 1
-	for i > 0 && less(b[i-1], e) {
-		b[i] = b[i-1]
-		i--
+	bit := uint64(1) << (uint(idx) & 63)
+	k := ^e.key
+	b := append(q.buckets[idx], k)
+	if idx == q.front {
+		// Ordered insert from the tail: shift the smaller keys right.
+		i := len(b) - 1
+		for i > 0 && b[i-1] > k {
+			b[i] = b[i-1]
+			i--
+		}
+		b[i] = k
+	} else {
+		q.dirty[idx>>6] |= bit
 	}
-	b[i] = e
 	q.buckets[idx] = b
-	q.occ[idx>>6] |= 1 << (uint(idx) & 63)
+	q.occ[idx>>6] |= bit
 	q.n++
 }
 
@@ -170,13 +187,19 @@ func (q *calendarQueue) ringScan() int {
 }
 
 // locate computes the cached minimum: the winner of the first-bucket tail vs
-// the overflow top under less(). The overflow top can legitimately sort
-// before every bucketed event (it was pushed beyond an older horizon that
-// has since advanced underneath it), so the comparison runs on every pop.
+// the overflow top under less(), ordering that bucket first if pushes left
+// it dirty. The overflow top can legitimately sort before every bucketed
+// event (it was pushed beyond an older horizon that has since advanced
+// underneath it), so the comparison runs on every pop.
 func (q *calendarQueue) locate() {
 	if idx := q.ringScan(); idx >= 0 {
 		b := q.buckets[idx]
-		e := b[len(b)-1]
+		if bit := uint64(1) << (uint(idx) & 63); q.dirty[idx>>6]&bit != 0 {
+			slices.Sort(b)
+			q.dirty[idx>>6] &^= bit
+		}
+		q.front = idx
+		e := event{t: q.base + int64((idx-q.cur)&int(q.mask)), key: ^b[len(b)-1]}
 		if q.over.len() > 0 && less(q.over.top(), e) {
 			q.cmin, q.cidx = q.over.top(), -1
 		} else {

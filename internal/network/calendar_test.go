@@ -34,7 +34,10 @@ func drainCompare(t *testing.T, cal *calendarQueue, ref *eventHeap, ctx string) 
 // event multisets - same-tick key ties, exact duplicates, beyond-horizon
 // pushes - interleaved with pops must produce exactly the reference heap's
 // pop sequence. Pushes respect the engine's contract (never behind the last
-// popped time), which is the only discipline the calendar queue assumes.
+// popped time), which is the only discipline the calendar queue assumes. One
+// push in four is preceded by a top(): the sharded engine peeks the minimum
+// and then pushes mailbox events before it pops, and a bucket ordered for the
+// peek must stay ordered under those pushes.
 func TestCalendarQueueMatchesHeap(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -54,6 +57,11 @@ func TestCalendarQueueMatchesHeap(t *testing.T) {
 					delta = horizon * int64(1+rng.Intn(20))
 				}
 				ev := mkEvent(low+delta, int32(rng.Intn(8)), int32(rng.Intn(4)), uint8(rng.Intn(4)))
+				if ref.len() > 0 && rng.Intn(4) == 0 {
+					if got, want := cal.top(), ref.top(); got != want {
+						t.Fatalf("trial %d op %d: top before push %+v, reference %+v", trial, i, got, want)
+					}
+				}
 				cal.push(ev)
 				ref.push(ev)
 				if rng.Intn(8) == 0 { // exact duplicate (legal: identical events)
@@ -101,13 +109,43 @@ func TestCalendarQueueOverflowResurfaces(t *testing.T) {
 	drainCompare(t, &cal, &ref, "overflow tail")
 }
 
+// TestCalendarQueuePeekThenPush pins the access pattern that a lazily ordered
+// bucket gets wrong first: top() orders the front bucket and caches its tail,
+// then same-tick pushes land in that bucket before the pop. A push that sorts
+// after the cached minimum must not displace it from the tail, and one that
+// sorts before it must become the next pop.
+func TestCalendarQueuePeekThenPush(t *testing.T) {
+	var cal calendarQueue
+	var ref eventHeap
+	cal.init(64)
+	push := func(e event) { cal.push(e); ref.push(e) }
+	push(mkEvent(5, 3, 0, evArrive))
+	push(mkEvent(5, 2, 0, evArrive))
+	push(mkEvent(9, 0, 0, evArrive))
+	for _, e := range []event{
+		mkEvent(5, 1, 0, evCredit),  // equal tick, smaller key: the new minimum
+		mkEvent(9, 4, 0, evArrive),  // a later, still unordered bucket
+		mkEvent(5, 7, 0, evService), // equal tick, larger key: popped straight after
+	} {
+		if got, want := cal.top(), ref.top(); got != want {
+			t.Fatalf("top %+v, reference %+v", got, want)
+		}
+		push(e)
+	}
+	drainCompare(t, &cal, &ref, "peek-then-push")
+}
+
 // FuzzEventQueue drives the calendar queue and the reference heap from raw
 // fuzz bytes: two bytes per operation (op selector + time delta), with the
-// engine's monotone-push discipline enforced by construction.
+// engine's monotone-push discipline enforced by construction. Bit 7 of a push
+// op peeks (top) first - the sharded engine's top, push, pop sequence.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x40, 0xff, 0x80, 0x00, 0xc1, 0x7f})
 	f.Add([]byte{0x13, 0x00, 0x13, 0x00, 0x23, 0x00, 0x33, 0x00}) // dense ties
 	f.Add([]byte{0x07, 0xff, 0x07, 0xff, 0x47, 0xff, 0x87, 0xff}) // far pushes
+	// Peek, then push an equal-tick event with a smaller key (node 0 after
+	// node 1); peek, then one with a larger key (node 3); pop everything.
+	f.Add([]byte{0x10, 0x05, 0x80, 0x05, 0xb0, 0x05, 0x03, 0x00, 0x03, 0x00, 0x03, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cal calendarQueue
 		var ref eventHeap
@@ -130,7 +168,12 @@ func FuzzEventQueue(f *testing.F) {
 			if op&0x40 != 0 {
 				delta *= 31 // reach past the 256-tick horizon
 			}
-			ev := mkEvent(low+delta, int32(op>>4), int32(op>>2&3), op&3)
+			ev := mkEvent(low+delta, int32(op>>4&7), int32(op>>2&3), op&3)
+			if op&0x80 != 0 && ref.len() > 0 {
+				if got, want := cal.top(), ref.top(); got != want {
+					t.Fatalf("op %d: top before push %+v, reference %+v", i, got, want)
+				}
+			}
 			cal.push(ev)
 			ref.push(ev)
 		}
@@ -178,7 +221,8 @@ func TestCalendarHorizon(t *testing.T) {
 	if h < 64 || h > 1<<16 {
 		t.Fatalf("horizon %d outside clamp bounds", h)
 	}
-	// Must comfortably exceed every routine scheduling delta.
+	// Must exceed every routine scheduling delta, and by less than 2x: a
+	// longer ring is memory cycled through for nothing.
 	par := DefaultParams()
 	for _, delta := range []int64{
 		MaxPacketBytes + par.RouterDelay, par.CreditDelay, par.EscapeDelay, par.CPUCost(MaxPacketBytes),
@@ -186,6 +230,9 @@ func TestCalendarHorizon(t *testing.T) {
 		if h <= delta {
 			t.Fatalf("horizon %d does not cover routine delta %d", h, delta)
 		}
+	}
+	if h != 512 {
+		t.Fatalf("horizon %d at default parameters, want 512 (largest routine delta 271)", h)
 	}
 	// The clamp must hold under absurd parameter sweeps.
 	par.EscapeDelay = 1 << 40

@@ -436,6 +436,7 @@ func (e *engine) reroutePkt(node int32, q *pktQueue, i int32, alive uint8) bool 
 	p.hops = hops
 	p.want = want
 	q.wantOR |= want // superset semantics: old bits may go stale-high (safe)
+	q.quietAt = 0    // the window's wants and escape clocks changed
 	e.stats.Reroutes++
 	return true
 }

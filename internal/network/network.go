@@ -202,6 +202,7 @@ type Network struct {
 
 	routers []router
 	coords  []torus.Coord
+	rings   ringSlab // storage behind every queue's ring (queue.go)
 
 	// SoA router state (see the comment above linkIdx).
 	outBusy []int64  // [linkIdx] output-link busy-until time
@@ -283,9 +284,9 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 	for n := 0; n < p; n++ {
 		nw.coords[n] = shape.Coords(n)
 	}
-	// Pass 1: resolve the neighbour table and count live links, so every
-	// ring of the machine can be carved from one contiguous arena in node
-	// order (see newPktQueueIn).
+	// Pass 1: resolve the neighbour table and count live links, so the
+	// initial ring of every queue in the machine can be carved from one
+	// contiguous chunk in node order (see ringSlab).
 	links := 0
 	for n := 0; n < p; n++ {
 		for d := 0; d < numDirs; d++ {
@@ -299,12 +300,12 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 		}
 	}
 	// Every VC can overshoot capacity by one max packet (flit-credit
-	// streaming grants); size those queues for it.
+	// streaming grants); its byte budget allows for it.
 	vcCap := par.VCBytes + MaxPacketBytes
-	slots := int(pktSlots(vcCap))*links*NumVC +
-		p*(int(pktSlots(par.InjFIFOBytes))*par.InjFIFOs+int(pktSlots(par.RecvFIFOBytes)))
-	arena := make([]pktRef, slots)
-	idArena := make([]int32, slots)
+	slots := int(ringSlots(vcCap))*links*NumVC +
+		p*(int(ringSlots(par.InjFIFOBytes))*par.InjFIFOs+int(ringSlots(par.RecvFIFOBytes)))
+	nw.rings.refs = make([]pktRef, slots)
+	nw.rings.ids = make([]int32, slots)
 	for n := 0; n < p; n++ {
 		r := &nw.routers[n]
 		for d := 0; d < numDirs; d++ {
@@ -312,15 +313,15 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 				continue
 			}
 			for vc := 0; vc < NumVC; vc++ {
-				r.in[d][vc], arena, idArena = newPktQueueIn(arena, idArena, vcCap)
+				r.in[d][vc] = newPktQueue(&nw.rings, vcCap, par.window(int8(vc)))
 				nw.tok[tokIdx(int32(n), d, vc)] = par.VCBytes
 			}
 		}
 		r.inj = make([]pktQueue, par.InjFIFOs)
 		for i := range r.inj {
-			r.inj[i], arena, idArena = newPktQueueIn(arena, idArena, par.InjFIFOBytes)
+			r.inj[i] = newPktQueue(&nw.rings, par.InjFIFOBytes, 1)
 		}
-		r.recv, arena, idArena = newPktQueueIn(arena, idArena, par.RecvFIFOBytes)
+		r.recv = newPktQueue(&nw.rings, par.RecvFIFOBytes, 1)
 		if sources != nil && sources[n] != nil {
 			nw.activeSrc++
 		} else {
@@ -370,14 +371,14 @@ func (nw *Network) Reset(sources []Source, handler Handler) error {
 				continue
 			}
 			for vc := 0; vc < NumVC; vc++ {
-				r.in[d][vc].reset()
+				r.in[d][vc].reset(nw.Par.window(int8(vc)))
 				nw.tok[tokIdx(int32(n), d, vc)] = nw.Par.VCBytes
 			}
 		}
 		for i := range r.inj {
-			r.inj[i].reset()
+			r.inj[i].reset(1)
 		}
-		r.recv.reset()
+		r.recv.reset(1)
 		r.pendingFw = r.pendingFw[:0]
 		r.pendSrc = PacketSpec{}
 		r.pendValid = false

@@ -161,3 +161,38 @@ func TestObserverSerialShardedCounts(t *testing.T) {
 		t.Errorf("observer totals diverged:\nserial:  %+v\nsharded: %+v", sum(serial), sum(sharded))
 	}
 }
+
+// TestQuietSkipFires holds the quiet-queue skip on: a saturated all-to-all
+// must elide queue visits on the plain engine (so a later change cannot
+// disable the skip silently), elide none under an observer - OnBlocked has to
+// fire on every failed visit - and produce the same statistics either way,
+// which is the skip's standing differential oracle.
+func TestQuietSkipFires(t *testing.T) {
+	run := func(obs Observer) (*Stats, int64) {
+		shape := torus.New(4, 4, 4)
+		p := shape.P()
+		srcs := make([]Source, p)
+		for n := range srcs {
+			srcs[n] = &allToAllSource{self: int32(n), p: int32(p), size: MaxPacketBytes}
+		}
+		nw := buildNet(t, shape, DefaultParams(), srcs, newCountHandler(p))
+		nw.SetObserver(obs)
+		allRun(t, nw)
+		return nw.Stats(), nw.eng.quietSkips
+	}
+	plain, skips := run(nil)
+	if skips == 0 {
+		t.Error("the quiet-queue skip never fired on a saturated 4x4x4 all-to-all")
+	}
+	obs := &countObserver{}
+	observed, obsSkips := run(obs)
+	if obsSkips != 0 {
+		t.Errorf("%d queue visits skipped under an observer", obsSkips)
+	}
+	if !reflect.DeepEqual(plain, observed) {
+		t.Errorf("statistics differ between the skipping and the full-scan run:\nplain:    %+v\nobserved: %+v", plain, observed)
+	}
+	if blocked := obs.sinks[0].blocked; blocked <= skips {
+		t.Errorf("full scans reported %d blocked entries, fewer than the %d queue visits the plain run skipped", blocked, skips)
+	}
+}

@@ -148,6 +148,16 @@ func (p Params) CPUCost(size int32) int64 {
 	return int64(size) * p.CPUNum / p.CPUDen
 }
 
+// window returns the arbitration lookahead of an input VC: VCLookahead on
+// the dynamic channels, strict FIFO on the bubble escape (as on injection
+// FIFOs). Queues carry it as pktQueue.win.
+func (p Params) window(vc int8) int32 {
+	if vc == VCDyn0 || vc == VCDyn1 {
+		return p.VCLookahead
+	}
+	return 1
+}
+
 // validate rejects parameter combinations the simulator cannot run: buffer
 // geometry that deadlocks the escape channel. Shared by New and ResetParams.
 func (p Params) validate() error {

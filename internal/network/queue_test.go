@@ -3,15 +3,18 @@ package network
 import (
 	"testing"
 	"testing/quick"
+
+	"alltoall/internal/torus"
 )
 
 func TestPktQueueFIFO(t *testing.T) {
-	q := newPktQueue(1024)
+	var slab ringSlab
+	q := newPktQueue(&slab, 1024, 1)
 	for i := int32(0); i < 4; i++ {
 		if !q.fits(256) {
 			t.Fatalf("push %d rejected", i)
 		}
-		q.push(pktRef{}, i, 256)
+		q.push(&slab, pktRef{}, i, 256)
 	}
 	if q.fits(64) {
 		t.Error("overfull accept")
@@ -30,9 +33,10 @@ func TestPktQueueFIFO(t *testing.T) {
 }
 
 func TestPktQueueRemoveAt(t *testing.T) {
-	q := newPktQueue(2048)
+	var slab ringSlab
+	q := newPktQueue(&slab, 2048, 1)
 	for i := int32(0); i < 5; i++ {
-		q.push(pktRef{}, 10+i, 64)
+		q.push(&slab, pktRef{}, 10+i, 64)
 	}
 	if got := q.removeAt(2, 64); got != 12 {
 		t.Fatalf("removeAt(2) = %d", got)
@@ -53,13 +57,14 @@ func TestPktQueueRemoveAt(t *testing.T) {
 }
 
 func TestPktQueueWrapAround(t *testing.T) {
-	q := newPktQueue(4 * 64)
+	var slab ringSlab
+	q := newPktQueue(&slab, 4*64, 1)
 	// Exercise ring wrap: repeatedly push/pop past the buffer end.
 	next := int32(0)
 	expect := int32(0)
 	for round := 0; round < 25; round++ {
 		for q.fits(64) {
-			q.push(pktRef{}, next, 64)
+			q.push(&slab, pktRef{}, next, 64)
 			next++
 		}
 		q.pop(64)
@@ -87,10 +92,160 @@ func TestPktQueueOverflowPanics(t *testing.T) {
 			t.Error("overflow did not panic")
 		}
 	}()
-	q := newPktQueue(128)
-	q.push(pktRef{}, 0, 64)
-	q.push(pktRef{}, 1, 64)
-	q.push(pktRef{}, 2, 64)
+	var slab ringSlab
+	q := newPktQueue(&slab, 128, 1)
+	q.push(&slab, pktRef{}, 0, 64)
+	q.push(&slab, pktRef{}, 1, 64)
+	q.push(&slab, pktRef{}, 2, 64)
+}
+
+// TestPktQueueGrowth fills a VC to its byte capacity with minimum-size
+// packets - four times what its initial ring holds - from a wrapped head, and
+// checks after every push that the queue reads back in FIFO order with exact
+// byte accounting and wantOR/nDeliv summaries: a doubling must move nothing
+// but the storage.
+func TestPktQueueGrowth(t *testing.T) {
+	capBytes := DefaultParams().VCBytes + MaxPacketBytes
+	var slab ringSlab
+	q := newPktQueue(&slab, capBytes, 4)
+	first := q.mask + 1
+	// Wrap the head so a doubling has to unroll the ring.
+	for i := int32(0); i < first-3; i++ {
+		q.push(&slab, pktRef{want: 1}, i, MinPacketBytes)
+		q.pop(MinPacketBytes)
+	}
+	want := func(i int32) uint8 { // every seventh packet is deliverable here
+		if i%7 == 3 {
+			return 0
+		}
+		return 1 << (i % 6)
+	}
+	var n, nDeliv int32
+	var or uint8
+	doublings := 0
+	for q.fits(MinPacketBytes) {
+		before := q.mask
+		q.push(&slab, pktRef{want: want(n), size: int16(n)}, 1000+n, MinPacketBytes)
+		if q.mask != before {
+			doublings++
+		}
+		or |= want(n)
+		if want(n) == 0 {
+			nDeliv++
+		}
+		n++
+		if q.count != n || q.bytes != n*MinPacketBytes {
+			t.Fatalf("after %d pushes: count %d bytes %d", n, q.count, q.bytes)
+		}
+		if q.wantOR != or || int32(q.nDeliv) != nDeliv {
+			t.Fatalf("after %d pushes: wantOR %#x nDeliv %d, want %#x %d", n, q.wantOR, q.nDeliv, or, nDeliv)
+		}
+		for i := int32(0); i < n; i++ {
+			if q.idAt(i) != 1000+i || q.at(i).size != int16(i) || q.at(i).want != want(i) {
+				t.Fatalf("after %d pushes: entry %d is pid %d size %d want %#x",
+					n, i, q.idAt(i), q.at(i).size, q.at(i).want)
+			}
+		}
+	}
+	if n != capBytes/MinPacketBytes {
+		t.Fatalf("byte budget admitted %d minimum-size packets, want %d", n, capBytes/MinPacketBytes)
+	}
+	if doublings != 2 || q.mask+1 != 4*first {
+		t.Fatalf("ring went %d -> %d slots in %d doublings, want 2 doublings", first, q.mask+1, doublings)
+	}
+	// Draining from the middle and the head keeps the order and the counts.
+	if got := q.removeAt(5, MinPacketBytes); got != 1005 {
+		t.Fatalf("removeAt(5) = %d", got)
+	}
+	for i := int32(0); q.count > 0; i++ {
+		if i == 5 {
+			i++
+		}
+		if got := q.pop(MinPacketBytes); got != 1000+i {
+			t.Fatalf("pop = %d, want %d", got, 1000+i)
+		}
+	}
+	if q.bytes != 0 || q.nDeliv != 0 || q.wantOR != 0 {
+		t.Fatalf("drained queue: bytes %d nDeliv %d wantOR %#x", q.bytes, q.nDeliv, q.wantOR)
+	}
+	// reset keeps the grown ring.
+	q.reset(4)
+	if q.mask+1 != 4*first {
+		t.Fatalf("reset shrank the ring to %d slots", q.mask+1)
+	}
+}
+
+// TestPktQueueQuietCleared: the quiet-window summary describes the entries
+// of the arbitration window, so every mutation of the window must clear it -
+// and a push behind a full window must not.
+func TestPktQueueQuietCleared(t *testing.T) {
+	var slab ringSlab
+	q := newPktQueue(&slab, DefaultParams().VCBytes+MaxPacketBytes, 2)
+	blocked := pktRef{want: 1, blocked: 10}
+	settled := func(ctx string) {
+		t.Helper()
+		q.settle(64)
+		if q.quietAt != 10+64 || q.winOR != 1 {
+			t.Fatalf("%s: settle gave quietAt %d winOR %#x", ctx, q.quietAt, q.winOR)
+		}
+	}
+	q.push(&slab, blocked, 0, MinPacketBytes)
+	settled("one entry")
+	q.push(&slab, blocked, 1, MinPacketBytes) // second window slot
+	if q.quietAt != 0 {
+		t.Error("push into the window kept quietAt")
+	}
+	settled("full window")
+	q.push(&slab, pktRef{want: 2}, 2, MinPacketBytes) // behind the window
+	if q.quietAt == 0 {
+		t.Error("push behind the window cleared quietAt")
+	}
+	q.pop(MinPacketBytes)
+	if q.quietAt != 0 {
+		t.Error("pop kept quietAt")
+	}
+	// The fresh entry slid into the window with no escape clock: not quiet.
+	if q.settle(64); q.quietAt != 0 {
+		t.Error("settle called a window with an unstarted escape clock quiet")
+	}
+	q.at(1).blocked = 10
+	q.at(1).want = 1
+	settled("after pop")
+	q.removeAt(1, MinPacketBytes)
+	if q.quietAt != 0 {
+		t.Error("removeAt kept quietAt")
+	}
+	settled("after removeAt")
+	q.reset(2)
+	if q.quietAt != 0 {
+		t.Error("reset kept quietAt")
+	}
+}
+
+// TestReroutePktClearsQuiet covers the one window mutation that lives outside
+// queue.go: a fault reroute rewrites a queued packet's want mask and restarts
+// its escape clock in place.
+func TestReroutePktClearsQuiet(t *testing.T) {
+	nw := buildNet(t, torus.New(8, 1, 1), DefaultParams(), nil, newCountHandler(8))
+	e := &nw.eng
+	hops := [3]int8{3, 0, 0}
+	pid := e.allocPkt()
+	e.pkts[pid] = packet{hops: hops, want: wantMask(hops, false)}
+	q := &nw.routers[0].in[dirOf(torus.X, -1)][VCDyn0]
+	q.push(&nw.rings, pktRef{hops: hops, want: wantMask(hops, false), blocked: 5}, pid, MinPacketBytes)
+	if q.settle(64); q.quietAt == 0 {
+		t.Fatal("settle left a blocked one-packet window unsummarized")
+	}
+	xPlusDead := maskAll &^ uint8(1<<dirOf(torus.X, 1))
+	if !e.reroutePkt(0, q, 0, xPlusDead) {
+		t.Fatal("stranded packet was not rerouted")
+	}
+	if rf := q.at(0); rf.hops[0] != 3-8 || rf.blocked != 0 {
+		t.Fatalf("rerouted header: hops %v blocked %d", rf.hops, rf.blocked)
+	}
+	if q.quietAt != 0 {
+		t.Error("reroutePkt kept quietAt")
+	}
 }
 
 func TestEventHeapOrdering(t *testing.T) {

@@ -2,6 +2,7 @@ package network
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"alltoall/internal/torus"
@@ -168,4 +169,85 @@ func TestResetParamsRejectsStructureChange(t *testing.T) {
 	if err := nw.ResetParams(invalid, srcs, countOnly{}); err == nil {
 		t.Error("invalid VCLookahead accepted by ResetParams")
 	}
+}
+
+// ringSlotsTotal sums the ring sizes of every queue in the machine.
+func ringSlotsTotal(nw *Network) int {
+	n := 0
+	for i := range nw.routers {
+		r := &nw.routers[i]
+		for d := range r.in {
+			for vc := range r.in[d] {
+				n += len(r.in[d][vc].buf)
+			}
+		}
+		for f := range r.inj {
+			n += len(r.inj[f].buf)
+		}
+		n += len(r.recv.buf)
+	}
+	return n
+}
+
+// TestResetKeepsGrownRings: rings sized for maximum-size packets double on
+// demand under minimum-size ones; a recycled network must keep what it grew,
+// so the same run after Reset grows no ring and - with the calendar's
+// buckets refilled in place - allocates nothing, on the serial engine and on
+// two shards (whose goroutine start-up is the allowance).
+func TestResetKeepsGrownRings(t *testing.T) {
+	shape := torus.New(4, 4, 4)
+	p := shape.P()
+	for _, shards := range []int{1, 2} {
+		srcs := make([]Source, p)
+		for n := range srcs {
+			srcs[n] = &allToAllSource{self: int32(n), p: int32(p), size: MinPacketBytes}
+		}
+		nw, err := New(shape, DefaultParams(), srcs, countOnly{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		initial := ringSlotsTotal(nw)
+		run := func() {
+			for _, s := range srcs {
+				s.(*allToAllSource).next = 0
+			}
+			if err := nw.Reset(srcs, countOnly{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nw.RunSharded(1<<40, shards); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		grown := ringSlotsTotal(nw)
+		if grown <= initial {
+			t.Fatalf("shards=%d: the workload grew no ring (%d slots): the test is vacuous", shards, grown)
+		}
+		allocs := testing.AllocsPerRun(5, run)
+		if after := ringSlotsTotal(nw); after != grown {
+			t.Errorf("shards=%d: repeated runs grew rings from %d to %d slots", shards, grown, after)
+		}
+		if allocs > float64(shards-1)*2 {
+			t.Errorf("shards=%d: a repeated run allocates %.1f times, want <= %d", shards, allocs, (shards-1)*2)
+		}
+	}
+}
+
+// TestNewFootprint guards the working set: at the parent of the demand-sized
+// rings, New on the paper's 512-node partition allocated 15,288,448 bytes
+// (every ring sized for minimum-size packets, 27.5 KB a node); it must stay
+// under a third of that, so the rings cannot creep back unnoticed.
+func TestNewFootprint(t *testing.T) {
+	const parentBytes = 15288448
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	nw, err := New(torus.New(8, 8, 8), DefaultParams(), nil, countOnly{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > parentBytes/3 {
+		t.Errorf("New(8x8x8) allocated %d bytes, want <= %d (a third of %d)", got, parentBytes/3, parentBytes)
+	}
+	runtime.KeepAlive(nw)
 }

@@ -56,8 +56,10 @@ type SyncStats struct {
 	HorizonAdvances int64
 	// BlockedWaits counts barrier crossings, summed over shards.
 	BlockedWaits int64
-	// BlockedWaitNs is wall time spent waiting at barriers. The barrier is
-	// not timed (doing so would slow every window), so this reads 0.
+	// BlockedWaitNs is wall time spent waiting at barriers, summed over
+	// shards. Only waits that outlast the barrier's spin phase are timed
+	// (parallel.Barrier.Await), so it reads what shard imbalance costs and
+	// leaves near-simultaneous crossings free.
 	BlockedWaitNs int64
 	// CrossShardEvents / CrossShardBytes count the arrivals and credits, and
 	// their in-memory message bytes, that crossed a shard boundary.
@@ -146,6 +148,7 @@ func (nw *Network) runSharded(maxTime int64, shards int) (int64, error) {
 		e := &nw.shards[i]
 		ss.HorizonAdvances += e.syncAdvances
 		ss.BlockedWaits += e.syncWaits
+		ss.BlockedWaitNs += e.syncWaitNs
 		ss.CrossShardEvents += e.syncXEv
 		inFlight += e.inFlight
 		activeSrc += e.activeSrc
@@ -196,8 +199,7 @@ func (e *engine) run(maxTime, window int64, wg *sync.WaitGroup) {
 	for n := e.lo; n < e.hi; n++ {
 		e.maybeRunCPU(n)
 	}
-	e.syncWaits++
-	nw.barrier.Await() // initial injections scheduled; outboxes stable (empty)
+	e.await() // initial injections scheduled; outboxes stable (empty)
 	var pend error
 	for {
 		// The loop top is inside the drain span (between the window barrier
@@ -223,8 +225,7 @@ func (e *engine) run(maxTime, window int64, wg *sync.WaitGroup) {
 		} else {
 			e.inMin = maxInt64
 		}
-		e.syncWaits++
-		nw.barrier.Await() // inMin published, all inboxes drained
+		e.await() // inMin published, all inboxes drained
 		gmin := maxInt64
 		fail := false
 		for i := range nw.shards {
@@ -243,9 +244,14 @@ func (e *engine) run(maxTime, window int64, wg *sync.WaitGroup) {
 			pend = err
 		}
 		e.syncAdvances++
-		e.syncWaits++
-		nw.barrier.Await() // window processed; outboxes and err published
+		e.await() // window processed; outboxes and err published
 	}
+}
+
+// await crosses the window barrier, counting the crossing and any timed wait.
+func (e *engine) await() {
+	e.syncWaits++
+	e.syncWaitNs += int64(e.nw.barrier.Await())
 }
 
 // drainInboxes moves every message other shards addressed to this one onto

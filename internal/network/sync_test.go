@@ -94,3 +94,43 @@ func TestSyncCounters(t *testing.T) {
 		t.Errorf("no cross-shard traffic recorded: %+v", ss)
 	}
 }
+
+// TestBlockedWaitSeesImbalance: with every packet confined to the first slab
+// of a two-shard run, the second shard has nothing to do but wait at each
+// window barrier for the first to finish its window. Those waits outlast the
+// barrier's spin phase, so they must show in BlockedWaitNs - on the idle
+// shard - which is what makes shard imbalance visible.
+func TestBlockedWaitSeesImbalance(t *testing.T) {
+	shape := torus.New(4, 4, 4)
+	p := shape.P()
+	half := int32(p / 2) // shard 0 owns ranks [0, half): whole Z planes
+	srcs := make([]Source, p)
+	for n := int32(0); n < half; n++ {
+		specs := make([]PacketSpec, 0, 8*int(half))
+		for round := 0; round < 8; round++ {
+			for d := int32(0); d < half; d++ {
+				if d != n {
+					specs = append(specs, PacketSpec{Dst: d, Size: MaxPacketBytes, Det: true})
+				}
+			}
+		}
+		srcs[n] = &listSource{specs: specs}
+	}
+	nw, err := New(shape, DefaultParams(), srcs, countOnly{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.RunSharded(1<<40, 2); err != nil {
+		t.Fatal(err)
+	}
+	ss := nw.SyncStats()
+	if ss.Shards != 2 || ss.HorizonAdvances == 0 {
+		t.Fatalf("not a sharded run: %+v", ss)
+	}
+	if idle := nw.shards[1].syncWaitNs; idle <= 0 {
+		t.Errorf("idle shard timed no barrier wait (%d ns over %d crossings)", idle, nw.shards[1].syncWaits)
+	}
+	if ss.BlockedWaitNs < nw.shards[1].syncWaitNs {
+		t.Errorf("BlockedWaitNs %d below the idle shard's own %d", ss.BlockedWaitNs, nw.shards[1].syncWaitNs)
+	}
+}

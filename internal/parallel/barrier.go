@@ -3,6 +3,7 @@ package parallel
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
 )
 
 // Barrier is a reusable counter barrier for a fixed set of n participants,
@@ -28,22 +29,36 @@ func NewBarrier(n int) *Barrier {
 }
 
 // Await blocks until all n participants have called it, then releases them
-// all. The barrier is immediately reusable for the next crossing.
-func (b *Barrier) Await() {
+// all. The barrier is immediately reusable for the next crossing. It returns
+// how long the caller waited after leaving the spin phase, and 0 for a
+// crossing that finished inside it: the clock is read only on that slow path,
+// so near-simultaneous arrivals (every window of a balanced small run) cost
+// nothing extra, and the long waits an imbalanced partition produces are
+// measured in full but for the first few dozen loads.
+func (b *Barrier) Await() time.Duration {
 	g := b.gen.Load()
 	if b.arrived.Add(1) == b.n {
 		// Last arriver: reset the count for the next crossing before
 		// opening the gate (waiters only watch gen, so the order is safe).
 		b.arrived.Store(0)
 		b.gen.Add(1)
-		return
+		return 0
 	}
 	// Brief spin for the common case of near-simultaneous arrival, then
 	// yield: with fewer cores than participants (or a single core) the
 	// missing arrivals can only happen if this goroutine gets off the CPU.
+	const spinPhase = 64
+	var slow time.Time
 	for spin := 0; b.gen.Load() == g; spin++ {
-		if spin >= 64 {
+		if spin >= spinPhase {
+			if spin == spinPhase {
+				slow = time.Now()
+			}
 			runtime.Gosched()
 		}
 	}
+	if slow.IsZero() {
+		return 0
+	}
+	return time.Since(slow)
 }

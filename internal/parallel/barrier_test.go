@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestBarrierPhases checks that no participant enters phase k+1 before all
@@ -58,6 +59,28 @@ func TestBarrierPublishes(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestBarrierTimesSlowWaits checks what Await reports: nothing for the last
+// arriver (it never waits), and the wait itself for a participant held well
+// past the spin phase by a late peer.
+func TestBarrierTimesSlowWaits(t *testing.T) {
+	if d := NewBarrier(1).Await(); d != 0 {
+		t.Errorf("sole participant waited %v", d)
+	}
+	const hold = 20 * time.Millisecond
+	b := NewBarrier(2)
+	late := make(chan time.Duration)
+	go func() {
+		time.Sleep(hold)
+		late <- b.Await()
+	}()
+	if d := b.Await(); d < hold/2 {
+		t.Errorf("waiter held ~%v reported %v", hold, d)
+	}
+	if d := <-late; d != 0 {
+		t.Errorf("last arriver reported a wait of %v", d)
+	}
 }
 
 func BenchmarkBarrier(bm *testing.B) {

@@ -66,7 +66,7 @@ type metrics struct {
 	// SyncStats out-parameter (all zero while every job runs unsharded).
 	syncAdvances atomic.Int64 // windows processed
 	syncWaits    atomic.Int64 // barrier crossings
-	syncWaitNs   atomic.Int64 // network.SyncStats.BlockedWaitNs (0: the barrier is not timed)
+	syncWaitNs   atomic.Int64 // network.SyncStats.BlockedWaitNs (waits past the barrier's spin phase)
 	syncXEvents  atomic.Int64 // events shipped across shard boundaries
 	syncXBytes   atomic.Int64 // bytes shipped across shard boundaries
 
