@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,7 +78,8 @@ const goldenFaults = "0:5:+x:kill;300:12:-y:down;2500:12:-y:up"
 // message size, invariant checker on. Everything the goldens pin is
 // byte-identical at any shard count; the serial engine is just the simplest
 // fixture (TestGoldenShardIndependent holds the rendering to that claim).
-func goldenRun(t *testing.T, strat alltoall.Strategy, faults string, shards int, obs *alltoall.Collector) alltoall.Result {
+// extra options are applied last.
+func goldenRun(t *testing.T, strat alltoall.Strategy, faults string, shards int, obs *alltoall.Collector, extra ...alltoall.Option) alltoall.Result {
 	t.Helper()
 	shape, err := alltoall.ParseShape("4x4x2")
 	if err != nil {
@@ -100,7 +102,7 @@ func goldenRun(t *testing.T, strat alltoall.Strategy, faults string, shards int,
 	if obs != nil {
 		opts = append(opts, alltoall.WithObserver(obs))
 	}
-	res, err := alltoall.RunContext(context.Background(), strat, opts...)
+	res, err := alltoall.RunContext(context.Background(), strat, append(opts, extra...)...)
 	if err != nil {
 		t.Fatalf("%s run: %v", strat, err)
 	}
@@ -108,20 +110,44 @@ func goldenRun(t *testing.T, strat alltoall.Strategy, faults string, shards int,
 }
 
 // TestGoldenResult locks the deterministic result block for a healthy run of
-// a direct strategy and of the two-phase schedule (which adds its extra
-// line), pinning layout, number formatting, and the simulated values.
+// every strategy, and of the two-phase schedule under credit flow control,
+// pinning layout, number formatting, and the simulated values. The files are
+// the byte-level oracle for changes to the strategies; result_counters.golden
+// adds the counters the printed block omits (events, last injection,
+// forwarding backlog, credit packets, CPU load), so a schedule that reorders
+// one packet shows up here.
 func TestGoldenResult(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	for _, strat := range []alltoall.Strategy{alltoall.AR, alltoall.TPS} {
-		t.Run(string(strat), func(t *testing.T) {
-			res := goldenRun(t, strat, "", 1, nil)
+	credit := func(o *alltoall.Options) { o.TPSCreditWindow, o.TPSCreditBatch = 16, 8 }
+	cases := []struct {
+		name  string
+		strat alltoall.Strategy
+		extra []alltoall.Option
+	}{
+		{"AR", alltoall.AR, nil},
+		{"DR", alltoall.DR, nil},
+		{"Throttle", alltoall.Throttle, nil},
+		{"MPI", alltoall.MPI, nil},
+		{"TPS", alltoall.TPS, nil},
+		{"VMesh", alltoall.VMesh, nil},
+		{"XYZ", alltoall.XYZ, nil},
+		{"TPS-credit", alltoall.TPS, []alltoall.Option{credit}},
+	}
+	var counters strings.Builder
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res := goldenRun(t, c.strat, "", 1, nil, c.extra...)
 			var b strings.Builder
 			renderResult(&b, res)
-			checkGolden(t, "result_"+strings.ToLower(string(strat))+".golden", []byte(b.String()))
+			checkGolden(t, "result_"+strings.ToLower(c.name)+".golden", []byte(b.String()))
+			fmt.Fprintf(&counters, "%-10s events %d last-inject %d backlog %d credits %d cpu mean %.6f max %.6f latency %.6f\n",
+				c.name, res.Events, res.LastInjectUnits, res.MaxIntermediateBacklog, res.CreditPackets,
+				res.MeanCPUUtil, res.MaxCPUUtil, res.MeanLatencyUnits)
 		})
 	}
+	checkGolden(t, "result_counters.golden", []byte(counters.String()))
 }
 
 // TestGoldenFaultedResult locks the rendering of a faulted run, including the

@@ -44,14 +44,14 @@ func TestNetCacheDeterminism(t *testing.T) {
 func TestNetCacheAfterError(t *testing.T) {
 	shape := torus.New(4, 4, 2)
 	cache := &NetCache{}
-	fresh, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 3}})
+	fresh, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 3, MaxTime: 50}, Cache: cache}); err == nil {
+	if _, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 3, MaxTime: 50}, Cache: cache}); err == nil {
 		t.Fatal("MaxTime=50 run unexpectedly completed")
 	}
-	cached, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 3}, Cache: cache})
+	cached, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 3}, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +67,14 @@ func TestNetCacheCrossShape(t *testing.T) {
 	shapes := []torus.Shape{torus.New(4, 2, 1), torus.New(4, 4, 1), torus.New(4, 2, 1)}
 	var want []Result
 	for _, s := range shapes {
-		r, err := RunAR(Options{Request: Request{Shape: s, MsgBytes: 64, Seed: 2}})
+		r, err := run(StratAR, Options{Request: Request{Shape: s, MsgBytes: 64, Seed: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, r)
 	}
 	for i, s := range shapes {
-		r, err := RunAR(Options{Request: Request{Shape: s, MsgBytes: 64, Seed: 2}, Cache: cache})
+		r, err := run(StratAR, Options{Request: Request{Shape: s, MsgBytes: 64, Seed: 2}, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,11 +101,11 @@ func TestNetCacheCrossShapeSharded(t *testing.T) {
 		{torus.New(4, 2, 2), 4},
 	}
 	for i, st := range steps {
-		fresh, err := RunAR(Options{Request: Request{Shape: st.shape, MsgBytes: 240, Seed: 2, Shards: st.shards, Check: true}})
+		fresh, err := run(StratAR, Options{Request: Request{Shape: st.shape, MsgBytes: 240, Seed: 2, Shards: st.shards, Check: true}})
 		if err != nil {
 			t.Fatalf("step %d fresh: %v", i, err)
 		}
-		cached, err := RunAR(Options{Request: Request{Shape: st.shape, MsgBytes: 240, Seed: 2, Shards: st.shards, Check: true}, Cache: cache})
+		cached, err := run(StratAR, Options{Request: Request{Shape: st.shape, MsgBytes: 240, Seed: 2, Shards: st.shards, Check: true}, Cache: cache})
 		if err != nil {
 			t.Fatalf("step %d cached: %v", i, err)
 		}
@@ -122,13 +122,13 @@ func TestNetCacheCrossShapeSharded(t *testing.T) {
 func TestNetCacheCheckToggle(t *testing.T) {
 	cache := &NetCache{}
 	shape := torus.New(4, 2, 1)
-	if _, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 64, Seed: 2}, Cache: cache}); err != nil {
+	if _, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 64, Seed: 2}, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
 	if cache.nw.Par.Check {
 		t.Fatal("unchecked run cached a checked network")
 	}
-	if _, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 64, Seed: 2, Check: true}, Cache: cache}); err != nil {
+	if _, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 64, Seed: 2, Check: true}, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
 	if !cache.nw.Par.Check {
@@ -153,11 +153,11 @@ func TestNetCacheCrossParams(t *testing.T) {
 	cache := &NetCache{}
 	var recycled *network.Network
 	for i, par := range params {
-		fresh, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 7}, Par: par})
+		fresh, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 7}, Par: par})
 		if err != nil {
 			t.Fatalf("params %d fresh: %v", i, err)
 		}
-		cached, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 7}, Par: par, Cache: cache})
+		cached, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 7}, Par: par, Cache: cache})
 		if err != nil {
 			t.Fatalf("params %d cached: %v", i, err)
 		}
@@ -175,7 +175,7 @@ func TestNetCacheCrossParams(t *testing.T) {
 	// A buffer-structure change must fall back to allocation.
 	bigger := base
 	bigger.VCBytes *= 2
-	if _, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 7}, Par: bigger, Cache: cache}); err != nil {
+	if _, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 7}, Par: bigger, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
 	if cache.nw == recycled {

@@ -5,14 +5,13 @@ import (
 	"strings"
 	"testing"
 
-	"alltoall/internal/network"
 	"alltoall/internal/torus"
 )
 
 func small() torus.Shape { return torus.New(4, 4, 1) }
 
 func TestRunARDeliversEverything(t *testing.T) {
-	res, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 100, Seed: 1}})
+	res, err := run(StratAR, Options{Request: Request{Shape: small(), MsgBytes: 100, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +31,7 @@ func TestRunARDeliversEverything(t *testing.T) {
 }
 
 func TestRunDRDeliversEverything(t *testing.T) {
-	res, err := RunDR(Options{Request: Request{Shape: small(), MsgBytes: 100, Seed: 1}})
+	res, err := run(StratDR, Options{Request: Request{Shape: small(), MsgBytes: 100, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +42,11 @@ func TestRunDRDeliversEverything(t *testing.T) {
 }
 
 func TestRunThrottledSlowerOrEqualInjection(t *testing.T) {
-	ar, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 512, Seed: 1}})
+	ar, err := run(StratAR, Options{Request: Request{Shape: small(), MsgBytes: 512, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := RunThrottled(Options{Request: Request{Shape: small(), MsgBytes: 512, Seed: 1}})
+	th, err := run(StratThrottle, Options{Request: Request{Shape: small(), MsgBytes: 512, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +59,11 @@ func TestRunThrottledSlowerOrEqualInjection(t *testing.T) {
 
 func TestRunMPIHasHigherOverheadThanAR(t *testing.T) {
 	// With a tiny message, startup dominates: MPI (higher alpha) is slower.
-	ar, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 1, Seed: 1}})
+	ar, err := run(StratAR, Options{Request: Request{Shape: small(), MsgBytes: 1, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpi, err := RunMPI(Options{Request: Request{Shape: small(), MsgBytes: 1, Seed: 1}})
+	mpi, err := run(StratMPI, Options{Request: Request{Shape: small(), MsgBytes: 1, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,74 +72,14 @@ func TestRunMPIHasHigherOverheadThanAR(t *testing.T) {
 	}
 }
 
-func TestDirectSourceEmitsAllPackets(t *testing.T) {
-	shape := torus.New(4, 2, 1)
-	msg := NewMsg(500, 48)
-	src := newDirectSource(shape, 0, msg, 2, 0, false, 7, pacer{})
-	counts := map[int32]int{}
-	var bytes int64
-	for {
-		spec, st, _ := src.Next(0)
-		if st == network.SrcDone {
-			break
-		}
-		if st != network.SrcReady {
-			t.Fatalf("unexpected status %v", st)
-		}
-		counts[spec.Dst]++
-		bytes += int64(spec.Size)
-	}
-	if len(counts) != shape.P()-1 {
-		t.Fatalf("destinations = %d, want %d", len(counts), shape.P()-1)
-	}
-	for d, c := range counts {
-		if c != msg.NPkts {
-			t.Errorf("dest %d got %d packets, want %d", d, c, msg.NPkts)
-		}
-	}
-	if bytes != msg.Wire*int64(shape.P()-1) {
-		t.Errorf("wire bytes = %d, want %d", bytes, msg.Wire*int64(shape.P()-1))
-	}
-}
-
-func TestDirectSourceBurstOrdering(t *testing.T) {
-	shape := torus.New(4, 2, 1)
-	msg := NewMsg(960, 48) // 4+ packets
-	src := newDirectSource(shape, 0, msg, 2, 0, false, 7, pacer{})
-	// With burst 2, the first two specs must go to the same destination.
-	a, _, _ := src.Next(0)
-	b, _, _ := src.Next(0)
-	c, _, _ := src.Next(0)
-	if a.Dst != b.Dst {
-		t.Errorf("burst not contiguous: %d then %d", a.Dst, b.Dst)
-	}
-	if c.Dst == a.Dst {
-		t.Errorf("third packet should move to the next destination")
-	}
-}
-
-func TestDirectSourceAlphaOnFirstPacketOnly(t *testing.T) {
-	shape := torus.New(4, 2, 1)
-	msg := NewMsg(960, 48)
-	src := newDirectSource(shape, 0, msg, msg.NPkts, 99, false, 7, pacer{})
-	first, _, _ := src.Next(0)
-	if first.ExtraCPU != 99 {
-		t.Errorf("first packet ExtraCPU = %d, want 99", first.ExtraCPU)
-	}
-	second, _, _ := src.Next(0)
-	if second.ExtraCPU != 0 {
-		t.Errorf("second packet ExtraCPU = %d, want 0", second.ExtraCPU)
-	}
-}
-
 func TestRunValidation(t *testing.T) {
-	if _, err := RunAR(Options{Request: Request{Shape: torus.Shape{Size: [3]int{0, 1, 1}}, MsgBytes: 8}}); err == nil {
+	if _, err := run(StratAR, Options{Request: Request{Shape: torus.Shape{Size: [3]int{0, 1, 1}}, MsgBytes: 8}}); err == nil {
 		t.Error("invalid shape accepted")
 	}
-	if _, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 0}}); err == nil {
+	if _, err := run(StratAR, Options{Request: Request{Shape: small(), MsgBytes: 0}}); err == nil {
 		t.Error("zero message accepted")
 	}
-	if _, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 8, Burst: -1}}); err == nil {
+	if _, err := run(StratAR, Options{Request: Request{Shape: small(), MsgBytes: 8, Burst: -1}}); err == nil {
 		t.Error("negative burst accepted")
 	}
 	if _, err := RunContext(context.Background(), Strategy("nope"), Options{Request: Request{Shape: small(), MsgBytes: 8}}); err == nil ||
@@ -163,11 +102,11 @@ func TestRunDispatch(t *testing.T) {
 }
 
 func TestDeterministicResults(t *testing.T) {
-	a, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 256, Seed: 42}})
+	a, err := run(StratAR, Options{Request: Request{Shape: small(), MsgBytes: 256, Seed: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 256, Seed: 42}})
+	b, err := run(StratAR, Options{Request: Request{Shape: small(), MsgBytes: 256, Seed: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +116,8 @@ func TestDeterministicResults(t *testing.T) {
 }
 
 func TestSeedChangesSchedule(t *testing.T) {
-	a, _ := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 256, Seed: 1}})
-	b, _ := RunAR(Options{Request: Request{Shape: small(), MsgBytes: 256, Seed: 2}})
+	a, _ := run(StratAR, Options{Request: Request{Shape: small(), MsgBytes: 256, Seed: 1}})
+	b, _ := run(StratAR, Options{Request: Request{Shape: small(), MsgBytes: 256, Seed: 2}})
 	if a.Time == b.Time && a.MeanLatencyUnits == b.MeanLatencyUnits {
 		t.Log("warning: different seeds produced identical timing (possible but unlikely)")
 	}
@@ -186,7 +125,7 @@ func TestSeedChangesSchedule(t *testing.T) {
 
 func TestMeshPartition(t *testing.T) {
 	shape := torus.NewMesh(8, 2, 1, false, false, false)
-	res, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 256, Seed: 1}})
+	res, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 256, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,15 @@ import (
 // strategies): if a routing or flow-control change breaks one of the
 // paper's phenomena, one of these fails.
 
+// run is RunContext with no deadline, for the tests that set more of a run
+// than runOK's shape and message size.
+func run(strat Strategy, opts Options) (Result, error) {
+	return RunContext(context.Background(), strat, opts)
+}
+
 func runOK(t *testing.T, strat Strategy, shape torus.Shape, m int) Result {
 	t.Helper()
-	res, err := RunContext(context.Background(), strat, Options{Request: Request{Shape: shape, MsgBytes: m, Seed: 1}})
+	res, err := run(strat, Options{Request: Request{Shape: shape, MsgBytes: m, Seed: 1}})
 	if err != nil {
 		t.Fatalf("%s on %v: %v", strat, shape, err)
 	}
@@ -125,7 +131,7 @@ func TestShapeUnpacedCollapses(t *testing.T) {
 	}
 	shape := torus.New(8, 8, 1)
 	paced := runOK(t, StratAR, shape, 1920)
-	unpaced, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 1920, Seed: 1, Unpaced: true}})
+	unpaced, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 1920, Seed: 1, Unpaced: true}})
 	if err != nil {
 		t.Fatalf("unpaced: %v", err)
 	}

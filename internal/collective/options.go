@@ -77,7 +77,7 @@ type Options struct {
 // network.DefaultParams with Check and the parsed Faults folded in, Calib,
 // and a MaxTime derived from the peak-time model. It is the one place a run
 // description becomes runnable; RunContext and pattern runs
-// (internal/traffic) call it once, before RunPhase.
+// (internal/traffic) call it once, before the first phase runs.
 func (o *Options) Prepare(ctx context.Context) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -165,7 +165,7 @@ func (o *Options) instrument(nw *network.Network) *network.Network {
 	return nw
 }
 
-// RunPhase runs one simulated phase of a prepared run, the skeleton every
+// runPhase runs one simulated phase of a prepared run, the skeleton every
 // strategy and pattern shares: build or recycle the network for sources and
 // h, drive it on the selected engine (sharded when Shards > 1), dump its
 // state to DebugDump on failure, fold the sync counters into SyncStats, and
@@ -173,7 +173,7 @@ func (o *Options) instrument(nw *network.Network) *network.Network {
 // labeled "<label> on <shape>". Multi-phase strategies call it once per
 // phase; the returned network's Stats are valid until the next call, which
 // may recycle it.
-func (o *Options) RunPhase(label string, sources []network.Source, h network.Handler,
+func (o *Options) runPhase(label string, sources []network.Source, h network.Handler,
 	recv []int64, want func(node int) int64) (*network.Network, int64, error) {
 	nw, err := o.network(sources, h)
 	if err != nil {
@@ -202,7 +202,7 @@ func (o *Options) RunPhase(label string, sources []network.Source, h network.Han
 	return nw, t, nil
 }
 
-// allToAllPayload is RunPhase's want for the single-phase strategies: every
+// allToAllPayload is runPhase's want for the single-phase strategies: every
 // node receives MsgBytes from each of the other P-1.
 func (o *Options) allToAllPayload(int) int64 {
 	return int64(o.Shape.P()-1) * int64(o.MsgBytes)
@@ -344,13 +344,13 @@ func RunContext(ctx context.Context, strat Strategy, opts Options) (Result, erro
 	}
 	switch strat {
 	case StratAR, StratDR, StratThrottle, StratMPI:
-		return runDirect(&opts)
+		return runBurst(&opts, directRoute(opts.Shape, strat == StratDR))
 	case StratTPS:
 		return runTPS(&opts)
 	case StratVMesh:
 		return runVMesh(&opts)
 	case StratXYZ:
-		return runXYZ(&opts)
+		return runBurst(&opts, xyzRoute(opts.Shape))
 	}
 	return Result{}, fmt.Errorf("collective: unknown strategy %q", strat)
 }

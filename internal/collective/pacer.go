@@ -1,6 +1,9 @@
 package collective
 
-import "alltoall/internal/torus"
+import (
+	"alltoall/internal/network"
+	"alltoall/internal/torus"
+)
 
 // pacer is a token-bucket injection governor. The paper's runtime injects
 // packets round-robin across destinations with per-destination startup
@@ -33,7 +36,7 @@ func newPacer(shape torus.Shape, burstPackets int, frac float64) pacer {
 	}
 	return pacer{
 		rateMilli:  rm,
-		burstUnits: int64(burstPackets) * 256 * rm / 1000,
+		burstUnits: int64(burstPackets) * network.MaxPacketBytes * rm / 1000,
 	}
 }
 

@@ -31,8 +31,8 @@ import (
 // tpsCreditSource iterates intermediates round-robin, gated by per-
 // intermediate credit windows.
 type tpsCreditSource struct {
-	shape   torus.Shape
-	self    torus.Coord
+	route   *route
+	self    int32
 	selfLin int
 	linear  torus.Dim
 	msg     Msg
@@ -50,13 +50,14 @@ type tpsCreditSource struct {
 	remaining int // total packets left to emit
 }
 
-func newTPSCreditSource(shape torus.Shape, self int, linear torus.Dim, msg Msg,
+func newTPSCreditSource(rt *route, self int, linear torus.Dim, msg Msg,
 	alpha int64, pace pacer, window int, seed uint64) *tpsCreditSource {
+	shape := rt.shape
 	k := shape.Size[linear]
 	p := shape.P()
 	s := &tpsCreditSource{
-		shape:     shape,
-		self:      shape.Coords(self),
+		route:     rt,
+		self:      int32(self),
 		selfLin:   shape.Coords(self)[linear],
 		linear:    linear,
 		msg:       msg,
@@ -89,12 +90,13 @@ func (s *tpsCreditSource) finalAt(lin, i int) int {
 	j := s.order[lin].At(i)
 	// Enumerate the plane: all coords with coordinate lin in the linear
 	// dimension, indexed by the two planar dims.
+	shape := s.route.shape
 	o1, o2 := otherDims(s.linear)
 	var c torus.Coord
 	c[s.linear] = lin
-	c[o1] = j % s.shape.Size[o1]
-	c[o2] = j / s.shape.Size[o1]
-	return s.shape.Rank(c)
+	c[o1] = j % shape.Size[o1]
+	c[o2] = j / shape.Size[o1]
+	return shape.Rank(c)
 }
 
 // addCredit is called (via the handler) when a credit packet from
@@ -111,7 +113,6 @@ func (s *tpsCreditSource) Next(now int64) (network.PacketSpec, network.SrcStatus
 		return network.PacketSpec{}, network.SrcWait, retry
 	}
 	k := len(s.order)
-	selfRank := s.shape.Rank(s.self)
 	for scanned := 0; scanned < k; scanned++ {
 		lin := (s.cursor + scanned) % k
 		// Skip exhausted intermediates and, when out of credits, parked
@@ -126,32 +127,19 @@ func (s *tpsCreditSource) Next(now int64) (network.PacketSpec, network.SrcStatus
 		// In the self plane, skip over self in the permutation order (only
 		// possible between messages, when pktIdx is 0).
 		final := s.finalAt(lin, s.destIdx[lin])
-		if lin == s.selfLin && final == selfRank {
+		if lin == s.selfLin && final == int(s.self) {
 			s.destIdx[lin]++
 			if s.destIdx[lin] >= s.planeSize {
 				continue
 			}
 			final = s.finalAt(lin, s.destIdx[lin])
 		}
-		j := s.pktIdx[lin]
-		spec := network.PacketSpec{
-			Size:    s.msg.PktSize(j),
-			Payload: s.msg.PktPayload(j),
-		}
-		if j == 0 {
-			spec.ExtraCPU = s.alpha
-		}
-		if lin == s.selfLin {
-			spec.Dst = int32(final)
-			spec.Class = tpsPhase2Class(int32(final))
-			spec.Kind = kindTPS2
-		} else {
-			inter := s.self
-			inter[s.linear] = lin
-			spec.Dst = int32(s.shape.Rank(inter))
-			spec.Aux = int32(final)
-			spec.Class = tpsPhase1Class(spec.Dst)
-			spec.Kind = kindTPS1
+		spec := s.route.packet(s.self, int32(final), s.msg, s.pktIdx[lin], s.alpha)
+		if spec.Dst != spec.Aux {
+			// A packet its intermediate must forward occupies memory there
+			// until it is credited back. One addressed to its final
+			// destination does not, and the handler never counts it toward a
+			// batch: charging it would leak the credit.
 			s.credits[lin]--
 		}
 		s.pktIdx[lin]++
@@ -167,70 +155,52 @@ func (s *tpsCreditSource) Next(now int64) (network.PacketSpec, network.SrcStatus
 	// Everything unfinished is parked awaiting credits. The wakeup is the
 	// credit packet's own reception on this node's CPU, which re-polls the
 	// source; the timed retry below is only a (generous) safety net.
-	return network.PacketSpec{}, network.SrcWait, now + 4*MaxWirePacket
+	return network.PacketSpec{}, network.SrcWait, now + 4*network.MaxPacketBytes
 }
 
-// MaxWirePacket is the retry quantum for parked credit sources.
-const MaxWirePacket = network.MaxPacketBytes
-
-// tpsCreditHandler adds credit generation and consumption to the TPS
-// forwarding handler.
+// tpsCreditHandler adds credit generation and consumption to the relay.
 type tpsCreditHandler struct {
-	tpsHandler
-	shape    torus.Shape
-	linear   torus.Dim
-	batch    int
-	sources  []*tpsCreditSource
-	pending  []map[int32]int // per node: forwarded-but-uncredited count per source
-	credits  []int64         // credit packets sent per node (summed into Result)
-	creditSz int32
+	relay
+	linear  torus.Dim
+	batch   int
+	sources []*tpsCreditSource
+	pending []map[int32]int // per node: forwarded-but-uncredited count per source
+	credits []int64         // credit packets sent per node (summed into Result)
 }
 
 func (h *tpsCreditHandler) OnDeliver(d network.Delivered, fw []network.PacketSpec) ([]network.PacketSpec, int64, bool) {
-	switch d.Kind {
-	case kindTPSCredit:
+	// Kind first: a credit's Aux is a linear coordinate, not a destination.
+	if d.Kind == kindCredit {
 		// Credit arrives back at the source: top up the window for the
 		// intermediate identified by its linear coordinate (Aux).
 		h.sources[d.Node].addCredit(int(d.Aux), h.batch)
 		return fw, 0, false
-	case kindTPS1:
-		if d.Aux == d.Node {
-			h.recvPayload[d.Node] += int64(d.Payload)
-			return fw, 0, true
-		}
-		h.forwarded[d.Node]++
-		fw = append(fw, network.PacketSpec{
-			Dst:     d.Aux,
-			Size:    d.Size,
-			Payload: d.Payload,
-			Class:   tpsPhase2Class(d.Aux),
-			Kind:    kindTPS2,
-		})
-		// Count toward this source's credit batch.
-		m := h.pending[d.Node]
-		if m == nil {
-			m = make(map[int32]int)
-			h.pending[d.Node] = m
-		}
-		m[d.Src]++
-		if m[d.Src] >= h.batch {
-			m[d.Src] = 0
-			h.credits[d.Node]++
-			fw = append(fw, network.PacketSpec{
-				Dst:  d.Src,
-				Size: h.creditSz,
-				Aux:  int32(h.shape.Coords(int(d.Node))[h.linear]),
-				// Credits ride the phase-1 (linear) injection classes: the
-				// return path is pure linear dimension.
-				Class: tpsPhase1Class(d.Src),
-				Kind:  kindTPSCredit,
-			})
-		}
-		return fw, 0, false
-	default: // kindTPS2
-		h.recvPayload[d.Node] += int64(d.Payload)
+	}
+	fw, _, final := h.relay.OnDeliver(d, fw)
+	if final {
 		return fw, 0, true
 	}
+	// Forwarded: count toward this source's credit batch.
+	m := h.pending[d.Node]
+	if m == nil {
+		m = make(map[int32]int)
+		h.pending[d.Node] = m
+	}
+	m[d.Src]++
+	if m[d.Src] >= h.batch {
+		m[d.Src] = 0
+		h.credits[d.Node]++
+		fw = append(fw, network.PacketSpec{
+			Dst:  d.Src,
+			Size: network.MinPacketBytes,
+			Aux:  int32(h.route.shape.Coords(int(d.Node))[h.linear]),
+			// Credits ride the phase-1 (linear) injection classes: the
+			// return path is pure linear dimension.
+			Class: h.route.class(d.Src, 0),
+			Kind:  kindCredit,
+		})
+	}
+	return fw, 0, false
 }
 
 // creditBatch returns the packets forwarded per returned credit (default 10,
@@ -249,39 +219,37 @@ func (r Request) creditBatch() (int, error) {
 	return batch, nil
 }
 
-// runTPSCredit is the flow-controlled variant of runTPS, used when
-// Request.TPSCreditWindow > 0.
-func runTPSCredit(opts *Options, linear torus.Dim) (Result, error) {
-	shape := opts.Shape
-	p := shape.P()
+// runTPSCredit is the flow-controlled variant of the Two Phase Schedule, used
+// when Request.TPSCreditWindow > 0: a different injection order over the same
+// route.
+func runTPSCredit(opts *Options, rt *route, linear torus.Dim) (Result, error) {
+	p := opts.Shape.P()
 	msg := NewMsg(opts.MsgBytes, opts.Calib.HeaderBytes)
 	batch, err := opts.creditBatch()
 	if err != nil {
 		return Result{}, err
 	}
+	pace := opts.pacer(false)
 	srcs := make([]*tpsCreditSource, p)
 	sources := make([]network.Source, p)
 	for n := 0; n < p; n++ {
-		srcs[n] = newTPSCreditSource(shape, n, linear, msg,
-			opts.Calib.AlphaAR, opts.pacer(false), opts.TPSCreditWindow, opts.Seed)
+		srcs[n] = newTPSCreditSource(rt, n, linear, msg,
+			opts.Calib.AlphaAR, pace, opts.TPSCreditWindow, opts.Seed)
 		sources[n] = srcs[n]
 	}
 	h := &tpsCreditHandler{
-		tpsHandler: tpsHandler{recvPayload: make([]int64, p), forwarded: make([]int64, p)},
-		shape:      shape,
-		linear:     linear,
-		batch:      batch,
-		sources:    srcs,
-		pending:    make([]map[int32]int, p),
-		credits:    make([]int64, p),
-		creditSz:   network.MinPacketBytes,
+		relay:   relay{route: rt, recv: make([]int64, p)},
+		linear:  linear,
+		batch:   batch,
+		sources: srcs,
+		pending: make([]map[int32]int, p),
+		credits: make([]int64, p),
 	}
-	nw, t, err := opts.RunPhase("TPS+credit", sources, h, h.recvPayload, opts.allToAllPayload)
+	nw, t, err := opts.runPhase("TPS+credit", sources, h, h.recv, opts.allToAllPayload)
 	if err != nil {
 		return Result{}, err
 	}
 	r := opts.result(t, nw.Stats())
-	r.TPSLinearDim = linear
 	for _, c := range h.credits {
 		r.CreditPackets += c
 	}

@@ -12,7 +12,7 @@ func TestTPSCreditDeliversEverything(t *testing.T) {
 	// Each source sends 8 single-packet messages through each foreign
 	// intermediate (the 4x2 plane), so a batch of 4 yields two credits per
 	// (intermediate, source) pair.
-	res, err := RunTPS(Options{
+	res, err := run(StratTPS, Options{
 		Request: Request{
 			Shape:           shape,
 			MsgBytes:        200,
@@ -36,12 +36,12 @@ func TestTPSCreditDeliversEverything(t *testing.T) {
 func TestTPSCreditBoundsIntermediateMemory(t *testing.T) {
 	shape := torus.New(16, 4, 2)
 	m := 480
-	free, err := RunTPS(Options{Request: Request{Shape: shape, MsgBytes: m, Seed: 1}})
+	free, err := run(StratTPS, Options{Request: Request{Shape: shape, MsgBytes: m, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	window := 12
-	fc, err := RunTPS(Options{
+	fc, err := run(StratTPS, Options{
 		Request: Request{
 			Shape:           shape,
 			MsgBytes:        m,
@@ -73,7 +73,7 @@ func TestTPSCreditBoundsIntermediateMemory(t *testing.T) {
 
 func TestTPSCreditOverheadSmall(t *testing.T) {
 	shape := torus.New(8, 4, 2)
-	res, err := RunTPS(Options{
+	res, err := run(StratTPS, Options{
 		Request: Request{
 			Shape:           shape,
 			MsgBytes:        480,
@@ -103,7 +103,7 @@ func creditBytytesOr1(b int64) int64 {
 
 func TestTPSCreditValidation(t *testing.T) {
 	shape := torus.New(8, 4, 2)
-	_, err := RunTPS(Options{
+	_, err := run(StratTPS, Options{
 		Request: Request{
 			Shape:           shape,
 			MsgBytes:        64,
@@ -116,10 +116,41 @@ func TestTPSCreditValidation(t *testing.T) {
 	}
 }
 
+// Every validated window (>= batch) must complete: a phase-1 packet whose
+// intermediate is its final destination is never forwarded, so it is never
+// counted toward a credit batch, and charging it a credit leaked NPkts credits
+// per intermediate - with window - NPkts < batch every source parked forever
+// and the run burned its whole MaxTime horizon.
+func TestTPSCreditEveryValidWindowCompletes(t *testing.T) {
+	shape := torus.New(4, 4, 2)
+	for _, c := range []struct{ m, window, batch int }{
+		{700, 12, 0}, // NPkts 3, default batch 10: 12-3 < 10
+		{240, 11, 0},
+		{240, 5, 4},
+		{3000, 20, 0},
+		{700, 13, 0},
+		{240, 10, 10},
+		{1, 1, 1},
+		{700, 3, 3},
+	} {
+		res, err := run(StratTPS, Options{Request: Request{
+			Shape: shape, MsgBytes: c.m, Seed: 1, Check: true,
+			TPSCreditWindow: c.window, TPSCreditBatch: c.batch,
+		}})
+		if err != nil {
+			t.Errorf("m=%d window=%d batch=%d: %v", c.m, c.window, c.batch, err)
+			continue
+		}
+		if res.CreditPackets == 0 {
+			t.Errorf("m=%d window=%d batch=%d: no credit packets were sent", c.m, c.window, c.batch)
+		}
+	}
+}
+
 func TestTPSCreditSourceCoversAllDestinations(t *testing.T) {
 	shape := torus.New(4, 2, 2)
 	msg := NewMsg(100, 48)
-	src := newTPSCreditSource(shape, 5, torus.X, msg, 0, pacer{}, 1000, 7)
+	src := newTPSCreditSource(tpsRoute(shape, torus.X), 5, torus.X, msg, 0, pacer{}, 1000, 7)
 	seen := map[int32]int{}
 	for {
 		spec, st, _ := src.Next(0)
@@ -129,11 +160,7 @@ func TestTPSCreditSourceCoversAllDestinations(t *testing.T) {
 		if st != network.SrcReady {
 			t.Fatalf("unexpected status %v (all credits available)", st)
 		}
-		key := spec.Dst
-		if spec.Kind == kindTPS1 {
-			key = spec.Aux
-		}
-		seen[key]++
+		seen[spec.Aux]++
 	}
 	if len(seen) != shape.P()-1 {
 		t.Fatalf("covered %d finals, want %d", len(seen), shape.P()-1)
@@ -151,7 +178,7 @@ func TestTPSCreditSourceCoversAllDestinations(t *testing.T) {
 func TestTPSCreditSourceParksWithoutCredits(t *testing.T) {
 	shape := torus.New(4, 2, 2)
 	msg := NewMsg(100, 48)
-	src := newTPSCreditSource(shape, 0, torus.X, msg, 0, pacer{}, 1, 7)
+	src := newTPSCreditSource(tpsRoute(shape, torus.X), 0, torus.X, msg, 0, pacer{}, 1, 7)
 	// Window 1: each foreign intermediate admits one packet, then parks.
 	// Self-plane packets (3 finals) flow freely.
 	emitted := 0
@@ -162,8 +189,10 @@ func TestTPSCreditSourceParksWithoutCredits(t *testing.T) {
 		}
 		emitted++
 	}
-	// 3 foreign intermediates x 1 packet + self plane 3 finals x NPkts.
-	want := 3 + 3*msg.NPkts
+	// 3 foreign intermediates x 1 forwarded packet + self plane 3 finals x
+	// NPkts, plus one: with this seed one intermediate's first final is the
+	// intermediate itself, a packet nobody forwards and so no credit pays for.
+	want := 3 + 3*msg.NPkts + 1
 	if emitted != want {
 		t.Errorf("emitted %d before parking, want %d", emitted, want)
 	}

@@ -43,7 +43,7 @@ func TestSelectTPSLinearDimSkipsUnitDims(t *testing.T) {
 
 func TestRunTPSDeliversEverything(t *testing.T) {
 	shape := torus.New(8, 4, 2)
-	res, err := RunTPS(Options{Request: Request{Shape: shape, MsgBytes: 200, Seed: 5}})
+	res, err := run(StratTPS, Options{Request: Request{Shape: shape, MsgBytes: 200, Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +58,14 @@ func TestRunTPSDeliversEverything(t *testing.T) {
 
 func TestRunTPSForcedLinearDim(t *testing.T) {
 	shape := torus.New(8, 4, 2)
-	res, err := RunTPS(Options{Request: Request{Shape: shape, MsgBytes: 64, Seed: 5, TPSLinear: 2}})
+	res, err := run(StratTPS, Options{Request: Request{Shape: shape, MsgBytes: 64, Seed: 5, TPSLinear: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TPSLinearDim != torus.Y {
 		t.Errorf("forced linear dim not honoured: %v", res.TPSLinearDim)
 	}
-	if _, err := RunTPS(Options{Request: Request{Shape: shape, MsgBytes: 64, TPSLinear: 9}}); err == nil {
+	if _, err := run(StratTPS, Options{Request: Request{Shape: shape, MsgBytes: 64, TPSLinear: 9}}); err == nil {
 		t.Error("invalid forced dimension accepted")
 	}
 }
@@ -75,14 +75,12 @@ func TestRunTPSForcedLinearDim(t *testing.T) {
 // packet's route only the planar dimensions.
 func TestTPSPhase1PacketsStayOnLinearDim(t *testing.T) {
 	shape := torus.New(8, 4, 2)
-	src := &tpsSource{
-		shape:  shape,
-		self:   shape.Coords(13),
-		linear: torus.X,
-		order:  torus.NewDestOrder(shape.P(), 13, 9),
-		msg:    NewMsg(100, 48),
-		burst:  1,
-		passes: 1,
+	src := &burstSource{
+		route: tpsRoute(shape, torus.X),
+		self:  13,
+		order: torus.NewDestOrder(shape.P(), 13, 9),
+		msg:   NewMsg(100, 48),
+		burst: 1,
 	}
 	self := shape.Coords(13)
 	n := 0
@@ -93,19 +91,22 @@ func TestTPSPhase1PacketsStayOnLinearDim(t *testing.T) {
 		}
 		n++
 		dc := shape.Coords(int(spec.Dst))
+		fc := shape.Coords(int(spec.Aux))
 		switch spec.Kind {
-		case kindTPS1:
+		case 0:
 			if dc[torus.Y] != self[torus.Y] || dc[torus.Z] != self[torus.Z] {
 				t.Fatalf("phase-1 packet to %v leaves the X line of %v", dc, self)
 			}
 			if spec.Class%2 != 0 {
 				t.Fatalf("phase-1 packet on odd (phase-2) injection class %d", spec.Class)
 			}
-			fc := shape.Coords(int(spec.Aux))
 			if fc[torus.X] != dc[torus.X] {
 				t.Fatalf("intermediate %v does not share linear coord with final %v", dc, fc)
 			}
-		case kindTPS2:
+		case 1:
+			if spec.Dst != spec.Aux {
+				t.Fatalf("direct phase-2 packet to %v is not addressed to its final %v", dc, fc)
+			}
 			if dc[torus.X] != self[torus.X] {
 				t.Fatalf("direct phase-2 packet to %v leaves the YZ plane of %v", dc, self)
 			}
@@ -121,35 +122,10 @@ func TestTPSPhase1PacketsStayOnLinearDim(t *testing.T) {
 	}
 }
 
-func TestTPSHandlerForwarding(t *testing.T) {
-	h := &tpsHandler{recvPayload: make([]int64, 4), forwarded: make([]int64, 4)}
-	// Phase-1 packet at its intermediate: forwarded, not final.
-	fw, _, final := h.OnDeliver(network.Delivered{Node: 1, Src: 0, Aux: 3, Size: 128, Payload: 80, Kind: kindTPS1}, nil)
-	if final || len(fw) != 1 {
-		t.Fatalf("expected one forward, got final=%v fw=%d", final, len(fw))
-	}
-	if fw[0].Dst != 3 || fw[0].Kind != kindTPS2 || fw[0].Payload != 80 {
-		t.Errorf("bad forward spec %+v", fw[0])
-	}
-	if h.forwarded[1] != 1 {
-		t.Errorf("forward not counted")
-	}
-	// Phase-1 packet whose intermediate IS the destination: final.
-	_, _, final = h.OnDeliver(network.Delivered{Node: 2, Src: 0, Aux: 2, Size: 128, Payload: 80, Kind: kindTPS1}, nil)
-	if !final || h.recvPayload[2] != 80 {
-		t.Errorf("self-intermediate delivery not final")
-	}
-	// Phase-2 packet: final.
-	_, _, final = h.OnDeliver(network.Delivered{Node: 3, Src: 0, Aux: 3, Size: 128, Payload: 80, Kind: kindTPS2}, nil)
-	if !final || h.recvPayload[3] != 80 {
-		t.Errorf("phase-2 delivery not final")
-	}
-}
-
 func TestTPSOnPlane(t *testing.T) {
 	// TPS degenerates gracefully on a 2D partition.
 	shape := torus.New(8, 4, 1)
-	res, err := RunTPS(Options{Request: Request{Shape: shape, MsgBytes: 100, Seed: 2}})
+	res, err := run(StratTPS, Options{Request: Request{Shape: shape, MsgBytes: 100, Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package collective
 
 import (
-	"context"
 	"fmt"
 
-	"alltoall/internal/network"
 	"alltoall/internal/torus"
 )
 
@@ -53,44 +51,6 @@ func newVMeshMap(s torus.Shape, order [3]torus.Dim) vmeshMap {
 	return m
 }
 
-// vmeshSource sends a fixed list of combined messages, packet by packet.
-type vmeshSource struct {
-	dests []int32 // physical destination ranks
-	msg   Msg
-	alpha int64 // per-message startup
-	gamma int64 // gather/sort copy cost, charged with each message's first packet
-	kind  uint8
-	pace  pacer
-
-	di, pj int
-}
-
-func (s *vmeshSource) Next(now int64) (network.PacketSpec, network.SrcStatus, int64) {
-	if s.di >= len(s.dests) {
-		return network.PacketSpec{}, network.SrcDone, 0
-	}
-	if retry, ok := s.pace.gate(now); !ok {
-		return network.PacketSpec{}, network.SrcWait, retry
-	}
-	spec := network.PacketSpec{
-		Dst:     s.dests[s.di],
-		Size:    s.msg.PktSize(s.pj),
-		Payload: s.msg.PktPayload(s.pj),
-		Kind:    s.kind,
-		Class:   int8(s.dests[s.di] % 60),
-	}
-	if s.pj == 0 {
-		spec.ExtraCPU = s.alpha + s.gamma
-	}
-	s.pj++
-	if s.pj == s.msg.NPkts {
-		s.pj = 0
-		s.di++
-	}
-	s.pace.charge(now, spec.Size)
-	return spec, network.SrcReady, 0
-}
-
 // vmeshFactors returns the virtual-mesh factorization Pvx x Pvy the request
 // selects - the forced VMeshCols x VMeshRows, or the balanced one when either
 // is 0 - and checks that it covers the partition. Validate and runVMesh share
@@ -107,12 +67,9 @@ func (r Request) vmeshFactors() (pvx, pvy int, err error) {
 	return pvx, pvy, nil
 }
 
-// RunVMesh runs the 2D virtual-mesh combining strategy. The two phases are
-// separated by a barrier (they do not overlap, matching Equation 4).
-func RunVMesh(opts Options) (Result, error) {
-	return RunContext(context.Background(), StratVMesh, opts)
-}
-
+// runVMesh runs the 2D virtual-mesh combining strategy: two list-schedule
+// phases on the direct route, separated by a barrier (they do not overlap,
+// matching Equation 4).
 func runVMesh(opts *Options) (Result, error) {
 	shape := opts.Shape
 	p := shape.P()
@@ -126,32 +83,30 @@ func runVMesh(opts *Options) (Result, error) {
 	}
 	vm := newVMeshMap(shape, order)
 	calib := opts.Calib
+	// The gather/sort copy cost of a combined message, charged like its
+	// startup with the message's first packet.
 	gammaOf := func(bytes int64) int64 { return bytes * calib.GammaMilliPerByte / 1000 }
+	rt := directRoute(shape, false)
 
 	perm := torus.NewPerm(pvx, opts.Seed^0x5EED1) // shared row-visit shuffle
 
 	// Phase 1: row exchange. Virtual node (r, c) sends to (r, j) for j != c
 	// a message combining the blocks for column j.
 	msg1 := NewMsg(pvy*(opts.MsgBytes+calib.ProtoBytes), calib.HeaderBytes)
-	src1 := make([]network.Source, p)
+	dests1 := make([][]int32, p)
 	for phys := 0; phys < p; phys++ {
 		vr := int(vm.virtOf[phys])
 		r, c := vr/pvx, vr%pvx
-		dests := make([]int32, 0, pvx-1)
+		dests1[phys] = make([]int32, 0, pvx-1)
 		for i := 0; i < pvx; i++ {
 			j := perm.At((i + c) % pvx)
 			if j == c {
 				continue
 			}
-			dests = append(dests, vm.physOf[r*pvx+j])
-		}
-		src1[phys] = &vmeshSource{
-			dests: dests, msg: msg1, alpha: calib.AlphaMsg, pace: opts.pacer(false),
-			gamma: gammaOf(msg1.Wire), kind: kindVMesh1,
+			dests1[phys] = append(dests1[phys], vm.physOf[r*pvx+j])
 		}
 	}
-	h1 := &directHandler{recvPayload: make([]int64, p)}
-	nw1, t1, err := opts.RunPhase("VMesh phase 1", src1, h1, h1.recvPayload,
+	nw1, t1, err := opts.runLists("VMesh phase 1", rt, dests1, msg1, calib.AlphaMsg+gammaOf(msg1.Wire), opts.pacer(false),
 		func(int) int64 { return int64(pvx-1) * int64(msg1.Payload) })
 	if err != nil {
 		return Result{}, err
@@ -170,25 +125,20 @@ func runVMesh(opts *Options) (Result, error) {
 	// destination.
 	msg2 := NewMsg(pvx*(opts.MsgBytes+calib.ProtoBytes), calib.HeaderBytes)
 	permCol := torus.NewPerm(pvy, opts.Seed^0x5EED2)
-	src2 := make([]network.Source, p)
+	dests2 := make([][]int32, p)
 	for phys := 0; phys < p; phys++ {
 		vr := int(vm.virtOf[phys])
 		r, c := vr/pvx, vr%pvx
-		dests := make([]int32, 0, pvy-1)
+		dests2[phys] = make([]int32, 0, pvy-1)
 		for i := 0; i < pvy; i++ {
 			rp := permCol.At((i + r) % pvy)
 			if rp == r {
 				continue
 			}
-			dests = append(dests, vm.physOf[rp*pvx+c])
-		}
-		src2[phys] = &vmeshSource{
-			dests: dests, msg: msg2, alpha: calib.AlphaMsg, pace: opts.pacer(false),
-			gamma: gammaOf(msg2.Wire), kind: kindVMesh2,
+			dests2[phys] = append(dests2[phys], vm.physOf[rp*pvx+c])
 		}
 	}
-	h2 := &directHandler{recvPayload: make([]int64, p)}
-	nw2, t2, err := opts.RunPhase("VMesh phase 2", src2, h2, h2.recvPayload,
+	nw2, t2, err := opts.runLists("VMesh phase 2", rt, dests2, msg2, calib.AlphaMsg+gammaOf(msg2.Wire), opts.pacer(false),
 		func(int) int64 { return int64(pvy-1) * int64(msg2.Payload) })
 	if err != nil {
 		return Result{}, err

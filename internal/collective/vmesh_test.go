@@ -66,7 +66,7 @@ func TestVMeshMapRowsAreHalfPlanes(t *testing.T) {
 
 func TestRunVMeshDeliversEverything(t *testing.T) {
 	shape := torus.New(4, 4, 2)
-	res, err := RunVMesh(Options{Request: Request{Shape: shape, MsgBytes: 16, Seed: 3}})
+	res, err := run(StratVMesh, Options{Request: Request{Shape: shape, MsgBytes: 16, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,14 @@ func TestRunVMeshDeliversEverything(t *testing.T) {
 
 func TestRunVMeshForcedFactorization(t *testing.T) {
 	shape := torus.New(4, 4, 2)
-	res, err := RunVMesh(Options{Request: Request{Shape: shape, MsgBytes: 8, Seed: 3, VMeshCols: 8, VMeshRows: 4}})
+	res, err := run(StratVMesh, Options{Request: Request{Shape: shape, MsgBytes: 8, Seed: 3, VMeshCols: 8, VMeshRows: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.VMeshCols != 8 || res.VMeshRows != 4 {
 		t.Errorf("factorization %dx%d, want 8x4", res.VMeshCols, res.VMeshRows)
 	}
-	if _, err := RunVMesh(Options{Request: Request{Shape: shape, MsgBytes: 8, VMeshCols: 5, VMeshRows: 5}}); err == nil {
+	if _, err := run(StratVMesh, Options{Request: Request{Shape: shape, MsgBytes: 8, VMeshCols: 5, VMeshRows: 5}}); err == nil {
 		t.Error("non-covering factorization accepted")
 	}
 }
@@ -103,11 +103,11 @@ func TestVMeshBeatsARForTinyMessages(t *testing.T) {
 	// The headline short-message result, at miniature scale: on a plane
 	// with 1-byte messages, combining must beat the direct scheme.
 	shape := torus.New(8, 8, 1)
-	vm, err := RunVMesh(Options{Request: Request{Shape: shape, MsgBytes: 1, Seed: 1}})
+	vm, err := run(StratVMesh, Options{Request: Request{Shape: shape, MsgBytes: 1, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 1, Seed: 1}})
+	ar, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 1, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestVMeshBeatsARForTinyMessages(t *testing.T) {
 
 func TestVMeshLosesForLargeMessages(t *testing.T) {
 	shape := torus.New(8, 4, 1)
-	vm, err := RunVMesh(Options{Request: Request{Shape: shape, MsgBytes: 2048, Seed: 1}})
+	vm, err := run(StratVMesh, Options{Request: Request{Shape: shape, MsgBytes: 2048, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := RunAR(Options{Request: Request{Shape: shape, MsgBytes: 2048, Seed: 1}})
+	ar, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 2048, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestVMeshLosesForLargeMessages(t *testing.T) {
 
 func TestVMeshMapOrderOption(t *testing.T) {
 	shape := torus.New(4, 4, 2)
-	res, err := RunVMesh(Options{Request: Request{Shape: shape, MsgBytes: 16, Seed: 3, VMeshMapOrder: "xzy"}})
+	res, err := run(StratVMesh, Options{Request: Request{Shape: shape, MsgBytes: 16, Seed: 3, VMeshMapOrder: "xzy"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestVMeshMapOrderOption(t *testing.T) {
 	if res.PayloadBytes != p*(p-1)*16 {
 		t.Errorf("payload = %d", res.PayloadBytes)
 	}
-	if _, err := RunVMesh(Options{Request: Request{Shape: shape, MsgBytes: 16, VMeshMapOrder: "xxy"}}); err == nil {
+	if _, err := run(StratVMesh, Options{Request: Request{Shape: shape, MsgBytes: 16, VMeshMapOrder: "xxy"}}); err == nil {
 		t.Error("non-permutation map order accepted")
 	}
 }

@@ -8,31 +8,30 @@ import (
 
 func TestXYZTarget(t *testing.T) {
 	shape := torus.New(4, 4, 4)
-	cur := torus.Coord{0, 0, 0}
+	rt := xyzRoute(shape)
+	rank := func(x, y, z int) int32 { return int32(shape.Rank(torus.Coord{x, y, z})) }
+	final := rank(2, 3, 1)
 	// Differs in all three dims: first hop fixes X.
-	target, stage := xyzTarget(shape, cur, torus.Coord{2, 3, 1})
-	if target != (torus.Coord{2, 0, 0}) || stage != kindXYZ1 {
-		t.Errorf("stage1 = %v/%d", target, stage)
+	if target, stage := rt.next(rank(0, 0, 0), final); target != rank(2, 0, 0) || stage != 0 {
+		t.Errorf("stage1 = %v/%d", shape.Coords(int(target)), stage)
 	}
 	// X already matches: next fixes Y.
-	target, stage = xyzTarget(shape, torus.Coord{2, 0, 0}, torus.Coord{2, 3, 1})
-	if target != (torus.Coord{2, 3, 0}) || stage != kindXYZ2 {
-		t.Errorf("stage2 = %v/%d", target, stage)
+	if target, stage := rt.next(rank(2, 0, 0), final); target != rank(2, 3, 0) || stage != 1 {
+		t.Errorf("stage2 = %v/%d", shape.Coords(int(target)), stage)
 	}
 	// Only Z differs.
-	target, stage = xyzTarget(shape, torus.Coord{2, 3, 0}, torus.Coord{2, 3, 1})
-	if target != (torus.Coord{2, 3, 1}) || stage != kindXYZ3 {
-		t.Errorf("stage3 = %v/%d", target, stage)
+	if target, stage := rt.next(rank(2, 3, 0), final); target != final || stage != 2 {
+		t.Errorf("stage3 = %v/%d", shape.Coords(int(target)), stage)
 	}
-	// Arrived.
-	if _, stage = xyzTarget(shape, torus.Coord{2, 3, 1}, torus.Coord{2, 3, 1}); stage != 0 {
-		t.Errorf("arrived stage = %d", stage)
+	// Arrived: nowhere further to go.
+	if target, _ := rt.next(final, final); target != final {
+		t.Errorf("arrived packet sent on to %v", shape.Coords(int(target)))
 	}
 }
 
 func TestRunXYZDeliversEverything(t *testing.T) {
 	shape := torus.New(4, 4, 2)
-	res, err := RunXYZ(Options{Request: Request{Shape: shape, MsgBytes: 200, Seed: 5}})
+	res, err := run(StratXYZ, Options{Request: Request{Shape: shape, MsgBytes: 200, Seed: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +52,11 @@ func TestShapeXYZPaysMoreCPUThanTPS(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	shape := torus.New(8, 4, 4)
-	xyz, err := RunXYZ(Options{Request: Request{Shape: shape, MsgBytes: 480, Seed: 1}})
+	xyz, err := run(StratXYZ, Options{Request: Request{Shape: shape, MsgBytes: 480, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tps, err := RunTPS(Options{Request: Request{Shape: shape, MsgBytes: 480, Seed: 1}})
+	tps, err := run(StratTPS, Options{Request: Request{Shape: shape, MsgBytes: 480, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func TestShapeXYZPaysMoreCPUThanTPS(t *testing.T) {
 func TestXYZOnLine(t *testing.T) {
 	// Degenerate 1D case: no forwarding at all, equivalent to direct.
 	shape := torus.New(8, 1, 1)
-	res, err := RunXYZ(Options{Request: Request{Shape: shape, MsgBytes: 100, Seed: 2}})
+	res, err := run(StratXYZ, Options{Request: Request{Shape: shape, MsgBytes: 100, Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 
 	"alltoall/internal/collective"
-	"alltoall/internal/network"
 	"alltoall/internal/torus"
 )
 
@@ -160,50 +159,13 @@ type Result struct {
 	PerNodeMBs       float64 // delivered payload per node per second
 }
 
-// patternSource emits the packetized messages for one node's destination
-// list.
-type patternSource struct {
-	dests []int32
-	msg   collective.Msg
-	det   bool
-	di, j int
-}
-
-func (s *patternSource) Next(now int64) (network.PacketSpec, network.SrcStatus, int64) {
-	if s.di >= len(s.dests) {
-		return network.PacketSpec{}, network.SrcDone, 0
-	}
-	spec := network.PacketSpec{
-		Dst:     s.dests[s.di],
-		Size:    s.msg.PktSize(s.j),
-		Payload: s.msg.PktPayload(s.j),
-		Det:     s.det,
-		Class:   int8(s.dests[s.di] % 60),
-	}
-	s.j++
-	if s.j == s.msg.NPkts {
-		s.j = 0
-		s.di++
-	}
-	return spec, network.SrcReady, 0
-}
-
-type patternHandler struct {
-	recv []int64
-}
-
-func (h *patternHandler) OnDeliver(d network.Delivered, fw []network.PacketSpec) ([]network.PacketSpec, int64, bool) {
-	h.recv[d.Node] += int64(d.Payload)
-	return fw, 0, true
-}
-
 // RunOpts executes a pattern under a context with the collective Options
 // vocabulary, the engine behind alltoall.RunPatternContext: pattern runs
-// share the all-to-all strategies' run description and skeleton
-// (Options.Prepare and Options.RunPhase), so shape, message size, shards,
-// check, faults, MaxTime, Par, Calib, Cache, Observer and DebugDump all mean
-// the same thing here, plus Options.DetRouting for deterministic
-// dimension-ordered routing. Cancellation aborts the run with an error
+// share the all-to-all strategies' run description, list schedule and
+// delivery handler (Options.Prepare and Options.RunLists), so shape, message
+// size, shards, check, faults, MaxTime, Par, Calib, Cache, Observer and
+// DebugDump all mean the same thing here, plus Options.DetRouting for
+// deterministic dimension-ordered routing. Cancellation aborts the run with an error
 // wrapping network.ErrCanceled; an exceeded time bound wraps
 // network.ErrMaxTime.
 func RunOpts(ctx context.Context, pat Pattern, opts collective.Options) (Result, error) {
@@ -214,22 +176,21 @@ func RunOpts(ctx context.Context, pat Pattern, opts collective.Options) (Result,
 	calib := opts.Calib
 	p := opts.Shape.P()
 	msg := collective.NewMsg(opts.MsgBytes, calib.HeaderBytes)
-	sources := make([]network.Source, p)
+	dests := make([][]int32, p)
 	var messages int64
 	wantRecv := make([]int64, p)
 	for n := 0; n < p; n++ {
 		ds := pat.Destinations(opts.Shape, n)
-		dests := make([]int32, len(ds))
+		dests[n] = make([]int32, len(ds))
 		for i, d := range ds {
 			if d == n || d < 0 || d >= p {
 				return Result{}, fmt.Errorf("traffic: pattern %s produced invalid destination %d from %d",
 					pat.Name(), d, n)
 			}
-			dests[i] = int32(d)
+			dests[n][i] = int32(d)
 			wantRecv[d] += int64(opts.MsgBytes)
 		}
 		messages += int64(len(ds))
-		sources[n] = &patternSource{dests: dests, msg: msg, det: opts.DetRouting}
 	}
 	if messages == 0 {
 		return Result{}, fmt.Errorf("traffic: pattern %s sends nothing on %v", pat.Name(), opts.Shape)
@@ -239,8 +200,7 @@ func RunOpts(ctx context.Context, pat Pattern, opts collective.Options) (Result,
 		// destinations without limit, so bound it by its own volume.
 		opts.MaxTime = messages*msg.Wire*int64(p) + 1<<24
 	}
-	h := &patternHandler{recv: make([]int64, p)}
-	nw, t, err := opts.RunPhase("traffic: "+pat.Name(), sources, h, h.recv,
+	nw, t, err := opts.RunLists("traffic: "+pat.Name(), dests, msg,
 		func(n int) int64 { return wantRecv[n] })
 	if err != nil {
 		return Result{}, err
