@@ -67,6 +67,36 @@ func TestGoldenTables(t *testing.T) {
 	}
 }
 
+// catalogConfig is the scale at which the whole catalog is pinned: 64 nodes
+// is the smallest budget every experiment can run at (degrade needs eight
+// independent torus rings, which a 16-node partition does not have), and
+// `-exp all` at this scale takes about two seconds.
+func catalogConfig() experiments.Config {
+	return experiments.Config{MaxNodes: 64, Seed: 1, LargeBytes: 240, Workers: 1, Shards: 1}
+}
+
+// TestGoldenCatalog pins every table and figure of the catalog in one file,
+// in the form `aabench -exp all -quiet` prints them with the timing footers
+// filtered out (each table followed by a blank line), so CI can diff the real
+// binary's output against the same bytes.
+func TestGoldenCatalog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	var b strings.Builder
+	for _, id := range experiments.Order {
+		tbl, err := experiments.Catalog[id](catalogConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if err := tbl.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString("\n")
+	}
+	checkGolden(t, "catalog.golden", []byte(b.String()))
+}
+
 // TestGoldenCSV locks down the CSV emitter on the same experiment, so both
 // output paths of -exp are pinned.
 func TestGoldenCSV(t *testing.T) {
