@@ -8,7 +8,6 @@
 //	aabench -exp table3 -full      # true machine sizes (hours)
 //	aabench -exp fig6 -csv         # CSV series instead of ASCII
 //	aabench -exp table2 -j 4       # limit the worker pool to 4 cores
-//	aabench -exp all -bench-json BENCH.json   # machine-readable perf record
 //
 // By default partitions larger than -maxnodes (1024) are scaled down by
 // halving every dimension, preserving the aspect ratio that drives the
@@ -18,14 +17,14 @@
 // all cores (-j overrides; -j 1 is serial). When an experiment has fewer
 // rows than cores, single runs are additionally parallelized on the sharded
 // event engine (-shards overrides the automatic choice). Output is
-// byte-identical at any worker or shard count. Per-row progress goes to
+// byte-identical at any worker or shard count. Per-run progress goes to
 // stderr so stdout stays clean.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -36,66 +35,6 @@ import (
 	"alltoall/internal/parallel"
 	"alltoall/internal/report"
 )
-
-// benchSchemaVersion identifies the -bench-json document layout; bump on
-// any breaking change to field names or semantics.
-//
-// v2: added queued_events, packets, events_per_packet (per experiment and
-// as totals): events pushed through the event queue, and that volume per
-// injected packet.
-//
-// v3: added the sharded engine's synchronization counters, per experiment
-// and as totals: sync_horizon_advances (windows), sync_blocked_waits (barrier
-// crossings), sync_blocked_wait_ns (barrier waits that outlast the spin phase),
-// sync_cross_shard_events and sync_cross_shard_bytes (boundary traffic). All
-// zero for unsharded runs.
-//
-// v4: dropped coalesce and sync, the selectors of engine variants that no
-// longer exist; queued_events now equals events.
-const benchSchemaVersion = 4
-
-// benchExperiment is one experiment's perf record in the -bench-json file.
-type benchExperiment struct {
-	Experiment      string  `json:"experiment"`
-	Seconds         float64 `json:"seconds"`
-	Runs            int64   `json:"runs"`
-	Events          int64   `json:"events"`
-	QueuedEvents    int64   `json:"queued_events"`
-	Packets         int64   `json:"packets"`
-	EventsPerSec    float64 `json:"events_per_sec"`
-	EventsPerPacket float64 `json:"events_per_packet"`
-	RunsPerSec      float64 `json:"runs_per_sec"`
-
-	SyncAdvances int64 `json:"sync_horizon_advances"`
-	SyncWaits    int64 `json:"sync_blocked_waits"`
-	SyncWaitNs   int64 `json:"sync_blocked_wait_ns"`
-	SyncXPkts    int64 `json:"sync_cross_shard_events"`
-	SyncXBytes   int64 `json:"sync_cross_shard_bytes"`
-}
-
-// benchReport is the -bench-json document: enough context to compare
-// apples to apples across commits and machines.
-type benchReport struct {
-	SchemaVersion   int               `json:"schema_version"`
-	GoVersion       string            `json:"go_version"`
-	GOMAXPROCS      int               `json:"gomaxprocs"`
-	Workers         int               `json:"workers"`
-	Shards          int               `json:"shards"` // 0 = automatic per run
-	Experiments     []benchExperiment `json:"experiments"`
-	TotalSeconds    float64           `json:"total_seconds"`
-	TotalRuns       int64             `json:"total_runs"`
-	TotalEvents     int64             `json:"total_events"`
-	TotalQueued     int64             `json:"total_queued_events"`
-	TotalPackets    int64             `json:"total_packets"`
-	EventsPerSec    float64           `json:"events_per_sec"`
-	EventsPerPacket float64           `json:"events_per_packet"`
-
-	TotalSyncAdvances int64 `json:"total_sync_horizon_advances"`
-	TotalSyncWaits    int64 `json:"total_sync_blocked_waits"`
-	TotalSyncWaitNs   int64 `json:"total_sync_blocked_wait_ns"`
-	TotalSyncXPkts    int64 `json:"total_sync_cross_shard_events"`
-	TotalSyncXBytes   int64 `json:"total_sync_cross_shard_bytes"`
-}
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "aabench: "+format+"\n", args...)
@@ -138,8 +77,7 @@ func main() {
 	faults := flag.String("faults", "", `link-fault schedule applied to every run, semicolon-separated "t:node:dir:action" events (see aasim -faults; node ids refer to the scaled partitions)`)
 	observeRuns := flag.Bool("observe", false, "instrument every run and print a per-run observation table after each experiment")
 	traceOut := flag.String("trace-out", "", "write every run's windowed observation trace as one JSONL file (implies -observe)")
-	quiet := flag.Bool("quiet", false, "suppress per-row progress lines on stderr")
-	benchJSON := flag.String("bench-json", "", "write a machine-readable perf report to this file")
+	quiet := flag.Bool("quiet", false, "suppress per-run progress lines on stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -150,7 +88,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := experiments.Config{
-		Full:       *full,
 		MaxNodes:   *maxNodes,
 		Seed:       *seed,
 		LargeBytes: *large,
@@ -158,6 +95,9 @@ func main() {
 		Shards:     *shards,
 		Check:      *checkInv,
 		Faults:     *faults,
+	}
+	if *full {
+		cfg.MaxNodes = math.MaxInt
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr
@@ -179,13 +119,6 @@ func main() {
 			f.Close()
 		}()
 	}
-	perf := benchReport{
-		SchemaVersion: benchSchemaVersion,
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Workers:       parallel.Workers(*workers),
-		Shards:        *shards,
-	}
 	var sink *experiments.TraceSink
 	if *observeRuns || *traceOut != "" {
 		sink = experiments.NewTraceSink(*traceOut != "")
@@ -199,11 +132,10 @@ func main() {
 		metrics := &experiments.Metrics{}
 		cfg.Metrics = metrics
 		cfg.Trace = sink
-		cfg.TracePrefix = id
 		start := time.Now()
 		table, err := runner(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "aabench: %s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "aabench: %v\n", err) // the error names its experiment
 			failed = true
 			if len(ids) == 1 {
 				os.Exit(1)
@@ -212,32 +144,6 @@ func main() {
 		}
 		elapsed := time.Since(start)
 		sec := elapsed.Seconds()
-		perf.Experiments = append(perf.Experiments, benchExperiment{
-			Experiment:      id,
-			Seconds:         sec,
-			Runs:            metrics.Runs(),
-			Events:          metrics.Events(),
-			QueuedEvents:    metrics.QueuedEvents(),
-			Packets:         metrics.Packets(),
-			EventsPerSec:    float64(metrics.Events()) / sec,
-			EventsPerPacket: metrics.EventsPerPacket(),
-			RunsPerSec:      float64(metrics.Runs()) / sec,
-			SyncAdvances:    metrics.SyncAdvances(),
-			SyncWaits:       metrics.SyncWaits(),
-			SyncWaitNs:      metrics.SyncWaitNs(),
-			SyncXPkts:       metrics.CrossShardEvents(),
-			SyncXBytes:      metrics.CrossShardBytes(),
-		})
-		perf.TotalSeconds += sec
-		perf.TotalRuns += metrics.Runs()
-		perf.TotalEvents += metrics.Events()
-		perf.TotalQueued += metrics.QueuedEvents()
-		perf.TotalPackets += metrics.Packets()
-		perf.TotalSyncAdvances += metrics.SyncAdvances()
-		perf.TotalSyncWaits += metrics.SyncWaits()
-		perf.TotalSyncWaitNs += metrics.SyncWaitNs()
-		perf.TotalSyncXPkts += metrics.CrossShardEvents()
-		perf.TotalSyncXBytes += metrics.CrossShardBytes()
 		if *csv {
 			if err := table.WriteCSV(os.Stdout); err != nil {
 				fatalf("%v", err)
@@ -256,21 +162,6 @@ func main() {
 				fatalf("%v", err)
 			}
 			fmt.Println()
-		}
-	}
-	if perf.TotalSeconds > 0 {
-		perf.EventsPerSec = float64(perf.TotalEvents) / perf.TotalSeconds
-	}
-	if perf.TotalPackets > 0 {
-		perf.EventsPerPacket = float64(perf.TotalQueued) / float64(perf.TotalPackets)
-	}
-	if *benchJSON != "" {
-		buf, err := json.MarshalIndent(perf, "", "  ")
-		if err != nil {
-			fatalf("-bench-json: %v", err)
-		}
-		if err := os.WriteFile(*benchJSON, append(buf, '\n'), 0o644); err != nil {
-			fatalf("-bench-json: %v", err)
 		}
 	}
 	if *traceOut != "" {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -114,43 +113,6 @@ func TestGoldenCSV(t *testing.T) {
 	checkGolden(t, "table1.csv.golden", []byte(b.String()))
 }
 
-// TestGoldenBenchJSON pins the -bench-json document layout. Timings are
-// nondeterministic, so the fixture marshals a fixed report literal: what the
-// golden locks is the schema - field names, order, schema_version - not the
-// measured values. Consumers parsing the file break loudly here first.
-func TestGoldenBenchJSON(t *testing.T) {
-	perf := benchReport{
-		SchemaVersion: benchSchemaVersion,
-		GoVersion:     "go1.22.0",
-		GOMAXPROCS:    8,
-		Workers:       4,
-		Shards:        0,
-		Experiments: []benchExperiment{{
-			Experiment:      "table1",
-			Seconds:         1.5,
-			Runs:            12,
-			Events:          1000000,
-			QueuedEvents:    720000,
-			Packets:         24000,
-			EventsPerSec:    666666.67,
-			EventsPerPacket: 30,
-			RunsPerSec:      8,
-		}},
-		TotalSeconds:    1.5,
-		TotalRuns:       12,
-		TotalEvents:     1000000,
-		TotalQueued:     720000,
-		TotalPackets:    24000,
-		EventsPerSec:    666666.67,
-		EventsPerPacket: 30,
-	}
-	buf, err := json.MarshalIndent(perf, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "bench.json.golden", append(buf, '\n'))
-}
-
 // TestGoldenTraceJSONL pins the -trace-out JSONL stream end to end: a seeded
 // deterministic experiment run through a TraceSink, with per-run observation
 // summaries and window traces. Locks both the record schema (schema_version,
@@ -161,7 +123,6 @@ func TestGoldenTraceJSONL(t *testing.T) {
 	}
 	cfg := goldenConfig()
 	cfg.Trace = experiments.NewTraceSink(true)
-	cfg.TracePrefix = "table1"
 	if _, err := experiments.Catalog["table1"](cfg); err != nil {
 		t.Fatalf("table1: %v", err)
 	}

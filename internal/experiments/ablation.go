@@ -1,86 +1,67 @@
 package experiments
 
 import (
-	"time"
-
 	"alltoall/internal/collective"
 	"alltoall/internal/network"
 	"alltoall/internal/report"
 	"alltoall/internal/torus"
 )
 
-// Ablate quantifies the simulator's modeling decisions (DESIGN.md section
+// ablate quantifies the simulator's modeling decisions (DESIGN.md section
 // "Modeling decisions forced by packet-atomic simulation") on one symmetric
-// and one asymmetric partition. Each row disables one mechanism; the
-// (variant, shape) grid is flattened onto the worker pool since every cell
-// is an independent run.
-func Ablate(cfg Config) (*report.Table, error) {
-	type variant struct {
+// and one asymmetric partition. Each table row disables one mechanism; every
+// (variant, partition) run is its own one-cell row of the grid, variant-major.
+func ablate() experiment {
+	par := func(mut func(*network.Params)) func(*collective.Options) {
+		return func(o *collective.Options) {
+			p := network.DefaultParams()
+			mut(&p)
+			o.Par = p
+		}
+	}
+	variants := []struct {
 		name string
 		mut  func(*collective.Options)
-	}
-	variants := []variant{
+	}{
 		{"baseline", func(*collective.Options) {}},
-		{"store-and-forward", func(o *collective.Options) {
-			p := network.DefaultParams()
-			p.StoreForward = true
-			o.Par = p
-		}},
-		{"no VC lookahead", func(o *collective.Options) {
-			p := network.DefaultParams()
-			p.VCLookahead = 1
-			o.Par = p
-		}},
-		{"no transit priority", func(o *collective.Options) {
-			p := network.DefaultParams()
-			p.InjectTokens = 0
-			o.Par = p
-		}},
-		{"eager escape", func(o *collective.Options) {
-			p := network.DefaultParams()
-			p.EscapeDelay = 0
-			o.Par = p
-		}},
+		{"store-and-forward", par(func(p *network.Params) { p.StoreForward = true })},
+		{"no VC lookahead", par(func(p *network.Params) { p.VCLookahead = 1 })},
+		{"no transit priority", par(func(p *network.Params) { p.InjectTokens = 0 })},
+		{"eager escape", par(func(p *network.Params) { p.EscapeDelay = 0 })},
 		{"unpaced injection", func(o *collective.Options) { o.Unpaced = true }},
 		{"strict pacing", func(o *collective.Options) { o.PaceBurst = 1 }},
 	}
-	sym, _ := cfg.scale(torus.New(8, 8, 8))
-	asym, _ := cfg.scale(torus.New(8, 8, 16))
-	shapes := []torus.Shape{sym, asym}
-	t := report.NewTable("Ablation: AR percent of peak with one mechanism disabled per row",
-		"Variant", sym.String()+" %", asym.String()+" %")
-	type job struct{ vi, si int }
-	jobs := make([]job, 0, len(variants)*len(shapes))
-	for vi := range variants {
-		for si := range shapes {
-			jobs = append(jobs, job{vi, si})
+	shapes := []torus.Shape{torus.New(8, 8, 8), torus.New(8, 8, 16)}
+	e := experiment{id: "ablate"}
+	for _, v := range variants {
+		for _, s := range shapes {
+			e.rows = append(e.rows, row{{strat: collective.StratAR, paper: s,
+				tune: func(run torus.Shape, o *collective.Options) error {
+					v.mut(o)
+					// A variant that cannot reach 12.5% of peak has
+					// collapsed; cutting it off keeps the jam-regime rows
+					// from running for hours.
+					o.MaxTime = int64(run.PeakTime(o.MsgBytes) * 8)
+					return nil
+				}}})
 		}
 	}
-	cells, err := mapRows(cfg, jobs, func(cfg Config, cache *collective.NetCache, _ int, j job) (any, error) {
-		start := time.Now()
-		shape := shapes[j.si]
-		opts := cfg.opts(shape, cfg.largeFor(shape))
-		variants[j.vi].mut(&opts)
-		// A variant that cannot reach 12.5% of peak has collapsed;
-		// cutting it off keeps the jam-regime rows from running for
-		// hours.
-		opts.MaxTime = int64(shape.PeakTime(opts.MsgBytes) * 8)
-		res, err := cfg.runCached(collective.StratAR, opts, cache)
-		if err != nil {
-			cfg.rowProgress("  ablate %s on %v: collapsed (%s)",
-				variants[j.vi].name, shape, time.Since(start).Round(time.Millisecond))
-			return "<12.5 (collapsed)", nil
+	e.render = func(outs []outcome) *report.Table {
+		t := report.NewTable("Ablation: AR percent of peak with one mechanism disabled per row",
+			"Variant", outs[0].run.String()+" %", outs[1].run.String()+" %")
+		for i, v := range variants {
+			r := []any{v.name}
+			for _, o := range outs[i*len(shapes) : (i+1)*len(shapes)] {
+				if o.collapsed {
+					r = append(r, "<12.5 (collapsed)")
+				} else {
+					r = append(r, o.res.PercentPeak)
+				}
+			}
+			t.AddRow(r...)
 		}
-		cfg.rowProgress("  ablate %s on %v: %.1f%% of peak (%s)",
-			variants[j.vi].name, shape, res.PercentPeak, time.Since(start).Round(time.Millisecond))
-		return res.PercentPeak, nil
-	})
-	if err != nil {
-		return t, err
+		t.AddNote("collapsed rows exceeded 8x the Equation 2 peak time and were cut off")
+		return t
 	}
-	for vi, v := range variants {
-		t.AddRow(v.name, cells[vi*len(shapes)], cells[vi*len(shapes)+1])
-	}
-	t.AddNote("collapsed rows exceeded 8x the Equation 2 peak time and were cut off")
-	return t, nil
+	return e
 }

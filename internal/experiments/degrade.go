@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"alltoall/internal/collective"
 	"alltoall/internal/network"
@@ -57,68 +56,46 @@ func KillSchedule(shape torus.Shape, k int, seed uint64) (*network.FaultSchedule
 	return fs, nil
 }
 
-// Degrade produces the graceful-degradation curve the fault subsystem
+// degrade produces the graceful-degradation curve the fault subsystem
 // exists to answer: completion-time slowdown versus permanently dead links,
 // for the Two Phase Schedule and the deterministic XYZ baseline on the
 // 8x8x8 midplane. Adaptive rerouting should bend the curve; a schedule that
-// cannot adapt pays the full serialization behind each dead ring.
-func Degrade(cfg Config) (*report.Table, error) {
-	paper := torus.New(8, 8, 8)
-	run, scaled := cfg.scale(paper)
+// cannot adapt pays the full serialization behind each dead ring. Every
+// (strategy, kill count) run is its own one-cell row, strategy-major.
+func degrade() experiment {
 	ks := []int{0, 1, 2, 4, 8}
 	strats := []collective.Strategy{collective.StratTPS, collective.StratXYZ}
-	t := report.NewTable(
-		fmt.Sprintf("Degradation: slowdown vs dead links on %v (large messages)", run),
-		"Dead links", "TPS %peak", "TPS slowdown", "XYZ %peak", "XYZ slowdown")
-	if scaled {
-		t.AddNote("partition scaled from %v to %v (node budget)", paper, run)
-	}
-	// Each job carries its own kill schedule; a -faults spec passed on the
-	// config would fight the sweep, so it is ignored here.
-	cfg.Faults = ""
-	m := cfg.largeFor(run)
-	type job struct{ si, ki int }
-	jobs := make([]job, 0, len(strats)*len(ks))
-	for si := range strats {
-		for ki := range ks {
-			jobs = append(jobs, job{si, ki})
+	e := experiment{id: "degrade"}
+	for _, strat := range strats {
+		for _, k := range ks {
+			e.rows = append(e.rows, row{{strat: strat, paper: torus.New(8, 8, 8),
+				// Each cell carries its own kill schedule; a Config.Faults
+				// spec would fight the sweep, so it is overwritten here.
+				tune: func(run torus.Shape, o *collective.Options) error {
+					fs, err := KillSchedule(run, k, o.Seed)
+					o.Faults = fs.String()
+					return err
+				}}})
 		}
 	}
-	flat, err := mapRows(cfg, jobs, func(cfg Config, cache *collective.NetCache, _ int, j job) (collective.Result, error) {
-		start := time.Now()
-		opts := cfg.opts(run, m)
-		opts.Shards = cfg.shardsFor(run.P())
-		if k := ks[j.ki]; k > 0 {
-			fs, err := KillSchedule(run, k, cfg.Seed)
-			if err != nil {
-				return collective.Result{}, err
+	e.render = func(outs []outcome) *report.Table {
+		healthy := outs[0]
+		t := report.NewTable(
+			fmt.Sprintf("Degradation: slowdown vs dead links on %v (large messages)", healthy.run),
+			"Dead links", "TPS %peak", "TPS slowdown", "XYZ %peak", "XYZ slowdown")
+		if healthy.run != healthy.paper {
+			t.AddNote("partition scaled from %v to %v (node budget)", healthy.paper, healthy.run)
+		}
+		for j, k := range ks {
+			r := []any{k}
+			for i := range strats {
+				base, res := outs[i*len(ks)].res, outs[i*len(ks)+j].res
+				r = append(r, res.PercentPeak, fmt.Sprintf("%.2fx", float64(res.Time)/float64(base.Time)))
 			}
-			opts.Faults = fs.String()
+			t.AddRow(r...)
 		}
-		res, err := cfg.runCached(strats[j.si], opts, cache)
-		if err != nil {
-			return res, fmt.Errorf("degrade: %s with %d dead links: %w", strats[j.si], ks[j.ki], err)
-		}
-		cfg.rowProgress("  degrade %s k=%d: %.1f%% of peak, %d reroutes (%s)",
-			strats[j.si], ks[j.ki], res.PercentPeak, res.Reroutes, time.Since(start).Round(time.Millisecond))
-		return res, nil
-	})
-	if err != nil {
-		return t, err
+		t.AddNote("slowdown is completion time relative to the healthy run of the same strategy")
+		return t
 	}
-	series := make([][]collective.Result, len(strats))
-	for i := range series {
-		series[i] = flat[i*len(ks) : (i+1)*len(ks)]
-	}
-	for j, k := range ks {
-		row := []any{k}
-		for i := range strats {
-			r := series[i][j]
-			row = append(row, r.PercentPeak,
-				fmt.Sprintf("%.2fx", float64(r.Time)/float64(series[i][0].Time)))
-		}
-		t.AddRow(row...)
-	}
-	t.AddNote("slowdown is completion time relative to the healthy run of the same strategy")
-	return t, nil
+	return e
 }

@@ -2,32 +2,28 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"alltoall/internal/collective"
 	"alltoall/internal/network"
 	"alltoall/internal/observe"
 	"alltoall/internal/parallel"
+	"alltoall/internal/torus"
 )
 
 // Metrics accumulates simulator work across the (possibly concurrent) runs
 // of one or more experiments: completed collective runs, simulator events
-// processed, packets injected, and the sharded engine's synchronization
-// counters (windows, barrier crossings, cross-shard traffic). All
-// methods are safe for concurrent use; a nil *Metrics discards everything.
+// processed and packets injected. All methods are safe for concurrent use;
+// a nil *Metrics discards everything.
 type Metrics struct {
 	runs    atomic.Int64
 	events  atomic.Int64
 	queued  atomic.Int64
 	packets atomic.Int64
-
-	syncAdvances atomic.Int64
-	syncWaits    atomic.Int64
-	syncWaitNs   atomic.Int64
-	syncXEvents  atomic.Int64
-	syncXBytes   atomic.Int64
 }
 
 func (m *Metrics) note(r collective.Result) {
@@ -38,21 +34,6 @@ func (m *Metrics) note(r collective.Result) {
 	m.events.Add(r.Events)
 	m.queued.Add(r.QueuedEvents)
 	m.packets.Add(r.PacketsInjected)
-}
-
-// noteSync folds one run's synchronization counters into the totals. These
-// ride outside the Result (they depend on the shard count, which the
-// byte-identity contract excludes), so runCached collects them through the
-// Options.SyncStats out-parameter.
-func (m *Metrics) noteSync(ss *network.SyncStats) {
-	if m == nil {
-		return
-	}
-	m.syncAdvances.Add(ss.HorizonAdvances)
-	m.syncWaits.Add(ss.BlockedWaits)
-	m.syncWaitNs.Add(ss.BlockedWaitNs)
-	m.syncXEvents.Add(ss.CrossShardEvents)
-	m.syncXBytes.Add(ss.CrossShardBytes)
 }
 
 // Runs returns the number of completed collective runs.
@@ -96,101 +77,140 @@ func (m *Metrics) EventsPerPacket() float64 {
 	return float64(m.queued.Load()) / float64(m.packets.Load())
 }
 
-// SyncAdvances returns the total windows processed across sharded runs,
-// summed over shards.
-func (m *Metrics) SyncAdvances() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.syncAdvances.Load()
+// cell is one simulation of an experiment, as data: what the paper ran.
+// runGrid decides what is actually simulated (the partition scaled to the
+// node budget, the large-message size for that partition).
+type cell struct {
+	strat collective.Strategy
+	paper torus.Shape // the paper's partition
+	msg   int         // per-pair payload bytes; 0 = the config's large-message size for the run shape
+	// tune, when set, adjusts the run's options after runGrid has filled
+	// them in for the partition actually simulated (run). A tune that sets
+	// MaxTime asks to be cut off there: overrunning it is an outcome
+	// (collapsed), not a failure.
+	tune func(run torus.Shape, o *collective.Options) error
 }
 
-// SyncWaits returns the total barrier crossings across sharded runs.
-func (m *Metrics) SyncWaits() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.syncWaits.Load()
+// row is the fan-out unit of a grid: its cells run in order on one worker
+// and share that worker's NetCache, so runs on one shape reuse the network.
+type row []cell
+
+// outcome is a finished cell: its identity with msg resolved, the partition
+// simulated, and the result (zero when collapsed).
+type outcome struct {
+	cell
+	run       torus.Shape
+	res       collective.Result
+	collapsed bool
 }
 
-// SyncWaitNs returns network.SyncStats.BlockedWaitNs summed over runs: wall
-// time of the barrier waits that outlasted the spin phase.
-func (m *Metrics) SyncWaitNs() int64 {
-	if m == nil {
-		return 0
+// label renders the partition as the paper names it, with the simulated
+// size alongside when scaling changed it.
+func (o outcome) label() string {
+	if o.run == o.paper {
+		return o.paper.String()
 	}
-	return m.syncWaitNs.Load()
+	return fmt.Sprintf("%v (run %v)", o.paper, o.run)
 }
 
-// CrossShardEvents returns the total events that crossed a shard boundary.
-func (m *Metrics) CrossShardEvents() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.syncXEvents.Load()
+// String identifies the cell in progress lines and errors.
+func (o outcome) String() string {
+	return fmt.Sprintf("%s %s m=%d", o.strat, o.label(), o.msg)
 }
 
-// CrossShardBytes returns the total bytes shipped across shard boundaries.
-func (m *Metrics) CrossShardBytes() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.syncXBytes.Load()
-}
-
-// progressMu serializes per-row progress lines from concurrent workers so
-// they never interleave mid-line, even across experiments.
+// progressMu serializes progress lines from concurrent workers so they
+// never interleave mid-line, even across experiments.
 var progressMu sync.Mutex
 
-// rowProgress emits one progress line to cfg.Progress, if set.
-func (c Config) rowProgress(format string, args ...any) {
-	if c.Progress == nil {
-		return
+// runGrid executes every cell of an experiment's grid and returns the
+// outcomes in cell order (rows concatenated). Rows fan out over the
+// config's worker pool, each worker with a private network cache; results
+// do not depend on scheduling, so rendered tables are identical at any
+// worker count. A failing cell fails the grid with an error naming the
+// experiment and the cell; every finished cell prints one progress line.
+func runGrid(cfg Config, id string, rows []row) ([]outcome, error) {
+	total, finished := 0, 0 // cells; finished is guarded by progressMu
+	for _, r := range rows {
+		total += len(r)
 	}
-	progressMu.Lock()
-	defer progressMu.Unlock()
-	fmt.Fprintf(c.Progress, format+"\n", args...)
+	perRow, err := parallel.MapLocal(context.Background(), cfg.Workers, rows,
+		func() *collective.NetCache { return &collective.NetCache{} },
+		func(_ context.Context, cache *collective.NetCache, _ int, r row) ([]outcome, error) {
+			outs := make([]outcome, len(r))
+			for j, c := range r {
+				start := time.Now()
+				o, err := cfg.runCell(id, c, len(rows), cache)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %v: %w", id, o, err)
+				}
+				if cfg.Progress != nil {
+					status := "collapsed"
+					if !o.collapsed {
+						status = fmt.Sprintf("%.1f%% of peak, %.1f MB/s, %.3f ms", o.res.PercentPeak, o.res.PerNodeMBs, o.res.Seconds*1e3)
+					}
+					progressMu.Lock()
+					finished++
+					fmt.Fprintf(cfg.Progress, "  %s %d/%d %v: %s (%s)\n", id, finished, total, o,
+						status, time.Since(start).Round(time.Millisecond))
+					progressMu.Unlock()
+				}
+				outs[j] = o
+			}
+			return outs, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]outcome, 0, total)
+	for _, r := range perRow {
+		outs = append(outs, r...)
+	}
+	return outs, nil
+}
+
+// runCell simulates one cell of a grid whose fan-out is batch rows wide
+// (what shardsFor weighs against intra-run parallelism). The outcome
+// identifies the cell even when the run fails.
+func (c Config) runCell(id string, cl cell, batch int, cache *collective.NetCache) (outcome, error) {
+	o := outcome{cell: cl, run: c.scale(cl.paper)}
+	if o.msg == 0 {
+		o.msg = c.largeFor(o.run)
+	}
+	opts := collective.Options{Request: collective.Request{
+		Shape: o.run, MsgBytes: o.msg, Seed: c.Seed, Shards: c.shardsFor(batch, o.run.P()),
+		Check: c.Check, Faults: c.Faults}}
+	if cl.tune != nil {
+		if err := cl.tune(o.run, &opts); err != nil {
+			return o, err
+		}
+	}
+	var err error
+	o.res, err = c.runCached(id, cl.strat, opts, cache)
+	if opts.MaxTime > 0 && errors.Is(err, network.ErrMaxTime) {
+		o.collapsed, err = true, nil
+	}
+	return o, err
 }
 
 // runCached executes one collective run through a worker-local network
-// cache, recording metrics (and, when tracing, the run's observation) on
-// success. opts is the run's Request (from Config.opts) plus, for the
-// ablations, a Par override; the machinery is attached here.
-func (c Config) runCached(strat collective.Strategy, opts collective.Options, cache *collective.NetCache) (collective.Result, error) {
+// cache, recording metrics (and, when tracing, the run's observation under
+// the experiment's id) on success.
+func (c Config) runCached(id string, strat collective.Strategy, opts collective.Options, cache *collective.NetCache) (collective.Result, error) {
 	opts.Cache = cache
 	var obs *observe.Collector
 	if c.Trace != nil {
 		obs = observe.New(observe.Config{})
 		opts.Observer = obs
 	}
-	var ss network.SyncStats
-	opts.SyncStats = &ss
 	res, err := collective.RunContext(context.Background(), strat, opts)
 	if err != nil {
 		return res, err
 	}
 	c.Metrics.note(res)
-	c.Metrics.noteSync(&ss)
 	if c.Trace != nil {
-		if err := c.Trace.note(c.TracePrefix, strat, &opts, obs); err != nil {
+		if err := c.Trace.note(id, strat, &opts, obs); err != nil {
 			return res, err
 		}
 	}
 	return res, nil
-}
-
-// mapRows fans an experiment's independent rows (or sweep points) across
-// the config's worker pool. Each worker gets a private network cache so
-// consecutive rows on one shape reuse simulator allocations; results come
-// back in row order regardless of scheduling, so rendered tables are
-// identical at any worker count. The Config handed to fn carries the
-// fan-out size, letting opts trade run-level against intra-run parallelism
-// (see Config.shardsFor); callbacks shadow the outer cfg with it.
-func mapRows[T, R any](cfg Config, items []T, fn func(cfg Config, cache *collective.NetCache, i int, item T) (R, error)) ([]R, error) {
-	cfg.batch = len(items)
-	return parallel.MapLocal(context.Background(), cfg.Workers, items,
-		func() *collective.NetCache { return &collective.NetCache{} },
-		func(_ context.Context, cache *collective.NetCache, i int, item T) (R, error) {
-			return fn(cfg, cache, i, item)
-		})
 }

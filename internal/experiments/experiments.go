@@ -1,22 +1,23 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation: workload setup, parameter sweeps, baselines, and rendering of
-// the same rows/series the paper reports, with the paper's published
-// numbers alongside for comparison.
+// evaluation. Each is the same object - strategies x partitions x message
+// sizes -> percent of peak - so each is written as data: a grid of cells
+// (one simulation each, see cell) with the paper's published numbers
+// alongside, plus a short function that renders the grid's outcomes as the
+// rows/series the paper reports. One runner, runGrid, executes every grid.
 //
 // The default configuration scales partitions above MaxNodes down by
 // halving every dimension (preserving the aspect ratio that drives the
-// paper's phenomena); Full disables scaling and simulates the true machine
+// paper's phenomena); MaxNodes = math.MaxInt simulates the true machine
 // sizes, which takes hours for the largest rows.
 //
-// Rows of each experiment are independent simulations, so they run on a
-// worker pool (Config.Workers); every run is seeded independently of
-// scheduling, making output identical at any worker count.
+// Rows of a grid are independent simulations, so they run on a worker pool
+// (Config.Workers); every run is seeded independently of scheduling, making
+// output identical at any worker count.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"alltoall/internal/collective"
 	"alltoall/internal/model"
@@ -27,10 +28,9 @@ import (
 
 // Config controls experiment scale and reproducibility.
 type Config struct {
-	// Full disables partition scaling and runs the paper's true machine
+	// MaxNodes bounds simulated partition size (default 1024); partitions
+	// above it are scaled down. math.MaxInt runs the paper's true machine
 	// sizes.
-	Full bool
-	// MaxNodes bounds simulated partition size when !Full (default 1024).
 	MaxNodes int
 	// Seed randomizes destination orders.
 	Seed uint64
@@ -49,7 +49,7 @@ type Config struct {
 	// partition is large enough to amortize the window barriers. Tables
 	// are byte-identical at any setting.
 	Shards int
-	// Progress, when non-nil, receives one line per completed row
+	// Progress, when non-nil, receives one line per completed run
 	// (typically os.Stderr, so tables on stdout stay clean).
 	Progress io.Writer
 	// Metrics, when non-nil, accumulates run/event/packet counts across
@@ -69,27 +69,9 @@ type Config struct {
 
 	// Trace, when non-nil, instruments every collective run with an
 	// observe.Collector and records its per-run summary (and, if the sink
-	// keeps traces, its windowed JSONL trace) under TracePrefix. Tables
-	// are unchanged: observation never perturbs a simulation.
+	// keeps traces, its windowed JSONL trace) under the experiment's id.
+	// Tables are unchanged: observation never perturbs a simulation.
 	Trace *TraceSink
-	// TracePrefix labels this experiment's runs in the sink (usually the
-	// experiment id).
-	TracePrefix string
-
-	// batch is the size of the current mapRows fan-out, stamped into the
-	// Config each row callback receives so opts can weigh run-level
-	// against intra-run parallelism.
-	batch int
-}
-
-func (c Config) maxNodes() int {
-	if c.Full {
-		return 1 << 30
-	}
-	if c.MaxNodes == 0 {
-		return 1024
-	}
-	return c.MaxNodes
 }
 
 // largeFor picks the "large message" payload for a partition: large enough
@@ -111,11 +93,13 @@ func (c Config) largeFor(s torus.Shape) int {
 	}
 }
 
-// scale halves every even dimension of s until it fits maxNodes, keeping
-// the wrap flags. It reports whether scaling occurred.
-func (c Config) scale(s torus.Shape) (torus.Shape, bool) {
-	maxN := c.maxNodes()
-	scaled := false
+// scale halves every even dimension of s until it fits the node budget,
+// keeping the wrap flags; s comes back unchanged when it already fits.
+func (c Config) scale(s torus.Shape) torus.Shape {
+	maxN := c.MaxNodes
+	if maxN == 0 {
+		maxN = 1024
+	}
 	for s.P() > maxN {
 		t := s
 		for d := 0; d < torus.NumDims; d++ {
@@ -130,230 +114,198 @@ func (c Config) scale(s torus.Shape) (torus.Shape, bool) {
 			break // cannot shrink further
 		}
 		s = t
-		scaled = true
 	}
-	return s, scaled
+	return s
+}
+
+// shardsFor picks the per-run shard count for a partition of the given node
+// count inside a fan-out of batch independent rows. Run-level parallelism
+// is strictly cheaper (no window barriers), so the sharded engine is only
+// auto-selected when the batch leaves workers idle, and only on partitions
+// big enough that each shard still owns a few dozen routers. Results are
+// identical either way; this is purely a scheduling decision.
+func (c Config) shardsFor(batch, nodes int) int {
+	if c.Shards != 0 {
+		return c.Shards
+	}
+	w := parallel.Workers(c.Workers)
+	if batch >= w || nodes < 512 {
+		return 1
+	}
+	return min(w/batch, 8)
+}
+
+// experiment is one table or figure: the grid of runs behind it and the
+// function that lays their outcomes (in cell order) out as the paper does.
+type experiment struct {
+	id     string
+	rows   []row
+	render func(outs []outcome) *report.Table
+}
+
+func (e experiment) run(cfg Config) (*report.Table, error) {
+	outs, err := runGrid(cfg, e.id, e.rows)
+	if err != nil {
+		return nil, err
+	}
+	return e.render(outs), nil
+}
+
+// perShape builds the grid of a per-partition table: one row a partition,
+// holding the given cells (strategy, msg, tune) on that partition.
+func perShape(shapes []torus.Shape, cells ...cell) []row {
+	var rows []row
+	for _, s := range shapes {
+		r := make(row, len(cells))
+		for i, c := range cells {
+			c.paper = s
+			r[i] = c
+		}
+		rows = append(rows, r)
+	}
+	return rows
 }
 
 // Runner regenerates one experiment.
 type Runner func(Config) (*report.Table, error)
 
-// Catalog maps experiment ids (table1..table4, fig1..fig7) to runners, with
-// Order giving presentation order.
-var (
-	Catalog = map[string]Runner{
-		"table1":  Table1,
-		"table2":  Table2,
-		"table3":  Table3,
-		"table4":  Table4,
-		"fig1":    Fig1,
-		"fig2":    Fig2,
-		"fig3":    Fig3,
-		"fig4":    Fig4,
-		"fig5":    Fig5,
-		"fig6":    Fig6,
-		"fig7":    Fig7,
-		"ablate":  Ablate,
-		"degrade": Degrade,
-	}
-	Order = []string{
-		"table1", "table2", "table3", "table4",
-		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-		"ablate", "degrade",
-	}
-)
-
-// Names returns the catalog keys in presentation order.
-func Names() []string {
-	return append([]string(nil), Order...)
+// catalog lists every experiment in presentation order.
+var catalog = []experiment{
+	// "All-to-all peak performance of various symmetric partitions for
+	// large messages" (AR strategy).
+	peakTable("table1", "Table 1: AR percent of peak on symmetric partitions (large messages)",
+		collective.StratAR, []paperRow{
+			{shape: torus.New(8, 1, 1), paper: 98.2},
+			{shape: torus.New(16, 1, 1), paper: 97.7},
+			{shape: torus.New(8, 8, 1), paper: 98.7},
+			{shape: torus.New(16, 16, 1), paper: 99.7},
+			{shape: torus.New(8, 8, 8), paper: 99.0},
+			{shape: torus.New(16, 16, 16), paper: 99.0},
+		}, "measured on the packet-level simulator; expect a uniform few-percent tax versus hardware"),
+	// "AA performance using the AR strategy for large message sizes on
+	// various processor partitions" ("M" = mesh dimension).
+	peakTable("table2", "Table 2: AR percent of peak on asymmetric partitions (large messages)",
+		collective.StratAR, []paperRow{
+			{shape: torus.NewMesh(8, 2, 1, true, false, false), paper: 91.8},
+			{shape: torus.NewMesh(8, 4, 1, true, false, false), paper: 89.0},
+			{shape: torus.New(8, 16, 1), paper: 85.7},
+			{shape: torus.New(8, 32, 1), paper: 84.0},
+			{shape: torus.NewMesh(8, 8, 2, true, true, false), paper: 90.1},
+			{shape: torus.NewMesh(8, 8, 4, true, true, false), paper: 87.7},
+			{shape: torus.New(8, 8, 16), paper: 81.0},
+			{shape: torus.New(8, 16, 16), paper: 87.0},
+			{shape: torus.New(8, 32, 16), paper: 73.3},
+			{shape: torus.New(16, 32, 16), paper: 71.0},
+			{shape: torus.New(32, 32, 16), paper: 73.6},
+		}),
+	// "All-to-all performance using the Two Phase Schedule (TPS) algorithm
+	// for long messages", including the phase-1 dimension.
+	peakTable("table3", "Table 3: Two Phase Schedule percent of peak (long messages)",
+		collective.StratTPS, []paperRow{
+			{torus.New(8, 8, 8), 77.2, "Z"},
+			{torus.New(16, 8, 8), 99.0, "X"},
+			{torus.New(8, 16, 8), 98.9, "Y"},
+			{torus.New(8, 8, 16), 97.9, "Z"},
+			{torus.New(16, 16, 8), 97.5, "Z"},
+			{torus.New(16, 8, 16), 97.4, "Y"},
+			{torus.New(8, 16, 16), 97.2, "X"},
+			{torus.New(8, 32, 16), 99.5, "Y"},
+			{torus.New(16, 16, 16), 96.1, "X"},
+			{torus.New(16, 32, 16), 99.8, "Y"},
+			{torus.New(32, 16, 16), 99.8, "X"},
+			{torus.New(32, 32, 16), 96.8, "Z"},
+			{torus.New(40, 32, 16), 99.5, "X"},
+		}, "on fully symmetric shapes any linear dimension is equivalent; the paper picked Z for 8x8x8, this implementation picks X"),
+	table4(),
+	// The AR throughput-vs-message-size curve with the model prediction on
+	// the 512-node midplane, and the same study on 4096 nodes.
+	arVsModel("fig1", "Figure 1: AR measured vs model on 8x8x8", torus.New(8, 8, 8)),
+	arVsModel("fig2", "Figure 2: AR measured vs model on 16x16x16", torus.New(16, 16, 16)),
+	fig3(),
+	fig4(),
+	fig5(),
+	// AR vs VMesh on 512 nodes: VMesh wins below the 32-64 byte crossover,
+	// loses about 2x for large messages.
+	sweep{
+		title: "Figure 6: AA comparison on 8x8x8 (short messages)",
+		paper: torus.New(8, 8, 8),
+		strats: []cell{
+			{strat: collective.StratAR},
+			{strat: collective.StratVMesh, tune: vmeshAs(32, 16, "")},
+		},
+		sizes: messageSizes(1, 512),
+	}.figure("fig6"),
+	// The three-way comparison on the asymmetric 4096-node partition.
+	sweep{
+		title: "Figure 7: AA comparison on 8x32x16 (short messages)",
+		paper: torus.New(8, 32, 16),
+		strats: []cell{
+			{strat: collective.StratAR},
+			{strat: collective.StratTPS},
+			{strat: collective.StratVMesh, tune: vmeshAs(128, 32, "xzy")},
+		},
+		sizes: messageSizes(1, 256),
+	}.figure("fig7"),
+	ablate(),
+	degrade(),
 }
 
-func (c Config) opts(s torus.Shape, m int) collective.Options {
-	return collective.Options{Request: collective.Request{
-		Shape: s, MsgBytes: m, Seed: c.Seed, Shards: c.shardsFor(s.P()), Check: c.Check, Faults: c.Faults}}
-}
+// Catalog maps experiment ids (table1..table4, fig1..fig7, ablate, degrade)
+// to runners; Order gives the ids in presentation order.
+var Catalog, Order = func() (map[string]Runner, []string) {
+	m := make(map[string]Runner, len(catalog))
+	var ids []string
+	for _, e := range catalog {
+		m[e.id] = e.run
+		ids = append(ids, e.id)
+	}
+	return m, ids
+}()
 
-// shardsFor picks the per-run shard count for a partition of the given node
-// count. Run-level parallelism is strictly cheaper (no window barriers), so
-// the sharded engine is only auto-selected when the current batch of
-// independent runs leaves workers idle, and only on partitions big enough
-// that each shard still owns a few dozen routers. Results are identical
-// either way; this is purely a scheduling decision.
-func (c Config) shardsFor(nodes int) int {
-	if c.Shards != 0 {
-		return c.Shards
-	}
-	w := parallel.Workers(c.Workers)
-	batch := c.batch
-	if batch < 1 {
-		batch = 1
-	}
-	if batch >= w || nodes < 512 {
-		return 1
-	}
-	s := w / batch
-	if s > 8 {
-		s = 8
-	}
-	return s
-}
-
-func shapeLabel(paper torus.Shape, run torus.Shape, scaled bool) string {
-	if !scaled {
-		return paper.String()
-	}
-	return fmt.Sprintf("%v (run %v)", paper, run)
-}
-
-// runRow simulates one strategy on a (possibly scaled) partition at the
-// config's large-message size, through the worker's network cache.
-func (c Config) runRow(cache *collective.NetCache, strat collective.Strategy, paper torus.Shape) (collective.Result, string, error) {
-	run, scaled := c.scale(paper)
-	res, err := c.runCached(strat, c.opts(run, c.largeFor(run)), cache)
-	return res, shapeLabel(paper, run, scaled), err
-}
-
-// rowResult pairs a rendered partition label with its run.
-type rowResult struct {
-	label string
-	res   collective.Result
-}
-
-// stratRows runs one strategy across a table's partitions on the worker
-// pool, one row per partition, emitting a progress line per finished row.
-func (c Config) stratRows(name string, strat collective.Strategy, shapes []torus.Shape) ([]rowResult, error) {
-	n := len(shapes)
-	return mapRows(c, shapes, func(c Config, cache *collective.NetCache, i int, paper torus.Shape) (rowResult, error) {
-		start := time.Now()
-		res, label, err := c.runRow(cache, strat, paper)
-		if err != nil {
-			return rowResult{}, err
-		}
-		c.rowProgress("  %s %d/%d %s: %s %.1f%% of peak (%s)",
-			name, i+1, n, label, strat, res.PercentPeak, time.Since(start).Round(time.Millisecond))
-		return rowResult{label: label, res: res}, nil
-	})
-}
-
-// Table1 reproduces "All-to-all peak performance of various symmetric
-// partitions for large messages" (AR strategy).
-func Table1(cfg Config) (*report.Table, error) {
-	rows := []struct {
-		shape torus.Shape
-		paper float64
-	}{
-		{torus.New(8, 1, 1), 98.2},
-		{torus.New(16, 1, 1), 97.7},
-		{torus.New(8, 8, 1), 98.7},
-		{torus.New(16, 16, 1), 99.7},
-		{torus.New(8, 8, 8), 99.0},
-		{torus.New(16, 16, 16), 99.0},
-	}
-	shapes := make([]torus.Shape, len(rows))
-	for i, r := range rows {
-		shapes[i] = r.shape
-	}
-	t := report.NewTable("Table 1: AR percent of peak on symmetric partitions (large messages)",
-		"Partition", "Paper %", "Measured %", "MsgBytes")
-	out, err := cfg.stratRows("table1", collective.StratAR, shapes)
-	if err != nil {
-		return t, err
-	}
-	for i, r := range rows {
-		t.AddRow(out[i].label, r.paper, out[i].res.PercentPeak, out[i].res.MsgBytes)
-	}
-	t.AddNote("measured on the packet-level simulator; expect a uniform few-percent tax versus hardware")
-	return t, nil
-}
-
-// table2Rows are the asymmetric partitions of Table 2 ("M" = mesh
-// dimension) with the paper's AR percent of peak.
-func table2Rows() []struct {
+// paperRow is one partition of Tables 1-3 with the paper's percent of peak
+// and, in Table 3, the dimension the paper ran phase 1 on.
+type paperRow struct {
 	shape torus.Shape
 	paper float64
-} {
-	return []struct {
-		shape torus.Shape
-		paper float64
-	}{
-		{torus.NewMesh(8, 2, 1, true, false, false), 91.8},
-		{torus.NewMesh(8, 4, 1, true, false, false), 89.0},
-		{torus.New(8, 16, 1), 85.7},
-		{torus.New(8, 32, 1), 84.0},
-		{torus.NewMesh(8, 8, 2, true, true, false), 90.1},
-		{torus.NewMesh(8, 8, 4, true, true, false), 87.7},
-		{torus.New(8, 8, 16), 81.0},
-		{torus.New(8, 16, 16), 87.0},
-		{torus.New(8, 32, 16), 73.3},
-		{torus.New(16, 32, 16), 71.0},
-		{torus.New(32, 32, 16), 73.6},
-	}
+	dim   string
 }
 
-// Table2 reproduces "AA performance using the AR strategy for large message
-// sizes on various processor partitions".
-func Table2(cfg Config) (*report.Table, error) {
-	rows := table2Rows()
-	shapes := make([]torus.Shape, len(rows))
-	for i, r := range rows {
-		shapes[i] = r.shape
+// peakTable is Tables 1-3: one strategy's large-message percent of peak
+// across partitions, one run a row, against the paper's value. Rows that
+// name the paper's phase-1 dimension get the chosen one beside it in place
+// of the message size.
+func peakTable(id, title string, strat collective.Strategy, rows []paperRow, notes ...string) experiment {
+	e := experiment{id: id}
+	for _, r := range rows {
+		e.rows = append(e.rows, row{{strat: strat, paper: r.shape}})
 	}
-	t := report.NewTable("Table 2: AR percent of peak on asymmetric partitions (large messages)",
-		"Partition", "Paper %", "Measured %", "MsgBytes")
-	out, err := cfg.stratRows("table2", collective.StratAR, shapes)
-	if err != nil {
-		return t, err
+	e.render = func(outs []outcome) *report.Table {
+		last := []string{"MsgBytes"}
+		if rows[0].dim != "" {
+			last = []string{"Paper dim", "Chosen dim"}
+		}
+		t := report.NewTable(title, append([]string{"Partition", "Paper %", "Measured %"}, last...)...)
+		for i, r := range rows {
+			o := outs[i]
+			if r.dim != "" {
+				t.AddRow(o.label(), r.paper, o.res.PercentPeak, r.dim, o.res.TPSLinearDim.String())
+			} else {
+				t.AddRow(o.label(), r.paper, o.res.PercentPeak, o.res.MsgBytes)
+			}
+		}
+		for _, n := range notes {
+			t.AddNote("%s", n)
+		}
+		return t
 	}
-	for i, r := range rows {
-		t.AddRow(out[i].label, r.paper, out[i].res.PercentPeak, out[i].res.MsgBytes)
-	}
-	return t, nil
+	return e
 }
 
-// Table3 reproduces "All-to-all performance using the Two Phase Schedule
-// (TPS) algorithm for long messages", including the phase-1 dimension.
-func Table3(cfg Config) (*report.Table, error) {
-	rows := []struct {
-		shape torus.Shape
-		paper float64
-		dim   string
-	}{
-		{torus.New(8, 8, 8), 77.2, "Z"},
-		{torus.New(16, 8, 8), 99.0, "X"},
-		{torus.New(8, 16, 8), 98.9, "Y"},
-		{torus.New(8, 8, 16), 97.9, "Z"},
-		{torus.New(16, 16, 8), 97.5, "Z"},
-		{torus.New(16, 8, 16), 97.4, "Y"},
-		{torus.New(8, 16, 16), 97.2, "X"},
-		{torus.New(8, 32, 16), 99.5, "Y"},
-		{torus.New(16, 16, 16), 96.1, "X"},
-		{torus.New(16, 32, 16), 99.8, "Y"},
-		{torus.New(32, 16, 16), 99.8, "X"},
-		{torus.New(32, 32, 16), 96.8, "Z"},
-		{torus.New(40, 32, 16), 99.5, "X"},
-	}
-	shapes := make([]torus.Shape, len(rows))
-	for i, r := range rows {
-		shapes[i] = r.shape
-	}
-	t := report.NewTable("Table 3: Two Phase Schedule percent of peak (long messages)",
-		"Partition", "Paper %", "Measured %", "Paper dim", "Chosen dim")
-	out, err := cfg.stratRows("table3", collective.StratTPS, shapes)
-	if err != nil {
-		return t, err
-	}
-	for i, r := range rows {
-		t.AddRow(out[i].label, r.paper, out[i].res.PercentPeak, r.dim, out[i].res.TPSLinearDim.String())
-	}
-	t.AddNote("on fully symmetric shapes any linear dimension is equivalent; the paper picked Z for 8x8x8, this implementation picks X")
-	return t, nil
-}
-
-// Table4 reproduces the 1-byte all-to-all latency comparison between TPS
+// table4 reproduces the 1-byte all-to-all latency comparison between TPS
 // and AR. Latencies are reported in calibrated milliseconds; scaled
 // partitions are proportionally faster, so the comparison column is the
-// TPS/AR ratio. Both runs of a row share the worker's cached network.
-func Table4(cfg Config) (*report.Table, error) {
+// TPS/AR ratio.
+func table4() experiment {
 	rows := []struct {
 		shape             torus.Shape
 		paperTPS, paperAR float64
@@ -364,121 +316,111 @@ func Table4(cfg Config) (*report.Table, error) {
 		{torus.New(8, 32, 16), 8.1, 12.4},
 		{torus.New(32, 32, 16), 35.9, 65.2},
 	}
-	type t4out struct {
-		label   string
-		tps, ar collective.Result
+	e := experiment{id: "table4"}
+	for _, r := range rows {
+		e.rows = append(e.rows, row{
+			{strat: collective.StratTPS, paper: r.shape, msg: 1},
+			{strat: collective.StratAR, paper: r.shape, msg: 1},
+		})
 	}
-	t := report.NewTable("Table 4: 1-byte all-to-all latency, TPS vs AR (ms)",
-		"Partition", "Paper TPS", "Paper AR", "Meas TPS", "Meas AR", "Paper ratio", "Meas ratio")
-	out, err := mapRows(cfg, rows, func(cfg Config, cache *collective.NetCache, i int, r struct {
-		shape             torus.Shape
-		paperTPS, paperAR float64
-	}) (t4out, error) {
-		start := time.Now()
-		run, scaled := cfg.scale(r.shape)
-		tps, err := cfg.runCached(collective.StratTPS, cfg.opts(run, 1), cache)
-		if err != nil {
-			return t4out{}, err
+	e.render = func(outs []outcome) *report.Table {
+		t := report.NewTable("Table 4: 1-byte all-to-all latency, TPS vs AR (ms)",
+			"Partition", "Paper TPS", "Paper AR", "Meas TPS", "Meas AR", "Paper ratio", "Meas ratio")
+		for i, r := range rows {
+			tps, ar := outs[2*i], outs[2*i+1]
+			t.AddRow(tps.label(),
+				r.paperTPS, r.paperAR,
+				fmt.Sprintf("%.3f", tps.res.Seconds*1e3), fmt.Sprintf("%.3f", ar.res.Seconds*1e3),
+				fmt.Sprintf("%.2f", r.paperTPS/r.paperAR),
+				fmt.Sprintf("%.2f", tps.res.Seconds/ar.res.Seconds))
 		}
-		ar, err := cfg.runCached(collective.StratAR, cfg.opts(run, 1), cache)
-		if err != nil {
-			return t4out{}, err
-		}
-		label := shapeLabel(r.shape, run, scaled)
-		cfg.rowProgress("  table4 %d/%d %s: TPS %.3fms AR %.3fms (%s)",
-			i+1, len(rows), label, tps.Seconds*1e3, ar.Seconds*1e3, time.Since(start).Round(time.Millisecond))
-		return t4out{label: label, tps: tps, ar: ar}, nil
-	})
-	if err != nil {
-		return t, err
+		t.AddNote("the sign flip matters: TPS is slower than AR on small partitions and faster on large asymmetric ones")
+		return t
 	}
-	for i, r := range rows {
-		t.AddRow(out[i].label,
-			r.paperTPS, r.paperAR,
-			fmt.Sprintf("%.3f", out[i].tps.Seconds*1e3), fmt.Sprintf("%.3f", out[i].ar.Seconds*1e3),
-			fmt.Sprintf("%.2f", r.paperTPS/r.paperAR),
-			fmt.Sprintf("%.2f", out[i].tps.Seconds/out[i].ar.Seconds))
-	}
-	t.AddNote("the sign flip matters: TPS is slower than AR on small partitions and faster on large asymmetric ones")
-	return t, nil
+	return e
 }
 
-// figSweep renders a message-size sweep of per-node throughput (MB/s) for
-// one or more strategies, with optional model columns. The (strategy, size)
-// grid is flattened into one job list so the pool stays busy even when one
-// strategy's points dominate the runtime.
-func figSweep(cfg Config, title string, paper torus.Shape, strats []collective.Strategy,
-	sizes []int, withModel bool, vmeshCols, vmeshRows int, vmeshOrder string) (*report.Table, error) {
-	run, scaled := cfg.scale(paper)
-	calib := model.DefaultCalib()
-	cols := []string{"MsgBytes"}
-	for _, s := range strats {
-		cols = append(cols, string(s)+" MB/s", string(s)+" %peak")
+// sweep is a message-size study of per-node throughput on one partition.
+// Every (strategy, size) point is its own one-cell row, strategy-major, so
+// the pool stays busy even when one strategy's points dominate the runtime.
+type sweep struct {
+	title  string
+	paper  torus.Shape
+	strats []cell // strategy and tune of each series; paper and msg are filled in per point
+	sizes  []int
+}
+
+func (s sweep) rows() []row {
+	var rows []row
+	for _, c := range s.strats {
+		for _, m := range s.sizes {
+			c.paper, c.msg = s.paper, m
+			rows = append(rows, row{c})
+		}
 	}
-	if withModel {
-		cols = append(cols, "Eq3 MB/s", "Peak MB/s")
-	}
-	t := report.NewTable(title, cols...)
-	if scaled {
-		t.AddNote("partition scaled from %v to %v (node budget); aspect ratio preserved", paper, run)
-	}
-	stratOpts := make([]collective.Options, len(strats))
-	for i, s := range strats {
-		opts := cfg.opts(run, 1)
-		if s == collective.StratVMesh && vmeshCols > 0 {
-			vc, vr := vmeshCols, vmeshRows
-			if scaled {
-				vc, vr = collective.BalancedFactor(run.P())
+	return rows
+}
+
+// column is an analytic series a figure plots beside the measured ones,
+// evaluated for the partition actually simulated.
+type column struct {
+	name string
+	at   func(run torus.Shape, m int) float64
+}
+
+// figure renders the sweep one row a message size: MB/s and percent of peak
+// per strategy, then the model columns.
+func (s sweep) figure(id string, model ...column) experiment {
+	return experiment{id, s.rows(), func(outs []outcome) *report.Table {
+		cols := []string{"MsgBytes"}
+		for _, c := range s.strats {
+			cols = append(cols, string(c.strat)+" MB/s", string(c.strat)+" %peak")
+		}
+		for _, c := range model {
+			cols = append(cols, c.name)
+		}
+		t := report.NewTable(s.title, cols...)
+		run := outs[0].run
+		if run != s.paper {
+			t.AddNote("partition scaled from %v to %v (node budget); aspect ratio preserved", s.paper, run)
+		}
+		for j, m := range s.sizes {
+			r := []any{m}
+			for i := range s.strats {
+				res := outs[i*len(s.sizes)+j].res
+				r = append(r, res.PerNodeMBs, res.PercentPeak)
 			}
-			opts.VMeshCols, opts.VMeshRows = vc, vr
-			opts.VMeshMapOrder = vmeshOrder
+			for _, c := range model {
+				r = append(r, c.at(run, m))
+			}
+			t.AddRow(r...)
 		}
-		stratOpts[i] = opts
-	}
-	type job struct{ si, mi int }
-	jobs := make([]job, 0, len(strats)*len(sizes))
-	for si := range strats {
-		for mi := range sizes {
-			jobs = append(jobs, job{si, mi})
+		return t
+	}}
+}
+
+// arVsModel is Figures 1 and 2: the AR curve with Equation 3's prediction
+// and the bisection peak.
+func arVsModel(id, title string, paper torus.Shape) experiment {
+	calib := model.DefaultCalib()
+	return sweep{title, paper, []cell{{strat: collective.StratAR}}, messageSizes(1, 4096)}.figure(id,
+		column{"Eq3 MB/s", func(run torus.Shape, m int) float64 {
+			return model.PerNodeBandwidth(calib, run, m, model.DirectTime(calib, run, m))
+		}},
+		column{"Peak MB/s", func(run torus.Shape, _ int) float64 { return model.PeakPerNodeBandwidth(calib, run) }})
+}
+
+// vmeshAs is the tune of a VMesh series that pins the paper's virtual-mesh
+// factorization and mapping order. The factorization only fits the paper's
+// node count; a scaled run keeps the balanced default of what it simulates.
+func vmeshAs(cols, rows int, order string) func(torus.Shape, *collective.Options) error {
+	return func(run torus.Shape, o *collective.Options) error {
+		if cols*rows == run.P() {
+			o.VMeshCols, o.VMeshRows = cols, rows
 		}
+		o.VMeshMapOrder = order
+		return nil
 	}
-	flat, err := mapRows(cfg, jobs, func(cfg Config, cache *collective.NetCache, _ int, j job) (collective.Result, error) {
-		start := time.Now()
-		opts := stratOpts[j.si]
-		opts.MsgBytes = sizes[j.mi]
-		// stratOpts was built before the fan-out size was known; redo the
-		// engine choice with the actual batch.
-		opts.Shards = cfg.shardsFor(run.P())
-		res, err := cfg.runCached(strats[j.si], opts, cache)
-		if err != nil {
-			return res, fmt.Errorf("sweep: %s at m=%d: %w", strats[j.si], sizes[j.mi], err)
-		}
-		cfg.rowProgress("  %s m=%d: %.1f MB/s (%s)",
-			strats[j.si], sizes[j.mi], res.PerNodeMBs, time.Since(start).Round(time.Millisecond))
-		return res, nil
-	})
-	if err != nil {
-		return t, err
-	}
-	series := make([][]collective.Result, len(strats))
-	for i := range series {
-		series[i] = flat[i*len(sizes) : (i+1)*len(sizes)]
-	}
-	for j, m := range sizes {
-		row := []any{m}
-		for i := range strats {
-			r := series[i][j]
-			row = append(row, r.PerNodeMBs, r.PercentPeak)
-		}
-		if withModel {
-			eq3 := model.DirectTime(calib, run, m)
-			row = append(row,
-				model.PerNodeBandwidth(calib, run, m, eq3),
-				model.PeakPerNodeBandwidth(calib, run))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
 }
 
 // messageSizes returns a doubling ladder of message sizes in [lo, hi],
@@ -497,160 +439,73 @@ func messageSizes(lo, hi int) []int {
 	return out
 }
 
-// Fig1 reproduces the AR throughput-vs-message-size curve with the model
-// prediction on the 512-node midplane.
-func Fig1(cfg Config) (*report.Table, error) {
-	return figSweep(cfg, "Figure 1: AR measured vs model on 8x8x8",
-		torus.New(8, 8, 8), []collective.Strategy{collective.StratAR},
-		messageSizes(1, 4096), true, 0, 0, "")
-}
-
-// Fig2 is the same study on a 4096-node 16x16x16 partition.
-func Fig2(cfg Config) (*report.Table, error) {
-	return figSweep(cfg, "Figure 2: AR measured vs model on 16x16x16",
-		torus.New(16, 16, 16), []collective.Strategy{collective.StratAR},
-		messageSizes(1, 4096), true, 0, 0, "")
-}
-
-// Fig3 reproduces the per-node throughput summary across partitions: the
+// fig3 reproduces the per-node throughput summary across partitions: the
 // bisection-limited peak, a one-packet all-to-all, and a large-message
-// all-to-all. Both runs of a row share the worker's cached network.
-func Fig3(cfg Config) (*report.Table, error) {
-	shapes := []torus.Shape{
+// all-to-all.
+func fig3() experiment {
+	e := experiment{id: "fig3", rows: perShape([]torus.Shape{
 		torus.New(8, 8, 1),
 		torus.New(8, 8, 8),
 		torus.New(8, 8, 16),
 		torus.New(8, 16, 16),
 		torus.New(8, 32, 16),
 		torus.New(16, 16, 16),
-	}
-	calib := model.DefaultCalib()
-	type f3out struct {
-		label         string
-		onePkt, large collective.Result
-		run           torus.Shape
-	}
-	t := report.NewTable("Figure 3: AR per-node throughput (MB/s) by partition",
-		"Partition", "Peak bisection", "1-packet AA", "Large-message AA")
-	out, err := mapRows(cfg, shapes, func(cfg Config, cache *collective.NetCache, i int, paper torus.Shape) (f3out, error) {
-		start := time.Now()
-		run, scaled := cfg.scale(paper)
-		onePkt, err := cfg.runCached(collective.StratAR, cfg.opts(run, 240), cache)
-		if err != nil {
-			return f3out{}, err
+	}, cell{strat: collective.StratAR, msg: 240}, cell{strat: collective.StratAR})}
+	e.render = func(outs []outcome) *report.Table {
+		t := report.NewTable("Figure 3: AR per-node throughput (MB/s) by partition",
+			"Partition", "Peak bisection", "1-packet AA", "Large-message AA")
+		for i := 0; i < len(outs); i += 2 {
+			onePkt, large := outs[i], outs[i+1]
+			t.AddRow(onePkt.label(), model.PeakPerNodeBandwidth(model.DefaultCalib(), onePkt.run),
+				onePkt.res.PerNodeMBs, large.res.PerNodeMBs)
 		}
-		large, err := cfg.runCached(collective.StratAR, cfg.opts(run, cfg.largeFor(run)), cache)
-		if err != nil {
-			return f3out{}, err
-		}
-		label := shapeLabel(paper, run, scaled)
-		cfg.rowProgress("  fig3 %d/%d %s (%s)", i+1, len(shapes), label, time.Since(start).Round(time.Millisecond))
-		return f3out{label: label, onePkt: onePkt, large: large, run: run}, nil
-	})
-	if err != nil {
-		return t, err
+		return t
 	}
-	for _, o := range out {
-		t.AddRow(o.label, model.PeakPerNodeBandwidth(calib, o.run), o.onePkt.PerNodeMBs, o.large.PerNodeMBs)
-	}
-	return t, nil
+	return e
 }
 
-// Fig4 reproduces the direct-strategy comparison (AR, DR, throttled AR)
-// across partition shapes, including DR's dimension-order dependence. The
-// three runs of a row share the worker's cached network.
-func Fig4(cfg Config) (*report.Table, error) {
-	shapes := []torus.Shape{
+// fig4 reproduces the direct-strategy comparison (AR, DR, throttled AR)
+// across partition shapes, including DR's dimension-order dependence.
+func fig4() experiment {
+	e := experiment{id: "fig4", rows: perShape([]torus.Shape{
 		torus.New(8, 8, 8),
 		torus.New(16, 8, 8),
 		torus.New(8, 16, 8),
 		torus.New(8, 8, 16),
 		torus.New(8, 16, 16),
 		torus.New(8, 32, 16),
-	}
-	type f4out struct {
-		label      string
-		ar, dr, th collective.Result
-	}
-	t := report.NewTable("Figure 4: percent of peak for direct strategies (large messages)",
-		"Partition", "AR %", "DR %", "Throttled %")
-	out, err := mapRows(cfg, shapes, func(cfg Config, cache *collective.NetCache, i int, paper torus.Shape) (f4out, error) {
-		start := time.Now()
-		run, scaled := cfg.scale(paper)
-		m := cfg.largeFor(run)
-		ar, err := cfg.runCached(collective.StratAR, cfg.opts(run, m), cache)
-		if err != nil {
-			return f4out{}, err
+	}, cell{strat: collective.StratAR}, cell{strat: collective.StratDR}, cell{strat: collective.StratThrottle})}
+	e.render = func(outs []outcome) *report.Table {
+		t := report.NewTable("Figure 4: percent of peak for direct strategies (large messages)",
+			"Partition", "AR %", "DR %", "Throttled %")
+		for i := 0; i < len(outs); i += 3 {
+			ar, dr, th := outs[i], outs[i+1], outs[i+2]
+			t.AddRow(ar.label(), ar.res.PercentPeak, dr.res.PercentPeak, th.res.PercentPeak)
 		}
-		dr, err := cfg.runCached(collective.StratDR, cfg.opts(run, m), cache)
-		if err != nil {
-			return f4out{}, err
-		}
-		th, err := cfg.runCached(collective.StratThrottle, cfg.opts(run, m), cache)
-		if err != nil {
-			return f4out{}, err
-		}
-		label := shapeLabel(paper, run, scaled)
-		cfg.rowProgress("  fig4 %d/%d %s (%s)", i+1, len(shapes), label, time.Since(start).Round(time.Millisecond))
-		return f4out{label: label, ar: ar, dr: dr, th: th}, nil
-	})
-	if err != nil {
-		return t, err
+		t.AddNote("DR should lead AR when the longest dimension is X (deterministic routing starts packets on X links)")
+		return t
 	}
-	for _, o := range out {
-		t.AddRow(o.label, o.ar.PercentPeak, o.dr.PercentPeak, o.th.PercentPeak)
-	}
-	t.AddNote("DR should lead AR when the longest dimension is X (deterministic routing starts packets on X links)")
-	return t, nil
+	return e
 }
 
-// Fig5 reproduces the VMesh measurement against its Equation 4 prediction
-// on 512 nodes (32x16 virtual mesh).
-func Fig5(cfg Config) (*report.Table, error) {
-	paper := torus.New(8, 8, 8)
-	run, scaled := cfg.scale(paper)
-	calib := model.DefaultCalib()
-	vc, vr := collective.BalancedFactor(run.P())
-	t := report.NewTable(fmt.Sprintf("Figure 5: VMesh (%dx%d) measured vs Eq4 prediction on %v", vc, vr, run),
-		"MsgBytes", "Measured MB/s", "Eq4 MB/s")
-	if scaled {
-		t.AddNote("partition scaled from %v to %v", paper, run)
-	}
-	sizes := messageSizes(1, 512)
-	out, err := mapRows(cfg, sizes, func(cfg Config, cache *collective.NetCache, _ int, m int) (collective.Result, error) {
-		opts := cfg.opts(run, m)
-		opts.VMeshCols, opts.VMeshRows = vc, vr
-		res, err := cfg.runCached(collective.StratVMesh, opts, cache)
-		if err != nil {
-			return res, err
+// fig5 reproduces the VMesh measurement against its Equation 4 prediction
+// on 512 nodes (32x16 virtual mesh, the balanced factorization VMesh picks
+// by default).
+func fig5() experiment {
+	s := sweep{paper: torus.New(8, 8, 8), strats: []cell{{strat: collective.StratVMesh}}, sizes: messageSizes(1, 512)}
+	return experiment{"fig5", s.rows(), func(outs []outcome) *report.Table {
+		o := outs[0]
+		vc, vr := o.res.VMeshCols, o.res.VMeshRows
+		t := report.NewTable(fmt.Sprintf("Figure 5: VMesh (%dx%d) measured vs Eq4 prediction on %v", vc, vr, o.run),
+			"MsgBytes", "Measured MB/s", "Eq4 MB/s")
+		if o.run != o.paper {
+			t.AddNote("partition scaled from %v to %v", o.paper, o.run)
 		}
-		cfg.rowProgress("  fig5 m=%d: %.1f MB/s", m, res.PerNodeMBs)
-		return res, nil
-	})
-	if err != nil {
-		return t, err
-	}
-	for j, m := range sizes {
-		pred := model.VMeshTime(calib, run, vc, vr, m)
-		t.AddRow(m, out[j].PerNodeMBs, model.PerNodeBandwidth(calib, run, m, pred))
-	}
-	return t, nil
-}
-
-// Fig6 reproduces the AR-vs-VMesh comparison on 512 nodes: VMesh wins below
-// the 32-64 byte crossover, loses about 2x for large messages.
-func Fig6(cfg Config) (*report.Table, error) {
-	return figSweep(cfg, "Figure 6: AA comparison on 8x8x8 (short messages)",
-		torus.New(8, 8, 8),
-		[]collective.Strategy{collective.StratAR, collective.StratVMesh},
-		messageSizes(1, 512), false, 32, 16, "")
-}
-
-// Fig7 reproduces the three-way comparison (AR, TPS, VMesh) on the
-// asymmetric 4096-node 8x32x16 partition.
-func Fig7(cfg Config) (*report.Table, error) {
-	return figSweep(cfg, "Figure 7: AA comparison on 8x32x16 (short messages)",
-		torus.New(8, 32, 16),
-		[]collective.Strategy{collective.StratAR, collective.StratTPS, collective.StratVMesh},
-		messageSizes(1, 256), false, 128, 32, "xzy")
+		calib := model.DefaultCalib()
+		for j, m := range s.sizes {
+			pred := model.VMeshTime(calib, o.run, vc, vr, m)
+			t.AddRow(m, outs[j].res.PerNodeMBs, model.PerNodeBandwidth(calib, o.run, m, pred))
+		}
+		return t
+	}}
 }

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"alltoall/internal/collective"
 	"alltoall/internal/torus"
 )
 
@@ -22,17 +24,11 @@ func TestCatalogComplete(t *testing.T) {
 			t.Errorf("missing runner for %q", id)
 		}
 	}
-	if len(Names()) != len(Order) {
-		t.Errorf("Names() = %v", Names())
-	}
 }
 
 func TestScale(t *testing.T) {
 	cfg := Config{MaxNodes: 1024}
-	s, scaled := cfg.scale(torus.New(40, 32, 16))
-	if !scaled {
-		t.Fatal("20480 nodes not scaled")
-	}
+	s := cfg.scale(torus.New(40, 32, 16))
 	if s.P() > 1024 {
 		t.Errorf("scaled to %v (%d nodes)", s, s.P())
 	}
@@ -43,20 +39,19 @@ func TestScale(t *testing.T) {
 	}
 	// Small partitions pass through untouched.
 	small := torus.New(8, 8, 8)
-	got, scaled := cfg.scale(small)
-	if scaled || got != small {
+	if got := cfg.scale(small); got != small {
 		t.Errorf("8x8x8 was scaled to %v", got)
 	}
-	// Full mode never scales.
-	full := Config{Full: true}
-	if _, scaled := full.scale(torus.New(40, 32, 16)); scaled {
-		t.Error("Full config scaled a partition")
+	// No node budget (aabench -full) never scales.
+	full, big := Config{MaxNodes: math.MaxInt}, torus.New(40, 32, 16)
+	if got := full.scale(big); got != big {
+		t.Errorf("unbounded config scaled %v to %v", big, got)
 	}
 }
 
 func TestScaleKeepsMeshFlags(t *testing.T) {
 	cfg := Config{MaxNodes: 64}
-	s, _ := cfg.scale(torus.NewMesh(16, 16, 8, true, true, false))
+	s := cfg.scale(torus.NewMesh(16, 16, 8, true, true, false))
 	if s.Wrap[2] {
 		t.Errorf("mesh dimension became a torus: %+v", s)
 	}
@@ -115,7 +110,7 @@ func TestFigSweepModelColumns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	tbl, err := Fig1(tiny())
+	tbl, err := Catalog["fig1"](tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,5 +145,25 @@ func TestMessageSizes(t *testing.T) {
 	}
 	if s := messageSizes(8, 100); s[len(s)-1] != 100 {
 		t.Errorf("hi endpoint missing: %v", s)
+	}
+}
+
+// TestCollapsedCell pins the one tolerated failure: a cell whose tune sets
+// its own time budget (the ablations) is cut off there and comes back as
+// collapsed; any other error fails the grid.
+func TestCollapsedCell(t *testing.T) {
+	c := cell{strat: collective.StratAR, paper: torus.New(4, 1, 1), msg: 8,
+		tune: func(_ torus.Shape, o *collective.Options) error { o.MaxTime = 1; return nil }}
+	var progress strings.Builder
+	outs, err := runGrid(Config{Progress: &progress}, "x", []row{{c}})
+	if err != nil || len(outs) != 1 || !outs[0].collapsed {
+		t.Fatalf("budgeted cell: outcomes %+v, err %v; want one collapsed outcome", outs, err)
+	}
+	if want := "  x 1/1 AR 4 m=8: collapsed ("; !strings.HasPrefix(progress.String(), want) {
+		t.Errorf("progress %q, want prefix %q", progress.String(), want)
+	}
+	c.tune = func(_ torus.Shape, o *collective.Options) error { o.Faults = "bogus"; return nil }
+	if _, err := runGrid(Config{}, "x", []row{{c}}); err == nil {
+		t.Error("a cell with an unparsable fault schedule did not fail the grid")
 	}
 }

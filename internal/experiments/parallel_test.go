@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -21,9 +22,32 @@ func render(t *testing.T, id string, cfg Config) string {
 	return b.String()
 }
 
+// checkCatalog renders the whole catalog at the golden scale (tiny: 64
+// nodes, seed 1, 240-byte large messages) on the given engine settings and
+// compares it with cmd/aabench's catalog.golden, which was written by one
+// worker on the serial engine: each table followed by a blank line.
+func checkCatalog(t *testing.T, workers, shards int) {
+	t.Helper()
+	want, err := os.ReadFile("../../cmd/aabench/testdata/catalog.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tiny()
+	cfg.Workers, cfg.Shards = workers, shards
+	var got strings.Builder
+	for _, id := range Order {
+		got.WriteString(render(t, id, cfg) + "\n")
+	}
+	if got.String() != string(want) {
+		t.Errorf("catalog at Workers=%d Shards=%d differs from the serial golden\n-- got --\n%s", workers, shards, got.String())
+	}
+}
+
 // TestSerialParallelIdentical is the engine's determinism regression test:
 // rendered tables must be byte-identical at 1 worker and at 8, for a plain
-// table, a multi-run-per-row table, and a flattened error-tolerant grid.
+// table, a multi-run-per-row table, and a flattened error-tolerant grid -
+// and, against the pinned serial bytes, for the whole catalog with the
+// engine left to pick shards itself.
 func TestSerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -39,6 +63,7 @@ func TestSerialParallelIdentical(t *testing.T) {
 			t.Errorf("%s: 8-worker table differs from serial\n-- serial --\n%s\n-- parallel --\n%s", id, s, p)
 		}
 	}
+	checkCatalog(t, 8, 0)
 }
 
 // TestShardedRenderIdentical is the sharded engine's end-to-end determinism
@@ -64,10 +89,12 @@ func TestShardedRenderIdentical(t *testing.T) {
 			}
 		}
 	}
+	checkCatalog(t, 2, 3)
 }
 
 // TestMetricsAndProgress checks the engine's observability side channels:
-// metrics count every run and progress lines arrive once per row.
+// metrics count every run, progress lines arrive once per cell, and a
+// failing cell's error says which cell it was.
 func TestMetricsAndProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -77,24 +104,37 @@ func TestMetricsAndProgress(t *testing.T) {
 	cfg.Workers = 4
 	cfg.Metrics = &Metrics{}
 	cfg.Progress = &buf
-	if _, err := Table1(cfg); err != nil {
+	if _, err := Catalog["table4"](cfg); err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.Metrics.Runs(); got != 6 {
-		t.Errorf("Runs() = %d, want 6 (one per Table 1 row)", got)
+	if got := cfg.Metrics.Runs(); got != 10 {
+		t.Errorf("Runs() = %d, want 10 (TPS and AR on each of Table 4's five rows)", got)
 	}
 	if cfg.Metrics.Events() <= 0 || cfg.Metrics.Packets() <= 0 {
 		t.Errorf("Events() = %d, Packets() = %d; want positive",
 			cfg.Metrics.Events(), cfg.Metrics.Packets())
 	}
 	lines := strings.Count(buf.String(), "\n")
-	if lines != 6 {
-		t.Errorf("progress lines = %d, want 6\n%s", lines, buf.String())
+	if lines != 10 {
+		t.Errorf("progress lines = %d, want 10 (one per cell)\n%s", lines, buf.String())
+	}
+	if want := " AR 8x8x16 (run 2x2x4) m=1: "; !strings.Contains(buf.String(), want) || !strings.Contains(buf.String(), "  table4 10/10 ") {
+		t.Errorf("progress lacks a line naming %q or the final count 10/10\n%s", want, buf.String())
 	}
 	// A nil Metrics must be safe everywhere.
 	var nilM *Metrics
 	nilM.note(collective.Result{})
 	if nilM.Runs() != 0 || nilM.Events() != 0 || nilM.Packets() != 0 {
 		t.Error("nil Metrics returned nonzero counts")
+	}
+
+	// The collective error alone ("bad fault spec") says nothing about the
+	// row; the grid adds experiment, strategy, paper and run shape, and m.
+	bad := tiny()
+	bad.Workers = 1
+	bad.Faults = "bogus"
+	_, err := Catalog["table3"](bad)
+	if want := "table3: TPS 8x8x8 (run 4x4x4) m=240: "; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("table3 with an unparsable fault schedule: error %v, want one naming %q", err, want)
 	}
 }
