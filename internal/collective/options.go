@@ -312,25 +312,32 @@ func (o *Options) result(t int64, st *network.Stats) Result {
 		r.LastInjectUnits = st.LastInject
 		r.DeadLinkTicks = st.DeadLinkTicks
 		r.Reroutes = st.Reroutes
-		r.MaxLinkUtil = st.MaxLinkUtilization(t)
-		r.MeanLinkUtil = st.MeanLinkUtilization(t, o.Shape.LinkCount())
 		r.MaxIntermediateBacklog = st.MaxPendingFw
-		if t > 0 {
-			var sum, max int64
-			for _, c := range st.CPUBusy {
-				sum += c
-				if c > max {
-					max = c
-				}
-			}
-			r.MeanCPUUtil = float64(sum) / float64(t) / float64(len(st.CPUBusy))
-			r.MaxCPUUtil = float64(max) / float64(t)
-		}
+		r.utilization(st, o.Shape.LinkCount())
 	}
 	if c, ok := o.Observer.(*observe.Collector); ok && c != nil {
 		r.Observed = c.Summary()
 	}
 	return r
+}
+
+// utilization derives the link and CPU occupancy figures over r.Time from
+// the per-link and per-node busy time in st.
+func (r *Result) utilization(st *network.Stats, links int) {
+	t := r.Time
+	r.MaxLinkUtil = st.MaxLinkUtilization(t)
+	r.MeanLinkUtil = st.MeanLinkUtilization(t, links)
+	if t > 0 {
+		var sum, max int64
+		for _, c := range st.CPUBusy {
+			sum += c
+			if c > max {
+				max = c
+			}
+		}
+		r.MeanCPUUtil = float64(sum) / float64(t) / float64(len(st.CPUBusy))
+		r.MaxCPUUtil = float64(max) / float64(t)
+	}
 }
 
 // RunContext executes one all-to-all under a context: cancellation aborts

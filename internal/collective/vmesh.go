@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 
+	"alltoall/internal/network"
 	"alltoall/internal/torus"
 )
 
@@ -117,7 +118,10 @@ func runVMesh(opts *Options) (Result, error) {
 	ev1 := st1.Events()
 	pkts1 := st1.PacketsInjected
 	wire1 := st1.WireBytesInjected
-	linkBusy1 := maxI64(st1.LinkBusy)
+	busy := network.Stats{
+		LinkBusy: append([]int64(nil), st1.LinkBusy...),
+		CPUBusy:  append([]int64(nil), st1.CPUBusy...),
+	}
 	dead1, rr1 := st1.DeadLinkTicks, st1.Reroutes
 
 	// Phase 2: column exchange. Virtual node (r, c) sends to (r', c) for
@@ -158,18 +162,14 @@ func runVMesh(opts *Options) (Result, error) {
 	// for row mates, via phase 2 otherwise).
 	r.PayloadBytes = int64(p) * int64(p-1) * int64(opts.MsgBytes)
 	r.MeanLatencyUnits = st2.MeanLatency()
-	if t1+t2 > 0 {
-		r.MaxLinkUtil = float64(linkBusy1+maxI64(st2.LinkBusy)) / float64(t1+t2)
+	// A link or CPU is busy over the whole run for what it was busy in
+	// either phase; the busiest link of phase 1 need not be phase 2's.
+	for i, b := range st2.LinkBusy {
+		busy.LinkBusy[i] += b
 	}
+	for i, b := range st2.CPUBusy {
+		busy.CPUBusy[i] += b
+	}
+	r.utilization(&busy, shape.LinkCount())
 	return r, nil
-}
-
-func maxI64(xs []int64) int64 {
-	var m int64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -83,6 +83,14 @@ func TestRunVMeshDeliversEverything(t *testing.T) {
 	if res.Time != res.PhaseTimes[0]+res.PhaseTimes[1] {
 		t.Errorf("total %d != sum of phases %v", res.Time, res.PhaseTimes)
 	}
+	// Utilization is folded per link and per CPU over both phases: summing
+	// the two phases' busiest links instead could exceed 1.
+	if !(0 < res.MeanLinkUtil && res.MeanLinkUtil <= res.MaxLinkUtil && res.MaxLinkUtil <= 1) {
+		t.Errorf("link utilization mean %v max %v, want 0 < mean <= max <= 1", res.MeanLinkUtil, res.MaxLinkUtil)
+	}
+	if !(0 < res.MeanCPUUtil && res.MeanCPUUtil <= res.MaxCPUUtil && res.MaxCPUUtil <= 1) {
+		t.Errorf("CPU utilization mean %v max %v, want 0 < mean <= max <= 1", res.MeanCPUUtil, res.MaxCPUUtil)
+	}
 }
 
 func TestRunVMeshForcedFactorization(t *testing.T) {
