@@ -34,8 +34,9 @@ func run(t *testing.T, strat collective.Strategy, shape torus.Shape, shards int,
 	return res
 }
 
-// asymAR is observed AR on 16x8x8, the most expensive run of tier-1, made
-// once for the tests that read it.
+// asymAR is observed AR on 16x8x4, the package's most expensive run, made
+// once for the tests that read it. 16x8x4 is the smallest asymmetric shape
+// that shows the signature: on 16x4x4 and 8x4x4 the HoL counter reads 0.
 var asymAR struct {
 	once sync.Once
 	res  collective.Result
@@ -48,11 +49,11 @@ func observedAsymAR(t *testing.T) (collective.Result, *observe.Summary) {
 	asymAR.once.Do(func() {
 		obs := observe.New(observe.Config{})
 		asymAR.res, asymAR.err = collective.RunContext(context.Background(), collective.StratAR,
-			collective.Options{Request: collective.Request{Shape: torus.New(16, 8, 8), MsgBytes: 240, Seed: 1}, Observer: obs})
+			collective.Options{Request: collective.Request{Shape: torus.New(16, 8, 4), MsgBytes: 240, Seed: 1}, Observer: obs})
 		asymAR.sum = obs.Summary()
 	})
 	if asymAR.err != nil {
-		t.Fatalf("AR on 16x8x8: %v", asymAR.err)
+		t.Fatalf("AR on 16x8x4: %v", asymAR.err)
 	}
 	return asymAR.res, asymAR.sum
 }
@@ -68,7 +69,7 @@ func TestHoLSignature(t *testing.T) {
 	}
 
 	obs := observe.New(observe.Config{})
-	run(t, collective.StratAR, torus.New(8, 8, 8), 1, obs)
+	run(t, collective.StratAR, torus.New(4, 4, 4), 1, obs)
 	sym := obs.Summary()
 	if sym.SaturatedDim == "" {
 		t.Fatalf("symmetric run recorded no traffic")
@@ -93,7 +94,7 @@ func TestHoLSignature(t *testing.T) {
 	}
 	// The symmetric machine has no structurally saturated dimension for
 	// packets to block behind: with the calibrated thresholds the counter
-	// must be exactly zero (no block on 8x8x8 survives HoLDelay with
+	// must be exactly zero (no block on 4x4x4 survives HoLDelay with
 	// HoLMinQueue victims behind it).
 	if sym.HoLBlocked != 0 {
 		t.Errorf("symmetric HoL = %d, want 0", sym.HoLBlocked)
@@ -110,7 +111,7 @@ func TestTPSBalanced(t *testing.T) {
 		t.Skip("full collective runs")
 	}
 	obsTPS := observe.New(observe.Config{})
-	run(t, collective.StratTPS, torus.New(16, 8, 8), 1, obsTPS)
+	run(t, collective.StratTPS, torus.New(16, 8, 4), 1, obsTPS)
 	_, ar := observedAsymAR(t)
 	tps := obsTPS.Summary()
 	if tps.HoLBlocked*10 > ar.HoLBlocked {
