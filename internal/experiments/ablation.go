@@ -36,12 +36,12 @@ func ablate() experiment {
 	for _, v := range variants {
 		for _, s := range shapes {
 			e.rows = append(e.rows, row{{strat: collective.StratAR, paper: s,
-				tune: func(run torus.Shape, o *collective.Options) error {
+				tune: func(o *collective.Options) error {
 					v.mut(o)
 					// A variant that cannot reach 12.5% of peak has
 					// collapsed; cutting it off keeps the jam-regime rows
 					// from running for hours.
-					o.MaxTime = int64(run.PeakTime(o.MsgBytes) * 8)
+					o.MaxTime = int64(o.Shape.PeakTime(o.MsgBytes) * 8)
 					return nil
 				}}})
 		}

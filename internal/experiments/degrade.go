@@ -71,8 +71,8 @@ func degrade() experiment {
 			e.rows = append(e.rows, row{{strat: strat, paper: torus.New(8, 8, 8),
 				// Each cell carries its own kill schedule; a Config.Faults
 				// spec would fight the sweep, so it is overwritten here.
-				tune: func(run torus.Shape, o *collective.Options) error {
-					fs, err := KillSchedule(run, k, o.Seed)
+				tune: func(o *collective.Options) error {
+					fs, err := KillSchedule(o.Shape, k, o.Seed)
 					o.Faults = fs.String()
 					return err
 				}}})

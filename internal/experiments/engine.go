@@ -85,10 +85,10 @@ type cell struct {
 	paper torus.Shape // the paper's partition
 	msg   int         // per-pair payload bytes; 0 = the config's large-message size for the run shape
 	// tune, when set, adjusts the run's options after runGrid has filled
-	// them in for the partition actually simulated (run). A tune that sets
-	// MaxTime asks to be cut off there: overrunning it is an outcome
+	// them in (o.Shape is the partition actually simulated). A tune that
+	// sets MaxTime asks to be cut off there: overrunning it is an outcome
 	// (collapsed), not a failure.
-	tune func(run torus.Shape, o *collective.Options) error
+	tune func(o *collective.Options) error
 }
 
 // row is the fan-out unit of a grid: its cells run in order on one worker
@@ -180,7 +180,7 @@ func (c Config) runCell(id string, cl cell, batch int, cache *collective.NetCach
 		Shape: o.run, MsgBytes: o.msg, Seed: c.Seed, Shards: c.shardsFor(batch, o.run.P()),
 		Check: c.Check, Faults: c.Faults}}
 	if cl.tune != nil {
-		if err := cl.tune(o.run, &opts); err != nil {
+		if err := cl.tune(&opts); err != nil {
 			return o, err
 		}
 	}

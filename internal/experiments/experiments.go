@@ -413,9 +413,9 @@ func arVsModel(id, title string, paper torus.Shape) experiment {
 // vmeshAs is the tune of a VMesh series that pins the paper's virtual-mesh
 // factorization and mapping order. The factorization only fits the paper's
 // node count; a scaled run keeps the balanced default of what it simulates.
-func vmeshAs(cols, rows int, order string) func(torus.Shape, *collective.Options) error {
-	return func(run torus.Shape, o *collective.Options) error {
-		if cols*rows == run.P() {
+func vmeshAs(cols, rows int, order string) func(*collective.Options) error {
+	return func(o *collective.Options) error {
+		if cols*rows == o.Shape.P() {
 			o.VMeshCols, o.VMeshRows = cols, rows
 		}
 		o.VMeshMapOrder = order

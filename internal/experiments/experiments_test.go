@@ -153,7 +153,7 @@ func TestMessageSizes(t *testing.T) {
 // collapsed; any other error fails the grid.
 func TestCollapsedCell(t *testing.T) {
 	c := cell{strat: collective.StratAR, paper: torus.New(4, 1, 1), msg: 8,
-		tune: func(_ torus.Shape, o *collective.Options) error { o.MaxTime = 1; return nil }}
+		tune: func(o *collective.Options) error { o.MaxTime = 1; return nil }}
 	var progress strings.Builder
 	outs, err := runGrid(Config{Progress: &progress}, "x", []row{{c}})
 	if err != nil || len(outs) != 1 || !outs[0].collapsed {
@@ -162,7 +162,7 @@ func TestCollapsedCell(t *testing.T) {
 	if want := "  x 1/1 AR 4 m=8: collapsed ("; !strings.HasPrefix(progress.String(), want) {
 		t.Errorf("progress %q, want prefix %q", progress.String(), want)
 	}
-	c.tune = func(_ torus.Shape, o *collective.Options) error { o.Faults = "bogus"; return nil }
+	c.tune = func(o *collective.Options) error { o.Faults = "bogus"; return nil }
 	if _, err := runGrid(Config{}, "x", []row{{c}}); err == nil {
 		t.Error("a cell with an unparsable fault schedule did not fail the grid")
 	}
