@@ -30,8 +30,8 @@ func WithMsgBytes(m int) Option { return func(o *Options) { o.MsgBytes = m } }
 // WithSeed sets the randomization seed for destination orders.
 func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
 
-// WithShards selects the deterministic sharded engine with n workers
-// (results are byte-identical to the serial engine; 0 or 1 stays serial).
+// WithShards splits the run over n engines, one worker each (results are
+// byte-identical at any count; 0 or 1 runs one engine on the caller).
 func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
 
 // WithCheck enables the runtime invariant checker (~1.4x simulation time).
@@ -71,9 +71,9 @@ func WithObserver(obs Observer) Option { return func(o *Options) { o.Observer = 
 func WithDebugDump(path string) Option { return func(o *Options) { o.DebugDump = path } }
 
 // RunContext executes one all-to-all with the given strategy under a
-// context. Cancellation aborts the simulation promptly (the serial engine
-// polls between events; the sharded engine checks at its window barriers)
-// and surfaces an error wrapping ErrCanceled.
+// context. Cancellation aborts the simulation promptly (the engines poll at
+// window barriers and every few thousand events between) and surfaces an
+// error wrapping ErrCanceled.
 //
 //	obs := alltoall.NewCollector(alltoall.ObserveConfig{})
 //	res, err := alltoall.RunContext(ctx, alltoall.AR,

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"alltoall"
+	"alltoall/internal/network"
 	"alltoall/internal/report"
 )
 
@@ -90,9 +91,30 @@ func renderResult(w io.Writer, res alltoall.Result) {
 	}
 }
 
+// simulate runs req and returns, beside the Result, the engine's sync
+// counters: how the run was scheduled, which the Result deliberately omits.
+func simulate(req alltoall.Request, extra ...alltoall.Option) (alltoall.Result, network.SyncStats, error) {
+	var ss network.SyncStats
+	extra = append(extra, func(o *alltoall.Options) { o.SyncStats = &ss })
+	res, err := alltoall.RunRequest(context.Background(), req, extra...)
+	return res, ss, err
+}
+
+// renderFooter prints the wall-time line. It names the engine that ran, read
+// from the run's SyncStats, not the -shards that was asked for: the engine
+// clamps a request to the node count.
+func renderFooter(w io.Writer, elapsed time.Duration, ss network.SyncStats, events int64) {
+	engine := "serial"
+	if ss.Shards > 1 {
+		engine = fmt.Sprintf("%d shards", ss.Shards)
+	}
+	fmt.Fprintf(w, "simulated in    %s (%s engine, %d events, %.2fM events/s)\n",
+		elapsed.Round(time.Millisecond), engine, events, float64(events)/1e6/elapsed.Seconds())
+}
+
 func main() {
 	shapeStr := flag.String("shape", "8x8x8", "partition, e.g. 8x32x16 or 8x8x4M (M = mesh dimension)")
-	strat := flag.String("strategy", "AR", "AR | DR | Throttle | MPI | TPS | VMesh")
+	strat := flag.String("strategy", "AR", "AR | DR | Throttle | MPI | TPS | VMesh | XYZ")
 	msg := flag.Int("msg", 1024, "per-pair payload bytes")
 	seed := flag.Uint64("seed", 1, "randomization seed")
 	burst := flag.Int("burst", 0, "packets per destination visit (0 = default)")
@@ -147,7 +169,7 @@ func main() {
 	}
 	stopCPU := startCPUProfile(*cpuprofile)
 	start := time.Now()
-	res, err := alltoall.RunRequest(context.Background(), req, extra...)
+	res, ss, err := simulate(req, extra...)
 	elapsed := time.Since(start)
 	stopCPU()
 	writeMemProfile(*memprofile)
@@ -156,12 +178,7 @@ func main() {
 		os.Exit(1)
 	}
 	renderResult(os.Stdout, res)
-	engine := "serial"
-	if *shards > 1 {
-		engine = fmt.Sprintf("%d shards", *shards)
-	}
-	fmt.Printf("simulated in    %s (%s engine, %d events, %.2fM events/s)\n",
-		elapsed.Round(time.Millisecond), engine, res.Events, float64(res.Events)/1e6/elapsed.Seconds())
+	renderFooter(os.Stdout, elapsed, ss, res.Events)
 	if obs != nil {
 		fmt.Println()
 		if err := (report.Attribution{}).Write(os.Stdout, obs); err != nil {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"alltoall"
 	"alltoall/internal/report"
@@ -188,5 +189,28 @@ func TestGoldenShardIndependent(t *testing.T) {
 	renderResult(&a, serial)
 	if a.String() != b.String() {
 		t.Errorf("sharded faulted run renders differently:\nserial:\n%s\nsharded:\n%s", a.String(), b.String())
+	}
+}
+
+// TestFooterNamesTheEngineThatRan: the engine clamps a shard request to the
+// node count, and the footer reports what ran, not what was asked for.
+func TestFooterNamesTheEngineThatRan(t *testing.T) {
+	shape, err := alltoall.ParseShape("4x4x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		shards int
+		want   string
+	}{{99, "(32 shards engine, "}, {3, "(3 shards engine, "}, {1, "(serial engine, "}} {
+		res, ss, err := simulate(alltoall.Request{Strategy: alltoall.AR, Shape: shape, MsgBytes: 64, Seed: 1, Shards: tc.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		renderFooter(&b, time.Second, ss, res.Events)
+		if !strings.Contains(b.String(), tc.want) {
+			t.Errorf("-shards %d on %d nodes: footer %q, want it to say %q", tc.shards, shape.P(), b.String(), tc.want)
+		}
 	}
 }

@@ -7,15 +7,15 @@ import (
 )
 
 // Unified error reporting: every failure mode a caller is expected to
-// branch on is an exported sentinel, threaded with %w through both event
-// engines (serial and sharded), both run entry styles (Options structs and
+// branch on is an exported sentinel, threaded with %w through the event
+// engine at any shard count, both run entry styles (Options structs and
 // functional options), the pattern runner, and the aaserve HTTP service,
 // which maps each to a fixed status code. Classify with errors.Is; the
 // message text around a sentinel is diagnostic detail, not API.
 var (
 	// ErrCanceled is wrapped by the error a canceled run returns: the
-	// serial engine polls the context between events, the sharded engine
-	// checks at its window barriers. HTTP: 408 Request Timeout.
+	// engines poll the context at window barriers and every few thousand
+	// events between. HTTP: 408 Request Timeout.
 	ErrCanceled = network.ErrCanceled
 
 	// ErrMaxTime is wrapped when simulated time exceeds the MaxTime bound

@@ -54,9 +54,10 @@ type Options struct {
 	// an observe.Collector, Result.Observed carries its summary.
 	Observer network.Observer
 
-	// SyncStats, when non-nil, receives the sharded engine's synchronization
-	// counters for the run (windows, barrier crossings, cross-shard traffic;
-	// multi-phase strategies accumulate across phases). The counters depend
+	// SyncStats, when non-nil, receives the engine's synchronization counters
+	// for the run (the shard count that actually ran, windows, barrier
+	// crossings, cross-shard traffic; multi-phase strategies accumulate
+	// across phases). The counters depend
 	// on the shard count, which is why they are an out-parameter rather than
 	// Result fields - Result stays a pure function of the request.
 	SyncStats *network.SyncStats
@@ -66,8 +67,8 @@ type Options struct {
 	DebugDump string
 
 	// cancel, when non-nil, aborts the run when closed; Prepare sets it from
-	// the context's Done channel. The serial engine polls it between events,
-	// the sharded engine at window barriers.
+	// the context's Done channel. The engines poll it at window barriers and
+	// every few thousand events between.
 	cancel <-chan struct{}
 }
 
@@ -167,7 +168,7 @@ func (o *Options) instrument(nw *network.Network) *network.Network {
 
 // runPhase runs one simulated phase of a prepared run, the skeleton every
 // strategy and pattern shares: build or recycle the network for sources and
-// h, drive it on the selected engine (sharded when Shards > 1), dump its
+// h, drive it at the requested shard count, dump its
 // state to DebugDump on failure, fold the sync counters into SyncStats, and
 // check the payload h counted per node into recv against want. Errors are
 // labeled "<label> on <shape>". Multi-phase strategies call it once per

@@ -266,16 +266,18 @@ func (r Request) check() (*network.FaultSchedule, error) {
 	return network.ParseFaults(r.Faults)
 }
 
-// Key returns the canonical encoding of the request: a stable, injective
-// string identity used by the serving layer's result cache, by bench
-// labeling, and by deduplicating sweeps. Equal keys mean byte-identical
-// Results (the engine is deterministic and shard-invariant); distinct field
-// values always produce distinct keys. The "aa3" prefix versions the
-// encoding (v3 dropped the engine-selection tags eq, co and sy).
+// Key returns the canonical encoding of the request: a stable string
+// identity used by the serving layer's result cache, by bench labeling, and
+// by deduplicating sweeps. It is injective over every Result-determining
+// field: equal keys mean byte-identical Results, and distinct values of any
+// field but Shards always produce distinct keys. Shards only schedules the
+// run (the engine is deterministic and shard-invariant), so it is left out:
+// the same job asked for at another shard count is the same cache entry. The
+// "aa4" prefix versions the encoding (v4 dropped the sh tag).
 func (r Request) Key() string {
 	var b strings.Builder
 	b.Grow(160)
-	b.WriteString("aa3|s=")
+	b.WriteString("aa4|s=")
 	b.WriteString(string(r.Strategy))
 	b.WriteString("|p=")
 	b.WriteString(r.Shape.Canon())
@@ -291,7 +293,6 @@ func (r Request) Key() string {
 	sep("pb", strconv.Itoa(r.PaceBurst))
 	sep("pf", strconv.FormatFloat(r.PaceFraction, 'g', -1, 64))
 	sep("up", boolKey(r.Unpaced))
-	sep("sh", strconv.Itoa(r.Shards))
 	sep("ck", boolKey(r.Check))
 	sep("f", r.Faults)
 	sep("mt", strconv.FormatInt(r.MaxTime, 10))

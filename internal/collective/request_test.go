@@ -113,16 +113,16 @@ func TestRequestWireBytes(t *testing.T) {
 			`{"strategy":"TPS","shape":"8x4x2","msg_bytes":240,"seed":7,"burst":3,"pace_burst":5,"pace_fraction":0.5,` +
 				`"shards":2,"check":true,"faults":"0:5:+x:kill","max_time":5000000,"tps_linear":"x",` +
 				`"tps_credit_window":32,"tps_credit_batch":4,"observe":true,"observe_window":512}`,
-			"aa3|s=TPS|p=8x4x2|m=240|r=7|b=3|pb=5|pf=0.5|up=0|sh=2|ck=1|f=0:5:+x:kill|mt=5000000|tl=1|tw=32|tb=4|vr=0|vc=0|vo=|ob=1|ow=512"},
+			"aa4|s=TPS|p=8x4x2|m=240|r=7|b=3|pb=5|pf=0.5|up=0|ck=1|f=0:5:+x:kill|mt=5000000|tl=1|tw=32|tb=4|vr=0|vc=0|vo=|ob=1|ow=512"},
 		{"every field", everyFieldRequest(t),
 			`{"strategy":"TPS","shape":"8x4x2","msg_bytes":240,"seed":7,"burst":3,"pace_burst":5,"pace_fraction":0.5,` +
 				`"unpaced":true,"shards":2,"check":true,"faults":"0:5:+x:kill","max_time":5000000,"tps_linear":"x",` +
 				`"tps_credit_window":32,"tps_credit_batch":4,"vmesh_rows":4,"vmesh_cols":16,"vmesh_map_order":"xzy",` +
 				`"observe":true,"observe_window":512}`,
-			"aa3|s=TPS|p=8x4x2|m=240|r=7|b=3|pb=5|pf=0.5|up=1|sh=2|ck=1|f=0:5:+x:kill|mt=5000000|tl=1|tw=32|tb=4|vr=4|vc=16|vo=xzy|ob=1|ow=512"},
+			"aa4|s=TPS|p=8x4x2|m=240|r=7|b=3|pb=5|pf=0.5|up=1|ck=1|f=0:5:+x:kill|mt=5000000|tl=1|tw=32|tb=4|vr=4|vc=16|vo=xzy|ob=1|ow=512"},
 		{"zero", Request{},
 			`{"strategy":"","shape":"","msg_bytes":0}`,
-			"aa3|s=|p=0x0x0|m=0|r=0|b=0|pb=0|pf=0|up=0|sh=0|ck=0|f=|mt=0|tl=0|tw=0|tb=0|vr=0|vc=0|vo=|ob=0|ow=0"},
+			"aa4|s=|p=0x0x0|m=0|r=0|b=0|pb=0|pf=0|up=0|ck=0|f=|mt=0|tl=0|tw=0|tb=0|vr=0|vc=0|vo=|ob=0|ow=0"},
 	} {
 		wire, err := json.Marshal(tc.req)
 		if err != nil {
@@ -156,8 +156,12 @@ func TestRequestJSONNormalizesCase(t *testing.T) {
 
 // TestRequestKeyInjective flips every canonical field in turn and demands a
 // distinct key: a collision here would let the serving layer's cache return
-// the wrong simulation.
+// the wrong simulation. The fields listed in schedulingOnly are the
+// exception, and the list is closed: they decide how a run is scheduled,
+// never a Result byte, so flipping one must leave the key where it was (or
+// the cache would run the same simulation twice).
 func TestRequestKeyInjective(t *testing.T) {
+	schedulingOnly := map[string]bool{"Shards": true}
 	base := fullRequest()
 	muts := map[string]func(*Request){
 		"Strategy":        func(r *Request) { r.Strategy = StratAR },
@@ -192,6 +196,12 @@ func TestRequestKeyInjective(t *testing.T) {
 		r := base
 		mut(&r)
 		k := r.Key()
+		if schedulingOnly[name] {
+			if k != base.Key() {
+				t.Errorf("%s only schedules the run, yet it moved the key: %s", name, k)
+			}
+			continue
+		}
 		if prev, dup := seen[k]; dup {
 			t.Errorf("key collision between %s and %s: %s", name, prev, k)
 		}
@@ -322,8 +332,8 @@ func TestRunRequestObserve(t *testing.T) {
 }
 
 func TestRequestKeyVersionPrefix(t *testing.T) {
-	if k := fullRequest().Key(); !strings.HasPrefix(k, "aa3|") {
-		t.Errorf("key %q lacks the aa3| version prefix", k)
+	if k := fullRequest().Key(); !strings.HasPrefix(k, "aa4|") {
+		t.Errorf("key %q lacks the aa4| version prefix", k)
 	}
 }
 

@@ -96,12 +96,14 @@ type cell struct {
 type row []cell
 
 // outcome is a finished cell: its identity with msg resolved, the partition
-// simulated, and the result (zero when collapsed).
+// simulated, the result (zero when collapsed), and the run's observation
+// when the config traces.
 type outcome struct {
 	cell
 	run       torus.Shape
 	res       collective.Result
 	collapsed bool
+	obs       *observe.Collector
 }
 
 // label renders the partition as the paper names it, with the simulated
@@ -128,6 +130,8 @@ var progressMu sync.Mutex
 // do not depend on scheduling, so rendered tables are identical at any
 // worker count. A failing cell fails the grid with an error naming the
 // experiment and the cell; every finished cell prints one progress line.
+// When the config traces, the observations reach the sink here, after the
+// grid, in cell order: the observed rows line up with the table's own.
 func runGrid(cfg Config, id string, rows []row) ([]outcome, error) {
 	total, finished := 0, 0 // cells; finished is guarded by progressMu
 	for _, r := range rows {
@@ -139,7 +143,7 @@ func runGrid(cfg Config, id string, rows []row) ([]outcome, error) {
 			outs := make([]outcome, len(r))
 			for j, c := range r {
 				start := time.Now()
-				o, err := cfg.runCell(id, c, len(rows), cache)
+				o, err := cfg.runCell(c, len(rows), cache)
 				if err != nil {
 					return nil, fmt.Errorf("%s: %v: %w", id, o, err)
 				}
@@ -165,13 +169,21 @@ func runGrid(cfg Config, id string, rows []row) ([]outcome, error) {
 	for _, r := range perRow {
 		outs = append(outs, r...)
 	}
+	for _, o := range outs {
+		if o.obs != nil {
+			if err := cfg.Trace.note(id+" "+o.String(), o.obs); err != nil {
+				return nil, err
+			}
+		}
+	}
 	return outs, nil
 }
 
 // runCell simulates one cell of a grid whose fan-out is batch rows wide
-// (what shardsFor weighs against intra-run parallelism). The outcome
-// identifies the cell even when the run fails.
-func (c Config) runCell(id string, cl cell, batch int, cache *collective.NetCache) (outcome, error) {
+// (what shardsFor weighs against intra-run parallelism) through the worker's
+// network cache, recording metrics on success. The outcome identifies the
+// cell even when the run fails.
+func (c Config) runCell(cl cell, batch int, cache *collective.NetCache) (outcome, error) {
 	o := outcome{cell: cl, run: c.scale(cl.paper)}
 	if o.msg == 0 {
 		o.msg = c.largeFor(o.run)
@@ -184,33 +196,18 @@ func (c Config) runCell(id string, cl cell, batch int, cache *collective.NetCach
 			return o, err
 		}
 	}
+	opts.Cache = cache
+	if c.Trace != nil {
+		o.obs = observe.New(observe.Config{})
+		opts.Observer = o.obs
+	}
 	var err error
-	o.res, err = c.runCached(id, cl.strat, opts, cache)
-	if opts.MaxTime > 0 && errors.Is(err, network.ErrMaxTime) {
-		o.collapsed, err = true, nil
+	o.res, err = collective.RunContext(context.Background(), cl.strat, opts)
+	switch {
+	case err == nil:
+		c.Metrics.note(o.res)
+	case opts.MaxTime > 0 && errors.Is(err, network.ErrMaxTime):
+		o.collapsed, o.obs, err = true, nil, nil
 	}
 	return o, err
-}
-
-// runCached executes one collective run through a worker-local network
-// cache, recording metrics (and, when tracing, the run's observation under
-// the experiment's id) on success.
-func (c Config) runCached(id string, strat collective.Strategy, opts collective.Options, cache *collective.NetCache) (collective.Result, error) {
-	opts.Cache = cache
-	var obs *observe.Collector
-	if c.Trace != nil {
-		obs = observe.New(observe.Config{})
-		opts.Observer = obs
-	}
-	res, err := collective.RunContext(context.Background(), strat, opts)
-	if err != nil {
-		return res, err
-	}
-	c.Metrics.note(res)
-	if c.Trace != nil {
-		if err := c.Trace.note(id, strat, &opts, obs); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
 }

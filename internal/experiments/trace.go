@@ -3,12 +3,8 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
-	"sync"
 
-	"alltoall/internal/collective"
 	"alltoall/internal/observe"
 )
 
@@ -26,15 +22,14 @@ type ObservedRun struct {
 	Trace   []byte
 }
 
-// TraceSink collects per-run observations from an experiment's concurrent
-// workers (Config.Trace). Runs are recorded in completion order under a
-// lock and re-sorted by label on read, so the rendered output is
-// deterministic at any worker count.
+// TraceSink collects an experiment's per-run observations (Config.Trace).
+// runGrid records them once its grid has finished, in cell order, labelled
+// as the table labels the cell - so the output is deterministic at any
+// worker count and reads in the table's own order. Experiments sharing a
+// sink run one after another (as aabench runs them).
 type TraceSink struct {
 	keepTrace bool
-
-	mu   sync.Mutex
-	runs []ObservedRun
+	runs      []ObservedRun
 }
 
 // NewTraceSink returns a sink; keepTrace retains each run's windowed JSONL
@@ -44,11 +39,8 @@ func NewTraceSink(keepTrace bool) *TraceSink {
 }
 
 // note records one completed run's observation.
-func (t *TraceSink) note(prefix string, strat collective.Strategy, opts *collective.Options, c *observe.Collector) error {
-	r := ObservedRun{
-		Label:   fmt.Sprintf("%s %s %v m=%d seed=%d", prefix, strat, opts.Shape, opts.MsgBytes, opts.Seed),
-		Summary: c.Summary(),
-	}
+func (t *TraceSink) note(label string, c *observe.Collector) error {
+	r := ObservedRun{Label: label, Summary: c.Summary()}
 	if t.keepTrace {
 		var b bytes.Buffer
 		if err := c.WriteTrace(&b); err != nil {
@@ -56,26 +48,12 @@ func (t *TraceSink) note(prefix string, strat collective.Strategy, opts *collect
 		}
 		r.Trace = b.Bytes()
 	}
-	t.mu.Lock()
 	t.runs = append(t.runs, r)
-	t.mu.Unlock()
 	return nil
 }
 
-// Runs returns the recorded runs sorted by label; runs sharing a label
-// (repeated configurations) tie-break on content, so the order never
-// depends on worker scheduling.
-func (t *TraceSink) Runs() []ObservedRun {
-	t.mu.Lock()
-	out := append([]ObservedRun(nil), t.runs...)
-	t.mu.Unlock()
-	key := func(r ObservedRun) string {
-		s, _ := json.Marshal(r.Summary)
-		return r.Label + "\x00" + string(s) + "\x00" + string(r.Trace)
-	}
-	sort.Slice(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
-	return out
-}
+// Runs returns the recorded runs in the order their grids listed them.
+func (t *TraceSink) Runs() []ObservedRun { return t.runs }
 
 // traceRunRecord delimits one run's trace in the concatenated JSONL file.
 type traceRunRecord struct {

@@ -112,29 +112,6 @@ func TestDumpStateRenders(t *testing.T) {
 	}
 }
 
-func TestTraceGrants(t *testing.T) {
-	shape := torus.New(4, 1, 1)
-	srcs := make([]Source, 4)
-	srcs[0] = &listSource{specs: []PacketSpec{{Dst: 1, Size: 256}, {Dst: 1, Size: 64}}}
-	nw, err := New(shape, DefaultParams(), srcs, countOnly{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := nw.TraceGrants(0, 0) // node 0, X+ link
-	if _, err := nw.Run(1 << 30); err != nil {
-		t.Fatal(err)
-	}
-	if len(*log) != 2 {
-		t.Fatalf("traced %d grants, want 2", len(*log))
-	}
-	if (*log)[0].Size != 256 || (*log)[1].Size != 64 {
-		t.Errorf("trace contents wrong: %+v", *log)
-	}
-	if (*log)[1].T <= (*log)[0].T {
-		t.Errorf("trace times not increasing")
-	}
-}
-
 func TestStatsUtilizationHelpers(t *testing.T) {
 	var s Stats
 	s.LinkBusy = []int64{100, 50, 0}
@@ -149,42 +126,5 @@ func TestStatsUtilizationHelpers(t *testing.T) {
 	}
 	if s.MeanLatency() != 0 {
 		t.Error("latency of nothing should be 0")
-	}
-}
-
-func TestUtilSeries(t *testing.T) {
-	par := DefaultParams()
-	par.UtilSampleWindow = 1000
-	shape := torus.New(4, 4, 1)
-	p := shape.P()
-	srcs := make([]Source, p)
-	for n := 0; n < p; n++ {
-		srcs[n] = &allToAllSource{self: int32(n), p: int32(p), size: 256}
-	}
-	nw, err := New(shape, par, srcs, countOnly{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fin, err := nw.Run(1 << 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := nw.Stats()
-	if len(st.UtilSeries) == 0 {
-		t.Fatal("no utilization samples recorded")
-	}
-	wantLen := int(fin/1000) + 1
-	if len(st.UtilSeries) > wantLen {
-		t.Errorf("series length %d exceeds run windows %d", len(st.UtilSeries), wantLen)
-	}
-	var sum float64
-	for _, u := range st.UtilSeries {
-		if u < 0 || u > 1.01 {
-			t.Fatalf("utilization sample %v out of range", u)
-		}
-		sum += u
-	}
-	if sum == 0 {
-		t.Error("all samples zero")
 	}
 }

@@ -5,35 +5,22 @@ import (
 	"io"
 )
 
-// TraceGrants enables grant-time logging for one output link (debugging).
-func (nw *Network) TraceGrants(node int32, dir int) *[]GrantEvent {
-	nw.traceNode, nw.traceDir = node, dir
-	nw.traceLog = &[]GrantEvent{}
-	return nw.traceLog
-}
-
-// GrantEvent records one traced link grant.
-type GrantEvent struct {
-	T    int64
-	Size int32
-	VC   int8
-	Src  int32
-	Dst  int32
-}
-
 // DumpState writes a human-readable snapshot of every non-empty queue, for
 // diagnosing stalls. Intended for tests and debugging tools.
 func (nw *Network) DumpState(w io.Writer) {
-	inFlight, activeSrc := nw.eng.inFlight, nw.eng.activeSrc
-	if nw.sharded {
-		inFlight, activeSrc = 0, 0
-		for i := range nw.shards {
-			inFlight += nw.shards[i].inFlight
-			activeSrc += nw.shards[i].activeSrc
-		}
+	var inFlight int64
+	activeSrc := 0
+	for i := range nw.engines {
+		inFlight += nw.engines[i].inFlight
+		activeSrc += nw.engines[i].activeSrc
 	}
 	fmt.Fprintf(w, "t=%d inFlight=%d activeSrc=%d\n", nw.Now(), inFlight, activeSrc)
+	owner := 0 // engine whose slab holds node n; slabs ascend with rank
 	for n := range nw.routers {
+		for int32(n) >= nw.engines[owner].hi {
+			owner++
+		}
+		pkts := nw.engines[owner].pkts
 		r := &nw.routers[n]
 		hdr := false
 		head := func() {
@@ -61,7 +48,7 @@ func (nw *Network) DumpState(w io.Writer) {
 			}
 			head()
 			pid := q.peek()
-			p := &nw.engineFor(int32(n)).pkts[pid]
+			p := &pkts[pid]
 			fmt.Fprintf(w, "  %s: %d pkts %dB, head {dst=%d src=%d size=%d hops=%v vc=%d inDir=%d det=%v kind=%d}\n",
 				name, q.count, q.bytes, p.dst, p.src, p.size, p.hops, p.vc, p.inDir, p.det, p.kind)
 		}

@@ -11,12 +11,12 @@ import (
 const maxInt64 = int64(1<<63 - 1)
 
 // engine is the event-processing context for a contiguous range of nodes.
-// The serial path runs one engine owning every node; RunSharded runs one per
-// shard, each with its own event queue, packet pool, clock, and statistics,
+// RunSharded runs one per shard (one owning every node when there is a single
+// shard), each with its own event queue, packet pool, clock, and statistics,
 // so workers share no mutable state except the window-barrier mailboxes.
 // Routers are shard-private by construction: every router mutation happens
-// at the owning node (token returns, which the serial engine used to apply
-// directly at the upstream router, are carried by evCredit events instead).
+// at the owning node (token returns travel to the upstream router as
+// evCredit events).
 type engine struct {
 	nw      *Network
 	routers []router // shared backing array; this engine touches [lo,hi) only
@@ -67,13 +67,12 @@ type engine struct {
 	quietSkips int64
 
 	// obs taps the hot path for instrumentation (nil = off: one predicted
-	// branch per hook site). cancel aborts the run when readable; the
-	// serial engine polls it every few thousand events, the sharded engine
-	// once per window barrier.
+	// branch per hook site). cancel aborts the run when readable; it is
+	// polled at every window barrier and every few thousand events between.
 	obs    Sink
 	cancel <-chan struct{}
 
-	// Sharded-mode state; shardOf is nil for the serial engine, which makes
+	// Cross-engine state; shardOf is nil on a one-engine run, which makes
 	// every destination local.
 	shardOf []int16
 	out     [][]xmsg // outbox per destination shard, drained at window barriers
@@ -93,18 +92,18 @@ type engine struct {
 	// it at the end of the offending event. Only written when par.Check.
 	vio error
 
-	// pad keeps adjacent engines in Network.shards off each other's cache
+	// pad keeps adjacent engines in Network.engines off each other's cache
 	// lines; the clock and queue header above are written every event.
 	pad [64]byte //nolint:unused
 }
 
-func (e *engine) init(nw *Network, id, lo, hi int32, stats *Stats) {
+func (e *engine) init(nw *Network, id, lo, hi int32) {
 	e.nw = nw
 	e.routers = nw.routers
 	e.par = nw.Par
 	e.id = id
 	e.lo, e.hi = lo, hi
-	e.stats = stats
+	e.stats = &Stats{LinkBusy: make([]int64, nw.P*numDirs), CPUBusy: make([]int64, nw.P)}
 	e.freePkt = -1
 	e.outBusy = nw.outBusy
 	e.tok = nw.tok
@@ -128,9 +127,6 @@ func (e *engine) setParams(par Params) {
 // resetRunState clears everything a run accumulates, keeping allocations
 // (event buckets, packet pool, outboxes) for the next run.
 func (e *engine) resetRunState() {
-	if e.nw == nil {
-		return
-	}
 	e.evq.reset()
 	e.now = 0
 	e.pkts = e.pkts[:0]
@@ -148,9 +144,7 @@ func (e *engine) resetRunState() {
 	e.syncAdvances, e.syncWaits, e.syncWaitNs, e.syncXEv = 0, 0, 0, 0
 	e.obs = nil
 	e.cancel = nil
-	if e.stats != nil && e.stats != &e.nw.stats {
-		e.stats.reset()
-	}
+	e.stats.reset()
 }
 
 func (e *engine) allocPkt() int32 {
@@ -175,8 +169,8 @@ func (e *engine) freePacket(pid int32) {
 }
 
 // processUntil pops and dispatches events with t < tend in the strict
-// (t, node, kind, arg) order. It is the whole engine for a serial run
-// (tend = maxInt64) and one window's worth of work for a sharded one.
+// (t, node, kind, arg) order: one window's worth of work, which for a
+// one-engine run (tend = maxInt64) is the whole run.
 func (e *engine) processUntil(tend, maxTime int64) error {
 	poll := 0
 	for e.evq.len() > 0 {
@@ -271,8 +265,8 @@ func (e *engine) sendArrive(eta int64, dst, pid int32, p *packet) {
 
 // sendCredit schedules a token return at the upstream router. Unlike the
 // wakeup-only scheduleService path this must not coalesce into an earlier
-// pending event: the tokens become visible exactly at t, in both engines,
-// which is what gives the sharded engine its CreditDelay of lookahead.
+// pending event: the tokens become visible exactly at t, which is what
+// gives the window protocol its CreditDelay of lookahead.
 func (e *engine) sendCredit(up int32, dir int, vc int8, cost int32) {
 	t := e.now + e.par.CreditDelay
 	arg := creditArg(dir, vc, cost)
@@ -584,7 +578,7 @@ func (e *engine) service(node int32, mask uint8) {
 // order, with a soft wakeup armed at this same tick - whose arg 0 sorts
 // before any direction bit - draining first as its own pass. Only the event
 // count changes; every service pass, cursor rotation, and observer callback
-// is identical, which is what keeps golden outputs and the serial/sharded
+// is identical, which is what keeps golden outputs and the shard-count
 // identity oracle stable across the coalescing optimization.
 func (e *engine) serviceGroup(t int64, node int32) {
 	lnk := linkIdx(node, 0)
@@ -740,14 +734,8 @@ func (e *engine) tryRoute(node int32, rf *pktRef, q *pktQueue, qi int32, freeMas
 	if e.obs != nil {
 		e.obs.OnGrant(e.now, node, o, int8(vc), size)
 	}
-	if w := e.par.UtilSampleWindow; w > 0 {
-		e.stats.noteWindowBusy(e.now, w, int32(wire))
-	}
 	pid := q.idAt(qi)
 	p := &e.pkts[pid] // grant commit: the packet now changes state
-	if e.nw.traceLog != nil && node == e.nw.traceNode && o == e.nw.traceDir {
-		*e.nw.traceLog = append(*e.nw.traceLog, GrantEvent{T: e.now, Size: p.size, VC: int8(vc), Src: p.src, Dst: p.dst})
-	}
 	d := dimOfDir(o)
 	if p.hops[d] > 0 {
 		p.hops[d]--

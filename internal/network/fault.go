@@ -260,16 +260,15 @@ func (nw *Network) deriveFaults() error {
 			}
 		}
 	}
-	// Lazily allocate the fault-state SoA (healthy networks never pay for it)
-	// and put it in the healthy initial state; New runs without a Reset in
-	// between, so derivation must leave the arrays ready.
+	// Lazily allocate the fault-state SoA (healthy networks never pay for
+	// it); the Reset that follows every derivation puts it in the healthy
+	// initial state.
 	if nw.deadMask == nil {
 		nw.deadMask = make([]uint8, nw.P)
 		nw.killMask = make([]uint8, nw.P)
 		nw.stretch = make([]int32, nw.P*numDirs)
 		nw.downSince = make([]int64, nw.P*numDirs)
 	}
-	nw.resetFaultState()
 	return nil
 }
 
@@ -294,7 +293,7 @@ func (nw *Network) resetFaultState() {
 // state (before the first injection scan), later ones become evFault events
 // in the ordinary queue. Events beyond maxTime never fire (the run cannot
 // reach them) and are skipped so their pop cannot trip the max-time abort.
-// Called at the top of every run, serial and per shard.
+// Called by every engine at the top of a run.
 func (e *engine) armFaults(maxTime int64) {
 	fs := e.nw.fsched
 	e.faulty = len(fs) > 0
@@ -322,8 +321,8 @@ func (e *engine) armFaults(maxTime int64) {
 
 // applyFault executes one fault transition at the owning node. Every mutation
 // is node-local (dead/kill masks, per-link stretch and outage bookkeeping,
-// queued-packet reroutes), so the sharded engine applies faults exactly where
-// the serial one does in the total event order.
+// queued-packet reroutes), so faults apply at the same place in the total
+// event order at any shard count.
 func (e *engine) applyFault(node int32, idx int32) {
 	f := &e.nw.fsched[idx]
 	d := f.Dir

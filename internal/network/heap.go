@@ -31,8 +31,8 @@ func (e event) arg() int32  { return int32(uint32(e.key)) }
 // distinct input directions (a link serializes: successive grants yield
 // strictly increasing ETAs), so the tie-break never reaches the pid bits.
 // That makes the event order independent of pool-slot assignment, which is
-// what lets the sharded engine - whose per-shard pools hand out different
-// pids than the serial free list - reproduce the serial run byte for byte.
+// what lets a sharded run - whose per-engine pools hand out different pids
+// than one engine's free list - reproduce the one-engine run byte for byte.
 const arrivePidBits = 28
 
 func arriveArg(inDir int8, pid int32) int32 {

@@ -137,7 +137,7 @@ func TestCheckNodeOccupancyMask(t *testing.T) {
 	if _, err := nw.Run(1 << 40); err != nil {
 		t.Fatal(err)
 	}
-	e := &nw.eng
+	e := &nw.engines[0]
 	if v := e.checkNode(0); v != nil {
 		t.Fatalf("clean post-run state flagged: %v", v)
 	}

@@ -3,6 +3,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"alltoall/internal/parallel"
 	"alltoall/internal/torus"
@@ -15,8 +16,7 @@ var ErrCanceled = errors.New("network: run canceled")
 // ErrMaxTime is wrapped by the error a run returns when simulated time
 // exceeds the caller's MaxTime bound before the workload completes (a stall,
 // a collapsed configuration, or simply too small a bound); test with
-// errors.Is. Both the serial and the sharded engine return it through the
-// same chokepoint.
+// errors.Is.
 var ErrMaxTime = errors.New("network: exceeded max time")
 
 // Directions: 2*dim + 0 is the + direction, 2*dim + 1 is the - direction.
@@ -192,9 +192,8 @@ func linkIdx(node int32, d int) int { return int(node)*numDirs + d }
 // tokIdx indexes the per-(node, direction, VC) credit array.
 func tokIdx(node int32, d, vc int) int { return (int(node)*numDirs+d)*NumVC + vc }
 
-// Network is a simulated torus machine. Event processing lives in engine;
-// the serial path runs one engine owning every node, RunSharded partitions
-// the nodes across several (see shard.go).
+// Network is a simulated torus machine. Event processing lives in engine:
+// RunSharded partitions the nodes across one or more of them (see shard.go).
 type Network struct {
 	Shape torus.Shape
 	P     int
@@ -223,25 +222,19 @@ type Network struct {
 	stretch   []int32
 	downSince []int64
 
-	sources   []Source
-	handler   Handler
-	activeSrc int // nodes with a non-nil source (static per Reset)
+	sources []Source
+	handler Handler
 
-	traceNode int32
-	traceDir  int
-	traceLog  *[]GrantEvent
-
-	observer Observer        // instrumentation taps (see observer.go); nil = off
+	observer Observer        // the one instrumentation tap (see observer.go); nil = off
 	cancel   <-chan struct{} // run abort signal (see SetCancel); nil = never
 
-	linkCount int
-	stats     Stats
+	stats Stats // of the last successful run, merged over the engines
 
-	eng     engine   // serial engine, owns [0, P)
-	shards  []engine // sharded engines; built on first RunSharded, recycled after
-	shardOf []int16  // node -> owning shard, valid when len(shards) > 0
+	// engines own contiguous node slabs covering [0, P); New builds one and
+	// ensureShards re-slices when a run asks for a different count.
+	engines []engine
 	barrier *parallel.Barrier
-	sharded bool // whether the last run used the sharded engines
+	workers sync.WaitGroup // engines 1.. of the run in progress
 
 	syncStats SyncStats // of the last successful run
 }
@@ -253,24 +246,16 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 	if err := shape.Validate(); err != nil {
 		return nil, err
 	}
-	if handler == nil {
-		return nil, fmt.Errorf("network: nil handler")
-	}
-	p := shape.P()
-	if sources != nil && len(sources) != p {
-		return nil, fmt.Errorf("network: %d sources for %d nodes", len(sources), p)
-	}
 	if err := par.validate(); err != nil {
 		return nil, err
 	}
+	p := shape.P()
 	nw := &Network{
 		Shape:   shape,
 		P:       p,
 		Par:     par,
 		routers: make([]router, p),
 		coords:  make([]torus.Coord, p),
-		sources: sources,
-		handler: handler,
 	}
 	nw.stats.LinkBusy = make([]int64, p*numDirs)
 	nw.stats.CPUBusy = make([]int64, p)
@@ -280,7 +265,6 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 	nw.occ = make([]uint32, p)
 	nw.svcAt = make([]int64, p)
 	nw.svcMask = make([]uint8, p)
-	nw.linkCount = shape.LinkCount()
 	for n := 0; n < p; n++ {
 		nw.coords[n] = shape.Coords(n)
 	}
@@ -314,7 +298,6 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 			}
 			for vc := 0; vc < NumVC; vc++ {
 				r.in[d][vc] = newPktQueue(&nw.rings, vcCap, par.window(int8(vc)))
-				nw.tok[tokIdx(int32(n), d, vc)] = par.VCBytes
 			}
 		}
 		r.inj = make([]pktQueue, par.InjFIFOs)
@@ -322,27 +305,27 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 			r.inj[i] = newPktQueue(&nw.rings, par.InjFIFOBytes, 1)
 		}
 		r.recv = newPktQueue(&nw.rings, par.RecvFIFOBytes, 1)
-		if sources != nil && sources[n] != nil {
-			nw.activeSrc++
-		} else {
-			r.srcDone = true
-		}
 	}
 	// Fault validation needs the resolved neighbour table (a schedule may
 	// only name links that exist), so it runs after pass 1.
 	if err := nw.deriveFaults(); err != nil {
 		return nil, err
 	}
-	nw.eng.init(nw, 0, 0, int32(p), &nw.stats)
+	nw.ensureShards(1)
+	// Everything a run starts from - tokens, lookaheads, the source census -
+	// is Reset's to install, here as on every recycle.
+	if err := nw.Reset(sources, handler); err != nil {
+		return nil, err
+	}
 	return nw, nil
 }
 
 // Reset returns the network to its initial state for a fresh run on the same
 // shape and parameters, reusing the router, queue, packet-pool, and event-
-// queue allocations of the previous run (including any sharded engines built
-// by RunSharded). Sweeps that revisit one shape at many message sizes avoid
-// rebuilding the whole machine at every point. sources and handler follow
-// the same rules as New.
+// queue allocations of the previous run. Sweeps that revisit one shape at
+// many message sizes avoid rebuilding the whole machine at every point.
+// sources may contain nil entries (nodes that inject nothing); handler must
+// not be nil.
 func (nw *Network) Reset(sources []Source, handler Handler) error {
 	if handler == nil {
 		return fmt.Errorf("network: nil handler")
@@ -352,15 +335,9 @@ func (nw *Network) Reset(sources []Source, handler Handler) error {
 	}
 	nw.sources = sources
 	nw.handler = handler
-	nw.activeSrc = 0
-	// Grant tracing is per-run diagnostics: a recycled network must not
-	// keep appending to the previous run's trace.
-	nw.traceLog = nil
-	nw.eng.resetRunState()
-	for i := range nw.shards {
-		nw.shards[i].resetRunState()
+	for i := range nw.engines {
+		nw.engines[i].resetRunState()
 	}
-	nw.sharded = false
 	nw.stats.reset()
 	nw.resetFaultState()
 	for n := 0; n < nw.P; n++ {
@@ -394,12 +371,7 @@ func (nw *Network) Reset(sources []Source, handler Handler) error {
 		nw.svcMask[n] = 0
 		nw.occ[n] = 0
 		r.rrCursor = 0
-		if sources != nil && sources[n] != nil {
-			r.srcDone = false
-			nw.activeSrc++
-		} else {
-			r.srcDone = true
-		}
+		r.srcDone = sources == nil || sources[n] == nil
 	}
 	return nil
 }
@@ -424,49 +396,34 @@ func (nw *Network) ResetParams(par Params, sources []Source, handler Handler) er
 	if err := nw.deriveFaults(); err != nil {
 		return err
 	}
-	nw.eng.setParams(par)
-	for i := range nw.shards {
-		nw.shards[i].setParams(par)
+	for i := range nw.engines {
+		nw.engines[i].setParams(par)
 	}
 	return nw.Reset(sources, handler)
 }
 
-// Now returns the current simulation time (the furthest shard's clock in a
-// sharded run).
+// Now returns the current simulation time (the furthest engine's clock).
 func (nw *Network) Now() int64 {
-	if !nw.sharded {
-		return nw.eng.now
-	}
 	var t int64
-	for i := range nw.shards {
-		if nw.shards[i].now > t {
-			t = nw.shards[i].now
-		}
+	for i := range nw.engines {
+		t = max(t, nw.engines[i].now)
 	}
 	return t
 }
 
-// Stats returns a snapshot of the collected statistics. The snapshot is the
+// Stats returns a snapshot of the statistics of the last completed run (the
+// engines' shares are merged when a run succeeds). The snapshot is the
 // caller's to keep: it does not alias live engine state, so it stays valid
 // (and harmless to mutate) across a later Reset or run on the same network.
 func (nw *Network) Stats() *Stats { return nw.stats.clone() }
 
 // SetCancel installs an abort signal for subsequent runs: when ch becomes
 // readable the run stops at the next cancellation point - every window
-// barrier on the sharded engine, every few thousand events on the serial one
-// - and returns an error wrapping ErrCanceled. nil removes the signal. The
+// barrier, and every few thousand events inside a window - and returns an
+// error wrapping ErrCanceled. nil removes the signal. The
 // signal persists across Reset; it is the caller's per-run (or per-sweep)
 // responsibility to install a fresh one.
 func (nw *Network) SetCancel(ch <-chan struct{}) { nw.cancel = ch }
-
-// engineFor returns the engine owning a node's packets in the most recent
-// (or ongoing) run.
-func (nw *Network) engineFor(node int32) *engine {
-	if nw.sharded {
-		return &nw.shards[nw.shardOf[node]]
-	}
-	return &nw.eng
-}
 
 // routeHops computes the signed per-dimension hop vector for a packet from
 // src to dst. Exact half-ring ties on even torus dimensions are split by
@@ -496,58 +453,4 @@ func (nw *Network) routeHops(src, dst int32) [3]int8 {
 // delivered, or until maxTime is exceeded. It returns the completion time.
 func (nw *Network) Run(maxTime int64) (int64, error) {
 	return nw.RunSharded(maxTime, 1)
-}
-
-// RunSharded is Run on the parallel engine: the torus is partitioned into
-// shards contiguous node subdomains, each advanced by its own worker in
-// lockstep barrier windows (shard.go). Output - completion time, statistics,
-// handler observations - is byte-identical to the serial engine at any shard
-// count. shards <= 1 (or a degenerate configuration where the safe window
-// would be empty) selects the serial engine.
-func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
-	if shards > nw.P {
-		shards = nw.P
-	}
-	if nw.observer != nil {
-		nw.observer.BeginRun(nw.Shape, nw.Par)
-	}
-	if shards <= 1 || shardSafeWindow(nw.Par) <= 0 {
-		return nw.runSerial(maxTime)
-	}
-	return nw.runSharded(maxTime, shards)
-}
-
-func (nw *Network) runSerial(maxTime int64) (int64, error) {
-	nw.sharded = false
-	e := &nw.eng
-	e.obs = nil
-	if nw.observer != nil {
-		e.obs = nw.observer.Sink(0, 1, e.lo, e.hi)
-	}
-	e.cancel = nw.cancel
-	e.activeSrc = nw.activeSrc
-	e.armFaults(maxTime)
-	for n := e.lo; n < e.hi; n++ {
-		e.maybeRunCPU(n)
-	}
-	if err := e.processUntil(maxInt64, maxTime); err != nil {
-		return 0, err
-	}
-	if e.inFlight != 0 || e.activeSrc != 0 {
-		return 0, fmt.Errorf("network: stalled at t=%d with %d packets in flight, %d active sources (deadlock?)",
-			e.now, e.inFlight, e.activeSrc)
-	}
-	nw.closeFaultStats()
-	if nw.Par.Check {
-		if err := nw.checkQuiescence(); err != nil {
-			return 0, err
-		}
-	}
-	nw.stats.closeWindows()
-	nw.stats.renderUtil(nw.Par.UtilSampleWindow, nw.linkCount)
-	nw.syncStats = SyncStats{Shards: 1}
-	if nw.observer != nil {
-		nw.observer.EndRun(nw.stats.FinishTime)
-	}
-	return nw.stats.FinishTime, nil
 }

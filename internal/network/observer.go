@@ -30,7 +30,7 @@ type Observer interface {
 	BeginRun(shape torus.Shape, par Params)
 
 	// Sink returns the event sink for one engine covering nodes [lo, hi).
-	// The serial engine requests a single sink (shard 0 of 1).
+	// A one-engine run requests a single sink (shard 0 of 1).
 	Sink(shard, shards int, lo, hi int32) Sink
 
 	// EndRun marks a successful run completion at the given finish time.

@@ -178,7 +178,7 @@ func TestQuietSkipFires(t *testing.T) {
 		nw := buildNet(t, shape, DefaultParams(), srcs, newCountHandler(p))
 		nw.SetObserver(obs)
 		allRun(t, nw)
-		return nw.Stats(), nw.eng.quietSkips
+		return nw.Stats(), nw.engines[0].quietSkips
 	}
 	plain, skips := run(nil)
 	if skips == 0 {

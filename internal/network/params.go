@@ -85,11 +85,6 @@ type Params struct {
 	// backward one packet-time per hop and link utilization collapses.
 	StoreForward bool
 
-	// UtilSampleWindow, when positive, records a time series of mean link
-	// utilization per window of this many time units (Stats.UtilSeries).
-	// Useful for watching congestion build up during a run.
-	UtilSampleWindow int64
-
 	// VCLookahead is the number of packets at the front of each dynamic VC
 	// buffer the router arbiter may choose among (the VC buffers are
 	// random-access SRAM, not strict FIFOs). 1 models a strict FIFO and

@@ -227,7 +227,7 @@ func TestPktQueueQuietCleared(t *testing.T) {
 // its escape clock in place.
 func TestReroutePktClearsQuiet(t *testing.T) {
 	nw := buildNet(t, torus.New(8, 1, 1), DefaultParams(), nil, newCountHandler(8))
-	e := &nw.eng
+	e := &nw.engines[0]
 	hops := [3]int8{3, 0, 0}
 	pid := e.allocPkt()
 	e.pkts[pid] = packet{hops: hops, want: wantMask(hops, false)}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -168,6 +169,96 @@ func TestResetParamsRejectsStructureChange(t *testing.T) {
 	invalid.VCLookahead = 0
 	if err := nw.ResetParams(invalid, srcs, countOnly{}); err == nil {
 		t.Error("invalid VCLookahead accepted by ResetParams")
+	}
+}
+
+// cancelAfter wraps shardCountHandler and closes ch at node 0's k-th
+// delivery. Only node 0's worker ever calls close, so the wrapper stays
+// node-partitioned like the handler inside it.
+type cancelAfter struct {
+	*shardCountHandler
+	k  int64
+	ch chan struct{}
+}
+
+func (h *cancelAfter) OnDeliver(d Delivered, fw []PacketSpec) ([]PacketSpec, int64, bool) {
+	if d.Node == 0 && h.perNode[0]+1 == h.k {
+		close(h.ch)
+	}
+	return h.shardCountHandler.OnDeliver(d, fw)
+}
+
+// TestFailedRunThenResetRecycles: a run that ends in an error - cut off by
+// maxTime, or canceled mid-run - leaves packets, events, mailboxes and a
+// published error behind on every engine. Reset must clear all of it: a full
+// run afterwards, at the same or another shard count, reproduces a fresh
+// one-engine run field for field, with the invariant checker on.
+func TestFailedRunThenResetRecycles(t *testing.T) {
+	shape := torus.New(4, 4, 4)
+	p := shape.P()
+	par := DefaultParams()
+	par.Check = true
+	// Six rounds of the random mix: long enough that a one-engine run polls
+	// its cancel channel (every 8192 events) well before the finish.
+	traffic := func() []Source {
+		srcs := shardTraffic(p, 7)
+		for _, s := range srcs {
+			if ls, ok := s.(*listSource); ok {
+				one := ls.specs
+				for r := 0; r < 5; r++ {
+					ls.specs = append(ls.specs, one...)
+				}
+			}
+		}
+		return srcs
+	}
+	refH := newShardCountHandler(p)
+	ref, err := New(shape, par, traffic(), refH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refFin, err := ref.Run(1 << 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fail := range []error{ErrMaxTime, ErrCanceled} {
+		for _, s := range []int{1, 3} {
+			for _, s2 := range []int{1, 3} {
+				h := newShardCountHandler(p)
+				ch := make(chan struct{})
+				first, maxTime := Handler(h), refFin/3
+				if fail == ErrCanceled {
+					first, maxTime = &cancelAfter{h, 3, ch}, 1<<40
+				}
+				nw, err := New(shape, par, traffic(), first)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nw.SetCancel(ch)
+				if _, err := nw.RunSharded(maxTime, s); !errors.Is(err, fail) {
+					t.Fatalf("shards=%d: err = %v, want %v", s, err, fail)
+				}
+				nw.SetCancel(nil)
+				h.reset()
+				if err := nw.Reset(traffic(), h); err != nil {
+					t.Fatal(err)
+				}
+				fin, err := nw.RunSharded(1<<40, s2)
+				if err != nil {
+					t.Fatalf("%v at shards=%d, then %d: %v", fail, s, s2, err)
+				}
+				if fin != refFin {
+					t.Errorf("%v at shards=%d, then %d: finish %d, fresh %d", fail, s, s2, fin, refFin)
+				}
+				if !reflect.DeepEqual(nw.Stats(), ref.Stats()) {
+					t.Errorf("%v at shards=%d, then %d: stats diverge from a fresh run\nfresh:    %+v\nrecycled: %+v",
+						fail, s, s2, ref.Stats(), nw.Stats())
+				}
+				if !reflect.DeepEqual(h, refH) {
+					t.Errorf("%v at shards=%d, then %d: handler observations diverge from a fresh run", fail, s, s2)
+				}
+			}
+		}
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 	"alltoall/internal/parallel"
 )
 
-// The sharded engine is a conservative time-windowed parallel simulation:
-// nodes are partitioned into contiguous rank slabs, each advanced by its own
-// worker over a private event queue, all in lockstep. Within a window of
+// A run is a conservative time-windowed parallel simulation: nodes are
+// partitioned into contiguous rank slabs, each advanced by its own engine
+// over a private event queue, all in lockstep. Within a window of
 // width shardSafeWindow no shard can affect another - every cross-shard
 // effect travels with a known minimum delay (PacketGranule+RouterDelay for
 // packet arrivals, CreditDelay for token returns) - so an event generated
@@ -18,8 +18,8 @@ import (
 // into per-shard-pair mailboxes drained at the window barrier; because the
 // event order is a strict total order on (t, node, kind, arg) and arrival
 // args are pid-independent (see heap.go), the pop sequence - and therefore
-// every handler call, statistic, and the finish time - is byte-identical to
-// the serial engine at any shard count.
+// every handler call, statistic, and the finish time - is byte-identical at
+// any shard count, one included (a single slab whose window never closes).
 
 // xmsg is one cross-shard effect: a packet arrival (kind evArrive, packet
 // carried by value; the destination shard re-homes it into its own pool) or
@@ -49,8 +49,8 @@ func shardSafeWindow(par Params) int64 {
 // DeepEqual Stats across shard counts, and these are exactly the part that
 // differs.
 type SyncStats struct {
-	// Shards is the worker count of the run (1 for serial, whose other
-	// counters are all zero).
+	// Shards is the engine count of the run, after clamping (1 for a
+	// one-engine run, whose other counters are all zero).
 	Shards int
 	// HorizonAdvances counts processed windows, summed over shards.
 	HorizonAdvances int64
@@ -82,87 +82,94 @@ func (s *SyncStats) Add(o *SyncStats) {
 // successful run. The value is a snapshot; it does not alias engine state.
 func (nw *Network) SyncStats() SyncStats { return nw.syncStats }
 
-// ensureShards (re)builds the shard engines for the given count, reusing
-// them across Reset cycles so cached sweeps stay allocation-free.
+// ensureShards re-slices the machine into s engines when the last run used a
+// different count; a repeated count keeps the engines, and with them every
+// allocation a run grew, so cached sweeps stay allocation-free.
 func (nw *Network) ensureShards(s int) {
-	if len(nw.shards) == s {
+	if len(nw.engines) == s {
 		return
 	}
-	if nw.shardOf == nil {
-		nw.shardOf = make([]int16, nw.P)
+	nw.engines = make([]engine, s)
+	var shardOf []int16 // nil on one engine: every destination is local
+	if s > 1 {
+		shardOf = make([]int16, nw.P)
 	}
-	nw.shards = make([]engine, s)
-	for i := 0; i < s; i++ {
-		lo := int32(nw.P * i / s)
-		hi := int32(nw.P * (i + 1) / s)
-		e := &nw.shards[i]
-		e.init(nw, int32(i), lo, hi, &Stats{
-			LinkBusy: make([]int64, nw.P*numDirs),
-			CPUBusy:  make([]int64, nw.P),
-		})
-		e.shardOf = nw.shardOf
-		e.out = make([][]xmsg, s)
-		for n := lo; n < hi; n++ {
-			nw.shardOf[n] = int16(i)
+	for i := range nw.engines {
+		e := &nw.engines[i]
+		e.init(nw, int32(i), int32(nw.P*i/s), int32(nw.P*(i+1)/s))
+		if s > 1 {
+			e.shardOf = shardOf
+			e.out = make([][]xmsg, s)
+			for n := e.lo; n < e.hi; n++ {
+				shardOf[n] = int16(i)
+			}
 		}
 	}
 	nw.barrier = parallel.NewBarrier(s)
 }
 
-func (nw *Network) runSharded(maxTime int64, shards int) (int64, error) {
-	nw.ensureShards(shards)
-	nw.sharded = true
+// RunSharded is the one driver of a simulation: the torus is partitioned into
+// shards contiguous node slabs, each advanced by its own engine in lockstep
+// barrier windows, engine 0 on the calling goroutine. Output - completion
+// time, statistics, handler observations - is byte-identical at any shard
+// count. shards <= 1 (or a degenerate configuration whose safe window would
+// be empty) runs one engine through the same loop: its single window is the
+// whole run, nothing crosses a boundary and no goroutine starts.
+func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 	window := shardSafeWindow(nw.Par)
-	for i := range nw.shards {
-		e := &nw.shards[i]
+	shards = min(shards, nw.P)
+	if shards <= 1 || window <= 0 {
+		shards, window = 1, maxInt64
+	}
+	nw.ensureShards(shards)
+	if nw.observer != nil {
+		nw.observer.BeginRun(nw.Shape, nw.Par)
+	}
+	for i := range nw.engines {
+		e := &nw.engines[i]
 		e.obs = nil
 		if nw.observer != nil {
 			e.obs = nw.observer.Sink(i, shards, e.lo, e.hi)
 		}
 		e.cancel = nw.cancel
 		e.activeSrc = 0
-		if nw.sources != nil {
-			for n := e.lo; n < e.hi; n++ {
-				if nw.sources[n] != nil {
-					e.activeSrc++
-				}
+		for n := e.lo; n < e.hi; n++ {
+			if !nw.routers[n].srcDone {
+				e.activeSrc++
 			}
 		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(shards - 1)
+	nw.workers.Add(shards - 1)
 	for i := 1; i < shards; i++ {
-		go nw.shards[i].run(maxTime, window, &wg)
+		go nw.engines[i].run(maxTime, window, &nw.workers)
 	}
-	nw.shards[0].run(maxTime, window, nil)
-	wg.Wait()
-	for i := range nw.shards {
-		if err := nw.shards[i].err; err != nil {
-			return 0, err
-		}
-	}
+	nw.engines[0].run(maxTime, window, nil)
+	nw.workers.Wait()
+
 	ss := SyncStats{Shards: shards}
 	var inFlight int64
 	activeSrc := 0
-	for i := range nw.shards {
-		e := &nw.shards[i]
-		ss.HorizonAdvances += e.syncAdvances
-		ss.BlockedWaits += e.syncWaits
-		ss.BlockedWaitNs += e.syncWaitNs
-		ss.CrossShardEvents += e.syncXEv
+	for i := range nw.engines {
+		e := &nw.engines[i]
+		if e.err != nil {
+			return 0, e.err
+		}
 		inFlight += e.inFlight
 		activeSrc += e.activeSrc
+		if shards > 1 { // one engine synchronizes with nobody: its counters read zero
+			ss.HorizonAdvances += e.syncAdvances
+			ss.BlockedWaits += e.syncWaits
+			ss.BlockedWaitNs += e.syncWaitNs
+			ss.CrossShardEvents += e.syncXEv
+		}
 	}
 	ss.CrossShardBytes = ss.CrossShardEvents * int64(unsafe.Sizeof(xmsg{}))
-	nw.syncStats = ss
 	if inFlight != 0 || activeSrc != 0 {
 		return 0, fmt.Errorf("network: stalled at t=%d with %d packets in flight, %d active sources (deadlock?)",
 			nw.Now(), inFlight, activeSrc)
 	}
-	for i := range nw.shards {
-		s := nw.shards[i].stats
-		s.closeWindows()
-		nw.stats.merge(s)
+	for i := range nw.engines {
+		nw.stats.merge(nw.engines[i].stats)
 	}
 	nw.closeFaultStats()
 	if nw.Par.Check {
@@ -171,17 +178,16 @@ func (nw *Network) runSharded(maxTime int64, shards int) (int64, error) {
 			return 0, err
 		}
 	}
-	nw.stats.closeWindows()
-	nw.stats.renderUtil(nw.Par.UtilSampleWindow, nw.linkCount)
+	nw.syncStats = ss
 	if nw.observer != nil {
 		nw.observer.EndRun(nw.stats.FinishTime)
 	}
 	return nw.stats.FinishTime, nil
 }
 
-// run is one shard worker. All shards execute the same barrier sequence and
-// compute the window decision from identical published state, so they exit
-// on the same iteration and the barrier count stays balanced.
+// run is one engine's worker. All engines execute the same barrier sequence
+// and compute the window decision from identical published state, so they
+// exit on the same iteration and the barrier count stays balanced.
 //
 // The memory discipline: a shard's outboxes and its err/inMin fields are
 // written only in the drain span (between the window barrier and the next
@@ -228,8 +234,8 @@ func (e *engine) run(maxTime, window int64, wg *sync.WaitGroup) {
 		e.await() // inMin published, all inboxes drained
 		gmin := maxInt64
 		fail := false
-		for i := range nw.shards {
-			o := &nw.shards[i]
+		for i := range nw.engines {
+			o := &nw.engines[i]
 			if o.err != nil {
 				fail = true
 			}
@@ -240,7 +246,11 @@ func (e *engine) run(maxTime, window int64, wg *sync.WaitGroup) {
 		if fail || gmin == maxInt64 {
 			return
 		}
-		if err := e.processUntil(gmin+window, maxTime); err != nil {
+		tend := maxInt64 // one engine: the whole run is its only window
+		if window < maxInt64 {
+			tend = gmin + window
+		}
+		if err := e.processUntil(tend, maxTime); err != nil {
 			pend = err
 		}
 		e.syncAdvances++
@@ -259,11 +269,11 @@ func (e *engine) await() {
 // pool-slot number never influences event order (heap.go), so the transfer
 // is invisible to the simulation.
 func (e *engine) drainInboxes() {
-	for i := range e.nw.shards {
+	for i := range e.nw.engines {
 		if int32(i) == e.id {
 			continue
 		}
-		src := &e.nw.shards[i]
+		src := &e.nw.engines[i]
 		box := src.out[e.id]
 		for j := range box {
 			m := &box[j]

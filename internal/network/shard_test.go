@@ -70,6 +70,49 @@ func shardTraffic(p int, seed int64) []Source {
 	return srcs
 }
 
+// grantWindows is an Observer whose sinks add each grant's wire bytes to the
+// window of the given width it starts in: a windowed link-utilization series
+// read through the Sink seam. Each engine gets its own sink (no locking);
+// series folds them, and the fold must not depend on the shard count.
+type grantWindows struct {
+	width int64
+	sinks []*windowSink
+}
+
+type windowSink struct {
+	countSink // the callbacks this sink does not window
+	width     int64
+	bytes     []int64
+}
+
+func (o *grantWindows) BeginRun(torus.Shape, Params) { o.sinks = o.sinks[:0] }
+func (o *grantWindows) EndRun(int64)                 {}
+func (o *grantWindows) Sink(shard, shards int, lo, hi int32) Sink {
+	s := &windowSink{width: o.width}
+	o.sinks = append(o.sinks, s)
+	return s
+}
+
+func (o *grantWindows) series() []int64 {
+	var out []int64
+	for _, s := range o.sinks {
+		for len(out) < len(s.bytes) {
+			out = append(out, 0)
+		}
+		for w, b := range s.bytes {
+			out[w] += b
+		}
+	}
+	return out
+}
+
+func (s *windowSink) OnGrant(now int64, node int32, dir int, vc int8, size int32) {
+	for int64(len(s.bytes)) <= now/s.width {
+		s.bytes = append(s.bytes, 0)
+	}
+	s.bytes[now/s.width] += int64(size)
+}
+
 func shardTestShapes() []torus.Shape {
 	return []torus.Shape{
 		torus.New(4, 4, 4),                         // symmetric torus
@@ -80,12 +123,11 @@ func shardTestShapes() []torus.Shape {
 }
 
 // TestShardedMatchesSerial checks that every statistic of a sharded run -
-// and therefore anything rendered from it - is byte-identical to the serial
-// engine's, for every tested shard count, on symmetric and asymmetric
-// shapes including meshes.
+// and therefore anything rendered from it - and the windowed grant bytes an
+// observer collects are byte-identical to a one-engine run's, for every
+// tested shard count, on symmetric and asymmetric shapes including meshes.
 func TestShardedMatchesSerial(t *testing.T) {
 	par := DefaultParams()
-	par.UtilSampleWindow = 2048
 	for _, shape := range shardTestShapes() {
 		p := shape.P()
 		hSerial := newShardCountHandler(p)
@@ -93,9 +135,14 @@ func TestShardedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shape %v: %v", shape, err)
 		}
+		refWin := &grantWindows{width: 2048}
+		ref.SetObserver(refWin)
 		refFin, err := ref.Run(1 << 40)
 		if err != nil {
 			t.Fatalf("shape %v serial: %v", shape, err)
+		}
+		if len(refWin.series()) < 2 {
+			t.Fatalf("shape %v: the run spans %d grant windows: the comparison is vacuous", shape, len(refWin.series()))
 		}
 		for _, shards := range []int{1, 2, 4, 7} {
 			h := newShardCountHandler(p)
@@ -103,12 +150,18 @@ func TestShardedMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shape %v: %v", shape, err)
 			}
+			win := &grantWindows{width: 2048}
+			nw.SetObserver(win)
 			fin, err := nw.RunSharded(1<<40, shards)
 			if err != nil {
 				t.Fatalf("shape %v shards=%d: %v", shape, shards, err)
 			}
 			if fin != refFin {
 				t.Errorf("shape %v shards=%d: finish %d, serial %d", shape, shards, fin, refFin)
+			}
+			if !reflect.DeepEqual(win.series(), refWin.series()) {
+				t.Errorf("shape %v shards=%d: per-window grant bytes diverge from serial\nserial:  %v\nsharded: %v",
+					shape, shards, refWin.series(), win.series())
 			}
 			if !reflect.DeepEqual(nw.Stats(), ref.Stats()) {
 				t.Errorf("shape %v shards=%d: stats diverge from serial\nserial:  %+v\nsharded: %+v",
@@ -121,20 +174,21 @@ func TestShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedResetRecycles checks that Reset fully recycles the sharded
-// engines: repeated runs on one network - including a change of shard count
-// in between - reproduce the serial result exactly.
+// TestShardedResetRecycles checks that Reset fully recycles the engines:
+// repeated runs on one network - including a change of shard count in
+// between - reproduce the one-engine result exactly.
 func TestShardedResetRecycles(t *testing.T) {
 	shape := torus.New(4, 4, 4)
 	p := shape.P()
 	par := DefaultParams()
-	par.UtilSampleWindow = 2048
 
 	hSerial := newShardCountHandler(p)
 	ref, err := New(shape, par, shardTraffic(p, 7), hSerial)
 	if err != nil {
 		t.Fatal(err)
 	}
+	refWin := &grantWindows{width: 2048}
+	ref.SetObserver(refWin)
 	refFin, err := ref.Run(1 << 40)
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +199,8 @@ func TestShardedResetRecycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	win := &grantWindows{width: 2048}
+	nw.SetObserver(win) // survives Reset; BeginRun starts each run's series afresh
 	for run, shards := range []int{4, 2, 4, 1, 4} {
 		if run > 0 {
 			h.reset()
@@ -161,6 +217,9 @@ func TestShardedResetRecycles(t *testing.T) {
 		}
 		if !reflect.DeepEqual(nw.Stats(), ref.Stats()) {
 			t.Errorf("run %d shards=%d: stats diverge from serial", run, shards)
+		}
+		if !reflect.DeepEqual(win.series(), refWin.series()) {
+			t.Errorf("run %d shards=%d: per-window grant bytes diverge from serial", run, shards)
 		}
 		if !reflect.DeepEqual(h, hSerial) {
 			t.Errorf("run %d shards=%d: handler observations diverge", run, shards)

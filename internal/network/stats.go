@@ -8,9 +8,9 @@ const LatencyBuckets = 40
 // NumEventKinds is the number of distinct simulator event kinds.
 const NumEventKinds = 5
 
-// Stats aggregates simulation measurements. In a sharded run each shard
-// accumulates its own Stats over the disjoint node range it owns; the
-// per-shard instances are merged (see merge) when the run completes.
+// Stats aggregates simulation measurements. Each engine accumulates its own
+// Stats over the disjoint node range it owns; the per-engine instances are
+// merged (see merge) when the run completes.
 type Stats struct {
 	// LinkBusy[node*6+dir] is the total time (units) the output link was
 	// occupied by packet transfers.
@@ -39,17 +39,6 @@ type Stats struct {
 	// node: the intermediate-memory requirement of indirect strategies
 	// (packets awaiting CPU re-injection).
 	MaxPendingFw int
-
-	// UtilSeries is the mean link utilization per UtilSampleWindow window
-	// (only recorded when the parameter is set). Grants are attributed to
-	// the window in which they start. Rendered from busyWin at the end of a
-	// run; the integer per-window accumulation is kept exact so per-shard
-	// series merge by addition without floating-point drift.
-	UtilSeries []float64
-
-	busyWin    []int64 // completed windows' busy time, in order
-	windowBusy int64   // busy time of the currently open window
-	windowIdx  int64
 
 	// Final deliveries (packets whose handler marked them final).
 	FinalPackets int64
@@ -96,12 +85,10 @@ func (s *Stats) reset() {
 	for i := range cpuBusy {
 		cpuBusy[i] = 0
 	}
-	util := s.UtilSeries[:0]
-	busyWin := s.busyWin[:0]
-	*s = Stats{LinkBusy: linkBusy, CPUBusy: cpuBusy, UtilSeries: util, busyWin: busyWin}
+	*s = Stats{LinkBusy: linkBusy, CPUBusy: cpuBusy}
 }
 
-// clone returns a deep copy: the per-node and per-window slices are
+// clone returns a deep copy: the per-node slices are
 // duplicated so the copy shares no memory with live engine state. Backing
 // Network.Stats with a clone is what lets callers keep (or mutate) a
 // snapshot across a later Reset - returning the live struct used to let a
@@ -110,48 +97,12 @@ func (s *Stats) clone() *Stats {
 	c := *s
 	c.LinkBusy = append([]int64(nil), s.LinkBusy...)
 	c.CPUBusy = append([]int64(nil), s.CPUBusy...)
-	c.UtilSeries = append([]float64(nil), s.UtilSeries...)
-	c.busyWin = append([]int64(nil), s.busyWin...)
 	return &c
 }
 
-// noteWindowBusy accumulates per-window link busy time; window is the
-// sample window size.
-func (s *Stats) noteWindowBusy(now, window int64, size int32) {
-	idx := now / window
-	for s.windowIdx < idx {
-		s.busyWin = append(s.busyWin, s.windowBusy)
-		s.windowBusy = 0
-		s.windowIdx++
-	}
-	s.windowBusy += int64(size)
-}
-
-// closeWindows flushes the open utilization window at the end of a run.
-func (s *Stats) closeWindows() {
-	if s.windowBusy > 0 {
-		s.busyWin = append(s.busyWin, s.windowBusy)
-		s.windowBusy = 0
-	}
-	s.windowIdx = 0
-}
-
-// renderUtil converts the exact per-window busy counts into the utilization
-// series. Called once per run, after closeWindows (and, for sharded runs,
-// after merging the per-shard counts).
-func (s *Stats) renderUtil(window int64, links int) {
-	if window <= 0 {
-		return
-	}
-	for _, b := range s.busyWin {
-		s.UtilSeries = append(s.UtilSeries, float64(b)/float64(window*int64(links)))
-	}
-}
-
-// merge folds one shard's statistics into s. Counters add; watermarks take
-// the max; the utilization windows add elementwise in the integer domain
-// (renderUtil then produces floats identical to a serial run's). Shards own
-// disjoint node ranges, so the per-node slices add without overlap.
+// merge folds one engine's statistics into s. Counters add; watermarks take
+// the max. Engines own disjoint node ranges, so the per-node slices add
+// without overlap.
 func (s *Stats) merge(o *Stats) {
 	for i, v := range o.LinkBusy {
 		s.LinkBusy[i] += v
@@ -172,12 +123,6 @@ func (s *Stats) merge(o *Stats) {
 	}
 	if o.MaxPendingFw > s.MaxPendingFw {
 		s.MaxPendingFw = o.MaxPendingFw
-	}
-	for len(s.busyWin) < len(o.busyWin) {
-		s.busyWin = append(s.busyWin, 0)
-	}
-	for i, v := range o.busyWin {
-		s.busyWin[i] += v
 	}
 	s.FinalPackets += o.FinalPackets
 	s.FinalPayload += o.FinalPayload
@@ -242,10 +187,9 @@ func (s *Stats) MaxLinkUtilization(duration int64) float64 {
 	return float64(m) / float64(duration)
 }
 
-// MeanLinkUtilization returns the mean occupancy fraction over links that
-// exist (nonzero capacity is assumed for all counted slots; slots for mesh
-// edges stay zero and are excluded by counting only nonzero-busy links when
-// totalLinks is passed as 0).
+// MeanLinkUtilization returns the mean occupancy fraction over totalLinks
+// links (the caller's count of links that exist; slots for mesh edges stay
+// zero and add nothing to the sum).
 func (s *Stats) MeanLinkUtilization(duration int64, totalLinks int) float64 {
 	if duration <= 0 || totalLinks <= 0 {
 		return 0

@@ -127,10 +127,10 @@ func TestBlockedWaitSeesImbalance(t *testing.T) {
 	if ss.Shards != 2 || ss.HorizonAdvances == 0 {
 		t.Fatalf("not a sharded run: %+v", ss)
 	}
-	if idle := nw.shards[1].syncWaitNs; idle <= 0 {
-		t.Errorf("idle shard timed no barrier wait (%d ns over %d crossings)", idle, nw.shards[1].syncWaits)
+	if idle := nw.engines[1].syncWaitNs; idle <= 0 {
+		t.Errorf("idle shard timed no barrier wait (%d ns over %d crossings)", idle, nw.engines[1].syncWaits)
 	}
-	if ss.BlockedWaitNs < nw.shards[1].syncWaitNs {
-		t.Errorf("BlockedWaitNs %d below the idle shard's own %d", ss.BlockedWaitNs, nw.shards[1].syncWaitNs)
+	if ss.BlockedWaitNs < nw.engines[1].syncWaitNs {
+		t.Errorf("BlockedWaitNs %d below the idle shard's own %d", ss.BlockedWaitNs, nw.engines[1].syncWaitNs)
 	}
 }

@@ -62,12 +62,14 @@ func TestServedMatchesDirect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	s := testServer(t, Config{Workers: 2})
-	h := s.Handler()
 	for _, shards := range []int{1, 4} {
 		for _, faults := range []string{"", goldenFaults} {
 			name := fmt.Sprintf("shards=%d/faults=%v", shards, faults != "")
 			t.Run(name, func(t *testing.T) {
+				// A cold cache per case: the key does not carry the shard
+				// count, so a shared server would answer shards=4 from the
+				// shards=1 entry and never serve a sharded run.
+				h := testServer(t, Config{Workers: 2}).Handler()
 				req := collective.Request{
 					Strategy: collective.StratAR,
 					Shape:    torus.New(4, 4, 2),
@@ -114,6 +116,33 @@ func TestServedMatchesDirect(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestShardsShareOneCacheEntry: the shard count schedules a run and changes
+// no Result byte, so the same job asked for at another shard count is a cache
+// hit, not a second simulation.
+func TestShardsShareOneCacheEntry(t *testing.T) {
+	s := testServer(t, Config{Workers: 1})
+	body := func(shards int) string {
+		return fmt.Sprintf(`{"strategy":"AR","shape":"4x4x2","msg_bytes":240,"seed":1,"shards":%d}`, shards)
+	}
+	first := post(t, s.Handler(), "/v1/jobs", body(1))
+	second := post(t, s.Handler(), "/v1/jobs", body(2))
+	for i, w := range []*httptest.ResponseRecorder{first, second} {
+		if want := []string{"miss", "hit"}[i]; w.Code != http.StatusOK || w.Header().Get("X-AA-Cache") != want {
+			t.Fatalf("post %d = %d %q, want 200 %s: %s", i, w.Code, w.Header().Get("X-AA-Cache"), want, w.Body.String())
+		}
+	}
+	a, b := decodeEnvelope(t, first), decodeEnvelope(t, second)
+	if a.Key != b.Key || !bytes.Equal(a.Result, b.Result) {
+		t.Errorf("shards 1 and 2 answered differently:\n%s %s\n%s %s", a.Key, a.Result, b.Key, b.Result)
+	}
+	if b.Request.Shards != 2 {
+		t.Errorf("the hit echoes shards %d, want the poster's own 2", b.Request.Shards)
+	}
+	if mb := metricsOf(t, s); mb.SimRuns != 1 {
+		t.Errorf("sim_runs %d, want 1", mb.SimRuns)
 	}
 }
 
