@@ -23,19 +23,12 @@
 // Times are reported both in abstract units (1 unit = 1 byte-time on a
 // torus link, beta = 6.48 ns) and in calibrated seconds.
 //
-// A minimal session:
+// A run is a Request value and Run runs it; req.Key() identifies the result:
 //
-//	res, err := alltoall.RunContext(ctx, alltoall.TPS,
-//		alltoall.WithShape(alltoall.NewTorus(8, 32, 16)),
-//		alltoall.WithMsgBytes(1024))
+//	req := alltoall.Request{Strategy: alltoall.TPS,
+//		Shape: alltoall.NewTorus(8, 32, 16), MsgBytes: 1024}
+//	res, err := alltoall.Run(ctx, req)
 //	fmt.Printf("%.1f%% of peak\n", res.PercentPeak)
-//
-// The same configuration as a canonical, cacheable job value:
-//
-//	req, _ := alltoall.NewRequest(alltoall.TPS,
-//		alltoall.WithShape(alltoall.NewTorus(8, 32, 16)),
-//		alltoall.WithMsgBytes(1024))
-//	res, err := alltoall.RunRequest(ctx, req) // req.Key() identifies the result
 //
 // Long-lived serving of such jobs over HTTP is cmd/aaserve.
 package alltoall
@@ -87,7 +80,8 @@ const (
 // Strategies lists every implemented strategy.
 func Strategies() []Strategy { return collective.Strategies() }
 
-// Options configures a run; see collective.Options for field documentation.
+// Options is what an Option edits: the Request plus what it cannot say; see
+// collective.Options for field documentation.
 type Options = collective.Options
 
 // Result reports a run; see collective.Result for field documentation.

@@ -3,21 +3,50 @@ package alltoall_test
 import (
 	"context"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"alltoall"
+	"alltoall/internal/collective"
 )
 
 func TestFacadeRun(t *testing.T) {
-	res, err := alltoall.RunContext(context.Background(), alltoall.AR,
-		alltoall.WithShape(alltoall.NewTorus(4, 4, 1)),
-		alltoall.WithMsgBytes(64),
-		alltoall.WithSeed(1))
+	res, err := alltoall.Run(context.Background(), alltoall.Request{
+		Strategy: alltoall.AR, Shape: alltoall.NewTorus(4, 4, 1), MsgBytes: 64, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.PercentPeak <= 0 {
 		t.Errorf("percent of peak = %v", res.PercentPeak)
+	}
+}
+
+// TestOneFrontDoor: a Request is the whole description of a run, so every
+// strategy gives the identical Result through the facade, through the adapter
+// bench/ and aaserve compile against, and through the core, on one engine and
+// split three ways.
+func TestOneFrontDoor(t *testing.T) {
+	ctx := context.Background()
+	for _, strat := range alltoall.Strategies() {
+		req := alltoall.Request{Strategy: strat, Shape: alltoall.NewTorus(4, 4, 2), MsgBytes: 300, Seed: 2}
+		want, err := alltoall.Run(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		for _, shards := range []int{0, 3} {
+			req.Shards = shards
+			for door, run := range map[string]func() (alltoall.Result, error){
+				"alltoall.Run":          func() (alltoall.Result, error) { return alltoall.Run(ctx, req) },
+				"collective.RunRequest": func() (alltoall.Result, error) { return collective.RunRequest(ctx, req) },
+				"collective.Run": func() (alltoall.Result, error) {
+					return collective.Run(ctx, collective.Options{Request: req})
+				},
+			} {
+				if got, err := run(); err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s through %s at shards=%d: %+v, %v\nwant %+v", strat, door, shards, got, err, want)
+				}
+			}
+		}
 	}
 }
 
@@ -57,7 +86,7 @@ func TestFacadeMesh(t *testing.T) {
 	if s.Wrap[alltoall.Z] {
 		t.Error("Z should be a mesh dimension")
 	}
-	res, err := alltoall.RunRequest(context.Background(), alltoall.Request{
+	res, err := alltoall.Run(context.Background(), alltoall.Request{
 		Strategy: alltoall.DR, Shape: alltoall.NewMesh(4, 4, 1, true, true, false), MsgBytes: 32, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -83,32 +112,28 @@ func TestFacadePredictions(t *testing.T) {
 }
 
 func TestFacadePattern(t *testing.T) {
-	res, err := alltoall.RunPatternContext(context.Background(), alltoall.Shift{Offset: 2},
-		alltoall.WithShape(alltoall.NewTorus(4, 4, 1)),
-		alltoall.WithMsgBytes(128))
+	res, err := alltoall.RunPattern(context.Background(), alltoall.Shift{Offset: 2},
+		alltoall.Request{Shape: alltoall.NewTorus(4, 4, 1), MsgBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Messages != 16 {
-		t.Errorf("messages = %d", res.Messages)
+	if n := res.PayloadBytes / int64(res.MsgBytes); n != 16 {
+		t.Errorf("messages = %d", n)
 	}
 }
 
-// TestPatternHonoursRunOptions: a pattern run takes the same Option
-// vocabulary as RunContext. WithObserver, WithCalib, WithCache and
-// WithDebugDump used to be dropped silently; machinery must not change the
-// result, a changed calibration must.
+// TestPatternHonoursRunOptions: a pattern run takes the same Options as Run.
+// WithObserver, WithCalib, WithCache and WithDebugDump used to be dropped
+// silently; machinery must not change the result, a changed calibration must.
 func TestPatternHonoursRunOptions(t *testing.T) {
-	run := func(extra ...alltoall.Option) alltoall.PatternResult {
+	run := func(extra ...alltoall.Option) alltoall.Result {
 		t.Helper()
-		res, err := alltoall.RunPatternContext(context.Background(), alltoall.Shift{Offset: 2},
-			append([]alltoall.Option{
-				alltoall.WithShape(alltoall.NewTorus(4, 4, 1)),
-				alltoall.WithMsgBytes(128),
-			}, extra...)...)
+		res, err := alltoall.RunPattern(context.Background(), alltoall.Shift{Offset: 2},
+			alltoall.Request{Shape: alltoall.NewTorus(4, 4, 1), MsgBytes: 128}, extra...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		res.Observed = nil // the collector below accumulates; its summary is checked apart
 		return res
 	}
 	plain := run()
@@ -118,7 +143,7 @@ func TestPatternHonoursRunOptions(t *testing.T) {
 	for i := 0; i < 2; i++ { // the second pass recycles the cached network
 		got := run(alltoall.WithObserver(obs), alltoall.WithCache(cache),
 			alltoall.WithDebugDump(filepath.Join(t.TempDir(), "dump")))
-		if got != plain {
+		if !reflect.DeepEqual(got, plain) {
 			t.Errorf("pass %d: run machinery changed the result:\n got %+v\nwant %+v", i, got, plain)
 		}
 	}
@@ -137,7 +162,7 @@ func TestPatternHonoursRunOptions(t *testing.T) {
 func TestFacadeTPSCreditFlowControl(t *testing.T) {
 	// Each intermediate forwards 3 finals x 2 packets per source (the
 	// fourth final in its plane is itself), so a batch of 4 yields credits.
-	res, err := alltoall.RunRequest(context.Background(), alltoall.Request{
+	res, err := alltoall.Run(context.Background(), alltoall.Request{
 		Strategy:        alltoall.TPS,
 		Shape:           alltoall.NewTorus(8, 2, 2),
 		MsgBytes:        400,

@@ -84,7 +84,7 @@ func renderResult(w io.Writer, res alltoall.Result) {
 		fmt.Fprintf(w, "faults          %d dead-link ticks, %d packets rerouted\n", res.DeadLinkTicks, res.Reroutes)
 	}
 	if res.Strategy == alltoall.TPS {
-		fmt.Fprintf(w, "TPS linear dim  %v\n", res.TPSLinearDim)
+		fmt.Fprintf(w, "TPS linear dim  %v\n", res.TPSLinearDim.Dim())
 	}
 	if res.Strategy == alltoall.VMesh {
 		fmt.Fprintf(w, "virtual mesh    %dx%d, phases %v units\n", res.VMeshCols, res.VMeshRows, res.PhaseTimes)
@@ -96,7 +96,7 @@ func renderResult(w io.Writer, res alltoall.Result) {
 func simulate(req alltoall.Request, extra ...alltoall.Option) (alltoall.Result, network.SyncStats, error) {
 	var ss network.SyncStats
 	extra = append(extra, func(o *alltoall.Options) { o.SyncStats = &ss })
-	res, err := alltoall.RunRequest(context.Background(), req, extra...)
+	res, err := alltoall.Run(context.Background(), req, extra...)
 	return res, ss, err
 }
 
@@ -141,7 +141,7 @@ func main() {
 	}
 	// aasim submits the same canonical job value that aaserve accepts over
 	// HTTP; run machinery (the collector, a debug dump path) rides along as
-	// RunRequest extras because it never changes the Result.
+	// options because it never changes the Result.
 	req := alltoall.Request{
 		Strategy:      strategy,
 		Shape:         shape,

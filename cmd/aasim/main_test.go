@@ -79,31 +79,29 @@ const goldenFaults = "0:5:+x:kill;300:12:-y:down;2500:12:-y:up"
 // message size, invariant checker on. Everything the goldens pin is
 // byte-identical at any shard count; the serial engine is just the simplest
 // fixture (TestGoldenShardIndependent holds the rendering to that claim).
-// extra options are applied last.
-func goldenRun(t *testing.T, strat alltoall.Strategy, faults string, shards int, obs *alltoall.Collector, extra ...alltoall.Option) alltoall.Result {
+// tune edits the request last.
+func goldenRun(t *testing.T, strat alltoall.Strategy, faults string, shards int, obs *alltoall.Collector, tune ...func(*alltoall.Request)) alltoall.Result {
 	t.Helper()
 	shape, err := alltoall.ParseShape("4x4x2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []alltoall.Option{
-		alltoall.WithShape(shape),
-		alltoall.WithMsgBytes(240),
-		alltoall.WithSeed(1),
-		alltoall.WithCheck(true),
-		alltoall.WithShards(shards),
-	}
+	req := alltoall.Request{Strategy: strat, Shape: shape, MsgBytes: 240, Seed: 1, Check: true, Shards: shards}
 	if faults != "" {
 		fs, err := alltoall.ParseFaults(faults)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts = append(opts, alltoall.WithFaults(fs))
+		req.Faults = fs.String()
 	}
+	for _, f := range tune {
+		f(&req)
+	}
+	var opts []alltoall.Option
 	if obs != nil {
 		opts = append(opts, alltoall.WithObserver(obs))
 	}
-	res, err := alltoall.RunContext(context.Background(), strat, append(opts, extra...)...)
+	res, err := alltoall.Run(context.Background(), req, opts...)
 	if err != nil {
 		t.Fatalf("%s run: %v", strat, err)
 	}
@@ -121,11 +119,11 @@ func TestGoldenResult(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	credit := func(o *alltoall.Options) { o.TPSCreditWindow, o.TPSCreditBatch = 16, 8 }
+	credit := func(r *alltoall.Request) { r.TPSCreditWindow, r.TPSCreditBatch = 16, 8 }
 	cases := []struct {
 		name  string
 		strat alltoall.Strategy
-		extra []alltoall.Option
+		tune  []func(*alltoall.Request)
 	}{
 		{"AR", alltoall.AR, nil},
 		{"DR", alltoall.DR, nil},
@@ -134,12 +132,12 @@ func TestGoldenResult(t *testing.T) {
 		{"TPS", alltoall.TPS, nil},
 		{"VMesh", alltoall.VMesh, nil},
 		{"XYZ", alltoall.XYZ, nil},
-		{"TPS-credit", alltoall.TPS, []alltoall.Option{credit}},
+		{"TPS-credit", alltoall.TPS, []func(*alltoall.Request){credit}},
 	}
 	var counters strings.Builder
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			res := goldenRun(t, c.strat, "", 1, nil, c.extra...)
+			res := goldenRun(t, c.strat, "", 1, nil, c.tune...)
 			var b strings.Builder
 			renderResult(&b, res)
 			checkGolden(t, "result_"+strings.ToLower(c.name)+".golden", []byte(b.String()))

@@ -8,8 +8,7 @@ import (
 
 // Unified error reporting: every failure mode a caller is expected to
 // branch on is an exported sentinel, threaded with %w through the event
-// engine at any shard count, both run entry styles (Options structs and
-// functional options), the pattern runner, and the aaserve HTTP service,
+// engine at any shard count, Run, RunPattern, and the aaserve HTTP service,
 // which maps each to a fixed status code. Classify with errors.Is; the
 // message text around a sentinel is diagnostic detail, not API.
 var (

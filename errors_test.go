@@ -14,12 +14,8 @@ import (
 // engines through the public API.
 func TestErrMaxTime(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		_, err := alltoall.RunContext(context.Background(), alltoall.AR,
-			alltoall.WithShape(alltoall.NewTorus(4, 4, 2)),
-			alltoall.WithMsgBytes(1024),
-			alltoall.WithMaxTime(50),
-			alltoall.WithShards(shards),
-		)
+		_, err := alltoall.Run(context.Background(), alltoall.Request{Strategy: alltoall.AR,
+			Shape: alltoall.NewTorus(4, 4, 2), MsgBytes: 1024, MaxTime: 50, Shards: shards})
 		if !errors.Is(err, alltoall.ErrMaxTime) {
 			t.Errorf("shards=%d: err = %v, want wrapping ErrMaxTime", shards, err)
 		}
@@ -38,11 +34,8 @@ func TestErrCanceled(t *testing.T) {
 			cancel()
 		}()
 		// Big enough that 30ms of wall time cannot finish it.
-		_, err := alltoall.RunContext(ctx, alltoall.AR,
-			alltoall.WithShape(alltoall.NewTorus(8, 8, 8)),
-			alltoall.WithMsgBytes(2048),
-			alltoall.WithShards(shards),
-		)
+		_, err := alltoall.Run(ctx, alltoall.Request{Strategy: alltoall.AR,
+			Shape: alltoall.NewTorus(8, 8, 8), MsgBytes: 2048, Shards: shards})
 		cancel()
 		if !errors.Is(err, alltoall.ErrCanceled) {
 			t.Errorf("shards=%d: err = %v, want wrapping ErrCanceled", shards, err)
@@ -54,12 +47,10 @@ func TestErrBadShape(t *testing.T) {
 	if _, err := alltoall.ParseShape("0x4"); !errors.Is(err, alltoall.ErrBadShape) {
 		t.Errorf("ParseShape err = %v, want wrapping ErrBadShape", err)
 	}
-	_, err := alltoall.RunContext(context.Background(), alltoall.AR,
-		alltoall.WithMsgBytes(64)) // zero shape
-	if !errors.Is(err, alltoall.ErrBadShape) {
-		t.Errorf("RunContext err = %v, want wrapping ErrBadShape", err)
+	req := alltoall.Request{Strategy: alltoall.AR, MsgBytes: 64} // zero shape
+	if _, err := alltoall.Run(context.Background(), req); !errors.Is(err, alltoall.ErrBadShape) {
+		t.Errorf("Run err = %v, want wrapping ErrBadShape", err)
 	}
-	req := alltoall.Request{Strategy: alltoall.AR, MsgBytes: 64}
 	if err := req.Validate(); !errors.Is(err, alltoall.ErrBadShape) {
 		t.Errorf("Request.Validate err = %v, want wrapping ErrBadShape", err)
 	}

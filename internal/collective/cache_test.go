@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -18,11 +17,11 @@ func TestNetCacheDeterminism(t *testing.T) {
 	cache := &NetCache{}
 	for _, strat := range Strategies() {
 		for _, m := range []int{8, 240} {
-			fresh, err := RunContext(context.Background(), strat, Options{Request: Request{Shape: shape, MsgBytes: m, Seed: 5}})
+			fresh, err := run(strat, Options{Request: Request{Shape: shape, MsgBytes: m, Seed: 5}})
 			if err != nil {
 				t.Fatalf("%s m=%d fresh: %v", strat, m, err)
 			}
-			cached, err := RunContext(context.Background(), strat, Options{Request: Request{Shape: shape, MsgBytes: m, Seed: 5}, Cache: cache})
+			cached, err := run(strat, Options{Request: Request{Shape: shape, MsgBytes: m, Seed: 5}, Cache: cache})
 			if err != nil {
 				t.Fatalf("%s m=%d cached: %v", strat, m, err)
 			}

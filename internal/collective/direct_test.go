@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -82,7 +81,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := run(StratAR, Options{Request: Request{Shape: small(), MsgBytes: 8, Burst: -1}}); err == nil {
 		t.Error("negative burst accepted")
 	}
-	if _, err := RunContext(context.Background(), Strategy("nope"), Options{Request: Request{Shape: small(), MsgBytes: 8}}); err == nil ||
+	if _, err := run(Strategy("nope"), Options{Request: Request{Shape: small(), MsgBytes: 8}}); err == nil ||
 		!strings.Contains(err.Error(), "unknown strategy") {
 		t.Error("unknown strategy accepted")
 	}
@@ -91,7 +90,7 @@ func TestRunValidation(t *testing.T) {
 func TestRunDispatch(t *testing.T) {
 	for _, s := range Strategies() {
 		opts := Options{Request: Request{Shape: small(), MsgBytes: 8, Seed: 3}}
-		res, err := RunContext(context.Background(), s, opts)
+		res, err := run(s, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}

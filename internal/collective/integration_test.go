@@ -13,10 +13,11 @@ import (
 // strategies): if a routing or flow-control change breaks one of the
 // paper's phenomena, one of these fails.
 
-// run is RunContext with no deadline, for the tests that set more of a run
-// than runOK's shape and message size.
+// run is Run of opts as strat with no deadline, for the tests that set more
+// of a run than runOK's shape and message size.
 func run(strat Strategy, opts Options) (Result, error) {
-	return RunContext(context.Background(), strat, opts)
+	opts.Strategy = strat
+	return Run(context.Background(), opts)
 }
 
 func runOK(t *testing.T, strat Strategy, shape torus.Shape, m int) Result {

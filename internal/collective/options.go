@@ -27,19 +27,12 @@ const (
 // Options is what a strategy runner consumes: the Request that describes the
 // run, plus the remainder a Request cannot say - machine and model overrides
 // that have no value identity, and run machinery that never changes a Result.
-// Prepare validates the Request and fills every default, once per run.
+// Run and RunPattern validate the Request and fill every default, once per run.
 type Options struct {
 	Request
 
 	Par   network.Params // zero value: network.DefaultParams()
 	Calib model.Calib    // zero value: model.DefaultCalib()
-
-	// DetRouting forces deterministic dimension-ordered routing for runs
-	// whose workload does not already fix the routing mode. Only pattern
-	// runs (traffic.RunOpts / alltoall.RunPatternContext) consult it; the
-	// collective strategies choose routing per strategy (DR is the
-	// deterministic one) and ignore this field.
-	DetRouting bool
 
 	// Cache, when non-nil, lets a run recycle the simulation network across
 	// runs that share a shape and machine parameters (message-size sweeps):
@@ -51,7 +44,8 @@ type Options struct {
 	// Observer, when non-nil, taps the simulation for instrumentation
 	// (typically an *observe.Collector). Multi-phase strategies report each
 	// phase as one observed run to the same observer. When the observer is
-	// an observe.Collector, Result.Observed carries its summary.
+	// an observe.Collector, Result.Observed carries its summary. Left nil
+	// with Request.Observe set, the run attaches a fresh collector.
 	Observer network.Observer
 
 	// SyncStats, when non-nil, receives the engine's synchronization counters
@@ -66,20 +60,20 @@ type Options struct {
 	// state is written if a run stalls or exceeds MaxTime (diagnostics).
 	DebugDump string
 
-	// cancel, when non-nil, aborts the run when closed; Prepare sets it from
+	// cancel, when non-nil, aborts the run when closed; prepare sets it from
 	// the context's Done channel. The engines poll it at window barriers and
 	// every few thousand events between.
 	cancel <-chan struct{}
 }
 
-// Prepare binds the run to ctx (cancellation aborts the simulation with an
+// prepare binds the run to ctx (cancellation aborts the simulation with an
 // error wrapping network.ErrCanceled), validates the Request and resolves
 // every default: Burst 2, PaceBurst 2, PaceFraction 0.95, Par defaulted to
 // network.DefaultParams with Check and the parsed Faults folded in, Calib,
-// and a MaxTime derived from the peak-time model. It is the one place a run
-// description becomes runnable; RunContext and pattern runs
-// (internal/traffic) call it once, before the first phase runs.
-func (o *Options) Prepare(ctx context.Context) error {
+// a MaxTime derived from the peak-time model, and the collector
+// Request.Observe asks for. It is the one place a run description becomes
+// runnable; Run and RunPattern call it once, before the first phase runs.
+func (o *Options) prepare(ctx context.Context) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -114,6 +108,9 @@ func (o *Options) Prepare(ctx context.Context) error {
 	if o.MaxTime == 0 {
 		peak := o.Shape.PeakTime(o.MsgBytes)
 		o.MaxTime = int64(peak*100) + int64(o.Shape.P())*(o.Calib.AlphaMsg+o.Calib.AlphaMPI)*64 + 1<<24
+	}
+	if o.Observe && o.Observer == nil {
+		o.Observer = observe.New(observe.Config{Window: o.ObserveWindow})
 	}
 	return nil
 }
@@ -222,61 +219,66 @@ func (o *Options) pacer(strict bool) pacer {
 	return newPacer(o.Shape, burst, o.PaceFraction)
 }
 
-// Result reports one all-to-all run.
+// Result reports one run. The struct tags are the aaserve wire form of a
+// result (snake_case, strategy-specific fields omitted when zero, covered by
+// the serve schema version); served bytes are compared with direct runs, so
+// the field order is part of the format.
 type Result struct {
-	Strategy Strategy
-	Shape    torus.Shape
-	MsgBytes int
+	Strategy Strategy    `json:"strategy"`
+	Shape    torus.Shape `json:"shape"`
+	MsgBytes int         `json:"msg_bytes"`
 
-	Time        int64   // completion time, units
-	Seconds     float64 // completion time, seconds (calibrated)
-	PeakTime    float64 // Equation 2 peak time, units
-	PercentPeak float64 // 100 * PeakTime / Time
+	Time        int64   `json:"time"`         // completion time, units
+	Seconds     float64 `json:"seconds"`      // completion time, seconds (calibrated)
+	PeakTime    float64 `json:"peak_time"`    // Equation 2 peak time, units
+	PercentPeak float64 `json:"percent_peak"` // 100 * PeakTime / Time
 
-	PerNodeMBs float64 // achieved per-node payload throughput, MB/s
+	PerNodeMBs float64 `json:"per_node_mbs"` // achieved per-node payload throughput, MB/s
 
-	PacketsInjected int64
-	WireBytes       int64
-	PayloadBytes    int64 // total application payload delivered
-	Events          int64 // logical simulator events processed (perf accounting)
+	PacketsInjected int64 `json:"packets_injected"`
+	WireBytes       int64 `json:"wire_bytes"`
+	PayloadBytes    int64 `json:"payload_bytes"` // total application payload delivered
+	Events          int64 `json:"events"`        // logical simulator events processed (perf accounting)
 	// QueuedEvents counts events pushed on and popped from the engine's
 	// event queue. Every logical event is queued exactly once, so it equals
 	// Events; the serving wire format and the benchmark read it by this name.
-	QueuedEvents int64
+	QueuedEvents int64 `json:"queued_events"`
 
-	MeanLatencyUnits float64 // mean final-packet injection-to-delivery latency
-	MaxLinkUtil      float64
-	MeanLinkUtil     float64
-	MeanCPUUtil      float64
-	MaxCPUUtil       float64
-	LastInjectUnits  int64 // time of the last injection; Time minus this is the drain tail
+	MeanLatencyUnits float64 `json:"mean_latency_units"` // mean final-packet injection-to-delivery latency
+	MaxLinkUtil      float64 `json:"max_link_util"`
+	MeanLinkUtil     float64 `json:"mean_link_util"`
+	MeanCPUUtil      float64 `json:"mean_cpu_util"`
+	MaxCPUUtil       float64 `json:"max_cpu_util"`
+	LastInjectUnits  int64   `json:"last_inject_units"` // time of the last injection; Time minus this is the drain tail
 
 	// Fault-injection outcomes (zero without Request.Faults). DeadLinkTicks
 	// sums link-downtime over the run (k links dead for d units contribute
 	// k*d); Reroutes counts packets redirected the long way around a ring
 	// after their minimal directions died. Both are identical at any shard
 	// count.
-	DeadLinkTicks int64
-	Reroutes      int64
+	DeadLinkTicks int64 `json:"dead_link_ticks,omitempty"`
+	Reroutes      int64 `json:"reroutes,omitempty"`
 
-	// TPSLinearDim is the phase-1 dimension chosen by the Two Phase
-	// Schedule (valid when Strategy == StratTPS).
-	TPSLinearDim torus.Dim
+	// TPSLinearDim is the phase-1 dimension the Two Phase Schedule ran on,
+	// in Request.TPSLinear's encoding (1/2/3 = X/Y/Z, see LinearDim.Dim); 0
+	// when Strategy is not StratTPS, which is what keeps it off the wire.
+	TPSLinearDim LinearDim `json:"tps_linear_dim,omitempty"`
 	// CreditPackets counts flow-control credit packets sent (TPS with
 	// TPSCreditWindow only).
-	CreditPackets int64
+	CreditPackets int64 `json:"credit_packets,omitempty"`
 	// MaxIntermediateBacklog is the largest forwarding backlog (packets
 	// awaiting CPU re-injection) at any intermediate node.
-	MaxIntermediateBacklog int
+	MaxIntermediateBacklog int `json:"max_intermediate_backlog,omitempty"`
 	// VMesh factorization used (valid when Strategy == StratVMesh).
-	VMeshRows, VMeshCols int
+	VMeshRows int `json:"vmesh_rows,omitempty"`
+	VMeshCols int `json:"vmesh_cols,omitempty"`
 	// PhaseTimes records per-phase completion for multi-phase strategies.
-	PhaseTimes []int64
+	PhaseTimes []int64 `json:"phase_times,omitempty"`
 
 	// Observed is the observability summary for the run, present when
 	// Options.Observer is an *observe.Collector (see alltoall.WithObserver).
 	// Multi-phase strategies fold all phases into one summary.
-	Observed *observe.Summary
+	Observed *observe.Summary `json:"observed,omitempty"`
 }
 
 // EventsPerPacket returns the queued-event volume per injected packet.
@@ -341,18 +343,17 @@ func (r *Result) utilization(st *network.Stats, links int) {
 	}
 }
 
-// RunContext executes one all-to-all under a context: cancellation aborts
-// the simulation (the serial engine polls between events, the sharded
-// engine at its window barriers) and the run fails with an error wrapping
-// network.ErrCanceled. opts.Strategy is set to strat.
-func RunContext(ctx context.Context, strat Strategy, opts Options) (Result, error) {
-	opts.Strategy = strat
-	if err := opts.Prepare(ctx); err != nil {
+// Run executes the all-to-all opts.Request describes under a context:
+// cancellation aborts the simulation (the engines poll at window barriers
+// and every few thousand events between) and the run fails with an error
+// wrapping network.ErrCanceled.
+func Run(ctx context.Context, opts Options) (Result, error) {
+	if err := opts.prepare(ctx); err != nil {
 		return Result{}, err
 	}
-	switch strat {
+	switch opts.Strategy {
 	case StratAR, StratDR, StratThrottle, StratMPI:
-		return runBurst(&opts, directRoute(opts.Shape, strat == StratDR))
+		return runBurst(&opts, directRoute(opts.Shape, opts.Strategy == StratDR))
 	case StratTPS:
 		return runTPS(&opts)
 	case StratVMesh:
@@ -360,7 +361,7 @@ func RunContext(ctx context.Context, strat Strategy, opts Options) (Result, erro
 	case StratXYZ:
 		return runBurst(&opts, xyzRoute(opts.Shape))
 	}
-	return Result{}, fmt.Errorf("collective: unknown strategy %q", strat)
+	return Result{}, fmt.Errorf("collective: unknown strategy %q", opts.Strategy)
 }
 
 // Strategies lists all implemented strategies.

@@ -1,25 +1,25 @@
-// Package traffic generalizes the communication substrate beyond the
-// paper's all-to-all: it generates many-to-many patterns (permutations,
-// shifts, transposes, hot spots, random subsets) and runs them on the
-// simulated torus with the same packetization, pacing and routing machinery
-// as the collective strategies. The paper's introduction motivates exactly
-// this: "we hope the performance analysis and the optimization techniques
-// ... can be also applied for more complex many-to-many communication
-// patterns".
-package traffic
+package collective
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
 
-	"alltoall/internal/collective"
 	"alltoall/internal/torus"
 )
 
+// Beyond the all-to-all: many-to-many patterns (permutations, shifts,
+// transposes, hot spots, random subsets) on the same route plan, list
+// schedule and run skeleton as the strategies. The paper's introduction
+// motivates exactly this: "we hope the performance analysis and the
+// optimization techniques ... can be also applied for more complex
+// many-to-many communication patterns".
+
 // Pattern produces, for every source rank, the list of destination ranks it
 // sends one message to. Destinations may repeat (multiple messages) but
-// must not include the source itself.
+// must not include the source itself. A pattern whose parameters the shape
+// cannot honour sends nothing (or names a rank off the partition), which
+// RunPattern reports as an error naming the pattern.
 type Pattern interface {
 	Name() string
 	Destinations(shape torus.Shape, src int) []int
@@ -52,6 +52,9 @@ func (s DimShift) Name() string { return fmt.Sprintf("dimshift-%v+%d", s.Dim, s.
 
 // Destinations implements Pattern.
 func (s DimShift) Destinations(shape torus.Shape, src int) []int {
+	if s.Dim < 0 || s.Dim >= torus.NumDims {
+		return nil // no such dimension; RunPattern reports the empty pattern
+	}
 	c := shape.Coords(src)
 	k := shape.Size[s.Dim]
 	c[s.Dim] = ((c[s.Dim]+s.Hops)%k + k) % k
@@ -71,7 +74,7 @@ func (Transpose) Name() string { return "transpose" }
 // Destinations implements Pattern.
 func (Transpose) Destinations(shape torus.Shape, src int) []int {
 	if shape.Size[torus.X] != shape.Size[torus.Y] {
-		return nil // undefined off the square; validated by Run
+		return nil // undefined off the square; RunPattern reports the empty pattern
 	}
 	c := shape.Coords(src)
 	c[torus.X], c[torus.Y] = c[torus.Y], c[torus.X]
@@ -131,6 +134,9 @@ func (r RandomSubset) Destinations(shape torus.Shape, src int) []int {
 	if k > p-1 {
 		k = p - 1
 	}
+	if k <= 0 {
+		return nil
+	}
 	rng := rand.New(rand.NewSource(int64(r.Seed)*1e9 + int64(src)))
 	seen := map[int]bool{src: true}
 	out := make([]int, 0, k)
@@ -145,37 +151,26 @@ func (r RandomSubset) Destinations(shape torus.Shape, src int) []int {
 	return out
 }
 
-// Result reports a pattern run.
-type Result struct {
-	Pattern          string
-	Shape            torus.Shape
-	MsgBytes         int
-	Messages         int64
-	Time             int64
-	Seconds          float64
-	MeanLatencyUnits float64
-	MaxLinkUtil      float64
-	MeanLinkUtil     float64
-	PerNodeMBs       float64 // delivered payload per node per second
-}
-
-// RunOpts executes a pattern under a context with the collective Options
-// vocabulary, the engine behind alltoall.RunPatternContext: pattern runs
-// share the all-to-all strategies' run description, list schedule and
-// delivery handler (Options.Prepare and Options.RunLists), so shape, message
-// size, shards, check, faults, MaxTime, Par, Calib, Cache, Observer and
-// DebugDump all mean the same thing here, plus Options.DetRouting for
-// deterministic dimension-ordered routing. Cancellation aborts the run with an error
-// wrapping network.ErrCanceled; an exceeded time bound wraps
-// network.ErrMaxTime.
-func RunOpts(ctx context.Context, pat Pattern, opts collective.Options) (Result, error) {
+// RunPattern executes a pattern under a context on the run opts describes:
+// shape, message size, shards, check, faults, MaxTime, Observe, Par, Calib,
+// Cache, Observer and DebugDump all mean what they mean to Run. The
+// Request's Strategy is the routing, as in the all-to-all: StratDR
+// deterministic dimension order, StratAR or "" adaptive; no other strategy
+// routes a pattern. Of the Result, PeakTime and PercentPeak stay zero
+// (Equation 2 bounds an all-to-all) and PayloadBytes/MsgBytes is the number
+// of messages sent. Cancellation wraps network.ErrCanceled, an exceeded time
+// bound network.ErrMaxTime.
+func RunPattern(ctx context.Context, pat Pattern, opts Options) (Result, error) {
+	if s := opts.Strategy; s != "" && s != StratAR && s != StratDR {
+		return Result{}, fmt.Errorf("collective: pattern %s: strategy %q does not route a pattern (want %s, %s or none)",
+			pat.Name(), s, StratAR, StratDR)
+	}
 	maxTime := opts.MaxTime
-	if err := opts.Prepare(ctx); err != nil {
+	if err := opts.prepare(ctx); err != nil {
 		return Result{}, err
 	}
-	calib := opts.Calib
 	p := opts.Shape.P()
-	msg := collective.NewMsg(opts.MsgBytes, calib.HeaderBytes)
+	msg := NewMsg(opts.MsgBytes, opts.Calib.HeaderBytes)
 	dests := make([][]int32, p)
 	var messages int64
 	wantRecv := make([]int64, p)
@@ -184,7 +179,7 @@ func RunOpts(ctx context.Context, pat Pattern, opts collective.Options) (Result,
 		dests[n] = make([]int32, len(ds))
 		for i, d := range ds {
 			if d == n || d < 0 || d >= p {
-				return Result{}, fmt.Errorf("traffic: pattern %s produced invalid destination %d from %d",
+				return Result{}, fmt.Errorf("collective: pattern %s produced invalid destination %d from %d",
 					pat.Name(), d, n)
 			}
 			dests[n][i] = int32(d)
@@ -193,33 +188,23 @@ func RunOpts(ctx context.Context, pat Pattern, opts collective.Options) (Result,
 		messages += int64(len(ds))
 	}
 	if messages == 0 {
-		return Result{}, fmt.Errorf("traffic: pattern %s sends nothing on %v", pat.Name(), opts.Shape)
+		return Result{}, fmt.Errorf("collective: pattern %s sends nothing on %v", pat.Name(), opts.Shape)
 	}
 	if maxTime == 0 {
-		// Prepare's default bounds an all-to-all; a pattern may repeat
+		// prepare's default bounds an all-to-all; a pattern may repeat
 		// destinations without limit, so bound it by its own volume.
 		opts.MaxTime = messages*msg.Wire*int64(p) + 1<<24
 	}
-	nw, t, err := opts.RunLists("traffic: "+pat.Name(), dests, msg,
-		func(n int) int64 { return wantRecv[n] })
+	nw, t, err := opts.runLists("pattern "+pat.Name(), directRoute(opts.Shape, opts.Strategy == StratDR),
+		dests, msg, 0, pacer{}, func(n int) int64 { return wantRecv[n] })
 	if err != nil {
 		return Result{}, err
 	}
-	st := nw.Stats()
-	res := Result{
-		Pattern:          pat.Name(),
-		Shape:            opts.Shape,
-		MsgBytes:         opts.MsgBytes,
-		Messages:         messages,
-		Time:             t,
-		Seconds:          calib.Seconds(float64(t)),
-		MeanLatencyUnits: st.MeanLatency(),
-		MaxLinkUtil:      st.MaxLinkUtilization(t),
-		MeanLinkUtil:     st.MeanLinkUtilization(t, opts.Shape.LinkCount()),
-	}
+	res := opts.result(t, nw.Stats())
+	res.PeakTime, res.PercentPeak, res.PerNodeMBs = 0, 0, 0
 	if t > 0 {
-		bytesPerUnit := float64(messages) * float64(opts.MsgBytes) / float64(p) / float64(t)
-		res.PerNodeMBs = bytesPerUnit / calib.BetaNsPerByte * 1e3
+		bytesPerUnit := float64(res.PayloadBytes) / float64(p) / float64(t)
+		res.PerNodeMBs = bytesPerUnit / opts.Calib.BetaNsPerByte * 1e3
 	}
 	return res, nil
 }

@@ -1,4 +1,4 @@
-package traffic
+package collective
 
 import (
 	"context"
@@ -9,16 +9,15 @@ import (
 	"strings"
 	"testing"
 
-	"alltoall/internal/collective"
 	"alltoall/internal/network"
 	"alltoall/internal/torus"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
-// tally counts what a run did, event by event, for the digest: Result has no
-// event or packet counters of its own. One run is serial, so the one sink
-// needs no partitioning.
+// tally counts what a run did, event by event, for the digest, independently
+// of the Result's own counters. One run is serial, so the one sink needs no
+// partitioning.
 type tally struct {
 	packets, grants, grantBytes, cpuOps, cpuUnits int64
 }
@@ -61,16 +60,16 @@ func TestPatternDigest(t *testing.T) {
 	var b strings.Builder
 	for _, c := range cases {
 		var n tally
-		res, err := RunOpts(context.Background(), c.pat, collective.Options{
-			Request:    collective.Request{Shape: shape, MsgBytes: 700, Seed: 1, Check: true},
-			DetRouting: c.det,
-			Observer:   &n,
-		})
+		req := Request{Shape: shape, MsgBytes: 700, Seed: 1, Check: true}
+		if c.det {
+			req.Strategy = StratDR
+		}
+		res, err := RunPattern(context.Background(), c.pat, Options{Request: req, Observer: &n})
 		if err != nil {
 			t.Fatalf("%s: %v", c.pat.Name(), err)
 		}
 		fmt.Fprintf(&b, "%-14s det %-5v messages %d time %d latency %.6f link max %.6f mean %.6f packets %d grants %d grant-bytes %d cpu-ops %d cpu-units %d\n",
-			c.pat.Name(), c.det, res.Messages, res.Time, res.MeanLatencyUnits, res.MaxLinkUtil, res.MeanLinkUtil,
+			c.pat.Name(), c.det, res.PayloadBytes/int64(res.MsgBytes), res.Time, res.MeanLatencyUnits, res.MaxLinkUtil, res.MeanLinkUtil,
 			n.packets, n.grants, n.grantBytes, n.cpuOps, n.cpuUnits)
 	}
 	path := filepath.Join("testdata", "patterns.golden")
@@ -85,7 +84,7 @@ func TestPatternDigest(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (run `go test ./internal/traffic -update` to create): %v", err)
+		t.Fatalf("missing golden file (run `go test ./internal/collective -update` to create): %v", err)
 	}
 	if b.String() != string(want) {
 		t.Errorf("pattern digests drifted from %s (re-run with -update if intended)\ngot:\n%swant:\n%s", path, b.String(), want)

@@ -3,32 +3,23 @@ package collective
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 
-	"alltoall/internal/model"
 	"alltoall/internal/network"
-	"alltoall/internal/observe"
 	"alltoall/internal/torus"
 )
 
-// ErrNotCanonical is returned by NewRequest for an Options value whose
-// remainder beyond the embedded Request is set: explicit machine Params or
-// Calib overrides, or run machinery (Observer, Cache, SyncStats, DebugDump)
-// that is identity-free by design. Test with errors.Is.
-var ErrNotCanonical = errors.New("collective: options not canonicalizable as a Request")
-
 // Request is the one description of a simulation run: everything that
 // determines a run's Result, and nothing that doesn't. It is value-comparable
-// and is the form shared by the public API (alltoall.RunRequest), the aasim
+// and is the form shared by the public API (alltoall.Run), the aasim
 // CLI, the experiments engine, and the aaserve HTTP service - the same
 // Request, wherever it is submitted, produces a byte-identical Result, which
 // is what makes Key() a sound cache and bench identity. Options embeds it and
 // adds only what a Request cannot say.
 //
-// Zero values mean "library default" throughout (Options.Prepare fills them),
+// Zero values mean "library default" throughout (Run fills them),
 // so the zero Request plus Strategy, Shape and MsgBytes is a complete job.
 //
 // The struct tags are the aaserve wire form: snake_case fields, the shape in
@@ -77,7 +68,7 @@ type Request struct {
 	// grammar ("t:node:dir:action;..."); "" faults nothing and is
 	// byte-identical to a run without it. The textual form is the only one
 	// (the grammar is a String/Parse fixed point), so Requests stay
-	// value-comparable and JSON-portable; Prepare parses it into Par.Faults.
+	// value-comparable and JSON-portable; the run parses it into Par.Faults.
 	// Links go down, come back, die permanently, or degrade at scheduled
 	// times, and packets reroute via the adaptive paths and the escape
 	// bubble channel. Multi-phase strategies (TPS, VMesh, XYZ) restart the
@@ -127,6 +118,9 @@ const dimLetters = "xyz"
 // LinearDim is Request.TPSLinear's type: 0 leaves the phase-1 dimension to
 // SelectTPSLinearDim, 1/2/3 force X/Y/Z. Its text form is "", "x", "y", "z".
 type LinearDim int
+
+// Dim returns the dimension a non-zero LinearDim names.
+func (d LinearDim) Dim() torus.Dim { return torus.Dim(d - 1) }
 
 // MarshalText renders the forced dimension's letter.
 func (d LinearDim) MarshalText() ([]byte, error) {
@@ -217,9 +211,9 @@ func (r Request) Validate() error {
 	return err
 }
 
-// check is Validate without the strategy-name test (a pattern run has no
-// strategy), returning the parsed fault schedule so Prepare does not parse
-// it a second time.
+// check is Validate without the strategy-name test (RunPattern has its own),
+// returning the parsed fault schedule so prepare does not parse it a second
+// time.
 func (r Request) check() (*network.FaultSchedule, error) {
 	if err := r.Shape.Validate(); err != nil {
 		return nil, err
@@ -314,46 +308,10 @@ func boolKey(v bool) string {
 	return "0"
 }
 
-// NewRequest returns the Request an Options value describes, for strat. It
-// only checks the remainder: Options that carry anything beyond the embedded
-// Request - explicit Par or Calib overrides, an Observer, a Cache, SyncStats,
-// a DebugDump path - return an error wrapping ErrNotCanonical, because those
-// fields are either not value-encodable (keys don't cover custom machine
-// parameters) or deliberately excluded from request identity; layer them per
-// call with RunRequest's extra options. DetRouting is dropped: the
-// collective strategies ignore it.
-func NewRequest(strat Strategy, o Options) (Request, error) {
-	var what string
-	switch {
-	case o.Par != (network.Params{}):
-		what = "explicit Params"
-	case o.Calib != (model.Calib{}):
-		what = "explicit Calib"
-	case o.Observer != nil:
-		what = "Observer (pass it as a RunRequest extra option)"
-	case o.Cache != nil:
-		what = "Cache (pass it as a RunRequest extra option)"
-	case o.SyncStats != nil:
-		what = "SyncStats (pass it as a RunRequest extra option)"
-	case o.DebugDump != "":
-		what = "DebugDump (pass it as a RunRequest extra option)"
-	case o.cancel != nil:
-		what = "cancellation channel (use RunRequest's context)"
-	}
-	if what != "" {
-		return Request{}, fmt.Errorf("%w: %s", ErrNotCanonical, what)
-	}
-	r := o.Request
-	r.Strategy = strat
-	return r, r.Validate()
-}
-
-// RunRequest executes the request under a context. The extra options are
-// applied to Options{Request: r} before the run; by contract they carry run
-// machinery only (a NetCache, an Observer, a DebugDump path) - changing
-// Request fields through them would break the Key() identity, so don't. When
-// r.Observe is set and no extra option installed an observer, a fresh
-// observe.Collector is attached so Result.Observed is populated.
+// RunRequest is Run on Options{Request: r} with the extra options applied
+// first; by contract they carry run machinery only (a NetCache, an Observer,
+// a DebugDump path) - changing Request fields through them would break the
+// Key() identity, so don't.
 //
 // A Result returned here is byte-identical for equal Requests regardless of
 // caller, concurrency, or which extra machinery was attached: that is the
@@ -365,10 +323,7 @@ func RunRequest(ctx context.Context, r Request, extra ...func(*Options)) (Result
 			f(&o)
 		}
 	}
-	if r.Observe && o.Observer == nil {
-		o.Observer = observe.New(observe.Config{Window: r.ObserveWindow})
-	}
-	return RunContext(ctx, r.Strategy, o)
+	return Run(ctx, o)
 }
 
 // UnmarshalJSON reads the wire form into a fresh Request. The field tags and

@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
-	"alltoall/internal/model"
-	"alltoall/internal/network"
-	"alltoall/internal/observe"
 	"alltoall/internal/torus"
 )
 
@@ -52,28 +50,6 @@ func everyFieldRequest(t *testing.T) Request {
 		}
 	}
 	return req
-}
-
-// TestRequestRoundTripOptions: an Options value built around a Request gives
-// the same Request back, every field included.
-func TestRequestRoundTripOptions(t *testing.T) {
-	req := fullRequest()
-	if err := req.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	back, err := NewRequest(req.Strategy, Options{Request: req})
-	if err != nil {
-		t.Fatalf("NewRequest: %v", err)
-	}
-	if back != req {
-		t.Errorf("options round trip drifted:\n got %+v\nwant %+v", back, req)
-	}
-	// The strategy argument wins over whatever the embedded Request names.
-	o := Options{Request: req}
-	o.Strategy = StratAR
-	if back, err = NewRequest(req.Strategy, o); err != nil || back != req {
-		t.Errorf("NewRequest(%s, ...) = %+v, %v; want the strategy argument to win", req.Strategy, back, err)
-	}
 }
 
 // TestRequestJSONRoundTrip sets every field and demands it back from the
@@ -220,32 +196,13 @@ func TestRequestKeyDistinguishesUnitDims(t *testing.T) {
 	}
 }
 
-func TestNewRequestRejectsMachinery(t *testing.T) {
-	good := Options{Request: Request{Shape: torus.New(4, 4, 2), MsgBytes: 64}}
-	cases := map[string]func(*Options){
-		"Params":    func(o *Options) { o.Par = network.DefaultParams() },
-		"Calib":     func(o *Options) { o.Calib = model.DefaultCalib() },
-		"Observer":  func(o *Options) { o.Observer = observe.New(observe.Config{}) },
-		"Cache":     func(o *Options) { o.Cache = &NetCache{} },
-		"DebugDump": func(o *Options) { o.DebugDump = "/tmp/dump" },
-	}
-	if _, err := NewRequest(StratAR, good); err != nil {
-		t.Fatalf("plain options should canonicalize: %v", err)
-	}
-	for name, mut := range cases {
-		o := good
-		mut(&o)
-		_, err := NewRequest(StratAR, o)
-		if !errors.Is(err, ErrNotCanonical) {
-			t.Errorf("%s: err = %v, want ErrNotCanonical", name, err)
-		}
-	}
-}
-
 func TestRequestValidate(t *testing.T) {
 	good := Request{Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good request: %v", err)
+	}
+	if err := fullRequest().Validate(); err != nil {
+		t.Fatalf("full request: %v", err)
 	}
 	bad := map[string]Request{
 		"strategy":  {Strategy: "bogus", Shape: torus.New(4, 4, 2), MsgBytes: 64},
@@ -293,41 +250,55 @@ func TestParseStrategy(t *testing.T) {
 	}
 }
 
-// TestRunRequestMatchesRun pins the front-door contract: a Request run
-// produces the identical Result as RunContext with the struct options for
-// the same configuration.
-func TestRunRequestMatchesRun(t *testing.T) {
-	opts := Options{Request: Request{Shape: torus.New(4, 4, 2), MsgBytes: 64, Seed: 3, Check: true}}
-	req, err := NewRequest(StratAR, opts)
+// TestRunRequestObserve: Observe=true yields Result.Observed without the
+// caller wiring a collector, the same summary through every entry point (the
+// pattern runner's case is in TestPatternStrategyIsTheRouting).
+func TestRunRequestObserve(t *testing.T) {
+	req := Request{Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, Observe: true}
+	viaRequest, err := RunRequest(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := RunContext(context.Background(), StratAR, opts)
+	viaOptions, err := Run(context.Background(), Options{Request: req})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaReq, err := RunRequest(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	if viaRequest.Observed == nil {
+		t.Fatal("Observe=true produced no Result.Observed")
 	}
-	if !reflect.DeepEqual(direct, viaReq) {
-		t.Errorf("RunRequest diverged from RunContext:\n direct %+v\n viaReq %+v", direct, viaReq)
+	if viaRequest.Observed.BytesByDim[0] == 0 {
+		t.Error("observed summary carries no X-dimension bytes")
+	}
+	if !reflect.DeepEqual(viaRequest, viaOptions) {
+		t.Errorf("Observe means different things to RunRequest and Run:\n%+v\n%+v", viaRequest.Observed, viaOptions.Observed)
 	}
 }
 
-// TestRunRequestObserve checks the observe auto-attach: Observe=true yields
-// Result.Observed without the caller wiring a collector.
-func TestRunRequestObserve(t *testing.T) {
-	req := Request{Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, Observe: true}
-	res, err := RunRequest(context.Background(), req)
+// TestResultWireBytes pins what the tags on Result must reproduce of the
+// struct the serving layer used to copy into (resultWire): the TPS
+// dimension as a letter and only for TPS, X included, and the
+// strategy-specific fields absent from another strategy's document.
+func TestResultWireBytes(t *testing.T) {
+	tps, err := run(StratTPS, Options{Request: Request{Shape: torus.New(8, 2, 2), MsgBytes: 64, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Observed == nil {
-		t.Fatal("Observe=true produced no Result.Observed")
+	doc, err := json.Marshal(tps)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Observed.BytesByDim[0] == 0 {
-		t.Error("observed summary carries no X-dimension bytes")
+	if !strings.Contains(string(doc), `"last_inject_units":`+strconv.FormatInt(tps.LastInjectUnits, 10)+`,"tps_linear_dim":"x","max_intermediate_backlog":`) {
+		t.Errorf("TPS on X does not say so on the wire: %s", doc)
+	}
+	doc, err = json.Marshal(Result{Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"strategy":"AR","shape":"4x4x2","msg_bytes":8,"time":0,"seconds":0,"peak_time":0,"percent_peak":0,` +
+		`"per_node_mbs":0,"packets_injected":0,"wire_bytes":0,"payload_bytes":0,"events":0,"queued_events":0,` +
+		`"mean_latency_units":0,"max_link_util":0,"mean_link_util":0,"mean_cpu_util":0,"max_cpu_util":0,"last_inject_units":0}`
+	if string(doc) != want {
+		t.Errorf("zero AR result on the wire:\n got %s\nwant %s", doc, want)
 	}
 }
 

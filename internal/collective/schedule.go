@@ -114,15 +114,10 @@ func (s *listSource) Next(now int64) (network.PacketSpec, network.SrcStatus, int
 	return spec, network.SrcReady, 0
 }
 
-// RunLists runs one phase of a prepared run in which node n sends one msg
-// straight to each of dests[n], in list order and unpaced, on deterministic
-// routing when DetRouting is set; want(n) is the payload node n must have
-// received by the end. It is how pattern runs (internal/traffic) reach the
-// list schedule, the relay and the run skeleton the strategies use.
-func (o *Options) RunLists(label string, dests [][]int32, msg Msg, want func(node int) int64) (*network.Network, int64, error) {
-	return o.runLists(label, directRoute(o.Shape, o.DetRouting), dests, msg, 0, pacer{}, want)
-}
-
+// runLists runs one phase of a prepared run in which node n sends one msg to
+// each of dests[n] over rt, in list order; want(n) is the payload node n must
+// have received by the end. VMesh's two combining phases and every pattern
+// run (pattern.go) are list phases.
 func (o *Options) runLists(label string, rt *route, dests [][]int32, msg Msg, startup int64, pace pacer,
 	want func(node int) int64) (*network.Network, int64, error) {
 	sources := make([]network.Source, len(dests))

@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -31,14 +30,14 @@ func TestShardedResultsMatchSerial(t *testing.T) {
 	}
 	cases = append(cases, cse{"TPS+credit", StratTPS, credit})
 	for _, c := range cases {
-		ref, err := RunContext(context.Background(), c.strat, c.opts)
+		ref, err := run(c.strat, c.opts)
 		if err != nil {
 			t.Fatalf("%s serial: %v", c.name, err)
 		}
 		for _, shards := range []int{2, 7} {
 			opts := c.opts
 			opts.Shards = shards
-			got, err := RunContext(context.Background(), c.strat, opts)
+			got, err := run(c.strat, opts)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", c.name, shards, err)
 			}

@@ -39,7 +39,7 @@ func otherDims(d torus.Dim) (torus.Dim, torus.Dim) {
 func runTPS(opts *Options) (Result, error) {
 	linear := SelectTPSLinearDim(opts.Shape)
 	if opts.TPSLinear > 0 {
-		linear = torus.Dim(opts.TPSLinear - 1)
+		linear = opts.TPSLinear.Dim()
 	}
 	rt := tpsRoute(opts.Shape, linear)
 	var r Result
@@ -52,6 +52,6 @@ func runTPS(opts *Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	r.TPSLinearDim = linear
+	r.TPSLinearDim = LinearDim(linear + 1)
 	return r, nil
 }

@@ -51,7 +51,7 @@ func TestRunTPSDeliversEverything(t *testing.T) {
 	if res.PayloadBytes != p*(p-1)*200 {
 		t.Errorf("payload = %d, want %d", res.PayloadBytes, p*(p-1)*200)
 	}
-	if res.TPSLinearDim != torus.X {
+	if res.TPSLinearDim.Dim() != torus.X {
 		t.Errorf("linear dim = %v, want X (planar 4x2... longest)", res.TPSLinearDim)
 	}
 }
@@ -62,7 +62,7 @@ func TestRunTPSForcedLinearDim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TPSLinearDim != torus.Y {
+	if res.TPSLinearDim.Dim() != torus.Y {
 		t.Errorf("forced linear dim not honoured: %v", res.TPSLinearDim)
 	}
 	if _, err := run(StratTPS, Options{Request: Request{Shape: shape, MsgBytes: 64, TPSLinear: 9}}); err == nil {

@@ -100,6 +100,7 @@ func runChaos(t *testing.T, strat collective.Strategy, shape torus.Shape, shards
 	t.Helper()
 	opts := collective.Options{
 		Request: collective.Request{
+			Strategy: strat,
 			Shape:    shape,
 			MsgBytes: msgBytes,
 			Seed:     1,
@@ -112,7 +113,7 @@ func runChaos(t *testing.T, strat collective.Strategy, shape torus.Shape, shards
 		opts.DebugDump = filepath.Join(dir,
 			fmt.Sprintf("chaos-%s-%v-shards%d.dump", strat, shape, shards))
 	}
-	res, err := collective.RunContext(context.Background(), strat, opts)
+	res, err := collective.Run(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("%s on %v shards=%d faults=%q (checked): %v", strat, shape, shards, fs, err)
 	}

@@ -56,6 +56,7 @@ func runChecked(t *testing.T, strat collective.Strategy, shape torus.Shape, shar
 	t.Helper()
 	opts := collective.Options{
 		Request: collective.Request{
+			Strategy: strat,
 			Shape:    shape,
 			MsgBytes: msgBytes,
 			Seed:     seed,
@@ -67,7 +68,7 @@ func runChecked(t *testing.T, strat collective.Strategy, shape torus.Shape, shar
 		opts.DebugDump = filepath.Join(dir,
 			fmt.Sprintf("%s-%v-shards%d-seed%d.dump", strat, shape, shards, seed))
 	}
-	res, err := collective.RunContext(context.Background(), strat, opts)
+	res, err := collective.Run(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("%s on %v shards=%d seed=%d (checked): %v", strat, shape, shards, seed, err)
 	}
@@ -115,8 +116,8 @@ func TestCoalesceDifferential(t *testing.T) {
 	for _, shape := range shapeMatrix() {
 		for _, strat := range strategies() {
 			run := func(t *testing.T, shards int) collective.Result {
-				res, err := collective.RunContext(context.Background(), strat,
-					collective.Options{Request: collective.Request{Shape: shape, MsgBytes: msgBytes, Seed: 1, Shards: shards}})
+				res, err := collective.Run(context.Background(),
+					collective.Options{Request: collective.Request{Strategy: strat, Shape: shape, MsgBytes: msgBytes, Seed: 1, Shards: shards}})
 				if err != nil {
 					t.Fatalf("%s on %v shards=%d: %v", strat, shape, shards, err)
 				}
@@ -198,8 +199,8 @@ func TestQuietSkipDifferential(t *testing.T) {
 				name := fmt.Sprintf("%s/%v/faults=%v", strat, shape, faults != "")
 				t.Run(name, func(t *testing.T) {
 					run := func(obs network.Observer) collective.Result {
-						res, err := collective.RunContext(context.Background(), strat, collective.Options{
-							Request:  collective.Request{Shape: shape, MsgBytes: msgBytes, Seed: 1, Check: true, Faults: faults},
+						res, err := collective.Run(context.Background(), collective.Options{
+							Request:  collective.Request{Strategy: strat, Shape: shape, MsgBytes: msgBytes, Seed: 1, Check: true, Faults: faults},
 							Observer: obs,
 						})
 						if err != nil {

@@ -189,7 +189,7 @@ func (c Config) runCell(cl cell, batch int, cache *collective.NetCache) (outcome
 		o.msg = c.largeFor(o.run)
 	}
 	opts := collective.Options{Request: collective.Request{
-		Shape: o.run, MsgBytes: o.msg, Seed: c.Seed, Shards: c.shardsFor(batch, o.run.P()),
+		Strategy: cl.strat, Shape: o.run, MsgBytes: o.msg, Seed: c.Seed, Shards: c.shardsFor(batch, o.run.P()),
 		Check: c.Check, Faults: c.Faults}}
 	if cl.tune != nil {
 		if err := cl.tune(&opts); err != nil {
@@ -202,7 +202,7 @@ func (c Config) runCell(cl cell, batch int, cache *collective.NetCache) (outcome
 		opts.Observer = o.obs
 	}
 	var err error
-	o.res, err = collective.RunContext(context.Background(), cl.strat, opts)
+	o.res, err = collective.Run(context.Background(), opts)
 	switch {
 	case err == nil:
 		c.Metrics.note(o.res)

@@ -288,7 +288,7 @@ func peakTable(id, title string, strat collective.Strategy, rows []paperRow, not
 		for i, r := range rows {
 			o := outs[i]
 			if r.dim != "" {
-				t.AddRow(o.label(), r.paper, o.res.PercentPeak, r.dim, o.res.TPSLinearDim.String())
+				t.AddRow(o.label(), r.paper, o.res.PercentPeak, r.dim, o.res.TPSLinearDim.Dim().String())
 			} else {
 				t.AddRow(o.label(), r.paper, o.res.PercentPeak, o.res.MsgBytes)
 			}

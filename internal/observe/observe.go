@@ -12,9 +12,9 @@
 // sweep; counters accumulate across runs on the same shape until Reset):
 //
 //	obs := observe.New(observe.Config{})
-//	res, err := alltoall.RunContext(ctx, alltoall.AR,
-//		alltoall.WithShape(shape), alltoall.WithMsgBytes(1024),
-//		alltoall.WithObserver(obs))
+//	res, err := collective.Run(ctx, collective.Options{
+//		Request:  collective.Request{Strategy: collective.StratAR, Shape: shape, MsgBytes: 1024},
+//		Observer: obs})
 //	fmt.Println(res.Observed.SaturatedDim, res.Observed.HoLBlocked)
 //
 // Collectors are shard-aware: each engine shard records into its own sink

@@ -18,6 +18,7 @@ func run(t *testing.T, strat collective.Strategy, shape torus.Shape, shards int,
 	t.Helper()
 	opts := collective.Options{
 		Request: collective.Request{
+			Strategy: strat,
 			Shape:    shape,
 			MsgBytes: 240,
 			Seed:     1,
@@ -27,7 +28,7 @@ func run(t *testing.T, strat collective.Strategy, shape torus.Shape, shards int,
 	if obs != nil { // a typed-nil *Collector must not become a non-nil Observer
 		opts.Observer = obs
 	}
-	res, err := collective.RunContext(context.Background(), strat, opts)
+	res, err := collective.Run(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("%s on %v: %v", strat, shape, err)
 	}
@@ -48,8 +49,8 @@ func observedAsymAR(t *testing.T) (collective.Result, *observe.Summary) {
 	t.Helper()
 	asymAR.once.Do(func() {
 		obs := observe.New(observe.Config{})
-		asymAR.res, asymAR.err = collective.RunContext(context.Background(), collective.StratAR,
-			collective.Options{Request: collective.Request{Shape: torus.New(16, 8, 4), MsgBytes: 240, Seed: 1}, Observer: obs})
+		asymAR.res, asymAR.err = collective.Run(context.Background(),
+			collective.Options{Request: collective.Request{Strategy: collective.StratAR, Shape: torus.New(16, 8, 4), MsgBytes: 240, Seed: 1}, Observer: obs})
 		asymAR.sum = obs.Summary()
 	})
 	if asymAR.err != nil {
@@ -210,8 +211,9 @@ func TestContextCancel(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err := collective.RunContext(ctx, collective.StratAR, collective.Options{
+		_, err := collective.Run(ctx, collective.Options{
 			Request: collective.Request{
+				Strategy: collective.StratAR,
 				Shape:    torus.New(8, 8, 8),
 				MsgBytes: 240,
 				Seed:     1,

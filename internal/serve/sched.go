@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -65,7 +66,7 @@ type job struct {
 
 	done  chan struct{}
 	res   collective.Result
-	body  []byte // canonical result JSON (resultJSON), nil on failure
+	body  []byte // canonical result JSON (json.Marshal of res), nil on failure
 	err   error
 	cache string // how the result was obtained: "hit", "miss" or "shared"
 
@@ -302,7 +303,7 @@ func (s *scheduler) worker() {
 		}
 		var body []byte
 		if err == nil {
-			body, err = resultJSON(res)
+			body, err = json.Marshal(res)
 		}
 		s.metrics.noteDone()
 		if err != nil {

@@ -41,7 +41,6 @@ import (
 
 	"alltoall/internal/collective"
 	"alltoall/internal/network"
-	"alltoall/internal/observe"
 	"alltoall/internal/torus"
 )
 
@@ -406,82 +405,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK,
 		s.met.body(s.cfg.Workers, s.cfg.QueueDepth, s.sched.depth(), s.cache.len(), s.cache.evicted()))
-}
-
-// resultWire is the JSON layout of a served collective.Result: snake_case,
-// optionals omitted when zero so the document stays stable across strategy
-// families. Covered by SchemaVersion.
-type resultWire struct {
-	Strategy    string  `json:"strategy"`
-	Shape       string  `json:"shape"`
-	MsgBytes    int     `json:"msg_bytes"`
-	Time        int64   `json:"time"`
-	Seconds     float64 `json:"seconds"`
-	PeakTime    float64 `json:"peak_time"`
-	PercentPeak float64 `json:"percent_peak"`
-	PerNodeMBs  float64 `json:"per_node_mbs"`
-
-	PacketsInjected int64 `json:"packets_injected"`
-	WireBytes       int64 `json:"wire_bytes"`
-	PayloadBytes    int64 `json:"payload_bytes"`
-	Events          int64 `json:"events"`
-	QueuedEvents    int64 `json:"queued_events"`
-
-	MeanLatencyUnits float64 `json:"mean_latency_units"`
-	MaxLinkUtil      float64 `json:"max_link_util"`
-	MeanLinkUtil     float64 `json:"mean_link_util"`
-	MeanCPUUtil      float64 `json:"mean_cpu_util"`
-	MaxCPUUtil       float64 `json:"max_cpu_util"`
-	LastInjectUnits  int64   `json:"last_inject_units"`
-
-	DeadLinkTicks int64 `json:"dead_link_ticks,omitempty"`
-	Reroutes      int64 `json:"reroutes,omitempty"`
-
-	TPSLinearDim           string  `json:"tps_linear_dim,omitempty"`
-	CreditPackets          int64   `json:"credit_packets,omitempty"`
-	MaxIntermediateBacklog int     `json:"max_intermediate_backlog,omitempty"`
-	VMeshRows              int     `json:"vmesh_rows,omitempty"`
-	VMeshCols              int     `json:"vmesh_cols,omitempty"`
-	PhaseTimes             []int64 `json:"phase_times,omitempty"`
-
-	Observed *observe.Summary `json:"observed,omitempty"`
-}
-
-// resultJSON encodes a Result in the canonical served form. Byte identity
-// between served and direct runs is asserted against this encoding; it must
-// be deterministic (encoding/json with fixed struct order is).
-func resultJSON(res collective.Result) ([]byte, error) {
-	w := resultWire{
-		Strategy:               string(res.Strategy),
-		Shape:                  res.Shape.Canon(),
-		MsgBytes:               res.MsgBytes,
-		Time:                   res.Time,
-		Seconds:                res.Seconds,
-		PeakTime:               res.PeakTime,
-		PercentPeak:            res.PercentPeak,
-		PerNodeMBs:             res.PerNodeMBs,
-		PacketsInjected:        res.PacketsInjected,
-		WireBytes:              res.WireBytes,
-		PayloadBytes:           res.PayloadBytes,
-		Events:                 res.Events,
-		QueuedEvents:           res.QueuedEvents,
-		MeanLatencyUnits:       res.MeanLatencyUnits,
-		MaxLinkUtil:            res.MaxLinkUtil,
-		MeanLinkUtil:           res.MeanLinkUtil,
-		MeanCPUUtil:            res.MeanCPUUtil,
-		MaxCPUUtil:             res.MaxCPUUtil,
-		LastInjectUnits:        res.LastInjectUnits,
-		DeadLinkTicks:          res.DeadLinkTicks,
-		Reroutes:               res.Reroutes,
-		CreditPackets:          res.CreditPackets,
-		MaxIntermediateBacklog: res.MaxIntermediateBacklog,
-		VMeshRows:              res.VMeshRows,
-		VMeshCols:              res.VMeshCols,
-		PhaseTimes:             res.PhaseTimes,
-		Observed:               res.Observed,
-	}
-	if res.Strategy == collective.StratTPS {
-		w.TPSLinearDim = string("xyz"[res.TPSLinearDim])
-	}
-	return json.Marshal(w)
 }

@@ -83,7 +83,7 @@ func TestServedMatchesDirect(t *testing.T) {
 				if err != nil {
 					t.Fatalf("direct run: %v", err)
 				}
-				want, err := resultJSON(direct)
+				want, err := json.Marshal(direct)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -345,7 +345,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := resultJSON(direct)
+	want, _ := json.Marshal(direct)
 	if !bytes.Equal([]byte(final.Result), want) {
 		t.Errorf("async result differs from direct run\nserved: %s\ndirect: %s", final.Result, want)
 	}

@@ -1,8 +1,9 @@
-package traffic
+package traffic_test
 
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"alltoall/internal/collective"
@@ -14,42 +15,25 @@ import (
 // produce the identical result as the serial engine.
 func TestRunOptsSharded(t *testing.T) {
 	s := torus.New(4, 4, 2)
-	serial, err := RunOpts(context.Background(), Shift{Offset: 5},
+	serial, err := collective.RunPattern(context.Background(), collective.Shift{Offset: 5},
 		collective.Options{Request: collective.Request{Shape: s, MsgBytes: 256, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := RunOpts(context.Background(), Shift{Offset: 5},
+	sharded, err := collective.RunPattern(context.Background(), collective.Shift{Offset: 5},
 		collective.Options{Request: collective.Request{Shape: s, MsgBytes: 256, Seed: 1, Shards: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial != sharded {
+	if !reflect.DeepEqual(serial, sharded) {
 		t.Errorf("sharded pattern run diverged:\nserial  %+v\nsharded %+v", serial, sharded)
-	}
-}
-
-func TestRunOptsDetRouting(t *testing.T) {
-	s := torus.New(4, 4, 2)
-	adaptive, err := RunOpts(context.Background(), Transpose{},
-		collective.Options{Request: collective.Request{Shape: s, MsgBytes: 512, Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := RunOpts(context.Background(), Transpose{},
-		collective.Options{Request: collective.Request{Shape: s, MsgBytes: 512, Seed: 1}, DetRouting: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adaptive.Messages != det.Messages {
-		t.Errorf("routing mode changed message count: %d vs %d", adaptive.Messages, det.Messages)
 	}
 }
 
 func TestRunOptsPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunOpts(ctx, Shift{Offset: 1},
+	_, err := collective.RunPattern(ctx, collective.Shift{Offset: 1},
 		collective.Options{Request: collective.Request{Shape: torus.New(4, 4, 2), MsgBytes: 64}})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
@@ -70,7 +54,7 @@ func (c lateCancel) Done() <-chan struct{} { return c.done }
 func TestRunCanceledMidRun(t *testing.T) {
 	ctx := lateCancel{context.Background(), make(chan struct{})}
 	close(ctx.done)
-	_, err := RunOpts(ctx, RandomSubset{K: 8, Seed: 3},
+	_, err := collective.RunPattern(ctx, collective.RandomSubset{K: 8, Seed: 3},
 		collective.Options{Request: collective.Request{Shape: torus.New(8, 4, 4), MsgBytes: 4096}})
 	if !errors.Is(err, network.ErrCanceled) {
 		t.Errorf("err = %v, want wrapping network.ErrCanceled", err)
@@ -79,7 +63,7 @@ func TestRunCanceledMidRun(t *testing.T) {
 
 func TestRunOptsMaxTime(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		_, err := RunOpts(context.Background(), Shift{Offset: 1},
+		_, err := collective.RunPattern(context.Background(), collective.Shift{Offset: 1},
 			collective.Options{Request: collective.Request{Shape: torus.New(4, 4, 2), MsgBytes: 4096, MaxTime: 50, Shards: shards}})
 		if !errors.Is(err, network.ErrMaxTime) {
 			t.Errorf("shards=%d: err = %v, want wrapping network.ErrMaxTime", shards, err)
