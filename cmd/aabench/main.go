@@ -15,10 +15,10 @@
 //
 // Rows of an experiment are independent simulations and run concurrently on
 // all cores (-j overrides; -j 1 is serial). When an experiment has fewer
-// rows than cores, single runs are additionally parallelized on the sharded
-// event engine (-shards overrides the automatic choice). Output is
-// byte-identical at any worker or shard count. Per-run progress goes to
-// stderr so stdout stays clean.
+// rows than workers, the engine decides how many cores each run takes: a
+// large partition spreads over the cores no other run is using (-shards
+// forces a count). Output is byte-identical at any worker or shard count.
+// Per-run progress goes to stderr so stdout stays clean.
 package main
 
 import (
@@ -72,7 +72,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of ASCII tables")
 	large := flag.Int("large", 0, "override the large-message payload bytes")
 	workers := flag.Int("j", 0, "parallel workers per experiment (0 = all cores, 1 = serial)")
-	shards := flag.Int("shards", 0, "event-engine shards per run (0 = auto, 1 = serial engine)")
+	shards := flag.Int("shards", 0, "event engines per run: 0 = the engine decides, 1 = one engine, n = exactly n (identical output)")
 	checkInv := flag.Bool("check", false, "run every simulation with the runtime invariant checker (~1.4x slower)")
 	faults := flag.String("faults", "", `link-fault schedule applied to every run, semicolon-separated "t:node:dir:action" events (see aasim -faults; node ids refer to the scaled partitions)`)
 	observeRuns := flag.Bool("observe", false, "instrument every run and print a per-run observation table after each experiment")

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	aaserve [-addr :8080] [-workers 4] [-queue 16] [-cache 512]
-//	        [-timeout 2m] [-maxshards 16] [-maxnodes 65536]
+//	        [-timeout 2m] [-maxshards <cores>] [-maxnodes 65536]
 //
 // Submit a job and block for the result:
 //
@@ -46,7 +46,7 @@ func main() {
 	queue := flag.Int("queue", 0, "job queue depth (0 = 4*workers)")
 	cache := flag.Int("cache", 512, "result cache entries (negative disables)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-job deadline")
-	maxShards := flag.Int("maxshards", 16, "per-job shard ceiling")
+	maxShards := flag.Int("maxshards", 0, "per-job ceiling on a forced shard count (0 = this machine's cores)")
 	maxNodes := flag.Int("maxnodes", 64*1024, "per-job torus size ceiling")
 	flag.Parse()
 

@@ -5,7 +5,7 @@
 //
 //	aasim -shape 8x32x16 -strategy TPS -msg 1024
 //	aasim -shape 8x8x4M -strategy AR -msg 240     # M marks a mesh dimension
-//	aasim -shape 8x8x8 -msg 1920 -shards 4        # window-parallel engine
+//	aasim -shape 8x8x8 -msg 1920 -shards 1        # force one engine (default: the engine decides)
 //	aasim -shape 16x8x8 -msg 240 -observe         # bottleneck attribution
 //	aasim -shape 16x8x8 -msg 240 -observe -trace-out run.jsonl
 package main
@@ -101,8 +101,8 @@ func simulate(req alltoall.Request, extra ...alltoall.Option) (alltoall.Result, 
 }
 
 // renderFooter prints the wall-time line. It names the engine that ran, read
-// from the run's SyncStats, not the -shards that was asked for: the engine
-// clamps a request to the node count.
+// from the run's SyncStats, not the -shards that was asked for: at 0 the
+// engine picks the count, and it clamps any request to the node count.
 func renderFooter(w io.Writer, elapsed time.Duration, ss network.SyncStats, events int64) {
 	engine := "serial"
 	if ss.Shards > 1 {
@@ -118,7 +118,7 @@ func main() {
 	msg := flag.Int("msg", 1024, "per-pair payload bytes")
 	seed := flag.Uint64("seed", 1, "randomization seed")
 	burst := flag.Int("burst", 0, "packets per destination visit (0 = default)")
-	shards := flag.Int("shards", 1, "event-engine shards; >1 parallelizes this run across cores (identical output)")
+	shards := flag.Int("shards", 0, "event engines for this run: 0 = the engine decides, 1 = one engine, n = exactly n (identical output)")
 	checkInv := flag.Bool("check", false, "enable the runtime invariant checker (~1.4x slower; fails with a node/time-stamped diagnostic on violation)")
 	faults := flag.String("faults", "", `link-fault schedule, semicolon-separated "t:node:dir:action" events (dir: +x -x +y -y +z -z; action: down, up, kill, or xN degrade), e.g. "0:12:+x:kill;5000:40:-y:down;9000:40:-y:up"`)
 	observe := flag.Bool("observe", false, "instrument the run and print a bottleneck-attribution report")

@@ -50,12 +50,12 @@ type Request struct {
 	// congestion collapse on saturating workloads).
 	Unpaced bool `json:"unpaced,omitempty"`
 
-	// Shards > 1 runs the simulation on the window-parallel sharded engine
-	// with that many workers (see network.RunSharded); results are
-	// byte-identical to the serial engine, which 0 or 1 selects. Use
-	// run-level parallelism (experiments.Config.Workers) when there are
-	// enough runs to fill the cores; shards help when a single large run is
-	// the bottleneck.
+	// Shards is how many engines advance the simulation in lockstep windows
+	// (see network.RunSharded): 0 = the engine decides (one engine for a
+	// small partition or while other runs of this process occupy the
+	// cores, several for a large run alone), 1 = one engine, n = exactly n.
+	// It only schedules the run: results are byte-identical at any value,
+	// which is why it is not part of Key.
 	Shards int `json:"shards,omitempty"`
 	// Check enables the simulator's runtime invariant checker (it turns
 	// Par.Check on): every event is validated against the machine's

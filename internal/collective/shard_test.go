@@ -1,9 +1,13 @@
 package collective
 
 import (
+	"context"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"alltoall/internal/network"
 	"alltoall/internal/torus"
 )
 
@@ -45,6 +49,88 @@ func TestShardedResultsMatchSerial(t *testing.T) {
 				t.Errorf("%s shards=%d: result differs from serial\nserial:  %+v\nsharded: %+v",
 					c.name, shards, ref, got)
 			}
+		}
+	}
+}
+
+// TestAutoShardsMatchOneEngine: leaving Shards at 0 on a partition large
+// enough for the engine to split (8x8x8 is the floor) gives the Result of a
+// forced single engine, field for field - three strategies, once under the
+// invariant checker, and a many-to-many pattern. On a multi-core box the
+// auto run must really have used more than one engine, or the comparison
+// says nothing.
+func TestAutoShardsMatchOneEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	shape := torus.New(8, 8, 8)
+	for _, c := range []struct {
+		name string
+		req  Request
+		pat  Pattern
+	}{
+		{"AR+check", Request{Strategy: StratAR, Shape: shape, MsgBytes: 8, Seed: 3, Check: true}, nil},
+		{"TPS", Request{Strategy: StratTPS, Shape: shape, MsgBytes: 8, Seed: 3}, nil},
+		{"DR", Request{Strategy: StratDR, Shape: shape, MsgBytes: 8, Seed: 3}, nil},
+		{"many-to-16", Request{Shape: shape, MsgBytes: 208, Seed: 3}, RandomSubset{K: 16, Seed: 2}},
+	} {
+		var results [2]Result
+		var engines [2]int
+		for shards := range results {
+			var ss network.SyncStats
+			opts := Options{Request: c.req, SyncStats: &ss}
+			opts.Shards = shards
+			var err error
+			if c.pat != nil {
+				results[shards], err = RunPattern(context.Background(), c.pat, opts)
+			} else {
+				results[shards], err = Run(context.Background(), opts)
+			}
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", c.name, shards, err)
+			}
+			engines[shards] = ss.Shards
+		}
+		if !reflect.DeepEqual(results[0], results[1]) {
+			t.Errorf("%s: auto result differs from one engine\none:  %+v\nauto: %+v", c.name, results[1], results[0])
+		}
+		if engines[1] != 1 {
+			t.Errorf("%s: Shards 1 ran %d engines", c.name, engines[1])
+		}
+		if want := min(runtime.GOMAXPROCS(0), 4); engines[0] != want {
+			t.Errorf("%s: Shards 0 alone on %d cores ran %d engines, want %d", c.name, runtime.GOMAXPROCS(0), engines[0], want)
+		}
+	}
+}
+
+// BenchmarkShardsByShape times AR with one full packet per pair at forced
+// engine counts on the paper's partitions either side of the auto-sharding
+// floor, on a warm NetCache. It is the harness behind EXPERIMENTS.md's "Shards
+// by shape" table (-benchtime 1x, one process per round); wait_share is the
+// fraction of the engines' wall time spent in timed barrier waits.
+func BenchmarkShardsByShape(b *testing.B) {
+	for _, name := range []string{"8x8", "8x16", "8x8x2M", "8x8x4M", "16x4x4", "8x8x8", "8x8x16"} {
+		shape, err := torus.Parse(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(b *testing.B) {
+				var ss network.SyncStats
+				opts := Options{Request: Request{Strategy: StratAR, Shape: shape, MsgBytes: 208, Seed: 1, Shards: shards},
+					Cache: &NetCache{}, SyncStats: &ss}
+				if _, err := Run(context.Background(), opts); err != nil {
+					b.Fatal(err)
+				}
+				ss = network.SyncStats{}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(context.Background(), opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(ss.BlockedWaitNs)/(float64(shards)*float64(b.Elapsed().Nanoseconds())), "wait_share")
+			})
 		}
 	}
 }

@@ -189,7 +189,7 @@ func (c Config) runCell(cl cell, batch int, cache *collective.NetCache) (outcome
 		o.msg = c.largeFor(o.run)
 	}
 	opts := collective.Options{Request: collective.Request{
-		Strategy: cl.strat, Shape: o.run, MsgBytes: o.msg, Seed: c.Seed, Shards: c.shardsFor(batch, o.run.P()),
+		Strategy: cl.strat, Shape: o.run, MsgBytes: o.msg, Seed: c.Seed, Shards: c.shardsFor(batch),
 		Check: c.Check, Faults: c.Faults}}
 	if cl.tune != nil {
 		if err := cl.tune(&opts); err != nil {

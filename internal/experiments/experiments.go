@@ -42,12 +42,10 @@ type Config struct {
 	// points fan out over this many goroutines (0 = GOMAXPROCS, 1 =
 	// serial). Tables are byte-identical at any setting.
 	Workers int
-	// Shards selects the intra-run engine: > 1 forces the window-parallel
-	// sharded engine with that many workers per simulation, 1 forces the
-	// serial engine, and 0 (default) picks automatically - sharding only
-	// when a batch of runs is too small to fill the worker pool and the
-	// partition is large enough to amortize the window barriers. Tables
-	// are byte-identical at any setting.
+	// Shards forces every run's engine count (collective.Request.Shards:
+	// 1 = one engine, n = exactly n). 0 (default) leaves it to the engine,
+	// except that a grid with a row for every worker asks for one engine
+	// outright (shardsFor). Tables are byte-identical at any setting.
 	Shards int
 	// Progress, when non-nil, receives one line per completed run
 	// (typically os.Stderr, so tables on stdout stay clean).
@@ -118,21 +116,20 @@ func (c Config) scale(s torus.Shape) torus.Shape {
 	return s
 }
 
-// shardsFor picks the per-run shard count for a partition of the given node
-// count inside a fan-out of batch independent rows. Run-level parallelism
-// is strictly cheaper (no window barriers), so the sharded engine is only
-// auto-selected when the batch leaves workers idle, and only on partitions
-// big enough that each shard still owns a few dozen routers. Results are
-// identical either way; this is purely a scheduling decision.
-func (c Config) shardsFor(batch, nodes int) int {
+// shardsFor is the Request.Shards of a run inside a fan-out of batch
+// independent rows. How many engines a run is worth is the engine's call
+// (network.RunSharded sees the partition and the cores in use); the one thing
+// only the grid knows is that more rows are coming: with a row for every
+// worker, run-level parallelism fills the cores without a barrier, so the
+// first row must not take the cores its neighbours are about to need.
+func (c Config) shardsFor(batch int) int {
 	if c.Shards != 0 {
 		return c.Shards
 	}
-	w := parallel.Workers(c.Workers)
-	if batch >= w || nodes < 512 {
+	if batch >= parallel.Workers(c.Workers) {
 		return 1
 	}
-	return min(w/batch, 8)
+	return 0
 }
 
 // experiment is one table or figure: the grid of runs behind it and the

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"alltoall/internal/parallel"
 	"alltoall/internal/torus"
 )
 
@@ -237,6 +238,9 @@ func TestFailedRunThenResetRecycles(t *testing.T) {
 				nw.SetCancel(ch)
 				if _, err := nw.RunSharded(maxTime, s); !errors.Is(err, fail) {
 					t.Fatalf("shards=%d: err = %v, want %v", s, err, fail)
+				}
+				if n := parallel.CoresInUse(); n != 0 {
+					t.Fatalf("%v at shards=%d left %d engine cores registered", fail, s, n)
 				}
 				nw.SetCancel(nil)
 				h.reset()

@@ -108,18 +108,50 @@ func (nw *Network) ensureShards(s int) {
 	nw.barrier = parallel.NewBarrier(s)
 }
 
+// Auto-sharding thresholds (RunSharded with shards == 0). Below
+// autoShardNodes a run stays on one engine: its working set fits one core's
+// cache and its windows hold too little work to pay for two barrier crossings
+// each (EXPERIMENTS.md, "Shards by shape"). Above it every engine keeps at
+// least nodesPerShard routers, and maxAutoShards bounds what one run takes
+// however many cores there are.
+const (
+	autoShardNodes = 512
+	nodesPerShard  = 128
+	maxAutoShards  = 8
+)
+
 // RunSharded is the one driver of a simulation: the torus is partitioned into
-// shards contiguous node slabs, each advanced by its own engine in lockstep
-// barrier windows, engine 0 on the calling goroutine. Output - completion
-// time, statistics, handler observations - is byte-identical at any shard
-// count. shards <= 1 (or a degenerate configuration whose safe window would
-// be empty) runs one engine through the same loop: its single window is the
-// whole run, nothing crosses a boundary and no goroutine starts.
+// contiguous node slabs, each advanced by its own engine in lockstep barrier
+// windows, engine 0 on the calling goroutine. Output - completion time,
+// statistics, handler observations - is byte-identical at any engine count.
+//
+// shards says how many engines: n >= 1 runs exactly n (clamped to the node
+// count), and 0 lets the engine decide, here and nowhere else - one engine
+// below autoShardNodes nodes, otherwise min(P/nodesPerShard, maxAutoShards)
+// but no more than the cores no other run of this process is using
+// (parallel.ClaimCores; every run registers its engines there for as long as
+// it runs, so concurrent runs see each other). One engine (also the outcome
+// of a degenerate configuration whose safe window would be empty) runs the
+// same loop: its single window is the whole run, nothing crosses a boundary
+// and no goroutine starts.
 func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 	window := shardSafeWindow(nw.Par)
-	shards = min(shards, nw.P)
-	if shards <= 1 || window <= 0 {
-		shards, window = 1, maxInt64
+	auto := shards == 0
+	if auto && nw.P >= autoShardNodes {
+		shards = min(nw.P/nodesPerShard, maxAutoShards)
+	}
+	shards = max(1, min(shards, nw.P))
+	if window <= 0 {
+		shards = 1
+	}
+	if auto {
+		shards = parallel.ClaimCores(shards)
+	} else {
+		parallel.UseCores(shards)
+	}
+	defer parallel.ReleaseCores(shards)
+	if shards == 1 {
+		window = maxInt64
 	}
 	nw.ensureShards(shards)
 	if nw.observer != nil {

@@ -1,10 +1,14 @@
 package network
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
+	"alltoall/internal/parallel"
 	"alltoall/internal/torus"
 )
 
@@ -261,5 +265,132 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	run()
 	if avg := testing.AllocsPerRun(10, run); avg > shards {
 		t.Errorf("steady-state sharded run allocates %.1f times per run, want <= %d", avg, shards)
+	}
+}
+
+// autoRun runs shardTraffic on shape with the shard count left to the engine
+// and returns the count it chose.
+func autoRun(t *testing.T, shape torus.Shape) int {
+	t.Helper()
+	p := shape.P()
+	nw, err := New(shape, DefaultParams(), shardTraffic(p, 42), newShardCountHandler(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.RunSharded(1<<40, 0); err != nil {
+		t.Fatalf("%v auto: %v", shape, err)
+	}
+	return nw.SyncStats().Shards
+}
+
+// TestAutoShardPolicy pins what RunSharded(_, 0) decides: one engine below
+// 512 nodes however many cores idle, one engine when the cores are taken,
+// min(GOMAXPROCS, P/128, 8) for a large run alone - and that a forced count
+// ignores all of it.
+func TestAutoShardPolicy(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cube, slab := torus.New(8, 8, 8), torus.New(8, 8, 16)
+	for _, c := range []struct {
+		procs int
+		shape torus.Shape
+		want  int
+	}{
+		{16, torus.New(8, 8, 4), 1}, // 256 nodes: below the floor
+		{1, cube, 1},
+		{2, cube, 2},
+		{3, cube, 3},
+		{16, cube, 4}, // P/128
+		{6, slab, 6},
+		{16, slab, 8}, // P/128 = the cap
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		if got := autoRun(t, c.shape); got != c.want {
+			t.Errorf("%v alone on %d cores ran %d engines, want %d", c.shape, c.procs, got, c.want)
+		}
+		if n := parallel.CoresInUse(); n != 0 {
+			t.Fatalf("%d engine cores registered after the run", n)
+		}
+	}
+
+	runtime.GOMAXPROCS(4)
+	parallel.UseCores(3) // somebody else's engines
+	if got := autoRun(t, cube); got != 1 {
+		t.Errorf("8x8x8 with 1 core of 4 free ran %d engines, want 1", got)
+	}
+	parallel.UseCores(5)
+	if got := autoRun(t, cube); got != 1 {
+		t.Errorf("8x8x8 with the cores oversubscribed ran %d engines, want 1", got)
+	}
+	nw, err := New(cube, DefaultParams(), shardTraffic(cube.P(), 42), newShardCountHandler(cube.P()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.RunSharded(1<<40, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := nw.SyncStats().Shards; got != 3 {
+		t.Errorf("a forced 3 with the cores oversubscribed ran %d engines", got)
+	}
+	parallel.ReleaseCores(8)
+	if n := parallel.CoresInUse(); n != 0 {
+		t.Fatalf("%d engine cores registered at the end", n)
+	}
+}
+
+// TestAutoShardReleasesCores: the process-wide count is back at zero after
+// an auto-sharded run that overruns maxTime, one that is cancelled, and
+// eight concurrent ones, which between them never hold more than one core
+// per run plus the idle ones.
+func TestAutoShardReleasesCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(4)
+	shape := torus.New(8, 8, 8)
+	p := shape.P()
+	fresh := func() *Network {
+		nw, err := New(shape, DefaultParams(), shardTraffic(p, 42), newShardCountHandler(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw
+	}
+	if _, err := fresh().RunSharded(100, 0); !errors.Is(err, ErrMaxTime) {
+		t.Fatalf("err = %v, want ErrMaxTime", err)
+	}
+	if n := parallel.CoresInUse(); n != 0 {
+		t.Errorf("%d engine cores registered after ErrMaxTime", n)
+	}
+	nw := fresh()
+	gone := make(chan struct{})
+	close(gone)
+	nw.SetCancel(gone)
+	if _, err := nw.RunSharded(1<<40, 0); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if n := parallel.CoresInUse(); n != 0 {
+		t.Errorf("%d engine cores registered after a cancelled run", n)
+	}
+
+	const runs = 8
+	engines := make([]int, runs)
+	var wg sync.WaitGroup
+	wg.Add(runs)
+	for i := 0; i < runs; i++ {
+		nw := fresh()
+		go func() {
+			defer wg.Done()
+			if _, err := nw.RunSharded(1<<40, 0); err != nil {
+				t.Errorf("concurrent run %d: %v", i, err)
+			}
+			engines[i] = nw.SyncStats().Shards
+		}()
+	}
+	wg.Wait()
+	if n := parallel.CoresInUse(); n != 0 {
+		t.Errorf("%d engine cores registered after %d concurrent runs", n, runs)
+	}
+	for i, e := range engines {
+		if e < 1 || e > 4 {
+			t.Errorf("concurrent run %d ran %d engines on 4 cores", i, e)
+		}
 	}
 }

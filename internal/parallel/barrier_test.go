@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -102,4 +103,51 @@ func BenchmarkBarrier(bm *testing.B) {
 		b.Await()
 	}
 	wg.Wait()
+}
+
+// TestBarrierParkedCrossings drives the parked slow path: more participants
+// than GOMAXPROCS cross 10^5 times, and on every 250th crossing participant 0
+// holds back until all the others are asleep on the condition variable, so
+// the last arrival really is the only thing that can wake them. A lost
+// wake-up leaves the run hung (the watchdog names it); a premature one
+// breaks the phase check.
+func TestBarrierParkedCrossings(t *testing.T) {
+	workers := runtime.GOMAXPROCS(0) + 3
+	const phases = 100_000
+	const holdEvery = 250
+	b := NewBarrier(workers)
+	done := make([]atomic.Int32, phases)
+	var early atomic.Int32
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for p := 0; p < phases; p++ {
+				if w == 0 && p%holdEvery == 0 {
+					for b.parked.Load() != int32(workers-1) {
+						runtime.Gosched()
+					}
+				}
+				done[p].Add(1)
+				b.Await()
+				if done[p].Load() != int32(workers) {
+					early.Add(1)
+				}
+			}
+		}()
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("barrier hung with %d of %d waiters parked: a wake-up was lost", b.parked.Load(), workers-1)
+	}
+	if n := early.Load(); n != 0 {
+		t.Errorf("%d crossings returned before every participant had arrived", n)
+	}
+	if n := b.parked.Load(); n != 0 {
+		t.Errorf("%d waiters still counted as parked after the last crossing", n)
+	}
 }

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -54,7 +55,7 @@ type Config struct {
 	CacheEntries   int           // result cache capacity, 0 = default, <0 disables
 	DefaultTimeout time.Duration // per-job deadline when the request has none (default 2m)
 	RetainJobs     int           // finished async jobs kept for polling (default 256)
-	MaxShards      int           // per-job shard ceiling (default 16)
+	MaxShards      int           // per-job ceiling on a forced shard count (default GOMAXPROCS)
 	MaxNodes       int           // per-job torus size ceiling (default 65536)
 
 	run runFunc // test hook; nil = collective.RunRequest
@@ -77,7 +78,7 @@ func (c Config) withDefaults() Config {
 		c.RetainJobs = 256
 	}
 	if c.MaxShards <= 0 {
-		c.MaxShards = 16
+		c.MaxShards = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 64 * 1024
@@ -220,7 +221,7 @@ func decodeSubmit(r *http.Request) (submitBody, error) {
 // Request.Validate.
 func (s *Server) admissible(req collective.Request) error {
 	if req.Shards > s.cfg.MaxShards {
-		return fmt.Errorf("serve: shards %d exceeds limit %d", req.Shards, s.cfg.MaxShards)
+		return fmt.Errorf("serve: shards %d exceeds limit %d (the server's cores unless -maxshards says otherwise; omit shards to let the engine decide)", req.Shards, s.cfg.MaxShards)
 	}
 	if p := req.Shape.P(); p > s.cfg.MaxNodes {
 		return fmt.Errorf("serve: %d nodes exceeds limit %d", p, s.cfg.MaxNodes)

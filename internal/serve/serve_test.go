@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -68,8 +69,9 @@ func TestServedMatchesDirect(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				// A cold cache per case: the key does not carry the shard
 				// count, so a shared server would answer shards=4 from the
-				// shards=1 entry and never serve a sharded run.
-				h := testServer(t, Config{Workers: 2}).Handler()
+				// shards=1 entry and never serve a sharded run. The ceiling
+				// is raised because it defaults to this box's cores.
+				h := testServer(t, Config{Workers: 2, MaxShards: 4}).Handler()
 				req := collective.Request{
 					Strategy: collective.StratAR,
 					Shape:    torus.New(4, 4, 2),
@@ -123,7 +125,7 @@ func TestServedMatchesDirect(t *testing.T) {
 // no Result byte, so the same job asked for at another shard count is a cache
 // hit, not a second simulation.
 func TestShardsShareOneCacheEntry(t *testing.T) {
-	s := testServer(t, Config{Workers: 1})
+	s := testServer(t, Config{Workers: 1, MaxShards: 2}) // admitted on a 1-core box too
 	body := func(shards int) string {
 		return fmt.Sprintf(`{"strategy":"AR","shape":"4x4x2","msg_bytes":240,"seed":1,"shards":%d}`, shards)
 	}
@@ -290,19 +292,29 @@ func TestMaxTimeMapping(t *testing.T) {
 	}
 }
 
+// TestLimitsRejected: the shard ceiling defaults to the cores of the machine
+// (a forced count above them only adds barrier goroutines), so one past
+// GOMAXPROCS is refused with a message naming the limit while the count
+// itself is admitted.
 func TestLimitsRejected(t *testing.T) {
-	s := testServer(t, Config{Workers: 1, MaxShards: 2, MaxNodes: 100})
+	s := testServer(t, Config{Workers: 1, MaxNodes: 100})
 	h := s.Handler()
-	for name, body := range map[string]string{
-		"shards": `{"strategy":"AR","shape":"4x4x2","msg_bytes":64,"shards":8}`,
-		"nodes":  `{"strategy":"AR","shape":"8x8x8","msg_bytes":64}`,
+	cores := runtime.GOMAXPROCS(0)
+	for name, c := range map[string]struct{ body, msg string }{
+		"shards": {fmt.Sprintf(`{"strategy":"AR","shape":"4x4x2","msg_bytes":64,"shards":%d}`, cores+1),
+			fmt.Sprintf("shards %d exceeds limit %d", cores+1, cores)},
+		"nodes": {`{"strategy":"AR","shape":"8x8x8","msg_bytes":64}`, "512 nodes exceeds limit 100"},
 	} {
-		w := post(t, h, "/v1/jobs", body)
+		w := post(t, h, "/v1/jobs", c.body)
 		var eb errorBody
 		json.Unmarshal(w.Body.Bytes(), &eb)
-		if w.Code != http.StatusBadRequest || eb.Code != "limits" {
-			t.Errorf("%s: %d %q, want 400 limits", name, w.Code, eb.Code)
+		if w.Code != http.StatusBadRequest || eb.Code != "limits" || !strings.Contains(eb.Error, c.msg) {
+			t.Errorf("%s: %d %q %q, want 400 limits %q", name, w.Code, eb.Code, eb.Error, c.msg)
 		}
+	}
+	w := post(t, h, "/v1/jobs", fmt.Sprintf(`{"strategy":"AR","shape":"4x4x2","msg_bytes":64,"shards":%d}`, cores))
+	if w.Code != http.StatusOK {
+		t.Errorf("shards = the core count: %d %s, want 200", w.Code, w.Body.String())
 	}
 }
 
