@@ -42,7 +42,10 @@ func (c *tally) OnCPU(_ int64, _ int32, cost int64) {
 // on deterministic routing) byte for byte: completion time, latency and link
 // load from the Result, and packet, link-grant and CPU-operation counts from
 // an observer. It is the oracle for changes to the schedule and delivery code
-// the pattern runs share with the all-to-all strategies.
+// the pattern runs share with the all-to-all strategies, and it pins each
+// pattern's size: P messages for a shift and a permutation, P less the
+// diagonal for a transpose, P-1 for a hot spot, K*P for a subset, on adaptive
+// and on deterministic routing.
 func TestPatternDigest(t *testing.T) {
 	shape := torus.New(4, 4, 2)
 	cases := []struct {

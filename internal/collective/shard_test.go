@@ -55,51 +55,37 @@ func TestShardedResultsMatchSerial(t *testing.T) {
 
 // TestAutoShardsMatchOneEngine: leaving Shards at 0 on a partition large
 // enough for the engine to split (8x8x8 is the floor) gives the Result of a
-// forced single engine, field for field - three strategies, once under the
-// invariant checker, and a many-to-many pattern. On a multi-core box the
-// auto run must really have used more than one engine, or the comparison
-// says nothing.
+// forced single engine, field for field, under the invariant checker. On a
+// multi-core box the auto run must really have used more than one engine, or
+// the comparison says nothing. One strategy is enough: the count the engine
+// picks depends only on the partition and the idle cores (network's
+// TestAutoShardPolicy), sharded identity for every strategy is
+// TestShardedResultsMatchSerial's and for patterns TestRunOptsSharded's.
 func TestAutoShardsMatchOneEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	shape := torus.New(8, 8, 8)
-	for _, c := range []struct {
-		name string
-		req  Request
-		pat  Pattern
-	}{
-		{"AR+check", Request{Strategy: StratAR, Shape: shape, MsgBytes: 8, Seed: 3, Check: true}, nil},
-		{"TPS", Request{Strategy: StratTPS, Shape: shape, MsgBytes: 8, Seed: 3}, nil},
-		{"DR", Request{Strategy: StratDR, Shape: shape, MsgBytes: 8, Seed: 3}, nil},
-		{"many-to-16", Request{Shape: shape, MsgBytes: 208, Seed: 3}, RandomSubset{K: 16, Seed: 2}},
-	} {
-		var results [2]Result
-		var engines [2]int
-		for shards := range results {
-			var ss network.SyncStats
-			opts := Options{Request: c.req, SyncStats: &ss}
-			opts.Shards = shards
-			var err error
-			if c.pat != nil {
-				results[shards], err = RunPattern(context.Background(), c.pat, opts)
-			} else {
-				results[shards], err = Run(context.Background(), opts)
-			}
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", c.name, shards, err)
-			}
-			engines[shards] = ss.Shards
+	req := Request{Strategy: StratAR, Shape: torus.New(8, 8, 8), MsgBytes: 8, Seed: 3, Check: true}
+	var results [2]Result
+	var engines [2]int
+	for shards := range results {
+		var ss network.SyncStats
+		opts := Options{Request: req, SyncStats: &ss}
+		opts.Shards = shards
+		var err error
+		if results[shards], err = Run(context.Background(), opts); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if !reflect.DeepEqual(results[0], results[1]) {
-			t.Errorf("%s: auto result differs from one engine\none:  %+v\nauto: %+v", c.name, results[1], results[0])
-		}
-		if engines[1] != 1 {
-			t.Errorf("%s: Shards 1 ran %d engines", c.name, engines[1])
-		}
-		if want := min(runtime.GOMAXPROCS(0), 4); engines[0] != want {
-			t.Errorf("%s: Shards 0 alone on %d cores ran %d engines, want %d", c.name, runtime.GOMAXPROCS(0), engines[0], want)
-		}
+		engines[shards] = ss.Shards
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Errorf("auto result differs from one engine\none:  %+v\nauto: %+v", results[1], results[0])
+	}
+	if engines[1] != 1 {
+		t.Errorf("Shards 1 ran %d engines", engines[1])
+	}
+	if want := min(runtime.GOMAXPROCS(0), 4); engines[0] != want {
+		t.Errorf("Shards 0 alone on %d cores ran %d engines, want %d", runtime.GOMAXPROCS(0), engines[0], want)
 	}
 }
 

@@ -1,11 +1,8 @@
 package conformance
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -95,47 +92,24 @@ func randomFaults(shape torus.Shape, seed uint64) *network.FaultSchedule {
 	return fs
 }
 
-// runChaos is runChecked with a fault schedule installed.
-func runChaos(t *testing.T, strat collective.Strategy, shape torus.Shape, shards int, fs *network.FaultSchedule) collective.Result {
-	t.Helper()
-	opts := collective.Options{
-		Request: collective.Request{
-			Strategy: strat,
-			Shape:    shape,
-			MsgBytes: msgBytes,
-			Seed:     1,
-			Check:    true,
-			Shards:   shards,
-			Faults:   fs.String(),
-		},
-	}
-	if dir := os.Getenv("CONFORMANCE_ARTIFACTS"); dir != "" {
-		opts.DebugDump = filepath.Join(dir,
-			fmt.Sprintf("chaos-%s-%v-shards%d.dump", strat, shape, shards))
-	}
-	res, err := collective.Run(context.Background(), opts)
-	if err != nil {
-		t.Fatalf("%s on %v shards=%d faults=%q (checked): %v", strat, shape, shards, fs, err)
-	}
-	return res
-}
-
 // chaosCompare holds a faulted configuration to the suite's three properties:
 // serial, 2- and 4-shard runs are byte-identical (exactly-once delivery and the
 // invariant audits are enforced inside each checked run), and faults never
-// beat the healthy twin beyond the adaptive-routing noise band - on these
-// small shapes a dead link occasionally steers the adaptive JSQ choice onto
-// a serendipitously better path, so up to 5% improvement is tolerated,
-// never more.
-func chaosCompare(t *testing.T, strat collective.Strategy, shape torus.Shape, fs *network.FaultSchedule, healthy collective.Result) {
+// beat the healthy twin (the baseline) beyond the adaptive-routing noise band
+// - on these small shapes a dead link occasionally steers the adaptive JSQ
+// choice onto a serendipitously better path, so up to 5% improvement is
+// tolerated, never more.
+func chaosCompare(t *testing.T, strat collective.Strategy, shape torus.Shape, fs *network.FaultSchedule) {
 	t.Helper()
-	serial := runChaos(t, strat, shape, 1, fs)
+	faulted := cell{strat: strat, shape: shape, shards: 1, seed: 1, faults: fs.String(), check: true}
+	serial := runCell(t, faulted)
 	for _, shards := range []int{2, 4} {
-		if sharded := runChaos(t, strat, shape, shards, fs); !reflect.DeepEqual(serial, sharded) {
+		faulted.shards = shards
+		if sharded := runCell(t, faulted); !reflect.DeepEqual(serial, sharded) {
 			t.Errorf("serial and %d-shard faulted runs differ:\nserial:  %+v\nsharded: %+v", shards, serial, sharded)
 		}
 	}
-	if serial.Time < healthy.Time*95/100 {
+	if healthy := baseline(t, strat, shape); serial.Time < healthy.Time*95/100 {
 		t.Errorf("faults improved completion beyond the noise band: faulted %d, healthy %d (schedule %q)",
 			serial.Time, healthy.Time, fs)
 	}
@@ -154,19 +128,13 @@ func TestChaosMatrix(t *testing.T) {
 	}
 	for _, shape := range shapeMatrix() {
 		for _, strat := range strategies() {
-			healthy := collective.Result{}
-			haveHealthy := false
 			for _, seed := range seeds {
 				fs := randomFaults(shape, seed)
 				if len(fs.Events) == 0 {
 					continue
 				}
 				t.Run(fmt.Sprintf("%s/%v/seed=%d", strat, shape, seed), func(t *testing.T) {
-					if !haveHealthy {
-						healthy = runChecked(t, strat, shape, 1, 1)
-						haveHealthy = true
-					}
-					chaosCompare(t, strat, shape, fs, healthy)
+					chaosCompare(t, strat, shape, fs)
 				})
 			}
 		}
@@ -186,14 +154,13 @@ func TestChaosSoak(t *testing.T) {
 		n = 32
 	}
 	shape := torus.New(4, 4, 4)
-	healthy := runChecked(t, collective.StratAR, shape, 1, 1)
 	for seed := uint64(100); seed < 100+n; seed++ {
 		fs := randomFaults(shape, seed)
 		if len(fs.Events) == 0 {
 			continue
 		}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			chaosCompare(t, collective.StratAR, shape, fs, healthy)
+			chaosCompare(t, collective.StratAR, shape, fs)
 		})
 	}
 }

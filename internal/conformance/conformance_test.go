@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"alltoall/internal/collective"
@@ -50,38 +51,97 @@ func shapeMatrix() []torus.Shape {
 	return shapes
 }
 
-// runChecked performs one strategy run with the runtime invariant checker
-// enabled, dumping network state to $CONFORMANCE_ARTIFACTS on failure.
-func runChecked(t *testing.T, strat collective.Strategy, shape torus.Shape, shards int, seed uint64) collective.Result {
-	t.Helper()
-	opts := collective.Options{
-		Request: collective.Request{
-			Strategy: strat,
-			Shape:    shape,
-			MsgBytes: msgBytes,
-			Seed:     seed,
-			Check:    true,
-			Shards:   shards,
-		},
-	}
-	if dir := os.Getenv("CONFORMANCE_ARTIFACTS"); dir != "" {
-		opts.DebugDump = filepath.Join(dir,
-			fmt.Sprintf("%s-%v-shards%d-seed%d.dump", strat, shape, shards, seed))
-	}
-	res, err := collective.Run(context.Background(), opts)
-	if err != nil {
-		t.Fatalf("%s on %v shards=%d seed=%d (checked): %v", strat, shape, shards, seed, err)
-	}
-	return res
+// cell is one run of the suite: a strategy on a shape with a
+// destination-order seed, split over shards engines, under an optional fault
+// schedule (network.ParseFaults syntax), with or without the runtime
+// invariant checker.
+type cell struct {
+	strat  collective.Strategy
+	shape  torus.Shape
+	shards int
+	seed   uint64
+	faults string
+	check  bool
 }
 
-// TestCheckedMatrix runs every strategy over the shape matrix at shard
-// counts 1, 2 and 4 with invariant checking on, and holds each result to the
-// two properties that need no reference run: the run passes every runtime
-// invariant (credit conservation, bubble slots, FIFO bounds, monotonic
-// time, quiescence), and the finish time respects the exact Equation 2
-// peak lower bound. The sharded results must also equal the serial one field
-// for field.
+func (c cell) String() string {
+	s := fmt.Sprintf("%s on %v shards=%d seed=%d check=%v", c.strat, c.shape, c.shards, c.seed, c.check)
+	if c.faults != "" {
+		s += fmt.Sprintf(" faults=%q", c.faults)
+	}
+	return s
+}
+
+// memo holds every cell the package has simulated. Each cell runs once, by
+// whichever test asks first: the checked one-engine run of a strategy and
+// shape is TestCheckedMatrix's reference, TestCoalesceDifferential's
+// baseline and TestChaosMatrix's healthy twin, and the seeds
+// TestPeakBoundAcrossSeeds bounds are TestRankPermutationInvariance's.
+var memo struct {
+	sync.Mutex
+	runs map[cell]*memoRun
+}
+
+type memoRun struct {
+	once sync.Once
+	res  collective.Result
+	err  error
+}
+
+// runCell returns c's Result, simulating it on first use and dumping network
+// state to $CONFORMANCE_ARTIFACTS if that run fails.
+func runCell(t *testing.T, c cell) collective.Result {
+	t.Helper()
+	memo.Lock()
+	if memo.runs == nil {
+		memo.runs = make(map[cell]*memoRun)
+	}
+	m := memo.runs[c]
+	if m == nil {
+		m = &memoRun{}
+		memo.runs[c] = m
+	}
+	memo.Unlock()
+	m.once.Do(func() {
+		opts := collective.Options{Request: collective.Request{
+			Strategy: c.strat, Shape: c.shape, MsgBytes: msgBytes, Seed: c.seed,
+			Shards: c.shards, Check: c.check, Faults: c.faults}}
+		if dir := os.Getenv("CONFORMANCE_ARTIFACTS"); dir != "" {
+			name := fmt.Sprintf("%s-%v-shards%d-seed%d-check%v", c.strat, c.shape, c.shards, c.seed, c.check)
+			if c.faults != "" {
+				name = "chaos-" + name
+			}
+			opts.DebugDump = filepath.Join(dir, name+".dump")
+		}
+		m.res, m.err = collective.Run(context.Background(), opts)
+	})
+	if m.err != nil {
+		t.Fatalf("%v: %v", c, m.err)
+	}
+	return m.res
+}
+
+// runChecked is the healthy run of strat on shape with the invariant checker
+// on.
+func runChecked(t *testing.T, strat collective.Strategy, shape torus.Shape, shards int, seed uint64) collective.Result {
+	t.Helper()
+	return runCell(t, cell{strat: strat, shape: shape, shards: shards, seed: seed, check: true})
+}
+
+// baseline is the reference of the differential matrix: the checked
+// one-engine run of strat on shape at seed 1.
+func baseline(t *testing.T, strat collective.Strategy, shape torus.Shape) collective.Result {
+	t.Helper()
+	return runChecked(t, strat, shape, 1, 1)
+}
+
+// TestCheckedMatrix is the checked half of the differential matrix,
+// {checked, plain} x shards {1, 2, 4} over every strategy and shape, each
+// variant compared field for field with the baseline. It holds the baseline
+// to the two properties that need no reference run - it passes every runtime
+// invariant (credit conservation, bubble slots, FIFO bounds, monotonic time,
+// quiescence) and its finish time respects the exact Equation 2 peak lower
+// bound - and demands that the checked 2- and 4-shard runs equal it.
 func TestCheckedMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -89,13 +149,13 @@ func TestCheckedMatrix(t *testing.T) {
 	for _, shape := range shapeMatrix() {
 		for _, strat := range strategies() {
 			t.Run(fmt.Sprintf("%s/%v", strat, shape), func(t *testing.T) {
-				serial := runChecked(t, strat, shape, 1, 1)
-				if ft := float64(serial.Time); ft < serial.PeakTime {
-					t.Errorf("finish time %v beats the Equation 2 peak bound %v", ft, serial.PeakTime)
+				base := baseline(t, strat, shape)
+				if ft := float64(base.Time); ft < base.PeakTime {
+					t.Errorf("finish time %v beats the Equation 2 peak bound %v", ft, base.PeakTime)
 				}
 				for _, shards := range []int{2, 4} {
-					if sharded := runChecked(t, strat, shape, shards, 1); !reflect.DeepEqual(serial, sharded) {
-						t.Errorf("serial and %d-shard checked runs differ:\nserial:  %+v\nsharded: %+v", shards, serial, sharded)
+					if sharded := runChecked(t, strat, shape, shards, 1); !reflect.DeepEqual(base, sharded) {
+						t.Errorf("checked %d-shard run differs from the baseline:\nbaseline: %+v\nsharded:  %+v", shards, base, sharded)
 					}
 				}
 			})
@@ -103,51 +163,33 @@ func TestCheckedMatrix(t *testing.T) {
 	}
 }
 
-// TestCoalesceDifferential is TestCheckedMatrix's twin for the configuration
-// production runs use, checker off: over the same strategies and shapes, the
-// unchecked serial run must equal the checked one (checking never changes a
-// Result) and the unchecked 4-shard run must equal the unchecked serial one.
-// The name is the one the recorded test floor knows these subtests by; the
-// coalesced engine it once compared against is gone.
+// TestCoalesceDifferential is the matrix's plain half, the configuration
+// production runs use: with the checker off, the run on 1, 2 and 4 engines
+// must equal the baseline (checking never changes a Result, and splitting a
+// run never changes it either). The name is kept so the subtests' identities
+// do not move; the coalesced engine it once compared against is gone.
 func TestCoalesceDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
 	for _, shape := range shapeMatrix() {
 		for _, strat := range strategies() {
-			run := func(t *testing.T, shards int) collective.Result {
-				res, err := collective.Run(context.Background(),
-					collective.Options{Request: collective.Request{Strategy: strat, Shape: shape, MsgBytes: msgBytes, Seed: 1, Shards: shards}})
-				if err != nil {
-					t.Fatalf("%s on %v shards=%d: %v", strat, shape, shards, err)
-				}
-				return res
+			for _, shards := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/%v/shards=%d", strat, shape, shards), func(t *testing.T) {
+					base := baseline(t, strat, shape)
+					if plain := runCell(t, cell{strat: strat, shape: shape, shards: shards, seed: 1}); !reflect.DeepEqual(base, plain) {
+						t.Errorf("plain %d-shard run differs from the checked baseline:\nbaseline: %+v\nplain:    %+v", shards, base, plain)
+					}
+				})
 			}
-			var serial *collective.Result // made by whichever subtest runs first
-			plain := func(t *testing.T) collective.Result {
-				if serial == nil {
-					res := run(t, 1)
-					serial = &res
-				}
-				return *serial
-			}
-			t.Run(fmt.Sprintf("%s/%v/shards=1", strat, shape), func(t *testing.T) {
-				if plain, checked := plain(t), runChecked(t, strat, shape, 1, 1); !reflect.DeepEqual(plain, checked) {
-					t.Errorf("checking changed the result:\nplain:   %+v\nchecked: %+v", plain, checked)
-				}
-			})
-			t.Run(fmt.Sprintf("%s/%v/shards=4", strat, shape), func(t *testing.T) {
-				if serial, sharded := plain(t), run(t, 4); !reflect.DeepEqual(serial, sharded) {
-					t.Errorf("serial and 4-shard runs differ:\nserial:  %+v\nsharded: %+v", serial, sharded)
-				}
-			})
 		}
 	}
 }
 
 // TestPeakBoundAcrossSeeds re-checks the Equation 2 lower bound over several
 // destination-order seeds for the schedule-sensitive strategies (the bound
-// must hold for every schedule, not just the default one).
+// must hold for every schedule, not just the default one). Its runs are
+// TestRankPermutationInvariance's, read from the memo.
 func TestPeakBoundAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")

@@ -71,21 +71,15 @@ func TestLargeFor(t *testing.T) {
 	}
 }
 
+// TestTables and TestFigures: every paper table and figure has rows. They
+// read TestSerialParallelIdentical's renders, whose bytes the golden pins.
 func TestTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
 	for _, id := range []string{"table1", "table2", "table3", "table4"} {
-		tbl, err := Catalog[id](tiny())
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if tbl.NumRows() == 0 {
+		if render(t, id, 8, 0).tbl.NumRows() == 0 {
 			t.Errorf("%s produced no rows", id)
-		}
-		var b strings.Builder
-		if err := tbl.Write(&b); err != nil {
-			t.Errorf("%s render: %v", id, err)
 		}
 	}
 }
@@ -94,28 +88,21 @@ func TestFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	cfg := tiny()
 	for _, id := range []string{"fig3", "fig4", "fig6", "fig7"} {
-		tbl, err := Catalog[id](cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if tbl.NumRows() == 0 {
+		if render(t, id, 8, 0).tbl.NumRows() == 0 {
 			t.Errorf("%s produced no rows", id)
 		}
 	}
 }
 
+// TestFigSweepModelColumns: Figure 1's CSV carries the model columns beside
+// the measured one.
 func TestFigSweepModelColumns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	tbl, err := Catalog["fig1"](tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var b strings.Builder
-	if err := tbl.WriteCSV(&b); err != nil {
+	if err := render(t, "fig1", 8, 0).tbl.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	hdr := strings.SplitN(b.String(), "\n", 2)[0]

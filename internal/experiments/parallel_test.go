@@ -3,81 +3,127 @@ package experiments
 import (
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"alltoall/internal/collective"
+	"alltoall/internal/report"
 )
 
-// render runs one catalog entry and returns the ASCII table.
-func render(t *testing.T, id string, cfg Config) string {
-	t.Helper()
-	tbl, err := Catalog[id](cfg)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	var b strings.Builder
-	if err := tbl.Write(&b); err != nil {
-		t.Fatalf("%s render: %v", id, err)
-	}
-	return b.String()
+// rendering is one catalog entry run at the golden scale (tiny: 64 nodes,
+// seed 1, 240-byte large messages) on one engine setting: the table, its
+// ASCII text, and what the runs reported through Metrics and Progress.
+type rendering struct {
+	once     sync.Once
+	tbl      *report.Table
+	text     string
+	metrics  Metrics
+	progress strings.Builder
+	err      error
 }
 
-// checkCatalog renders the whole catalog at the golden scale (tiny: 64
-// nodes, seed 1, 240-byte large messages) on the given engine settings and
-// compares it with cmd/aabench's catalog.golden, which was written by one
-// worker on the serial engine: each table followed by a blank line.
-func checkCatalog(t *testing.T, workers, shards int) {
+// setting names a rendering: the entry, the worker pool and the engine count.
+type setting struct {
+	id              string
+	workers, shards int
+}
+
+// renderings holds every setting the package has rendered. Each one runs
+// once, by whichever test asks first, so the catalog is simulated once per
+// setting however the tests are ordered.
+var renderings struct {
+	sync.Mutex
+	m map[setting]*rendering
+}
+
+// render returns id rendered on workers workers with every run's engine
+// count set to shards (0 leaves it to the engine).
+func render(t *testing.T, id string, workers, shards int) *rendering {
 	t.Helper()
-	want, err := os.ReadFile("../../cmd/aabench/testdata/catalog.golden")
+	key := setting{id, workers, shards}
+	renderings.Lock()
+	if renderings.m == nil {
+		renderings.m = make(map[setting]*rendering)
+	}
+	r := renderings.m[key]
+	if r == nil {
+		r = &rendering{}
+		renderings.m[key] = r
+	}
+	renderings.Unlock()
+	r.once.Do(func() {
+		cfg := tiny()
+		cfg.Workers, cfg.Shards = workers, shards
+		cfg.Metrics, cfg.Progress = &r.metrics, &r.progress
+		if r.tbl, r.err = Catalog[id](cfg); r.err == nil {
+			var b strings.Builder
+			r.err = r.tbl.Write(&b)
+			r.text = b.String()
+		}
+	})
+	if r.err != nil {
+		t.Fatalf("%+v: %v", key, r.err)
+	}
+	return r
+}
+
+// golden returns cmd/aabench's catalog.golden by catalog id: the bytes one
+// worker on one engine rendered, each table followed by a blank line.
+func golden(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile("../../cmd/aabench/testdata/catalog.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tiny()
-	cfg.Workers, cfg.Shards = workers, shards
-	var got strings.Builder
-	for _, id := range Order {
-		got.WriteString(render(t, id, cfg) + "\n")
+	tables := strings.SplitAfter(string(b), "\n\n")
+	if len(tables) != len(Order)+1 || tables[len(Order)] != "" {
+		t.Fatalf("catalog.golden holds %d tables, the catalog %d", len(tables)-1, len(Order))
 	}
-	if got.String() != string(want) {
-		t.Errorf("catalog at Workers=%d Shards=%d differs from the serial golden\n-- got --\n%s", workers, shards, got.String())
+	m := make(map[string]string, len(Order))
+	for i, id := range Order {
+		m[id] = tables[i]
+	}
+	return m
+}
+
+// checkRenders compares the given entries, rendered on workers and shards,
+// with their tables in the golden.
+func checkRenders(t *testing.T, ids []string, workers, shards int) {
+	t.Helper()
+	want := golden(t)
+	for _, id := range ids {
+		if got := render(t, id, workers, shards).text + "\n"; got != want[id] {
+			t.Errorf("%s at Workers=%d Shards=%d differs from the serial golden\n-- got --\n%s-- want --\n%s",
+				id, workers, shards, got, want[id])
+		}
 	}
 }
 
 // TestSerialParallelIdentical is the engine's determinism regression test:
 // every table and figure - one-cell rows, multi-run rows, the flattened
 // error-tolerant ablation grid - rendered on 8 workers with the engine left
-// to pick shards itself must match the bytes one worker produced.
+// to pick shards itself (one engine at 64 nodes, so what varies is the pool's
+// order) must match the bytes one worker produced. TestTables, TestFigures,
+// TestFigSweepModelColumns and TestMetricsAndProgress read these renders.
 func TestSerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	checkCatalog(t, 8, 0)
+	checkRenders(t, Order, 8, 0)
 }
 
 // TestShardedRenderIdentical is the sharded engine's end-to-end determinism
 // test: rendered tables must be byte-identical whether each simulation runs
-// on the serial engine or on the window-parallel engine, at every shard
-// count, with and without run-level workers on top.
+// on one engine (the golden) or on the window-parallel engine, at every
+// shard count, with run-level workers on top.
 func TestShardedRenderIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	for _, id := range []string{"table1", "table4"} {
-		serial := tiny()
-		serial.Workers = 1
-		serial.Shards = 1
-		want := render(t, id, serial)
-		for _, shards := range []int{2, 4, 7} {
-			cfg := tiny()
-			cfg.Workers = 2
-			cfg.Shards = shards
-			if got := render(t, id, cfg); got != want {
-				t.Errorf("%s: %d-shard table differs from serial\n-- serial --\n%s\n-- sharded --\n%s",
-					id, shards, want, got)
-			}
-		}
+	for _, shards := range []int{2, 4, 7} {
+		checkRenders(t, []string{"table1", "table4"}, 2, shards)
 	}
-	checkCatalog(t, 2, 3)
+	checkRenders(t, Order, 2, 3)
 }
 
 // TestMetricsAndProgress checks the engine's observability side channels:
@@ -87,27 +133,20 @@ func TestMetricsAndProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	var buf strings.Builder
-	cfg := tiny()
-	cfg.Workers = 4
-	cfg.Metrics = &Metrics{}
-	cfg.Progress = &buf
-	if _, err := Catalog["table4"](cfg); err != nil {
-		t.Fatal(err)
-	}
-	if got := cfg.Metrics.Runs(); got != 10 {
+	r := render(t, "table4", 8, 0)
+	if got := r.metrics.Runs(); got != 10 {
 		t.Errorf("Runs() = %d, want 10 (TPS and AR on each of Table 4's five rows)", got)
 	}
-	if cfg.Metrics.Events() <= 0 || cfg.Metrics.Packets() <= 0 {
+	if r.metrics.Events() <= 0 || r.metrics.Packets() <= 0 {
 		t.Errorf("Events() = %d, Packets() = %d; want positive",
-			cfg.Metrics.Events(), cfg.Metrics.Packets())
+			r.metrics.Events(), r.metrics.Packets())
 	}
-	lines := strings.Count(buf.String(), "\n")
-	if lines != 10 {
-		t.Errorf("progress lines = %d, want 10 (one per cell)\n%s", lines, buf.String())
+	progress := r.progress.String()
+	if lines := strings.Count(progress, "\n"); lines != 10 {
+		t.Errorf("progress lines = %d, want 10 (one per cell)\n%s", lines, progress)
 	}
-	if want := " AR 8x8x16 (run 2x2x4) m=1: "; !strings.Contains(buf.String(), want) || !strings.Contains(buf.String(), "  table4 10/10 ") {
-		t.Errorf("progress lacks a line naming %q or the final count 10/10\n%s", want, buf.String())
+	if want := " AR 8x8x16 (run 2x2x4) m=1: "; !strings.Contains(progress, want) || !strings.Contains(progress, "  table4 10/10 ") {
+		t.Errorf("progress lacks a line naming %q or the final count 10/10\n%s", want, progress)
 	}
 	// A nil Metrics must be safe everywhere.
 	var nilM *Metrics

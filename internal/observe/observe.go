@@ -34,11 +34,32 @@ import (
 // field names or semantics.
 const SchemaVersion = 1
 
-// Default window and head-of-line thresholds; see Config.
+// DefaultWindow is the trace bucket width a zero Config.Window selects.
+const DefaultWindow = 4096
+
+// The head-of-line thresholds. Both must hold at once for a blocked pass to
+// count toward HoLBlocked, so a false positive requires a balanced machine
+// to exceed its measured extremes in two dimensions simultaneously.
 const (
-	DefaultWindow      = 4096
-	DefaultHoLDelay    = 16384
-	DefaultHoLMinQueue = 16
+	// HoLDelay is the minimum time a packet must have been continuously
+	// blocked before its lost arbitration passes count toward HoLBlocked.
+	// Transient arbitration losses are the normal operating mode of a
+	// saturated torus - on a symmetric machine under full adaptive-routing
+	// load, cross-dimension blocks routinely persist for thousands of
+	// units before the escape channel or a freed link clears them. 16384
+	// (the time to serialize 64 maximum-size packets on a link) sits above
+	// everything a balanced machine produces: measured on an 8x8x8 AR
+	// all-to-all no block survives that long, while on 16x8x8 tens of
+	// thousands do. A packet stalled past this bar is structurally, not
+	// transiently, blocked.
+	HoLDelay = 16384
+
+	// HoLMinQueue is the minimum occupancy of the blocked packet's queue
+	// for the pass to count: head-of-line blocking needs victims - packets
+	// stacked behind the stuck head that its stall is also holding up. 16
+	// again clears the balanced machine's maximum (31-deep transients occur
+	// on 8x8x8, but never simultaneously with a mature block).
+	HoLMinQueue = 16
 )
 
 // Config tunes a Collector.
@@ -47,40 +68,11 @@ type Config struct {
 	// (per-dimension/per-VC traffic, HoL events, CPU busy, FIFO
 	// high-watermarks). Default DefaultWindow.
 	Window int64
-
-	// HoLDelay is the minimum time a packet must have been continuously
-	// blocked before its lost arbitration passes count toward HoLBlocked.
-	// Transient arbitration losses are the normal operating mode of a
-	// saturated torus - on a symmetric machine under full adaptive-routing
-	// load, cross-dimension blocks routinely persist for thousands of
-	// units before the escape channel or a freed link clears them. The
-	// default, 16384 (the time to serialize 64 maximum-size packets on a
-	// link), sits above everything a balanced machine produces: measured
-	// on an 8x8x8 AR all-to-all no block survives that long, while on
-	// 16x8x8 tens of thousands do. A packet stalled past this bar is
-	// structurally, not transiently, blocked.
-	HoLDelay int64
-
-	// HoLMinQueue is the minimum occupancy of the blocked packet's queue
-	// for the pass to count: head-of-line blocking needs victims - packets
-	// stacked behind the stuck head that its stall is also holding up. The
-	// default 16 again clears the balanced machine's maximum (31-deep
-	// transients occur on 8x8x8, but never simultaneously with a mature
-	// block). Both thresholds must hold at once, so a false positive
-	// requires a balanced machine to exceed its measured extremes in two
-	// dimensions simultaneously.
-	HoLMinQueue int32
 }
 
 func (c Config) fill() Config {
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
-	}
-	if c.HoLDelay <= 0 {
-		c.HoLDelay = DefaultHoLDelay
-	}
-	if c.HoLMinQueue <= 0 {
-		c.HoLMinQueue = DefaultHoLMinQueue
 	}
 	return c
 }
@@ -329,8 +321,8 @@ func wantDim(want uint8) int {
 // VC of a dimension it no longer travels) that is structural (blocked
 // beyond HoLDelay) with real victims (at least HoLMinQueue packets stacked
 // in its queue) - the paper's "Y/Z dynamic VCs blocked behind saturated X
-// links", made countable. See the Config fields for how the thresholds
-// were calibrated to be exactly zero on a balanced machine.
+// links", made countable. See the constants for how the thresholds were
+// calibrated to be exactly zero on a balanced machine.
 func (s *sink) OnBlocked(now int64, node int32, inDir, vc int8, want uint8, since int64, qCount, win int32) {
 	if vc < 0 {
 		s.win.injBlocked++
@@ -345,7 +337,7 @@ func (s *sink) OnBlocked(now int64, node int32, inDir, vc int8, want uint8, sinc
 	}
 	id := int(inDir) / 2
 	s.win.holMat[id][wd]++
-	if id != wd && now-since >= s.c.cfg.HoLDelay && qCount >= s.c.cfg.HoLMinQueue {
+	if id != wd && now-since >= HoLDelay && qCount >= HoLMinQueue {
 		s.win.holBlocked++
 		idx := int(now / s.c.cfg.Window)
 		s.win.hol = growI64(s.win.hol, idx)

@@ -35,28 +35,52 @@ func run(t *testing.T, strat collective.Strategy, shape torus.Shape, shards int,
 	return res
 }
 
-// asymAR is observed AR on 16x8x4, the package's most expensive run, made
-// once for the tests that read it. 16x8x4 is the smallest asymmetric shape
-// that shows the signature: on 16x4x4 and 8x4x4 the HoL counter reads 0.
-var asymAR struct {
+// observed holds the observed AR runs more than one test reads, each
+// simulated once per package, by whichever test asks first. The most
+// expensive is 16x8x4, the smallest asymmetric shape that shows the HoL
+// signature: on 16x4x4 and 8x4x4 the counter reads 0.
+var observed struct {
+	sync.Mutex
+	runs map[observedKey]*observedRun
+}
+
+type observedKey struct {
+	shape  torus.Shape
+	shards int
+}
+
+type observedRun struct {
 	once sync.Once
 	res  collective.Result
-	sum  *observe.Summary // the collector's own, beside res.Observed
+	obs  *observe.Collector
 	err  error
 }
 
-func observedAsymAR(t *testing.T) (collective.Result, *observe.Summary) {
+// observedAR returns AR on shape (seed 1) on shards engines and the
+// collector that watched it. Callers only read the collector.
+func observedAR(t *testing.T, shape torus.Shape, shards int) (collective.Result, *observe.Collector) {
 	t.Helper()
-	asymAR.once.Do(func() {
-		obs := observe.New(observe.Config{})
-		asymAR.res, asymAR.err = collective.Run(context.Background(),
-			collective.Options{Request: collective.Request{Strategy: collective.StratAR, Shape: torus.New(16, 8, 4), MsgBytes: 240, Seed: 1}, Observer: obs})
-		asymAR.sum = obs.Summary()
-	})
-	if asymAR.err != nil {
-		t.Fatalf("AR on 16x8x4: %v", asymAR.err)
+	key := observedKey{shape, shards}
+	observed.Lock()
+	if observed.runs == nil {
+		observed.runs = make(map[observedKey]*observedRun)
 	}
-	return asymAR.res, asymAR.sum
+	r := observed.runs[key]
+	if r == nil {
+		r = &observedRun{}
+		observed.runs[key] = r
+	}
+	observed.Unlock()
+	r.once.Do(func() {
+		r.obs = observe.New(observe.Config{})
+		r.res, r.err = collective.Run(context.Background(), collective.Options{
+			Request:  collective.Request{Strategy: collective.StratAR, Shape: shape, MsgBytes: 240, Seed: 1, Shards: shards},
+			Observer: r.obs})
+	})
+	if r.err != nil {
+		t.Fatalf("AR on %v: %v", shape, r.err)
+	}
+	return r.res, r.obs
 }
 
 // TestHoLSignature pins the head-of-line-blocking diagnostic to the paper's
@@ -76,7 +100,8 @@ func TestHoLSignature(t *testing.T) {
 		t.Fatalf("symmetric run recorded no traffic")
 	}
 
-	res, asym := observedAsymAR(t)
+	res, asymObs := observedAR(t, torus.New(16, 8, 4), 0)
+	asym := asymObs.Summary()
 
 	if asym.SaturatedDim != "x" {
 		t.Errorf("asymmetric AR: saturated dim = %q, want x", asym.SaturatedDim)
@@ -113,8 +138,8 @@ func TestTPSBalanced(t *testing.T) {
 	}
 	obsTPS := observe.New(observe.Config{})
 	run(t, collective.StratTPS, torus.New(16, 8, 4), 1, obsTPS)
-	_, ar := observedAsymAR(t)
-	tps := obsTPS.Summary()
+	_, arObs := observedAR(t, torus.New(16, 8, 4), 0)
+	ar, tps := arObs.Summary(), obsTPS.Summary()
 	if tps.HoLBlocked*10 > ar.HoLBlocked {
 		t.Errorf("TPS HoL %d not << AR HoL %d", tps.HoLBlocked, ar.HoLBlocked)
 	}
@@ -130,8 +155,7 @@ func TestTPSBalanced(t *testing.T) {
 // part of the determinism contract.
 func TestObserverShardIdentity(t *testing.T) {
 	shape := torus.New(8, 4, 4)
-	obsSerial := observe.New(observe.Config{})
-	resSerial := run(t, collective.StratAR, shape, 1, obsSerial)
+	resSerial, obsSerial := observedAR(t, shape, 1)
 	obsSharded := observe.New(observe.Config{})
 	resSharded := run(t, collective.StratAR, shape, 4, obsSharded)
 
@@ -154,12 +178,12 @@ func TestObserverShardIdentity(t *testing.T) {
 }
 
 // TestObserverDoesNotPerturb: the simulation's outcome must be identical
-// with and without an observer installed.
+// with and without an observer installed (the observed run is
+// TestObserverShardIdentity's serial one).
 func TestObserverDoesNotPerturb(t *testing.T) {
 	shape := torus.New(8, 4, 4)
 	bare := run(t, collective.StratAR, shape, 1, nil)
-	obs := observe.New(observe.Config{})
-	observed := run(t, collective.StratAR, shape, 1, obs)
+	observed, _ := observedAR(t, shape, 1)
 	if bare.Time != observed.Time || bare.PacketsInjected != observed.PacketsInjected ||
 		bare.Events != observed.Events {
 		t.Errorf("observer perturbed the run: bare {t=%d pkts=%d ev=%d}, observed {t=%d pkts=%d ev=%d}",

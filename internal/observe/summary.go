@@ -35,8 +35,8 @@ type Summary struct {
 
 	// HoLBlocked counts arbitration passes in which a dynamic-VC packet
 	// needing exactly one other dimension stayed structurally blocked
-	// (beyond Config.HoLDelay) with victims queued behind it (at least
-	// Config.HoLMinQueue deep) - head-of-line blocking attributable to
+	// (beyond HoLDelay) with victims queued behind it (at least
+	// HoLMinQueue deep) - head-of-line blocking attributable to
 	// the wanted dimension's saturation, calibrated to be exactly zero on
 	// a balanced machine. HoLMatrix[i][j] is the unfiltered [occupied-VC
 	// dim][wanted dim] census of single-want blocked passes, including

@@ -23,23 +23,15 @@ func Workers(j int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Map runs fn over every item on up to Workers(workers) goroutines and
-// returns the results in input order. The first error cancels the context
-// passed to still-pending fn calls and stops workers from claiming further
-// items; errors from items that were already running are aggregated in index
-// order. Items skipped because of cancellation leave zero values in the
-// result slice.
-func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
-	return MapLocal(ctx, workers, items, func() struct{} { return struct{}{} },
-		func(ctx context.Context, _ struct{}, i int, item T) (R, error) {
-			return fn(ctx, i, item)
-		})
-}
-
-// MapLocal is Map with per-worker state: mk runs once on each worker
-// goroutine and its value is handed to every fn call that worker executes.
-// Use it to carry expensive reusable scratch (e.g. a simulation network
-// recycled across sweep points) without sharing it between goroutines.
+// MapLocal runs fn over every item on up to Workers(workers) goroutines and
+// returns the results in input order. mk runs once on each worker goroutine
+// and its value is handed to every fn call that worker executes: use it to
+// carry expensive reusable scratch (e.g. a simulation network recycled
+// across sweep points) without sharing it between goroutines. The first
+// error cancels the context passed to still-pending fn calls and stops
+// workers from claiming further items; errors from items that were already
+// running are aggregated in index order. Items skipped because of
+// cancellation leave zero values in the result slice.
 func MapLocal[T, R, L any](ctx context.Context, workers int, items []T, mk func() L, fn func(ctx context.Context, local L, i int, item T) (R, error)) ([]R, error) {
 	n := len(items)
 	results := make([]R, n)

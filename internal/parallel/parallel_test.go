@@ -23,12 +23,15 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
+// noLocal is the per-worker state of a pool that needs none.
+func noLocal() struct{} { return struct{}{} }
+
 func TestMapPreservesOrder(t *testing.T) {
 	items := make([]int, 100)
 	for i := range items {
 		items[i] = i
 	}
-	got, err := Map(context.Background(), 8, items, func(_ context.Context, i, item int) (int, error) {
+	got, err := MapLocal(context.Background(), 8, items, noLocal, func(_ context.Context, _ struct{}, i, item int) (int, error) {
 		if i != item {
 			t.Errorf("index %d paired with item %d", i, item)
 		}
@@ -47,7 +50,7 @@ func TestMapPreservesOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(context.Background(), 4, nil, func(_ context.Context, i, item int) (int, error) {
+	got, err := MapLocal(context.Background(), 4, nil, noLocal, func(_ context.Context, _ struct{}, i, item int) (int, error) {
 		t.Fatal("fn called for empty input")
 		return 0, nil
 	})
@@ -60,7 +63,7 @@ func TestMapError(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
 	items := make([]int, 64)
-	_, err := Map(context.Background(), 2, items, func(_ context.Context, i, _ int) (int, error) {
+	_, err := MapLocal(context.Background(), 2, items, noLocal, func(_ context.Context, _ struct{}, i, _ int) (int, error) {
 		calls.Add(1)
 		if i == 3 {
 			return 0, boom
@@ -86,7 +89,7 @@ func TestMapMultipleErrors(t *testing.T) {
 	// Two items fail "simultaneously" (before either can cancel the other):
 	// both must be reported, in index order.
 	var gate atomic.Int64
-	_, err := Map(context.Background(), 2, []int{0, 1}, func(_ context.Context, i, _ int) (int, error) {
+	_, err := MapLocal(context.Background(), 2, []int{0, 1}, noLocal, func(_ context.Context, _ struct{}, i, _ int) (int, error) {
 		gate.Add(1)
 		for gate.Load() < 2 {
 			time.Sleep(time.Microsecond)
@@ -108,7 +111,7 @@ func TestMapContextCancel(t *testing.T) {
 	cancel()
 	items := make([]int, 16)
 	var calls atomic.Int64
-	_, err := Map(ctx, 4, items, func(_ context.Context, i, _ int) (int, error) {
+	_, err := MapLocal(ctx, 4, items, noLocal, func(_ context.Context, _ struct{}, i, _ int) (int, error) {
 		calls.Add(1)
 		return 0, nil
 	})
@@ -169,7 +172,7 @@ func BenchmarkMapOverhead(b *testing.B) {
 	items := make([]int, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := Map(context.Background(), 0, items, func(_ context.Context, i, _ int) (int, error) {
+		_, err := MapLocal(context.Background(), 0, items, noLocal, func(_ context.Context, _ struct{}, i, _ int) (int, error) {
 			return i, nil
 		})
 		if err != nil {
