@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -435,34 +436,21 @@ func (e *engine) reroutePkt(node int32, q *pktQueue, i int32, alive uint8) bool 
 	p.hops = hops
 	p.want = want
 	q.wantOR |= want // superset semantics: old bits may go stale-high (safe)
-	q.quietAt = 0    // the window's wants and escape clocks changed
+	q.quietClock = 0 // the window's wants and escape clocks changed
 	e.stats.Reroutes++
 	return true
 }
 
-// rerouteNode walks every queue of node after a link went down, flipping
-// stranded packets. The walk order (input VCs by direction then VC, then
-// injection FIFOs, each front to back) is fixed, so the reroute sequence is
-// identical at any shard count.
+// rerouteNode walks every occupied queue of node after a link went down,
+// flipping stranded packets. The walk order (occupancy bit order: input VCs
+// by direction then VC, then injection FIFOs, each front to back) is fixed,
+// so the reroute sequence is identical at any shard count.
 func (e *engine) rerouteNode(node int32) bool {
 	r := &e.routers[node]
 	alive := e.aliveMask(node)
 	changed := false
-	for d := 0; d < numDirs; d++ {
-		if e.nbrs[linkIdx(node, d)] < 0 {
-			continue
-		}
-		for vc := 0; vc < NumVC; vc++ {
-			q := &r.in[d][vc]
-			for i := int32(0); i < q.count; i++ {
-				if e.reroutePkt(node, q, i, alive) {
-					changed = true
-				}
-			}
-		}
-	}
-	for fi := range r.inj {
-		q := &r.inj[fi]
+	for occ := e.occ[node]; occ != 0; occ &= occ - 1 {
+		q := r.queue(bits.TrailingZeros32(occ))
 		for i := int32(0); i < q.count; i++ {
 			if e.reroutePkt(node, q, i, alive) {
 				changed = true

@@ -71,12 +71,7 @@ func (e *engine) checkNode(node int32) *check.Violation {
 	// The arbitration index must agree with the queues: a stale set bit
 	// wastes service passes, a stale clear bit starves a queue forever.
 	for idx := 0; idx < numDirs*NumVC+len(r.inj); idx++ {
-		var q *pktQueue
-		if idx < numDirs*NumVC {
-			q = &r.in[idx/NumVC][idx%NumVC]
-		} else {
-			q = &r.inj[idx-numDirs*NumVC]
-		}
+		q := r.queue(idx)
 		if got, want := e.occ[node]&(1<<idx) != 0, q.count > 0; got != want {
 			return check.Violatef(check.OccupancyMask, node, e.now,
 				"queue %d: occMask bit %v but count %d", idx, got, q.count)
@@ -132,8 +127,8 @@ func eventKindName(kind uint8) string {
 
 // checkLiveGrant records a grant onto a down link: freeOutputs masks dead
 // directions out of every arbitration path, so reaching here means the
-// masking chokepoint was bypassed. Called from tryRoute's commit when
-// Params.Check is set on a faulted run.
+// masking chokepoint was bypassed. Called from grant when Params.Check is
+// set on a faulted run.
 func (e *engine) checkLiveGrant(node int32, o int) {
 	if e.vio == nil {
 		e.vio = check.Violatef(check.LinkLiveness, node, e.now,

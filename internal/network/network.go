@@ -40,20 +40,6 @@ func signOfDir(dir int) int {
 
 func oppositeDir(dir int) int { return dir ^ 1 }
 
-// vcCost returns the buffer/token cost of a packet on a virtual channel.
-// Dynamic VCs use byte accounting with flit-credit streaming (grants may
-// overshoot, modelling cut-through into a draining buffer). The bubble
-// escape VC accounts whole max-packet slots with no overshoot: Puente's
-// bubble invariant (one free packet slot always remains on each ring) needs
-// local free space to lower-bound ring free space, which overshoot or
-// sub-packet fragmentation would break and deadlock the escape path.
-func vcCost(vc int8, size int32) int32 {
-	if vc == VCBubble {
-		return MaxPacketBytes
-	}
-	return size
-}
-
 // PacketSpec describes a packet to inject.
 type PacketSpec struct {
 	Dst      int32 // destination rank
@@ -174,6 +160,15 @@ type router struct {
 
 	srcDone  bool
 	rrCursor uint32
+}
+
+// queue returns the router's queue behind occupancy bit idx (the occ array):
+// the input VCs by direction then VC, then the injection FIFOs.
+func (r *router) queue(idx int) *pktQueue {
+	if idx < numDirs*NumVC {
+		return &r.in[idx/NumVC][idx%NumVC]
+	}
+	return &r.inj[idx-numDirs*NumVC]
 }
 
 // Hot per-node router state lives outside the router struct in flat

@@ -63,35 +63,35 @@ type Params struct {
 	CPUNum, CPUDen int64
 
 	// InjectTokens is the minimum free space (bytes) a dynamic VC must have
-	// before an *injection* may be granted onto it; transit packets need
-	// only one flit-credit. Giving through-traffic priority over injection
-	// (as the BG/L torus arbiter does) keeps free slack circulating in the
-	// network instead of being swallowed by greedy injection, which would
-	// otherwise collapse saturated rings into a one-hole conveyor.
+	// before a packet *entering* a dimension (an injection or a turn) may be
+	// granted onto it; packets continuing along one need only one
+	// flit-credit (engine.grantTokens). Giving through-traffic priority (as
+	// the BG/L torus arbiter does) keeps free slack circulating instead of
+	// letting entrants collapse saturated rings into a one-hole conveyor.
 	InjectTokens int32
 
 	// EscapeDelay is how long an adaptive packet must sit blocked before it
-	// may fall back to the bubble escape VC. The escape channel exists for
-	// deadlock freedom; if packets hop onto it eagerly whenever the dynamic
-	// VCs are momentarily full, the strictly-reserved escape ring becomes
-	// the main carrier and throughput collapses into slot-conveyor mode.
+	// may fall back to the bubble escape VC (engine.escapeAt). It was added
+	// so eager escape could not make the slot-accounted escape ring the main
+	// carrier; measured, 0 stays live and within 0.5% of the default on
+	// ablation_test.go's unpaced saturated ring (paced: see VCLookahead).
 	EscapeDelay int64
 
-	// StoreForward disables virtual cut-through: packets only become
-	// eligible for the next hop after fully arriving. BG/L uses virtual
-	// cut-through (packets are forwarded as soon as the 32-byte header
-	// chunk lands); store-and-forward is provided for ablation - it drives
-	// congested operation into a "conveyor" regime where buffer holes crawl
-	// backward one packet-time per hop and link utilization collapses.
+	// StoreForward disables virtual cut-through (engine.eligibleAt): packets
+	// become eligible for the next hop only after fully arriving, where BG/L
+	// forwards once the 32-byte header chunk lands. On ablation_test.go's
+	// unpaced saturated ring cut-through wins only off saturation (per-hop
+	// latency); saturated, store-and-forward is ~1.5% faster (paced: below).
 	StoreForward bool
 
 	// VCLookahead is the number of packets at the front of each dynamic VC
-	// buffer the router arbiter may choose among (the VC buffers are
-	// random-access SRAM, not strict FIFOs). 1 models a strict FIFO and
-	// exhibits classic head-of-line saturation around 60% utilization; the
-	// default of 4 (a full VC of max-size packets) reproduces the paper's
-	// near-peak link utilization. The bubble escape VC is always strictly
-	// FIFO (the ring invariant depends on it), as are injection FIFOs.
+	// the arbiter may choose among (Params.window; the VC buffers are
+	// random-access SRAM). 1 models a strict FIFO and is up to 3% slower on
+	// ablation_test.go's unpaced saturated ring. At the tables' paced
+	// operating point (AR 8x8x8) each of these three switches is 1-2% faster
+	// than the default at m=208 and within 0.5% at m=960; ROADMAP 4(a)
+	// decides whether each compensation stays. The bubble escape VC is always
+	// strictly FIFO (the ring invariant depends on it), as are injection FIFOs.
 	VCLookahead int32
 
 	// Faults is the deterministic link-fault schedule for every run on this
@@ -141,16 +141,6 @@ func DefaultParams() Params {
 // CPUCost returns the CPU time to handle a packet of size bytes.
 func (p Params) CPUCost(size int32) int64 {
 	return int64(size) * p.CPUNum / p.CPUDen
-}
-
-// window returns the arbitration lookahead of an input VC: VCLookahead on
-// the dynamic channels, strict FIFO on the bubble escape (as on injection
-// FIFOs). Queues carry it as pktQueue.win.
-func (p Params) window(vc int8) int32 {
-	if vc == VCDyn0 || vc == VCDyn1 {
-		return p.VCLookahead
-	}
-	return 1
 }
 
 // validate rejects parameter combinations the simulator cannot run: buffer

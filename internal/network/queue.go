@@ -69,17 +69,18 @@ type pktQueue struct {
 	nDeliv uint8
 
 	// Quiet-window summary, written by settle after a scan that moved
-	// nothing. quietAt != 0 asserts that every entry of the arbitration
-	// window has a started escape clock, the latest of which matures at
-	// quietAt, and that winOR is the OR of their want masks. A failed visit
-	// only ever starts an escape clock (blocked == 0) or re-arms the
-	// maturity wakeup (now < blocked+EscapeDelay), so from quietAt on a
-	// visit that finds every output in winOR busy changes nothing and can be
-	// skipped without loading the ring (engine.service). The summary
-	// describes the window's contents, so everything that changes them
-	// clears it: a push into the window, pop, removeAt, reroutePkt, reset.
-	winOR   uint8
-	quietAt int64
+	// nothing. quietClock != 0 asserts that every entry of the arbitration
+	// window has a started escape clock, the latest of which started at
+	// quietClock, and that winOR is the OR of their want masks. A failed
+	// visit only ever starts an escape clock (blocked == 0) or re-arms the
+	// maturity wakeup (before engine.escapeAt(blocked)), so once the latest
+	// clock has matured a visit that finds every output in winOR busy
+	// changes nothing and can be skipped without loading the ring
+	// (engine.service). The summary describes the window's contents, so
+	// everything that changes them clears it: a push into the window, pop,
+	// removeAt, reroutePkt, reset.
+	winOR      uint8
+	quietClock int64
 
 	head     int32
 	mask     int32
@@ -158,7 +159,7 @@ func (q *pktQueue) empty() bool { return q.count == 0 }
 func (q *pktQueue) reset(win int32) {
 	q.head, q.count, q.bytes = 0, 0, 0
 	q.wantOR, q.nDeliv = 0, 0
-	q.quietAt = 0
+	q.quietClock = 0
 	q.win = win
 }
 
@@ -178,7 +179,7 @@ func (q *pktQueue) push(slab *ringSlab, ref pktRef, pid, cost int32) {
 		q.grow(slab)
 	}
 	if q.count < q.win {
-		q.quietAt = 0
+		q.quietClock = 0
 	}
 	pos := (q.head + q.count) & q.mask
 	q.buf[pos] = ref
@@ -227,7 +228,7 @@ func (q *pktQueue) removeAt(i, cost int32) int32 {
 	q.head = (q.head + 1) & q.mask
 	q.count--
 	q.bytes -= cost
-	q.quietAt = 0
+	q.quietClock = 0
 	if q.count == 0 {
 		q.wantOR = 0
 	}
@@ -238,8 +239,8 @@ func (q *pktQueue) removeAt(i, cost int32) int32 {
 // moved nothing: valid only when every window entry has a started escape
 // clock (an entry the scan passed over under its wake mask may not), else
 // cleared.
-func (q *pktQueue) settle(escapeDelay int64) {
-	q.quietAt = 0
+func (q *pktQueue) settle() {
+	q.quietClock = 0
 	var or uint8
 	var last int64
 	for i := int32(0); i < q.count && i < q.win; i++ {
@@ -250,5 +251,5 @@ func (q *pktQueue) settle(escapeDelay int64) {
 		or |= rf.want
 		last = max(last, rf.blocked)
 	}
-	q.winOR, q.quietAt = or, last+escapeDelay
+	q.winOR, q.quietClock = or, last
 }

@@ -184,41 +184,41 @@ func TestPktQueueQuietCleared(t *testing.T) {
 	blocked := pktRef{want: 1, blocked: 10}
 	settled := func(ctx string) {
 		t.Helper()
-		q.settle(64)
-		if q.quietAt != 10+64 || q.winOR != 1 {
-			t.Fatalf("%s: settle gave quietAt %d winOR %#x", ctx, q.quietAt, q.winOR)
+		q.settle()
+		if q.quietClock != 10 || q.winOR != 1 {
+			t.Fatalf("%s: settle gave quietClock %d winOR %#x", ctx, q.quietClock, q.winOR)
 		}
 	}
 	q.push(&slab, blocked, 0, MinPacketBytes)
 	settled("one entry")
 	q.push(&slab, blocked, 1, MinPacketBytes) // second window slot
-	if q.quietAt != 0 {
-		t.Error("push into the window kept quietAt")
+	if q.quietClock != 0 {
+		t.Error("push into the window kept quietClock")
 	}
 	settled("full window")
 	q.push(&slab, pktRef{want: 2}, 2, MinPacketBytes) // behind the window
-	if q.quietAt == 0 {
-		t.Error("push behind the window cleared quietAt")
+	if q.quietClock == 0 {
+		t.Error("push behind the window cleared quietClock")
 	}
 	q.pop(MinPacketBytes)
-	if q.quietAt != 0 {
-		t.Error("pop kept quietAt")
+	if q.quietClock != 0 {
+		t.Error("pop kept quietClock")
 	}
 	// The fresh entry slid into the window with no escape clock: not quiet.
-	if q.settle(64); q.quietAt != 0 {
+	if q.settle(); q.quietClock != 0 {
 		t.Error("settle called a window with an unstarted escape clock quiet")
 	}
 	q.at(1).blocked = 10
 	q.at(1).want = 1
 	settled("after pop")
 	q.removeAt(1, MinPacketBytes)
-	if q.quietAt != 0 {
-		t.Error("removeAt kept quietAt")
+	if q.quietClock != 0 {
+		t.Error("removeAt kept quietClock")
 	}
 	settled("after removeAt")
 	q.reset(2)
-	if q.quietAt != 0 {
-		t.Error("reset kept quietAt")
+	if q.quietClock != 0 {
+		t.Error("reset kept quietClock")
 	}
 }
 
@@ -233,7 +233,7 @@ func TestReroutePktClearsQuiet(t *testing.T) {
 	e.pkts[pid] = packet{hops: hops, want: wantMask(hops, false)}
 	q := &nw.routers[0].in[dirOf(torus.X, -1)][VCDyn0]
 	q.push(&nw.rings, pktRef{hops: hops, want: wantMask(hops, false), blocked: 5}, pid, MinPacketBytes)
-	if q.settle(64); q.quietAt == 0 {
+	if q.settle(); q.quietClock == 0 {
 		t.Fatal("settle left a blocked one-packet window unsummarized")
 	}
 	xPlusDead := maskAll &^ uint8(1<<dirOf(torus.X, 1))
@@ -243,8 +243,8 @@ func TestReroutePktClearsQuiet(t *testing.T) {
 	if rf := q.at(0); rf.hops[0] != 3-8 || rf.blocked != 0 {
 		t.Fatalf("rerouted header: hops %v blocked %d", rf.hops, rf.blocked)
 	}
-	if q.quietAt != 0 {
-		t.Error("reroutePkt kept quietAt")
+	if q.quietClock != 0 {
+		t.Error("reroutePkt kept quietClock")
 	}
 }
 
