@@ -22,11 +22,9 @@ func testRoutes(shape torus.Shape) []struct {
 	}
 }
 
-func newBurstSource(rt *route, self int, msg Msg, burst int, alpha int64) *burstSource {
-	return &burstSource{
-		route: rt, self: int32(self), order: torus.NewDestOrder(rt.shape.P(), self, 7),
-		msg: msg, burst: burst, alpha: alpha,
-	}
+func newBurstSource(rt *route, self int, msg Msg, burst int, alpha int64) network.Source {
+	sc := schedule{route: rt, msg: msg, burst: burst, startup: alpha}
+	return sc.sources(func(n int) visitOrder { return torus.NewDestOrder(rt.shape.P(), n, 7) })[self]
 }
 
 // deliver hands spec, injected by src, to the relay at its leg's end and

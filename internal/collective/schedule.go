@@ -5,25 +5,60 @@ import (
 	"alltoall/internal/torus"
 )
 
-// burstSource is the paper's randomized packet all-to-all: visit
-// destinations in a per-node pseudorandom order, injecting `burst` packets
-// per visit, cycling until every destination has received its whole
-// message. The per-destination startup alpha is charged with the first
-// packet of each destination. Where a packet goes first is the route's
+// visitOrder is the sequence of destinations a source visits: a node's
+// torus.DestOrder in the all-to-all, a fixed destList in a list phase.
+type visitOrder interface {
+	Len() int
+	At(i int) int
+}
+
+// destList is a fixed visiting order.
+type destList []int32
+
+func (l destList) Len() int     { return len(l) }
+func (l destList) At(i int) int { return int(l[i]) }
+
+// schedule is the paper's randomized packet all-to-all (Section 3), the one
+// injection order of every strategy and pattern: visit destinations in order,
+// injecting `burst` packets of msg per visit, cycling until every destination
+// has received its whole message. A list phase is the schedule with the burst
+// set to the packets in one message. Where a packet goes first is the route's
 // business.
+type schedule struct {
+	route   *route
+	msg     Msg
+	burst   int
+	startup int64       // per-message CPU cost, charged with each message's first packet
+	pace    pacer       // each node's source paces itself on its own copy
+	gate    *creditGate // nil: no flow control
+	// list marks a list phase, which reports completion without consulting
+	// the pacer; the all-to-all finds it after the pacer lets it look, which
+	// shows in the event count.
+	list bool
+}
+
+// sources builds every node's source for one phase: node n visits order(n).
+func (sc schedule) sources(order func(n int) visitOrder) []network.Source {
+	srcs := make([]network.Source, sc.route.shape.P())
+	for n := range srcs {
+		srcs[n] = &burstSource{schedule: sc, self: int32(n), order: order(n)}
+	}
+	return srcs
+}
+
+// burstSource is one node's cursor through the schedule.
 type burstSource struct {
-	route *route
+	schedule
 	self  int32
-	order torus.DestOrder
-	msg   Msg
-	burst int
-	alpha int64
-	pace  pacer
+	order visitOrder
 
 	idx, pass, inBurst int
 }
 
 func (s *burstSource) Next(now int64) (network.PacketSpec, network.SrcStatus, int64) {
+	if s.list && s.idx >= s.order.Len() {
+		return network.PacketSpec{}, network.SrcDone, 0
+	}
 	if retry, ok := s.pace.gate(now); !ok {
 		return network.PacketSpec{}, network.SrcWait, retry
 	}
@@ -41,7 +76,12 @@ func (s *burstSource) Next(now int64) (network.PacketSpec, network.SrcStatus, in
 			s.idx++
 			continue
 		}
-		spec := s.route.packet(s.self, int32(s.order.At(s.idx)), s.msg, j, s.alpha)
+		spec := s.route.packet(s.self, int32(s.order.At(s.idx)), s.msg, j, s.startup)
+		if s.gate != nil && !s.gate.spend(s.self, spec) {
+			// Parked until a credit's reception on this node's CPU re-polls the
+			// source; the timed retry is only a (generous) safety net.
+			return network.PacketSpec{}, network.SrcWait, now + 4*network.MaxPacketBytes
+		}
 		s.inBurst++
 		if s.inBurst == s.burst {
 			s.inBurst = 0
@@ -52,66 +92,28 @@ func (s *burstSource) Next(now int64) (network.PacketSpec, network.SrcStatus, in
 	}
 }
 
-// runBurst runs the burst schedule over a route: the direct strategies, TPS
-// and XYZ, which beyond the route differ only in pacing strictness and
-// per-destination startup cost.
+// allToAll builds the all-to-all's sources over a route: node n visits the
+// others in its torus.DestOrder. The direct strategies, TPS and XYZ differ
+// beyond the route only in pacing strictness and per-destination startup
+// cost; a gate adds TPS credit flow control.
+func (o *Options) allToAll(rt *route, gate *creditGate) []network.Source {
+	alpha := o.Calib.AlphaAR
+	if o.Strategy == StratMPI {
+		alpha = o.Calib.AlphaMPI
+	}
+	sc := schedule{route: rt, msg: NewMsg(o.MsgBytes, o.Calib.HeaderBytes), burst: o.Burst, startup: alpha,
+		pace: o.pacer(o.Strategy == StratThrottle), gate: gate}
+	return sc.sources(func(n int) visitOrder { return torus.NewDestOrder(o.Shape.P(), n, o.Seed) })
+}
+
+// runBurst runs the all-to-all schedule over a route.
 func runBurst(opts *Options, rt *route) (Result, error) {
-	alpha := opts.Calib.AlphaAR
-	if opts.Strategy == StratMPI {
-		alpha = opts.Calib.AlphaMPI
-	}
-	p := opts.Shape.P()
-	msg := NewMsg(opts.MsgBytes, opts.Calib.HeaderBytes)
-	pace := opts.pacer(opts.Strategy == StratThrottle)
-	sources := make([]network.Source, p)
-	for n := range sources {
-		sources[n] = &burstSource{
-			route: rt,
-			self:  int32(n),
-			order: torus.NewDestOrder(p, n, opts.Seed),
-			msg:   msg,
-			burst: opts.Burst,
-			alpha: alpha,
-			pace:  pace,
-		}
-	}
-	h := &relay{route: rt, recv: make([]int64, p)}
-	nw, t, err := opts.runPhase(string(opts.Strategy), sources, h, h.recv, opts.allToAllPayload)
+	h := &relay{route: rt, recv: make([]int64, opts.Shape.P())}
+	nw, t, err := opts.runPhase(string(opts.Strategy), opts.allToAll(rt, nil), h, h.recv, opts.allToAllPayload)
 	if err != nil {
 		return Result{}, err
 	}
 	return opts.result(t, nw.Stats()), nil
-}
-
-// listSource sends one message to each node of a fixed list, packet by
-// packet. Unlike the burst schedule it reports completion without consulting
-// the pacer, which shows in the event count.
-type listSource struct {
-	route   *route
-	self    int32
-	dests   []int32
-	msg     Msg
-	startup int64 // per-message CPU cost, charged with each message's first packet
-	pace    pacer
-
-	di, pj int
-}
-
-func (s *listSource) Next(now int64) (network.PacketSpec, network.SrcStatus, int64) {
-	if s.di >= len(s.dests) {
-		return network.PacketSpec{}, network.SrcDone, 0
-	}
-	if retry, ok := s.pace.gate(now); !ok {
-		return network.PacketSpec{}, network.SrcWait, retry
-	}
-	spec := s.route.packet(s.self, s.dests[s.di], s.msg, s.pj, s.startup)
-	s.pj++
-	if s.pj == s.msg.NPkts {
-		s.pj = 0
-		s.di++
-	}
-	s.pace.charge(now, spec.Size)
-	return spec, network.SrcReady, 0
 }
 
 // runLists runs one phase of a prepared run in which node n sends one msg to
@@ -120,10 +122,7 @@ func (s *listSource) Next(now int64) (network.PacketSpec, network.SrcStatus, int
 // run (pattern.go) are list phases.
 func (o *Options) runLists(label string, rt *route, dests [][]int32, msg Msg, startup int64, pace pacer,
 	want func(node int) int64) (*network.Network, int64, error) {
-	sources := make([]network.Source, len(dests))
-	for n := range sources {
-		sources[n] = &listSource{route: rt, self: int32(n), dests: dests[n], msg: msg, startup: startup, pace: pace}
-	}
+	sc := schedule{route: rt, msg: msg, burst: msg.NPkts, startup: startup, pace: pace, list: true}
 	h := &relay{route: rt, recv: make([]int64, len(dests))}
-	return o.runPhase(label, sources, h, h.recv, want)
+	return o.runPhase(label, sc.sources(func(n int) visitOrder { return destList(dests[n]) }), h, h.recv, want)
 }

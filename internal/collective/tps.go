@@ -34,21 +34,18 @@ func otherDims(d torus.Dim) (torus.Dim, torus.Dim) {
 	}
 }
 
-// runTPS runs the Two Phase Schedule: the burst schedule over tpsRoute, or the
-// credit-gated order when Request.TPSCreditWindow > 0.
+// runTPS runs the Two Phase Schedule: the burst schedule over tpsRoute, gated
+// by credit windows when Request.TPSCreditWindow > 0.
 func runTPS(opts *Options) (Result, error) {
 	linear := SelectTPSLinearDim(opts.Shape)
 	if opts.TPSLinear > 0 {
 		linear = opts.TPSLinear.Dim()
 	}
-	rt := tpsRoute(opts.Shape, linear)
-	var r Result
-	var err error
+	run := runBurst
 	if opts.TPSCreditWindow > 0 {
-		r, err = runTPSCredit(opts, rt, linear)
-	} else {
-		r, err = runBurst(opts, rt)
+		run = runTPSCredit
 	}
+	r, err := run(opts, tpsRoute(opts.Shape, linear))
 	if err != nil {
 		return Result{}, err
 	}

@@ -76,11 +76,9 @@ func TestRunTPSForcedLinearDim(t *testing.T) {
 func TestTPSPhase1PacketsStayOnLinearDim(t *testing.T) {
 	shape := torus.New(8, 4, 2)
 	src := &burstSource{
-		route: tpsRoute(shape, torus.X),
-		self:  13,
-		order: torus.NewDestOrder(shape.P(), 13, 9),
-		msg:   NewMsg(100, 48),
-		burst: 1,
+		schedule: schedule{route: tpsRoute(shape, torus.X), msg: NewMsg(100, 48), burst: 1},
+		self:     13,
+		order:    torus.NewDestOrder(shape.P(), 13, 9),
 	}
 	self := shape.Coords(13)
 	n := 0

@@ -52,6 +52,24 @@ func newVMeshMap(s torus.Shape, order [3]torus.Dim) vmeshMap {
 	return m
 }
 
+// lists returns every node's destinations for one combining phase: the
+// other members of its virtual line (n nodes, stride virtual ranks apart) in
+// a shuffle the line shares, rotated to start at the node's own position.
+func (m vmeshMap) lists(n, stride int, perm torus.Perm) [][]int32 {
+	dests := make([][]int32, len(m.physOf))
+	for phys := range dests {
+		vr := int(m.virtOf[phys])
+		own := vr / stride % n
+		dests[phys] = make([]int32, 0, n-1)
+		for i := 0; i < n; i++ {
+			if j := perm.At((i + own) % n); j != own {
+				dests[phys] = append(dests[phys], m.physOf[vr+(j-own)*stride])
+			}
+		}
+	}
+	return dests
+}
+
 // vmeshFactors returns the virtual-mesh factorization Pvx x Pvy the request
 // selects - the forced VMeshCols x VMeshRows, or the balanced one when either
 // is 0 - and checks that it covers the partition. Validate and runVMesh share
@@ -89,24 +107,10 @@ func runVMesh(opts *Options) (Result, error) {
 	gammaOf := func(bytes int64) int64 { return bytes * calib.GammaMilliPerByte / 1000 }
 	rt := directRoute(shape, false)
 
-	perm := torus.NewPerm(pvx, opts.Seed^0x5EED1) // shared row-visit shuffle
-
 	// Phase 1: row exchange. Virtual node (r, c) sends to (r, j) for j != c
 	// a message combining the blocks for column j.
 	msg1 := NewMsg(pvy*(opts.MsgBytes+calib.ProtoBytes), calib.HeaderBytes)
-	dests1 := make([][]int32, p)
-	for phys := 0; phys < p; phys++ {
-		vr := int(vm.virtOf[phys])
-		r, c := vr/pvx, vr%pvx
-		dests1[phys] = make([]int32, 0, pvx-1)
-		for i := 0; i < pvx; i++ {
-			j := perm.At((i + c) % pvx)
-			if j == c {
-				continue
-			}
-			dests1[phys] = append(dests1[phys], vm.physOf[r*pvx+j])
-		}
-	}
+	dests1 := vm.lists(pvx, 1, torus.NewPerm(pvx, opts.Seed^0x5EED1))
 	nw1, t1, err := opts.runLists("VMesh phase 1", rt, dests1, msg1, calib.AlphaMsg+gammaOf(msg1.Wire), opts.pacer(false),
 		func(int) int64 { return int64(pvx-1) * int64(msg1.Payload) })
 	if err != nil {
@@ -128,20 +132,7 @@ func runVMesh(opts *Options) (Result, error) {
 	// r' != r a message with the blocks (from all Pvx row members) for that
 	// destination.
 	msg2 := NewMsg(pvx*(opts.MsgBytes+calib.ProtoBytes), calib.HeaderBytes)
-	permCol := torus.NewPerm(pvy, opts.Seed^0x5EED2)
-	dests2 := make([][]int32, p)
-	for phys := 0; phys < p; phys++ {
-		vr := int(vm.virtOf[phys])
-		r, c := vr/pvx, vr%pvx
-		dests2[phys] = make([]int32, 0, pvy-1)
-		for i := 0; i < pvy; i++ {
-			rp := permCol.At((i + r) % pvy)
-			if rp == r {
-				continue
-			}
-			dests2[phys] = append(dests2[phys], vm.physOf[rp*pvx+c])
-		}
-	}
+	dests2 := vm.lists(pvy, pvx, torus.NewPerm(pvy, opts.Seed^0x5EED2))
 	nw2, t2, err := opts.runLists("VMesh phase 2", rt, dests2, msg2, calib.AlphaMsg+gammaOf(msg2.Wire), opts.pacer(false),
 		func(int) int64 { return int64(pvy-1) * int64(msg2.Payload) })
 	if err != nil {

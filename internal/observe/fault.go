@@ -113,11 +113,3 @@ func (c *Collector) accrueDead(from, to int64) {
 		t = end
 	}
 }
-
-// FaultSeries returns the per-window dead-link-ticks series (the fault state
-// over time): element i is the summed link-downtime inside window i, so with
-// k links simultaneously dead a full window accrues k*Window. The slice is a
-// copy. Healthy runs return an empty series.
-func (c *Collector) FaultSeries() []int64 {
-	return append([]int64(nil), c.deadWin...)
-}

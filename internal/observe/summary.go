@@ -80,20 +80,6 @@ type LinkUtil struct {
 	Util  float64     `json:"util"`
 }
 
-// dimLinks returns the number of unidirectional links in dimension d of the
-// shape (matching Shape.LinkCount's census).
-func dimLinks(s torus.Shape, d int) int {
-	k := s.Size[d]
-	if k == 1 {
-		return 0
-	}
-	perLine := k - 1
-	if s.Wrap[d] {
-		perLine = k
-	}
-	return 2 * perLine * (s.P() / k)
-}
-
 func dimName(d int) string { return [torus.NumDims]string{"x", "y", "z"}[d] }
 
 // Summary digests the collector's current totals. Utilization fractions use
@@ -141,7 +127,7 @@ func (c *Collector) Summary() *Summary {
 	}
 	if c.finish > 0 {
 		for d := 0; d < torus.NumDims; d++ {
-			if n := dimLinks(c.shape, d); n > 0 {
+			if n := c.shape.DimLinks(torus.Dim(d)); n > 0 {
 				s.UtilByDim[d] = float64(s.BytesByDim[d]) / (float64(c.finish) * float64(n))
 			}
 		}

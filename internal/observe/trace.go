@@ -68,7 +68,7 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 		}
 		for d := 0; d < torus.NumDims; d++ {
 			rec.BytesDim[d] = winAt(c.win.byDim[d], i)
-			if links := dimLinks(c.shape, d); links > 0 {
+			if links := c.shape.DimLinks(torus.Dim(d)); links > 0 {
 				rec.UtilDim[d] = float64(rec.BytesDim[d]) / (float64(c.cfg.Window) * float64(links))
 			}
 		}

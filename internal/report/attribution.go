@@ -125,7 +125,7 @@ func writeHeatmap(b *strings.Builder, c *observe.Collector, width int) {
 	for d := 0; d < torus.NumDims; d++ {
 		series := c.DimSeries(d)
 		fmt.Fprintf(b, "  %s |", [torus.NumDims]string{"x", "y", "z"}[d])
-		links := dimLinkCount(shape, d)
+		links := shape.DimLinks(torus.Dim(d))
 		for g := 0; g < cols; g++ {
 			var bytes int64
 			span := 0
@@ -143,18 +143,4 @@ func writeHeatmap(b *strings.Builder, c *observe.Collector, width int) {
 		}
 		b.WriteString("|\n")
 	}
-}
-
-// dimLinkCount mirrors observe's per-dimension link census (Shape.LinkCount
-// restricted to one dimension).
-func dimLinkCount(s torus.Shape, d int) int {
-	k := s.Size[d]
-	if k == 1 {
-		return 0
-	}
-	perLine := k - 1
-	if s.Wrap[d] {
-		perLine = k
-	}
-	return 2 * perLine * (s.P() / k)
 }

@@ -329,18 +329,23 @@ func (s Shape) Neighbor(c Coord, d Dim, dir int) (Coord, bool) {
 // partition.
 func (s Shape) LinkCount() int {
 	total := 0
-	p := s.P()
 	for d := Dim(0); d < NumDims; d++ {
-		k := s.Size[d]
-		if k == 1 {
-			continue
-		}
-		perLine := k - 1
-		if s.Wrap[d] {
-			perLine = k
-		}
-		lines := p / k
-		total += 2 * perLine * lines
+		total += s.DimLinks(d)
 	}
 	return total
+}
+
+// DimLinks returns the number of unidirectional links along dimension d: two
+// per neighbouring pair on each of its P/k lines, with the wrap-around pair
+// on a torus dimension and none on a unit one.
+func (s Shape) DimLinks(d Dim) int {
+	k := s.Size[d]
+	if k == 1 {
+		return 0
+	}
+	perLine := k - 1
+	if s.Wrap[d] {
+		perLine = k
+	}
+	return 2 * perLine * (s.P() / k)
 }
