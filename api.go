@@ -27,9 +27,7 @@ type Request = collective.Request
 // machine and model overrides, which have no value identity (WithParams,
 // WithCalib), and run machinery, which never changes a Result (WithCache,
 // WithObserver, WithDebugDump). Everything else about a run is a Request
-// field. Where the two meet the Request wins: Request.Check turns the
-// invariant checker on whatever Params.Check says, and a non-empty
-// Request.Faults replaces Params.Faults.
+// field.
 type Option func(*Options)
 
 // WithParams sets the simulated machine parameters (zero value: DefaultParams).
@@ -173,7 +171,7 @@ const (
 )
 
 // ParseFaults parses the textual fault-schedule grammar of Request.Faults
-// and the aasim/aabench -faults flag: semicolon-separated "t:node:dir:action"
+// and the aasim -faults flag: semicolon-separated "t:node:dir:action"
 // events where dir is one of +x -x +y -y +z -z and action is down, up, kill,
 // or xN (degrade: wire occupancy multiplied by N).
 func ParseFaults(spec string) (*FaultSchedule, error) { return network.ParseFaults(spec) }

@@ -74,7 +74,6 @@ func main() {
 	workers := flag.Int("j", 0, "parallel workers per experiment (0 = all cores, 1 = serial)")
 	shards := flag.Int("shards", 0, "event engines per run: 0 = the engine decides, 1 = one engine, n = exactly n (identical output)")
 	checkInv := flag.Bool("check", false, "run every simulation with the runtime invariant checker (~1.4x slower)")
-	faults := flag.String("faults", "", `link-fault schedule applied to every run, semicolon-separated "t:node:dir:action" events (see aasim -faults; node ids refer to the scaled partitions)`)
 	observeRuns := flag.Bool("observe", false, "instrument every run and print a per-run observation table after each experiment")
 	traceOut := flag.String("trace-out", "", "write every run's windowed observation trace as one JSONL file (implies -observe)")
 	quiet := flag.Bool("quiet", false, "suppress per-run progress lines on stderr")
@@ -94,7 +93,6 @@ func main() {
 		Workers:    *workers,
 		Shards:     *shards,
 		Check:      *checkInv,
-		Faults:     *faults,
 	}
 	if *full {
 		cfg.MaxNodes = math.MaxInt

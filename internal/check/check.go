@@ -3,10 +3,11 @@
 // structured, node/time-stamped violation type.
 //
 // The network engine validates these invariants at event granularity when
-// network.Params.Check is set (see internal/network/invariant.go for the
-// enforcement sites); the property/metamorphic suite in internal/conformance
-// runs every strategy with checking enabled. The invariants are the
-// conservation laws the reproduction's credibility rests on - a silent
+// the checker is on (network.Network.SetCheck; see
+// internal/network/invariant.go for the enforcement sites); the
+// property/metamorphic suite in internal/conformance runs every strategy
+// with checking enabled. The invariants are the conservation laws the
+// reproduction's credibility rests on - a silent
 // violation of any of them can masquerade as a contention finding.
 package check
 

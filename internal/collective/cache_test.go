@@ -115,48 +115,64 @@ func TestNetCacheCrossShapeSharded(t *testing.T) {
 	}
 }
 
-// TestNetCacheCheckToggle ensures Check participates in the cache key: a
-// network built without the checker must not be recycled for a checked run
-// (Params.Check differs), and vice versa.
+// TestNetCacheCheckToggle: the checker (and the fault schedule) are per-run
+// settings, not part of the machine, so a checked run recycles the cached
+// unchecked network - the same *Network - and still equals a fresh checked
+// run; a checked faulted run and a plain run after it recycle it too, each
+// equal to its fresh twin.
 func TestNetCacheCheckToggle(t *testing.T) {
 	cache := &NetCache{}
 	shape := torus.New(4, 2, 1)
-	if _, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 64, Seed: 2}, Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	if cache.nw.Par.Check {
-		t.Fatal("unchecked run cached a checked network")
-	}
-	if _, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 64, Seed: 2, Check: true}, Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	if !cache.nw.Par.Check {
-		t.Fatal("checked run recycled the unchecked network (stale cache key)")
+	var recycled *network.Network
+	for i, req := range []Request{
+		{Shape: shape, MsgBytes: 64, Seed: 2},
+		{Shape: shape, MsgBytes: 64, Seed: 2, Check: true},
+		{Shape: shape, MsgBytes: 64, Seed: 2, Check: true, Faults: "0:1:+x:kill"},
+		{Shape: shape, MsgBytes: 64, Seed: 2},
+	} {
+		fresh, err := run(StratAR, Options{Request: req})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := run(StratAR, Options{Request: req, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fresh, cached) {
+			t.Errorf("run %d (check=%v faults=%q): cached run diverged from fresh run\nfresh:  %+v\ncached: %+v",
+				i, req.Check, req.Faults, fresh, cached)
+		}
+		if (fresh.DeadLinkTicks > 0) != (req.Faults != "") {
+			t.Errorf("run %d: DeadLinkTicks %d with faults %q", i, fresh.DeadLinkTicks, req.Faults)
+		}
+		if i == 0 {
+			recycled = cache.nw
+		} else if cache.nw != recycled {
+			t.Fatalf("run %d (check=%v faults=%q): cache rebuilt the network instead of recycling it",
+				i, req.Check, req.Faults)
+		}
 	}
 }
 
-// TestNetCacheCrossParams drives one cache through a parameter sweep -
-// credit delay, coalescing, invariant checking - on a fixed shape. The
-// structural-reuse branch of Options.network must recycle the cached
-// network via ResetParams (same machine, re-derived engine state) and
-// still match a fresh build byte for byte.
+// TestNetCacheCrossParams: the machine parameters are the network, so a
+// change to CreditDelay (runtime behaviour) or VCBytes (buffer structure)
+// rebuilds it, and every run still equals a fresh one.
 func TestNetCacheCrossParams(t *testing.T) {
 	shape := torus.New(4, 4, 2)
 	base := network.DefaultParams()
 	longCredit := base
 	longCredit.CreditDelay = 60
-	checked := base
-	checked.Check = true
-	params := []network.Params{base, longCredit, checked, base}
-
+	bigger := base
+	bigger.VCBytes *= 2
 	cache := &NetCache{}
-	var recycled *network.Network
-	for i, par := range params {
-		fresh, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 7}, Par: par})
+	var last *network.Network
+	for i, par := range []network.Params{base, longCredit, bigger, base} {
+		req := Request{Shape: shape, MsgBytes: 240, Seed: 7}
+		fresh, err := run(StratAR, Options{Request: req, Par: par})
 		if err != nil {
 			t.Fatalf("params %d fresh: %v", i, err)
 		}
-		cached, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 7}, Par: par, Cache: cache})
+		cached, err := run(StratAR, Options{Request: req, Par: par, Cache: cache})
 		if err != nil {
 			t.Fatalf("params %d cached: %v", i, err)
 		}
@@ -164,20 +180,9 @@ func TestNetCacheCrossParams(t *testing.T) {
 			t.Errorf("params %d: cached run diverged from fresh run\nfresh:  %+v\ncached: %+v",
 				i, fresh, cached)
 		}
-		if i == 0 {
-			recycled = cache.nw
-		} else if cache.nw != recycled {
-			t.Fatalf("params %d: cache rebuilt the network instead of recycling (structure unchanged)", i)
+		if cache.nw == last {
+			t.Errorf("params %d: a parameter change recycled the previous network", i)
 		}
-	}
-
-	// A buffer-structure change must fall back to allocation.
-	bigger := base
-	bigger.VCBytes *= 2
-	if _, err := run(StratAR, Options{Request: Request{Shape: shape, MsgBytes: 240, Seed: 7}, Par: bigger, Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	if cache.nw == recycled {
-		t.Fatal("VCBytes change recycled a structurally incompatible network")
+		last = cache.nw
 	}
 }

@@ -64,15 +64,17 @@ type Options struct {
 	// the context's Done channel. The engines poll it at window barriers and
 	// every few thousand events between.
 	cancel <-chan struct{}
+	// faults is Request.Faults parsed by prepare (nil when it is empty).
+	faults *network.FaultSchedule
 }
 
 // prepare binds the run to ctx (cancellation aborts the simulation with an
 // error wrapping network.ErrCanceled), validates the Request and resolves
 // every default: Burst 2, PaceBurst 2, PaceFraction 0.95, Par defaulted to
-// network.DefaultParams with Check and the parsed Faults folded in, Calib,
-// a MaxTime derived from the peak-time model, and the collector
-// Request.Observe asks for. It is the one place a run description becomes
-// runnable; Run and RunPattern call it once, before the first phase runs.
+// network.DefaultParams, Calib, a MaxTime derived from the peak-time model,
+// the parsed fault schedule, and the collector Request.Observe asks for. It
+// is the one place a run description becomes runnable; Run and RunPattern
+// call it once, before the first phase runs.
 func (o *Options) prepare(ctx context.Context) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -80,8 +82,8 @@ func (o *Options) prepare(ctx context.Context) error {
 		}
 		o.cancel = ctx.Done()
 	}
-	faults, err := o.Request.check()
-	if err != nil {
+	var err error
+	if o.faults, err = o.Request.check(); err != nil {
 		return err
 	}
 	if o.Burst == 0 {
@@ -95,12 +97,6 @@ func (o *Options) prepare(ctx context.Context) error {
 	}
 	if o.Par == (network.Params{}) {
 		o.Par = network.DefaultParams()
-	}
-	if o.Check {
-		o.Par.Check = true
-	}
-	if faults != nil && len(faults.Events) > 0 {
-		o.Par.Faults = faults
 	}
 	if o.Calib == (model.Calib{}) {
 		o.Calib = model.DefaultCalib()
@@ -123,44 +119,36 @@ type NetCache struct {
 	nw *network.Network
 }
 
-// network returns a simulator for this run, recycling the cached instance
-// when its shape and parameters match and allocating (and caching) a fresh
-// one otherwise.
+// network returns a simulator for this run with the run's settings
+// installed: the cached instance, Reset, when its shape and machine
+// parameters match, else a fresh one (which the cache keeps).
 func (o *Options) network(sources []network.Source, h network.Handler) (*network.Network, error) {
-	if c := o.Cache; c != nil && c.nw != nil && c.nw.Shape == o.Shape {
-		if c.nw.Par == o.Par {
-			if err := c.nw.Reset(sources, h); err != nil {
-				return nil, err
-			}
-			return o.instrument(c.nw), nil
+	c := o.Cache
+	if c != nil && c.nw != nil && c.nw.Shape == o.Shape && c.nw.Par == o.Par {
+		if err := c.nw.Reset(sources, h); err != nil {
+			return nil, err
 		}
-		if c.nw.Par.SameStructure(o.Par) {
-			// Same buffer geometry, different runtime knobs (delays, CPU
-			// rate, checking, faults): ResetParams re-derives the engines'
-			// cached state instead of rebuilding the machine.
-			if err := c.nw.ResetParams(o.Par, sources, h); err != nil {
-				return nil, err
-			}
-			return o.instrument(c.nw), nil
-		}
+		return c.nw, o.instrument(c.nw)
 	}
 	nw, err := network.New(o.Shape, o.Par, sources, h)
 	if err != nil {
 		return nil, err
 	}
-	if o.Cache != nil {
-		o.Cache.nw = nw
+	if c != nil {
+		c.nw = nw
 	}
-	return o.instrument(nw), nil
+	return nw, o.instrument(nw)
 }
 
-// instrument installs this run's observer and cancellation channel on a
-// network returned by o.network. Set explicitly every run (including to
-// nil) so cached networks never leak a previous run's observer.
-func (o *Options) instrument(nw *network.Network) *network.Network {
+// instrument installs this run's observer, cancellation channel, checker
+// flag and fault schedule on a network returned by o.network. Set explicitly
+// every run (including to nil and off) so a cached network never carries a
+// previous run's settings.
+func (o *Options) instrument(nw *network.Network) error {
 	nw.SetObserver(o.Observer)
 	nw.SetCancel(o.cancel)
-	return nw
+	nw.SetCheck(o.Check)
+	return nw.SetFaults(o.faults)
 }
 
 // runPhase runs one simulated phase of a prepared run, the skeleton every

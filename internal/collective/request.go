@@ -57,22 +57,24 @@ type Request struct {
 	// It only schedules the run: results are byte-identical at any value,
 	// which is why it is not part of Key.
 	Shards int `json:"shards,omitempty"`
-	// Check enables the simulator's runtime invariant checker (it turns
-	// Par.Check on): every event is validated against the machine's
-	// conservation laws and a completed run must reach full quiescence. A
-	// violation fails the run with a node/time-stamped diagnostic. Costs
-	// roughly 1.4x simulation time; meant for tests and CI, not sweeps.
+	// Check enables the simulator's runtime invariant checker
+	// (network.Network.SetCheck): every event is validated against the
+	// machine's conservation laws and a completed run must reach full
+	// quiescence. A violation fails the run with a node/time-stamped
+	// diagnostic. Costs roughly 1.4x simulation time; meant for tests and
+	// CI, not sweeps.
 	Check bool `json:"check,omitempty"`
 
 	// Faults is a deterministic link-fault schedule in the ParseFaults
 	// grammar ("t:node:dir:action;..."); "" faults nothing and is
 	// byte-identical to a run without it. The textual form is the only one
 	// (the grammar is a String/Parse fixed point), so Requests stay
-	// value-comparable and JSON-portable; the run parses it into Par.Faults.
-	// Links go down, come back, die permanently, or degrade at scheduled
-	// times, and packets reroute via the adaptive paths and the escape
-	// bubble channel. Multi-phase strategies (TPS, VMesh, XYZ) restart the
-	// clock each phase, so the schedule re-applies from t=0 per phase.
+	// value-comparable and JSON-portable; the run parses it and installs it
+	// on its network (network.Network.SetFaults). Links go down, come back,
+	// die permanently, or degrade at scheduled times, and packets reroute via
+	// the adaptive paths and the escape bubble channel. Every strategy but
+	// VMesh is one network run; VMesh's two phases each restart the clock,
+	// so the schedule re-applies from t=0 in each phase.
 	Faults string `json:"faults,omitempty"`
 
 	// MaxTime aborts runs that exceed this many time units (0 = generous

@@ -365,3 +365,22 @@ func FuzzRequestJSON(f *testing.F) {
 		}
 	})
 }
+
+// TestFaultClockPerPhase pins what Request.Faults says about phases: TPS and
+// XYZ are one network run, so one link downed at t=T for good is dead for
+// Time-T; VMesh's two phases each restart the clock and down it again at T,
+// so its outage is Time-2T.
+func TestFaultClockPerPhase(t *testing.T) {
+	const down = 200
+	for strat, phases := range map[Strategy]int64{StratTPS: 1, StratXYZ: 1, StratVMesh: 2} {
+		res, err := run(strat, Options{Request: Request{Shape: torus.New(4, 4, 2), MsgBytes: 64, Seed: 1,
+			Check: true, Faults: strconv.Itoa(down) + ":5:+x:down"}})
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		if want := res.Time - phases*down; res.DeadLinkTicks != want {
+			t.Errorf("%s: DeadLinkTicks %d, want Time-%d*%d = %d (phase times %v)",
+				strat, res.DeadLinkTicks, phases, down, want, res.PhaseTimes)
+		}
+	}
+}

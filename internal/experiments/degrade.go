@@ -69,8 +69,6 @@ func degrade() experiment {
 	for _, strat := range strats {
 		for _, k := range ks {
 			e.rows = append(e.rows, row{{strat: strat, paper: torus.New(8, 8, 8),
-				// Each cell carries its own kill schedule; a Config.Faults
-				// spec would fight the sweep, so it is overwritten here.
 				tune: func(o *collective.Options) error {
 					fs, err := KillSchedule(o.Shape, k, o.Seed)
 					o.Faults = fs.String()

@@ -190,7 +190,7 @@ func (c Config) runCell(cl cell, batch int, cache *collective.NetCache) (outcome
 	}
 	opts := collective.Options{Request: collective.Request{
 		Strategy: cl.strat, Shape: o.run, MsgBytes: o.msg, Seed: c.Seed, Shards: c.shardsFor(batch),
-		Check: c.Check, Faults: c.Faults}}
+		Check: c.Check}}
 	if cl.tune != nil {
 		if err := cl.tune(&opts); err != nil {
 			return o, err

@@ -59,12 +59,6 @@ type Config struct {
 	// 1.4x simulation time; tables are unchanged when the invariants hold.
 	Check bool
 
-	// Faults, when non-empty, applies the same deterministic link-fault
-	// schedule (the ParseFaults "t:node:dir:action" grammar) to every run
-	// of the experiment. Node ids refer to the scaled partition actually
-	// simulated, so schedules are only portable across runs of one shape.
-	Faults string
-
 	// Trace, when non-nil, instruments every collective run with an
 	// observe.Collector and records its per-run summary (and, if the sink
 	// keeps traces, its windowed JSONL trace) under the experiment's id.

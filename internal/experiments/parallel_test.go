@@ -8,6 +8,7 @@ import (
 
 	"alltoall/internal/collective"
 	"alltoall/internal/report"
+	"alltoall/internal/torus"
 )
 
 // rendering is one catalog entry run at the golden scale (tiny: 64 nodes,
@@ -157,11 +158,10 @@ func TestMetricsAndProgress(t *testing.T) {
 
 	// The collective error alone ("bad fault spec") says nothing about the
 	// row; the grid adds experiment, strategy, paper and run shape, and m.
-	bad := tiny()
-	bad.Workers = 1
-	bad.Faults = "bogus"
-	_, err := Catalog["table3"](bad)
+	bad := cell{strat: collective.StratTPS, paper: torus.New(8, 8, 8),
+		tune: func(o *collective.Options) error { o.Faults = "bogus"; return nil }}
+	_, err := runGrid(tiny(), "table3", []row{{bad}})
 	if want := "table3: TPS 8x8x8 (run 4x4x4) m=240: "; err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("table3 with an unparsable fault schedule: error %v, want one naming %q", err, want)
+		t.Errorf("a cell with an unparsable fault schedule: error %v, want one naming %q", err, want)
 	}
 }

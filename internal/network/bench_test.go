@@ -38,19 +38,17 @@ func BenchmarkSimulatorHops(b *testing.B) {
 // is recycled with Reset between runs (the sweep engine's hot path): one
 // allocation-free simulation per iteration.
 func BenchmarkNetworkRun(b *testing.B) {
-	benchNetworkRun(b, DefaultParams())
+	benchNetworkRun(b, false)
 }
 
 // BenchmarkNetworkRunChecked is the same workload with the runtime invariant
 // checker on; the ratio to BenchmarkNetworkRun is the checker's cost
 // (measured ~1.4x - every event re-audits the dispatched node's router).
 func BenchmarkNetworkRunChecked(b *testing.B) {
-	par := DefaultParams()
-	par.Check = true
-	benchNetworkRun(b, par)
+	benchNetworkRun(b, true)
 }
 
-func benchNetworkRun(b *testing.B, par Params) {
+func benchNetworkRun(b *testing.B, check bool) {
 	b.ReportAllocs()
 	shape := torus.New(8, 8, 4)
 	p := shape.P()
@@ -61,10 +59,11 @@ func benchNetworkRun(b *testing.B, par Params) {
 		}
 		return srcs
 	}
-	nw, err := New(shape, par, mkSrcs(), countOnly{})
+	nw, err := New(shape, DefaultParams(), mkSrcs(), countOnly{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	nw.SetCheck(check)
 	if _, err := nw.Run(1 << 42); err != nil {
 		b.Fatal(err)
 	}

@@ -69,8 +69,11 @@ type engine struct {
 	// obs taps the hot path for instrumentation (nil = off: one predicted
 	// branch per hook site). cancel aborts the run when readable; it is
 	// polled at every window barrier and every few thousand events between.
+	// check runs the invariant checker (Network.SetCheck). RunSharded installs
+	// all three from the Network at the top of every run.
 	obs    Sink
 	cancel <-chan struct{}
+	check  bool
 
 	// Cross-engine state; shardOf is nil on a one-engine run, which makes
 	// every destination local.
@@ -89,7 +92,7 @@ type engine struct {
 
 	// vio holds the first invariant violation caught inside a dispatch
 	// (sites that cannot return an error directly); processUntil surfaces
-	// it at the end of the offending event. Only written when par.Check.
+	// it at the end of the offending event. Only written when check is on.
 	vio error
 
 	// pad keeps adjacent engines in Network.engines off each other's cache
@@ -110,17 +113,8 @@ func (e *engine) init(nw *Network, id, lo, hi int32) {
 	e.occ = nw.occ
 	e.svcAt = nw.svcAt
 	e.svcMask = nw.svcMask
-	e.setParams(nw.Par)
-}
-
-// setParams installs new runtime parameters on a recycled engine (see
-// Network.ResetParams): the cached Params copy and the calendar ring, whose
-// horizon is parameter-derived. The queue is drained first so a resized ring
-// cannot strand stale events.
-func (e *engine) setParams(par Params) {
-	e.par = par
-	e.evq.reset()
-	e.evq.init(calendarHorizon(par))
+	e.par = nw.Par
+	e.evq.init(calendarHorizon(nw.Par))
 }
 
 // resetRunState clears everything a run accumulates, keeping allocations
@@ -195,7 +189,7 @@ func (e *engine) processUntil(tend, maxTime int64) error {
 				ErrMaxTime, maxTime, e.inFlight, e.activeSrc)
 		}
 		e.dispatch(ev)
-		if e.par.Check && e.vio != nil {
+		if e.check && e.vio != nil {
 			return e.vio
 		}
 	}
@@ -232,7 +226,7 @@ func (e *engine) dispatch(ev event) {
 	case evFault:
 		e.applyFault(node, ev.arg())
 	}
-	if e.par.Check && e.vio == nil {
+	if e.check && e.vio == nil {
 		// Events mutate only the dispatched node's router, so a node-local
 		// audit after each event covers every mutation.
 		if v := e.checkNode(node); v != nil {

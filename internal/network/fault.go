@@ -85,7 +85,8 @@ const MaxDegradeFactor = 4096
 
 // FaultSchedule is a deterministic set of link fault transitions. The zero
 // value (or an empty Events list) is a valid schedule that faults nothing; a
-// run with an empty schedule is byte-identical to Params.Faults == nil.
+// run with an empty schedule is byte-identical to one with none installed
+// (Network.SetFaults).
 type FaultSchedule struct {
 	Events []FaultEvent
 }
@@ -213,13 +214,16 @@ func faultLess(a, b FaultEvent) bool {
 	return a.Factor < b.Factor
 }
 
-// deriveFaults validates par.Faults against the built machine and installs
-// the canonical (sorted) schedule on nw.
-// Called from New and ResetParams; a nil or empty schedule clears the fault
-// state so the engines take the zero-cost healthy path.
-func (nw *Network) deriveFaults() error {
+// SetFaults installs the deterministic link-fault schedule for subsequent
+// runs: timed down/up transitions, permanent kills, and bandwidth degradation
+// (see ParseFaults for the -faults spec grammar). The schedule is validated
+// against this machine (node range, link existence, no revival after a kill)
+// and copied in canonical order; an invalid one is rejected and leaves the
+// network healthy. nil - and an empty schedule - leaves the machine healthy
+// and the hot path untouched: runs are byte-identical to a network that never
+// had a schedule. Like SetCancel, the schedule persists across Reset.
+func (nw *Network) SetFaults(fs *FaultSchedule) error {
 	nw.fsched = nw.fsched[:0]
-	fs := nw.Par.Faults
 	if fs == nil || len(fs.Events) == 0 {
 		return nil
 	}
@@ -248,27 +252,28 @@ func (nw *Network) deriveFaults() error {
 			return fmt.Errorf("network: unknown fault action %d", f.Action)
 		}
 	}
-	nw.fsched = append(nw.fsched, fs.Events...)
-	sort.SliceStable(nw.fsched, func(i, j int) bool { return faultLess(nw.fsched[i], nw.fsched[j]) })
-	for i, f := range nw.fsched {
+	sched := append(nw.fsched, fs.Events...)
+	sort.SliceStable(sched, func(i, j int) bool { return faultLess(sched[i], sched[j]) })
+	for i, f := range sched {
 		if f.Action != FaultKill {
 			continue
 		}
-		for _, g := range nw.fsched[i+1:] {
+		for _, g := range sched[i+1:] {
 			if g.Node == f.Node && g.Dir == f.Dir && g.Action == FaultUp {
 				return fmt.Errorf("network: fault revives link (%d, %s) at t=%d after a kill at t=%d",
 					f.Node, DirName(f.Dir), g.T, f.T)
 			}
 		}
 	}
+	nw.fsched = sched
 	// Lazily allocate the fault-state SoA (healthy networks never pay for
-	// it); the Reset that follows every derivation puts it in the healthy
-	// initial state.
+	// it) in the healthy initial state, which every Reset restores.
 	if nw.deadMask == nil {
 		nw.deadMask = make([]uint8, nw.P)
 		nw.killMask = make([]uint8, nw.P)
 		nw.stretch = make([]int32, nw.P*numDirs)
 		nw.downSince = make([]int64, nw.P*numDirs)
+		nw.resetFaultState()
 	}
 	return nil
 }

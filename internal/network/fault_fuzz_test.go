@@ -43,11 +43,12 @@ func FuzzFaultSchedule(f *testing.F) {
 		for n := 0; n < p; n++ {
 			srcs[n] = &allToAllSource{self: int32(n), p: int32(p), size: 96}
 		}
-		par := DefaultParams()
-		par.Check = true
-		par.Faults = fs
-		nw, err := New(shape, par, srcs, countOnly{})
+		nw, err := New(shape, DefaultParams(), srcs, countOnly{})
 		if err != nil {
+			t.Fatal(err)
+		}
+		nw.SetCheck(true)
+		if err := nw.SetFaults(fs); err != nil {
 			return // schedule names links this machine does not have
 		}
 		if _, err := nw.RunSharded(1<<40, 1); err != nil {

@@ -60,20 +60,27 @@ func TestParseFaultsRejects(t *testing.T) {
 	}
 }
 
-// faultRun performs one checked all-to-all run with the given schedule.
-func faultRun(t *testing.T, shape torus.Shape, par Params, fs *FaultSchedule, shards int) (int64, *Stats) {
+// faultedNet builds a checked all-to-all network (192-byte packets) on the
+// default machine with fs installed.
+func faultedNet(t *testing.T, shape torus.Shape, fs *FaultSchedule) *Network {
 	t.Helper()
-	par.Check = true
-	par.Faults = fs
 	p := shape.P()
 	srcs := make([]Source, p)
 	for n := 0; n < p; n++ {
 		srcs[n] = &allToAllSource{self: int32(n), p: int32(p), size: 192}
 	}
-	nw, err := New(shape, par, srcs, countOnly{})
-	if err != nil {
+	nw := buildNet(t, shape, DefaultParams(), srcs, countOnly{})
+	nw.SetCheck(true)
+	if err := nw.SetFaults(fs); err != nil {
 		t.Fatal(err)
 	}
+	return nw
+}
+
+// faultRun performs one checked all-to-all run with the given schedule.
+func faultRun(t *testing.T, shape torus.Shape, fs *FaultSchedule, shards int) (int64, *Stats) {
+	t.Helper()
+	nw := faultedNet(t, shape, fs)
 	ft, err := nw.RunSharded(1<<40, shards)
 	if err != nil {
 		t.Fatalf("faulted run (shards=%d): %v", shards, err)
@@ -87,12 +94,12 @@ func faultRun(t *testing.T, shape torus.Shape, par Params, fs *FaultSchedule, sh
 
 // TestZeroFaultScheduleByteIdentical pins the no-fault fast path: an empty
 // (but non-nil) schedule must be byte-identical - finish time and full
-// statistics - to Params.Faults == nil, at shards 1 and 4.
+// statistics - to no schedule at all, at shards 1 and 4.
 func TestZeroFaultScheduleByteIdentical(t *testing.T) {
 	shape := torus.New(4, 4, 2)
 	for _, shards := range []int{1, 4} {
-		ftNil, stNil := faultRun(t, shape, DefaultParams(), nil, shards)
-		ftEmpty, stEmpty := faultRun(t, shape, DefaultParams(), &FaultSchedule{}, shards)
+		ftNil, stNil := faultRun(t, shape, nil, shards)
+		ftEmpty, stEmpty := faultRun(t, shape, &FaultSchedule{}, shards)
 		if ftNil != ftEmpty {
 			t.Errorf("shards=%d: empty schedule finish %d, nil %d", shards, ftEmpty, ftNil)
 		}
@@ -117,12 +124,12 @@ func TestFaultedRunIdenticalEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ftRef, stRef := faultRun(t, shape, DefaultParams(), fs, 1)
+	ftRef, stRef := faultRun(t, shape, fs, 1)
 	if stRef.DeadLinkTicks == 0 {
 		t.Error("schedule with a t=0 kill accrued no DeadLinkTicks")
 	}
 	for _, shards := range []int{2, 4} {
-		ft, st := faultRun(t, shape, DefaultParams(), fs, shards)
+		ft, st := faultRun(t, shape, fs, shards)
 		if ft != ftRef {
 			t.Errorf("shards=%d: finish %d, serial %d", shards, ft, ftRef)
 		}
@@ -138,9 +145,9 @@ func TestFaultedRunIdenticalEverywhere(t *testing.T) {
 // stays clean, and completion is no faster than the healthy run.
 func TestKilledLinkDegradesGracefully(t *testing.T) {
 	shape := torus.New(4, 4, 2)
-	ftHealthy, _ := faultRun(t, shape, DefaultParams(), nil, 1)
+	ftHealthy, _ := faultRun(t, shape, nil, 1)
 	fs, _ := ParseFaults("0:5:+x:kill")
-	ft, st := faultRun(t, shape, DefaultParams(), fs, 1)
+	ft, st := faultRun(t, shape, fs, 1)
 	if st.Reroutes == 0 {
 		t.Error("killed +x ring link forced no reroutes")
 	}
@@ -160,7 +167,7 @@ func TestKilledLinkDegradesGracefully(t *testing.T) {
 func TestTransientOutageAccrues(t *testing.T) {
 	shape := torus.New(4, 4, 2)
 	fs, _ := ParseFaults("100:3:+y:down;1300:3:+y:up")
-	_, st := faultRun(t, shape, DefaultParams(), fs, 1)
+	_, st := faultRun(t, shape, fs, 1)
 	if st.DeadLinkTicks != 1200 {
 		t.Errorf("outage [100,1300) accrued %d DeadLinkTicks, want 1200", st.DeadLinkTicks)
 	}
@@ -170,11 +177,11 @@ func TestTransientOutageAccrues(t *testing.T) {
 // time, never save it, and must not disturb the delivery ledger.
 func TestDegradedLinkSlowsRun(t *testing.T) {
 	shape := torus.New(4, 4, 2)
-	ftHealthy, _ := faultRun(t, shape, DefaultParams(), nil, 1)
+	ftHealthy, _ := faultRun(t, shape, nil, 1)
 	// Node 0's live links on 4x4x2 (the z dimension is a 2-deep mesh): all of
 	// x and y, +z only.
 	fs, _ := ParseFaults("0:0:+x:x8;0:0:-x:x8;0:0:+y:x8;0:0:-y:x8;0:0:+z:x8")
-	ft, st := faultRun(t, shape, DefaultParams(), fs, 1)
+	ft, st := faultRun(t, shape, fs, 1)
 	if ft <= ftHealthy {
 		t.Errorf("degrading every link of node 0 by 8x did not slow the run: %d vs %d healthy", ft, ftHealthy)
 	}
@@ -188,22 +195,11 @@ func TestDegradedLinkSlowsRun(t *testing.T) {
 // not a hang or a silent drop.
 func TestMeshDeadLinkIsHonest(t *testing.T) {
 	shape := torus.NewMesh(4, 1, 1, false, false, false)
-	par := DefaultParams()
-	par.Check = true
 	fs, err := ParseFaults("0:1:+x:kill")
 	if err != nil {
 		t.Fatal(err)
 	}
-	par.Faults = fs
-	srcs := make([]Source, 4)
-	for n := 0; n < 4; n++ {
-		srcs[n] = &allToAllSource{self: int32(n), p: 4, size: 192}
-	}
-	nw, err := New(shape, par, srcs, countOnly{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = nw.Run(1 << 40)
+	_, err = faultedNet(t, shape, fs).Run(1 << 40)
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
 		t.Fatalf("partitioned mesh run: %v, want stall diagnostic", err)
 	}
@@ -223,10 +219,12 @@ func TestFaultScheduleValidation(t *testing.T) {
 			{T: 20, Node: 0, Dir: 0, Action: FaultUp},
 		}},
 	} {
-		par := DefaultParams()
-		par.Faults = fs
-		if _, err := New(shape, par, nil, countOnly{}); err == nil {
+		nw := buildNet(t, shape, DefaultParams(), nil, countOnly{})
+		if err := nw.SetFaults(fs); err == nil {
 			t.Errorf("%s: schedule accepted", name)
+		}
+		if len(nw.fsched) != 0 {
+			t.Errorf("%s: rejected schedule left %d events installed", name, len(nw.fsched))
 		}
 	}
 }
@@ -235,19 +233,8 @@ func TestFaultScheduleValidation(t *testing.T) {
 // a clean faulted run passes, then corrupted outage bookkeeping is caught as
 // a LinkLiveness violation.
 func TestFaultQuiescenceAudit(t *testing.T) {
-	shape := torus.New(4, 4, 2)
-	par := DefaultParams()
-	par.Check = true
 	fs, _ := ParseFaults("100:3:+y:down;1300:3:+y:up")
-	par.Faults = fs
-	srcs := make([]Source, shape.P())
-	for n := range srcs {
-		srcs[n] = &allToAllSource{self: int32(n), p: int32(shape.P()), size: 192}
-	}
-	nw, err := New(shape, par, srcs, countOnly{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := faultedNet(t, torus.New(4, 4, 2), fs)
 	if _, err := nw.Run(1 << 40); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +243,7 @@ func TestFaultQuiescenceAudit(t *testing.T) {
 	}
 	lnk := linkIdx(3, 2) // node 3, +y
 	nw.downSince[lnk] = 500
-	err = nw.checkQuiescence()
+	err := nw.checkQuiescence()
 	var v *check.Violation
 	if !errors.As(err, &v) || v.Invariant != check.LinkLiveness {
 		t.Fatalf("corrupted outage books not caught as link-liveness: %v", err)
@@ -273,10 +260,7 @@ func TestFaultQuiescenceAudit(t *testing.T) {
 // a re-run of the same network replays the faulted run byte-identically.
 func TestFaultResetReplays(t *testing.T) {
 	shape := torus.New(4, 4, 2)
-	par := DefaultParams()
-	par.Check = true
 	fs, _ := ParseFaults("0:5:+x:kill;300:12:-y:down;2500:12:-y:up")
-	par.Faults = fs
 	p := shape.P()
 	mkSrcs := func() []Source {
 		srcs := make([]Source, p)
@@ -285,10 +269,7 @@ func TestFaultResetReplays(t *testing.T) {
 		}
 		return srcs
 	}
-	nw, err := New(shape, par, mkSrcs(), countOnly{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := faultedNet(t, shape, fs)
 	ft1, err := nw.Run(1 << 40)
 	if err != nil {
 		t.Fatal(err)

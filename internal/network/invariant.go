@@ -4,11 +4,11 @@ import "alltoall/internal/check"
 
 // Runtime invariant checking (the conformance layer's enforcement half).
 //
-// When Params.Check is set, every event dispatch is followed by a validation
-// of the router it touched (events mutate only node-local router state, so
-// checking the event's node covers every mutation), cross-shard mailbox
-// messages are checked against the receiving shard's clock, and a completed
-// run must pass a full-machine quiescence audit. All checks are behind a
+// When the checker is on (Network.SetCheck), every event dispatch is followed
+// by a validation of the router it touched (events mutate only node-local
+// router state, so checking the event's node covers every mutation),
+// cross-shard mailbox messages are checked against the receiving shard's
+// clock, and a completed run must pass a full-machine quiescence audit. All checks are behind a
 // single predictable branch per event so the hot path stays branch-cheap
 // when checking is off.
 
@@ -127,8 +127,8 @@ func eventKindName(kind uint8) string {
 
 // checkLiveGrant records a grant onto a down link: freeOutputs masks dead
 // directions out of every arbitration path, so reaching here means the
-// masking chokepoint was bypassed. Called from grant when Params.Check is
-// set on a faulted run.
+// masking chokepoint was bypassed. Called from grant when the checker is on
+// in a faulted run.
 func (e *engine) checkLiveGrant(node int32, o int) {
 	if e.vio == nil {
 		e.vio = check.Violatef(check.LinkLiveness, node, e.now,
@@ -170,7 +170,7 @@ func (nw *Network) checkFaultQuiescence(now int64) error {
 // checkQuiescence audits the whole machine after a completed run: every
 // FIFO empty, every credit back home, no CPU or forwarding work pending,
 // and the delivery ledger balanced (every injected packet delivered exactly
-// once). Called only when Params.Check is set, after per-shard statistics
+// once). Called only when the checker is on, after per-shard statistics
 // are merged.
 func (nw *Network) checkQuiescence() error {
 	now := nw.Now()

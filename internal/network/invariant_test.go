@@ -13,8 +13,6 @@ import (
 // checker enabled.
 func checkedNet(t *testing.T, shape torus.Shape) (*Network, *shardCountHandler) {
 	t.Helper()
-	par := DefaultParams()
-	par.Check = true
 	p := shape.P()
 	h := newShardCountHandler(p)
 	src := make([]Source, p)
@@ -27,7 +25,9 @@ func checkedNet(t *testing.T, shape torus.Shape) (*Network, *shardCountHandler) 
 		}
 		src[i] = &listSource{specs: specs}
 	}
-	return buildNet(t, shape, par, src, h), h
+	nw := buildNet(t, shape, DefaultParams(), src, h)
+	nw.SetCheck(true)
+	return nw, h
 }
 
 func TestCheckedRunClean(t *testing.T) {

@@ -127,7 +127,7 @@ func (e *engine) grant(node int32, q *pktQueue, qi int32, o, vc int, size int32,
 	lnk := linkIdx(node, 0)
 	tok := &e.tok[(lnk+o)*NumVC+vc]
 	*tok -= vcCost(int8(vc), size)
-	if e.par.Check {
+	if e.check {
 		if vc == VCBubble {
 			e.checkBubbleGrant(node, o, joining, *tok)
 		}

@@ -207,7 +207,7 @@ type Network struct {
 	svcMask []uint8  // [node] wake-reason bits of that pass; bit 7 (svcPendBit) = pending
 
 	// Fault-injection state (see fault.go): the canonical (sorted, validated)
-	// schedule derived from Par.Faults and the node-partitioned link SoA the
+	// schedule SetFaults installed and the node-partitioned link SoA the
 	// engines mutate as transitions apply. The arrays are nil until a
 	// schedule is first installed; a healthy network never allocates or
 	// touches them.
@@ -222,6 +222,7 @@ type Network struct {
 
 	observer Observer        // the one instrumentation tap (see observer.go); nil = off
 	cancel   <-chan struct{} // run abort signal (see SetCancel); nil = never
+	check    bool            // runtime invariant checker (see SetCheck)
 
 	stats Stats // of the last successful run, merged over the engines
 
@@ -301,11 +302,6 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 		}
 		r.recv = newPktQueue(&nw.rings, par.RecvFIFOBytes, 1)
 	}
-	// Fault validation needs the resolved neighbour table (a schedule may
-	// only name links that exist), so it runs after pass 1.
-	if err := nw.deriveFaults(); err != nil {
-		return nil, err
-	}
 	nw.ensureShards(1)
 	// Everything a run starts from - tokens, lookaheads, the source census -
 	// is Reset's to install, here as on every recycle.
@@ -371,32 +367,6 @@ func (nw *Network) Reset(sources []Source, handler Handler) error {
 	return nil
 }
 
-// ResetParams is Reset for sweeps that also vary the runtime parameters: it
-// installs par on the recycled network and re-derives everything the engines
-// cache from it - the bounded-horizon calendar ring (whose span depends on
-// CreditDelay/RouterDelay/EscapeDelay, see calendarHorizon) and the per-VC
-// token refill. Only parameters with the same buffer structure can recycle
-// (Params.SameStructure); anything else needs New. Results are byte-identical
-// to a freshly built network (the cross-params regression tests in
-// reset_test.go and collective/cache_test.go hold it to that).
-func (nw *Network) ResetParams(par Params, sources []Source, handler Handler) error {
-	if err := par.validate(); err != nil {
-		return err
-	}
-	if !nw.Par.SameStructure(par) {
-		return fmt.Errorf("network: ResetParams with different buffer structure (have VCBytes=%d InjFIFOs=%d InjFIFOBytes=%d RecvFIFOBytes=%d); build a new network",
-			nw.Par.VCBytes, nw.Par.InjFIFOs, nw.Par.InjFIFOBytes, nw.Par.RecvFIFOBytes)
-	}
-	nw.Par = par
-	if err := nw.deriveFaults(); err != nil {
-		return err
-	}
-	for i := range nw.engines {
-		nw.engines[i].setParams(par)
-	}
-	return nw.Reset(sources, handler)
-}
-
 // Now returns the current simulation time (the furthest engine's clock).
 func (nw *Network) Now() int64 {
 	var t int64
@@ -419,6 +389,17 @@ func (nw *Network) Stats() *Stats { return nw.stats.clone() }
 // signal persists across Reset; it is the caller's per-run (or per-sweep)
 // responsibility to install a fresh one.
 func (nw *Network) SetCancel(ch <-chan struct{}) { nw.cancel = ch }
+
+// SetCheck turns the runtime invariant checker (internal/check) on or off for
+// subsequent runs: after every event the affected router is validated against
+// the model's conservation laws (credit conservation, bubble slot bounds, FIFO
+// occupancy, occupancy-mask coherence), cross-shard messages are checked for
+// window monotonicity, and a completed run must reach full quiescence (every
+// credit home, every packet delivered exactly once). A violation aborts the
+// run with a node/time-stamped diagnostic. Off by default: the hot path pays
+// only a predictable branch per event. Like SetCancel, the setting persists
+// across Reset.
+func (nw *Network) SetCheck(on bool) { nw.check = on }
 
 // routeHops computes the signed per-dimension hop vector for a packet from
 // src to dst. Exact half-ring ties on even torus dimensions are split by

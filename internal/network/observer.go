@@ -14,7 +14,7 @@ const NumDirs = numDirs
 // never perturb - the simulation's event sequence, statistics, and handler
 // observations must be byte-identical with and without one installed. When
 // no observer is installed the hot path pays one predicted nil-check branch
-// per hook site (the same bar as Params.Check).
+// per hook site (the same bar as the invariant checker).
 //
 // Sharding: each engine (shard) requests its own Sink and calls it only from
 // the worker goroutine that owns the shard's node range, so a Sink needs no

@@ -31,8 +31,10 @@ const (
 	NumVC    = 3
 )
 
-// Params configures the simulated machine. The zero value is not valid; use
-// DefaultParams.
+// Params configures the simulated machine; it is fixed for the life of a
+// Network. What varies from run to run on one machine - the invariant checker
+// and the link-fault schedule - is installed on the Network instead (SetCheck,
+// SetFaults). The zero value is not valid; use DefaultParams.
 type Params struct {
 	// VCBytes is the buffer capacity of each input virtual-channel FIFO in
 	// bytes (BG/L: ~1 KiB, i.e. four full-size packets).
@@ -93,27 +95,6 @@ type Params struct {
 	// decides whether each compensation stays. The bubble escape VC is always
 	// strictly FIFO (the ring invariant depends on it), as are injection FIFOs.
 	VCLookahead int32
-
-	// Faults is the deterministic link-fault schedule for every run on this
-	// network: timed down/up transitions, permanent kills, and bandwidth
-	// degradation (see FaultSchedule and ParseFaults for the -faults spec
-	// grammar). nil - and an empty schedule - leaves the machine healthy and
-	// the hot path untouched (runs are byte-identical to a network built
-	// without the field). A pointer so Params stays comparable with ==; the
-	// schedule must not be mutated while installed. Shape-dependent
-	// validation (node range, link existence, no revival after a kill)
-	// happens in New/ResetParams.
-	Faults *FaultSchedule
-
-	// Check enables the runtime invariant checker (internal/check): after
-	// every event the affected router is validated against the model's
-	// conservation laws (credit conservation, bubble slot bounds, FIFO
-	// occupancy, occupancy-mask coherence), cross-shard messages are
-	// checked for window monotonicity, and a completed run must reach full
-	// quiescence (every credit home, every packet delivered exactly once).
-	// A violation aborts the run with a node/time-stamped diagnostic. Off
-	// by default: the hot path pays only a predictable branch per event.
-	Check bool
 }
 
 // DefaultParams returns the calibration used throughout the reproduction.
@@ -144,7 +125,7 @@ func (p Params) CPUCost(size int32) int64 {
 }
 
 // validate rejects parameter combinations the simulator cannot run: buffer
-// geometry that deadlocks the escape channel. Shared by New and ResetParams.
+// geometry that deadlocks the escape channel.
 func (p Params) validate() error {
 	// VCBytes must admit a joining packet under the bubble rule
 	// (size + one full-packet bubble), or the escape channel deadlocks.
@@ -152,16 +133,4 @@ func (p Params) validate() error {
 		return fmt.Errorf("network: invalid params %+v", p)
 	}
 	return nil
-}
-
-// SameStructure reports whether a network built with p can be recycled for a
-// run under o via ResetParams: the fields that size buffers, rings, and
-// arenas at construction time must match. Everything else - delays, CPU
-// rate, lookahead, checking - is runtime behavior that ResetParams
-// re-derives.
-func (p Params) SameStructure(o Params) bool {
-	return p.VCBytes == o.VCBytes &&
-		p.InjFIFOs == o.InjFIFOs &&
-		p.InjFIFOBytes == o.InjFIFOBytes &&
-		p.RecvFIFOBytes == o.RecvFIFOBytes
 }

@@ -87,12 +87,12 @@ func TestResetRejectsWrongSourceCount(t *testing.T) {
 	}
 }
 
-// TestResetParamsMatchesFresh: recycling a network across *parameter*
-// changes (delays, checking) must reproduce a fresh network's run exactly.
-// This is the contract that lets the collective NetCache recycle across a
-// parameter sweep: the calendar horizon has to be rebuilt from the new
-// Params, not inherited from the cached run.
-func TestResetParamsMatchesFresh(t *testing.T) {
+// TestPerRunSettingsAcrossReset: the checker flag and the fault schedule are
+// per-run settings on one machine. A network recycled through healthy,
+// checked, faulted (a kill), checked plus faulted and healthy again - via
+// Reset, SetCheck and SetFaults - must reproduce at every step a fresh
+// network with the same settings, field for field, at one and two engines.
+func TestPerRunSettingsAcrossReset(t *testing.T) {
 	shape := torus.New(4, 4, 2)
 	p := shape.P()
 	mkSrcs := func() []Source {
@@ -102,74 +102,74 @@ func TestResetParamsMatchesFresh(t *testing.T) {
 		}
 		return srcs
 	}
-	run := func(nw *Network) (int64, *Stats) {
-		tt, err := nw.Run(1 << 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tt, nw.Stats()
-	}
-
-	base := DefaultParams()
-	longCredit := base
-	longCredit.CreditDelay = 60 // different calendar horizon derivation
-	checked := base
-	checked.Check = true
-	variants := []Params{base, longCredit, checked, base}
-
-	want := make([]struct {
-		t  int64
-		st *Stats
-	}, len(variants))
-	for i, par := range variants {
-		nw, err := New(shape, par, mkSrcs(), countOnly{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i].t, want[i].st = run(nw)
-	}
-
-	nw, err := New(shape, variants[len(variants)-1], mkSrcs(), countOnly{})
+	kill, err := ParseFaults("0:5:+x:kill")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(nw)
-	for i, par := range variants {
-		if err := nw.ResetParams(par, mkSrcs(), countOnly{}); err != nil {
+	steps := []struct {
+		check  bool
+		faults *FaultSchedule
+	}{{false, nil}, {true, nil}, {false, kill}, {true, kill}, {false, nil}}
+	set := func(nw *Network, i int) {
+		nw.SetCheck(steps[i].check)
+		if err := nw.SetFaults(steps[i].faults); err != nil {
 			t.Fatal(err)
 		}
-		gotT, gotSt := run(nw)
-		if gotT != want[i].t {
-			t.Errorf("variant %d: finish %d, fresh %d", i, gotT, want[i].t)
+	}
+	type outcome struct {
+		t  int64
+		st *Stats
+	}
+	want := make([]outcome, len(steps))
+	for i := range steps {
+		nw := buildNet(t, shape, DefaultParams(), mkSrcs(), countOnly{})
+		set(nw, i)
+		fin, err := nw.Run(1 << 40)
+		if err != nil {
+			t.Fatalf("step %d fresh: %v", i, err)
 		}
-		if !reflect.DeepEqual(gotSt, want[i].st) {
-			t.Errorf("variant %d: stats diverged\nrecycled: %+v\nfresh:    %+v", i, gotSt, want[i].st)
+		want[i] = outcome{fin, nw.Stats()}
+		if faulted := want[i].st.DeadLinkTicks > 0; faulted != (steps[i].faults != nil) {
+			t.Fatalf("step %d fresh: DeadLinkTicks %d with faults %v", i, want[i].st.DeadLinkTicks, steps[i].faults)
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		nw := buildNet(t, shape, DefaultParams(), mkSrcs(), countOnly{})
+		for i := range steps {
+			if err := nw.Reset(mkSrcs(), countOnly{}); err != nil {
+				t.Fatal(err)
+			}
+			set(nw, i)
+			fin, err := nw.RunSharded(1<<40, shards)
+			if err != nil {
+				t.Fatalf("shards=%d step %d: %v", shards, i, err)
+			}
+			if fin != want[i].t {
+				t.Errorf("shards=%d step %d: finish %d, fresh %d", shards, i, fin, want[i].t)
+			}
+			if st := nw.Stats(); !reflect.DeepEqual(st, want[i].st) {
+				t.Errorf("shards=%d step %d: stats diverged\nrecycled: %+v\nfresh:    %+v", shards, i, st, want[i].st)
+			}
+			for j := range nw.engines {
+				if nw.engines[j].check != steps[i].check {
+					t.Errorf("shards=%d step %d: engine %d ran with check=%v", shards, i, j, nw.engines[j].check)
+				}
+			}
 		}
 	}
 }
 
-// TestResetParamsRejectsStructureChange: parameters that size buffers at
-// construction time cannot recycle.
-func TestResetParamsRejectsStructureChange(t *testing.T) {
-	shape := torus.New(4, 2, 1)
-	p := shape.P()
-	srcs := make([]Source, p)
-	for n := 0; n < p; n++ {
-		srcs[n] = &listSource{}
-	}
-	nw, err := New(shape, DefaultParams(), srcs, countOnly{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigger := DefaultParams()
-	bigger.VCBytes *= 2
-	if err := nw.ResetParams(bigger, srcs, countOnly{}); err == nil {
-		t.Error("VCBytes change accepted by ResetParams")
-	}
-	invalid := DefaultParams()
-	invalid.VCLookahead = 0
-	if err := nw.ResetParams(invalid, srcs, countOnly{}); err == nil {
-		t.Error("invalid VCLookahead accepted by ResetParams")
+// TestNewRejectsInvalidParams: buffer geometry the escape channel cannot run
+// on, and a lookahead below one packet, are refused at construction.
+func TestNewRejectsInvalidParams(t *testing.T) {
+	small := DefaultParams()
+	small.VCBytes = 2*MaxPacketBytes - 1
+	noLookahead := DefaultParams()
+	noLookahead.VCLookahead = 0
+	for name, par := range map[string]Params{"VCBytes below two packets": small, "VCLookahead 0": noLookahead} {
+		if _, err := New(torus.New(4, 2, 1), par, nil, countOnly{}); err == nil {
+			t.Errorf("%s accepted by New", name)
+		}
 	}
 }
 
@@ -197,8 +197,6 @@ func (h *cancelAfter) OnDeliver(d Delivered, fw []PacketSpec) ([]PacketSpec, int
 func TestFailedRunThenResetRecycles(t *testing.T) {
 	shape := torus.New(4, 4, 4)
 	p := shape.P()
-	par := DefaultParams()
-	par.Check = true
 	// Six rounds of the random mix: long enough that a one-engine run polls
 	// its cancel channel (every 8192 events) well before the finish.
 	traffic := func() []Source {
@@ -214,10 +212,8 @@ func TestFailedRunThenResetRecycles(t *testing.T) {
 		return srcs
 	}
 	refH := newShardCountHandler(p)
-	ref, err := New(shape, par, traffic(), refH)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := buildNet(t, shape, DefaultParams(), traffic(), refH)
+	ref.SetCheck(true)
 	refFin, err := ref.Run(1 << 40)
 	if err != nil {
 		t.Fatal(err)
@@ -231,10 +227,8 @@ func TestFailedRunThenResetRecycles(t *testing.T) {
 				if fail == ErrCanceled {
 					first, maxTime = &cancelAfter{h, 3, ch}, 1<<40
 				}
-				nw, err := New(shape, par, traffic(), first)
-				if err != nil {
-					t.Fatal(err)
-				}
+				nw := buildNet(t, shape, DefaultParams(), traffic(), first)
+				nw.SetCheck(true)
 				nw.SetCancel(ch)
 				if _, err := nw.RunSharded(maxTime, s); !errors.Is(err, fail) {
 					t.Fatalf("shards=%d: err = %v, want %v", s, err, fail)

@@ -163,7 +163,7 @@ func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 		if nw.observer != nil {
 			e.obs = nw.observer.Sink(i, shards, e.lo, e.hi)
 		}
-		e.cancel = nw.cancel
+		e.cancel, e.check = nw.cancel, nw.check
 		e.activeSrc = 0
 		for n := e.lo; n < e.hi; n++ {
 			if !nw.routers[n].srcDone {
@@ -204,7 +204,7 @@ func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 		nw.stats.merge(nw.engines[i].stats)
 	}
 	nw.closeFaultStats()
-	if nw.Par.Check {
+	if nw.check {
 		// After the merge so the exactly-once ledger sees machine totals.
 		if err := nw.checkQuiescence(); err != nil {
 			return 0, err
@@ -309,7 +309,7 @@ func (e *engine) drainInboxes() {
 		box := src.out[e.id]
 		for j := range box {
 			m := &box[j]
-			if e.par.Check && e.err == nil {
+			if e.check && e.err == nil {
 				// The window protocol's whole correctness argument: every
 				// cross-shard effect must land at or after this shard's
 				// clock. A violation is published at the next barrier.

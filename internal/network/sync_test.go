@@ -18,21 +18,20 @@ func TestSyncDifferentialMatrix(t *testing.T) {
 	shape := torus.New(8, 4, 2)
 	p := shape.P()
 	for _, spec := range []string{"", "0:5:+x:kill;800:9:-y:down;6000:9:-y:up"} {
-		par := DefaultParams()
-		par.Check = true
-		if spec != "" {
-			fs, err := ParseFaults(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par.Faults = fs
+		fs, err := ParseFaults(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
 		var ref *Stats
 		var refFin int64
 		var refH *shardCountHandler
 		for _, shards := range []int{1, 2, 4} {
 			h := newShardCountHandler(p)
-			nw, err := New(shape, par, shardTraffic(p, 42), h)
+			nw, err := New(shape, DefaultParams(), shardTraffic(p, 42), h)
+			if err == nil {
+				nw.SetCheck(true)
+				err = nw.SetFaults(fs)
+			}
 			if err != nil {
 				t.Fatalf("faults=%q shards=%d: %v", spec, shards, err)
 			}

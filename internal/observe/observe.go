@@ -82,7 +82,6 @@ func (c Config) fill() Config {
 type Collector struct {
 	cfg   Config
 	shape torus.Shape
-	par   network.Params
 	p     int
 	bound bool
 
@@ -200,15 +199,13 @@ func (w *windows) reset() {
 // BeginRun implements network.Observer. A collector bound to a different
 // shape is reset to the new one (counters cannot meaningfully accumulate
 // across machines).
-func (c *Collector) BeginRun(shape torus.Shape, par network.Params) {
+func (c *Collector) BeginRun(shape torus.Shape, _ network.Params) {
 	if c.bound && shape == c.shape {
-		c.par = par
 		return
 	}
 	c.Reset()
 	c.bound = true
 	c.shape = shape
-	c.par = par
 	c.p = shape.P()
 	if need := c.p * network.NumDirs; len(c.linkVC) < need {
 		c.linkVC = make([]vcBytes, need)

@@ -19,7 +19,7 @@ func TestPeakMatchesEquation2(t *testing.T) {
 		New(16, 1, 1),
 	}
 	for _, s := range shapes {
-		want := float64(s.P()) * float64(s.MaxDim()) / 8
+		want := float64(s.P()) * float64(s.Size[s.LongestDim()]) / 8
 		got := s.PeakTimePerByte()
 		if math.Abs(got-want) > 1e-9*want {
 			t.Errorf("%v: PeakTimePerByte = %v, want Eq2 %v", s, got, want)

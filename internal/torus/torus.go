@@ -159,17 +159,6 @@ func (s Shape) P() int {
 	return s.Size[X] * s.Size[Y] * s.Size[Z]
 }
 
-// MaxDim returns M = max(Px, Py, Pz), the longest dimension size.
-func (s Shape) MaxDim() int {
-	m := s.Size[0]
-	for d := 1; d < NumDims; d++ {
-		if s.Size[d] > m {
-			m = s.Size[d]
-		}
-	}
-	return m
-}
-
 // LongestDim returns the dimension with the largest size; ties are broken in
 // X, Y, Z order, matching the paper's dimension-order conventions.
 func (s Shape) LongestDim() Dim {
@@ -180,26 +169,6 @@ func (s Shape) LongestDim() Dim {
 		}
 	}
 	return best
-}
-
-// Symmetric reports whether all dimensions of size > 1 have equal size and
-// identical wrap, i.e. the shape is a symmetric line/plane/cube in the
-// paper's sense.
-func (s Shape) Symmetric() bool {
-	size, wrap, seen := 0, false, false
-	for d := 0; d < NumDims; d++ {
-		if s.Size[d] == 1 {
-			continue
-		}
-		if !seen {
-			size, wrap, seen = s.Size[d], s.Wrap[d], true
-			continue
-		}
-		if s.Size[d] != size || s.Wrap[d] != wrap {
-			return false
-		}
-	}
-	return true
 }
 
 // Rank converts a coordinate to a linear rank (X fastest, then Y, then Z),
@@ -236,46 +205,6 @@ func (s Shape) Delta(d Dim, a, b int) int {
 		return diff
 	}
 	return diff - k
-}
-
-// MinHops returns the per-dimension signed minimal hop vector from a to b.
-func (s Shape) MinHops(a, b Coord) [NumDims]int {
-	var h [NumDims]int
-	for d := Dim(0); d < NumDims; d++ {
-		h[d] = s.Delta(d, a[d], b[d])
-	}
-	return h
-}
-
-// HopCount returns the total minimal hop distance between two ranks.
-func (s Shape) HopCount(a, b int) int {
-	ha := s.MinHops(s.Coords(a), s.Coords(b))
-	total := 0
-	for _, h := range ha {
-		if h < 0 {
-			h = -h
-		}
-		total += h
-	}
-	return total
-}
-
-// AvgHops returns the average minimal hop distance in dimension d over all
-// ordered coordinate pairs (including equal coordinates), as a float.
-// For a torus of even size k this is k/4; for a mesh it is (k^2-1)/(3k).
-func (s Shape) AvgHops(d Dim) float64 {
-	k := s.Size[d]
-	total := 0
-	for a := 0; a < k; a++ {
-		for b := 0; b < k; b++ {
-			h := s.Delta(d, a, b)
-			if h < 0 {
-				h = -h
-			}
-			total += h
-		}
-	}
-	return float64(total) / float64(k*k)
 }
 
 // String renders the shape in the paper's notation, e.g. "8x8x16" or

@@ -1,7 +1,6 @@
 package torus
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -94,32 +93,6 @@ func TestDeltaMinimality(t *testing.T) {
 	}
 }
 
-func TestHopCountSymmetricOnTorus(t *testing.T) {
-	s := New(6, 4, 8)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200; i++ {
-		a, b := rng.Intn(s.P()), rng.Intn(s.P())
-		if s.HopCount(a, b) != s.HopCount(b, a) {
-			t.Fatalf("hop count asymmetric for %d,%d", a, b)
-		}
-	}
-}
-
-func TestAvgHops(t *testing.T) {
-	// Torus of even size k: average distance k/4 over all ordered pairs
-	// including self-pairs.
-	s := New(8, 8, 8)
-	if got := s.AvgHops(X); got != 2.0 {
-		t.Errorf("torus-8 AvgHops = %v, want 2", got)
-	}
-	// Mesh of size k: (k^2-1)/(3k).
-	m := NewMesh(8, 1, 1, false, false, false)
-	want := float64(8*8-1) / (3 * 8)
-	if got := m.AvgHops(X); got != want {
-		t.Errorf("mesh-8 AvgHops = %v, want %v", got, want)
-	}
-}
-
 func TestLongestDimAndMaxDim(t *testing.T) {
 	cases := []struct {
 		s    Shape
@@ -136,28 +109,8 @@ func TestLongestDimAndMaxDim(t *testing.T) {
 		if got := c.s.LongestDim(); got != c.dim {
 			t.Errorf("%v LongestDim = %v, want %v", c.s, got, c.dim)
 		}
-		if got := c.s.MaxDim(); got != c.size {
-			t.Errorf("%v MaxDim = %v, want %v", c.s, got, c.size)
-		}
-	}
-}
-
-func TestSymmetric(t *testing.T) {
-	cases := []struct {
-		s    Shape
-		want bool
-	}{
-		{New(8, 8, 8), true},
-		{New(8, 8, 1), true},
-		{New(8, 1, 1), true},
-		{New(16, 16, 16), true},
-		{New(16, 8, 8), false},
-		{New(8, 8, 16), false},
-		{NewMesh(8, 8, 8, true, true, false), false},
-	}
-	for _, c := range cases {
-		if got := c.s.Symmetric(); got != c.want {
-			t.Errorf("%v Symmetric = %v, want %v", c.s, got, c.want)
+		if got := c.s.Size[c.s.LongestDim()]; got != c.size {
+			t.Errorf("%v longest dimension size = %v, want %v", c.s, got, c.size)
 		}
 	}
 }
