@@ -51,9 +51,10 @@ type Request struct {
 	Unpaced bool `json:"unpaced,omitempty"`
 
 	// Shards is how many engines advance the simulation in lockstep windows
-	// (see network.RunSharded): 0 = the engine decides (one engine for a
-	// small partition or while other runs of this process occupy the
-	// cores, several for a large run alone), 1 = one engine, n = exactly n.
+	// (see network.RunSharded): 0 = the engine decides (one engine below 128
+	// nodes or while other runs of this process occupy the cores, from 128
+	// nodes at least two for a run alone; aaserve runs it on one engine while
+	// its pool has a worker for every core), 1 = one engine, n = exactly n.
 	// It only schedules the run: results are byte-identical at any value,
 	// which is why it is not part of Key.
 	Shards int `json:"shards,omitempty"`
@@ -287,7 +288,11 @@ func (r Request) Key() string {
 	sep("r", strconv.FormatUint(r.Seed, 10))
 	sep("b", strconv.Itoa(r.Burst))
 	sep("pb", strconv.Itoa(r.PaceBurst))
-	sep("pf", strconv.FormatFloat(r.PaceFraction, 'g', -1, 64))
+	pf := r.PaceFraction
+	if pf == 0 {
+		pf = 0 // a decoded -0 is the default too, and must key like it
+	}
+	sep("pf", strconv.FormatFloat(pf, 'g', -1, 64))
 	sep("up", boolKey(r.Unpaced))
 	sep("ck", boolKey(r.Check))
 	sep("f", r.Faults)

@@ -366,6 +366,46 @@ func FuzzRequestJSON(f *testing.F) {
 	})
 }
 
+// FuzzRequestKey holds Key to the identity the serving cache relies on, over
+// two decoded bodies: requests that differ only in Shards share a key (the
+// cache and the serving pool's one-engine rule both lean on that), and valid
+// requests that differ in any other field do not.
+func FuzzRequestKey(f *testing.F) {
+	full, err := json.Marshal(fullRequest())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full, full)
+	f.Add([]byte(`{"strategy":"AR","shape":"8x4x4","msg_bytes":480,"seed":1}`),
+		[]byte(`{"strategy":"ar","shape":"8X4X4","msg_bytes":480,"seed":1,"shards":2}`))
+	f.Add([]byte(`{"strategy":"AR","shape":"8x8x1","msg_bytes":64}`), []byte(`{"strategy":"AR","shape":"8x1x8","msg_bytes":64}`))
+	f.Add([]byte(`{"strategy":"AR","shape":"8x8x2M","msg_bytes":64}`), []byte(`{"strategy":"AR","shape":"8x8x2","msg_bytes":64}`))
+	f.Add([]byte(`{"strategy":"AR","shape":"4x4x2","msg_bytes":64,"pace_fraction":-0}`),
+		[]byte(`{"strategy":"AR","shape":"4x4x2","msg_bytes":64,"pace_fraction":0}`))
+	f.Add([]byte(`{"strategy":"TPS","shape":"4x4x2","msg_bytes":8,"faults":"0:5:+x:kill"}`),
+		[]byte(`{"strategy":"TPS","shape":"4x4x2","msg_bytes":8,"faults":"0:5:+x:kill","tps_linear":"x"}`))
+	f.Fuzz(func(t *testing.T, da, db []byte) {
+		var a, b Request
+		if json.Unmarshal(da, &a) != nil || json.Unmarshal(db, &b) != nil {
+			return
+		}
+		resharded := a
+		resharded.Shards = b.Shards
+		if resharded.Key() != a.Key() {
+			t.Fatalf("shards %d and %d key %+v differently:\n%s\n%s", a.Shards, b.Shards, a, a.Key(), resharded.Key())
+		}
+		if resharded == b {
+			if a.Key() != b.Key() {
+				t.Fatalf("requests differing only in Shards have different keys:\n%+v %s\n%+v %s", a, a.Key(), b, b.Key())
+			}
+			return
+		}
+		if a.Validate() == nil && b.Validate() == nil && a.Key() == b.Key() {
+			t.Fatalf("distinct valid requests share key %s:\n%+v\n%+v", a.Key(), a, b)
+		}
+	})
+}
+
 // TestFaultClockPerPhase pins what Request.Faults says about phases: TPS and
 // XYZ are one network run, so one link downed at t=T for good is dead for
 // Time-T; VMesh's two phases each restart the clock and down it again at T,

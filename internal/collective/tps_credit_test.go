@@ -37,7 +37,7 @@ func TestTPSCreditDeliversEverything(t *testing.T) {
 func TestTPSCreditBoundsIntermediateMemory(t *testing.T) {
 	shape := torus.New(16, 4, 2)
 	m := 480
-	free, err := run(StratTPS, Options{Request: Request{Shape: shape, MsgBytes: m, Seed: 1}})
+	free, err := run(StratTPS, Options{Request: Request{Shape: shape, MsgBytes: m, Seed: 1, Shards: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +47,7 @@ func TestTPSCreditBoundsIntermediateMemory(t *testing.T) {
 			Shape:           shape,
 			MsgBytes:        m,
 			Seed:            1,
+			Shards:          1,
 			TPSCreditWindow: window,
 			TPSCreditBatch:  6,
 		},

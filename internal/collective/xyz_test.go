@@ -52,11 +52,11 @@ func TestShapeXYZPaysMoreCPUThanTPS(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	shape := torus.New(8, 4, 4)
-	xyz, err := run(StratXYZ, Options{Request: Request{Shape: shape, MsgBytes: 480, Seed: 1}})
+	xyz, err := run(StratXYZ, Options{Request: Request{Shape: shape, MsgBytes: 480, Seed: 1, Shards: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tps, err := run(StratTPS, Options{Request: Request{Shape: shape, MsgBytes: 480, Seed: 1}})
+	tps, err := run(StratTPS, Options{Request: Request{Shape: shape, MsgBytes: 480, Seed: 1, Shards: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,7 +227,8 @@ func (fullScan) OnCPU(int64, int32, int64)                                      
 // skip (network/engine.go): a plain run, which skips visits it can prove are
 // no-ops, and a run under a no-op observer, which scans them all, must return
 // field-identical Results - every strategy, torus and mesh, healthy and under
-// a fault schedule, checker on. Schedule seed 4 is chosen because it
+// a fault schedule, checker on, one engine (the skip is per engine, and the
+// shard matrix above covers splitting). Schedule seed 4 is chosen because it
 // reroutes queued packets in place on the torus (up to 202 of them): with
 // reroutePkt's invalidation of the quiet summary removed, five of the six
 // strategies diverge under it.
@@ -242,7 +243,7 @@ func TestQuietSkipDifferential(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					run := func(obs network.Observer) collective.Result {
 						res, err := collective.Run(context.Background(), collective.Options{
-							Request:  collective.Request{Strategy: strat, Shape: shape, MsgBytes: msgBytes, Seed: 1, Check: true, Faults: faults},
+							Request:  collective.Request{Strategy: strat, Shape: shape, MsgBytes: msgBytes, Seed: 1, Shards: 1, Check: true, Faults: faults},
 							Observer: obs,
 						})
 						if err != nil {

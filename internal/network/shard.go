@@ -109,13 +109,14 @@ func (nw *Network) ensureShards(s int) {
 }
 
 // Auto-sharding thresholds (RunSharded with shards == 0). Below
-// autoShardNodes a run stays on one engine: its working set fits one core's
-// cache and its windows hold too little work to pay for two barrier crossings
-// each (EXPERIMENTS.md, "Shards by shape"). Above it every engine keeps at
-// least nodesPerShard routers, and maxAutoShards bounds what one run takes
-// however many cores there are.
+// autoShardNodes a run stays on one engine: its windows hold too little work
+// to pay for two barrier crossings each. From there a run takes at least two
+// engines, which is 1.4-1.8x faster on the paper's 128- and 256-node
+// partitions (EXPERIMENTS.md, "Shards by shape"); above 256 nodes every engine
+// keeps at least nodesPerShard routers, and maxAutoShards bounds what one run
+// takes however many cores there are.
 const (
-	autoShardNodes = 512
+	autoShardNodes = 128
 	nodesPerShard  = 128
 	maxAutoShards  = 8
 )
@@ -127,18 +128,18 @@ const (
 //
 // shards says how many engines: n >= 1 runs exactly n (clamped to the node
 // count), and 0 lets the engine decide, here and nowhere else - one engine
-// below autoShardNodes nodes, otherwise min(P/nodesPerShard, maxAutoShards)
-// but no more than the cores no other run of this process is using
-// (parallel.ClaimCores; every run registers its engines there for as long as
-// it runs, so concurrent runs see each other). One engine (also the outcome
-// of a degenerate configuration whose safe window would be empty) runs the
-// same loop: its single window is the whole run, nothing crosses a boundary
-// and no goroutine starts.
+// below autoShardNodes nodes, otherwise min(max(2, P/nodesPerShard),
+// maxAutoShards) but no more than the cores no other run of this process is
+// using (parallel.ClaimCores; every run registers its engines there for as
+// long as it runs, so concurrent runs see each other). One engine (also the
+// outcome of a degenerate configuration whose safe window would be empty)
+// runs the same loop: its single window is the whole run, nothing crosses a
+// boundary and no goroutine starts.
 func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 	window := shardSafeWindow(nw.Par)
 	auto := shards == 0
 	if auto && nw.P >= autoShardNodes {
-		shards = min(nw.P/nodesPerShard, maxAutoShards)
+		shards = min(max(2, nw.P/nodesPerShard), maxAutoShards)
 	}
 	shards = max(1, min(shards, nw.P))
 	if window <= 0 {

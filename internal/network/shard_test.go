@@ -284,18 +284,23 @@ func autoRun(t *testing.T, shape torus.Shape) int {
 }
 
 // TestAutoShardPolicy pins what RunSharded(_, 0) decides: one engine below
-// 512 nodes however many cores idle, one engine when the cores are taken,
-// min(GOMAXPROCS, P/128, 8) for a large run alone - and that a forced count
-// ignores all of it.
+// 128 nodes however many cores idle, one engine when the cores are taken,
+// min(GOMAXPROCS, max(2, P/128), 8) for a run of 128 nodes or more alone -
+// and that a forced count ignores all of it.
 func TestAutoShardPolicy(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	plane2 := torus.NewMesh(8, 8, 2, true, true, false) // 8x8x2M, 128 nodes: the floor
 	cube, slab := torus.New(8, 8, 8), torus.New(8, 8, 16)
 	for _, c := range []struct {
 		procs int
 		shape torus.Shape
 		want  int
 	}{
-		{16, torus.New(8, 8, 4), 1}, // 256 nodes: below the floor
+		{16, torus.New(4, 4, 4), 1}, // 64 nodes: below the floor
+		{1, plane2, 1},
+		{2, plane2, 2},
+		{16, plane2, 2},             // at least two from the floor up
+		{16, torus.New(8, 8, 4), 2}, // 256 nodes
 		{1, cube, 1},
 		{2, cube, 2},
 		{3, cube, 3},

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -282,7 +283,20 @@ func (s *scheduler) contain(f *flight, cache *collective.NetCache, ss *network.S
 			res, err = collective.Result{}, fmt.Errorf("%w on %s: %v", errPanic, f.key, p)
 		}
 	}()
-	return s.run(f.ctx, f.req, cache, ss)
+	return s.run(f.ctx, s.scheduled(f.req), cache, ss)
+}
+
+// scheduled is the request a worker runs for req. One that leaves the engine
+// count to the engine runs on one engine while the pool has a worker for every
+// core: run-level parallelism already fills the cores, so a sharded job would
+// only take the ones the next job needs (experiments.shardsFor's rule for a
+// grid). Shards changes no Result byte and is not in the key, so the served
+// bytes, the key and the echoed request are those of req.
+func (s *scheduler) scheduled(req collective.Request) collective.Request {
+	if req.Shards == 0 && s.workers >= runtime.GOMAXPROCS(0) {
+		req.Shards = 1
+	}
+	return req
 }
 
 func (s *scheduler) worker() {

@@ -50,7 +50,11 @@ const SchemaVersion = 1
 
 // Config sizes the service. The zero value is usable: New fills defaults.
 type Config struct {
-	Workers        int           // concurrent simulations (default 4)
+	// Workers is how many simulations run at once (default 4). With at least
+	// one worker per core (GOMAXPROCS), a job that leaves shards unset runs on
+	// one engine; with fewer, the engine picks its count (from 128 nodes up,
+	// the cores no other job is using).
+	Workers        int
 	QueueDepth     int           // admission queue capacity (default 4*Workers)
 	CacheEntries   int           // result cache capacity, 0 = default, <0 disables
 	DefaultTimeout time.Duration // per-job deadline when the request has none (default 2m)

@@ -148,6 +148,45 @@ func TestShardsShareOneCacheEntry(t *testing.T) {
 	}
 }
 
+// TestFullPoolRunsOneEngine: on a server with a worker for every core, a
+// 128-node job that leaves shards unset runs on one engine (no window barrier
+// moves sync_horizon_advances), while a forced "shards":2 still splits it;
+// both serve the bytes of a direct run.
+func TestFullPoolRunsOneEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	req := collective.Request{Strategy: collective.StratAR, Shape: torus.New(8, 4, 4), MsgBytes: 64, Seed: 1}
+	direct, err := collective.RunRequest(context.Background(), req)
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
+	}
+	want, err := json.Marshal(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 2} {
+		// A server per case: the key does not carry the shard count.
+		s := testServer(t, Config{Workers: runtime.GOMAXPROCS(0), MaxShards: 2})
+		r := req
+		r.Shards = shards
+		body, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := post(t, s.Handler(), "/v1/jobs", string(body))
+		if w.Code != http.StatusOK {
+			t.Fatalf("shards=%d: POST = %d: %s", shards, w.Code, w.Body.String())
+		}
+		if env := decodeEnvelope(t, w); !bytes.Equal(env.Result, want) || env.Request != r {
+			t.Errorf("shards=%d: served %s for %+v\ndirect: %s", shards, env.Result, env.Request, want)
+		}
+		if adv := metricsOf(t, s).SyncAdvances; (adv > 0) != (shards == 2) {
+			t.Errorf("shards=%d: sync_horizon_advances %d on a pool of %d workers", shards, adv, runtime.GOMAXPROCS(0))
+		}
+	}
+}
+
 func TestBadShapeMapping(t *testing.T) {
 	s := testServer(t, Config{Workers: 1})
 	h := s.Handler()
