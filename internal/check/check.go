@@ -43,15 +43,17 @@ const (
 	// forwarding backlog remains.
 	Quiescence Invariant = "quiescence"
 
-	// OccupancyMask: the router's non-empty-queue bitmask agrees with the
-	// queues (an internal arbitration index; drift would silently skip
-	// queues during service).
+	// OccupancyMask: the router's arbitration indexes agree with what they
+	// summarize - the non-empty-queue bitmask with the queues, the
+	// token-mask word with the credit counters (drift would silently skip
+	// queues or grants during service).
 	OccupancyMask Invariant = "occupancy-mask"
 
-	// LinkLiveness: fault-injection discipline. A router never grants a
-	// packet onto a link that is down, outage bookkeeping stays coherent
-	// (a down link has an open outage interval, an up link does not), and
-	// degraded links carry a sane stretch factor.
+	// LinkLiveness: a link that does not exist (a mesh edge) stays parked
+	// busy forever, and the fault-injection discipline holds: a router never
+	// grants a packet onto a link that is down, outage bookkeeping stays
+	// coherent (a down link has an open outage interval, an up link does
+	// not), and degraded links carry a sane stretch factor.
 	LinkLiveness Invariant = "link-liveness"
 )
 

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -109,6 +111,28 @@ func TestDumpStateRenders(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "inFlight=1") {
 		t.Errorf("dump missing in-flight packet: %q", out)
+	}
+
+	// On a mesh line node 0 has only its +x link: with packets queued behind
+	// it, the header shows that link's busy time and a "-" for each absent
+	// one, never the busy-forever value it is parked at.
+	mesh := torus.NewMesh(4, 1, 1, false, false, false)
+	srcs = make([]Source, 4)
+	srcs[0] = &listSource{specs: []PacketSpec{{Dst: 3, Size: 256}, {Dst: 3, Size: 256}, {Dst: 2, Size: 256}, {Dst: 1, Size: 256}}}
+	if nw, err = New(mesh, DefaultParams(), srcs, countOnly{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.Run(800); err == nil {
+		t.Fatal("expected max-time stop")
+	}
+	b.Reset()
+	nw.DumpState(&b)
+	out = b.String()
+	if !regexp.MustCompile(`(?m)^  outBusy: \d+ - - - - -$`).MatchString(out) {
+		t.Errorf("mesh dump does not show node 0's absent links as -: %q", out)
+	}
+	if strings.Contains(out, fmt.Sprint(maxInt64)) {
+		t.Errorf("mesh dump prints the parked busy time: %q", out)
 	}
 }
 

@@ -36,7 +36,11 @@ func (nw *Network) DumpState(w io.Writer) {
 				}
 				fmt.Fprintf(w, "\n  outBusy:")
 				for d := 0; d < numDirs; d++ {
-					fmt.Fprintf(w, " %d", nw.outBusy[linkIdx(int32(n), d)])
+					if busy := nw.outBusy[linkIdx(int32(n), d)]; busy == maxInt64 {
+						fmt.Fprint(w, " -") // no link: parked busy forever
+					} else {
+						fmt.Fprintf(w, " %d", busy)
+					}
 				}
 				fmt.Fprintln(w)
 				hdr = true

@@ -36,6 +36,7 @@ type engine struct {
 	// its own nodes' entries.
 	outBusy []int64
 	tok     []int32
+	tokMask []uint16
 	nbrs    []int32
 	occ     []uint32
 	svcAt   []int64
@@ -52,11 +53,15 @@ type engine struct {
 	downSince []int64 // [linkIdx] outage start, -1 while up
 
 	// contTok/entTok summarize dynamic-VC token availability per output
-	// direction for the arbitration pass in flight (see tokMasks); they are
-	// recomputed wherever freeOutputs is and after every grant, the only
-	// mid-pass token mutation.
+	// direction for the arbitration pass in flight: a copy of the node's
+	// token-mask word (see tokMasks), loaded wherever freeOutputs is and
+	// again after every grant, the only mid-pass token mutation.
 	contTok uint8
 	entTok  uint8
+
+	// contNeed/entNeed are grantTokens(false) and grantTokens(true), fixed
+	// with the Params at init: reading them keeps noteTokens inlinable.
+	contNeed, entNeed int32
 
 	inFlight  int64
 	activeSrc int
@@ -109,11 +114,13 @@ func (e *engine) init(nw *Network, id, lo, hi int32) {
 	e.freePkt = -1
 	e.outBusy = nw.outBusy
 	e.tok = nw.tok
+	e.tokMask = nw.tokMask
 	e.nbrs = nw.nbrs
 	e.occ = nw.occ
 	e.svcAt = nw.svcAt
 	e.svcMask = nw.svcMask
 	e.par = nw.Par
+	e.contNeed, e.entNeed = e.grantTokens(false), e.grantTokens(true)
 	e.evq.init(calendarHorizon(nw.Par))
 }
 
@@ -222,6 +229,9 @@ func (e *engine) dispatch(ev event) {
 	case evCredit:
 		dir, vc, cost := creditUnpack(ev.arg())
 		e.tok[tokIdx(node, dir, int(vc))] += cost
+		if vc != VCBubble {
+			e.noteTokens(node, dir)
+		}
 		e.service(node, 1<<dir)
 	case evFault:
 		e.applyFault(node, ev.arg())

@@ -14,12 +14,20 @@ import "alltoall/internal/check"
 
 // checkNode validates the event-granularity invariants of one router:
 // credit bounds per (direction, VC), bubble slot integrity, FIFO occupancy
-// bounds, and occupancy-mask coherence. Returns nil when everything holds.
+// bounds, absent links parked busy forever, and the coherence of the
+// arbitration indexes (occupancy mask, token-mask word). Returns nil when
+// everything holds.
 func (e *engine) checkNode(node int32) *check.Violation {
 	r := &e.routers[node]
 	vcb := e.par.VCBytes
 	for d := 0; d < numDirs; d++ {
 		if e.nbrs[linkIdx(node, d)] < 0 {
+			// freeOutputs reads no neighbour table: a mesh edge that ever
+			// read free would grant onto a link that is not there.
+			if busy := e.outBusy[linkIdx(node, d)]; busy != maxInt64 {
+				return check.Violatef(check.LinkLiveness, node, e.now,
+					"absent link %s reads busy until %d, not parked busy forever", DirName(d), busy)
+			}
 			continue
 		}
 		for vc := 0; vc < NumVC; vc++ {
@@ -77,7 +85,32 @@ func (e *engine) checkNode(node int32) *check.Violation {
 				"queue %d: occMask bit %v but count %d", idx, got, q.count)
 		}
 	}
+	// So must the token masks: a stale set bit calls tryRoute for a grant
+	// it cannot make (harmless), a stale clear bit skips one it could.
+	if got, want := e.tokMask[node], e.tokMaskRef(node); got != want {
+		return check.Violatef(check.OccupancyMask, node, e.now,
+			"token-mask word %#04x, recomputed from the tokens %#04x", got, want)
+	}
 	return nil
+}
+
+// tokMaskRef recomputes node's token-mask word (see tokMasks) from the token
+// array, the reference checkNode holds the word noteTokens keeps against.
+func (e *engine) tokMaskRef(node int32) uint16 {
+	base := linkIdx(node, 0) * NumVC
+	toks := e.tok[base : base+numDirs*NumVC]
+	contNeed, entNeed := e.grantTokens(false), e.grantTokens(true)
+	var w uint16
+	for o := 0; o < numDirs; o++ {
+		hi := max(toks[o*NumVC], toks[o*NumVC+1])
+		if hi >= contNeed {
+			w |= 1 << o
+		}
+		if hi >= entNeed {
+			w |= 1 << (8 + o)
+		}
+	}
+	return w
 }
 
 // checkBubbleGrant re-verifies Puente's invariant immediately after an

@@ -148,6 +148,50 @@ func TestCheckNodeOccupancyMask(t *testing.T) {
 	}
 }
 
+func TestCheckNodeTokenMask(t *testing.T) {
+	// The token-mask word is kept by noteTokens at grant and credit; audit
+	// the checker's recompute directly, as for occMask: a clean run leaves
+	// every word current, then one flipped bit must be caught.
+	nw, _ := checkedNet(t, torus.New(4, 4, 2))
+	if _, err := nw.Run(1 << 40); err != nil {
+		t.Fatal(err)
+	}
+	e := &nw.engines[0]
+	for n := int32(0); n < int32(nw.P); n++ {
+		if v := e.checkNode(n); v != nil {
+			t.Fatalf("clean post-run state flagged: %v", v)
+		}
+	}
+	d := escapeDir(t, nw)
+	nw.tokMask[0] ^= 1 << (8 + d)
+	v := e.checkNode(0)
+	if v == nil || v.Invariant != check.OccupancyMask || !strings.Contains(v.Error(), "token-mask") {
+		t.Fatalf("stale token-mask bit not caught: %v", v)
+	}
+}
+
+func TestCheckNodeParkedLink(t *testing.T) {
+	// freeOutputs reads no neighbour table, so a mesh edge must stay parked
+	// busy forever; one that reads free is caught.
+	nw, _ := checkedNet(t, torus.NewMesh(4, 2, 2, false, false, false))
+	if _, err := nw.Run(1 << 40); err != nil {
+		t.Fatal(err)
+	}
+	e := &nw.engines[0]
+	if v := e.checkNode(0); v != nil {
+		t.Fatalf("clean post-run state flagged: %v", v)
+	}
+	absent := linkIdx(0, 1) // node 0 sits at the -x edge
+	if nw.nbrs[absent] >= 0 {
+		t.Fatal("node 0 has a -x neighbour on a mesh")
+	}
+	nw.outBusy[absent] = 0
+	v := e.checkNode(0)
+	if v == nil || v.Invariant != check.LinkLiveness {
+		t.Fatalf("absent link reading free not caught: %v", v)
+	}
+}
+
 func TestCheckQuiescenceStrandedCredit(t *testing.T) {
 	nw, _ := checkedNet(t, torus.New(4, 4, 2))
 	if _, err := nw.Run(1 << 40); err != nil {

@@ -127,6 +127,9 @@ func (e *engine) grant(node int32, q *pktQueue, qi int32, o, vc int, size int32,
 	lnk := linkIdx(node, 0)
 	tok := &e.tok[(lnk+o)*NumVC+vc]
 	*tok -= vcCost(int8(vc), size)
+	if vc != VCBubble {
+		e.noteTokens(node, o)
+	}
 	if e.check {
 		if vc == VCBubble {
 			e.checkBubbleGrant(node, o, joining, *tok)
@@ -210,16 +213,15 @@ func (e *engine) eligibleAt(wire int64, size int32, transit bool) int64 {
 	return e.now + wire + e.par.RouterDelay
 }
 
+// freeOutputs returns the output directions of node free now. A link is
+// free when its busy-until time is at most now, i.e. when busy-(now+1) is
+// negative, so each bit is a sign bit. Links that do not exist are parked
+// busy forever (Reset), so no neighbour test is needed.
 func (e *engine) freeOutputs(node int32) uint8 {
 	var m uint8
-	now := e.now
-	base := linkIdx(node, 0)
-	nbrs := e.nbrs[base : base+numDirs]
-	out := e.outBusy[base : base+numDirs]
-	for d := 0; d < numDirs; d++ {
-		if nbrs[d] >= 0 && out[d] <= now {
-			m |= 1 << d
-		}
+	now1 := e.now + 1
+	for d, busy := range (*[numDirs]int64)(e.outBusy[linkIdx(node, 0):]) {
+		m |= uint8(uint64(busy-now1)>>63) << d
 	}
 	if e.faulty {
 		// A down link never grants: masking it here starves every arbitration
@@ -236,22 +238,27 @@ func (e *engine) freeOutputs(node int32) uint8 {
 // grantTokens for traffic continuing along its input dimension, entTok the
 // same for traffic entering a dimension. tryQueue's certain-failure gate
 // reads them: ~95% of arbitration visits fail, and the masks keep those
-// failures off the token array's cache lines, paying the 12 loads once per
-// pass instead of per queued packet.
+// failures off the token array's cache lines. Both live in one word per
+// node (contTok in the low byte, entTok in the high one), kept current by
+// noteTokens wherever a dynamic VC's tokens change, so reading them is a
+// load.
 func (e *engine) tokMasks(node int32) (contTok, entTok uint8) {
-	base := linkIdx(node, 0) * NumVC
-	toks := e.tok[base : base+numDirs*NumVC]
-	contNeed, entNeed := e.grantTokens(false), e.grantTokens(true)
-	for o := 0; o < numDirs; o++ {
-		hi := max(toks[o*NumVC], toks[o*NumVC+1])
-		if hi >= contNeed {
-			contTok |= 1 << o
-		}
-		if hi >= entNeed {
-			entTok |= 1 << o
-		}
-	}
-	return
+	w := e.tokMask[node]
+	return uint8(w), uint8(w >> 8)
+}
+
+// noteTokens refreshes output o's two bits of node's token-mask word from
+// its dynamic VCs' tokens: bit o when the fuller one passes grantTokens for
+// continuing traffic (contNeed), bit 8+o when it does for entering traffic
+// (entNeed). grant's debit and the evCredit dispatch call it, the only places
+// a dynamic VC's tokens change during a run; RunSharded fills every word at
+// the top of the run. checkNode audits the word against a full recompute.
+func (e *engine) noteTokens(node int32, o int) {
+	dyn := (*[2]int32)(e.tok[tokIdx(node, o, VCDyn0):]) // VCDyn0, VCDyn1
+	// hi >= need exactly when need-(hi+1) is negative: its sign bit is the bit.
+	hi := max(dyn[0], dyn[1]) + 1
+	bits := uint32(e.contNeed-hi)>>31 | uint32(e.entNeed-hi)>>31<<8
+	e.tokMask[node] = e.tokMask[node]&^(0x101<<o) | uint16(bits<<o)
 }
 
 // sendCredit schedules a token return at the upstream router. Unlike the

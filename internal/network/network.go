@@ -199,8 +199,9 @@ type Network struct {
 	rings   ringSlab // storage behind every queue's ring (queue.go)
 
 	// SoA router state (see the comment above linkIdx).
-	outBusy []int64  // [linkIdx] output-link busy-until time
+	outBusy []int64  // [linkIdx] output-link busy-until time; maxInt64 where no link exists
 	tok     []int32  // [tokIdx] credits for the neighbour's input VC via this output
+	tokMask []uint16 // [node] token-mask word: see tokMasks
 	nbrs    []int32  // [linkIdx] neighbour rank per output direction, -1 at mesh edges
 	occ     []uint32 // [node] bit per non-empty queue (18 input VCs, then injection FIFOs)
 	svcAt   []int64  // [node] time of the pending coalesced service pass, if any
@@ -257,6 +258,7 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 	nw.stats.CPUBusy = make([]int64, p)
 	nw.outBusy = make([]int64, p*numDirs)
 	nw.tok = make([]int32, p*numDirs*NumVC)
+	nw.tokMask = make([]uint16, p)
 	nw.nbrs = make([]int32, p*numDirs)
 	nw.occ = make([]uint32, p)
 	nw.svcAt = make([]int64, p)
@@ -334,10 +336,13 @@ func (nw *Network) Reset(sources []Source, handler Handler) error {
 	for n := 0; n < nw.P; n++ {
 		r := &nw.routers[n]
 		for d := 0; d < numDirs; d++ {
-			nw.outBusy[linkIdx(int32(n), d)] = 0
 			if nw.nbrs[linkIdx(int32(n), d)] < 0 {
+				// Parked busy forever: freeOutputs never sees it free, so
+				// it needs no neighbour-table load.
+				nw.outBusy[linkIdx(int32(n), d)] = maxInt64
 				continue
 			}
+			nw.outBusy[linkIdx(int32(n), d)] = 0
 			for vc := 0; vc < NumVC; vc++ {
 				r.in[d][vc].reset(nw.Par.window(int8(vc)))
 				nw.tok[tokIdx(int32(n), d, vc)] = nw.Par.VCBytes

@@ -167,6 +167,11 @@ func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 		e.cancel, e.check = nw.cancel, nw.check
 		e.activeSrc = 0
 		for n := e.lo; n < e.hi; n++ {
+			// The token-mask words follow tok from here on (noteTokens);
+			// Reset, a previous phase or a test may have rewritten tok.
+			for o := 0; o < numDirs; o++ {
+				e.noteTokens(n, o)
+			}
 			if !nw.routers[n].srcDone {
 				e.activeSrc++
 			}
