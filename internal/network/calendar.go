@@ -1,9 +1,6 @@
 package network
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // Bounded-horizon calendar queue.
 //
@@ -27,9 +24,10 @@ import (
 // by a full horizon and cannot both be pending, because pushes never precede
 // the clock and never reach a full horizon ahead without overflowing), the
 // ring is scanned in time order from the current tick, and the front bucket
-// is put in key order before anything pops from it. The differential fuzz
-// target in calendar_test.go holds the pop sequence to that of a plain
-// eventHeap fed the same pushes.
+// is put in key order (an insertion sort: the engine pushes mostly in key
+// order) before anything pops from it, front to back through a head cursor.
+// The differential fuzz target in calendar_test.go holds the pop sequence to
+// that of a plain eventHeap fed the same pushes.
 
 // calendarHorizon returns the bucket-ring span for the given parameters: the
 // power of two above the largest routine scheduling delta (512 ticks for the
@@ -55,30 +53,34 @@ func calendarHorizon(par Params) int64 {
 //     t&mask holds one tick only: its position in the ring gives the tick
 //     back, so a bucket stores packed keys alone (half an event), and
 //     intra-bucket order is pure key order;
-//   - a bucket stores each key complemented and is sorted ascending (tail =
-//     minimum key, so a pop is a slice truncation and the sort is the
-//     library's plain integer sort) unless its dirty bit is set. A
-//     saturated 8x8x8 run holds
-//     ~47 events per tick, so ordering a future tick's bucket on every push
-//     is a long insertion scan per event; instead a push appends and marks
-//     the bucket dirty, and locate sorts it once, when the bucket first
-//     becomes the front of the ring;
+//   - a bucket's pending keys are buckets[i][head[i]:]: a pop advances the
+//     head cursor, and the bucket's storage is truncated when the last key
+//     goes. The keys are in ascending order unless the dirty bit is set. A
+//     saturated 8x8x8 run holds ~47 events per tick, so ordering a future
+//     tick's bucket on every push is a long insertion scan per event;
+//     instead a push appends and marks the bucket dirty, and locate orders
+//     it once, when the bucket first becomes the front of the ring, with an
+//     insertion sort: the engine pushes a tick's keys mostly in order (1.9
+//     shifts a key on a saturated 8x8x8 run);
 //   - front is the bucket locate last ordered. Pushes into it insert in
-//     place, which keeps it clean: the engine pushes same-tick events
-//     between pops, and the sharded engine calls top() and then pushes
-//     mailbox events before it pops, so the bucket holding the cached
-//     minimum must stay ordered under pushes;
+//     place from the tail, never below the head cursor, which keeps it
+//     clean: the engine pushes same-tick events between pops, and the
+//     sharded engine calls top() and then pushes mailbox events before it
+//     pops, so the bucket holding the cached minimum must stay ordered
+//     under pushes;
 //   - occ mirrors bucket non-emptiness one bit per bucket, so the scan for
 //     the next non-empty bucket runs 64 buckets per word;
 //   - the cached minimum (cmin/cidx, valid when cvalid) memoizes the scan
 //     between top and pop; a push only invalidates it when the new event
 //     sorts before it, so the sharded engine's top-per-iteration loop does
-//     not rescan the ring;
+//     not rescan the ring, and a pop that leaves the front bucket non-empty
+//     caches its next key (or the overflow top, if that sorts earlier);
 //   - an emptied bucket keeps its storage, and the ring is no longer than
 //     what is scheduled, so every bucket is refilled each time the clock
 //     comes round: a run repeated on a recycled network allocates nothing.
 type calendarQueue struct {
-	buckets [][]uint64 // per tick: ^key of each pending event
+	buckets [][]uint64 // per tick: the key of each event, popped up to head
+	head    []int32    // per bucket: index of the next key to pop
 	occ     []uint64
 	dirty   []uint64 // bit per bucket: appended to since it was last sorted
 	mask    int64    // horizon - 1 (horizon is a power of two)
@@ -101,6 +103,7 @@ func (q *calendarQueue) init(horizon int64) {
 		return
 	}
 	q.buckets = make([][]uint64, horizon)
+	q.head = make([]int32, horizon)
 	q.occ = make([]uint64, horizon/64)
 	q.dirty = make([]uint64, horizon/64)
 	q.mask = horizon - 1
@@ -117,7 +120,7 @@ func (q *calendarQueue) reset() {
 				i := bits.TrailingZeros64(word)
 				word &^= 1 << i
 				idx := w<<6 | i
-				q.buckets[idx] = q.buckets[idx][:0]
+				q.buckets[idx], q.head[idx] = q.buckets[idx][:0], 0
 			}
 			q.occ[w], q.dirty[w] = 0, 0
 		}
@@ -140,12 +143,13 @@ func (q *calendarQueue) push(e event) {
 	}
 	idx := int(e.t & q.mask)
 	bit := uint64(1) << (uint(idx) & 63)
-	k := ^e.key
+	k := e.key
 	b := append(q.buckets[idx], k)
 	if idx == q.front {
-		// Ordered insert from the tail: shift the smaller keys right.
-		i := len(b) - 1
-		for i > 0 && b[i-1] > k {
+		// Ordered insert from the tail: shift the larger keys right, but
+		// not below the head (a key there is the next to pop).
+		i, h := len(b)-1, int(q.head[idx])
+		for i > h && b[i-1] > k {
 			b[i] = b[i-1]
 			i--
 		}
@@ -186,20 +190,20 @@ func (q *calendarQueue) ringScan() int {
 	return -1
 }
 
-// locate computes the cached minimum: the winner of the first-bucket tail vs
-// the overflow top under less(), ordering that bucket first if pushes left
-// it dirty. The overflow top can legitimately sort before every bucketed
+// locate computes the cached minimum: the winner of the first bucket's head
+// vs the overflow top under less(), ordering that bucket first if pushes
+// left it dirty. The overflow top can legitimately sort before every bucketed
 // event (it was pushed beyond an older horizon that has since advanced
 // underneath it), so the comparison runs on every pop.
 func (q *calendarQueue) locate() {
 	if idx := q.ringScan(); idx >= 0 {
-		b := q.buckets[idx]
+		b := q.buckets[idx][q.head[idx]:]
 		if bit := uint64(1) << (uint(idx) & 63); q.dirty[idx>>6]&bit != 0 {
-			slices.Sort(b)
+			insertionSort(b)
 			q.dirty[idx>>6] &^= bit
 		}
 		q.front = idx
-		e := event{t: q.base + int64((idx-q.cur)&int(q.mask)), key: ^b[len(b)-1]}
+		e := event{t: q.base + int64((idx-q.cur)&int(q.mask)), key: b[0]}
 		if q.over.len() > 0 && less(q.over.top(), e) {
 			q.cmin, q.cidx = q.over.top(), -1
 		} else {
@@ -225,21 +229,43 @@ func (q *calendarQueue) pop() event {
 		q.locate()
 	}
 	e := q.cmin
-	if q.cidx < 0 {
-		q.over.pop()
-	} else {
-		b := q.buckets[q.cidx]
-		q.buckets[q.cidx] = b[:len(b)-1]
-		if len(b) == 1 {
-			q.occ[q.cidx>>6] &^= 1 << (uint(q.cidx) & 63)
-		}
-		q.n--
-	}
 	// Advance the clock floor to the popped time; the ring origin follows.
 	// base moves only here, so a concurrent-window push (sharded drain) can
 	// never alias into a stale slot.
 	q.base = e.t
 	q.cur = int(e.t & q.mask)
 	q.cvalid = false
+	if q.cidx < 0 {
+		q.over.pop()
+		return e
+	}
+	idx := q.cidx
+	q.n--
+	b, h := q.buckets[idx], q.head[idx]+1
+	if int(h) == len(b) {
+		q.buckets[idx], q.head[idx] = b[:0], 0
+		q.occ[idx>>6] &^= 1 << (uint(idx) & 63)
+		return e
+	}
+	// The front bucket still holds this tick's next key: nothing bucketed
+	// sorts earlier, so only the overflow top can.
+	q.head[idx] = h
+	q.cmin, q.cvalid = event{t: e.t, key: b[h]}, true
+	if q.over.len() > 0 && less(q.over.top(), q.cmin) {
+		q.cmin, q.cidx = q.over.top(), -1
+	}
 	return e
+}
+
+// insertionSort orders keys ascending in place; it is linear on the nearly
+// sorted buckets the engine fills.
+func insertionSort(b []uint64) {
+	for i := 1; i < len(b); i++ {
+		k, j := b[i], i
+		for j > 0 && b[j-1] > k {
+			b[j] = b[j-1]
+			j--
+		}
+		b[j] = k
+	}
 }

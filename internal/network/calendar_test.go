@@ -135,6 +135,47 @@ func TestCalendarQueuePeekThenPush(t *testing.T) {
 	drainCompare(t, &cal, &ref, "peek-then-push")
 }
 
+// TestCalendarQueueOverflowBeforeCursor pins the cached minimum a pop leaves
+// behind: after a pop from a bucket that still holds keys, an overflow event
+// of the same tick whose key sorts before the bucket's next key must pop
+// first.
+func TestCalendarQueueOverflowBeforeCursor(t *testing.T) {
+	var cal calendarQueue
+	var ref eventHeap
+	cal.init(64)
+	push := func(e event) { cal.push(e); ref.push(e) }
+	push(mkEvent(10, 0, 0, evArrive))
+	push(mkEvent(70, 2, 0, evArrive)) // a horizon past base 0: overflow
+	if got, want := cal.pop(), ref.pop(); got != want {
+		t.Fatalf("pop %+v, want %+v", got, want)
+	}
+	push(mkEvent(70, 1, 0, evArrive)) // within the horizon of base 10: bucketed
+	push(mkEvent(70, 3, 0, evArrive))
+	drainCompare(t, &cal, &ref, "overflow before cursor")
+}
+
+// TestCalendarQueuePushBelowCursor pins same-tick pushes into a partly
+// popped front bucket whose keys sort before keys already popped from it:
+// they land at the head cursor, next to pop, not in the popped prefix.
+func TestCalendarQueuePushBelowCursor(t *testing.T) {
+	var cal calendarQueue
+	var ref eventHeap
+	cal.init(64)
+	push := func(e event) { cal.push(e); ref.push(e) }
+	for _, node := range []int32{1, 3, 5} {
+		push(mkEvent(5, node, 0, evArrive))
+	}
+	if got, want := cal.pop(), ref.pop(); got != want {
+		t.Fatalf("pop %+v, want %+v", got, want)
+	}
+	push(mkEvent(5, 0, 0, evArrive)) // sorts before the popped node 1
+	if got, want := cal.top(), ref.top(); got != want {
+		t.Fatalf("top %+v, reference %+v", got, want)
+	}
+	push(mkEvent(5, 2, 0, evArrive)) // between the popped key and the head
+	drainCompare(t, &cal, &ref, "push below cursor")
+}
+
 // FuzzEventQueue drives the calendar queue and the reference heap from raw
 // fuzz bytes: two bytes per operation (op selector + time delta), with the
 // engine's monotone-push discipline enforced by construction. Bit 7 of a push

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"container/heap"
+	"hash/fnv"
 	"math"
 	"sync"
 
@@ -16,96 +16,86 @@ import (
 // every Result-determining field and the engines are deterministic. Only
 // successful runs are cached; failures always re-run.
 //
-// Eviction is GreedyDual-Size-Frequency with every entry of size one: an
-// entry's priority is clock + hits x cost, where cost is the Result.Events
-// of the run that produced it - what a miss on this key would have to
-// simulate again. Events, never wall time, so which keys are resident is a
-// pure function of the request sequence. Eviction removes the minimum
-// priority and advances clock to it: entries inserted or hit later start
-// above everything evicted so far, which is the ageing that lets a once-hot
-// key leave. Equal priorities leave in insertion order.
+// Membership is admission by decayed frequency x cost. get counts one
+// request for its key before the lookup (hits, misses and single-flight
+// joins alike), for resident and non-resident keys, in a history keyed by
+// the FNV-1a hash of the key: a collision merges two keys' counts, which can
+// change what is admitted but never what is served, because bodies are
+// looked up by the full key. Every 16 x capacity requests every count halves
+// and zero counts are dropped, so the history holds at most 32 x capacity
+// keys and a once-hot key is forgotten. A key's score is count x cost, where
+// cost is the Result.Events of the run that produced it - what a miss on
+// this key would have to simulate again. Events, never wall time, so which
+// keys are resident is a pure function of the request sequence. A full cache
+// admits a result only if its score is strictly above the lowest resident
+// score (oldest insertion first on ties), which it then evicts; otherwise
+// the result is refused, so a one-shot key cannot push out a popular one.
 type resultCache struct {
-	mu        sync.Mutex
-	cap       int
-	m         map[string]*cacheEntry
-	h         entryHeap
-	clock     int64
-	seq       uint64
-	evictions int64
+	mu                  sync.Mutex
+	cap                 int
+	m                   map[string]*cacheEntry
+	freq                map[uint64]int64 // decayed request count per key hash
+	seen                int              // requests counted since the last halving
+	seq                 uint64
+	evictions, refusals int64
 }
 
 type cacheEntry struct {
-	key  string
 	body []byte
 	res  collective.Result
-
-	hits int64 // 1 at insertion, +1 per get
-	pri  int64
+	hash uint64
 	seq  uint64 // insertion order, the tie-break
-	idx  int    // position in the heap
-}
-
-// entryHeap is a min-heap on (pri, seq) for container/heap.
-type entryHeap []*cacheEntry
-
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].pri != h[j].pri {
-		return h[i].pri < h[j].pri
-	}
-	return h[i].seq < h[j].seq
-}
-func (h entryHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *entryHeap) Push(x any) {
-	e := x.(*cacheEntry)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *entryHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	return e
 }
 
 func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, m: make(map[string]*cacheEntry, max(capacity, 0))}
+	return &resultCache{cap: capacity, m: make(map[string]*cacheEntry, max(capacity, 0)), freq: make(map[uint64]int64)}
 }
 
-// priority is clock + hits x cost, saturating. A run that reports no events
-// (a test stub) still costs one, so frequency keeps ordering such entries.
-func (c *resultCache) priority(e *cacheEntry) int64 {
-	cost := max(e.res.Events, 1)
-	if e.hits > (math.MaxInt64-c.clock)/cost {
+func keyHash(key string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return h.Sum64()
+}
+
+// score is count x cost, saturating. A run that reports no events (a test
+// stub) still costs one, so frequency keeps ordering such entries.
+func (c *resultCache) score(hash uint64, res collective.Result) int64 {
+	n, cost := c.freq[hash], max(res.Events, 1)
+	if n > math.MaxInt64/cost {
 		return math.MaxInt64
 	}
-	return c.clock + e.hits*cost
+	return n * cost
 }
 
-// get returns the cached encoding and Result for a key and counts the hit
-// towards its priority. Callers must treat the returned body as immutable.
+// get counts a request for key, then returns its cached encoding and Result.
+// Callers must treat the returned body as immutable.
 func (c *resultCache) get(key string) ([]byte, collective.Result, bool) {
 	if c == nil || c.cap <= 0 {
 		return nil, collective.Result{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.freq[keyHash(key)]++
+	if c.seen++; c.seen >= 16*c.cap {
+		for h, n := range c.freq {
+			if n /= 2; n == 0 {
+				delete(c.freq, h)
+			} else {
+				c.freq[h] = n
+			}
+		}
+		c.seen = 0
+	}
 	e, ok := c.m[key]
 	if !ok {
 		return nil, collective.Result{}, false
 	}
-	e.hits++
-	e.pri = c.priority(e)
-	heap.Fix(&c.h, e.idx)
 	return e.body, e.res, true
 }
 
-// add inserts a completed result, evicting minimum-priority entries beyond
-// capacity; adding a resident key replaces its value and keeps its hits.
+// add offers a completed result. Below capacity it is inserted; at capacity
+// it replaces the lowest-scoring resident only if it scores strictly higher,
+// and is refused otherwise. Adding a resident key replaces its value.
 func (c *resultCache) add(key string, body []byte, res collective.Result) {
 	if c == nil || c.cap <= 0 {
 		return
@@ -114,33 +104,34 @@ func (c *resultCache) add(key string, body []byte, res collective.Result) {
 	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {
 		e.body, e.res = body, res
-		e.pri = c.priority(e)
-		heap.Fix(&c.h, e.idx)
 		return
 	}
-	for len(c.h) >= c.cap {
-		victim := heap.Pop(&c.h).(*cacheEntry)
-		delete(c.m, victim.key)
-		c.clock = victim.pri
+	h := keyHash(key)
+	if len(c.m) >= c.cap {
+		// A linear scan: a miss has just cost a whole simulation.
+		var victim string
+		var v *cacheEntry
+		var low int64
+		for k, e := range c.m {
+			if s := c.score(e.hash, e.res); v == nil || s < low || s == low && e.seq < v.seq {
+				victim, v, low = k, e, s
+			}
+		}
+		if c.score(h, res) <= low {
+			c.refusals++
+			return
+		}
+		delete(c.m, victim)
 		c.evictions++
 	}
 	c.seq++
-	e := &cacheEntry{key: key, body: body, res: res, hits: 1, seq: c.seq}
-	e.pri = c.priority(e)
-	c.m[key] = e
-	heap.Push(&c.h, e)
+	c.m[key] = &cacheEntry{body: body, res: res, hash: h, seq: c.seq}
 }
 
-// len reports the number of cached results.
-func (c *resultCache) len() int {
+// counts reports the number of cached results, how many have been evicted
+// to make room and how many were refused admission.
+func (c *resultCache) counts() (entries int, evictions, refusals int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.h)
-}
-
-// evicted reports how many results have been evicted to make room.
-func (c *resultCache) evicted() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
+	return len(c.m), c.evictions, c.refusals
 }

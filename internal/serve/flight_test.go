@@ -211,7 +211,7 @@ func TestFailedFlightShared(t *testing.T) {
 			t.Errorf("post %d = %d %s, want the flight's 500", i, w.Code, w.Body.String())
 		}
 	}
-	if n := s.cache.len(); n != 0 {
+	if n, _, _ := s.cache.counts(); n != 0 {
 		t.Errorf("failed flight left %d cache entries", n)
 	}
 	if w := post(t, s.Handler(), "/v1/jobs", jobBody(1)); w.Code != http.StatusOK || w.Header().Get("X-AA-Cache") != "miss" {
@@ -259,5 +259,27 @@ func TestWorkerPanicContained(t *testing.T) {
 	}
 	if mb := metricsOf(t, s); mb.InFlight != 0 || mb.SimRuns != 2 {
 		t.Errorf("in_flight %d sim_runs %d after a contained panic, want 0 and 2", mb.InFlight, mb.SimRuns)
+	}
+}
+
+// TestCacheRefusedMetric: on a full cache a result that scores no higher
+// than the resident is refused, and /metrics counts it; asked for again, it
+// outscores the resident and evicts it.
+func TestCacheRefusedMetric(t *testing.T) {
+	cr := &countedRun{release: make(chan struct{})}
+	close(cr.release)
+	s := testServer(t, Config{Workers: 1, CacheEntries: 1, run: cr.run})
+	for i, want := range []struct {
+		seed               int
+		cache              string
+		evictions, refused int64
+	}{{1, "miss", 0, 0}, {2, "miss", 0, 1}, {2, "miss", 1, 1}, {2, "hit", 1, 1}, {1, "miss", 1, 2}} {
+		w := post(t, s.Handler(), "/v1/jobs", jobBody(want.seed))
+		mb := metricsOf(t, s)
+		if got := w.Header().Get("X-AA-Cache"); w.Code != http.StatusOK || got != want.cache ||
+			mb.CacheEvictions != want.evictions || mb.CacheRefused != want.refused {
+			t.Errorf("post %d (seed %d) = %d %q, evictions %d refused %d; want 200 %q, %d and %d",
+				i, want.seed, w.Code, got, mb.CacheEvictions, mb.CacheRefused, want.cache, want.evictions, want.refused)
+		}
 	}
 }

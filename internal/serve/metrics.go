@@ -175,6 +175,7 @@ type metricsBody struct {
 	// and shared answers did not redo, and the cost hit rate is its share
 	// of all the work requested, saved / (saved + sim_events).
 	CacheEvictions   int64   `json:"cache_evictions"`
+	CacheRefused     int64   `json:"cache_refused"`
 	CacheShared      int64   `json:"cache_shared"`
 	CacheEventsSaved int64   `json:"cache_events_saved"`
 	CacheCostHitRate float64 `json:"cache_cost_hit_rate"`
@@ -197,7 +198,7 @@ type metricsBody struct {
 }
 
 // body renders the metrics snapshot.
-func (m *metrics) body(workers, queueCap, queueDepth, cacheEntries int, cacheEvictions int64) metricsBody {
+func (m *metrics) body(workers, queueCap, queueDepth, cacheEntries int, cacheEvictions, cacheRefused int64) metricsBody {
 	up := time.Since(m.start).Seconds()
 	hits, misses := m.hits.Load(), m.misses.Load()
 	b := metricsBody{
@@ -222,6 +223,7 @@ func (m *metrics) body(workers, queueCap, queueDepth, cacheEntries int, cacheEvi
 		SyncXBytes:    m.syncXBytes.Load(),
 
 		CacheEvictions:   cacheEvictions,
+		CacheRefused:     cacheRefused,
 		CacheShared:      m.shared.Load(),
 		CacheEventsSaved: m.saved.Load(),
 	}

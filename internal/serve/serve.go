@@ -408,6 +408,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK,
-		s.met.body(s.cfg.Workers, s.cfg.QueueDepth, s.sched.depth(), s.cache.len(), s.cache.evicted()))
+	entries, evictions, refused := s.cache.counts()
+	writeJSON(w, http.StatusOK, s.met.body(s.cfg.Workers, s.cfg.QueueDepth, s.sched.depth(), entries, evictions, refused))
 }
