@@ -60,10 +60,9 @@ type Options struct {
 	// state is written if a run stalls or exceeds MaxTime (diagnostics).
 	DebugDump string
 
-	// cancel, when non-nil, aborts the run when closed; prepare sets it from
-	// the context's Done channel. The engines poll it at window barriers and
-	// every few thousand events between.
-	cancel <-chan struct{}
+	// ctx is the run's context, set by prepare and handed to the engines
+	// (network.Network.SetContext): cancellation and a pool worker's core.
+	ctx context.Context
 	// faults is Request.Faults parsed by prepare (nil when it is empty).
 	faults *network.FaultSchedule
 }
@@ -80,7 +79,7 @@ func (o *Options) prepare(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		o.cancel = ctx.Done()
+		o.ctx = ctx
 	}
 	var err error
 	if o.faults, err = o.Request.check(); err != nil {
@@ -140,13 +139,13 @@ func (o *Options) network(sources []network.Source, h network.Handler) (*network
 	return nw, o.instrument(nw)
 }
 
-// instrument installs this run's observer, cancellation channel, checker
+// instrument installs this run's observer, context, checker
 // flag and fault schedule on a network returned by o.network. Set explicitly
 // every run (including to nil and off) so a cached network never carries a
 // previous run's settings.
 func (o *Options) instrument(nw *network.Network) error {
 	nw.SetObserver(o.Observer)
-	nw.SetCancel(o.cancel)
+	nw.SetContext(o.ctx)
 	nw.SetCheck(o.Check)
 	return nw.SetFaults(o.faults)
 }

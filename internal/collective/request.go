@@ -52,9 +52,8 @@ type Request struct {
 
 	// Shards is how many engines advance the simulation in lockstep windows
 	// (see network.RunSharded): 0 = the engine decides (one engine below 128
-	// nodes or while other runs of this process occupy the cores, from 128
-	// nodes at least two for a run alone; aaserve runs it on one engine while
-	// its pool has a worker for every core), 1 = one engine, n = exactly n.
+	// nodes or while other runs and pool workers of this process occupy the
+	// cores, from 128 nodes at least two for a run alone), n = exactly n.
 	// It only schedules the run: results are byte-identical at any value,
 	// which is why it is not part of Key.
 	Shards int `json:"shards,omitempty"`

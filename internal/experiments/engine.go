@@ -129,7 +129,8 @@ var progressMu sync.Mutex
 // config's worker pool, each worker with a private network cache; results
 // do not depend on scheduling, so rendered tables are identical at any
 // worker count. A failing cell fails the grid with an error naming the
-// experiment and the cell; every finished cell prints one progress line.
+// experiment and the cell, and cancels the worker context the cells still
+// running use; every finished cell prints one progress line.
 // When the config traces, the observations reach the sink here, after the
 // grid, in cell order: the observed rows line up with the table's own.
 func runGrid(cfg Config, id string, rows []row) ([]outcome, error) {
@@ -139,11 +140,11 @@ func runGrid(cfg Config, id string, rows []row) ([]outcome, error) {
 	}
 	perRow, err := parallel.MapLocal(context.Background(), cfg.Workers, rows,
 		func() *collective.NetCache { return &collective.NetCache{} },
-		func(_ context.Context, cache *collective.NetCache, _ int, r row) ([]outcome, error) {
+		func(ctx context.Context, cache *collective.NetCache, _ int, r row) ([]outcome, error) {
 			outs := make([]outcome, len(r))
 			for j, c := range r {
 				start := time.Now()
-				o, err := cfg.runCell(c, len(rows), cache)
+				o, err := cfg.runCell(ctx, c, cache)
 				if err != nil {
 					return nil, fmt.Errorf("%s: %v: %w", id, o, err)
 				}
@@ -179,17 +180,16 @@ func runGrid(cfg Config, id string, rows []row) ([]outcome, error) {
 	return outs, nil
 }
 
-// runCell simulates one cell of a grid whose fan-out is batch rows wide
-// (what shardsFor weighs against intra-run parallelism) through the worker's
-// network cache, recording metrics on success. The outcome identifies the
-// cell even when the run fails.
-func (c Config) runCell(cl cell, batch int, cache *collective.NetCache) (outcome, error) {
+// runCell simulates one cell of a grid under ctx through the worker's network
+// cache, recording metrics on success. The outcome identifies the cell even
+// when the run fails.
+func (c Config) runCell(ctx context.Context, cl cell, cache *collective.NetCache) (outcome, error) {
 	o := outcome{cell: cl, run: c.scale(cl.paper)}
 	if o.msg == 0 {
 		o.msg = c.largeFor(o.run)
 	}
 	opts := collective.Options{Request: collective.Request{
-		Strategy: cl.strat, Shape: o.run, MsgBytes: o.msg, Seed: c.Seed, Shards: c.shardsFor(batch),
+		Strategy: cl.strat, Shape: o.run, MsgBytes: o.msg, Seed: c.Seed, Shards: c.Shards,
 		Check: c.Check}}
 	if cl.tune != nil {
 		if err := cl.tune(&opts); err != nil {
@@ -202,7 +202,7 @@ func (c Config) runCell(cl cell, batch int, cache *collective.NetCache) (outcome
 		opts.Observer = o.obs
 	}
 	var err error
-	o.res, err = collective.Run(context.Background(), opts)
+	o.res, err = collective.Run(ctx, opts)
 	switch {
 	case err == nil:
 		c.Metrics.note(o.res)

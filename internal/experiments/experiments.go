@@ -21,7 +21,6 @@ import (
 
 	"alltoall/internal/collective"
 	"alltoall/internal/model"
-	"alltoall/internal/parallel"
 	"alltoall/internal/report"
 	"alltoall/internal/torus"
 )
@@ -42,10 +41,11 @@ type Config struct {
 	// points fan out over this many goroutines (0 = GOMAXPROCS, 1 =
 	// serial). Tables are byte-identical at any setting.
 	Workers int
-	// Shards forces every run's engine count (collective.Request.Shards:
-	// 1 = one engine, n = exactly n). 0 (default) leaves it to the engine,
-	// except that a grid with a row for every worker asks for one engine
-	// outright (shardsFor). Tables are byte-identical at any setting.
+	// Shards is every run's collective.Request.Shards: 0 (default) lets the
+	// engine decide, n forces n engines. The engine counts each pool worker
+	// as a core in use, so a full pool runs one engine per run and the tail
+	// of a grid may shard once the other workers have exited. Tables are
+	// byte-identical at any setting.
 	Shards int
 	// Progress, when non-nil, receives one line per completed run
 	// (typically os.Stderr, so tables on stdout stay clean).
@@ -108,22 +108,6 @@ func (c Config) scale(s torus.Shape) torus.Shape {
 		s = t
 	}
 	return s
-}
-
-// shardsFor is the Request.Shards of a run inside a fan-out of batch
-// independent rows. How many engines a run is worth is the engine's call
-// (network.RunSharded sees the partition and the cores in use); the one thing
-// only the grid knows is that more rows are coming: with a row for every
-// worker, run-level parallelism fills the cores without a barrier, so the
-// first row must not take the cores its neighbours are about to need.
-func (c Config) shardsFor(batch int) int {
-	if c.Shards != 0 {
-		return c.Shards
-	}
-	if batch >= parallel.Workers(c.Workers) {
-		return 1
-	}
-	return 0
 }
 
 // experiment is one table or figure: the grid of runs behind it and the

@@ -52,13 +52,6 @@ type engine struct {
 	stretch   []int32 // [linkIdx] wire-occupancy multiplier (1 = healthy)
 	downSince []int64 // [linkIdx] outage start, -1 while up
 
-	// contTok/entTok summarize dynamic-VC token availability per output
-	// direction for the arbitration pass in flight: a copy of the node's
-	// token-mask word (see tokMasks), loaded wherever freeOutputs is and
-	// again after every grant, the only mid-pass token mutation.
-	contTok uint8
-	entTok  uint8
-
 	// contNeed/entNeed are grantTokens(false) and grantTokens(true), fixed
 	// with the Params at init: reading them keeps noteTokens inlinable.
 	contNeed, entNeed int32
@@ -283,7 +276,6 @@ func (e *engine) pushed(node int32, r *router, q *pktQueue, qIdx int) {
 	e.occ[node] |= 1 << qIdx
 	if q.count <= q.win {
 		freeMask := e.freeOutputs(node)
-		e.contTok, e.entTok = e.tokMasks(node)
 		e.tryQueue(node, r, q, qIdx, &freeMask, maskAll)
 	}
 }
@@ -330,9 +322,10 @@ func (e *engine) tryQueue(node int32, r *router, q *pktQueue, qIdx int, freeMask
 			// effects when none holds, so skipping the call is byte-identical;
 			// the masks mirror its candidate conditions exactly (see tokMasks).
 			if cand := rf.want & *freeMask; cand != 0 {
-				dyn := cand&e.entTok != 0
+				contTok, entTok := e.tokMasks(node)
+				dyn := cand&entTok != 0
 				if inDir := rf.inDir(); !dyn && inDir >= 0 {
-					dyn = cand&e.contTok&(uint8(3)<<(uint8(inDir)&^1)) != 0
+					dyn = cand&contTok&(uint8(3)<<(uint8(inDir)&^1)) != 0
 				}
 				if dyn || e.escapeReady(rf) {
 					granted = e.tryRoute(node, rf, q, i, *freeMask)
@@ -344,7 +337,6 @@ func (e *engine) tryQueue(node int32, r *router, q *pktQueue, qIdx int, freeMask
 				continue
 			}
 			*freeMask &^= 1 << granted
-			e.contTok, e.entTok = e.tokMasks(node)
 		}
 		ref := *rf // rf aliases the ring slot removeAt is about to shuffle
 		pid := e.release(node, q, i, ref)
@@ -393,7 +385,6 @@ func (e *engine) service(node int32, mask uint8) {
 		if freeMask&mask == 0 && mask&maskRecv == 0 {
 			return
 		}
-		e.contTok, e.entTok = e.tokMasks(node)
 		progress := false
 		r.rrCursor++
 		rot := int(r.rrCursor) % nQ

@@ -221,7 +221,7 @@ func faultLess(a, b FaultEvent) bool {
 // and copied in canonical order; an invalid one is rejected and leaves the
 // network healthy. nil - and an empty schedule - leaves the machine healthy
 // and the hot path untouched: runs are byte-identical to a network that never
-// had a schedule. Like SetCancel, the schedule persists across Reset.
+// had a schedule. Like SetContext, the schedule persists across Reset.
 func (nw *Network) SetFaults(fs *FaultSchedule) error {
 	nw.fsched = nw.fsched[:0]
 	if fs == nil || len(fs.Events) == 0 {

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,7 +11,7 @@ import (
 	"alltoall/internal/torus"
 )
 
-// ErrCanceled is wrapped by the error a run aborted through SetCancel
+// ErrCanceled is wrapped by the error a run aborted through SetContext
 // returns; test with errors.Is.
 var ErrCanceled = errors.New("network: run canceled")
 
@@ -222,7 +224,7 @@ type Network struct {
 	handler Handler
 
 	observer Observer        // the one instrumentation tap (see observer.go); nil = off
-	cancel   <-chan struct{} // run abort signal (see SetCancel); nil = never
+	ctx      context.Context // the run's context (see SetContext)
 	check    bool            // runtime invariant checker (see SetCheck)
 
 	stats Stats // of the last successful run, merged over the engines
@@ -253,6 +255,7 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 		Par:     par,
 		routers: make([]router, p),
 		coords:  make([]torus.Coord, p),
+		ctx:     context.Background(),
 	}
 	nw.stats.LinkBusy = make([]int64, p*numDirs)
 	nw.stats.CPUBusy = make([]int64, p)
@@ -387,13 +390,12 @@ func (nw *Network) Now() int64 {
 // (and harmless to mutate) across a later Reset or run on the same network.
 func (nw *Network) Stats() *Stats { return nw.stats.clone() }
 
-// SetCancel installs an abort signal for subsequent runs: when ch becomes
-// readable the run stops at the next cancellation point - every window
-// barrier, and every few thousand events inside a window - and returns an
-// error wrapping ErrCanceled. nil removes the signal. The
-// signal persists across Reset; it is the caller's per-run (or per-sweep)
-// responsibility to install a fresh one.
-func (nw *Network) SetCancel(ch <-chan struct{}) { nw.cancel = ch }
+// SetContext installs the context of subsequent runs (nil = Background).
+// When it is done a run stops at the next cancellation point - every window
+// barrier, and every few thousand events inside a window - with an error
+// wrapping ErrCanceled; marked parallel.WithCore, its pool worker's core is
+// the run's first engine. It persists across Reset, like SetCheck.
+func (nw *Network) SetContext(ctx context.Context) { nw.ctx = cmp.Or(ctx, context.Background()) }
 
 // SetCheck turns the runtime invariant checker (internal/check) on or off for
 // subsequent runs: after every event the affected router is validated against
@@ -402,7 +404,7 @@ func (nw *Network) SetCancel(ch <-chan struct{}) { nw.cancel = ch }
 // window monotonicity, and a completed run must reach full quiescence (every
 // credit home, every packet delivered exactly once). A violation aborts the
 // run with a node/time-stamped diagnostic. Off by default: the hot path pays
-// only a predictable branch per event. Like SetCancel, the setting persists
+// only a predictable branch per event. Like SetContext, the setting persists
 // across Reset.
 func (nw *Network) SetCheck(on bool) { nw.check = on }
 

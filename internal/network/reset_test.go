@@ -1,6 +1,7 @@
 package network
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -173,18 +174,18 @@ func TestNewRejectsInvalidParams(t *testing.T) {
 	}
 }
 
-// cancelAfter wraps shardCountHandler and closes ch at node 0's k-th
-// delivery. Only node 0's worker ever calls close, so the wrapper stays
+// cancelAfter wraps shardCountHandler and calls cancel at node 0's k-th
+// delivery. Only node 0's worker ever calls it, so the wrapper stays
 // node-partitioned like the handler inside it.
 type cancelAfter struct {
 	*shardCountHandler
-	k  int64
-	ch chan struct{}
+	k      int64
+	cancel context.CancelFunc
 }
 
 func (h *cancelAfter) OnDeliver(d Delivered, fw []PacketSpec) ([]PacketSpec, int64, bool) {
 	if d.Node == 0 && h.perNode[0]+1 == h.k {
-		close(h.ch)
+		h.cancel()
 	}
 	return h.shardCountHandler.OnDeliver(d, fw)
 }
@@ -222,21 +223,22 @@ func TestFailedRunThenResetRecycles(t *testing.T) {
 		for _, s := range []int{1, 3} {
 			for _, s2 := range []int{1, 3} {
 				h := newShardCountHandler(p)
-				ch := make(chan struct{})
+				ctx, cancel := context.WithCancel(context.Background())
 				first, maxTime := Handler(h), refFin/3
 				if fail == ErrCanceled {
-					first, maxTime = &cancelAfter{h, 3, ch}, 1<<40
+					first, maxTime = &cancelAfter{h, 3, cancel}, 1<<40
 				}
 				nw := buildNet(t, shape, DefaultParams(), traffic(), first)
 				nw.SetCheck(true)
-				nw.SetCancel(ch)
+				nw.SetContext(ctx)
 				if _, err := nw.RunSharded(maxTime, s); !errors.Is(err, fail) {
 					t.Fatalf("shards=%d: err = %v, want %v", s, err, fail)
 				}
 				if n := parallel.CoresInUse(); n != 0 {
 					t.Fatalf("%v at shards=%d left %d engine cores registered", fail, s, n)
 				}
-				nw.SetCancel(nil)
+				cancel()
+				nw.SetContext(nil)
 				h.reset()
 				if err := nw.Reset(traffic(), h); err != nil {
 					t.Fatal(err)

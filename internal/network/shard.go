@@ -129,12 +129,14 @@ const (
 // shards says how many engines: n >= 1 runs exactly n (clamped to the node
 // count), and 0 lets the engine decide, here and nowhere else - one engine
 // below autoShardNodes nodes, otherwise min(max(2, P/nodesPerShard),
-// maxAutoShards) but no more than the cores no other run of this process is
-// using (parallel.ClaimCores; every run registers its engines there for as
-// long as it runs, so concurrent runs see each other). One engine (also the
-// outcome of a degenerate configuration whose safe window would be empty)
-// runs the same loop: its single window is the whole run, nothing crosses a
-// boundary and no goroutine starts.
+// maxAutoShards) but no more than the cores nothing else in this process is
+// using (parallel.ClaimCores; every run registers its engines there, and
+// every pool worker its core, for as long as it runs, so concurrent runs and
+// busy pools see each other; a run on a pool worker, per its context, counts
+// the worker's core as its first engine). One engine (also the outcome of a
+// degenerate configuration whose safe window would be empty) runs the same
+// loop: its single window is the whole run, nothing crosses a boundary and
+// no goroutine starts.
 func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 	window := shardSafeWindow(nw.Par)
 	auto := shards == 0
@@ -145,12 +147,13 @@ func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 	if window <= 0 {
 		shards = 1
 	}
+	held := parallel.HeldCores(nw.ctx)
 	if auto {
-		shards = parallel.ClaimCores(shards)
+		shards = parallel.ClaimCores(shards, held)
 	} else {
-		parallel.UseCores(shards)
+		parallel.UseCores(shards - held)
 	}
-	defer parallel.ReleaseCores(shards)
+	defer parallel.ReleaseCores(shards - held)
 	if shards == 1 {
 		window = maxInt64
 	}
@@ -164,7 +167,7 @@ func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 		if nw.observer != nil {
 			e.obs = nw.observer.Sink(i, shards, e.lo, e.hi)
 		}
-		e.cancel, e.check = nw.cancel, nw.check
+		e.cancel, e.check = nw.ctx.Done(), nw.check
 		e.activeSrc = 0
 		for n := e.lo; n < e.hi; n++ {
 			// The token-mask words follow tok from here on (noteTokens);

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -365,9 +366,9 @@ func TestAutoShardReleasesCores(t *testing.T) {
 		t.Errorf("%d engine cores registered after ErrMaxTime", n)
 	}
 	nw := fresh()
-	gone := make(chan struct{})
-	close(gone)
-	nw.SetCancel(gone)
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	nw.SetContext(gone)
 	if _, err := nw.RunSharded(1<<40, 0); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

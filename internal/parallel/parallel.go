@@ -27,11 +27,12 @@ func Workers(j int) int {
 // returns the results in input order. mk runs once on each worker goroutine
 // and its value is handed to every fn call that worker executes: use it to
 // carry expensive reusable scratch (e.g. a simulation network recycled
-// across sweep points) without sharing it between goroutines. The first
-// error cancels the context passed to still-pending fn calls and stops
-// workers from claiming further items; errors from items that were already
-// running are aggregated in index order. Items skipped because of
-// cancellation leave zero values in the result slice.
+// across sweep points) without sharing it between goroutines. Each worker
+// holds a registered core while it lives and hands fn a context WithCore.
+// The first error cancels the context passed to fn calls, running and
+// pending, and stops workers from claiming further items; errors from items
+// that were already running are aggregated in index order. Items skipped
+// because of cancellation leave zero values in the result slice.
 func MapLocal[T, R, L any](ctx context.Context, workers int, items []T, mk func() L, fn func(ctx context.Context, local L, i int, item T) (R, error)) ([]R, error) {
 	n := len(items)
 	results := make([]R, n)
@@ -51,13 +52,15 @@ func MapLocal[T, R, L any](ctx context.Context, workers int, items []T, mk func(
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
-			local := mk()
+			UseCores(1)
+			defer ReleaseCores(1)
+			wctx, local := WithCore(ctx), mk()
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				r, err := fn(ctx, local, i, items[i])
+				r, err := fn(wctx, local, i, items[i])
 				if err != nil {
 					errs[i] = err
 					cancel()

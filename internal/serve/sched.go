@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
 
 	"alltoall/internal/collective"
 	"alltoall/internal/network"
+	"alltoall/internal/parallel"
 )
 
 // ErrQueueFull is returned by admission control when a job cannot be
@@ -143,13 +143,13 @@ func defaultRun(ctx context.Context, req collective.Request, cache *collective.N
 // collective.NetCache, so consecutive runs that share a shape and machine
 // parameters recycle the simulation network's allocations - the cheap,
 // always-correct reuse - while byte-level result reuse is the result
-// cache's job (cache.go). Determinism note: a worker cache never changes a
-// Result (Network.Reset reuse is regression-tested byte-identical), so
-// scheduling order, worker count and who led a flight are invisible in
+// cache's job (cache.go). Each worker holds a core its runs count as their
+// first engine (parallel.WithCore). Determinism note: a worker cache never
+// changes a Result (Network.Reset reuse is regression-tested byte-identical),
+// so scheduling order, worker count and who led a flight are invisible in
 // served output.
 type scheduler struct {
 	queue   chan *flight
-	workers int
 	run     runFunc
 	cache   *resultCache
 	metrics *metrics
@@ -165,7 +165,6 @@ type scheduler struct {
 func newScheduler(workers, depth int, run runFunc, cache *resultCache, m *metrics) *scheduler {
 	s := &scheduler{
 		queue:   make(chan *flight, depth),
-		workers: workers,
 		run:     run,
 		cache:   cache,
 		metrics: m,
@@ -283,24 +282,13 @@ func (s *scheduler) contain(f *flight, cache *collective.NetCache, ss *network.S
 			res, err = collective.Result{}, fmt.Errorf("%w on %s: %v", errPanic, f.key, p)
 		}
 	}()
-	return s.run(f.ctx, s.scheduled(f.req), cache, ss)
-}
-
-// scheduled is the request a worker runs for req. One that leaves the engine
-// count to the engine runs on one engine while the pool has a worker for every
-// core: run-level parallelism already fills the cores, so a sharded job would
-// only take the ones the next job needs (experiments.shardsFor's rule for a
-// grid). Shards changes no Result byte and is not in the key, so the served
-// bytes, the key and the echoed request are those of req.
-func (s *scheduler) scheduled(req collective.Request) collective.Request {
-	if req.Shards == 0 && s.workers >= runtime.GOMAXPROCS(0) {
-		req.Shards = 1
-	}
-	return req
+	return s.run(parallel.WithCore(f.ctx), f.req, cache, ss)
 }
 
 func (s *scheduler) worker() {
 	defer s.wg.Done()
+	parallel.UseCores(1)
+	defer parallel.ReleaseCores(1)
 	cache := &collective.NetCache{}
 	for f := range s.queue {
 		if !s.begin(f) {

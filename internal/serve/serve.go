@@ -50,10 +50,10 @@ const SchemaVersion = 1
 
 // Config sizes the service. The zero value is usable: New fills defaults.
 type Config struct {
-	// Workers is how many simulations run at once (default 4). With at least
-	// one worker per core (GOMAXPROCS), a job that leaves shards unset runs on
-	// one engine; with fewer, the engine picks its count (from 128 nodes up,
-	// the cores no other job is using).
+	// Workers is how many simulations run at once (default 4). Each holds a
+	// core the engine counts while the server runs, so with a worker for
+	// every core (GOMAXPROCS) a job that leaves shards unset runs on one
+	// engine; with fewer, from 128 nodes up it also takes the idle cores.
 	Workers        int
 	QueueDepth     int           // admission queue capacity (default 4*Workers)
 	CacheEntries   int           // result cache capacity, 0 = default, <0 disables

@@ -15,6 +15,7 @@ import (
 
 	"alltoall/internal/collective"
 	"alltoall/internal/network"
+	"alltoall/internal/parallel"
 	"alltoall/internal/torus"
 )
 
@@ -184,6 +185,34 @@ func TestFullPoolRunsOneEngine(t *testing.T) {
 		if adv := metricsOf(t, s).SyncAdvances; (adv > 0) != (shards == 2) {
 			t.Errorf("shards=%d: sync_horizon_advances %d on a pool of %d workers", shards, adv, runtime.GOMAXPROCS(0))
 		}
+	}
+}
+
+// TestOneWorkerPoolCores: a server's worker holds its core for as long as
+// the server runs, and a job's run counts that core as its first engine. So
+// with one worker on two cores, a 128-node job that leaves shards unset takes
+// the idle core too (a window barrier moves sync_horizon_advances), and Close
+// returns every core the server held.
+func TestOneWorkerPoolCores(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	before := parallel.CoresInUse()
+	s := testServer(t, Config{Workers: 1})
+	w := post(t, s.Handler(), "/v1/jobs", `{"strategy":"AR","shape":"8x4x4","msg_bytes":64,"seed":1}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("POST = %d: %s", w.Code, w.Body.String())
+	}
+	if n := parallel.CoresInUse(); n != before+1 {
+		t.Errorf("%d cores in use with one idle worker, want %d", n, before+1)
+	}
+	if adv := metricsOf(t, s).SyncAdvances; adv == 0 {
+		t.Errorf("sync_horizon_advances 0: the job ran on one engine beside an idle core")
+	}
+	s.Close()
+	if n := parallel.CoresInUse(); n != before {
+		t.Errorf("%d cores in use after Close, %d before New", n, before)
 	}
 }
 
@@ -407,7 +436,10 @@ func TestAsyncJobLifecycle(t *testing.T) {
 
 // TestConcurrentSoak hammers the scheduler and cache with concurrent mixed-
 // shape jobs (run under -race in CI): every response for a given Request
-// must carry identical result bytes, and the cache must take real hits.
+// must carry identical result bytes, single-flight and the cache together
+// simulate each shape exactly once, and a replay of each shape after the
+// wave is a real cache hit. (Inside the wave every request may join a
+// flight before any finishes, so the hits are counted after the replay.)
 func TestConcurrentSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -461,6 +493,17 @@ func TestConcurrentSoak(t *testing.T) {
 		}
 	}
 
+	for si, shape := range shapes {
+		body := fmt.Sprintf(`{"strategy":"AR","shape":"%s","msg_bytes":64,"seed":1}`, shape)
+		w := post(t, s.Handler(), "/v1/jobs", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("replay of %s: POST = %d: %s", shape, w.Code, w.Body.String())
+		}
+		if env := decodeEnvelope(t, w); !bytes.Equal(env.Result, results[si*perShape]) {
+			t.Errorf("replay of %s served different bytes", shape)
+		}
+	}
+
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -476,11 +519,11 @@ func TestConcurrentSoak(t *testing.T) {
 	if mb.CacheHitRate <= 0 {
 		t.Errorf("cache hit rate %v, want > 0", mb.CacheHitRate)
 	}
-	if mb.JobsAccepted != int64(len(shapes)*perShape) {
-		t.Errorf("jobs_accepted %d, want %d", mb.JobsAccepted, len(shapes)*perShape)
+	if want := int64(len(shapes) * (perShape + 1)); mb.JobsAccepted != want {
+		t.Errorf("jobs_accepted %d, want %d", mb.JobsAccepted, want)
 	}
-	if mb.SimRuns == 0 || len(mb.Strategies) == 0 {
-		t.Errorf("metrics missing sim work: runs %d, strategies %d", mb.SimRuns, len(mb.Strategies))
+	if mb.SimRuns != int64(len(shapes)) || len(mb.Strategies) == 0 {
+		t.Errorf("metrics: sim runs %d, want one per shape (%d); strategies %d", mb.SimRuns, len(shapes), len(mb.Strategies))
 	}
 }
 
