@@ -181,7 +181,7 @@ func main() {
 	renderFooter(os.Stdout, elapsed, ss, res.Events)
 	if obs != nil {
 		fmt.Println()
-		if err := (report.Attribution{}).Write(os.Stdout, obs); err != nil {
+		if err := report.WriteAttribution(os.Stdout, obs); err != nil {
 			fmt.Fprintf(os.Stderr, "aasim: attribution: %v\n", err)
 			os.Exit(1)
 		}

@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,6 +15,51 @@ import (
 	"alltoall"
 	"alltoall/internal/report"
 )
+
+// TestMain runs the command itself when a test re-executes this binary with
+// "aasim" as its first argument (see aasimExit); otherwise the tests.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "aasim" {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// aasimExit runs the command with args in a child process and returns its
+// exit code and combined output.
+func aasimExit(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	out, err := exec.Command(os.Args[0], append([]string{"aasim"}, args...)...).CombinedOutput()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode(), string(out)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, string(out)
+}
+
+// TestBadFaultsExitBeforeRun: a -faults schedule that parses but does not
+// fit the shape is a usage error (exit 2) caught before the simulation
+// starts, not a failed run (exit 1).
+func TestBadFaultsExitBeforeRun(t *testing.T) {
+	for _, args := range [][]string{
+		{"-shape", "4x4x2", "-faults", "0:999:+x:kill"},
+		{"-shape", "4x4x4M", "-faults", "0:0:-z:kill"},
+		{"-shape", "4x4x2", "-faults", "0:1:+x:kill;5:1:+x:up"},
+	} {
+		code, out := aasimExit(t, append(args, "-msg", "8")...)
+		if code != 2 || strings.Contains(out, "simulated in") {
+			t.Errorf("aasim %v: exit %d, want 2 before the run:\n%s", args, code, out)
+		}
+	}
+	if code, out := aasimExit(t, "-shape", "4x4x2", "-msg", "8", "-faults", "0:5:+x:kill"); code != 0 {
+		t.Errorf("a valid schedule: exit %d:\n%s", code, out)
+	}
+}
 
 func TestParseShape(t *testing.T) {
 	cases := []struct {
@@ -166,7 +213,7 @@ func TestGoldenFaultedResult(t *testing.T) {
 	var b strings.Builder
 	renderResult(&b, res)
 	b.WriteByte('\n')
-	if err := (report.Attribution{}).Write(&b, obs); err != nil {
+	if err := report.WriteAttribution(&b, obs); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "result_ar_faulted.golden", []byte(b.String()))

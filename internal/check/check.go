@@ -3,7 +3,7 @@
 // structured, node/time-stamped violation type.
 //
 // The network engine validates these invariants at event granularity when
-// the checker is on (network.Network.SetCheck; see
+// the checker is on (network.RunSpec.Check; see
 // internal/network/invariant.go for the enforcement sites); the
 // property/metamorphic suite in internal/conformance runs every strategy
 // with checking enabled. The invariants are the conservation laws the

@@ -61,9 +61,10 @@ type Options struct {
 	DebugDump string
 
 	// ctx is the run's context, set by prepare and handed to the engines
-	// (network.Network.SetContext): cancellation and a pool worker's core.
+	// (network.RunSpec.Ctx): cancellation and a pool worker's core.
 	ctx context.Context
-	// faults is Request.Faults parsed by prepare (nil when it is empty).
+	// faults is Request.Faults parsed and validated by prepare (nil when it
+	// is empty).
 	faults *network.FaultSchedule
 }
 
@@ -118,43 +119,26 @@ type NetCache struct {
 	nw *network.Network
 }
 
-// network returns a simulator for this run with the run's settings
-// installed: the cached instance, Reset, when its shape and machine
-// parameters match, else a fresh one (which the cache keeps).
+// network returns a simulator for this run: the cached instance, Reset, when
+// its shape and machine parameters match, else a fresh one (which the cache
+// keeps).
 func (o *Options) network(sources []network.Source, h network.Handler) (*network.Network, error) {
 	c := o.Cache
 	if c != nil && c.nw != nil && c.nw.Shape == o.Shape && c.nw.Par == o.Par {
-		if err := c.nw.Reset(sources, h); err != nil {
-			return nil, err
-		}
-		return c.nw, o.instrument(c.nw)
+		return c.nw, c.nw.Reset(sources, h)
 	}
 	nw, err := network.New(o.Shape, o.Par, sources, h)
-	if err != nil {
-		return nil, err
-	}
-	if c != nil {
+	if err == nil && c != nil {
 		c.nw = nw
 	}
-	return nw, o.instrument(nw)
-}
-
-// instrument installs this run's observer, context, checker
-// flag and fault schedule on a network returned by o.network. Set explicitly
-// every run (including to nil and off) so a cached network never carries a
-// previous run's settings.
-func (o *Options) instrument(nw *network.Network) error {
-	nw.SetObserver(o.Observer)
-	nw.SetContext(o.ctx)
-	nw.SetCheck(o.Check)
-	return nw.SetFaults(o.faults)
+	return nw, err
 }
 
 // runPhase runs one simulated phase of a prepared run, the skeleton every
 // strategy and pattern shares: build or recycle the network for sources and
-// h, drive it at the requested shard count, dump its
-// state to DebugDump on failure, fold the sync counters into SyncStats, and
-// check the payload h counted per node into recv against want. Errors are
+// h, drive it with the run's settings (network.RunSpec), dump its state to
+// DebugDump on failure, fold the sync counters into SyncStats, and check the
+// payload h counted per node into recv against want. Errors are
 // labeled "<label> on <shape>". Multi-phase strategies call it once per
 // phase; the returned network's Stats are valid until the next call, which
 // may recycle it.
@@ -164,7 +148,8 @@ func (o *Options) runPhase(label string, sources []network.Source, h network.Han
 	if err != nil {
 		return nil, 0, err
 	}
-	t, err := nw.RunSharded(o.MaxTime, o.Shards)
+	t, ss, err := nw.RunSharded(network.RunSpec{MaxTime: o.MaxTime, Shards: o.Shards,
+		Ctx: o.ctx, Observer: o.Observer, Check: o.Check, Faults: o.faults})
 	if err != nil {
 		if o.DebugDump != "" {
 			if f, ferr := os.Create(o.DebugDump); ferr == nil {
@@ -175,7 +160,6 @@ func (o *Options) runPhase(label string, sources []network.Source, h network.Han
 		return nil, 0, fmt.Errorf("%s on %v: %w", label, o.Shape, err)
 	}
 	if o.SyncStats != nil {
-		ss := nw.SyncStats()
 		o.SyncStats.Add(&ss)
 	}
 	for n, got := range recv {

@@ -58,7 +58,7 @@ type Request struct {
 	// which is why it is not part of Key.
 	Shards int `json:"shards,omitempty"`
 	// Check enables the simulator's runtime invariant checker
-	// (network.Network.SetCheck): every event is validated against the
+	// (network.RunSpec.Check): every event is validated against the
 	// machine's conservation laws and a completed run must reach full
 	// quiescence. A violation fails the run with a node/time-stamped
 	// diagnostic. Costs roughly 1.4x simulation time; meant for tests and
@@ -69,9 +69,10 @@ type Request struct {
 	// grammar ("t:node:dir:action;..."); "" faults nothing and is
 	// byte-identical to a run without it. The textual form is the only one
 	// (the grammar is a String/Parse fixed point), so Requests stay
-	// value-comparable and JSON-portable; the run parses it and installs it
-	// on its network (network.Network.SetFaults). Links go down, come back,
-	// die permanently, or degrade at scheduled times, and packets reroute via
+	// value-comparable and JSON-portable; Validate parses it and checks it
+	// against Shape (network.FaultSchedule.Validate), and each network run
+	// is handed it (network.RunSpec.Faults). Links go down, come back, die
+	// permanently, or degrade at scheduled times, and packets reroute via
 	// the adaptive paths and the escape bubble channel. Every strategy but
 	// VMesh is one network run; VMesh's two phases each restart the clock,
 	// so the schedule re-applies from t=0 in each phase.
@@ -259,7 +260,11 @@ func (r Request) check() (*network.FaultSchedule, error) {
 	if r.Faults == "" {
 		return nil, nil
 	}
-	return network.ParseFaults(r.Faults)
+	fs, err := network.ParseFaults(r.Faults)
+	if err != nil {
+		return nil, err
+	}
+	return fs, fs.Validate(r.Shape)
 }
 
 // Key returns the canonical encoding of the request: a stable string

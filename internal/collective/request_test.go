@@ -216,6 +216,10 @@ func TestRequestValidate(t *testing.T) {
 		"vmesh":     {Strategy: StratVMesh, Shape: torus.New(4, 4, 2), MsgBytes: 8, VMeshRows: 3, VMeshCols: 5},
 		"window":    {Strategy: StratTPS, Shape: torus.New(4, 4, 2), MsgBytes: 8, TPSCreditWindow: 2, TPSCreditBatch: 5},
 		"window10":  {Strategy: StratTPS, Shape: torus.New(4, 4, 2), MsgBytes: 8, TPSCreditWindow: 9},
+		// Fault schedules that parse but do not fit the shape.
+		"fault node":      {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, Faults: "0:999:+x:kill"},
+		"fault mesh edge": {Strategy: StratAR, Shape: torus.NewMesh(4, 4, 4, true, true, false), MsgBytes: 64, Faults: "0:0:-z:kill"},
+		"fault revival":   {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, Faults: "0:1:+x:kill;5:1:+x:up"},
 	}
 	for name, r := range bad {
 		if err := r.Validate(); err == nil {

@@ -1,7 +1,7 @@
 // Package conformance holds the simulator's property and metamorphic test
 // suite: every all-to-all strategy is run over a matrix of torus and mesh
 // shapes at shard counts {1, 2, 4}, with and without the runtime invariant
-// checker (network.Network.SetCheck, package check), and the results are held
+// checker (network.RunSpec.Check, package check), and the results are held
 // to the model's symmetries - rank-permutation invariance of aggregate
 // throughput, dimension-relabeling symmetry, the Equation 2 peak lower
 // bound, and serial/sharded identity. Each run is simulated once per package

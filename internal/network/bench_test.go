@@ -63,8 +63,8 @@ func benchNetworkRun(b *testing.B, check bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nw.SetCheck(check)
-	if _, err := nw.Run(1 << 42); err != nil {
+	spec := RunSpec{MaxTime: 1 << 42, Shards: 1, Check: check}
+	if _, _, err := nw.RunSharded(spec); err != nil {
 		b.Fatal(err)
 	}
 	var events int64
@@ -73,7 +73,7 @@ func benchNetworkRun(b *testing.B, check bool) {
 		if err := nw.Reset(mkSrcs(), countOnly{}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := nw.Run(1 << 42); err != nil {
+		if _, _, err := nw.RunSharded(spec); err != nil {
 			b.Fatal(err)
 		}
 		events += nw.Stats().Events()
@@ -102,7 +102,7 @@ func BenchmarkNetworkRunSharded(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := nw.RunSharded(1<<42, shards); err != nil {
+			if _, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 42, Shards: shards}); err != nil {
 				b.Fatal(err)
 			}
 			var events int64
@@ -111,7 +111,7 @@ func BenchmarkNetworkRunSharded(b *testing.B) {
 				if err := nw.Reset(mkSrcs(), countOnly{}); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := nw.RunSharded(1<<42, shards); err != nil {
+				if _, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 42, Shards: shards}); err != nil {
 					b.Fatal(err)
 				}
 				events += nw.Stats().Events()

@@ -337,7 +337,7 @@ func BenchmarkNetworkRunLarge(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := nw.RunSharded(1<<42, shards); err != nil {
+			if _, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 42, Shards: shards}); err != nil {
 				b.Fatal(err)
 			}
 			var events int64
@@ -346,7 +346,7 @@ func BenchmarkNetworkRunLarge(b *testing.B) {
 				if err := nw.Reset(mkSrcs(), countOnly{}); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := nw.RunSharded(1<<42, shards); err != nil {
+				if _, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 42, Shards: shards}); err != nil {
 					b.Fatal(err)
 				}
 				events += nw.Stats().Events()

@@ -67,8 +67,8 @@ type engine struct {
 	// obs taps the hot path for instrumentation (nil = off: one predicted
 	// branch per hook site). cancel aborts the run when readable; it is
 	// polled at every window barrier and every few thousand events between.
-	// check runs the invariant checker (Network.SetCheck). RunSharded installs
-	// all three from the Network at the top of every run.
+	// check runs the invariant checker. RunSharded sets all three from the
+	// run's RunSpec at the top of every run.
 	obs    Sink
 	cancel <-chan struct{}
 	check  bool

@@ -85,8 +85,8 @@ const MaxDegradeFactor = 4096
 
 // FaultSchedule is a deterministic set of link fault transitions. The zero
 // value (or an empty Events list) is a valid schedule that faults nothing; a
-// run with an empty schedule is byte-identical to one with none installed
-// (Network.SetFaults).
+// run given an empty schedule (RunSpec.Faults) is byte-identical to one
+// given none.
 type FaultSchedule struct {
 	Events []FaultEvent
 }
@@ -124,8 +124,8 @@ func DirName(dir int) string {
 //
 //	0:12:+x:kill; 5000:40:-y:down; 9000:40:-y:up; 0:7:+z:x4
 //
-// Shape-dependent validation (node range, link existence) happens when the
-// schedule is installed on a network, not here.
+// Shape-dependent validation (node range, link existence, no revival after a
+// kill) is Validate's.
 func ParseFaults(spec string) (*FaultSchedule, error) {
 	fs := &FaultSchedule{}
 	for _, raw := range strings.Split(spec, ";") {
@@ -214,67 +214,76 @@ func faultLess(a, b FaultEvent) bool {
 	return a.Factor < b.Factor
 }
 
-// SetFaults installs the deterministic link-fault schedule for subsequent
-// runs: timed down/up transitions, permanent kills, and bandwidth degradation
-// (see ParseFaults for the -faults spec grammar). The schedule is validated
-// against this machine (node range, link existence, no revival after a kill)
-// and copied in canonical order; an invalid one is rejected and leaves the
-// network healthy. nil - and an empty schedule - leaves the machine healthy
-// and the hot path untouched: runs are byte-identical to a network that never
-// had a schedule. Like SetContext, the schedule persists across Reset.
-func (nw *Network) SetFaults(fs *FaultSchedule) error {
-	nw.fsched = nw.fsched[:0]
-	if fs == nil || len(fs.Events) == 0 {
-		return nil
+// Validate checks the schedule against a machine of the given shape: times
+// >= 0, nodes inside it, links that exist (not a mesh edge), known actions,
+// degrade factors in 1..MaxDegradeFactor and no Up after a Kill of the same
+// link. Request validation and RunSharded both call it; nil is valid.
+func (fs *FaultSchedule) Validate(shape torus.Shape) error {
+	_, err := fs.canonical(nil, shape)
+	return err
+}
+
+// canonical validates fs against shape and appends its events to dst in
+// canonical order (faultLess).
+func (fs *FaultSchedule) canonical(dst []FaultEvent, shape torus.Shape) ([]FaultEvent, error) {
+	if fs == nil {
+		return dst, nil
 	}
 	for _, f := range fs.Events {
 		if f.T < 0 {
-			return fmt.Errorf("network: fault at t=%d: time must be >= 0", f.T)
+			return nil, fmt.Errorf("network: fault at t=%d: time must be >= 0", f.T)
 		}
-		if f.Node < 0 || int(f.Node) >= nw.P {
-			return fmt.Errorf("network: fault names node %d, machine has %d", f.Node, nw.P)
+		if f.Node < 0 || int(f.Node) >= shape.P() {
+			return nil, fmt.Errorf("network: fault names node %d, machine has %d", f.Node, shape.P())
 		}
 		if f.Dir < 0 || f.Dir >= numDirs {
-			return fmt.Errorf("network: fault names direction %d (want 0..%d)", f.Dir, numDirs-1)
+			return nil, fmt.Errorf("network: fault names direction %d (want 0..%d)", f.Dir, numDirs-1)
 		}
-		if nw.nbrs[linkIdx(f.Node, f.Dir)] < 0 {
-			return fmt.Errorf("network: fault names link (%d, %s), which does not exist (mesh edge)",
+		if _, ok := shape.Neighbor(shape.Coords(int(f.Node)), dimOfDir(f.Dir), signOfDir(f.Dir)); !ok {
+			return nil, fmt.Errorf("network: fault names link (%d, %s), which does not exist (mesh edge)",
 				f.Node, DirName(f.Dir))
 		}
 		switch f.Action {
 		case FaultDown, FaultUp, FaultKill:
 		case FaultDegrade:
 			if f.Factor < 1 || f.Factor > MaxDegradeFactor {
-				return fmt.Errorf("network: fault degrades link (%d, %s) by factor %d (want 1..%d)",
+				return nil, fmt.Errorf("network: fault degrades link (%d, %s) by factor %d (want 1..%d)",
 					f.Node, DirName(f.Dir), f.Factor, MaxDegradeFactor)
 			}
 		default:
-			return fmt.Errorf("network: unknown fault action %d", f.Action)
+			return nil, fmt.Errorf("network: unknown fault action %d", f.Action)
 		}
 	}
-	sched := append(nw.fsched, fs.Events...)
+	sched := append(dst, fs.Events...)
 	sort.SliceStable(sched, func(i, j int) bool { return faultLess(sched[i], sched[j]) })
-	for i, f := range sched {
-		if f.Action != FaultKill {
-			continue
-		}
-		for _, g := range sched[i+1:] {
-			if g.Node == f.Node && g.Dir == f.Dir && g.Action == FaultUp {
-				return fmt.Errorf("network: fault revives link (%d, %s) at t=%d after a kill at t=%d",
-					f.Node, DirName(f.Dir), g.T, f.T)
-			}
+	killedAt := make(map[int]int64) // link -> time of its first kill
+	for _, f := range sched {
+		l := linkIdx(f.Node, f.Dir)
+		if t, ok := killedAt[l]; ok && f.Action == FaultUp {
+			return nil, fmt.Errorf("network: fault revives link (%d, %s) at t=%d after a kill at t=%d",
+				f.Node, DirName(f.Dir), f.T, t)
+		} else if !ok && f.Action == FaultKill {
+			killedAt[l] = f.T
 		}
 	}
+	return sched, nil
+}
+
+// installFaults makes fs, in canonical order, the schedule of the run about
+// to start; an invalid one leaves the network healthy. The first schedule
+// allocates the fault-state SoA in its healthy state, which every Reset
+// restores; a healthy network never allocates or touches it.
+func (nw *Network) installFaults(fs *FaultSchedule) error {
+	sched, err := fs.canonical(nw.fsched[:0], nw.Shape)
 	nw.fsched = sched
-	// Lazily allocate the fault-state SoA (healthy networks never pay for
-	// it) in the healthy initial state, which every Reset restores.
-	if nw.deadMask == nil {
-		nw.deadMask = make([]uint8, nw.P)
-		nw.killMask = make([]uint8, nw.P)
-		nw.stretch = make([]int32, nw.P*numDirs)
-		nw.downSince = make([]int64, nw.P*numDirs)
-		nw.resetFaultState()
+	if err != nil || len(sched) == 0 || nw.deadMask != nil {
+		return err
 	}
+	nw.deadMask = make([]uint8, nw.P)
+	nw.killMask = make([]uint8, nw.P)
+	nw.stretch = make([]int32, nw.P*numDirs)
+	nw.downSince = make([]int64, nw.P*numDirs)
+	nw.resetFaultState()
 	return nil
 }
 

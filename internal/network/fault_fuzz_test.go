@@ -47,11 +47,10 @@ func FuzzFaultSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nw.SetCheck(true)
-		if err := nw.SetFaults(fs); err != nil {
+		if fs.Validate(shape) != nil {
 			return // schedule names links this machine does not have
 		}
-		if _, err := nw.RunSharded(1<<40, 1); err != nil {
+		if _, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: 1, Check: true, Faults: fs}); err != nil {
 			var v *check.Violation
 			if errors.As(err, &v) {
 				t.Fatalf("schedule %q: invariant violation: %v", enc, err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"alltoall/internal/check"
+	"alltoall/internal/parallel"
 	"alltoall/internal/torus"
 )
 
@@ -60,9 +61,9 @@ func TestParseFaultsRejects(t *testing.T) {
 	}
 }
 
-// faultedNet builds a checked all-to-all network (192-byte packets) on the
-// default machine with fs installed.
-func faultedNet(t *testing.T, shape torus.Shape, fs *FaultSchedule) *Network {
+// faultedNet builds an all-to-all network (192-byte packets) on the default
+// machine, and the checked one-engine run that installs fs.
+func faultedNet(t *testing.T, shape torus.Shape, fs *FaultSchedule) (*Network, RunSpec) {
 	t.Helper()
 	p := shape.P()
 	srcs := make([]Source, p)
@@ -70,18 +71,15 @@ func faultedNet(t *testing.T, shape torus.Shape, fs *FaultSchedule) *Network {
 		srcs[n] = &allToAllSource{self: int32(n), p: int32(p), size: 192}
 	}
 	nw := buildNet(t, shape, DefaultParams(), srcs, countOnly{})
-	nw.SetCheck(true)
-	if err := nw.SetFaults(fs); err != nil {
-		t.Fatal(err)
-	}
-	return nw
+	return nw, RunSpec{MaxTime: 1 << 40, Shards: 1, Check: true, Faults: fs}
 }
 
 // faultRun performs one checked all-to-all run with the given schedule.
 func faultRun(t *testing.T, shape torus.Shape, fs *FaultSchedule, shards int) (int64, *Stats) {
 	t.Helper()
-	nw := faultedNet(t, shape, fs)
-	ft, err := nw.RunSharded(1<<40, shards)
+	nw, spec := faultedNet(t, shape, fs)
+	spec.Shards = shards
+	ft, _, err := nw.RunSharded(spec)
 	if err != nil {
 		t.Fatalf("faulted run (shards=%d): %v", shards, err)
 	}
@@ -199,7 +197,8 @@ func TestMeshDeadLinkIsHonest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = faultedNet(t, shape, fs).Run(1 << 40)
+	nw, spec := faultedNet(t, shape, fs)
+	_, _, err = nw.RunSharded(spec)
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
 		t.Fatalf("partitioned mesh run: %v, want stall diagnostic", err)
 	}
@@ -219,12 +218,30 @@ func TestFaultScheduleValidation(t *testing.T) {
 			{T: 20, Node: 0, Dir: 0, Action: FaultUp},
 		}},
 	} {
+		if fs.Validate(shape) == nil {
+			t.Errorf("%s: Validate accepted the schedule", name)
+		}
 		nw := buildNet(t, shape, DefaultParams(), nil, countOnly{})
-		if err := nw.SetFaults(fs); err == nil {
+		if _, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: 2, Faults: fs}); err == nil {
 			t.Errorf("%s: schedule accepted", name)
 		}
 		if len(nw.fsched) != 0 {
 			t.Errorf("%s: rejected schedule left %d events installed", name, len(nw.fsched))
+		}
+		// Rejected before the run claimed a core or re-sliced its engines.
+		if n := parallel.CoresInUse(); n != 0 || len(nw.engines) != 1 {
+			t.Errorf("%s: rejected schedule left %d cores registered, %d engines", name, n, len(nw.engines))
+		}
+	}
+	// A kill only forbids a later Up of its own link; an Up at the kill's
+	// own tick sorts before it (canonical order) and is no revival.
+	for _, spec := range []string{"10:0:+x:kill;20:0:+y:up", "10:0:+x:up;10:0:+x:kill", "5:0:+x:down;10:0:+x:up;20:0:+x:kill"} {
+		fs, err := ParseFaults(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Validate(shape); err != nil {
+			t.Errorf("Validate(%q): %v", spec, err)
 		}
 	}
 }
@@ -234,8 +251,8 @@ func TestFaultScheduleValidation(t *testing.T) {
 // a LinkLiveness violation.
 func TestFaultQuiescenceAudit(t *testing.T) {
 	fs, _ := ParseFaults("100:3:+y:down;1300:3:+y:up")
-	nw := faultedNet(t, torus.New(4, 4, 2), fs)
-	if _, err := nw.Run(1 << 40); err != nil {
+	nw, spec := faultedNet(t, torus.New(4, 4, 2), fs)
+	if _, _, err := nw.RunSharded(spec); err != nil {
 		t.Fatal(err)
 	}
 	if err := nw.checkQuiescence(); err != nil {
@@ -269,8 +286,8 @@ func TestFaultResetReplays(t *testing.T) {
 		}
 		return srcs
 	}
-	nw := faultedNet(t, shape, fs)
-	ft1, err := nw.Run(1 << 40)
+	nw, spec := faultedNet(t, shape, fs)
+	ft1, _, err := nw.RunSharded(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +295,7 @@ func TestFaultResetReplays(t *testing.T) {
 	if err := nw.Reset(mkSrcs(), countOnly{}); err != nil {
 		t.Fatal(err)
 	}
-	ft2, err := nw.Run(1 << 40)
+	ft2, _, err := nw.RunSharded(spec)
 	if err != nil {
 		t.Fatalf("re-run after Reset: %v", err)
 	}

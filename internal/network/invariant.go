@@ -4,7 +4,7 @@ import "alltoall/internal/check"
 
 // Runtime invariant checking (the conformance layer's enforcement half).
 //
-// When the checker is on (Network.SetCheck), every event dispatch is followed
+// When the checker is on (RunSpec.Check), every event dispatch is followed
 // by a validation of the router it touched (events mutate only node-local
 // router state, so checking the event's node covers every mutation),
 // cross-shard mailbox messages are checked against the receiving shard's

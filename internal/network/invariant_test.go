@@ -9,8 +9,7 @@ import (
 	"alltoall/internal/torus"
 )
 
-// checkedNet builds an all-to-all workload network with the runtime invariant
-// checker enabled.
+// checkedNet builds an all-to-all workload network for checkedRun.
 func checkedNet(t *testing.T, shape torus.Shape) (*Network, *shardCountHandler) {
 	t.Helper()
 	p := shape.P()
@@ -25,9 +24,13 @@ func checkedNet(t *testing.T, shape torus.Shape) (*Network, *shardCountHandler) 
 		}
 		src[i] = &listSource{specs: specs}
 	}
-	nw := buildNet(t, shape, DefaultParams(), src, h)
-	nw.SetCheck(true)
-	return nw, h
+	return buildNet(t, shape, DefaultParams(), src, h), h
+}
+
+// checkedRun runs nw on shards engines with the runtime invariant checker on.
+func checkedRun(nw *Network, shards int) (int64, error) {
+	fin, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: shards, Check: true})
+	return fin, err
 }
 
 func TestCheckedRunClean(t *testing.T) {
@@ -38,7 +41,7 @@ func TestCheckedRunClean(t *testing.T) {
 	for _, shape := range shapes {
 		for _, shards := range []int{1, 4} {
 			nw, h := checkedNet(t, shape)
-			fin, err := nw.RunSharded(1<<40, shards)
+			fin, err := checkedRun(nw, shards)
 			if err != nil {
 				t.Fatalf("%v shards=%d: checked run failed: %v", shape, shards, err)
 			}
@@ -60,7 +63,7 @@ func seedViolation(t *testing.T, shards int, inv check.Invariant, corrupt func(*
 	t.Helper()
 	nw, _ := checkedNet(t, torus.New(4, 4, 2))
 	corrupt(nw)
-	_, err := nw.RunSharded(1<<40, shards)
+	_, err := checkedRun(nw, shards)
 	if err == nil {
 		t.Fatalf("corrupted run (shards=%d) succeeded; want %s violation", shards, inv)
 	}
@@ -116,7 +119,7 @@ func TestSeededViolationStampsNodeAndTime(t *testing.T) {
 	nw, _ := checkedNet(t, torus.New(4, 4, 2))
 	d := escapeDir(t, nw)
 	nw.tok[tokIdx(0, d, VCBubble)] = -1
-	_, err := nw.Run(1 << 40)
+	_, err := checkedRun(nw, 1)
 	var v *check.Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("want *check.Violation, got %v", err)
@@ -134,7 +137,7 @@ func TestCheckNodeOccupancyMask(t *testing.T) {
 	// before the checker sees it, so audit the checker directly: complete a
 	// clean run, then flip a bit over a provably empty queue.
 	nw, _ := checkedNet(t, torus.New(4, 4, 2))
-	if _, err := nw.Run(1 << 40); err != nil {
+	if _, err := checkedRun(nw, 1); err != nil {
 		t.Fatal(err)
 	}
 	e := &nw.engines[0]
@@ -153,7 +156,7 @@ func TestCheckNodeTokenMask(t *testing.T) {
 	// the checker's recompute directly, as for occMask: a clean run leaves
 	// every word current, then one flipped bit must be caught.
 	nw, _ := checkedNet(t, torus.New(4, 4, 2))
-	if _, err := nw.Run(1 << 40); err != nil {
+	if _, err := checkedRun(nw, 1); err != nil {
 		t.Fatal(err)
 	}
 	e := &nw.engines[0]
@@ -174,7 +177,7 @@ func TestCheckNodeParkedLink(t *testing.T) {
 	// freeOutputs reads no neighbour table, so a mesh edge must stay parked
 	// busy forever; one that reads free is caught.
 	nw, _ := checkedNet(t, torus.NewMesh(4, 2, 2, false, false, false))
-	if _, err := nw.Run(1 << 40); err != nil {
+	if _, err := checkedRun(nw, 1); err != nil {
 		t.Fatal(err)
 	}
 	e := &nw.engines[0]
@@ -194,7 +197,7 @@ func TestCheckNodeParkedLink(t *testing.T) {
 
 func TestCheckQuiescenceStrandedCredit(t *testing.T) {
 	nw, _ := checkedNet(t, torus.New(4, 4, 2))
-	if _, err := nw.Run(1 << 40); err != nil {
+	if _, err := checkedRun(nw, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := nw.checkQuiescence(); err != nil {
@@ -214,7 +217,7 @@ func TestCheckQuiescenceStrandedCredit(t *testing.T) {
 
 func TestCheckQuiescenceLedger(t *testing.T) {
 	nw, _ := checkedNet(t, torus.New(4, 4, 2))
-	if _, err := nw.Run(1 << 40); err != nil {
+	if _, err := checkedRun(nw, 1); err != nil {
 		t.Fatal(err)
 	}
 	nw.stats.TotalDelivered--
@@ -229,12 +232,12 @@ func TestCheckQuiescenceLedger(t *testing.T) {
 func TestCheckedSerialShardedIdentical(t *testing.T) {
 	shape := torus.New(4, 4, 2)
 	nwA, hA := checkedNet(t, shape)
-	finA, err := nwA.Run(1 << 40)
+	finA, err := checkedRun(nwA, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nwB, hB := checkedNet(t, shape)
-	finB, err := nwB.RunSharded(1<<40, 4)
+	finB, err := checkedRun(nwB, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

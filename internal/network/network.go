@@ -1,8 +1,6 @@
 package network
 
 import (
-	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,8 +9,8 @@ import (
 	"alltoall/internal/torus"
 )
 
-// ErrCanceled is wrapped by the error a run aborted through SetContext
-// returns; test with errors.Is.
+// ErrCanceled is wrapped by the error a run aborted through its context
+// (RunSpec.Ctx) returns; test with errors.Is.
 var ErrCanceled = errors.New("network: run canceled")
 
 // ErrMaxTime is wrapped by the error a run returns when simulated time
@@ -210,7 +208,7 @@ type Network struct {
 	svcMask []uint8  // [node] wake-reason bits of that pass; bit 7 (svcPendBit) = pending
 
 	// Fault-injection state (see fault.go): the canonical (sorted, validated)
-	// schedule SetFaults installed and the node-partitioned link SoA the
+	// schedule of the current run and the node-partitioned link SoA the
 	// engines mutate as transitions apply. The arrays are nil until a
 	// schedule is first installed; a healthy network never allocates or
 	// touches them.
@@ -223,10 +221,6 @@ type Network struct {
 	sources []Source
 	handler Handler
 
-	observer Observer        // the one instrumentation tap (see observer.go); nil = off
-	ctx      context.Context // the run's context (see SetContext)
-	check    bool            // runtime invariant checker (see SetCheck)
-
 	stats Stats // of the last successful run, merged over the engines
 
 	// engines own contiguous node slabs covering [0, P); New builds one and
@@ -234,8 +228,6 @@ type Network struct {
 	engines []engine
 	barrier *parallel.Barrier
 	workers sync.WaitGroup // engines 1.. of the run in progress
-
-	syncStats SyncStats // of the last successful run
 }
 
 // New builds a network for the given shape with per-node sources and a
@@ -255,7 +247,6 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 		Par:     par,
 		routers: make([]router, p),
 		coords:  make([]torus.Coord, p),
-		ctx:     context.Background(),
 	}
 	nw.stats.LinkBusy = make([]int64, p*numDirs)
 	nw.stats.CPUBusy = make([]int64, p)
@@ -390,24 +381,6 @@ func (nw *Network) Now() int64 {
 // (and harmless to mutate) across a later Reset or run on the same network.
 func (nw *Network) Stats() *Stats { return nw.stats.clone() }
 
-// SetContext installs the context of subsequent runs (nil = Background).
-// When it is done a run stops at the next cancellation point - every window
-// barrier, and every few thousand events inside a window - with an error
-// wrapping ErrCanceled; marked parallel.WithCore, its pool worker's core is
-// the run's first engine. It persists across Reset, like SetCheck.
-func (nw *Network) SetContext(ctx context.Context) { nw.ctx = cmp.Or(ctx, context.Background()) }
-
-// SetCheck turns the runtime invariant checker (internal/check) on or off for
-// subsequent runs: after every event the affected router is validated against
-// the model's conservation laws (credit conservation, bubble slot bounds, FIFO
-// occupancy, occupancy-mask coherence), cross-shard messages are checked for
-// window monotonicity, and a completed run must reach full quiescence (every
-// credit home, every packet delivered exactly once). A violation aborts the
-// run with a node/time-stamped diagnostic. Off by default: the hot path pays
-// only a predictable branch per event. Like SetContext, the setting persists
-// across Reset.
-func (nw *Network) SetCheck(on bool) { nw.check = on }
-
 // routeHops computes the signed per-dimension hop vector for a packet from
 // src to dst. Exact half-ring ties on even torus dimensions are split by
 // (src+dst) parity so that the all-to-all load is balanced across both
@@ -432,8 +405,10 @@ func (nw *Network) routeHops(src, dst int32) [3]int8 {
 	return h
 }
 
-// Run drives the simulation until all sources are done and all packets are
-// delivered, or until maxTime is exceeded. It returns the completion time.
+// Run drives the simulation on one engine, with no observer, checker, faults
+// or cancellation, until all sources are done and all packets are delivered,
+// or until maxTime is exceeded. It returns the completion time.
 func (nw *Network) Run(maxTime int64) (int64, error) {
-	return nw.RunSharded(maxTime, 1)
+	t, _, err := nw.RunSharded(RunSpec{MaxTime: maxTime, Shards: 1})
+	return t, err
 }

@@ -322,15 +322,8 @@ func TestLatencyStats(t *testing.T) {
 	}
 	st := nw.Stats()
 	// Latency = finish - enq = 399 - 64 = 335.
-	if st.LatencyMax != 335 || st.MeanLatency() != 335 {
-		t.Errorf("latency max=%d mean=%v, want 335", st.LatencyMax, st.MeanLatency())
-	}
-	var histSum int64
-	for _, c := range st.LatencyHist {
-		histSum += c
-	}
-	if histSum != 1 {
-		t.Errorf("hist sum = %d", histSum)
+	if st.FinalPackets != 1 || st.LatencySum != 335 || st.MeanLatency() != 335 {
+		t.Errorf("final packets=%d latency sum=%d mean=%v, want 1, 335, 335", st.FinalPackets, st.LatencySum, st.MeanLatency())
 	}
 }
 

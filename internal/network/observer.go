@@ -8,7 +8,7 @@ const NumDirs = numDirs
 
 // Observer taps the simulator's hot path for instrumentation: per-link and
 // per-VC traffic, head-of-line blocking, FIFO depths, and CPU occupancy.
-// Install one with Network.SetObserver before a run.
+// A run is given one in RunSpec.Observer.
 //
 // The contract mirrors the invariant checker's: an observer may only record,
 // never perturb - the simulation's event sequence, statistics, and handler
@@ -79,8 +79,3 @@ type Sink interface {
 type FaultSink interface {
 	OnFault(now int64, node int32, dir int, action FaultAction, factor int32)
 }
-
-// SetObserver installs (or, with nil, removes) the observer for subsequent
-// runs. Must not be called while a run is in progress. The observer is
-// preserved across Reset: recycled sweep runs keep reporting to it.
-func (nw *Network) SetObserver(obs Observer) { nw.observer = obs }

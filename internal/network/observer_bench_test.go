@@ -45,8 +45,8 @@ func BenchmarkNetworkRunObserved(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nw.SetObserver(nullObserver{})
-	if _, err := nw.Run(1 << 42); err != nil {
+	spec := RunSpec{MaxTime: 1 << 42, Shards: 1, Observer: nullObserver{}}
+	if _, _, err := nw.RunSharded(spec); err != nil {
 		b.Fatal(err)
 	}
 	var events int64
@@ -55,7 +55,7 @@ func BenchmarkNetworkRunObserved(b *testing.B) {
 		if err := nw.Reset(mkSrcs(), countOnly{}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := nw.Run(1 << 42); err != nil {
+		if _, _, err := nw.RunSharded(spec); err != nil {
 			b.Fatal(err)
 		}
 		events += nw.Stats().Events()

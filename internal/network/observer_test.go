@@ -7,10 +7,11 @@ import (
 	"alltoall/internal/torus"
 )
 
-// allRun drives one small deterministic all-to-all on a 4x4x2 torus.
-func allRun(t *testing.T, nw *Network) int64 {
+// allRun drives one small deterministic all-to-all on a 4x4x2 torus on one
+// engine, observed by obs (nil = unobserved).
+func allRun(t *testing.T, nw *Network, obs Observer) int64 {
 	t.Helper()
-	fin, err := nw.Run(1 << 30)
+	fin, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 30, Shards: 1, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func smallAllToAll(t *testing.T) *Network {
 // result - the VMesh strategy's phase-1 capture read phase-2 numbers.
 func TestStatsSnapshot(t *testing.T) {
 	nw := smallAllToAll(t)
-	allRun(t, nw)
+	allRun(t, nw, nil)
 	st := nw.Stats()
 	saved := *st
 	savedLinkBusy := append([]int64(nil), st.LinkBusy...)
@@ -56,7 +57,7 @@ func TestStatsSnapshot(t *testing.T) {
 	st.PacketsInjected = saved.PacketsInjected
 	st.LinkBusy[0] = savedLinkBusy[0]
 	nw2 := smallAllToAll(t)
-	allRun(t, nw2)
+	allRun(t, nw2, nil)
 	if st.PacketsInjected != saved.PacketsInjected || !reflect.DeepEqual(st.LinkBusy, savedLinkBusy) {
 		t.Fatalf("captured snapshot changed after another run")
 	}
@@ -102,8 +103,7 @@ func (s *countSink) OnCPU(now int64, node int32, cost int64)     { s.cpu++ }
 func TestObserverHooksFire(t *testing.T) {
 	obs := &countObserver{}
 	nw := smallAllToAll(t)
-	nw.SetObserver(obs)
-	allRun(t, nw)
+	allRun(t, nw, obs)
 	if obs.begun != 1 || obs.ended != 1 {
 		t.Fatalf("BeginRun/EndRun = %d/%d, want 1/1", obs.begun, obs.ended)
 	}
@@ -144,13 +144,11 @@ func TestObserverSerialShardedCounts(t *testing.T) {
 	}
 	serial := &countObserver{}
 	nw := smallAllToAll(t)
-	nw.SetObserver(serial)
-	finSerial := allRun(t, nw)
+	finSerial := allRun(t, nw, serial)
 
 	sharded := &countObserver{}
 	nw2 := smallAllToAll(t)
-	nw2.SetObserver(sharded)
-	finSharded, err := nw2.RunSharded(1<<30, 4)
+	finSharded, _, err := nw2.RunSharded(RunSpec{MaxTime: 1 << 30, Shards: 4, Observer: sharded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +174,7 @@ func TestQuietSkipFires(t *testing.T) {
 			srcs[n] = &allToAllSource{self: int32(n), p: int32(p), size: MaxPacketBytes}
 		}
 		nw := buildNet(t, shape, DefaultParams(), srcs, newCountHandler(p))
-		nw.SetObserver(obs)
-		allRun(t, nw)
+		allRun(t, nw, obs)
 		return nw.Stats(), nw.engines[0].quietSkips
 	}
 	plain, skips := run(nil)

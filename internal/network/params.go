@@ -32,9 +32,9 @@ const (
 )
 
 // Params configures the simulated machine; it is fixed for the life of a
-// Network. What varies from run to run on one machine - the invariant checker
-// and the link-fault schedule - is installed on the Network instead (SetCheck,
-// SetFaults). The zero value is not valid; use DefaultParams.
+// Network. What varies from run to run on one machine - the checker flag, the
+// fault schedule, the observer and the context - is each run's own
+// (RunSpec). The zero value is not valid; use DefaultParams.
 type Params struct {
 	// VCBytes is the buffer capacity of each input virtual-channel FIFO in
 	// bytes (BG/L: ~1 KiB, i.e. four full-size packets).

@@ -91,7 +91,7 @@ func TestResetRejectsWrongSourceCount(t *testing.T) {
 // TestPerRunSettingsAcrossReset: the checker flag and the fault schedule are
 // per-run settings on one machine. A network recycled through healthy,
 // checked, faulted (a kill), checked plus faulted and healthy again - via
-// Reset, SetCheck and SetFaults - must reproduce at every step a fresh
+// Reset and each run's RunSpec - must reproduce at every step a fresh
 // network with the same settings, field for field, at one and two engines.
 func TestPerRunSettingsAcrossReset(t *testing.T) {
 	shape := torus.New(4, 4, 2)
@@ -111,11 +111,8 @@ func TestPerRunSettingsAcrossReset(t *testing.T) {
 		check  bool
 		faults *FaultSchedule
 	}{{false, nil}, {true, nil}, {false, kill}, {true, kill}, {false, nil}}
-	set := func(nw *Network, i int) {
-		nw.SetCheck(steps[i].check)
-		if err := nw.SetFaults(steps[i].faults); err != nil {
-			t.Fatal(err)
-		}
+	spec := func(i, shards int) RunSpec {
+		return RunSpec{MaxTime: 1 << 40, Shards: shards, Check: steps[i].check, Faults: steps[i].faults}
 	}
 	type outcome struct {
 		t  int64
@@ -124,8 +121,7 @@ func TestPerRunSettingsAcrossReset(t *testing.T) {
 	want := make([]outcome, len(steps))
 	for i := range steps {
 		nw := buildNet(t, shape, DefaultParams(), mkSrcs(), countOnly{})
-		set(nw, i)
-		fin, err := nw.Run(1 << 40)
+		fin, _, err := nw.RunSharded(spec(i, 1))
 		if err != nil {
 			t.Fatalf("step %d fresh: %v", i, err)
 		}
@@ -140,8 +136,7 @@ func TestPerRunSettingsAcrossReset(t *testing.T) {
 			if err := nw.Reset(mkSrcs(), countOnly{}); err != nil {
 				t.Fatal(err)
 			}
-			set(nw, i)
-			fin, err := nw.RunSharded(1<<40, shards)
+			fin, _, err := nw.RunSharded(spec(i, shards))
 			if err != nil {
 				t.Fatalf("shards=%d step %d: %v", shards, i, err)
 			}
@@ -214,8 +209,7 @@ func TestFailedRunThenResetRecycles(t *testing.T) {
 	}
 	refH := newShardCountHandler(p)
 	ref := buildNet(t, shape, DefaultParams(), traffic(), refH)
-	ref.SetCheck(true)
-	refFin, err := ref.Run(1 << 40)
+	refFin, _, err := ref.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: 1, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,21 +223,18 @@ func TestFailedRunThenResetRecycles(t *testing.T) {
 					first, maxTime = &cancelAfter{h, 3, cancel}, 1<<40
 				}
 				nw := buildNet(t, shape, DefaultParams(), traffic(), first)
-				nw.SetCheck(true)
-				nw.SetContext(ctx)
-				if _, err := nw.RunSharded(maxTime, s); !errors.Is(err, fail) {
+				if _, _, err := nw.RunSharded(RunSpec{MaxTime: maxTime, Shards: s, Ctx: ctx, Check: true}); !errors.Is(err, fail) {
 					t.Fatalf("shards=%d: err = %v, want %v", s, err, fail)
 				}
 				if n := parallel.CoresInUse(); n != 0 {
 					t.Fatalf("%v at shards=%d left %d engine cores registered", fail, s, n)
 				}
 				cancel()
-				nw.SetContext(nil)
 				h.reset()
 				if err := nw.Reset(traffic(), h); err != nil {
 					t.Fatal(err)
 				}
-				fin, err := nw.RunSharded(1<<40, s2)
+				fin, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: s2, Check: true})
 				if err != nil {
 					t.Fatalf("%v at shards=%d, then %d: %v", fail, s, s2, err)
 				}
@@ -305,7 +296,7 @@ func TestResetKeepsGrownRings(t *testing.T) {
 			if err := nw.Reset(srcs, countOnly{}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := nw.RunSharded(1<<40, shards); err != nil {
+			if _, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: shards}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"sync"
 	"unsafe"
@@ -43,11 +45,11 @@ func shardSafeWindow(par Params) int64 {
 	return w
 }
 
-// SyncStats reports the barrier protocol's counters for the most recent
-// successful run. They describe how the run was scheduled, not what it
-// simulated, which is why they live outside Stats: the byte-identity oracles
-// DeepEqual Stats across shard counts, and these are exactly the part that
-// differs.
+// SyncStats reports the barrier protocol's counters for one successful run
+// (RunSharded returns them). They describe how the run was scheduled, not
+// what it simulated, which is why they live outside Stats: the byte-identity
+// oracles DeepEqual Stats across shard counts, and these are exactly the part
+// that differs.
 type SyncStats struct {
 	// Shards is the engine count of the run, after clamping (1 for a
 	// one-engine run, whose other counters are all zero).
@@ -78,10 +80,6 @@ func (s *SyncStats) Add(o *SyncStats) {
 	s.CrossShardBytes += o.CrossShardBytes
 }
 
-// SyncStats returns the synchronization counters of the most recent
-// successful run. The value is a snapshot; it does not alias engine state.
-func (nw *Network) SyncStats() SyncStats { return nw.syncStats }
-
 // ensureShards re-slices the machine into s engines when the last run used a
 // different count; a repeated count keeps the engines, and with them every
 // allocation a run grew, so cached sweeps stay allocation-free.
@@ -108,7 +106,7 @@ func (nw *Network) ensureShards(s int) {
 	nw.barrier = parallel.NewBarrier(s)
 }
 
-// Auto-sharding thresholds (RunSharded with shards == 0). Below
+// Auto-sharding thresholds (RunSharded with Shards == 0). Below
 // autoShardNodes a run stays on one engine: its windows hold too little work
 // to pay for two barrier crossings each. From there a run takes at least two
 // engines, which is 1.4-1.8x faster on the paper's 128- and 256-node
@@ -121,12 +119,31 @@ const (
 	maxAutoShards  = 8
 )
 
+// RunSpec is one run's settings. The Network keeps none of them, so a
+// recycled machine never carries a previous run's.
+type RunSpec struct {
+	MaxTime int64 // simulated-time bound; a run past it fails with ErrMaxTime
+	Shards  int   // engines: n >= 1 runs exactly n, 0 lets RunSharded decide
+
+	// Ctx, when done, stops the run at its next cancellation point (every
+	// window barrier, and every few thousand events inside a window) with an
+	// error wrapping ErrCanceled; marked parallel.WithCore, its pool worker's
+	// core is the run's first engine. nil = context.Background().
+	Ctx      context.Context
+	Observer Observer       // the instrumentation tap (see observer.go); nil = off
+	Check    bool           // the runtime invariant checker (see invariant.go)
+	Faults   *FaultSchedule // the link-fault schedule (see fault.go); nil = healthy
+}
+
 // RunSharded is the one driver of a simulation: the torus is partitioned into
 // contiguous node slabs, each advanced by its own engine in lockstep barrier
 // windows, engine 0 on the calling goroutine. Output - completion time,
 // statistics, handler observations - is byte-identical at any engine count.
+// It returns the completion time and the run's synchronization counters. The
+// fault schedule is validated (FaultSchedule.Validate) and installed before
+// any core is claimed; an invalid one fails the run on a healthy network.
 //
-// shards says how many engines: n >= 1 runs exactly n (clamped to the node
+// rs.Shards says how many engines: n >= 1 runs exactly n (clamped to the node
 // count), and 0 lets the engine decide, here and nowhere else - one engine
 // below autoShardNodes nodes, otherwise min(max(2, P/nodesPerShard),
 // maxAutoShards) but no more than the cores nothing else in this process is
@@ -137,8 +154,13 @@ const (
 // degenerate configuration whose safe window would be empty) runs the same
 // loop: its single window is the whole run, nothing crosses a boundary and
 // no goroutine starts.
-func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
+func (nw *Network) RunSharded(rs RunSpec) (int64, SyncStats, error) {
+	if err := nw.installFaults(rs.Faults); err != nil {
+		return 0, SyncStats{}, err
+	}
+	ctx := cmp.Or(rs.Ctx, context.Background())
 	window := shardSafeWindow(nw.Par)
+	shards := rs.Shards
 	auto := shards == 0
 	if auto && nw.P >= autoShardNodes {
 		shards = min(max(2, nw.P/nodesPerShard), maxAutoShards)
@@ -147,7 +169,7 @@ func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 	if window <= 0 {
 		shards = 1
 	}
-	held := parallel.HeldCores(nw.ctx)
+	held := parallel.HeldCores(ctx)
 	if auto {
 		shards = parallel.ClaimCores(shards, held)
 	} else {
@@ -158,16 +180,16 @@ func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 		window = maxInt64
 	}
 	nw.ensureShards(shards)
-	if nw.observer != nil {
-		nw.observer.BeginRun(nw.Shape, nw.Par)
+	if rs.Observer != nil {
+		rs.Observer.BeginRun(nw.Shape, nw.Par)
 	}
 	for i := range nw.engines {
 		e := &nw.engines[i]
 		e.obs = nil
-		if nw.observer != nil {
-			e.obs = nw.observer.Sink(i, shards, e.lo, e.hi)
+		if rs.Observer != nil {
+			e.obs = rs.Observer.Sink(i, shards, e.lo, e.hi)
 		}
-		e.cancel, e.check = nw.ctx.Done(), nw.check
+		e.cancel, e.check = ctx.Done(), rs.Check
 		e.activeSrc = 0
 		for n := e.lo; n < e.hi; n++ {
 			// The token-mask words follow tok from here on (noteTokens);
@@ -182,9 +204,9 @@ func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 	}
 	nw.workers.Add(shards - 1)
 	for i := 1; i < shards; i++ {
-		go nw.engines[i].run(maxTime, window, &nw.workers)
+		go nw.engines[i].run(rs.MaxTime, window, &nw.workers)
 	}
-	nw.engines[0].run(maxTime, window, nil)
+	nw.engines[0].run(rs.MaxTime, window, nil)
 	nw.workers.Wait()
 
 	ss := SyncStats{Shards: shards}
@@ -193,7 +215,7 @@ func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 	for i := range nw.engines {
 		e := &nw.engines[i]
 		if e.err != nil {
-			return 0, e.err
+			return 0, SyncStats{}, e.err
 		}
 		inFlight += e.inFlight
 		activeSrc += e.activeSrc
@@ -206,24 +228,23 @@ func (nw *Network) RunSharded(maxTime int64, shards int) (int64, error) {
 	}
 	ss.CrossShardBytes = ss.CrossShardEvents * int64(unsafe.Sizeof(xmsg{}))
 	if inFlight != 0 || activeSrc != 0 {
-		return 0, fmt.Errorf("network: stalled at t=%d with %d packets in flight, %d active sources (deadlock?)",
+		return 0, SyncStats{}, fmt.Errorf("network: stalled at t=%d with %d packets in flight, %d active sources (deadlock?)",
 			nw.Now(), inFlight, activeSrc)
 	}
 	for i := range nw.engines {
 		nw.stats.merge(nw.engines[i].stats)
 	}
 	nw.closeFaultStats()
-	if nw.check {
+	if rs.Check {
 		// After the merge so the exactly-once ledger sees machine totals.
 		if err := nw.checkQuiescence(); err != nil {
-			return 0, err
+			return 0, SyncStats{}, err
 		}
 	}
-	nw.syncStats = ss
-	if nw.observer != nil {
-		nw.observer.EndRun(nw.stats.FinishTime)
+	if rs.Observer != nil {
+		rs.Observer.EndRun(nw.stats.FinishTime)
 	}
-	return nw.stats.FinishTime, nil
+	return nw.stats.FinishTime, ss, nil
 }
 
 // run is one engine's worker. All engines execute the same barrier sequence

@@ -141,8 +141,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 			t.Fatalf("shape %v: %v", shape, err)
 		}
 		refWin := &grantWindows{width: 2048}
-		ref.SetObserver(refWin)
-		refFin, err := ref.Run(1 << 40)
+		refFin, _, err := ref.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: 1, Observer: refWin})
 		if err != nil {
 			t.Fatalf("shape %v serial: %v", shape, err)
 		}
@@ -156,8 +155,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 				t.Fatalf("shape %v: %v", shape, err)
 			}
 			win := &grantWindows{width: 2048}
-			nw.SetObserver(win)
-			fin, err := nw.RunSharded(1<<40, shards)
+			fin, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: shards, Observer: win})
 			if err != nil {
 				t.Fatalf("shape %v shards=%d: %v", shape, shards, err)
 			}
@@ -193,8 +191,7 @@ func TestShardedResetRecycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	refWin := &grantWindows{width: 2048}
-	ref.SetObserver(refWin)
-	refFin, err := ref.Run(1 << 40)
+	refFin, _, err := ref.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: 1, Observer: refWin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +201,7 @@ func TestShardedResetRecycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win := &grantWindows{width: 2048}
-	nw.SetObserver(win) // survives Reset; BeginRun starts each run's series afresh
+	win := &grantWindows{width: 2048} // every run's; BeginRun starts each run's series afresh
 	for run, shards := range []int{4, 2, 4, 1, 4} {
 		if run > 0 {
 			h.reset()
@@ -213,7 +209,7 @@ func TestShardedResetRecycles(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		fin, err := nw.RunSharded(1<<40, shards)
+		fin, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: shards, Observer: win})
 		if err != nil {
 			t.Fatalf("run %d shards=%d: %v", run, shards, err)
 		}
@@ -258,7 +254,7 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 		if err := nw.Reset(srcs, h); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nw.RunSharded(1<<40, shards); err != nil {
+		if _, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: shards}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,13 +274,14 @@ func autoRun(t *testing.T, shape torus.Shape) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.RunSharded(1<<40, 0); err != nil {
+	_, ss, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40})
+	if err != nil {
 		t.Fatalf("%v auto: %v", shape, err)
 	}
-	return nw.SyncStats().Shards
+	return ss.Shards
 }
 
-// TestAutoShardPolicy pins what RunSharded(_, 0) decides: one engine below
+// TestAutoShardPolicy pins what RunSharded decides at Shards 0: one engine below
 // 128 nodes however many cores idle, one engine when the cores are taken,
 // min(GOMAXPROCS, max(2, P/128), 8) for a run of 128 nodes or more alone -
 // and that a forced count ignores all of it.
@@ -331,10 +328,11 @@ func TestAutoShardPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.RunSharded(1<<40, 3); err != nil {
+	_, ss, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: 3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := nw.SyncStats().Shards; got != 3 {
+	if got := ss.Shards; got != 3 {
 		t.Errorf("a forced 3 with the cores oversubscribed ran %d engines", got)
 	}
 	parallel.ReleaseCores(8)
@@ -359,7 +357,7 @@ func TestAutoShardReleasesCores(t *testing.T) {
 		}
 		return nw
 	}
-	if _, err := fresh().RunSharded(100, 0); !errors.Is(err, ErrMaxTime) {
+	if _, _, err := fresh().RunSharded(RunSpec{MaxTime: 100}); !errors.Is(err, ErrMaxTime) {
 		t.Fatalf("err = %v, want ErrMaxTime", err)
 	}
 	if n := parallel.CoresInUse(); n != 0 {
@@ -368,8 +366,7 @@ func TestAutoShardReleasesCores(t *testing.T) {
 	nw := fresh()
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
-	nw.SetContext(gone)
-	if _, err := nw.RunSharded(1<<40, 0); !errors.Is(err, ErrCanceled) {
+	if _, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Ctx: gone}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if n := parallel.CoresInUse(); n != 0 {
@@ -384,10 +381,11 @@ func TestAutoShardReleasesCores(t *testing.T) {
 		nw := fresh()
 		go func() {
 			defer wg.Done()
-			if _, err := nw.RunSharded(1<<40, 0); err != nil {
+			_, ss, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40})
+			if err != nil {
 				t.Errorf("concurrent run %d: %v", i, err)
 			}
-			engines[i] = nw.SyncStats().Shards
+			engines[i] = ss.Shards
 		}()
 	}
 	wg.Wait()

@@ -1,10 +1,5 @@
 package network
 
-import "math/bits"
-
-// LatencyBuckets is the number of power-of-two latency histogram buckets.
-const LatencyBuckets = 40
-
 // NumEventKinds is the number of distinct simulator event kinds.
 const NumEventKinds = 5
 
@@ -59,11 +54,7 @@ type Stats struct {
 	// Identical at any shard count, like DeadLinkTicks.
 	Reroutes int64
 
-	// LatencyHist[i] counts final packets with injection-to-delivery
-	// latency in [2^i, 2^(i+1)).
-	LatencyHist [LatencyBuckets]int64
-	LatencySum  int64
-	LatencyMax  int64
+	LatencySum int64 // summed injection-to-delivery latency of final packets
 }
 
 // Events returns the total number of processed simulator events.
@@ -132,13 +123,7 @@ func (s *Stats) merge(o *Stats) {
 	s.TotalDelivered += o.TotalDelivered
 	s.DeadLinkTicks += o.DeadLinkTicks
 	s.Reroutes += o.Reroutes
-	for i, v := range o.LatencyHist {
-		s.LatencyHist[i] += v
-	}
 	s.LatencySum += o.LatencySum
-	if o.LatencyMax > s.LatencyMax {
-		s.LatencyMax = o.LatencyMax
-	}
 }
 
 func (s *Stats) noteDelivery(now int64, p *packet, final bool) {
@@ -151,16 +136,7 @@ func (s *Stats) noteDelivery(now int64, p *packet, final bool) {
 	if now > s.FinishTime {
 		s.FinishTime = now
 	}
-	lat := now - p.enq
-	s.LatencySum += lat
-	if lat > s.LatencyMax {
-		s.LatencyMax = lat
-	}
-	b := bits.Len64(uint64(lat))
-	if b >= LatencyBuckets {
-		b = LatencyBuckets - 1
-	}
-	s.LatencyHist[b]++
+	s.LatencySum += now - p.enq
 }
 
 // MeanLatency returns the mean injection-to-delivery latency of final

@@ -28,19 +28,15 @@ func TestSyncDifferentialMatrix(t *testing.T) {
 		for _, shards := range []int{1, 2, 4} {
 			h := newShardCountHandler(p)
 			nw, err := New(shape, DefaultParams(), shardTraffic(p, 42), h)
-			if err == nil {
-				nw.SetCheck(true)
-				err = nw.SetFaults(fs)
-			}
 			if err != nil {
 				t.Fatalf("faults=%q shards=%d: %v", spec, shards, err)
 			}
-			fin, err := nw.RunSharded(1<<40, shards)
+			fin, ss, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: shards, Check: true, Faults: fs})
 			if err != nil {
 				t.Fatalf("faults=%q shards=%d: %v", spec, shards, err)
 			}
 			st := nw.Stats()
-			if ss := nw.SyncStats(); ss.Shards != shards {
+			if ss.Shards != shards {
 				t.Errorf("faults=%q shards=%d: SyncStats reports %d shards", spec, shards, ss.Shards)
 			}
 			if ref == nil {
@@ -71,10 +67,11 @@ func TestSyncCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nw.RunSharded(1<<40, shards); err != nil {
+		_, ss, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: shards})
+		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		return nw.SyncStats()
+		return ss
 	}
 	if serial := run(1); serial != (SyncStats{Shards: 1}) {
 		t.Errorf("serial SyncStats not quiescent: %+v", serial)
@@ -119,10 +116,10 @@ func TestBlockedWaitSeesImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.RunSharded(1<<40, 2); err != nil {
+	_, ss, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	ss := nw.SyncStats()
 	if ss.Shards != 2 || ss.HorizonAdvances == 0 {
 		t.Fatalf("not a sharded run: %+v", ss)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Fault observability: the Collector implements network.FaultSink, so a
-// faulted run (network.Network.SetFaults) reports every effective link
+// faulted run (network.RunSpec.Faults) reports every effective link
 // transition into the owning shard's sink. At EndRun the transitions fold into
 // per-window dead-link-ticks (the fault state over time, alongside the
 // traffic series) and the run-level outage aggregates the Summary and the

@@ -49,10 +49,10 @@ func MapLocal[T, R, L any](ctx context.Context, workers int, items []T, mk func(
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(w)
+	UseCores(w) // before any worker starts, so the first runs see the whole pool
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
-			UseCores(1)
 			defer ReleaseCores(1)
 			wctx, local := WithCore(ctx), mk()
 			for ctx.Err() == nil {

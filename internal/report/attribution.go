@@ -9,19 +9,13 @@ import (
 	"alltoall/internal/torus"
 )
 
-// Attribution renders a bottleneck-attribution report from an observe
-// Summary: per-dimension utilization with the saturated dimension flagged,
-// the top links by occupancy, the head-of-line-blocking census, and a
-// per-window utilization heatmap. This is the diagnostic the paper's
-// Section 5 argument needs in one screen: on an asymmetric torus the X row
-// pins at ~100% while Y/Z idle and the HoL counter is hot; a balanced
-// schedule (TPS) shows three even rows and a cold counter.
-type Attribution struct {
-	// Top bounds the link ranking (default 8). Heat bounds the heatmap
-	// width in windows; longer runs are downsampled (default 64).
-	Top  int
-	Heat int
-}
+// The attribution report ranks the attributionTop busiest links and draws
+// its heatmap at most attributionHeat columns wide (longer runs are
+// downsampled).
+const (
+	attributionTop  = 8
+	attributionHeat = 64
+)
 
 // heatGlyphs maps utilization to a glyph ramp; index min(u*len, len-1).
 var heatGlyphs = []rune(" .:-=+*#%@")
@@ -37,16 +31,14 @@ func heatGlyph(u float64) rune {
 	return heatGlyphs[i]
 }
 
-// Write renders the report. The collector supplies both the run-level
-// summary and the windowed series for the heatmap.
-func (a Attribution) Write(w io.Writer, c *observe.Collector) error {
-	top, heat := a.Top, a.Heat
-	if top <= 0 {
-		top = 8
-	}
-	if heat <= 0 {
-		heat = 64
-	}
+// WriteAttribution renders a bottleneck-attribution report from an observe
+// Collector: per-dimension utilization with the saturated dimension flagged,
+// the top links by occupancy, the head-of-line-blocking census, and a
+// per-window utilization heatmap. This is the diagnostic the paper's
+// Section 5 argument needs in one screen: on an asymmetric torus the X row
+// pins at ~100% while Y/Z idle and the HoL counter is hot; a balanced
+// schedule (TPS) shows three even rows and a cold counter.
+func WriteAttribution(w io.Writer, c *observe.Collector) error {
 	s := c.Summary()
 
 	var b strings.Builder
@@ -69,7 +61,7 @@ func (a Attribution) Write(w io.Writer, c *observe.Collector) error {
 	b.WriteByte('\n')
 
 	links := NewTable("busiest links", "rank", "node", "coord", "link", "bytes", "util")
-	for i, l := range c.RankLinks(top) {
+	for i, l := range c.RankLinks(attributionTop) {
 		links.AddRow(i+1, l.Node, fmt.Sprintf("(%d,%d,%d)", l.Coord[0], l.Coord[1], l.Coord[2]),
 			l.Dim+l.Dir, l.Bytes, fmt.Sprintf("%5.1f%%", 100*l.Util))
 	}
@@ -102,7 +94,7 @@ func (a Attribution) Write(w io.Writer, c *observe.Collector) error {
 			s.DeadLinkTicks, 100*s.DegradedCompletion, s.ForcedCreditReturns)
 	}
 
-	writeHeatmap(&b, c, heat)
+	writeHeatmap(&b, c, attributionHeat)
 
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -4,13 +4,11 @@ import (
 	"hash/fnv"
 	"math"
 	"sync"
-
-	"alltoall/internal/collective"
 )
 
 // resultCache memoizes completed job results keyed by the canonical
-// Request.Key(). The cached value is the encoded result JSON (plus the
-// Result struct for job-status rendering), so a hit is served byte-for-byte
+// Request.Key(). The cached value is the encoded result JSON, with the
+// Result.Events of the run that produced it, so a hit is served byte-for-byte
 // as the original run - the cache can never introduce a divergence between a
 // served and a directly-computed result, because keys are injective over
 // every Result-determining field and the engines are deterministic. Only
@@ -41,10 +39,10 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	body []byte
-	res  collective.Result
-	hash uint64
-	seq  uint64 // insertion order, the tie-break
+	body   []byte
+	events int64 // the run's Result.Events: its cost
+	hash   uint64
+	seq    uint64 // insertion order, the tie-break
 }
 
 func newResultCache(capacity int) *resultCache {
@@ -59,19 +57,19 @@ func keyHash(key string) uint64 {
 
 // score is count x cost, saturating. A run that reports no events (a test
 // stub) still costs one, so frequency keeps ordering such entries.
-func (c *resultCache) score(hash uint64, res collective.Result) int64 {
-	n, cost := c.freq[hash], max(res.Events, 1)
+func (c *resultCache) score(hash uint64, events int64) int64 {
+	n, cost := c.freq[hash], max(events, 1)
 	if n > math.MaxInt64/cost {
 		return math.MaxInt64
 	}
 	return n * cost
 }
 
-// get counts a request for key, then returns its cached encoding and Result.
-// Callers must treat the returned body as immutable.
-func (c *resultCache) get(key string) ([]byte, collective.Result, bool) {
+// get counts a request for key, then returns its cached encoding and the
+// events its run cost. Callers must treat the returned body as immutable.
+func (c *resultCache) get(key string) ([]byte, int64, bool) {
 	if c == nil || c.cap <= 0 {
-		return nil, collective.Result{}, false
+		return nil, 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -88,22 +86,22 @@ func (c *resultCache) get(key string) ([]byte, collective.Result, bool) {
 	}
 	e, ok := c.m[key]
 	if !ok {
-		return nil, collective.Result{}, false
+		return nil, 0, false
 	}
-	return e.body, e.res, true
+	return e.body, e.events, true
 }
 
 // add offers a completed result. Below capacity it is inserted; at capacity
 // it replaces the lowest-scoring resident only if it scores strictly higher,
 // and is refused otherwise. Adding a resident key replaces its value.
-func (c *resultCache) add(key string, body []byte, res collective.Result) {
+func (c *resultCache) add(key string, body []byte, events int64) {
 	if c == nil || c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {
-		e.body, e.res = body, res
+		e.body, e.events = body, events
 		return
 	}
 	h := keyHash(key)
@@ -113,11 +111,11 @@ func (c *resultCache) add(key string, body []byte, res collective.Result) {
 		var v *cacheEntry
 		var low int64
 		for k, e := range c.m {
-			if s := c.score(e.hash, e.res); v == nil || s < low || s == low && e.seq < v.seq {
+			if s := c.score(e.hash, e.events); v == nil || s < low || s == low && e.seq < v.seq {
 				victim, v, low = k, e, s
 			}
 		}
-		if c.score(h, res) <= low {
+		if c.score(h, events) <= low {
 			c.refusals++
 			return
 		}
@@ -125,7 +123,7 @@ func (c *resultCache) add(key string, body []byte, res collective.Result) {
 		c.evictions++
 	}
 	c.seq++
-	c.m[key] = &cacheEntry{body: body, res: res, hash: h, seq: c.seq}
+	c.m[key] = &cacheEntry{body: body, events: events, hash: h, seq: c.seq}
 }
 
 // counts reports the number of cached results, how many have been evicted

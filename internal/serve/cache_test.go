@@ -6,12 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
-
-	"alltoall/internal/collective"
 )
-
-// costing is a Result whose only content is its cost to the cache policy.
-func costing(events int64) collective.Result { return collective.Result{Events: events} }
 
 func resident(c *resultCache, key string) bool {
 	c.mu.Lock()
@@ -24,7 +19,7 @@ func resident(c *resultCache, key string) bool {
 // the simulated result offered to the cache.
 func request(c *resultCache, key string, events int64) {
 	if _, _, ok := c.get(key); !ok {
-		c.add(key, []byte(key), costing(events))
+		c.add(key, []byte(key), events)
 	}
 }
 
@@ -33,7 +28,7 @@ func scoreOf(c *resultCache, key string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.m[key]
-	return c.score(e.hash, e.res)
+	return c.score(e.hash, e.events)
 }
 
 func TestResultCachePolicy(t *testing.T) {
@@ -119,13 +114,13 @@ func TestResultCachePolicy(t *testing.T) {
 		c := newResultCache(2)
 		request(c, "a", 10)
 		c.get("a")
-		c.add("a", []byte("new"), costing(20))
+		c.add("a", []byte("new"), 20)
 		if n, _, _ := c.counts(); n != 1 {
 			t.Fatalf("len = %d after re-adding a resident key, want 1", n)
 		}
-		body, res, ok := c.get("a")
-		if !ok || string(body) != "new" || res.Events != 20 {
-			t.Errorf("refreshed entry = %q events %d %v, want new/20", body, res.Events, ok)
+		body, events, ok := c.get("a")
+		if !ok || string(body) != "new" || events != 20 {
+			t.Errorf("refreshed entry = %q events %d %v, want new/20", body, events, ok)
 		}
 		// Three requests, at the new cost.
 		if s := scoreOf(c, "a"); s != 60 {
@@ -146,7 +141,7 @@ func TestResultCachePolicy(t *testing.T) {
 	t.Run("disabled", func(t *testing.T) {
 		for _, capacity := range []int{0, -1} {
 			c := newResultCache(capacity)
-			c.add("x", []byte("X"), costing(1))
+			c.add("x", []byte("X"), 1)
 			if _, _, ok := c.get("x"); ok || len(c.m) != 0 {
 				t.Errorf("cap %d: disabled cache kept an entry", capacity)
 			}
@@ -291,7 +286,7 @@ func agree(c *resultCache, m *modelCache) error {
 	}
 	for _, e := range m.entries {
 		got := c.m[e.key]
-		if got == nil || string(got.body) != e.body || got.seq != e.seq || c.score(got.hash, got.res) != m.score(e.key, e.cost) {
+		if got == nil || string(got.body) != e.body || got.seq != e.seq || c.score(got.hash, got.events) != m.score(e.key, e.cost) {
 			return fmt.Errorf("%s resident in the model as %+v (score %d), cache has %+v", e.key, e, m.score(e.key, e.cost), got)
 		}
 	}
@@ -325,7 +320,7 @@ func TestResultCacheModel(t *testing.T) {
 				}
 				body := fmt.Sprintf("%s@%d", key, op)
 				cost := modelCosts[rng.Intn(len(modelCosts))]
-				c.add(key, []byte(body), costing(cost))
+				c.add(key, []byte(body), cost)
 				m.add(key, body, cost)
 			}
 			if err := agree(c, m); err != nil {
@@ -357,7 +352,7 @@ func FuzzResultCache(f *testing.F) {
 			} else {
 				body := fmt.Sprintf("%s@%d", key, i)
 				cost := modelCosts[int(data[i+1])%len(modelCosts)]
-				c.add(key, []byte(body), costing(cost))
+				c.add(key, []byte(body), cost)
 				m.add(key, body, cost)
 			}
 			if err := agree(c, m); err != nil {

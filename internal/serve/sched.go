@@ -66,8 +66,7 @@ type job struct {
 	stop   func() bool // unregisters the ctx watcher of an attached job
 
 	done  chan struct{}
-	res   collective.Result
-	body  []byte // canonical result JSON (json.Marshal of res), nil on failure
+	body  []byte // canonical result JSON, nil on failure
 	err   error
 	cache string // how the result was obtained: "hit", "miss" or "shared"
 
@@ -90,8 +89,7 @@ func (j *job) getStatus() jobStatus {
 }
 
 // finish publishes a job outcome exactly once.
-func (j *job) finish(res collective.Result, body []byte, err error) {
-	j.res = res
+func (j *job) finish(body []byte, err error) {
 	j.body = body
 	j.err = err
 	j.finished = time.Now()
@@ -171,6 +169,7 @@ func newScheduler(workers, depth int, run runFunc, cache *resultCache, m *metric
 		flights: make(map[string]*flight),
 	}
 	s.wg.Add(workers)
+	parallel.UseCores(workers) // before any worker starts, so the first jobs see the whole pool
 	for i := 0; i < workers; i++ {
 		go s.worker()
 	}
@@ -183,10 +182,10 @@ func newScheduler(workers, depth int, run runFunc, cache *resultCache, m *metric
 func (s *scheduler) submit(j *job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if body, res, ok := s.cache.get(j.key); ok {
-		s.metrics.noteCacheHit(res.Events)
+	if body, events, ok := s.cache.get(j.key); ok {
+		s.metrics.noteCacheHit(events)
 		j.cache = "hit"
-		j.finish(res, body, nil)
+		j.finish(body, nil)
 		return nil
 	}
 	if s.closed {
@@ -228,7 +227,7 @@ func (s *scheduler) detach(f *flight, j *job) {
 		return // the flight finished first
 	}
 	f.jobs = slices.Delete(f.jobs, i, i+1)
-	j.finish(collective.Result{}, nil, fmt.Errorf("serve: job canceled: %w", j.ctx.Err()))
+	j.finish(nil, fmt.Errorf("serve: job canceled: %w", j.ctx.Err()))
 	if len(f.jobs) == 0 {
 		f.cancel()
 		delete(s.flights, f.key) // a new request must not join a canceled flight
@@ -253,22 +252,23 @@ func (s *scheduler) begin(f *flight) bool {
 	return true
 }
 
-// complete caches a successful flight's bytes and hands its outcome, result
-// or failure, to every job still attached. Failures are never cached.
-func (s *scheduler) complete(f *flight, res collective.Result, body []byte, err error) {
+// complete caches a successful flight's bytes and the events its run cost,
+// and hands its outcome, result or failure, to every job still attached.
+// Failures are never cached.
+func (s *scheduler) complete(f *flight, events int64, body []byte, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.flights[f.key] == f {
 		delete(s.flights, f.key)
 	}
 	if err == nil {
-		s.cache.add(f.key, body, res)
+		s.cache.add(f.key, body, events)
 	}
 	for _, j := range f.jobs {
 		if err == nil && j.cache == "shared" {
-			s.metrics.noteShared(res.Events)
+			s.metrics.noteShared(events)
 		}
-		j.finish(res, body, err)
+		j.finish(body, err)
 	}
 	f.jobs = nil
 	f.cancel()
@@ -287,7 +287,6 @@ func (s *scheduler) contain(f *flight, cache *collective.NetCache, ss *network.S
 
 func (s *scheduler) worker() {
 	defer s.wg.Done()
-	parallel.UseCores(1)
 	defer parallel.ReleaseCores(1)
 	cache := &collective.NetCache{}
 	for f := range s.queue {
@@ -310,12 +309,12 @@ func (s *scheduler) worker() {
 		s.metrics.noteDone()
 		if err != nil {
 			s.metrics.noteJob(f.req.Strategy, elapsed, false, nil)
-			s.complete(f, collective.Result{}, nil, err)
+			s.complete(f, 0, nil, err)
 			continue
 		}
 		s.metrics.noteSync(&ss)
 		s.metrics.noteJob(f.req.Strategy, elapsed, true, &res)
-		s.complete(f, res, body, nil)
+		s.complete(f, res.Events, body, nil)
 	}
 }
 

@@ -58,7 +58,6 @@ type Config struct {
 	QueueDepth     int           // admission queue capacity (default 4*Workers)
 	CacheEntries   int           // result cache capacity, 0 = default, <0 disables
 	DefaultTimeout time.Duration // per-job deadline when the request has none (default 2m)
-	RetainJobs     int           // finished async jobs kept for polling (default 256)
 	MaxShards      int           // per-job ceiling on a forced shard count (default GOMAXPROCS)
 	MaxNodes       int           // per-job torus size ceiling (default 65536)
 
@@ -77,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 2 * time.Minute
-	}
-	if c.RetainJobs <= 0 {
-		c.RetainJobs = 256
 	}
 	if c.MaxShards <= 0 {
 		c.MaxShards = runtime.GOMAXPROCS(0)
@@ -105,7 +101,7 @@ type Server struct {
 
 	mu    sync.Mutex
 	jobs  map[string]*job // async registry
-	order []string        // async ids oldest-first, for RetainJobs eviction
+	order []string        // async ids oldest-first, for retainJobs eviction
 }
 
 // New builds a Server from cfg (zero value = defaults) and starts its
@@ -349,18 +345,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, env)
 }
 
+// retainJobs is how many finished async jobs the registry keeps for polling.
+const retainJobs = 256
+
 // registerJob adds an async job to the polling registry, evicting the
-// oldest finished jobs beyond RetainJobs.
+// oldest finished jobs beyond retainJobs.
 func (s *Server) registerJob(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	if len(s.order) <= s.cfg.RetainJobs {
+	if len(s.order) <= retainJobs {
 		return
 	}
 	kept := s.order[:0]
-	excess := len(s.order) - s.cfg.RetainJobs
+	excess := len(s.order) - retainJobs
 	for _, id := range s.order {
 		old := s.jobs[id]
 		st := old.getStatus()

@@ -272,6 +272,29 @@ func TestCrossFieldErrorsAreBadRequests(t *testing.T) {
 	}
 }
 
+// TestShapeInvalidFaultsAreBadRequests: a fault schedule that parses but
+// names a node the shape lacks, a mesh-edge link, or a revival after a kill
+// is the client's error, answered 400 before admission: no job is queued.
+func TestShapeInvalidFaultsAreBadRequests(t *testing.T) {
+	s := testServer(t, Config{Workers: 1})
+	h := s.Handler()
+	for name, body := range map[string]string{
+		"node":      `{"strategy":"AR","shape":"4x4x2","msg_bytes":8,"faults":"0:999:+x:kill"}`,
+		"mesh edge": `{"strategy":"AR","shape":"4x4x4M","msg_bytes":8,"faults":"0:0:-z:kill"}`,
+		"revival":   `{"strategy":"AR","shape":"4x4x2","msg_bytes":8,"faults":"0:1:+x:kill;5:1:+x:up"}`,
+	} {
+		w := post(t, h, "/v1/jobs", body)
+		var eb errorBody
+		json.Unmarshal(w.Body.Bytes(), &eb)
+		if w.Code != http.StatusBadRequest || eb.Code != "bad_request" {
+			t.Errorf("%s: %d %q, want 400 bad_request: %s", name, w.Code, eb.Code, w.Body.String())
+		}
+	}
+	if mb := metricsOf(t, s); mb.SimRuns != 0 || mb.JobsAccepted != 0 {
+		t.Errorf("invalid schedules reached the scheduler: sim_runs %d, jobs_accepted %d", mb.SimRuns, mb.JobsAccepted)
+	}
+}
+
 // blockingRun is a runFunc that parks jobs until released (or their context
 // dies), for deterministic queue-full and cancellation tests.
 func blockingRun(release chan struct{}) runFunc {
