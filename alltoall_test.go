@@ -133,7 +133,6 @@ func TestPatternHonoursRunOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Observed = nil // the collector below accumulates; its summary is checked apart
 		return res
 	}
 	plain := run()
@@ -156,6 +155,50 @@ func TestPatternHonoursRunOptions(t *testing.T) {
 	calib.HeaderBytes = 200
 	if got := run(alltoall.WithCalib(calib)); got.Time == plain.Time {
 		t.Errorf("HeaderBytes 200 left Time at %d: the calibration was dropped", got.Time)
+	}
+}
+
+// TestObserverLeavesResult: an attached observer is run machinery, so a
+// Result is the same with or without one, and Result.Observed appears
+// exactly when the Request asks to Observe. An Observe run refuses an
+// observer that could not fill Observed as the Request describes it.
+func TestObserverLeavesResult(t *testing.T) {
+	req := alltoall.Request{Strategy: alltoall.AR, Shape: alltoall.NewTorus(4, 4, 1), MsgBytes: 128, Seed: 1}
+	run := func(req alltoall.Request, extra ...alltoall.Option) (alltoall.Result, error) {
+		return alltoall.Run(context.Background(), req, extra...)
+	}
+	plain, err := run(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watched, err := run(req, alltoall.WithObserver(alltoall.NewCollector(alltoall.ObserveConfig{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(watched, plain) {
+		t.Errorf("an attached collector changed the result:\n got %+v\nwant %+v", watched, plain)
+	}
+
+	req.Observe = true
+	fresh, err := run(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := run(req, alltoall.WithObserver(alltoall.NewCollector(alltoall.ObserveConfig{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Observed == nil || !reflect.DeepEqual(own, fresh) {
+		t.Errorf("Observe with the caller's collector differs from a fresh one:\n got %+v\nwant %+v", own.Observed, fresh.Observed)
+	}
+
+	// Embedding keeps the collector's methods but not its type.
+	wrapped := struct{ alltoall.Observer }{alltoall.NewCollector(alltoall.ObserveConfig{})}
+	otherWindow := alltoall.NewCollector(alltoall.ObserveConfig{Window: 512})
+	for name, obs := range map[string]alltoall.Observer{"non-collector": wrapped, "window 512": otherWindow} {
+		if _, err := run(req, alltoall.WithObserver(obs)); err == nil {
+			t.Errorf("Observe with a %s observer ran", name)
+		}
 	}
 }
 

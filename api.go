@@ -27,7 +27,7 @@ type Request = collective.Request
 // machine and model overrides, which have no value identity (WithParams,
 // WithCalib), and run machinery, which never changes a Result (WithCache,
 // WithObserver, WithDebugDump). Everything else about a run is a Request
-// field.
+// field, Observe included: it alone decides whether Result.Observed is set.
 type Option func(*Options)
 
 // WithParams sets the simulated machine parameters (zero value: DefaultParams).
@@ -45,11 +45,13 @@ func WithCache(c *NetCache) Option { return func(o *Options) { o.Cache = c } }
 
 // WithObserver installs an observer on the run; pass a *Collector to get
 // link/VC utilization, head-of-line-blocking attribution, FIFO watermarks,
-// and a windowed trace. The run's Result.Observed then carries the
-// collector's Summary. Request.Observe alone attaches a fresh collector and
-// returns only that Summary; pass your own to keep the collector (the trace,
-// the attribution report). Observation never perturbs the simulation; a nil
-// observer (the default) costs one predicted branch per event.
+// and a windowed trace. It never changes the Result: Result.Observed is set
+// exactly when Request.Observe is. Observe alone attaches a fresh collector
+// and returns only its Summary; with Observe set, pass your own *Collector,
+// with the Request's ObserveWindow, to keep the collector as well (the
+// trace, the attribution report) - any other observer fails the run before
+// it starts. Observation never perturbs the simulation; a nil observer (the
+// default) costs one predicted branch per event.
 func WithObserver(obs Observer) Option { return func(o *Options) { o.Observer = obs } }
 
 // WithDebugDump writes a network state dump to path if the run stalls

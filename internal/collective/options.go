@@ -1,7 +1,9 @@
 package collective
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 
@@ -43,9 +45,10 @@ type Options struct {
 
 	// Observer, when non-nil, taps the simulation for instrumentation
 	// (typically an *observe.Collector). Multi-phase strategies report each
-	// phase as one observed run to the same observer. When the observer is
-	// an observe.Collector, Result.Observed carries its summary. Left nil
-	// with Request.Observe set, the run attaches a fresh collector.
+	// phase as one observed run to the same observer. It never changes the
+	// Result: Result.Observed is set exactly when Request.Observe is, from
+	// a fresh collector when Observer is nil, else from Observer, which
+	// must then be an *observe.Collector with the Request's ObserveWindow.
 	Observer network.Observer
 
 	// SyncStats, when non-nil, receives the engine's synchronization counters
@@ -105,11 +108,21 @@ func (o *Options) prepare(ctx context.Context) error {
 		peak := o.Shape.PeakTime(o.MsgBytes)
 		o.MaxTime = int64(peak*100) + int64(o.Shape.P())*(o.Calib.AlphaMsg+o.Calib.AlphaMPI)*64 + 1<<24
 	}
-	if o.Observe && o.Observer == nil {
-		o.Observer = observe.New(observe.Config{Window: o.ObserveWindow})
+	if o.Observe {
+		if o.Observer == nil {
+			o.Observer = observe.New(observe.Config{Window: o.ObserveWindow})
+		}
+		c, ok := o.Observer.(*observe.Collector)
+		if !ok || c == nil || c.Window() != cmp.Or(o.ObserveWindow, observe.DefaultWindow) {
+			return errObserver
+		}
 	}
 	return nil
 }
+
+// errObserver refuses an Observe run whose attached observer could not fill
+// Result.Observed as the Request describes it.
+var errObserver = errors.New("collective: Observe needs no observer or an *observe.Collector with the request's ObserveWindow")
 
 // NetCache is a one-slot cache of a simulation network. Sweeps that revisit
 // one (shape, params) configuration at many message sizes pass the same
@@ -246,18 +259,10 @@ type Result struct {
 	// PhaseTimes records per-phase completion for multi-phase strategies.
 	PhaseTimes []int64 `json:"phase_times,omitempty"`
 
-	// Observed is the observability summary for the run, present when
-	// Options.Observer is an *observe.Collector (see alltoall.WithObserver).
-	// Multi-phase strategies fold all phases into one summary.
+	// Observed is the observability summary for the run, present exactly
+	// when Request.Observe is set. Multi-phase strategies fold all phases
+	// into one summary.
 	Observed *observe.Summary `json:"observed,omitempty"`
-}
-
-// EventsPerPacket returns the queued-event volume per injected packet.
-func (r Result) EventsPerPacket() float64 {
-	if r.PacketsInjected == 0 {
-		return 0
-	}
-	return float64(r.QueuedEvents) / float64(r.PacketsInjected)
 }
 
 // result builds the run's Result from its completion time and, for the
@@ -289,8 +294,8 @@ func (o *Options) result(t int64, st *network.Stats) Result {
 		r.MaxIntermediateBacklog = st.MaxPendingFw
 		r.utilization(st, o.Shape.LinkCount())
 	}
-	if c, ok := o.Observer.(*observe.Collector); ok && c != nil {
-		r.Observed = c.Summary()
+	if o.Observe {
+		r.Observed = o.Observer.(*observe.Collector).Summary()
 	}
 	return r
 }

@@ -106,8 +106,9 @@ type Request struct {
 	// onto XZ planes, i.e. "xzy".
 	VMeshMapOrder string `json:"vmesh_map_order,omitempty"`
 
-	// Observe instruments the run with an observe.Collector so
-	// Result.Observed carries the link/HoL/FIFO summary; ObserveWindow is
+	// Observe instruments the run with an observe.Collector (Options.Observer,
+	// else a fresh one) so Result.Observed carries the link/HoL/FIFO
+	// summary, and nothing else sets Result.Observed; ObserveWindow is
 	// the trace bucket width (0 = default). Observation never perturbs
 	// the simulated outcome, but it is part of the request identity
 	// because it changes the Result payload.

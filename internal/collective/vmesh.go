@@ -3,7 +3,6 @@ package collective
 import (
 	"fmt"
 
-	"alltoall/internal/network"
 	"alltoall/internal/torus"
 )
 
@@ -116,17 +115,7 @@ func runVMesh(opts *Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// Capture phase-1 measurements now: building the phase-2 network below
-	// may recycle (Reset) this one when a cache is in use, zeroing its stats.
 	st1 := nw1.Stats()
-	ev1 := st1.Events()
-	pkts1 := st1.PacketsInjected
-	wire1 := st1.WireBytesInjected
-	busy := network.Stats{
-		LinkBusy: append([]int64(nil), st1.LinkBusy...),
-		CPUBusy:  append([]int64(nil), st1.CPUBusy...),
-	}
-	dead1, rr1 := st1.DeadLinkTicks, st1.Reroutes
 
 	// Phase 2: column exchange. Virtual node (r, c) sends to (r', c) for
 	// r' != r a message with the blocks (from all Pvx row members) for that
@@ -143,24 +132,25 @@ func runVMesh(opts *Options) (Result, error) {
 	r := opts.result(t1+t2, nil)
 	r.VMeshCols, r.VMeshRows = pvx, pvy
 	r.PhaseTimes = []int64{t1, t2}
-	r.DeadLinkTicks = dead1 + st2.DeadLinkTicks
-	r.Reroutes = rr1 + st2.Reroutes
-	r.Events = ev1 + st2.Events()
+	r.DeadLinkTicks = st1.DeadLinkTicks + st2.DeadLinkTicks
+	r.Reroutes = st1.Reroutes + st2.Reroutes
+	r.Events = st1.Events() + st2.Events()
 	r.QueuedEvents = r.Events
-	r.PacketsInjected = pkts1 + st2.PacketsInjected
-	r.WireBytes = wire1 + st2.WireBytesInjected
+	r.PacketsInjected = st1.PacketsInjected + st2.PacketsInjected
+	r.WireBytes = st1.WireBytesInjected + st2.WireBytesInjected
 	// Every pair's m application bytes are delivered (directly in phase 1
 	// for row mates, via phase 2 otherwise).
 	r.PayloadBytes = int64(p) * int64(p-1) * int64(opts.MsgBytes)
 	r.MeanLatencyUnits = st2.MeanLatency()
 	// A link or CPU is busy over the whole run for what it was busy in
-	// either phase; the busiest link of phase 1 need not be phase 2's.
+	// either phase; the busiest link of phase 1 need not be phase 2's. st1
+	// is a snapshot of its own, so phase 2's busy time adds into it.
 	for i, b := range st2.LinkBusy {
-		busy.LinkBusy[i] += b
+		st1.LinkBusy[i] += b
 	}
 	for i, b := range st2.CPUBusy {
-		busy.CPUBusy[i] += b
+		st1.CPUBusy[i] += b
 	}
-	r.utilization(&busy, shape.LinkCount())
+	r.utilization(st1, shape.LinkCount())
 	return r, nil
 }

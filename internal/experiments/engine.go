@@ -22,7 +22,6 @@ import (
 type Metrics struct {
 	runs    atomic.Int64
 	events  atomic.Int64
-	queued  atomic.Int64
 	packets atomic.Int64
 }
 
@@ -32,7 +31,6 @@ func (m *Metrics) note(r collective.Result) {
 	}
 	m.runs.Add(1)
 	m.events.Add(r.Events)
-	m.queued.Add(r.QueuedEvents)
 	m.packets.Add(r.PacketsInjected)
 }
 
@@ -53,13 +51,8 @@ func (m *Metrics) Events() int64 {
 }
 
 // QueuedEvents returns the total events popped from the pending-event
-// queues (equal to Events: every event is queued exactly once).
-func (m *Metrics) QueuedEvents() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.queued.Load()
-}
+// queues, which is Events: every event is queued exactly once.
+func (m *Metrics) QueuedEvents() int64 { return m.Events() }
 
 // Packets returns the total packets injected.
 func (m *Metrics) Packets() int64 {
@@ -69,12 +62,12 @@ func (m *Metrics) Packets() int64 {
 	return m.packets.Load()
 }
 
-// EventsPerPacket returns the queued-event volume per injected packet.
+// EventsPerPacket returns the event volume per injected packet.
 func (m *Metrics) EventsPerPacket() float64 {
-	if m == nil || m.packets.Load() == 0 {
+	if m.Packets() == 0 {
 		return 0
 	}
-	return float64(m.queued.Load()) / float64(m.packets.Load())
+	return float64(m.Events()) / float64(m.Packets())
 }
 
 // cell is one simulation of an experiment, as data: what the paper ran.

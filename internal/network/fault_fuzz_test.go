@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"alltoall/internal/check"
 	"alltoall/internal/torus"
 )
 
@@ -51,7 +50,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			return // schedule names links this machine does not have
 		}
 		if _, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: 1, Check: true, Faults: fs}); err != nil {
-			var v *check.Violation
+			var v *Violation
 			if errors.As(err, &v) {
 				t.Fatalf("schedule %q: invariant violation: %v", enc, err)
 			}

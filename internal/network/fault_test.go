@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"alltoall/internal/check"
 	"alltoall/internal/parallel"
 	"alltoall/internal/torus"
 )
@@ -261,14 +260,14 @@ func TestFaultQuiescenceAudit(t *testing.T) {
 	lnk := linkIdx(3, 2) // node 3, +y
 	nw.downSince[lnk] = 500
 	err := nw.checkQuiescence()
-	var v *check.Violation
-	if !errors.As(err, &v) || v.Invariant != check.LinkLiveness {
+	var v *Violation
+	if !errors.As(err, &v) || v.Invariant != LinkLiveness {
 		t.Fatalf("corrupted outage books not caught as link-liveness: %v", err)
 	}
 	nw.downSince[lnk] = -1
 	nw.stretch[lnk] = 0
 	err = nw.checkQuiescence()
-	if !errors.As(err, &v) || v.Invariant != check.LinkLiveness {
+	if !errors.As(err, &v) || v.Invariant != LinkLiveness {
 		t.Fatalf("corrupted stretch not caught as link-liveness: %v", err)
 	}
 }

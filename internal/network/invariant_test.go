@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"alltoall/internal/check"
 	"alltoall/internal/torus"
 )
 
@@ -59,7 +58,7 @@ func TestCheckedRunClean(t *testing.T) {
 
 // seedViolation asserts a run over a deliberately corrupted network fails
 // with the named invariant and a node/time-stamped diagnostic.
-func seedViolation(t *testing.T, shards int, inv check.Invariant, corrupt func(*Network)) {
+func seedViolation(t *testing.T, shards int, inv Invariant, corrupt func(*Network)) {
 	t.Helper()
 	nw, _ := checkedNet(t, torus.New(4, 4, 2))
 	corrupt(nw)
@@ -67,9 +66,9 @@ func seedViolation(t *testing.T, shards int, inv check.Invariant, corrupt func(*
 	if err == nil {
 		t.Fatalf("corrupted run (shards=%d) succeeded; want %s violation", shards, inv)
 	}
-	var v *check.Violation
+	var v *Violation
 	if !errors.As(err, &v) {
-		t.Fatalf("error is %T, want *check.Violation: %v", err, err)
+		t.Fatalf("error is %T, want *Violation: %v", err, err)
 	}
 	if v.Invariant != inv {
 		t.Fatalf("violated %s, want %s: %v", v.Invariant, inv, err)
@@ -94,7 +93,7 @@ func escapeDir(t *testing.T, nw *Network) int {
 
 func TestSeededBubbleSlotUnderflow(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		seedViolation(t, shards, check.BubbleSlots, func(nw *Network) {
+		seedViolation(t, shards, BubbleSlots, func(nw *Network) {
 			d := escapeDir(t, nw)
 			nw.tok[tokIdx(0, d, VCBubble)] = -MaxPacketBytes
 		})
@@ -102,14 +101,14 @@ func TestSeededBubbleSlotUnderflow(t *testing.T) {
 }
 
 func TestSeededBubbleSlotFragmentation(t *testing.T) {
-	seedViolation(t, 1, check.BubbleSlots, func(nw *Network) {
+	seedViolation(t, 1, BubbleSlots, func(nw *Network) {
 		d := escapeDir(t, nw)
 		nw.tok[tokIdx(0, d, VCBubble)] = nw.Par.VCBytes - PacketGranule
 	})
 }
 
 func TestSeededCounterfeitCredit(t *testing.T) {
-	seedViolation(t, 1, check.CreditConservation, func(nw *Network) {
+	seedViolation(t, 1, CreditConservation, func(nw *Network) {
 		d := escapeDir(t, nw)
 		nw.tok[tokIdx(0, d, VCDyn0)] = nw.Par.VCBytes + PacketGranule
 	})
@@ -120,9 +119,9 @@ func TestSeededViolationStampsNodeAndTime(t *testing.T) {
 	d := escapeDir(t, nw)
 	nw.tok[tokIdx(0, d, VCBubble)] = -1
 	_, err := checkedRun(nw, 1)
-	var v *check.Violation
+	var v *Violation
 	if !errors.As(err, &v) {
-		t.Fatalf("want *check.Violation, got %v", err)
+		t.Fatalf("want *Violation, got %v", err)
 	}
 	if v.Node != 0 {
 		t.Errorf("violation stamped node %d, want 0", v.Node)
@@ -146,7 +145,7 @@ func TestCheckNodeOccupancyMask(t *testing.T) {
 	}
 	nw.occ[0] |= 1
 	v := e.checkNode(0)
-	if v == nil || v.Invariant != check.OccupancyMask {
+	if v == nil || v.Invariant != OccupancyMask {
 		t.Fatalf("stale occMask bit not caught: %v", v)
 	}
 }
@@ -168,7 +167,7 @@ func TestCheckNodeTokenMask(t *testing.T) {
 	d := escapeDir(t, nw)
 	nw.tokMask[0] ^= 1 << (8 + d)
 	v := e.checkNode(0)
-	if v == nil || v.Invariant != check.OccupancyMask || !strings.Contains(v.Error(), "token-mask") {
+	if v == nil || v.Invariant != OccupancyMask || !strings.Contains(v.Error(), "token-mask") {
 		t.Fatalf("stale token-mask bit not caught: %v", v)
 	}
 }
@@ -190,7 +189,7 @@ func TestCheckNodeParkedLink(t *testing.T) {
 	}
 	nw.outBusy[absent] = 0
 	v := e.checkNode(0)
-	if v == nil || v.Invariant != check.LinkLiveness {
+	if v == nil || v.Invariant != LinkLiveness {
 		t.Fatalf("absent link reading free not caught: %v", v)
 	}
 }
@@ -206,8 +205,8 @@ func TestCheckQuiescenceStrandedCredit(t *testing.T) {
 	d := escapeDir(t, nw)
 	nw.tok[tokIdx(0, d, VCDyn1)] -= PacketGranule
 	err := nw.checkQuiescence()
-	var v *check.Violation
-	if !errors.As(err, &v) || v.Invariant != check.Quiescence {
+	var v *Violation
+	if !errors.As(err, &v) || v.Invariant != Quiescence {
 		t.Fatalf("stranded credit not caught: %v", err)
 	}
 	if !strings.Contains(err.Error(), "stranded") {
@@ -222,8 +221,8 @@ func TestCheckQuiescenceLedger(t *testing.T) {
 	}
 	nw.stats.TotalDelivered--
 	err := nw.checkQuiescence()
-	var v *check.Violation
-	if !errors.As(err, &v) || v.Invariant != check.Quiescence {
+	var v *Violation
+	if !errors.As(err, &v) || v.Invariant != Quiescence {
 		t.Fatalf("broken delivery ledger not caught: %v", err)
 	}
 	nw.stats.TotalDelivered++

@@ -9,11 +9,14 @@
 // state but not attribute.
 //
 // A Collector implements network.Observer. Install one per run (or per
-// sweep; counters accumulate across runs on the same shape until Reset):
+// sweep; counters accumulate across runs on the same shape until Reset).
+// Request.Observe puts its Summary on Result.Observed; the collector itself
+// keeps the trace:
 //
 //	obs := observe.New(observe.Config{})
 //	res, err := collective.Run(ctx, collective.Options{
-//		Request:  collective.Request{Strategy: collective.StratAR, Shape: shape, MsgBytes: 1024},
+//		Request: collective.Request{Strategy: collective.StratAR, Shape: shape, MsgBytes: 1024,
+//			Observe: true},
 //		Observer: obs})
 //	fmt.Println(res.Observed.SaturatedDim, res.Observed.HoLBlocked)
 //
@@ -31,8 +34,9 @@ import (
 
 // SchemaVersion identifies the machine-readable layout of Summary and of
 // the trace JSONL records (see WriteTrace). Bump on any breaking change to
-// field names or semantics.
-const SchemaVersion = 1
+// field names or semantics. Version 2 dropped Summary's always-zero
+// forced_credit_returns.
+const SchemaVersion = 2
 
 // DefaultWindow is the trace bucket width a zero Config.Window selects.
 const DefaultWindow = 4096
@@ -144,14 +148,6 @@ func (c *Collector) Window() int64 { return c.cfg.Window }
 // Shape returns the machine shape the collector is bound to (zero Shape
 // before the first run).
 func (c *Collector) Shape() torus.Shape { return c.shape }
-
-// Runs returns the number of completed runs folded into the collector.
-func (c *Collector) Runs() int { return c.runs }
-
-// Finish returns the total simulated time observed: the sum of the finish
-// times of all completed runs (multi-phase strategies contribute one run
-// per phase).
-func (c *Collector) Finish() int64 { return c.finish }
 
 // Reset clears all counters and the shape binding, keeping allocations.
 func (c *Collector) Reset() {

@@ -74,7 +74,8 @@ func observedAR(t *testing.T, shape torus.Shape, shards int) (collective.Result,
 	r.once.Do(func() {
 		r.obs = observe.New(observe.Config{})
 		r.res, r.err = collective.Run(context.Background(), collective.Options{
-			Request:  collective.Request{Strategy: collective.StratAR, Shape: shape, MsgBytes: 240, Seed: 1, Shards: shards},
+			Request: collective.Request{Strategy: collective.StratAR, Shape: shape, MsgBytes: 240, Seed: 1, Shards: shards,
+				Observe: true},
 			Observer: r.obs})
 	})
 	if r.err != nil {

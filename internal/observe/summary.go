@@ -58,16 +58,12 @@ type Summary struct {
 	// DeadLinks the peak number of simultaneously dead links, DeadLinkTicks
 	// the summed link-downtime (equal to network.Stats.DeadLinkTicks), and
 	// DegradedCompletion the fraction of the machine's total link-time lost
-	// to outages: DeadLinkTicks / (Finish * links). ForcedCreditReturns
-	// always reads 0 - every credit owed across a dead link returns by its
-	// own event - and stays only so schema_version 1 summaries keep their
-	// field set.
-	FaultEvents         int64   `json:"fault_events"`
-	DegradeEvents       int64   `json:"degrade_events"`
-	DeadLinks           int     `json:"dead_links"`
-	DeadLinkTicks       int64   `json:"dead_link_ticks"`
-	DegradedCompletion  float64 `json:"degraded_completion"`
-	ForcedCreditReturns int64   `json:"forced_credit_returns"`
+	// to outages: DeadLinkTicks / (Finish * links).
+	FaultEvents        int64   `json:"fault_events"`
+	DegradeEvents      int64   `json:"degrade_events"`
+	DeadLinks          int     `json:"dead_links"`
+	DeadLinkTicks      int64   `json:"dead_link_ticks"`
+	DegradedCompletion float64 `json:"degraded_completion"`
 }
 
 // LinkUtil is one link's aggregate in a utilization ranking.

@@ -90,8 +90,8 @@ func WriteAttribution(w io.Writer, c *observe.Collector) error {
 	if s.FaultEvents > 0 {
 		fmt.Fprintf(&b, "fault injection: %d transition(s) (%d degrade), peak %d link(s) dead\n",
 			s.FaultEvents, s.DegradeEvents, s.DeadLinks)
-		fmt.Fprintf(&b, "  dead-link ticks: %d (%.2f%% of link-time lost); forced credit returns: %d\n\n",
-			s.DeadLinkTicks, 100*s.DegradedCompletion, s.ForcedCreditReturns)
+		fmt.Fprintf(&b, "  dead-link ticks: %d (%.2f%% of link-time lost)\n\n",
+			s.DeadLinkTicks, 100*s.DegradedCompletion)
 	}
 
 	writeHeatmap(&b, c, attributionHeat)

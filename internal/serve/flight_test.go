@@ -63,7 +63,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // admitted (hit, attached or refused); wait collects the responses.
 func postAll(t *testing.T, s *Server, n int, body string) (wait func() []*httptest.ResponseRecorder) {
 	t.Helper()
-	before := s.met.accepted.Load() + s.met.rejected.Load()
+	before := s.met.hits.Load() + s.met.misses.Load() + s.met.rejected.Load()
 	out := make([]*httptest.ResponseRecorder, n)
 	var wg sync.WaitGroup
 	for i := range out {
@@ -76,7 +76,7 @@ func postAll(t *testing.T, s *Server, n int, body string) (wait func() []*httpte
 		}()
 	}
 	waitFor(t, "posts to be admitted", func() bool {
-		return s.met.accepted.Load()+s.met.rejected.Load() == before+int64(n)
+		return s.met.hits.Load()+s.met.misses.Load()+s.met.rejected.Load() == before+int64(n)
 	})
 	return func() []*httptest.ResponseRecorder { wg.Wait(); return out }
 }

@@ -50,10 +50,9 @@ func (h *latHist) note(d time.Duration, ok bool) {
 type metrics struct {
 	start time.Time
 
-	accepted atomic.Int64 // admitted jobs (including cache hits)
 	rejected atomic.Int64 // refused by admission control (queue full)
 	inFlight atomic.Int64 // currently executing on a worker
-	hits     atomic.Int64 // result-cache hits
+	hits     atomic.Int64 // result-cache hits; hits + misses is every admitted job
 	misses   atomic.Int64 // result-cache misses: led or joined a simulation
 	shared   atomic.Int64 // misses answered by a simulation another request led
 	saved    atomic.Int64 // Result.Events of hits and shared answers: work not redone
@@ -75,16 +74,14 @@ type metrics struct {
 	observedJobs int64
 	bytesByVC    [network.NumVC]int64
 	bytesByDim   [torus.NumDims]int64
-	runNanos     int64 // summed successful job wall time, for Retry-After
-	runCount     int64
 }
 
 func newMetrics() *metrics {
 	return &metrics{start: time.Now(), byStrategy: make(map[collective.Strategy]*latHist)}
 }
 
-func (m *metrics) noteCacheHit(events int64) { m.accepted.Add(1); m.hits.Add(1); m.saved.Add(events) }
-func (m *metrics) noteCacheMiss()            { m.accepted.Add(1); m.misses.Add(1) }
+func (m *metrics) noteCacheHit(events int64) { m.hits.Add(1); m.saved.Add(events) }
+func (m *metrics) noteCacheMiss()            { m.misses.Add(1) }
 func (m *metrics) noteShared(events int64)   { m.shared.Add(1); m.saved.Add(events) }
 func (m *metrics) noteRejected()             { m.rejected.Add(1) }
 func (m *metrics) noteStart()                { m.inFlight.Add(1) }
@@ -115,10 +112,6 @@ func (m *metrics) noteJob(strat collective.Strategy, d time.Duration, ok bool, r
 		m.byStrategy[strat] = h
 	}
 	h.note(d, ok)
-	if ok {
-		m.runNanos += int64(d)
-		m.runCount++
-	}
 	if ok && res != nil && res.Observed != nil {
 		m.observedJobs++
 		for v, b := range res.Observed.BytesByVC {
@@ -130,15 +123,21 @@ func (m *metrics) noteJob(strat collective.Strategy, d time.Duration, ok bool, r
 	}
 }
 
-// avgJobSeconds estimates one job's wall time from completed work (1s until
-// there is data); Retry-After estimation uses it.
+// avgJobSeconds estimates one job's wall time from the successful jobs of
+// every strategy (1s until there is data); Retry-After estimation uses it.
 func (m *metrics) avgJobSeconds() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.runCount == 0 {
+	var sumMs float64
+	var ok int64
+	for _, h := range m.byStrategy {
+		sumMs += h.sumMs
+		ok += h.jobs - h.failed
+	}
+	if ok == 0 {
 		return 1
 	}
-	return float64(m.runNanos) / float64(m.runCount) / float64(time.Second)
+	return sumMs / float64(ok) / 1000
 }
 
 // stratMetrics is one strategy's row in the metrics body.
@@ -208,7 +207,7 @@ func (m *metrics) body(workers, queueCap, queueDepth, cacheEntries int, cacheEvi
 		QueueCap:      queueCap,
 		QueueDepth:    queueDepth,
 		InFlight:      m.inFlight.Load(),
-		JobsAccepted:  m.accepted.Load(),
+		JobsAccepted:  hits + misses,
 		JobsRejected:  m.rejected.Load(),
 		CacheHits:     hits,
 		CacheMisses:   misses,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"alltoall/internal/collective"
@@ -27,39 +28,16 @@ var errShutdown = errors.New("serve: server shutting down")
 // under 500 internal like any other unexpected failure.
 var errPanic = errors.New("serve: simulation panicked")
 
-// jobStatus is the lifecycle of a job in the scheduler.
-type jobStatus int32
-
-const (
-	statusQueued jobStatus = iota
-	statusRunning
-	statusDone
-	statusFailed
-)
-
-func (s jobStatus) String() string {
-	switch s {
-	case statusQueued:
-		return "queued"
-	case statusRunning:
-		return "running"
-	case statusDone:
-		return "done"
-	case statusFailed:
-		return "failed"
-	}
-	return fmt.Sprintf("jobStatus(%d)", int32(s))
-}
-
 // job is one request waiting for a result. Fields before done are set at
 // submit time; result fields are written by exactly one goroutine (whoever
 // holds the scheduler lock when the outcome is known) before done is closed,
 // and read only after <-done, so no further synchronization is needed on
-// them. status is guarded by its own lock for rendering.
+// them.
 type job struct {
-	id  string
-	req collective.Request
-	key string
+	id     string
+	req    collective.Request
+	key    string
+	flight *flight // the simulation it waits on; nil for a cache hit
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -69,35 +47,30 @@ type job struct {
 	body  []byte // canonical result JSON, nil on failure
 	err   error
 	cache string // how the result was obtained: "hit", "miss" or "shared"
-
-	mu       sync.Mutex // guards status
-	status   jobStatus
-	created  time.Time
-	finished time.Time
 }
 
-func (j *job) setStatus(s jobStatus) {
-	j.mu.Lock()
-	j.status = s
-	j.mu.Unlock()
-}
-
-func (j *job) getStatus() jobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status
+// state is the job's lifecycle as a poller sees it: "done" or "failed" once
+// its outcome is published, "running" while its flight is on a worker,
+// otherwise "queued".
+func (j *job) state() string {
+	select {
+	case <-j.done:
+		if j.err != nil {
+			return "failed"
+		}
+		return "done"
+	default:
+	}
+	if j.flight != nil && j.flight.running.Load() {
+		return "running"
+	}
+	return "queued"
 }
 
 // finish publishes a job outcome exactly once.
 func (j *job) finish(body []byte, err error) {
 	j.body = body
 	j.err = err
-	j.finished = time.Now()
-	if err != nil {
-		j.setStatus(statusFailed)
-	} else {
-		j.setStatus(statusDone)
-	}
 	if j.stop != nil {
 		j.stop()
 	}
@@ -115,9 +88,8 @@ type flight struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// Guarded by scheduler.mu.
-	jobs    []*job
-	running bool
+	jobs    []*job      // guarded by scheduler.mu
+	running atomic.Bool // set by begin; job.state reads it without the lock
 }
 
 // runFunc executes one canonical request; the default is
@@ -194,9 +166,6 @@ func (s *scheduler) submit(j *job) error {
 	f := s.flights[j.key]
 	if f != nil {
 		j.cache = "shared"
-		if f.running {
-			j.setStatus(statusRunning)
-		}
 	} else {
 		ctx, cancel := context.WithCancel(context.Background())
 		f = &flight{key: j.key, req: j.req, ctx: ctx, cancel: cancel}
@@ -211,6 +180,7 @@ func (s *scheduler) submit(j *job) error {
 		j.cache = "miss"
 	}
 	s.metrics.noteCacheMiss()
+	j.flight = f
 	f.jobs = append(f.jobs, j)
 	j.stop = context.AfterFunc(j.ctx, func() { s.detach(f, j) })
 	return nil
@@ -245,10 +215,7 @@ func (s *scheduler) begin(f *flight) bool {
 	if len(f.jobs) == 0 {
 		return false
 	}
-	f.running = true
-	for _, j := range f.jobs {
-		j.setStatus(statusRunning)
-	}
+	f.running.Store(true)
 	return true
 }
 

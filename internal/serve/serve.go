@@ -238,16 +238,14 @@ func (s *Server) newJob(base context.Context, req collective.Request, timeoutMS 
 		timeout = time.Duration(timeoutMS) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(base, timeout)
-	j := &job{
-		id:      fmt.Sprintf("j-%06d", s.nextID.Add(1)),
-		req:     req,
-		key:     req.Key(),
-		ctx:     ctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		created: time.Now(),
+	return &job{
+		id:     fmt.Sprintf("j-%06d", s.nextID.Add(1)),
+		req:    req,
+		key:    req.Key(),
+		ctx:    ctx,
+		cancel: cancel,
+		done:   make(chan struct{}),
 	}
-	return j
 }
 
 // jobEnvelope is the successful job response: the canonical request echoed
@@ -267,7 +265,7 @@ type jobEnvelope struct {
 func (s *Server) envelope(j *job, includeID bool) (jobEnvelope, int) {
 	env := jobEnvelope{
 		SchemaVersion: SchemaVersion,
-		Status:        j.getStatus().String(),
+		Status:        j.state(),
 		Key:           j.key,
 		Request:       j.req,
 	}
@@ -330,7 +328,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, jobEnvelope{
 			SchemaVersion: SchemaVersion,
 			ID:            j.id,
-			Status:        j.getStatus().String(),
+			Status:        j.state(),
 			Key:           j.key,
 			Request:       j.req,
 		})
@@ -361,9 +359,7 @@ func (s *Server) registerJob(j *job) {
 	kept := s.order[:0]
 	excess := len(s.order) - retainJobs
 	for _, id := range s.order {
-		old := s.jobs[id]
-		st := old.getStatus()
-		if excess > 0 && (st == statusDone || st == statusFailed) {
+		if st := s.jobs[id].state(); excess > 0 && (st == "done" || st == "failed") {
 			delete(s.jobs, id)
 			excess--
 			continue

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -454,6 +456,95 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	}
 	if nf := get(t, h, "/v1/jobs/j-999999"); nf.Code != http.StatusNotFound {
 		t.Errorf("unknown job = %d, want 404", nf.Code)
+	}
+}
+
+// TestAsyncJobStates pins every state a poller can read on one worker: the
+// job the worker took is "running", one behind it "queued", a job joining
+// the running flight "running", then all "done"; a failing run is "failed",
+// and eviction past retainJobs drops finished jobs, never a blocked one.
+func TestAsyncJobStates(t *testing.T) {
+	release, hold := make(chan struct{}), make(chan struct{})
+	defer close(hold)
+	var calls atomic.Int64
+	run := func(ctx context.Context, req collective.Request, _ *collective.NetCache, _ *network.SyncStats) (collective.Result, error) {
+		calls.Add(1)
+		gate := release
+		if req.Seed == 9 {
+			gate = hold
+		}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return collective.Result{}, network.ErrCanceled
+		}
+		if req.Seed == 3 {
+			return collective.Result{}, errors.New("stub: simulation failed")
+		}
+		return collective.Result{Strategy: req.Strategy, Shape: req.Shape, MsgBytes: req.MsgBytes, Events: stubEvents}, nil
+	}
+	s := testServer(t, Config{Workers: 1, run: run})
+	h := s.Handler()
+	submit := func(seed int) jobEnvelope {
+		t.Helper()
+		w := post(t, h, "/v1/jobs?async=1", jobBody(seed))
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("async post (seed %d) = %d: %s", seed, w.Code, w.Body.String())
+		}
+		return decodeEnvelope(t, w)
+	}
+	state := func(id string) string {
+		t.Helper()
+		w := get(t, h, "/v1/jobs/"+id)
+		if w.Code == http.StatusNotFound {
+			return "evicted"
+		}
+		return decodeEnvelope(t, w).Status
+	}
+	expect := func(what, id, want string) {
+		t.Helper()
+		if got := state(id); got != want {
+			t.Errorf("%s reads %q, want %q", what, got, want)
+		}
+	}
+
+	a := submit(1)
+	waitFor(t, "the worker to take job A", func() bool { return calls.Load() == 1 })
+	expect("job A on the worker", a.ID, "running")
+	b := submit(2)
+	if b.Status != "queued" {
+		t.Errorf("job B answered %q at submit, want queued", b.Status)
+	}
+	expect("job B behind A", b.ID, "queued")
+	c := submit(1)
+	if c.Status != "running" {
+		t.Errorf("job C answered %q at submit, want running", c.Status)
+	}
+	expect("job C on A's flight", c.ID, "running")
+
+	close(release)
+	for _, j := range []jobEnvelope{a, b, c} {
+		waitFor(t, "job "+j.ID+" to finish", func() bool { return state(j.ID) != "running" && state(j.ID) != "queued" })
+		expect("job "+j.ID+" after release", j.ID, "done")
+	}
+	d := submit(3)
+	waitFor(t, "the failing job to finish", func() bool { return state(d.ID) != "running" && state(d.ID) != "queued" })
+	expect("the failing job", d.ID, "failed")
+
+	blocked := submit(9)
+	waitFor(t, "the worker to take the blocked job", func() bool { return calls.Load() == 4 })
+	for i := 0; i <= retainJobs; i++ {
+		if hit := submit(1); hit.Status != "done" {
+			t.Fatalf("cache hit %d answered %q, want done", i, hit.Status)
+		}
+	}
+	expect("the blocked job after eviction", blocked.ID, "running")
+	expect("the oldest finished job after eviction", a.ID, "evicted")
+	s.mu.Lock()
+	retained := len(s.jobs)
+	s.mu.Unlock()
+	if retained != retainJobs {
+		t.Errorf("registry holds %d jobs, want %d", retained, retainJobs)
 	}
 }
 
