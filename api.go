@@ -48,10 +48,10 @@ func WithCache(c *NetCache) Option { return func(o *Options) { o.Cache = c } }
 // and a windowed trace. It never changes the Result: Result.Observed is set
 // exactly when Request.Observe is. Observe alone attaches a fresh collector
 // and returns only its Summary; with Observe set, pass your own *Collector,
-// with the Request's ObserveWindow, to keep the collector as well (the
-// trace, the attribution report) - any other observer fails the run before
-// it starts. Observation never perturbs the simulation; a nil observer (the
-// default) costs one predicted branch per event.
+// of any window, to keep the collector as well (the trace, the attribution
+// report) - any other observer fails the run before it starts. Observation
+// never perturbs the simulation; a nil observer (the default) costs one
+// predicted branch per event.
 func WithObserver(obs Observer) Option { return func(o *Options) { o.Observer = obs } }
 
 // WithDebugDump writes a network state dump to path if the run stalls

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"alltoall/internal/experiments"
+	"alltoall/internal/observe"
 	"alltoall/internal/parallel"
 	"alltoall/internal/report"
 )
@@ -44,7 +45,7 @@ func fatalf(format string, args ...any) {
 // observedTable renders one experiment's per-run observations: where each
 // run's traffic concentrated and how much head-of-line blocking it saw.
 func observedTable(id string, sink *experiments.TraceSink) *report.Table {
-	t := report.NewTable(fmt.Sprintf("%s observed (schema v%d)", id, experiments.ObserveSchemaVersion),
+	t := report.NewTable(fmt.Sprintf("%s observed (schema v%d)", id, observe.SchemaVersion),
 		"run", "sat", "util", "max link", "hol", "inj fifo B")
 	for _, r := range sink.Runs() {
 		if !strings.HasPrefix(r.Label, id+" ") {
@@ -151,7 +152,7 @@ func main() {
 				fatalf("%v", err)
 			}
 			ev := float64(metrics.Events())
-			fmt.Printf("[%s completed in %s: %d workers, %d runs, %.1fM events, %.2fM events/s, %.1f queued events/packet]\n\n",
+			fmt.Printf("[%s completed in %s: %d workers, %d runs, %.1fM events, %.2fM events/s, %.1f events/packet]\n\n",
 				id, elapsed.Round(time.Millisecond), parallel.Workers(*workers),
 				metrics.Runs(), ev/1e6, ev/1e6/sec, metrics.EventsPerPacket())
 		}

@@ -143,24 +143,26 @@ func main() {
 	// HTTP; run machinery (the collector, a debug dump path) rides along as
 	// options because it never changes the Result.
 	req := alltoall.Request{
-		Strategy:      strategy,
-		Shape:         shape,
-		MsgBytes:      *msg,
-		Seed:          *seed,
-		Burst:         *burst,
-		Shards:        *shards,
-		Check:         *checkInv,
-		Faults:        *faults,
-		Observe:       *observe || *traceOut != "",
-		ObserveWindow: *observeWindow,
+		Strategy: strategy,
+		Shape:    shape,
+		MsgBytes: *msg,
+		Seed:     *seed,
+		Burst:    *burst,
+		Shards:   *shards,
+		Check:    *checkInv,
+		Faults:   *faults,
 	}
 	if err := req.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "aasim: %v\n", err)
 		os.Exit(2)
 	}
+	if *observeWindow < 0 {
+		fmt.Fprintf(os.Stderr, "aasim: negative -observe-window %d\n", *observeWindow)
+		os.Exit(2)
+	}
 	var obs *alltoall.Collector
 	var extra []alltoall.Option
-	if req.Observe {
+	if *observe || *traceOut != "" {
 		obs = alltoall.NewCollector(alltoall.ObserveConfig{Window: *observeWindow})
 		extra = append(extra, alltoall.WithObserver(obs))
 	}

@@ -34,7 +34,7 @@ func ExampleRun() {
 	// all-to-all on 4x4x4: 64 nodes x 1024 bytes to each of 63 peers
 	// completed in 0.288 ms (73.6% of the Equation 2 peak)
 	// per-node throughput: 224 MB/s (bisection limit 304 MB/s)
-	// aa4|s=AR|p=4x4x4|m=1024|r=1|b=0|pb=0|pf=0|up=0|ck=0|f=|mt=0|tl=0|tw=0|tb=0|vr=0|vc=0|vo=|ob=0|ow=0
+	// aa5|{"strategy":"AR","shape":"4x4x4","msg_bytes":1024,"seed":1}
 }
 
 // Many-to-many patterns: the paper's analysis applied beyond all-to-all. A

@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -48,7 +47,8 @@ type Options struct {
 	// phase as one observed run to the same observer. It never changes the
 	// Result: Result.Observed is set exactly when Request.Observe is, from
 	// a fresh collector when Observer is nil, else from Observer, which
-	// must then be an *observe.Collector with the Request's ObserveWindow.
+	// must then be an *observe.Collector (of any window: a Summary does not
+	// depend on it).
 	Observer network.Observer
 
 	// SyncStats, when non-nil, receives the engine's synchronization counters
@@ -110,19 +110,18 @@ func (o *Options) prepare(ctx context.Context) error {
 	}
 	if o.Observe {
 		if o.Observer == nil {
-			o.Observer = observe.New(observe.Config{Window: o.ObserveWindow})
+			o.Observer = observe.New(observe.Config{})
 		}
-		c, ok := o.Observer.(*observe.Collector)
-		if !ok || c == nil || c.Window() != cmp.Or(o.ObserveWindow, observe.DefaultWindow) {
+		if c, ok := o.Observer.(*observe.Collector); !ok || c == nil {
 			return errObserver
 		}
 	}
 	return nil
 }
 
-// errObserver refuses an Observe run whose attached observer could not fill
-// Result.Observed as the Request describes it.
-var errObserver = errors.New("collective: Observe needs no observer or an *observe.Collector with the request's ObserveWindow")
+// errObserver refuses an Observe run whose attached observer is not a
+// collector, so could not fill Result.Observed.
+var errObserver = errors.New("collective: Observe needs no observer or an *observe.Collector")
 
 // NetCache is a one-slot cache of a simulation network. Sweeps that revisit
 // one (shape, params) configuration at many message sizes pass the same

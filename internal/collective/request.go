@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"alltoall/internal/network"
@@ -26,8 +25,9 @@ import (
 // the Parse/Canon grammar, zero values omitted. The layout is covered by the
 // serve schema version. Keys the struct does not name are ignored on decode,
 // so requests still carrying the retired event_queue, coalesce or sync
-// selectors parse to the same Request as ones without. A new field needs a
-// tag here and a tag in Key.
+// selectors parse to the same Request as ones without, and so does the
+// retired observation window. Key is this wire form, so a field's tag is its
+// whole identity.
 type Request struct {
 	Strategy Strategy    `json:"strategy"`
 	Shape    torus.Shape `json:"shape"`
@@ -108,15 +108,13 @@ type Request struct {
 
 	// Observe instruments the run with an observe.Collector (Options.Observer,
 	// else a fresh one) so Result.Observed carries the link/HoL/FIFO
-	// summary, and nothing else sets Result.Observed; ObserveWindow is
-	// the trace bucket width (0 = default). Observation never perturbs
-	// the simulated outcome, but it is part of the request identity
+	// summary, and nothing else sets Result.Observed. Observation never
+	// perturbs the simulated outcome, but it is part of the request identity
 	// because it changes the Result payload.
-	Observe       bool  `json:"observe,omitempty"`
-	ObserveWindow int64 `json:"observe_window,omitempty"`
+	Observe bool `json:"observe,omitempty"`
 }
 
-// dimLetters renders torus dimensions in map-order strings and keys.
+// dimLetters renders torus dimensions in map-order strings and the wire form.
 const dimLetters = "xyz"
 
 // LinearDim is Request.TPSLinear's type: 0 leaves the phase-1 dimension to
@@ -233,13 +231,12 @@ func (r Request) check() (*network.FaultSchedule, error) {
 		{"Shards", int64(r.Shards)}, {"MaxTime", r.MaxTime},
 		{"TPSCreditWindow", int64(r.TPSCreditWindow)}, {"TPSCreditBatch", int64(r.TPSCreditBatch)},
 		{"VMeshRows", int64(r.VMeshRows)}, {"VMeshCols", int64(r.VMeshCols)},
-		{"ObserveWindow", r.ObserveWindow},
 	} {
 		if f.v < 0 {
 			return nil, fmt.Errorf("collective: negative %s", f.name)
 		}
 	}
-	if r.PaceFraction < 0 || r.PaceFraction > 1 {
+	if !(r.PaceFraction >= 0 && r.PaceFraction <= 1) { // NaN fails both
 		return nil, fmt.Errorf("collective: PaceFraction %v out of [0,1] (0 = default)", r.PaceFraction)
 	}
 	if r.TPSLinear < 0 || r.TPSLinear > 3 {
@@ -268,56 +265,21 @@ func (r Request) check() (*network.FaultSchedule, error) {
 	return fs, fs.Validate(r.Shape)
 }
 
-// Key returns the canonical encoding of the request: a stable string
-// identity used by the serving layer's result cache, by bench labeling, and
-// by deduplicating sweeps. It is injective over every Result-determining
-// field: equal keys mean byte-identical Results, and distinct values of any
-// field but Shards always produce distinct keys. Shards only schedules the
-// run (the engine is deterministic and shard-invariant), so it is left out:
-// the same job asked for at another shard count is the same cache entry. The
-// "aa4" prefix versions the encoding (v4 dropped the sh tag).
+// Key returns the canonical encoding of the request: "aa5|" followed by its
+// wire form with Shards cleared, a stable string identity used by the serving
+// layer's result cache, by bench labeling, and by deduplicating sweeps. The
+// struct tags are each field's only identity: Shape marshals in its Canon
+// form and Faults is its own canonical text, so distinct requests that pass
+// Validate always get distinct keys, and equal keys mean byte-identical
+// Results. Shards only schedules the run (the engine is deterministic and
+// shard-invariant), so it is left out: the same job asked for at another
+// shard count is the same cache entry. The "aa5" prefix versions the
+// encoding (v5 made it the wire form and dropped the observation window).
 func (r Request) Key() string {
-	var b strings.Builder
-	b.Grow(160)
-	b.WriteString("aa4|s=")
-	b.WriteString(string(r.Strategy))
-	b.WriteString("|p=")
-	b.WriteString(r.Shape.Canon())
-	sep := func(tag string, v string) {
-		b.WriteByte('|')
-		b.WriteString(tag)
-		b.WriteByte('=')
-		b.WriteString(v)
-	}
-	sep("m", strconv.Itoa(r.MsgBytes))
-	sep("r", strconv.FormatUint(r.Seed, 10))
-	sep("b", strconv.Itoa(r.Burst))
-	sep("pb", strconv.Itoa(r.PaceBurst))
-	pf := r.PaceFraction
-	if pf == 0 {
-		pf = 0 // a decoded -0 is the default too, and must key like it
-	}
-	sep("pf", strconv.FormatFloat(pf, 'g', -1, 64))
-	sep("up", boolKey(r.Unpaced))
-	sep("ck", boolKey(r.Check))
-	sep("f", r.Faults)
-	sep("mt", strconv.FormatInt(r.MaxTime, 10))
-	sep("tl", strconv.Itoa(int(r.TPSLinear)))
-	sep("tw", strconv.Itoa(r.TPSCreditWindow))
-	sep("tb", strconv.Itoa(r.TPSCreditBatch))
-	sep("vr", strconv.Itoa(r.VMeshRows))
-	sep("vc", strconv.Itoa(r.VMeshCols))
-	sep("vo", r.VMeshMapOrder)
-	sep("ob", boolKey(r.Observe))
-	sep("ow", strconv.FormatInt(r.ObserveWindow, 10))
-	return b.String()
-}
-
-func boolKey(v bool) string {
-	if v {
-		return "1"
-	}
-	return "0"
+	r.Shards = 0
+	// Marshal fails only on a non-finite PaceFraction, which Validate refuses.
+	wire, _ := json.Marshal(r)
+	return "aa5|" + string(wire)
 }
 
 // RunRequest is Run on Options{Request: r} with the extra options applied

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -30,7 +31,6 @@ func fullRequest() Request {
 		TPSLinear:       1,
 		TPSCreditWindow: 32,
 		TPSCreditBatch:  4,
-		ObserveWindow:   512,
 		Observe:         true,
 	}
 }
@@ -76,9 +76,9 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRequestWireBytes pins the wire form and the key to the bytes the
-// two-struct implementation (requestWire, PR 13) produced: field order, the
-// omitempty set, "shape":"" for the unset shape, tps_linear as a letter.
+// TestRequestWireBytes pins the wire form and the key, which is that form
+// with shards cleared: field order, the omitempty set, "shape":"" for the
+// unset shape, tps_linear as a letter.
 func TestRequestWireBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -88,17 +88,22 @@ func TestRequestWireBytes(t *testing.T) {
 		{"full", fullRequest(),
 			`{"strategy":"TPS","shape":"8x4x2","msg_bytes":240,"seed":7,"burst":3,"pace_burst":5,"pace_fraction":0.5,` +
 				`"shards":2,"check":true,"faults":"0:5:+x:kill","max_time":5000000,"tps_linear":"x",` +
-				`"tps_credit_window":32,"tps_credit_batch":4,"observe":true,"observe_window":512}`,
-			"aa4|s=TPS|p=8x4x2|m=240|r=7|b=3|pb=5|pf=0.5|up=0|ck=1|f=0:5:+x:kill|mt=5000000|tl=1|tw=32|tb=4|vr=0|vc=0|vo=|ob=1|ow=512"},
+				`"tps_credit_window":32,"tps_credit_batch":4,"observe":true}`,
+			`aa5|{"strategy":"TPS","shape":"8x4x2","msg_bytes":240,"seed":7,"burst":3,"pace_burst":5,"pace_fraction":0.5,` +
+				`"check":true,"faults":"0:5:+x:kill","max_time":5000000,"tps_linear":"x",` +
+				`"tps_credit_window":32,"tps_credit_batch":4,"observe":true}`},
 		{"every field", everyFieldRequest(t),
 			`{"strategy":"TPS","shape":"8x4x2","msg_bytes":240,"seed":7,"burst":3,"pace_burst":5,"pace_fraction":0.5,` +
 				`"unpaced":true,"shards":2,"check":true,"faults":"0:5:+x:kill","max_time":5000000,"tps_linear":"x",` +
 				`"tps_credit_window":32,"tps_credit_batch":4,"vmesh_rows":4,"vmesh_cols":16,"vmesh_map_order":"xzy",` +
-				`"observe":true,"observe_window":512}`,
-			"aa4|s=TPS|p=8x4x2|m=240|r=7|b=3|pb=5|pf=0.5|up=1|ck=1|f=0:5:+x:kill|mt=5000000|tl=1|tw=32|tb=4|vr=4|vc=16|vo=xzy|ob=1|ow=512"},
+				`"observe":true}`,
+			`aa5|{"strategy":"TPS","shape":"8x4x2","msg_bytes":240,"seed":7,"burst":3,"pace_burst":5,"pace_fraction":0.5,` +
+				`"unpaced":true,"check":true,"faults":"0:5:+x:kill","max_time":5000000,"tps_linear":"x",` +
+				`"tps_credit_window":32,"tps_credit_batch":4,"vmesh_rows":4,"vmesh_cols":16,"vmesh_map_order":"xzy",` +
+				`"observe":true}`},
 		{"zero", Request{},
 			`{"strategy":"","shape":"","msg_bytes":0}`,
-			"aa4|s=|p=0x0x0|m=0|r=0|b=0|pb=0|pf=0|up=0|ck=0|f=|mt=0|tl=0|tw=0|tb=0|vr=0|vc=0|vo=|ob=0|ow=0"},
+			`aa5|{"strategy":"","shape":"","msg_bytes":0}`},
 	} {
 		wire, err := json.Marshal(tc.req)
 		if err != nil {
@@ -159,12 +164,11 @@ func TestRequestKeyInjective(t *testing.T) {
 		"VMeshCols":       func(r *Request) { r.VMeshCols = 4 },
 		"VMeshMapOrder":   func(r *Request) { r.VMeshMapOrder = "xzy" },
 		"Observe":         func(r *Request) { r.Observe = false },
-		"ObserveWindow":   func(r *Request) { r.ObserveWindow++ },
 	}
 	rt := reflect.TypeOf(base)
 	for i := 0; i < rt.NumField(); i++ {
 		if muts[rt.Field(i).Name] == nil {
-			t.Errorf("Request.%s is not mutated here: give it a tag in Key and a case in this test", rt.Field(i).Name)
+			t.Errorf("Request.%s is not mutated here: give it a json tag and a case in this test", rt.Field(i).Name)
 		}
 	}
 	seen := map[string]string{base.Key(): "base"}
@@ -210,6 +214,7 @@ func TestRequestValidate(t *testing.T) {
 		"msg":       {Strategy: StratAR, Shape: torus.New(4, 4, 2)},
 		"shards":    {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, Shards: -1},
 		"pace":      {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, PaceFraction: 1.5},
+		"pace NaN":  {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, PaceFraction: math.NaN()},
 		"faults":    {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, Faults: "nope"},
 		"maporder":  {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, VMeshMapOrder: "xxy"},
 		"tpslinear": {Strategy: StratAR, Shape: torus.New(4, 4, 2), MsgBytes: 64, TPSLinear: 4},
@@ -307,18 +312,18 @@ func TestResultWireBytes(t *testing.T) {
 }
 
 func TestRequestKeyVersionPrefix(t *testing.T) {
-	if k := fullRequest().Key(); !strings.HasPrefix(k, "aa4|") {
-		t.Errorf("key %q lacks the aa4| version prefix", k)
+	if k := fullRequest().Key(); !strings.HasPrefix(k, "aa5|") {
+		t.Errorf("key %q lacks the aa5| version prefix", k)
 	}
 }
 
 // TestRequestJSONIgnoresRetiredSelectors: a client still sending the engine
-// selectors the wire form used to carry gets the same Request, and so the
-// same key and result, as one that does not.
+// selectors or the observation window the wire form used to carry gets the
+// same Request, and so the same key and result, as one that does not.
 func TestRequestJSONIgnoresRetiredSelectors(t *testing.T) {
 	const plain = `{"strategy":"AR","shape":"4x4x2","msg_bytes":64,"seed":3,"shards":2}`
 	const legacy = `{"strategy":"AR","shape":"4x4x2","msg_bytes":64,"seed":3,"shards":2,` +
-		`"event_queue":"heap","coalesce":"off","sync":"bsp"}`
+		`"event_queue":"heap","coalesce":"off","sync":"bsp","observe_window":512}`
 	var want, got Request
 	if err := json.Unmarshal([]byte(plain), &want); err != nil {
 		t.Fatal(err)

@@ -8,11 +8,6 @@ import (
 	"alltoall/internal/observe"
 )
 
-// ObserveSchemaVersion is the schema version of the observation summaries
-// and traces a TraceSink records (observe.SchemaVersion, re-exported so
-// cmd/aabench need not import observe).
-const ObserveSchemaVersion = observe.SchemaVersion
-
 // ObservedRun is one instrumented collective run recorded by a TraceSink:
 // its identifying label, the run-level observation summary, and (when the
 // sink keeps traces) the windowed JSONL trace.

@@ -35,8 +35,9 @@ import (
 // SchemaVersion identifies the machine-readable layout of Summary and of
 // the trace JSONL records (see WriteTrace). Bump on any breaking change to
 // field names or semantics. Version 2 dropped Summary's always-zero
-// forced_credit_returns.
-const SchemaVersion = 2
+// forced_credit_returns; version 3 dropped Summary's window, which only
+// repeated the collector's configuration (the trace header keeps it).
+const SchemaVersion = 3
 
 // DefaultWindow is the trace bucket width a zero Config.Window selects.
 const DefaultWindow = 4096

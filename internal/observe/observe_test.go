@@ -193,6 +193,33 @@ func TestObserverDoesNotPerturb(t *testing.T) {
 	}
 }
 
+// TestSummaryIndependentOfWindow: the window sizes only the trace buckets,
+// so one run watched through windows of 64 and 4096 has one Summary - which
+// is why a Request has no window to ask for.
+func TestSummaryIndependentOfWindow(t *testing.T) {
+	for _, strat := range []collective.Strategy{collective.StratAR, collective.StratTPS, collective.StratVMesh} {
+		var sums [2]*observe.Summary
+		for i, window := range []int64{64, 4096} {
+			obs := observe.New(observe.Config{Window: window})
+			_, err := collective.Run(context.Background(), collective.Options{
+				Request: collective.Request{Strategy: strat, Shape: torus.New(8, 4, 2), MsgBytes: 240, Seed: 1,
+					Faults: "0:7:+z:x3;1000:12:+x:down;5000:12:+x:up"},
+				Observer: obs,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", strat, err)
+			}
+			sums[i] = obs.Summary()
+		}
+		if sums[0].FaultEvents == 0 {
+			t.Errorf("%s: no fault was observed", strat)
+		}
+		if !reflect.DeepEqual(sums[0], sums[1]) {
+			t.Errorf("%s: the window moved the summary:\n  64: %+v\n4096: %+v", strat, sums[0], sums[1])
+		}
+	}
+}
+
 // TestCollectorAccumulatesAndResets covers multi-run folding and reuse.
 func TestCollectorAccumulatesAndResets(t *testing.T) {
 	shape := torus.New(4, 4, 2)
@@ -225,7 +252,7 @@ func TestCollectorAccumulatesAndResets(t *testing.T) {
 // shape to normalize by; Summary reports zeros instead of dividing by them.
 func TestSummaryOfUnusedCollector(t *testing.T) {
 	s := observe.New(observe.Config{Window: 256}).Summary()
-	want := observe.Summary{SchemaVersion: observe.SchemaVersion, Window: 256}
+	want := observe.Summary{SchemaVersion: observe.SchemaVersion}
 	if !reflect.DeepEqual(*s, want) {
 		t.Errorf("unused collector summary = %+v, want %+v", *s, want)
 	}

@@ -16,7 +16,6 @@ type Summary struct {
 	Shape         string `json:"shape"`
 	Runs          int    `json:"runs"`   // runs (phases) folded in
 	Finish        int64  `json:"finish"` // total simulated time across runs
-	Window        int64  `json:"window"` // trace bucket width
 
 	// BytesByDim[d] is the total wire bytes carried by links of torus
 	// dimension d; BytesByVC[v] splits the same traffic by virtual channel
@@ -86,14 +85,13 @@ func (c *Collector) Summary() *Summary {
 	if c.shape == (torus.Shape{}) {
 		// Never bound to a machine: nothing was observed, and the unset
 		// shape has no link census to normalize by.
-		return &Summary{SchemaVersion: SchemaVersion, Window: c.cfg.Window}
+		return &Summary{SchemaVersion: SchemaVersion}
 	}
 	s := &Summary{
 		SchemaVersion:  SchemaVersion,
 		Shape:          c.shape.String(),
 		Runs:           c.runs,
 		Finish:         c.finish,
-		Window:         c.cfg.Window,
 		HoLBlocked:     c.win.holBlocked,
 		HoLMatrix:      c.win.holMat,
 		InjFIFOBlocked: c.win.injBlocked,
