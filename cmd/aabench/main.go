@@ -13,12 +13,13 @@
 // halving every dimension, preserving the aspect ratio that drives the
 // paper's phenomena; rows are annotated with the simulated size.
 //
-// Rows of an experiment are independent simulations and run concurrently on
-// all cores (-j overrides; -j 1 is serial). When an experiment has fewer
-// rows than workers, the engine decides how many cores each run takes: a
-// large partition spreads over the cores no other run is using (-shards
-// forces a count). Output is byte-identical at any worker or shard count.
-// Per-run progress goes to stderr so stdout stays clean.
+// The cells of an experiment are independent simulations and run
+// concurrently on all cores, heaviest first (-j overrides; -j 1 is serial);
+// cells whose simulations would be identical run once. When an experiment
+// has fewer runs than workers, the engine decides how many cores each run
+// takes: a large partition spreads over the cores no other run is using
+// (-shards forces a count). Output is byte-identical at any worker or shard
+// count. Per-cell progress goes to stderr so stdout stays clean.
 package main
 
 import (
@@ -74,10 +75,10 @@ func main() {
 	large := flag.Int("large", 0, "override the large-message payload bytes")
 	workers := flag.Int("j", 0, "parallel workers per experiment (0 = all cores, 1 = serial)")
 	shards := flag.Int("shards", 0, "event engines per run: 0 = the engine decides, 1 = one engine, n = exactly n (identical output)")
-	checkInv := flag.Bool("check", false, "run every simulation with the runtime invariant checker (~1.4x slower)")
+	checkInv := flag.Bool("check", false, "run every simulation with the runtime invariant checker (about 2x slower, the bench's check.on_ratio)")
 	observeRuns := flag.Bool("observe", false, "instrument every run and print a per-run observation table after each experiment")
 	traceOut := flag.String("trace-out", "", "write every run's windowed observation trace as one JSONL file (implies -observe)")
-	quiet := flag.Bool("quiet", false, "suppress per-run progress lines on stderr")
+	quiet := flag.Bool("quiet", false, "suppress per-cell progress lines on stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()

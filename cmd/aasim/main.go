@@ -119,7 +119,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "randomization seed")
 	burst := flag.Int("burst", 0, "packets per destination visit (0 = default)")
 	shards := flag.Int("shards", 0, "event engines for this run: 0 = the engine decides, 1 = one engine, n = exactly n (identical output)")
-	checkInv := flag.Bool("check", false, "enable the runtime invariant checker (~1.4x slower; fails with a node/time-stamped diagnostic on violation)")
+	checkInv := flag.Bool("check", false, "enable the runtime invariant checker (about 2x slower, the bench's check.on_ratio; fails with a node/time-stamped diagnostic on violation)")
 	faults := flag.String("faults", "", `link-fault schedule, semicolon-separated "t:node:dir:action" events (dir: +x -x +y -y +z -z; action: down, up, kill, or xN degrade), e.g. "0:12:+x:kill;5000:40:-y:down;9000:40:-y:up"`)
 	observe := flag.Bool("observe", false, "instrument the run and print a bottleneck-attribution report")
 	observeWindow := flag.Int64("observe-window", 0, "observation bucket width in time units (0 = default)")

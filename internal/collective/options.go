@@ -101,9 +101,7 @@ func (o *Options) prepare(ctx context.Context) error {
 	if o.Par == (network.Params{}) {
 		o.Par = network.DefaultParams()
 	}
-	if o.Calib == (model.Calib{}) {
-		o.Calib = model.DefaultCalib()
-	}
+	o.Calib = o.calib()
 	if o.MaxTime == 0 {
 		peak := o.Shape.PeakTime(o.MsgBytes)
 		o.MaxTime = int64(peak*100) + int64(o.Shape.P())*(o.Calib.AlphaMsg+o.Calib.AlphaMPI)*64 + 1<<24
@@ -117,6 +115,14 @@ func (o *Options) prepare(ctx context.Context) error {
 		}
 	}
 	return nil
+}
+
+// calib is the run's calibration: Calib, or the default when it is zero.
+func (o *Options) calib() model.Calib {
+	if o.Calib == (model.Calib{}) {
+		return model.DefaultCalib()
+	}
+	return o.Calib
 }
 
 // errObserver refuses an Observe run whose attached observer is not a
@@ -138,6 +144,11 @@ func (o *Options) network(sources []network.Source, h network.Handler) (*network
 	c := o.Cache
 	if c != nil && c.nw != nil && c.nw.Shape == o.Shape && c.nw.Par == o.Par {
 		return c.nw, c.nw.Reset(sources, h)
+	}
+	if c != nil {
+		// Let the collector have the old network while the new one is
+		// built: a worker that switches shapes would otherwise hold both.
+		c.nw = nil
 	}
 	nw, err := network.New(o.Shape, o.Par, sources, h)
 	if err == nil && c != nil {
@@ -271,15 +282,10 @@ func (o *Options) result(t int64, st *network.Stats) Result {
 	r := Result{
 		Strategy: o.Strategy,
 		Shape:    o.Shape,
-		MsgBytes: o.MsgBytes,
-		PeakTime: o.Shape.PeakTime(o.MsgBytes),
 		Time:     t,
 		Seconds:  o.Calib.Seconds(float64(t)),
 	}
-	if t > 0 {
-		r.PercentPeak = r.PeakTime / float64(t) * 100
-	}
-	r.PerNodeMBs = model.PerNodeBandwidth(o.Calib, o.Shape, o.MsgBytes, float64(t))
+	r.setMsgBytes(o.Calib, o.MsgBytes)
 	if st != nil {
 		r.Events = st.Events()
 		r.QueuedEvents = r.Events
@@ -297,6 +303,29 @@ func (o *Options) result(t int64, st *network.Stats) Result {
 		r.Observed = o.Observer.(*observe.Collector).Summary()
 	}
 	return r
+}
+
+// Retarget returns r, the Result of the run o describes, as the same run at
+// MsgBytes m reports it, when o.SameTraffic(m): the simulation is one, so
+// only the fields the payload size enters are recomputed (MsgBytes,
+// PeakTime, PercentPeak, PerNodeMBs and PayloadBytes, which is
+// P(P-1)·MsgBytes in every completed all-to-all).
+func (o Options) Retarget(r Result, m int) Result {
+	r.PayloadBytes = r.PayloadBytes / int64(r.MsgBytes) * int64(m)
+	r.setMsgBytes(o.calib(), m)
+	return r
+}
+
+// setMsgBytes sets r's payload size to m and the figures derived from it and
+// the completion time.
+func (r *Result) setMsgBytes(calib model.Calib, m int) {
+	r.MsgBytes = m
+	r.PeakTime = r.Shape.PeakTime(m)
+	r.PercentPeak = 0
+	if r.Time > 0 {
+		r.PercentPeak = r.PeakTime / float64(r.Time) * 100
+	}
+	r.PerNodeMBs = model.PerNodeBandwidth(calib, r.Shape, m, float64(r.Time))
 }
 
 // utilization derives the link and CPU occupancy figures over r.Time from

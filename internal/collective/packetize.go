@@ -42,6 +42,30 @@ func NewMsg(m, header int) Msg {
 	return Msg{Payload: m, Header: header, Wire: w, NPkts: n}
 }
 
+// SameTraffic reports whether the run o describes injects exactly the same
+// packets at MsgBytes m as at its own size. It does when every message the
+// run sends has the same wire total at both sizes, which fixes its packet
+// count and sizes: the two simulations are then one, and differ only in the
+// payload each packet is credited with (Options.Retarget). The direct
+// strategies, TPS and XYZ send one message a pair; VMesh sends two combined
+// phase messages, and both must match. The default MaxTime grows with m, so
+// a run at the smaller size stands for the larger one, not the reverse.
+func (o Options) SameTraffic(m int) bool {
+	c := o.calib()
+	same := func(blocks, extra int) bool {
+		a, b := NewMsg(blocks*(o.MsgBytes+extra), c.HeaderBytes), NewMsg(blocks*(m+extra), c.HeaderBytes)
+		return a.Wire == b.Wire
+	}
+	switch o.Strategy {
+	case StratAR, StratDR, StratThrottle, StratMPI, StratTPS, StratXYZ:
+		return same(1, 0)
+	case StratVMesh:
+		pvx, pvy, err := o.vmeshFactors()
+		return err == nil && same(pvy, c.ProtoBytes) && same(pvx, c.ProtoBytes)
+	}
+	return false
+}
+
 // PktSize returns the wire size of packet j (0-based).
 func (g Msg) PktSize(j int) int32 {
 	if j < 0 || j >= g.NPkts {

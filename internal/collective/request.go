@@ -61,8 +61,8 @@ type Request struct {
 	// (network.RunSpec.Check): every event is validated against the
 	// machine's conservation laws and a completed run must reach full
 	// quiescence. A violation fails the run with a node/time-stamped
-	// diagnostic. Costs roughly 1.4x simulation time; meant for tests and
-	// CI, not sweeps.
+	// diagnostic. Costs about 2x simulation time (the bench's
+	// check.on_ratio); meant for tests and CI, not sweeps.
 	Check bool `json:"check,omitempty"`
 
 	// Faults is a deterministic link-fault schedule in the ParseFaults

@@ -9,8 +9,8 @@ import (
 
 // ablate quantifies the simulator's modeling decisions (DESIGN.md section
 // "Modeling decisions forced by packet-atomic simulation") on one symmetric
-// and one asymmetric partition. Each table row disables one mechanism; every
-// (variant, partition) run is its own one-cell row of the grid, variant-major.
+// and one asymmetric partition. Each table row disables one mechanism; the
+// grid is one cell a (variant, partition) run, variant-major.
 func ablate() experiment {
 	par := func(mut func(*network.Params)) func(*collective.Options) {
 		return func(o *collective.Options) {
@@ -24,7 +24,6 @@ func ablate() experiment {
 		mut  func(*collective.Options)
 	}{
 		{"baseline", func(*collective.Options) {}},
-		{"store-and-forward", par(func(p *network.Params) { p.StoreForward = true })},
 		{"no VC lookahead", par(func(p *network.Params) { p.VCLookahead = 1 })},
 		{"no transit priority", par(func(p *network.Params) { p.InjectTokens = 0 })},
 		{"eager escape", par(func(p *network.Params) { p.EscapeDelay = 0 })},
@@ -35,7 +34,7 @@ func ablate() experiment {
 	e := experiment{id: "ablate"}
 	for _, v := range variants {
 		for _, s := range shapes {
-			e.rows = append(e.rows, row{{strat: collective.StratAR, paper: s,
+			e.cells = append(e.cells, cell{strat: collective.StratAR, paper: s,
 				tune: func(o *collective.Options) error {
 					v.mut(o)
 					// A variant that cannot reach 12.5% of peak has
@@ -43,7 +42,7 @@ func ablate() experiment {
 					// from running for hours.
 					o.MaxTime = int64(o.Shape.PeakTime(o.MsgBytes) * 8)
 					return nil
-				}}})
+				}})
 		}
 	}
 	e.render = func(outs []outcome) *report.Table {

@@ -60,20 +60,20 @@ func KillSchedule(shape torus.Shape, k int, seed uint64) (*network.FaultSchedule
 // exists to answer: completion-time slowdown versus permanently dead links,
 // for the Two Phase Schedule and the deterministic XYZ baseline on the
 // 8x8x8 midplane. Adaptive rerouting should bend the curve; a schedule that
-// cannot adapt pays the full serialization behind each dead ring. Every
-// (strategy, kill count) run is its own one-cell row, strategy-major.
+// cannot adapt pays the full serialization behind each dead ring. The grid
+// is one cell a (strategy, kill count) run, strategy-major.
 func degrade() experiment {
 	ks := []int{0, 1, 2, 4, 8}
 	strats := []collective.Strategy{collective.StratTPS, collective.StratXYZ}
 	e := experiment{id: "degrade"}
 	for _, strat := range strats {
 		for _, k := range ks {
-			e.rows = append(e.rows, row{{strat: strat, paper: torus.New(8, 8, 8),
+			e.cells = append(e.cells, cell{strat: strat, paper: torus.New(8, 8, 8),
 				tune: func(o *collective.Options) error {
 					fs, err := KillSchedule(o.Shape, k, o.Seed)
 					o.Faults = fs.String()
 					return err
-				}}})
+				}})
 		}
 	}
 	e.render = func(outs []outcome) *report.Table {

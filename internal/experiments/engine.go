@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"alltoall/internal/collective"
+	"alltoall/internal/model"
 	"alltoall/internal/network"
 	"alltoall/internal/observe"
 	"alltoall/internal/parallel"
@@ -16,9 +18,10 @@ import (
 )
 
 // Metrics accumulates simulator work across the (possibly concurrent) runs
-// of one or more experiments: completed collective runs, simulator events
-// processed and packets injected. All methods are safe for concurrent use;
-// a nil *Metrics discards everything.
+// of one or more experiments: completed simulations, simulator events
+// processed and packets injected. A cell that shares another cell's
+// simulation adds nothing. All methods are safe for concurrent use; a nil
+// *Metrics discards everything.
 type Metrics struct {
 	runs    atomic.Int64
 	events  atomic.Int64
@@ -34,7 +37,7 @@ func (m *Metrics) note(r collective.Result) {
 	m.packets.Add(r.PacketsInjected)
 }
 
-// Runs returns the number of completed collective runs.
+// Runs returns the number of completed simulations.
 func (m *Metrics) Runs() int64 {
 	if m == nil {
 		return 0
@@ -72,7 +75,8 @@ func (m *Metrics) EventsPerPacket() float64 {
 
 // cell is one simulation of an experiment, as data: what the paper ran.
 // runGrid decides what is actually simulated (the partition scaled to the
-// node budget, the large-message size for that partition).
+// node budget, the large-message size for that partition, and whether the
+// run is another cell's).
 type cell struct {
 	strat collective.Strategy
 	paper torus.Shape // the paper's partition
@@ -80,13 +84,9 @@ type cell struct {
 	// tune, when set, adjusts the run's options after runGrid has filled
 	// them in (o.Shape is the partition actually simulated). A tune that
 	// sets MaxTime asks to be cut off there: overrunning it is an outcome
-	// (collapsed), not a failure.
+	// (collapsed), not a failure. A tuned cell always simulates itself.
 	tune func(o *collective.Options) error
 }
-
-// row is the fan-out unit of a grid: its cells run in order on one worker
-// and share that worker's NetCache, so runs on one shape reuse the network.
-type row []cell
 
 // outcome is a finished cell: its identity with msg resolved, the partition
 // simulated, the result (zero when collapsed), and the run's observation
@@ -113,55 +113,69 @@ func (o outcome) String() string {
 	return fmt.Sprintf("%s %s m=%d", o.strat, o.label(), o.msg)
 }
 
+// options is the run the cell asks for, before its tune.
+func (c Config) options(o outcome) collective.Options {
+	return collective.Options{Request: collective.Request{
+		Strategy: o.strat, Shape: o.run, MsgBytes: o.msg, Seed: c.Seed, Shards: c.Shards,
+		Check: c.Check}}
+}
+
 // progressMu serializes progress lines from concurrent workers so they
 // never interleave mid-line, even across experiments.
 var progressMu sync.Mutex
 
-// runGrid executes every cell of an experiment's grid and returns the
-// outcomes in cell order (rows concatenated). Rows fan out over the
-// config's worker pool, each worker with a private network cache; results
-// do not depend on scheduling, so rendered tables are identical at any
-// worker count. A failing cell fails the grid with an error naming the
-// experiment and the cell, and cancels the worker context the cells still
-// running use; every finished cell prints one progress line.
+// runGrid executes an experiment's grid and returns the outcomes in cell
+// order. Each distinct simulation is one work item of the config's worker
+// pool, each worker with a private network cache, heaviest first (see
+// plan); results do not depend on scheduling, so rendered tables are
+// identical at any worker count. A cell that shares another's simulation
+// gets that run's Result retargeted to its own message size. A failing
+// simulation fails the grid with an error naming the experiment and the
+// cell, and cancels the worker context the cells still running use; every
+// cell prints one progress line, a shared one naming the simulation it used.
 // When the config traces, the observations reach the sink here, after the
 // grid, in cell order: the observed rows line up with the table's own.
-func runGrid(cfg Config, id string, rows []row) ([]outcome, error) {
-	total, finished := 0, 0 // cells; finished is guarded by progressMu
-	for _, r := range rows {
-		total += len(r)
+func runGrid(cfg Config, id string, cells []cell) ([]outcome, error) {
+	outs := make([]outcome, len(cells))
+	for i, c := range cells {
+		outs[i] = outcome{cell: c, run: cfg.scale(c.paper)}
+		if outs[i].msg == 0 {
+			outs[i].msg = cfg.largeFor(outs[i].run)
+		}
 	}
-	perRow, err := parallel.MapLocal(context.Background(), cfg.Workers, rows,
+	sims, shared := cfg.plan(outs)
+	finished := 0 // guarded by progressMu
+	_, err := parallel.MapLocal(context.Background(), cfg.Workers, sims,
 		func() *collective.NetCache { return &collective.NetCache{} },
-		func(ctx context.Context, cache *collective.NetCache, _ int, r row) ([]outcome, error) {
-			outs := make([]outcome, len(r))
-			for j, c := range r {
-				start := time.Now()
-				o, err := cfg.runCell(ctx, c, cache)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %v: %w", id, o, err)
-				}
-				if cfg.Progress != nil {
-					status := "collapsed"
+		func(ctx context.Context, cache *collective.NetCache, _ int, i int) (struct{}, error) {
+			start := time.Now()
+			lead := &outs[i]
+			if err := cfg.runCell(ctx, lead, cache); err != nil {
+				return struct{}{}, fmt.Errorf("%s: %v: %w", id, lead, err)
+			}
+			took := time.Since(start).Round(time.Millisecond).String()
+			for _, j := range shared[i] {
+				outs[j].res = cfg.options(*lead).Retarget(lead.res, outs[j].msg)
+			}
+			if cfg.Progress != nil {
+				progressMu.Lock()
+				for _, j := range append([]int{i}, shared[i]...) {
+					o, status, how := outs[j], "collapsed", took
 					if !o.collapsed {
 						status = fmt.Sprintf("%.1f%% of peak, %.1f MB/s, %.3f ms", o.res.PercentPeak, o.res.PerNodeMBs, o.res.Seconds*1e3)
 					}
-					progressMu.Lock()
+					if j != i {
+						how = fmt.Sprintf("shares %v", lead)
+					}
 					finished++
-					fmt.Fprintf(cfg.Progress, "  %s %d/%d %v: %s (%s)\n", id, finished, total, o,
-						status, time.Since(start).Round(time.Millisecond))
-					progressMu.Unlock()
+					fmt.Fprintf(cfg.Progress, "  %s %d/%d %v: %s (%s)\n", id, finished, len(outs), o, status, how)
 				}
-				outs[j] = o
+				progressMu.Unlock()
 			}
-			return outs, nil
+			return struct{}{}, nil
 		})
 	if err != nil {
 		return nil, err
-	}
-	outs := make([]outcome, 0, total)
-	for _, r := range perRow {
-		outs = append(outs, r...)
 	}
 	for _, o := range outs {
 		if o.obs != nil {
@@ -173,20 +187,61 @@ func runGrid(cfg Config, id string, rows []row) ([]outcome, error) {
 	return outs, nil
 }
 
-// runCell simulates one cell of a grid under ctx through the worker's network
-// cache, recording metrics on success. The outcome identifies the cell even
-// when the run fails.
-func (c Config) runCell(ctx context.Context, cl cell, cache *collective.NetCache) (outcome, error) {
-	o := outcome{cell: cl, run: c.scale(cl.paper)}
-	if o.msg == 0 {
-		o.msg = c.largeFor(o.run)
+// plan picks the grid's work: sims lists the cells that simulate, and
+// shared[i] the cells that read simulation i's Result instead of running
+// their own. Untuned cells on one strategy and run shape whose traffic is
+// the same (collective.Options.SameTraffic; an identical run is the case of
+// equal sizes) share the run of the group's smallest message size, whose
+// default MaxTime is the group's smallest. Tuned cells, and every cell of a
+// traced grid (each needs its own observation), simulate themselves. The
+// sims go heaviest first by an estimate that needs no run, P² × packets per
+// message, ties in cell order, so the longest runs start before the pool
+// fills with short ones.
+func (c Config) plan(outs []outcome) (sims []int, shared map[int][]int) {
+	bySize := make([]int, len(outs))
+	for i := range bySize {
+		bySize[i] = i
 	}
-	opts := collective.Options{Request: collective.Request{
-		Strategy: cl.strat, Shape: o.run, MsgBytes: o.msg, Seed: c.Seed, Shards: c.Shards,
-		Check: c.Check}}
-	if cl.tune != nil {
-		if err := cl.tune(&opts); err != nil {
-			return o, err
+	sort.SliceStable(bySize, func(a, b int) bool { return outs[bySize[a]].msg < outs[bySize[b]].msg })
+	type run struct {
+		strat collective.Strategy
+		shape torus.Shape
+	}
+	lead := make(map[run]int) // each run's latest simulation, the smallest size of its traffic
+	shared = make(map[int][]int)
+	for _, i := range bySize {
+		o := outs[i]
+		k := run{o.strat, o.run}
+		if o.tune == nil && c.Trace == nil {
+			if l, ok := lead[k]; ok && c.options(outs[l]).SameTraffic(o.msg) {
+				shared[l] = append(shared[l], i)
+				continue
+			}
+			lead[k] = i
+		}
+		sims = append(sims, i)
+	}
+	header := model.DefaultCalib().HeaderBytes
+	weight := func(i int) int {
+		p := outs[i].run.P()
+		return p * p * collective.NewMsg(outs[i].msg, header).NPkts
+	}
+	sort.Slice(sims, func(a, b int) bool {
+		if wa, wb := weight(sims[a]), weight(sims[b]); wa != wb {
+			return wa > wb
+		}
+		return sims[a] < sims[b]
+	})
+	return sims, shared
+}
+
+// runCell simulates o's cell under ctx through the worker's network cache,
+// filling in its result and recording metrics on success.
+func (c Config) runCell(ctx context.Context, o *outcome, cache *collective.NetCache) error {
+	opts := c.options(*o)
+	if o.tune != nil {
+		if err := o.tune(&opts); err != nil {
+			return err
 		}
 	}
 	opts.Cache = cache
@@ -202,5 +257,5 @@ func (c Config) runCell(ctx context.Context, cl cell, cache *collective.NetCache
 	case opts.MaxTime > 0 && errors.Is(err, network.ErrMaxTime):
 		o.collapsed, o.obs, err = true, nil, nil
 	}
-	return o, err
+	return err
 }

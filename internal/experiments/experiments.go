@@ -10,9 +10,9 @@
 // paper's phenomena); MaxNodes = math.MaxInt simulates the true machine
 // sizes, which takes hours for the largest rows.
 //
-// Rows of a grid are independent simulations, so they run on a worker pool
-// (Config.Workers); every run is seeded independently of scheduling, making
-// output identical at any worker count.
+// The cells of a grid are independent simulations, so they run on a worker
+// pool (Config.Workers); every run is seeded independently of scheduling,
+// making output identical at any worker count.
 package experiments
 
 import (
@@ -37,9 +37,9 @@ type Config struct {
 	// rows (default: chosen per partition size to bound runtime).
 	LargeBytes int
 
-	// Workers bounds experiment concurrency: independent rows and sweep
-	// points fan out over this many goroutines (0 = GOMAXPROCS, 1 =
-	// serial). Tables are byte-identical at any setting.
+	// Workers bounds experiment concurrency: a grid's distinct simulations
+	// fan out over this many goroutines (0 = GOMAXPROCS, 1 = serial).
+	// Tables are byte-identical at any setting.
 	Workers int
 	// Shards is every run's collective.Request.Shards: 0 (default) lets the
 	// engine decide, n forces n engines. The engine counts each pool worker
@@ -47,16 +47,17 @@ type Config struct {
 	// of a grid may shard once the other workers have exited. Tables are
 	// byte-identical at any setting.
 	Shards int
-	// Progress, when non-nil, receives one line per completed run
+	// Progress, when non-nil, receives one line per completed cell
 	// (typically os.Stderr, so tables on stdout stay clean).
 	Progress io.Writer
 	// Metrics, when non-nil, accumulates run/event/packet counts across
-	// every collective run of the experiment.
+	// every simulation the experiment runs.
 	Metrics *Metrics
 
 	// Check enables the simulator's runtime invariant checker for every
-	// run of the experiment (collective.Request.Check). Costs roughly
-	// 1.4x simulation time; tables are unchanged when the invariants hold.
+	// run of the experiment (collective.Request.Check). Costs about 2x
+	// simulation time (the bench's check.on_ratio); tables are unchanged
+	// when the invariants hold.
 	Check bool
 
 	// Trace, when non-nil, instruments every collective run with an
@@ -68,20 +69,22 @@ type Config struct {
 
 // largeFor picks the "large message" payload for a partition: large enough
 // to reach the asymptotic regime, small enough to keep the event count (and
-// wall-clock) bounded.
+// wall-clock) bounded. Each size is k·256 − 48 B, so with the 48 B software
+// header a message is exactly k full packets: 8 up to 256 nodes, 4 at 512,
+// 2 up to 1024 and 1 above.
 func (c Config) largeFor(s torus.Shape) int {
 	if c.LargeBytes > 0 {
 		return c.LargeBytes
 	}
 	switch p := s.P(); {
 	case p <= 256:
-		return 1920
+		return 2000
 	case p <= 512:
-		return 960
+		return 976
 	case p <= 1024:
-		return 480
+		return 464
 	default:
-		return 240
+		return 208
 	}
 }
 
@@ -114,31 +117,29 @@ func (c Config) scale(s torus.Shape) torus.Shape {
 // function that lays their outcomes (in cell order) out as the paper does.
 type experiment struct {
 	id     string
-	rows   []row
+	cells  []cell
 	render func(outs []outcome) *report.Table
 }
 
 func (e experiment) run(cfg Config) (*report.Table, error) {
-	outs, err := runGrid(cfg, e.id, e.rows)
+	outs, err := runGrid(cfg, e.id, e.cells)
 	if err != nil {
 		return nil, err
 	}
 	return e.render(outs), nil
 }
 
-// perShape builds the grid of a per-partition table: one row a partition,
-// holding the given cells (strategy, msg, tune) on that partition.
-func perShape(shapes []torus.Shape, cells ...cell) []row {
-	var rows []row
+// perShape builds the grid of a per-partition table: the given cells
+// (strategy, msg, tune) on each partition in turn.
+func perShape(shapes []torus.Shape, cells ...cell) []cell {
+	var grid []cell
 	for _, s := range shapes {
-		r := make(row, len(cells))
-		for i, c := range cells {
+		for _, c := range cells {
 			c.paper = s
-			r[i] = c
+			grid = append(grid, c)
 		}
-		rows = append(rows, r)
 	}
-	return rows
+	return grid
 }
 
 // Runner regenerates one experiment.
@@ -252,7 +253,7 @@ type paperRow struct {
 func peakTable(id, title string, strat collective.Strategy, rows []paperRow, notes ...string) experiment {
 	e := experiment{id: id}
 	for _, r := range rows {
-		e.rows = append(e.rows, row{{strat: strat, paper: r.shape}})
+		e.cells = append(e.cells, cell{strat: strat, paper: r.shape})
 	}
 	e.render = func(outs []outcome) *report.Table {
 		last := []string{"MsgBytes"}
@@ -293,10 +294,9 @@ func table4() experiment {
 	}
 	e := experiment{id: "table4"}
 	for _, r := range rows {
-		e.rows = append(e.rows, row{
-			{strat: collective.StratTPS, paper: r.shape, msg: 1},
-			{strat: collective.StratAR, paper: r.shape, msg: 1},
-		})
+		e.cells = append(e.cells,
+			cell{strat: collective.StratTPS, paper: r.shape, msg: 1},
+			cell{strat: collective.StratAR, paper: r.shape, msg: 1})
 	}
 	e.render = func(outs []outcome) *report.Table {
 		t := report.NewTable("Table 4: 1-byte all-to-all latency, TPS vs AR (ms)",
@@ -315,9 +315,8 @@ func table4() experiment {
 	return e
 }
 
-// sweep is a message-size study of per-node throughput on one partition.
-// Every (strategy, size) point is its own one-cell row, strategy-major, so
-// the pool stays busy even when one strategy's points dominate the runtime.
+// sweep is a message-size study of per-node throughput on one partition:
+// one cell a (strategy, size) point, strategy-major.
 type sweep struct {
 	title  string
 	paper  torus.Shape
@@ -325,15 +324,15 @@ type sweep struct {
 	sizes  []int
 }
 
-func (s sweep) rows() []row {
-	var rows []row
+func (s sweep) cells() []cell {
+	var grid []cell
 	for _, c := range s.strats {
 		for _, m := range s.sizes {
 			c.paper, c.msg = s.paper, m
-			rows = append(rows, row{c})
+			grid = append(grid, c)
 		}
 	}
-	return rows
+	return grid
 }
 
 // column is an analytic series a figure plots beside the measured ones,
@@ -346,7 +345,7 @@ type column struct {
 // figure renders the sweep one row a message size: MB/s and percent of peak
 // per strategy, then the model columns.
 func (s sweep) figure(id string, model ...column) experiment {
-	return experiment{id, s.rows(), func(outs []outcome) *report.Table {
+	return experiment{id, s.cells(), func(outs []outcome) *report.Table {
 		cols := []string{"MsgBytes"}
 		for _, c := range s.strats {
 			cols = append(cols, string(c.strat)+" MB/s", string(c.strat)+" %peak")
@@ -415,17 +414,17 @@ func messageSizes(lo, hi int) []int {
 }
 
 // fig3 reproduces the per-node throughput summary across partitions: the
-// bisection-limited peak, a one-packet all-to-all, and a large-message
-// all-to-all.
+// bisection-limited peak, a one-packet all-to-all (208 B, which the 48 B
+// header fills to one 256 B packet), and a large-message all-to-all.
 func fig3() experiment {
-	e := experiment{id: "fig3", rows: perShape([]torus.Shape{
+	e := experiment{id: "fig3", cells: perShape([]torus.Shape{
 		torus.New(8, 8, 1),
 		torus.New(8, 8, 8),
 		torus.New(8, 8, 16),
 		torus.New(8, 16, 16),
 		torus.New(8, 32, 16),
 		torus.New(16, 16, 16),
-	}, cell{strat: collective.StratAR, msg: 240}, cell{strat: collective.StratAR})}
+	}, cell{strat: collective.StratAR, msg: 208}, cell{strat: collective.StratAR})}
 	e.render = func(outs []outcome) *report.Table {
 		t := report.NewTable("Figure 3: AR per-node throughput (MB/s) by partition",
 			"Partition", "Peak bisection", "1-packet AA", "Large-message AA")
@@ -442,7 +441,7 @@ func fig3() experiment {
 // fig4 reproduces the direct-strategy comparison (AR, DR, throttled AR)
 // across partition shapes, including DR's dimension-order dependence.
 func fig4() experiment {
-	e := experiment{id: "fig4", rows: perShape([]torus.Shape{
+	e := experiment{id: "fig4", cells: perShape([]torus.Shape{
 		torus.New(8, 8, 8),
 		torus.New(16, 8, 8),
 		torus.New(8, 16, 8),
@@ -468,7 +467,7 @@ func fig4() experiment {
 // by default).
 func fig5() experiment {
 	s := sweep{paper: torus.New(8, 8, 8), strats: []cell{{strat: collective.StratVMesh}}, sizes: messageSizes(1, 512)}
-	return experiment{"fig5", s.rows(), func(outs []outcome) *report.Table {
+	return experiment{"fig5", s.cells(), func(outs []outcome) *report.Table {
 		o := outs[0]
 		vc, vr := o.res.VMeshCols, o.res.VMeshRows
 		t := report.NewTable(fmt.Sprintf("Figure 5: VMesh (%dx%d) measured vs Eq4 prediction on %v", vc, vr, o.run),

@@ -59,10 +59,10 @@ func TestScaleKeepsMeshFlags(t *testing.T) {
 
 func TestLargeFor(t *testing.T) {
 	cfg := Config{}
-	if got := cfg.largeFor(torus.New(4, 4, 4)); got != 1920 {
+	if got := cfg.largeFor(torus.New(4, 4, 4)); got != 2000 {
 		t.Errorf("largeFor(64) = %d", got)
 	}
-	if got := cfg.largeFor(torus.New(16, 8, 8)); got != 480 {
+	if got := cfg.largeFor(torus.New(16, 8, 8)); got != 464 {
 		t.Errorf("largeFor(1024) = %d", got)
 	}
 	cfg.LargeBytes = 99
@@ -142,7 +142,7 @@ func TestCollapsedCell(t *testing.T) {
 	c := cell{strat: collective.StratAR, paper: torus.New(4, 1, 1), msg: 8,
 		tune: func(o *collective.Options) error { o.MaxTime = 1; return nil }}
 	var progress strings.Builder
-	outs, err := runGrid(Config{Progress: &progress}, "x", []row{{c}})
+	outs, err := runGrid(Config{Progress: &progress}, "x", []cell{c})
 	if err != nil || len(outs) != 1 || !outs[0].collapsed {
 		t.Fatalf("budgeted cell: outcomes %+v, err %v; want one collapsed outcome", outs, err)
 	}
@@ -150,7 +150,7 @@ func TestCollapsedCell(t *testing.T) {
 		t.Errorf("progress %q, want prefix %q", progress.String(), want)
 	}
 	c.tune = func(o *collective.Options) error { o.Faults = "bogus"; return nil }
-	if _, err := runGrid(Config{}, "x", []row{{c}}); err == nil {
+	if _, err := runGrid(Config{}, "x", []cell{c}); err == nil {
 		t.Error("a cell with an unparsable fault schedule did not fail the grid")
 	}
 }

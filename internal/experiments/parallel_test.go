@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"alltoall/internal/collective"
@@ -128,15 +130,15 @@ func TestShardedRenderIdentical(t *testing.T) {
 }
 
 // TestMetricsAndProgress checks the engine's observability side channels:
-// metrics count every run, progress lines arrive once per cell, and a
-// failing cell's error says which cell it was.
+// metrics count every simulation, progress lines arrive once per cell, and
+// a failing cell's error says which cell it was.
 func TestMetricsAndProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
 	r := render(t, "table4", 8, 0)
-	if got := r.metrics.Runs(); got != 10 {
-		t.Errorf("Runs() = %d, want 10 (TPS and AR on each of Table 4's five rows)", got)
+	if got := r.metrics.Runs(); got != 8 {
+		t.Errorf("Runs() = %d, want 8 (TPS and AR on each of Table 4's five rows, 16x16x16 on 8x8x8's 4x4x4)", got)
 	}
 	if r.metrics.Events() <= 0 || r.metrics.Packets() <= 0 {
 		t.Errorf("Events() = %d, Packets() = %d; want positive",
@@ -160,8 +162,97 @@ func TestMetricsAndProgress(t *testing.T) {
 	// row; the grid adds experiment, strategy, paper and run shape, and m.
 	bad := cell{strat: collective.StratTPS, paper: torus.New(8, 8, 8),
 		tune: func(o *collective.Options) error { o.Faults = "bogus"; return nil }}
-	_, err := runGrid(tiny(), "table3", []row{{bad}})
+	_, err := runGrid(tiny(), "table3", []cell{bad})
 	if want := "table3: TPS 8x8x8 (run 4x4x4) m=240: "; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("a cell with an unparsable fault schedule: error %v, want one naming %q", err, want)
+	}
+}
+
+// TestDistinctSimulations: a grid simulates each distinct run once. At 128
+// nodes (the bench's short-suite), Figure 6's AR points at 1-16 B inject the
+// same packets and share one simulation, while its VMesh points are tuned
+// and each run; Table 4's 16x16x16 row runs on its 8x8x8 row's 4x4x4
+// partition. Every cell still prints one progress line, a shared one naming
+// the simulation it used, and the tables are identical at 1, 2 and 3
+// workers.
+func TestDistinctSimulations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	for _, c := range []struct {
+		id          string
+		sims, cells int
+	}{{"fig6", 16, 20}, {"table4", 8, 10}} {
+		var first string
+		for _, workers := range []int{1, 2, 3} {
+			var m Metrics
+			var progress, text strings.Builder
+			tbl, err := Catalog[c.id](Config{MaxNodes: 128, Seed: 1, Workers: workers, Shards: 1,
+				Metrics: &m, Progress: &progress})
+			if err == nil {
+				err = tbl.Write(&text)
+			}
+			if err != nil {
+				t.Fatalf("%s at Workers=%d: %v", c.id, workers, err)
+			}
+			if got := m.Runs(); got != int64(c.sims) {
+				t.Errorf("%s at Workers=%d ran %d simulations, want %d", c.id, workers, got, c.sims)
+			}
+			lines, shared := strings.Count(progress.String(), "\n"), strings.Count(progress.String(), " (shares ")
+			if lines != c.cells || shared != c.cells-c.sims {
+				t.Errorf("%s at Workers=%d: %d progress lines, %d shared; want %d and %d\n%s",
+					c.id, workers, lines, shared, c.cells, c.cells-c.sims, progress.String())
+			}
+			for _, line := range strings.Split(progress.String(), "\n") {
+				if strings.Contains(line, " TPS 16x16x16 (run 4x4x4) m=1: ") &&
+					!strings.HasSuffix(line, " (shares TPS 8x8x8 (run 4x4x4) m=1)") {
+					t.Errorf("%s at Workers=%d: %q does not name the 8x8x8 row's run", c.id, workers, line)
+				}
+			}
+			if workers == 1 {
+				first = text.String()
+			} else if text.String() != first {
+				t.Errorf("%s at Workers=%d differs from Workers=1\n-- got --\n%s-- want --\n%s",
+					c.id, workers, text.String(), first)
+			}
+		}
+	}
+}
+
+// TestDistinctSimulationsTraceAndTune: only untuned cells of an untraced
+// grid share. A tune runs once per cell, right before that cell's own
+// simulation, and a traced grid simulates every cell for its observation.
+// A tuned cell that changes nothing reads what the shared run reported.
+func TestDistinctSimulationsTraceAndTune(t *testing.T) {
+	var tunes atomic.Int32
+	noop := func(*collective.Options) error { tunes.Add(1); return nil }
+	shape := torus.New(4, 4, 2)
+	grid := []cell{
+		{strat: collective.StratAR, paper: shape, msg: 1},
+		{strat: collective.StratAR, paper: shape, msg: 2},
+		{strat: collective.StratAR, paper: shape, msg: 1, tune: noop},
+		{strat: collective.StratAR, paper: shape, msg: 2, tune: noop},
+	}
+	var m Metrics
+	outs, err := runGrid(Config{Workers: 2, Metrics: &m}, "x", grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Runs() != 3 || tunes.Load() != 2 {
+		t.Errorf("%d simulations and %d tunes, want 3 and 2", m.Runs(), tunes.Load())
+	}
+	for i := 0; i < 2; i++ {
+		if !reflect.DeepEqual(outs[i].res, outs[i+2].res) {
+			t.Errorf("m=%d: untuned %+v, tuned %+v", outs[i].msg, outs[i].res, outs[i+2].res)
+		}
+	}
+
+	var traced Metrics
+	sink := NewTraceSink(false)
+	if _, err := runGrid(Config{Workers: 2, Metrics: &traced, Trace: sink}, "x", grid[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if traced.Runs() != 2 || len(sink.Runs()) != 2 {
+		t.Errorf("traced grid: %d simulations, %d observations; want 2 and 2", traced.Runs(), len(sink.Runs()))
 	}
 }

@@ -17,7 +17,8 @@ import (
 // core is the run's first engine, so a 128-node run on a one-worker pool
 // takes the idle second core too, while on a pool with a worker per core
 // every core is held and each run stays on one engine. Both workers of the
-// full pool are held in their rows until both measured runs are done, so
+// full pool are then held in a lighter cell, which the heaviest-first order
+// hands out after both measured ones, until both measured runs are done, so
 // neither run can see the other's core freed.
 func TestPoolWorkerCoresAreFirstEngines(t *testing.T) {
 	if testing.Short() {
@@ -38,7 +39,7 @@ func TestPoolWorkerCoresAreFirstEngines(t *testing.T) {
 	var lone network.SyncStats
 	var one sync.WaitGroup
 	one.Add(1)
-	if _, err := runGrid(Config{Workers: 1}, "lone", []row{{measured(&lone, &one)}}); err != nil {
+	if _, err := runGrid(Config{Workers: 1}, "lone", []cell{measured(&lone, &one)}); err != nil {
 		t.Fatal(err)
 	}
 	if lone.Shards != 2 {
@@ -49,12 +50,12 @@ func TestPoolWorkerCoresAreFirstEngines(t *testing.T) {
 	var start, end sync.WaitGroup
 	start.Add(2)
 	end.Add(2)
-	rows := make([]row, 2)
-	for i := range rows {
-		rows[i] = row{measured(&full[i], &start), {strat: collective.StratAR, paper: torus.New(4, 4, 2), msg: 8,
-			tune: func(*collective.Options) error { end.Done(); end.Wait(); return nil }}}
+	var grid []cell
+	for i := range full {
+		grid = append(grid, measured(&full[i], &start), cell{strat: collective.StratAR, paper: torus.New(4, 4, 2), msg: 8,
+			tune: func(*collective.Options) error { end.Done(); end.Wait(); return nil }})
 	}
-	if _, err := runGrid(Config{Workers: 2}, "full", rows); err != nil {
+	if _, err := runGrid(Config{Workers: 2}, "full", grid); err != nil {
 		t.Fatal(err)
 	}
 	for i, ss := range full {
@@ -82,7 +83,7 @@ func TestGridFailureAbortsRunningCells(t *testing.T) {
 			return nil
 		}}
 	var m Metrics
-	_, err := runGrid(Config{Workers: 2, Metrics: &m}, "abort", []row{{long}, {failing}})
+	_, err := runGrid(Config{Workers: 2, Metrics: &m}, "abort", []cell{long, failing})
 	if err == nil || !strings.Contains(err.Error(), "abort: AR 4x4x2 m=8") {
 		t.Fatalf("grid error %v does not name the failing cell", err)
 	}

@@ -43,7 +43,8 @@ func BenchmarkNetworkRun(b *testing.B) {
 
 // BenchmarkNetworkRunChecked is the same workload with the runtime invariant
 // checker on; the ratio to BenchmarkNetworkRun is the checker's cost
-// (measured ~1.4x - every event re-audits the dispatched node's router).
+// (about 2x, as the bench's check.on_ratio reads it - every event re-audits
+// the dispatched node's router).
 func BenchmarkNetworkRunChecked(b *testing.B) {
 	benchNetworkRun(b, true)
 }

@@ -207,7 +207,7 @@ func (e *engine) occupy(link int, size int32) (wire, until int64) {
 // tail), so stretched transfers forward store-and-forward: the tail's
 // arrival defines eligibility.
 func (e *engine) eligibleAt(wire int64, size int32, transit bool) int64 {
-	if transit && !e.par.StoreForward && wire == int64(size) {
+	if transit && wire == int64(size) {
 		return e.now + PacketGranule + e.par.RouterDelay
 	}
 	return e.now + wire + e.par.RouterDelay

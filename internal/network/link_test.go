@@ -16,7 +16,7 @@ import (
 // parameter), and the VC slot cost is charged only inside link.go. A
 // sub-packet link model then changes those bodies and nothing else.
 func TestCompensationSeam(t *testing.T) {
-	fields := []string{"InjectTokens", "EscapeDelay", "StoreForward", "VCLookahead"}
+	fields := []string{"InjectTokens", "EscapeDelay", "VCLookahead"}
 	exempt := map[string]bool{"Params.validate": true, "calendarHorizon": true}
 	readers := map[string]map[string]bool{}
 	files, err := filepath.Glob("*.go")

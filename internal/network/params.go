@@ -79,18 +79,11 @@ type Params struct {
 	// ablation_test.go's unpaced saturated ring (paced: see VCLookahead).
 	EscapeDelay int64
 
-	// StoreForward disables virtual cut-through (engine.eligibleAt): packets
-	// become eligible for the next hop only after fully arriving, where BG/L
-	// forwards once the 32-byte header chunk lands. On ablation_test.go's
-	// unpaced saturated ring cut-through wins only off saturation (per-hop
-	// latency); saturated, store-and-forward is ~1.5% faster (paced: below).
-	StoreForward bool
-
 	// VCLookahead is the number of packets at the front of each dynamic VC
 	// the arbiter may choose among (Params.window; the VC buffers are
 	// random-access SRAM). 1 models a strict FIFO and is up to 3% slower on
 	// ablation_test.go's unpaced saturated ring. At the tables' paced
-	// operating point (AR 8x8x8) each of these three switches is 1-2% faster
+	// operating point (AR 8x8x8) each of these two switches is 1-2% faster
 	// than the default at m=208 and within 0.5% at m=960; ROADMAP 4(a)
 	// decides whether each compensation stays. The bubble escape VC is always
 	// strictly FIFO (the ring invariant depends on it), as are injection FIFOs.
