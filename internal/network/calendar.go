@@ -75,9 +75,18 @@ func calendarHorizon(par Params) int64 {
 //     sorts before it, so the sharded engine's top-per-iteration loop does
 //     not rescan the ring, and a pop that leaves the front bucket non-empty
 //     caches its next key (or the overflow top, if that sorts earlier);
-//   - an emptied bucket keeps its storage, and the ring is no longer than
-//     what is scheduled, so every bucket is refilled each time the clock
-//     comes round: a run repeated on a recycled network allocates nothing.
+//   - a bucket's storage is its kept slice of bucketKeys keys (carved from
+//     keep, which the first push that needs one allocates) or, while its
+//     tick holds more, storage borrowed from free. A push that finds the
+//     storage full moves the pending keys to borrowed storage of twice the
+//     capacity and gives the old back unless it is the kept slice; a
+//     bucket gives borrowed storage back when it empties and at reset.
+//     Ticks burst (the CPUs of all nodes finish operations of one cost on
+//     the same tick), so over a long run every bucket meets a tick many
+//     times the ring's average: buckets that kept their largest storage
+//     held memory growing with P, where free holds only what was borrowed
+//     at once. A run repeated on a recycled network replays the same
+//     borrows, so it allocates nothing.
 type calendarQueue struct {
 	buckets [][]uint64 // per tick: the key of each event, popped up to head
 	head    []int32    // per bucket: index of the next key to pop
@@ -94,7 +103,16 @@ type calendarQueue struct {
 	cmin   event
 
 	over eventHeap // beyond-horizon events; consulted on every top/pop
+
+	keep []uint64     // bucketKeys kept keys per bucket, in ring order
+	free [][][]uint64 // [c]: borrowed storage of capacity 1<<c not in use
 }
+
+// bucketKeys is the storage a bucket keeps: 64 keys, 512 bytes, 256 KB a
+// ring. On one engine of an 8x8x8 AR run at m=208 or m=960, 93 % of the
+// ticks peak at 63 keys or fewer and 99 % at 127 or fewer, so a few ticks
+// in a hundred borrow. A power of two: borrowed capacities double from it.
+const bucketKeys = 64
 
 // init sizes the ring for the given horizon, keeping existing storage when
 // the size already matches (Reset reuse). The queue must be empty.
@@ -108,19 +126,20 @@ func (q *calendarQueue) init(horizon int64) {
 	q.dirty = make([]uint64, horizon/64)
 	q.mask = horizon - 1
 	q.front = -1
+	q.keep, q.free = nil, nil
 }
 
 func (q *calendarQueue) len() int { return q.n + q.over.len() }
 
-// reset discards all pending events, keeping bucket storage for the next run.
+// reset discards all pending events. A bucket keeps its kept slice and
+// gives borrowed storage back to free, where the next run borrows it again.
 func (q *calendarQueue) reset() {
 	if q.n > 0 {
 		for w, word := range q.occ {
 			for word != 0 {
 				i := bits.TrailingZeros64(word)
 				word &^= 1 << i
-				idx := w<<6 | i
-				q.buckets[idx], q.head[idx] = q.buckets[idx][:0], 0
+				q.empty(w<<6 | i)
 			}
 			q.occ[w], q.dirty[w] = 0, 0
 		}
@@ -144,7 +163,11 @@ func (q *calendarQueue) push(e event) {
 	idx := int(e.t & q.mask)
 	bit := uint64(1) << (uint(idx) & 63)
 	k := e.key
-	b := append(q.buckets[idx], k)
+	b := q.buckets[idx]
+	if len(b) == cap(b) {
+		b = q.grow(idx)
+	}
+	b = append(b, k)
 	if idx == q.front {
 		// Ordered insert from the tail: shift the larger keys right, but
 		// not below the head (a key there is the next to pop).
@@ -243,7 +266,7 @@ func (q *calendarQueue) pop() event {
 	q.n--
 	b, h := q.buckets[idx], q.head[idx]+1
 	if int(h) == len(b) {
-		q.buckets[idx], q.head[idx] = b[:0], 0
+		q.empty(idx)
 		q.occ[idx>>6] &^= 1 << (uint(idx) & 63)
 		return e
 	}
@@ -255,6 +278,67 @@ func (q *calendarQueue) pop() event {
 		q.cmin, q.cidx = q.over.top(), -1
 	}
 	return e
+}
+
+// kept returns bucket idx's kept slice, empty.
+func (q *calendarQueue) kept(idx int) []uint64 {
+	return q.keep[idx*bucketKeys : idx*bucketKeys : (idx+1)*bucketKeys]
+}
+
+// grow returns bucket idx's storage with room for one more key: the kept
+// slice if the bucket has had no storage yet, else borrowed storage of
+// twice the capacity holding the pending keys from its front.
+func (q *calendarQueue) grow(idx int) []uint64 {
+	b := q.buckets[idx]
+	if cap(b) == 0 {
+		if q.keep == nil {
+			q.keep = make([]uint64, len(q.buckets)*bucketKeys)
+		}
+		q.buckets[idx] = q.kept(idx)
+		return q.buckets[idx]
+	}
+	nb := append(q.borrow(2*cap(b)), b[q.head[idx]:]...)
+	if cap(b) > bucketKeys {
+		q.giveBack(b)
+	}
+	q.buckets[idx], q.head[idx] = nb, 0
+	return nb
+}
+
+// empty truncates bucket idx, giving borrowed storage back for its kept
+// slice.
+func (q *calendarQueue) empty(idx int) {
+	if b := q.buckets[idx]; cap(b) > bucketKeys {
+		q.giveBack(b)
+		q.buckets[idx] = q.kept(idx)
+	} else {
+		q.buckets[idx] = b[:0]
+	}
+	q.head[idx] = 0
+}
+
+// borrow returns empty storage of capacity size, a power of two, from free
+// or, when free has none of that size, freshly allocated.
+func (q *calendarQueue) borrow(size int) []uint64 {
+	c := bits.TrailingZeros(uint(size))
+	if c < len(q.free) {
+		if n := len(q.free[c]); n > 0 {
+			b := q.free[c][n-1]
+			q.free[c] = q.free[c][:n-1]
+			return b
+		}
+	}
+	return make([]uint64, 0, size)
+}
+
+// giveBack puts borrowed storage b into free for the next borrow of its
+// capacity.
+func (q *calendarQueue) giveBack(b []uint64) {
+	c := bits.TrailingZeros(uint(cap(b)))
+	for len(q.free) <= c {
+		q.free = append(q.free, nil)
+	}
+	q.free[c] = append(q.free[c], b[:0])
 }
 
 // insertionSort orders keys ascending in place; it is linear on the nearly

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"alltoall/internal/torus"
 )
@@ -80,6 +81,74 @@ func TestCalendarQueueMatchesHeap(t *testing.T) {
 			}
 		}
 		drainCompare(t, &cal, &ref, fmt.Sprintf("trial %d", trial))
+	}
+	for trial := 0; trial < 20; trial++ {
+		burstTrial(t, trial)
+	}
+}
+
+// burstTrial is a differential trial of bursty ticks, the load that makes
+// buckets borrow storage: each round pushes more keys than a bucket keeps
+// onto one tick among scattered pushes, pops into that tick, then peeks and
+// pushes more of the same tick into the partly popped front bucket, which
+// grows again in borrowed storage. The rounds run until the clock has
+// wrapped the ring at least twice. Every bucket must end the trial holding
+// at most its kept slice.
+func burstTrial(t *testing.T, trial int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(1000 + trial)))
+	var cal calendarQueue
+	var ref eventHeap
+	horizon := int64(64) << rng.Intn(3) // 64..256
+	cal.init(horizon)
+	ctx := fmt.Sprintf("burst trial %d", trial)
+	push := func(e event) { cal.push(e); ref.push(e) }
+	pop := func() int64 {
+		if got, want := cal.top(), ref.top(); got != want {
+			t.Fatalf("%s: top %+v, reference %+v", ctx, got, want)
+		}
+		got, want := cal.pop(), ref.pop()
+		if got != want {
+			t.Fatalf("%s: pop %+v, reference %+v", ctx, got, want)
+		}
+		return want.t
+	}
+	key := func(tick int64) event {
+		return mkEvent(tick, int32(rng.Intn(512)), int32(rng.Intn(4)), uint8(rng.Intn(4)))
+	}
+	low, borrowedFront := int64(0), 0
+	for low < 3*horizon {
+		burst := low + 1 + rng.Int63n(horizon-1)
+		for i := bucketKeys + rng.Intn(3*bucketKeys); i > 0; i-- {
+			push(key(burst))
+			if rng.Intn(4) == 0 {
+				push(key(low + rng.Int63n(horizon)))
+			}
+		}
+		for ref.top().t < burst {
+			low = pop()
+		}
+		for i := rng.Intn(bucketKeys); i > 0; i-- {
+			low = pop()
+		}
+		if cap(cal.buckets[burst&cal.mask]) > bucketKeys {
+			borrowedFront++
+		}
+		for i := 2 * bucketKeys; i > 0; i-- {
+			if got, want := cal.top(), ref.top(); got != want {
+				t.Fatalf("%s: top before push %+v, reference %+v", ctx, got, want)
+			}
+			push(key(low))
+		}
+	}
+	drainCompare(t, &cal, &ref, ctx)
+	if borrowedFront == 0 {
+		t.Fatalf("%s: no peek-then-push landed in a borrowed front bucket: the trial is vacuous", ctx)
+	}
+	for i, b := range cal.buckets {
+		if cap(b) > bucketKeys {
+			t.Fatalf("%s: drained bucket %d still holds %d keys of borrowed storage", ctx, i, cap(b))
+		}
 	}
 }
 
@@ -187,6 +256,27 @@ func FuzzEventQueue(f *testing.F) {
 	// Peek, then push an equal-tick event with a smaller key (node 0 after
 	// node 1); peek, then one with a larger key (node 3); pop everything.
 	f.Add([]byte{0x10, 0x05, 0x80, 0x05, 0xb0, 0x05, 0x03, 0x00, 0x03, 0x00, 0x03, 0x00})
+	// A burst: more keys on tick 5 than a bucket keeps, so its bucket
+	// borrows storage; pop ten of them, then peek and push as many again
+	// onto the same tick, growing the partly popped front bucket; then a
+	// far push and pops past it, so the ring wraps with the storage given
+	// back.
+	var burst []byte
+	pushOp := func(i int) byte { return byte(i%8<<4 | i%3) } // node i%8, kind i%3: never a pop
+	for i := 0; i < bucketKeys+16; i++ {
+		burst = append(burst, pushOp(i), 0x05)
+	}
+	for i := 0; i < 10; i++ {
+		burst = append(burst, 0x03, 0x00)
+	}
+	for i := 0; i < bucketKeys+16; i++ {
+		burst = append(burst, 0x80|pushOp(i), 0x00)
+	}
+	burst = append(burst, 0x40, 0xff)
+	for i := 0; i < 2*bucketKeys+24; i++ {
+		burst = append(burst, 0x03, 0x00)
+	}
+	f.Add(burst)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cal calendarQueue
 		var ref eventHeap
@@ -230,26 +320,46 @@ func FuzzEventQueue(f *testing.F) {
 }
 
 // TestCalendarQueueReset pins reset-and-reuse: a drained-or-abandoned queue
-// must come back empty with a zeroed clock floor.
+// must come back empty with a zeroed clock floor, and a bucket abandoned
+// while it held borrowed storage must give it back, so the next run's burst
+// borrows that storage again instead of allocating.
 func TestCalendarQueueReset(t *testing.T) {
 	var cal calendarQueue
 	cal.init(128)
 	for i := 0; i < 100; i++ {
 		cal.push(mkEvent(int64(i*7), int32(i&3), 0, evArrive))
 	}
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 3*bucketKeys; i++ { // a burst on tick 120
+		cal.push(mkEvent(120, int32(i), 0, evArrive))
+	}
+	for i := 0; i < 10; i++ {
 		cal.pop()
+	}
+	held := cal.buckets[120]
+	if cap(held) <= bucketKeys {
+		t.Fatalf("burst bucket holds %d keys of storage, want borrowed (> %d)", cap(held), bucketKeys)
 	}
 	cal.reset()
 	if cal.len() != 0 {
 		t.Fatalf("len %d after reset", cal.len())
 	}
-	// Reuse from t=0: the ring must accept fresh events in every bucket.
+	for i, b := range cal.buckets {
+		if cap(b) > bucketKeys {
+			t.Fatalf("bucket %d kept %d keys of borrowed storage across reset", i, cap(b))
+		}
+	}
+	// Reuse from t=0: the ring must accept fresh events in every bucket, and
+	// as large a burst on another tick must end in the storage given back.
 	var ref eventHeap
+	push := func(ev event) { cal.push(ev); ref.push(ev) }
 	for i := 0; i < 100; i++ {
-		ev := mkEvent(int64(i%130), int32(i&3), 0, evService)
-		cal.push(ev)
-		ref.push(ev)
+		push(mkEvent(int64(i%130), int32(i&3), 0, evService))
+	}
+	for i := 0; i < 3*bucketKeys; i++ {
+		push(mkEvent(116, int32(i), 0, evArrive))
+	}
+	if got := cal.buckets[116]; unsafe.SliceData(got) != unsafe.SliceData(held) {
+		t.Errorf("the burst after reset grew into fresh storage (%d keys), not the storage reset gave back", cap(got))
 	}
 	drainCompare(t, &cal, &ref, "post-reset")
 }

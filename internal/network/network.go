@@ -275,10 +275,14 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 			links++
 		}
 	}
-	// Every VC can overshoot capacity by one max packet (flit-credit
-	// streaming grants); its byte budget allows for it.
-	vcCap := par.VCBytes + MaxPacketBytes
-	slots := int(ringSlots(vcCap))*links*NumVC +
+	// Every dynamic VC can overshoot capacity by one max packet (flit-credit
+	// streaming grants); its byte budget allows for it. Its ring starts at
+	// VCBytes of full packets (8 slots), which the bubble VC never exceeds:
+	// the overshoot and small packets grow a ring on demand. AR at m=208 and
+	// m=960 on 8x8x8 grows none, AR at m=480 on 8x8x2M grows 356 of 1,920,
+	// and the 8 slots each VC does not start with are 1.5 MB of 8x8x8.
+	vcCap, vcSlots := par.VCBytes+MaxPacketBytes, ringSlots(par.VCBytes)
+	slots := int(vcSlots)*links*NumVC +
 		p*(int(ringSlots(par.InjFIFOBytes))*par.InjFIFOs+int(ringSlots(par.RecvFIFOBytes)))
 	nw.rings.refs = make([]pktRef, slots)
 	nw.rings.ids = make([]int32, slots)
@@ -289,14 +293,14 @@ func New(shape torus.Shape, par Params, sources []Source, handler Handler) (*Net
 				continue
 			}
 			for vc := 0; vc < NumVC; vc++ {
-				r.in[d][vc] = newPktQueue(&nw.rings, vcCap, par.window(int8(vc)))
+				r.in[d][vc] = newPktQueue(&nw.rings, vcCap, vcSlots, par.window(int8(vc)))
 			}
 		}
 		r.inj = make([]pktQueue, par.InjFIFOs)
 		for i := range r.inj {
-			r.inj[i] = newPktQueue(&nw.rings, par.InjFIFOBytes, 1)
+			r.inj[i] = newPktQueue(&nw.rings, par.InjFIFOBytes, ringSlots(par.InjFIFOBytes), 1)
 		}
-		r.recv = newPktQueue(&nw.rings, par.RecvFIFOBytes, 1)
+		r.recv = newPktQueue(&nw.rings, par.RecvFIFOBytes, ringSlots(par.RecvFIFOBytes), 1)
 	}
 	nw.ensureShards(1)
 	// Everything a run starts from - tokens, lookaheads, the source census -

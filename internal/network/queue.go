@@ -41,13 +41,17 @@ func (rf *pktRef) inDir() int8 { return rf.vcIn&7 - 1 }
 // pktQueue is a FIFO of packet refs with byte accounting. Capacity is
 // expressed in bytes and admission is governed by the byte budget alone; the
 // slot ring behind it is sized by demand. It starts at the slot count that
-// holds capBytes of maximum-size packets (ringSlots) - what a long-message
-// run ever queues - and doubles, out of the Network's ringSlab, when a
-// byte-accepted push finds it full, so a byte-accepted push never lacks a
-// slot by construction. Slot counts are powers of two so ring indexing is a
-// mask rather than a division. Worst-case sizing (capBytes of minimum-size
-// packets) takes 4x the slots, and on a 512-node machine the rings'
-// first-touch misses, not arbitration, then set the cost of an event.
+// holds the queue's nominal bytes of maximum-size packets (ringSlots) -
+// what a long-message run queues - and doubles, out of the Network's
+// ringSlab, when a byte-accepted push finds it full, so a byte-accepted push
+// never lacks a slot by construction. For an input VC the nominal bytes are
+// VCBytes, 8 slots, one packet short of its byte budget: the bubble VC
+// never overshoots VCBytes, and only a dynamic VC's flit-credit overshoot,
+// or packets below the maximum size, grow its ring. Slot counts are powers
+// of two so ring indexing is a mask rather than a division. Worst-case
+// sizing (capBytes of minimum-size packets) takes 4x the slots, and on a
+// 512-node machine the rings' first-touch misses, not arbitration, then set
+// the cost of an event.
 //
 // The scalars a service pass reads to decide whether to visit the queue at
 // all come first, so that decision costs one cache line of the router.
@@ -132,9 +136,8 @@ func (s *ringSlab) carve(slots int32) ([]pktRef, []int32) {
 }
 
 // newPktQueue returns an empty queue of capBytes with arbitration lookahead
-// win, its initial ring carved from slab.
-func newPktQueue(slab *ringSlab, capBytes, win int32) pktQueue {
-	slots := ringSlots(capBytes)
+// win, its initial ring of slots (a power of two) carved from slab.
+func newPktQueue(slab *ringSlab, capBytes, slots, win int32) pktQueue {
 	buf, ids := slab.carve(slots)
 	return pktQueue{buf: buf, ids: ids, mask: slots - 1, capBytes: capBytes, win: win}
 }

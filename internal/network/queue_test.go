@@ -9,7 +9,7 @@ import (
 
 func TestPktQueueFIFO(t *testing.T) {
 	var slab ringSlab
-	q := newPktQueue(&slab, 1024, 1)
+	q := newPktQueue(&slab, 1024, ringSlots(1024), 1)
 	for i := int32(0); i < 4; i++ {
 		if !q.fits(256) {
 			t.Fatalf("push %d rejected", i)
@@ -34,7 +34,7 @@ func TestPktQueueFIFO(t *testing.T) {
 
 func TestPktQueueRemoveAt(t *testing.T) {
 	var slab ringSlab
-	q := newPktQueue(&slab, 2048, 1)
+	q := newPktQueue(&slab, 2048, ringSlots(2048), 1)
 	for i := int32(0); i < 5; i++ {
 		q.push(&slab, pktRef{}, 10+i, 64)
 	}
@@ -58,7 +58,7 @@ func TestPktQueueRemoveAt(t *testing.T) {
 
 func TestPktQueueWrapAround(t *testing.T) {
 	var slab ringSlab
-	q := newPktQueue(&slab, 4*64, 1)
+	q := newPktQueue(&slab, 4*64, ringSlots(4*64), 1)
 	// Exercise ring wrap: repeatedly push/pop past the buffer end.
 	next := int32(0)
 	expect := int32(0)
@@ -93,7 +93,7 @@ func TestPktQueueOverflowPanics(t *testing.T) {
 		}
 	}()
 	var slab ringSlab
-	q := newPktQueue(&slab, 128, 1)
+	q := newPktQueue(&slab, 128, ringSlots(128), 1)
 	q.push(&slab, pktRef{}, 0, 64)
 	q.push(&slab, pktRef{}, 1, 64)
 	q.push(&slab, pktRef{}, 2, 64)
@@ -107,7 +107,7 @@ func TestPktQueueOverflowPanics(t *testing.T) {
 func TestPktQueueGrowth(t *testing.T) {
 	capBytes := DefaultParams().VCBytes + MaxPacketBytes
 	var slab ringSlab
-	q := newPktQueue(&slab, capBytes, 4)
+	q := newPktQueue(&slab, capBytes, ringSlots(capBytes), 4)
 	first := q.mask + 1
 	// Wrap the head so a doubling has to unroll the ring.
 	for i := int32(0); i < first-3; i++ {
@@ -180,7 +180,8 @@ func TestPktQueueGrowth(t *testing.T) {
 // and a push behind a full window must not.
 func TestPktQueueQuietCleared(t *testing.T) {
 	var slab ringSlab
-	q := newPktQueue(&slab, DefaultParams().VCBytes+MaxPacketBytes, 2)
+	vcBytes := DefaultParams().VCBytes
+	q := newPktQueue(&slab, vcBytes+MaxPacketBytes, ringSlots(vcBytes), 2)
 	blocked := pktRef{want: 1, blocked: 10}
 	settled := func(ctx string) {
 		t.Helper()

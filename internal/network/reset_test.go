@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"alltoall/internal/parallel"
 	"alltoall/internal/torus"
@@ -317,10 +318,12 @@ func TestResetKeepsGrownRings(t *testing.T) {
 
 // TestNewFootprint guards the working set: at the parent of the demand-sized
 // rings, New on the paper's 512-node partition allocated 15,288,448 bytes
-// (every ring sized for minimum-size packets, 27.5 KB a node); it must stay
-// under a third of that, so the rings cannot creep back unnoticed.
+// (every ring sized for minimum-size packets, 27.5 KB a node), and at the
+// parent of the 8-slot VC rings 4,933,712 bytes (each VC ring 16 slots,
+// about 1.5 MB of them). It must stay within three quarters of the latter,
+// so neither can creep back unnoticed.
 func TestNewFootprint(t *testing.T) {
-	const parentBytes = 15288448
+	const parentBytes = 4933712
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	nw, err := New(torus.New(8, 8, 8), DefaultParams(), nil, countOnly{})
@@ -328,8 +331,82 @@ func TestNewFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > parentBytes/3 {
-		t.Errorf("New(8x8x8) allocated %d bytes, want <= %d (a third of %d)", got, parentBytes/3, parentBytes)
+	if got := after.TotalAlloc - before.TotalAlloc; got > parentBytes*3/4 {
+		t.Errorf("New(8x8x8) allocated %d bytes, want <= %d (three quarters of %d)", got, parentBytes*3/4, parentBytes)
 	}
 	runtime.KeepAlive(nw)
+}
+
+// pacedAllToAll sends one maximum-size packet to every other node, the
+// i-th no earlier than tick i*gap. Every node keeps the same timetable, as
+// the collective's paced strategies do, so their CPUs finish injections on
+// the same ticks.
+type pacedAllToAll struct {
+	self, p, next int32
+	gap           int64
+}
+
+func (s *pacedAllToAll) Next(now int64) (PacketSpec, SrcStatus, int64) {
+	if s.next == s.p-1 {
+		return PacketSpec{}, SrcDone, 0
+	}
+	if at := int64(s.next) * s.gap; now < at {
+		return PacketSpec{}, SrcWait, at
+	}
+	s.next++
+	return PacketSpec{Dst: (s.self + s.next) % s.p, Size: MaxPacketBytes, Payload: MaxPacketBytes}, SrcReady, 0
+}
+
+// retainedBytes is the storage a network keeps between runs that a run's
+// traffic decides: every ring's slots, and each engine's calendar buckets
+// and the free list they borrow from.
+func retainedBytes(nw *Network) int {
+	n := ringSlotsTotal(nw) * int(unsafe.Sizeof(pktRef{})+unsafe.Sizeof(int32(0)))
+	for i := range nw.engines {
+		q := &nw.engines[i].evq
+		n += 8 * len(q.keep)
+		for _, b := range q.buckets {
+			if cap(b) > bucketKeys {
+				n += 8 * cap(b)
+			}
+		}
+		for _, class := range q.free {
+			for _, b := range class {
+				n += 8 * cap(b)
+			}
+		}
+	}
+	return n
+}
+
+// TestRunFootprint guards what a network keeps after a run. An all-to-all
+// of maximum-size packets on the paper's 512-node partition, paced at 95 %
+// of the bisection rate like the strategies, bursts hundreds of events onto
+// single ticks. At the parent of the pooled buckets, every bucket kept the
+// storage of the largest tick it ever held, and each VC ring had 16 slots:
+// the network kept 5,838,208 bytes after the run on one engine and
+// 5,926,912 on two. It must keep at most half of that.
+func TestRunFootprint(t *testing.T) {
+	shape := torus.New(8, 8, 8)
+	p := shape.P()
+	gap := int64(shape.PeakTimePerByte() / float64(p) * MaxPacketBytes / 0.95)
+	for _, c := range []struct {
+		shards      int
+		parentBytes int
+	}{{1, 5838208}, {2, 5926912}} {
+		srcs := make([]Source, p)
+		for n := range srcs {
+			srcs[n] = &pacedAllToAll{self: int32(n), p: int32(p), gap: gap}
+		}
+		nw := buildNet(t, shape, DefaultParams(), srcs, countOnly{})
+		if _, _, err := nw.RunSharded(RunSpec{MaxTime: 1 << 40, Shards: c.shards}); err != nil {
+			t.Fatal(err)
+		}
+		got := retainedBytes(nw)
+		t.Logf("shards=%d: keeps %d bytes, parent %d", c.shards, got, c.parentBytes)
+		if got > c.parentBytes/2 {
+			t.Errorf("shards=%d: the network keeps %d bytes after the run, want <= %d (half of %d)",
+				c.shards, got, c.parentBytes/2, c.parentBytes)
+		}
+	}
 }
