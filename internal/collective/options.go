@@ -43,18 +43,17 @@ type Options struct {
 	Cache *NetCache
 
 	// Observer, when non-nil, taps the simulation for instrumentation
-	// (typically an *observe.Collector). Multi-phase strategies report each
-	// phase as one observed run to the same observer. It never changes the
-	// Result: Result.Observed is set exactly when Request.Observe is, from
-	// a fresh collector when Observer is nil, else from Observer, which
-	// must then be an *observe.Collector (of any window: a Summary does not
-	// depend on it).
+	// (typically an *observe.Collector); every strategy is one observed run.
+	// It never changes the Result: Result.Observed is set exactly when
+	// Request.Observe is, from a fresh collector when Observer is nil, else
+	// from Observer, which must then be an *observe.Collector (of any window:
+	// a Summary does not depend on it).
 	Observer network.Observer
 
 	// SyncStats, when non-nil, receives the engine's synchronization counters
 	// for the run (the shard count that actually ran, windows, barrier
-	// crossings, cross-shard traffic; multi-phase strategies accumulate
-	// across phases). The counters depend
+	// crossings, cross-shard traffic), added to what it holds, so one passed
+	// to several runs sums them (network.SyncStats.Add). The counters depend
 	// on the shard count, which is why they are an out-parameter rather than
 	// Result fields - Result stays a pure function of the request.
 	SyncStats *network.SyncStats
@@ -157,14 +156,13 @@ func (o *Options) network(sources []network.Source, h network.Handler) (*network
 	return nw, err
 }
 
-// runPhase runs one simulated phase of a prepared run, the skeleton every
+// runPhase runs the one network run of a prepared run, the skeleton every
 // strategy and pattern shares: build or recycle the network for sources and
 // h, drive it with the run's settings (network.RunSpec), dump its state to
-// DebugDump on failure, fold the sync counters into SyncStats, and check the
-// payload h counted per node into recv against want. Errors are
-// labeled "<label> on <shape>". Multi-phase strategies call it once per
-// phase; the returned network's Stats are valid until the next call, which
-// may recycle it.
+// DebugDump on failure, add the sync counters into SyncStats, and check the
+// payload h counted per node into recv against want. Errors are labeled
+// "<label> on <shape>". The returned network's Stats are valid until the
+// cache recycles it for another run.
 func (o *Options) runPhase(label string, sources []network.Source, h network.Handler,
 	recv []int64, want func(node int) int64) (*network.Network, int64, error) {
 	nw, err := o.network(sources, h)
@@ -194,8 +192,8 @@ func (o *Options) runPhase(label string, sources []network.Source, h network.Han
 	return nw, t, nil
 }
 
-// allToAllPayload is runPhase's want for the single-phase strategies: every
-// node receives MsgBytes from each of the other P-1.
+// allToAllPayload is runPhase's want for the burst strategies: every node
+// receives MsgBytes from each of the other P-1.
 func (o *Options) allToAllPayload(int) int64 {
 	return int64(o.Shape.P()-1) * int64(o.MsgBytes)
 }
@@ -266,39 +264,36 @@ type Result struct {
 	// VMesh factorization used (valid when Strategy == StratVMesh).
 	VMeshRows int `json:"vmesh_rows,omitempty"`
 	VMeshCols int `json:"vmesh_cols,omitempty"`
-	// PhaseTimes records per-phase completion for multi-phase strategies.
+	// PhaseTimes is VMesh's {when the last node started its column leg,
+	// Time}: the leg that each node starts once its own row is in.
 	PhaseTimes []int64 `json:"phase_times,omitempty"`
 
 	// Observed is the observability summary for the run, present exactly
-	// when Request.Observe is set. Multi-phase strategies fold all phases
-	// into one summary.
+	// when Request.Observe is set.
 	Observed *observe.Summary `json:"observed,omitempty"`
 }
 
-// result builds the run's Result from its completion time and, for the
-// single-network strategies, the network's statistics (VMesh passes nil and
-// folds its two phases itself).
+// result builds the run's Result from its completion time and the network's
+// statistics.
 func (o *Options) result(t int64, st *network.Stats) Result {
 	r := Result{
-		Strategy: o.Strategy,
-		Shape:    o.Shape,
-		Time:     t,
-		Seconds:  o.Calib.Seconds(float64(t)),
+		Strategy:               o.Strategy,
+		Shape:                  o.Shape,
+		Time:                   t,
+		Seconds:                o.Calib.Seconds(float64(t)),
+		Events:                 st.Events(),
+		QueuedEvents:           st.Events(),
+		PacketsInjected:        st.PacketsInjected,
+		WireBytes:              st.WireBytesInjected,
+		PayloadBytes:           st.FinalPayload,
+		MeanLatencyUnits:       st.MeanLatency(),
+		LastInjectUnits:        st.LastInject,
+		DeadLinkTicks:          st.DeadLinkTicks,
+		Reroutes:               st.Reroutes,
+		MaxIntermediateBacklog: st.MaxPendingFw,
 	}
 	r.setMsgBytes(o.Calib, o.MsgBytes)
-	if st != nil {
-		r.Events = st.Events()
-		r.QueuedEvents = r.Events
-		r.PacketsInjected = st.PacketsInjected
-		r.WireBytes = st.WireBytesInjected
-		r.PayloadBytes = st.FinalPayload
-		r.MeanLatencyUnits = st.MeanLatency()
-		r.LastInjectUnits = st.LastInject
-		r.DeadLinkTicks = st.DeadLinkTicks
-		r.Reroutes = st.Reroutes
-		r.MaxIntermediateBacklog = st.MaxPendingFw
-		r.utilization(st, o.Shape.LinkCount())
-	}
+	r.utilization(st, o.Shape.LinkCount())
 	if o.Observe {
 		r.Observed = o.Observer.(*observe.Collector).Summary()
 	}

@@ -47,8 +47,8 @@ func NewMsg(m, header int) Msg {
 // run sends has the same wire total at both sizes, which fixes its packet
 // count and sizes: the two simulations are then one, and differ only in the
 // payload each packet is credited with (Options.Retarget). The direct
-// strategies, TPS and XYZ send one message a pair; VMesh sends two combined
-// phase messages, and both must match. The default MaxTime grows with m, so
+// strategies, TPS and XYZ send one message a pair; VMesh sends a combined row
+// message and a combined column message, and both must match. The default MaxTime grows with m, so
 // a run at the smaller size stands for the larger one, not the reverse.
 func (o Options) SameTraffic(m int) bool {
 	c := o.calib()

@@ -196,7 +196,7 @@ func RunPattern(ctx context.Context, pat Pattern, opts Options) (Result, error) 
 		opts.MaxTime = messages*msg.Wire*int64(p) + 1<<24
 	}
 	nw, t, err := opts.runLists("pattern "+pat.Name(), directRoute(opts.Shape, opts.Strategy == StratDR),
-		dests, msg, 0, pacer{}, func(n int) int64 { return wantRecv[n] })
+		dests, msg, 0, pacer{}, nil, func(n int) int64 { return wantRecv[n] })
 	if err != nil {
 		return Result{}, err
 	}

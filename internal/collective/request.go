@@ -70,12 +70,11 @@ type Request struct {
 	// byte-identical to a run without it. The textual form is the only one
 	// (the grammar is a String/Parse fixed point), so Requests stay
 	// value-comparable and JSON-portable; Validate parses it and checks it
-	// against Shape (network.FaultSchedule.Validate), and each network run
-	// is handed it (network.RunSpec.Faults). Links go down, come back, die
+	// against Shape (network.FaultSchedule.Validate), and the network run is
+	// handed it (network.RunSpec.Faults). Links go down, come back, die
 	// permanently, or degrade at scheduled times, and packets reroute via
-	// the adaptive paths and the escape bubble channel. Every strategy but
-	// VMesh is one network run; VMesh's two phases each restart the clock,
-	// so the schedule re-applies from t=0 in each phase.
+	// the adaptive paths and the escape bubble channel. Every strategy is one
+	// network run, so the schedule's clock is the run's.
 	Faults string `json:"faults,omitempty"`
 
 	// MaxTime aborts runs that exceed this many time units (0 = generous

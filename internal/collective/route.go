@@ -119,16 +119,20 @@ const kindCredit uint8 = 0xFF
 
 // relay is the delivery handler of every strategy and pattern: count the
 // payload of a packet that has reached its final destination, forward any
-// other one leg further. recv is indexed by receiving node, so sharded workers
-// never share a counter.
+// other one leg further, and feed VMesh's row-leg (Kind 0) payload to its gate.
+// The counters are indexed by receiving node, so sharded workers never share one.
 type relay struct {
 	route *route
 	recv  []int64
+	gate  *columnGate // nil but for VMesh
 }
 
 func (h *relay) OnDeliver(d network.Delivered, fw []network.PacketSpec) ([]network.PacketSpec, int64, bool) {
 	if d.Aux == d.Node {
 		h.recv[d.Node] += int64(d.Payload)
+		if h.gate != nil && d.Kind == 0 {
+			h.gate.got[d.Node] += int64(d.Payload)
+		}
 		return fw, 0, true
 	}
 	return append(fw, h.route.leg(d.Node, d.Aux, d.Size, d.Payload)), 0, false

@@ -34,8 +34,25 @@ type schedule struct {
 	// list marks a list phase, which reports completion without consulting
 	// the pacer; the all-to-all finds it after the pacer lets it look, which
 	// shows in the event count.
-	list bool
+	list   bool
+	column *columnGate // nil: one list; else VMesh's column leg follows it
 }
+
+// columnGate holds each node's VMesh column leg (vmesh.go) until the relay has
+// counted the node's whole row payload into got; the reception that completes
+// it re-polls the source, which opens the leg. Slices are indexed by node.
+type columnGate struct {
+	dests   [][]int32 // each node's column list
+	msg     Msg
+	startup int64
+	want    int64   // the row payload a node receives
+	got     []int64 // row payload received so far
+	opened  []int64 // when the node's source started its column leg
+}
+
+// parkRetry is how long a source that waits for a reception (a TPS credit, a
+// VMesh row) waits on time: the reception re-polls it, so this is a safety net.
+const parkRetry = 4 * network.MaxPacketBytes
 
 // sources builds every node's source for one phase: node n visits order(n).
 func (sc schedule) sources(order func(n int) visitOrder) []network.Source {
@@ -53,11 +70,21 @@ type burstSource struct {
 	order visitOrder
 
 	idx, pass, inBurst int
+	leg                uint8 // 1 once the column gate has opened; packets carry it in Kind
 }
 
 func (s *burstSource) Next(now int64) (network.PacketSpec, network.SrcStatus, int64) {
-	if s.list && s.idx >= s.order.Len() {
-		return network.PacketSpec{}, network.SrcDone, 0
+	for s.list && s.idx >= s.order.Len() {
+		g := s.column
+		if g == nil {
+			return network.PacketSpec{}, network.SrcDone, 0
+		}
+		if g.got[s.self] < g.want {
+			return network.PacketSpec{}, network.SrcWait, now + parkRetry
+		}
+		g.opened[s.self] = now
+		s.msg, s.burst, s.startup, s.order = g.msg, g.msg.NPkts, g.startup, destList(g.dests[s.self])
+		s.idx, s.column, s.leg = 0, nil, 1
 	}
 	if retry, ok := s.pace.gate(now); !ok {
 		return network.PacketSpec{}, network.SrcWait, retry
@@ -77,10 +104,9 @@ func (s *burstSource) Next(now int64) (network.PacketSpec, network.SrcStatus, in
 			continue
 		}
 		spec := s.route.packet(s.self, int32(s.order.At(s.idx)), s.msg, j, s.startup)
+		spec.Kind += s.leg
 		if s.gate != nil && !s.gate.spend(s.self, spec) {
-			// Parked until a credit's reception on this node's CPU re-polls the
-			// source; the timed retry is only a (generous) safety net.
-			return network.PacketSpec{}, network.SrcWait, now + 4*network.MaxPacketBytes
+			return network.PacketSpec{}, network.SrcWait, now + parkRetry // until a credit comes back
 		}
 		s.inBurst++
 		if s.inBurst == s.burst {
@@ -116,13 +142,13 @@ func runBurst(opts *Options, rt *route) (Result, error) {
 	return opts.result(t, nw.Stats()), nil
 }
 
-// runLists runs one phase of a prepared run in which node n sends one msg to
-// each of dests[n] over rt, in list order; want(n) is the payload node n must
-// have received by the end. VMesh's two combining phases and every pattern
-// run (pattern.go) are list phases.
+// runLists runs a prepared run in which node n sends one msg to each of
+// dests[n] over rt, in list order, then its column list when column is set;
+// want(n) is the payload node n must have received by the end. VMesh and
+// every pattern run (pattern.go) are list phases.
 func (o *Options) runLists(label string, rt *route, dests [][]int32, msg Msg, startup int64, pace pacer,
-	want func(node int) int64) (*network.Network, int64, error) {
-	sc := schedule{route: rt, msg: msg, burst: msg.NPkts, startup: startup, pace: pace, list: true}
-	h := &relay{route: rt, recv: make([]int64, len(dests))}
+	column *columnGate, want func(node int) int64) (*network.Network, int64, error) {
+	sc := schedule{route: rt, msg: msg, burst: msg.NPkts, startup: startup, pace: pace, list: true, column: column}
+	h := &relay{route: rt, recv: make([]int64, len(dests)), gate: column}
 	return o.runPhase(label, sc.sources(func(n int) visitOrder { return destList(dests[n]) }), h, h.recv, want)
 }

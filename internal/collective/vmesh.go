@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"alltoall/internal/torus"
 )
@@ -11,11 +12,11 @@ import (
 // A virtual Pvx x Pvy mesh is mapped onto the physical partition. In phase
 // 1 every node combines, for each virtual-mesh column j, the blocks destined
 // to all Pvy nodes of that column into one message of Pvy*(m+proto) bytes
-// and sends it to its row neighbour in column j. After a barrier, phase 2
-// sorts the received blocks by destination and sends each column neighbour
-// one message of Pvx*(m+proto) bytes. Every byte crosses the network twice,
-// but per-destination software headers are amortized over combined
-// messages, which wins for very short messages.
+// and sends it to its row neighbour in column j. Once its own Pvx-1 row
+// messages are in, a node sorts the received blocks by destination and, in
+// phase 2, sends each column neighbour one message of Pvx*(m+proto) bytes.
+// Every byte crosses the network twice, but per-destination software headers
+// are amortized over combined messages, which wins for very short messages.
 
 // BalancedFactor returns the factorization p = a*b with a >= b minimizing
 // a-b (the paper: "keep the number of rows and columns about the same").
@@ -85,12 +86,11 @@ func (r Request) vmeshFactors() (pvx, pvy int, err error) {
 	return pvx, pvy, nil
 }
 
-// runVMesh runs the 2D virtual-mesh combining strategy: two list-schedule
-// phases on the direct route, separated by a barrier (they do not overlap,
-// matching Equation 4).
+// runVMesh runs the 2D virtual-mesh combining strategy as one list phase on
+// the direct route: each node sends its row leg, then, once its own row's
+// blocks are all in, its column leg (columnGate).
 func runVMesh(opts *Options) (Result, error) {
-	shape := opts.Shape
-	p := shape.P()
+	p := opts.Shape.P()
 	pvx, pvy, err := opts.vmeshFactors()
 	if err != nil {
 		return Result{}, err
@@ -99,58 +99,33 @@ func runVMesh(opts *Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	vm := newVMeshMap(shape, order)
+	vm := newVMeshMap(opts.Shape, order)
 	calib := opts.Calib
 	// The gather/sort copy cost of a combined message, charged like its
 	// startup with the message's first packet.
 	gammaOf := func(bytes int64) int64 { return bytes * calib.GammaMilliPerByte / 1000 }
-	rt := directRoute(shape, false)
 
-	// Phase 1: row exchange. Virtual node (r, c) sends to (r, j) for j != c
-	// a message combining the blocks for column j.
-	msg1 := NewMsg(pvy*(opts.MsgBytes+calib.ProtoBytes), calib.HeaderBytes)
-	dests1 := vm.lists(pvx, 1, torus.NewPerm(pvx, opts.Seed^0x5EED1))
-	nw1, t1, err := opts.runLists("VMesh phase 1", rt, dests1, msg1, calib.AlphaMsg+gammaOf(msg1.Wire), opts.pacer(false),
-		func(int) int64 { return int64(pvx-1) * int64(msg1.Payload) })
-	if err != nil {
-		return Result{}, err
-	}
-	st1 := nw1.Stats()
-
-	// Phase 2: column exchange. Virtual node (r, c) sends to (r', c) for
-	// r' != r a message with the blocks (from all Pvx row members) for that
-	// destination.
-	msg2 := NewMsg(pvx*(opts.MsgBytes+calib.ProtoBytes), calib.HeaderBytes)
-	dests2 := vm.lists(pvy, pvx, torus.NewPerm(pvy, opts.Seed^0x5EED2))
-	nw2, t2, err := opts.runLists("VMesh phase 2", rt, dests2, msg2, calib.AlphaMsg+gammaOf(msg2.Wire), opts.pacer(false),
-		func(int) int64 { return int64(pvy-1) * int64(msg2.Payload) })
+	// Row leg: virtual node (r, c) sends to (r, j) for j != c a message
+	// combining the blocks for column j.
+	row := NewMsg(pvy*(opts.MsgBytes+calib.ProtoBytes), calib.HeaderBytes)
+	rows := vm.lists(pvx, 1, torus.NewPerm(pvx, opts.Seed^0x5EED1))
+	// Column leg: virtual node (r, c) sends to (r', c) for r' != r a message
+	// with the blocks (from all Pvx row members) for that destination.
+	col := NewMsg(pvx*(opts.MsgBytes+calib.ProtoBytes), calib.HeaderBytes)
+	gate := &columnGate{dests: vm.lists(pvy, pvx, torus.NewPerm(pvy, opts.Seed^0x5EED2)), msg: col,
+		startup: calib.AlphaMsg + gammaOf(col.Wire), want: int64(pvx-1) * int64(row.Payload),
+		got: make([]int64, p), opened: make([]int64, p)}
+	nw, t, err := opts.runLists("VMesh", directRoute(opts.Shape, false), rows, row, calib.AlphaMsg+gammaOf(row.Wire),
+		opts.pacer(false), gate, func(int) int64 { return gate.want + int64(pvy-1)*int64(col.Payload) })
 	if err != nil {
 		return Result{}, err
 	}
 
-	st2 := nw2.Stats()
-	r := opts.result(t1+t2, nil)
+	r := opts.result(t, nw.Stats())
 	r.VMeshCols, r.VMeshRows = pvx, pvy
-	r.PhaseTimes = []int64{t1, t2}
-	r.DeadLinkTicks = st1.DeadLinkTicks + st2.DeadLinkTicks
-	r.Reroutes = st1.Reroutes + st2.Reroutes
-	r.Events = st1.Events() + st2.Events()
-	r.QueuedEvents = r.Events
-	r.PacketsInjected = st1.PacketsInjected + st2.PacketsInjected
-	r.WireBytes = st1.WireBytesInjected + st2.WireBytesInjected
-	// Every pair's m application bytes are delivered (directly in phase 1
-	// for row mates, via phase 2 otherwise).
+	r.PhaseTimes = []int64{slices.Max(gate.opened), t}
+	// Every pair's m application bytes are delivered (on the row leg for row
+	// mates, via the column leg otherwise).
 	r.PayloadBytes = int64(p) * int64(p-1) * int64(opts.MsgBytes)
-	r.MeanLatencyUnits = st2.MeanLatency()
-	// A link or CPU is busy over the whole run for what it was busy in
-	// either phase; the busiest link of phase 1 need not be phase 2's. st1
-	// is a snapshot of its own, so phase 2's busy time adds into it.
-	for i, b := range st2.LinkBusy {
-		st1.LinkBusy[i] += b
-	}
-	for i, b := range st2.CPUBusy {
-		st1.CPUBusy[i] += b
-	}
-	r.utilization(st1, shape.LinkCount())
 	return r, nil
 }

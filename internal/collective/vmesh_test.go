@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"alltoall/internal/network"
 	"alltoall/internal/torus"
 )
 
@@ -77,19 +78,82 @@ func TestRunVMeshDeliversEverything(t *testing.T) {
 	if res.VMeshCols*res.VMeshRows != int(p) {
 		t.Errorf("factorization %dx%d", res.VMeshCols, res.VMeshRows)
 	}
-	if len(res.PhaseTimes) != 2 || res.PhaseTimes[0] <= 0 || res.PhaseTimes[1] <= 0 {
-		t.Errorf("phase times %v", res.PhaseTimes)
+	// One run: the last node opens its column leg before the run ends, and
+	// the run's counters cover both legs.
+	if len(res.PhaseTimes) != 2 || !(0 < res.PhaseTimes[0] && res.PhaseTimes[0] < res.PhaseTimes[1]) ||
+		res.PhaseTimes[1] != res.Time {
+		t.Errorf("phase times %v, want 0 < column start < Time = %d", res.PhaseTimes, res.Time)
 	}
-	if res.Time != res.PhaseTimes[0]+res.PhaseTimes[1] {
-		t.Errorf("total %d != sum of phases %v", res.Time, res.PhaseTimes)
+	if !(res.PhaseTimes[0] < res.LastInjectUnits && res.LastInjectUnits < res.Time) {
+		t.Errorf("last injection at %d, want between the last column start %d and Time %d",
+			res.LastInjectUnits, res.PhaseTimes[0], res.Time)
 	}
-	// Utilization is folded per link and per CPU over both phases: summing
-	// the two phases' busiest links instead could exceed 1.
 	if !(0 < res.MeanLinkUtil && res.MeanLinkUtil <= res.MaxLinkUtil && res.MaxLinkUtil <= 1) {
 		t.Errorf("link utilization mean %v max %v, want 0 < mean <= max <= 1", res.MeanLinkUtil, res.MaxLinkUtil)
 	}
 	if !(0 < res.MeanCPUUtil && res.MeanCPUUtil <= res.MaxCPUUtil && res.MaxCPUUtil <= 1) {
 		t.Errorf("CPU utilization mean %v max %v, want 0 < mean <= max <= 1", res.MeanCPUUtil, res.MaxCPUUtil)
+	}
+}
+
+// TestColumnGate drives one node's source by hand: once its row list is
+// sent, the column leg waits; a column block and a partial row do not open
+// it; the reception that completes the row does, on the next poll - before
+// the retry the waiting source asked for.
+func TestColumnGate(t *testing.T) {
+	shape := torus.New(4, 2, 1)
+	p := shape.P()
+	rt := directRoute(shape, false)
+	row, col := NewMsg(100, 48), NewMsg(600, 48)
+	gate := &columnGate{dests: make([][]int32, p), msg: col, startup: 7, want: 2 * int64(row.Payload),
+		got: make([]int64, p), opened: make([]int64, p)}
+	gate.dests[0] = []int32{4}
+	sc := schedule{route: rt, msg: row, burst: row.NPkts, startup: 5, list: true, column: gate}
+	src := sc.sources(func(int) visitOrder { return destList{1, 2} })[0]
+	h := &relay{route: rt, recv: make([]int64, p), gate: gate}
+	deliver := func(from int32, g Msg, kind uint8) {
+		h.OnDeliver(network.Delivered{Node: 0, Src: from, Aux: 0, Payload: int32(g.Payload), Kind: kind}, nil)
+	}
+
+	now := int64(0)
+	for i := 0; i < 2*row.NPkts; i++ {
+		if spec, status, _ := src.Next(now); status != network.SrcReady || spec.Kind != 0 {
+			t.Fatalf("row packet %d: status %v kind %d, want a ready row-leg packet", i, status, spec.Kind)
+		}
+		now += 10
+	}
+	closed := func(when string) int64 {
+		t.Helper()
+		_, status, retry := src.Next(now)
+		if status != network.SrcWait || retry <= now {
+			t.Fatalf("%s: status %v, retry %d at t=%d, want a wait", when, status, retry, now)
+		}
+		return retry
+	}
+	closed("nothing received")
+	deliver(4, col, 1)
+	deliver(1, row, 0)
+	now += 10
+	retry := closed("a column block and half the row received")
+	deliver(2, row, 0)
+	now++ // the completing reception's CPU operation ends and re-polls
+	if now >= retry {
+		t.Fatalf("re-poll at %d not before the retry %d", now, retry)
+	}
+	for j := 0; j < col.NPkts; j++ {
+		spec, status, _ := src.Next(now)
+		if status != network.SrcReady || spec.Dst != 4 || spec.Kind != 1 || spec.Size != col.PktSize(j) {
+			t.Fatalf("column packet %d: status %v %+v, want packet %d of the column message to 4 with Kind 1", j, status, spec, j)
+		}
+		if startup := spec.ExtraCPU; (j == 0) != (startup == 7) {
+			t.Errorf("column packet %d charged %d, want the startup 7 on the first packet only", j, startup)
+		}
+	}
+	if gate.opened[0] != now {
+		t.Errorf("column leg opened at %d, want %d", gate.opened[0], now)
+	}
+	if _, status, _ := src.Next(now); status != network.SrcDone {
+		t.Errorf("after the column list: status %v, want done", status)
 	}
 }
 

@@ -75,18 +75,21 @@ type Params struct {
 	// EscapeDelay is how long an adaptive packet must sit blocked before it
 	// may fall back to the bubble escape VC (engine.escapeAt). It was added
 	// so eager escape could not make the slot-accounted escape ring the main
-	// carrier; measured, 0 stays live and within 0.5% of the default on
-	// ablation_test.go's unpaced saturated ring (paced: see VCLookahead).
+	// carrier. Measured, eager escape keeps every table row's seed mean
+	// inside its seed band with 9-15% fewer events, and is within 0.5% on
+	// ablation_test.go's unpaced saturated ring; its rent is the killed-link
+	// run of TestKilledLinkDegradesGracefully, which under eager escape ends
+	// 6.7% sooner than the healthy one, outside that test's 5% band
+	// (DESIGN.md §2).
 	EscapeDelay int64
 
 	// VCLookahead is the number of packets at the front of each dynamic VC
 	// the arbiter may choose among (Params.window; the VC buffers are
-	// random-access SRAM). 1 models a strict FIFO and is up to 3% slower on
-	// ablation_test.go's unpaced saturated ring. At the tables' paced
-	// operating point (AR 8x8x8) each of these two switches is 1-2% faster
-	// than the default at m=208 and within 0.5% at m=960; ROADMAP 4(a)
-	// decides whether each compensation stays. The bubble escape VC is always
-	// strictly FIFO (the ring invariant depends on it), as are injection FIFOs.
+	// random-access SRAM). 1 models a strict FIFO: over seeds it costs 13.7
+	// points of peak on AR 16x16 and 6.0 on TPS 8x8x8, far outside their seed
+	// bands (DESIGN.md §2), and up to 3% on ablation_test.go's unpaced
+	// saturated ring. The bubble escape VC is always strictly FIFO (the ring
+	// invariant depends on it), as are injection FIFOs.
 	VCLookahead int32
 }
 

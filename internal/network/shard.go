@@ -69,8 +69,8 @@ type SyncStats struct {
 	CrossShardBytes  int64
 }
 
-// Add accumulates o into s for multi-phase workloads: counters sum and
-// Shards takes o's value.
+// Add accumulates o into s, for a caller that reads several runs' counters
+// through one SyncStats: counters sum and Shards takes o's value.
 func (s *SyncStats) Add(o *SyncStats) {
 	s.Shards = o.Shards
 	s.HorizonAdvances += o.HorizonAdvances

@@ -14,7 +14,7 @@ import (
 type Summary struct {
 	SchemaVersion int    `json:"schema_version"`
 	Shape         string `json:"shape"`
-	Runs          int    `json:"runs"`   // runs (phases) folded in
+	Runs          int    `json:"runs"`   // network runs folded in, one per collective
 	Finish        int64  `json:"finish"` // total simulated time across runs
 
 	// BytesByDim[d] is the total wire bytes carried by links of torus
@@ -78,8 +78,8 @@ type LinkUtil struct {
 func dimName(d int) string { return [torus.NumDims]string{"x", "y", "z"}[d] }
 
 // Summary digests the collector's current totals. Utilization fractions use
-// the accumulated finish time, so a collector spanning several runs (or a
-// two-phase strategy) reports occupancy over all observed time. A collector
+// the accumulated finish time, so a collector spanning several runs reports
+// occupancy over all observed time. A collector
 // that never observed a run returns the zero summary.
 func (c *Collector) Summary() *Summary {
 	if c.shape == (torus.Shape{}) {
